@@ -1,9 +1,9 @@
-//! Criterion bench for the design-choice ablation: full-state vs replay
-//! state storage and coarse vs fine packet processing.
+//! Criterion bench for the design-choice ablation: a snapshot per frontier
+//! node vs replay from the root, and coarse vs fine packet processing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nice_bench::{exhaustive, ping_workload};
-use nice_mc::{CheckerConfig, StateStorage};
+use nice_mc::CheckerConfig;
 
 fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation");
@@ -15,7 +15,7 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| {
             exhaustive(
                 ping_workload(2, true),
-                CheckerConfig::default().with_state_storage(StateStorage::Replay),
+                CheckerConfig::default().with_checkpoint_interval(usize::MAX),
             )
         })
     });

@@ -1,17 +1,12 @@
-//! Criterion bench for the exploration-engine optimisations, on the
-//! pyswitch FullDfs chain-ping workload and the load-balancer scenario:
+//! Criterion bench for the exploration engines, on the pyswitch FullDfs
+//! chain-ping workload and the load-balancer scenario:
 //!
-//! * `sequential_seed` — one worker, frontier states deep-cloned eagerly and
-//!   every fingerprint recomputed from scratch: the cost profile of the
-//!   engine before copy-on-write states landed,
-//! * `cow_snapshot` — one worker with copy-on-write snapshots and cached
-//!   component digests (the default engine),
-//! * `checkpoint_replay` — one worker, checkpointed replay storage
-//!   (snapshot every 8 transitions, replay the suffix), and
-//! * `parallel_4` — four workers over the shared work-sharing frontier.
+//! * `cow_snapshot` — one worker with a copy-on-write snapshot per frontier
+//!   node and cached component digests (the default engine),
+//! * `checkpoint_replay` — one worker, a snapshot every 8 transitions of
+//!   depth and the suffix replayed, and
+//! * `parallel_4` — four workers over one shared explored store.
 //!
-//! The acceptance target for this work was ≥ 2x states/sec for `parallel_4`
-//! over `sequential_seed` on the pyswitch scenario.
 //! `cargo run --release -p nice-bench --bin parallel` prints states/sec and
 //! speedups directly.
 
@@ -25,17 +20,6 @@ const PINGS: u32 = 2;
 fn bench_engines(c: &mut Criterion, group_name: &str, scenario: impl Fn() -> Scenario) {
     let mut group = c.benchmark_group(group_name);
     group.sample_size(10);
-    group.bench_function("sequential_seed", |b| {
-        b.iter(|| {
-            exhaustive(
-                scenario(),
-                CheckerConfig {
-                    force_deep_clone: true,
-                    ..CheckerConfig::default()
-                },
-            )
-        })
-    });
     group.bench_function("cow_snapshot", |b| {
         b.iter(|| exhaustive(scenario(), CheckerConfig::default()))
     });

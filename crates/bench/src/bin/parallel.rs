@@ -1,8 +1,9 @@
 //! States/sec comparison of the exploration engines on the pyswitch FullDfs
 //! chain-ping workload and the load-balancer workload (the BUG-V registry
-//! entry): the pre-COW sequential baseline (eager deep clones),
-//! copy-on-write snapshots, checkpointed replay, the parallel engine and
-//! the POR legs — the shared [`nice_bench::engine_configs`] matrix.
+//! entry): the default engine (the first row, which the speedups are
+//! relative to), checkpointed replay, the parallel engine, the POR legs and
+//! the explored-set tiers — the shared [`nice_bench::engine_configs`]
+//! matrix.
 //!
 //! Usage: `parallel [switches] [pings] [workers] [--progress]`
 //!

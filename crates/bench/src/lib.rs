@@ -12,8 +12,8 @@
 //! * [`table2`] — transitions / time to the first violation for each of the
 //!   eleven bugs under the four search strategies (Table 2).
 //! * [`ablation`] — the design-choice ablations called out in DESIGN.md
-//!   (canonical flow tables, replay vs full state storage, coarse vs
-//!   fine-grained packet processing).
+//!   (canonical flow tables, replay-from-the-root vs snapshot-per-node
+//!   frontier storage, coarse vs fine-grained packet processing).
 //!
 //! Binaries under `src/bin/` print the rows in the same shape as the paper;
 //! Criterion benches under `benches/` track the runtime of representative
@@ -25,7 +25,7 @@
 use nice_apps::scenarios::{bug_scenario, BugId};
 use nice_mc::{
     CheckObserver, CheckerConfig, ExploredMode, ModelChecker, NoopObserver, ReductionKind,
-    Scenario, SchedulerKind, SearchStats, StateStorage, StrategyKind,
+    Scenario, SearchStats, StrategyKind,
 };
 use std::time::Duration;
 
@@ -42,20 +42,13 @@ pub use nice_apps::workloads::{
 };
 
 /// The engine matrix the exploration benches and the CI bench gate profile:
-/// the pre-COW deep-clone baseline, copy-on-write snapshots, checkpointed
-/// replay, the parallel engine (both schedulers, so the work-stealing vs
-/// work-donation speedup is visible in every run), the POR legs, and the
-/// tiered / bitstate explored-set legs. Shared by the `parallel` and
-/// `ci_gate` bins so their rows can never drift apart.
+/// the default engine (a copy-on-write snapshot per frontier node — the
+/// first row, which the others' rates are normalised against), checkpointed
+/// replay, the parallel engine, the POR legs, and the tiered / bitstate
+/// explored-set legs. Shared by the `parallel` and `ci_gate` bins so their
+/// rows can never drift apart.
 pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
     vec![
-        (
-            "sequential-seed (deep clone)".into(),
-            CheckerConfig {
-                force_deep_clone: true,
-                ..CheckerConfig::default()
-            },
-        ),
         ("cow-snapshot".into(), CheckerConfig::default()),
         (
             "checkpoint-replay (K=8)".into(),
@@ -64,12 +57,6 @@ pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
         (
             format!("parallel ({workers} workers)"),
             CheckerConfig::default().with_workers(workers),
-        ),
-        (
-            format!("parallel donation ({workers} workers)"),
-            CheckerConfig::default()
-                .with_workers(workers)
-                .with_scheduler(SchedulerKind::Donation),
         ),
         (
             "por (sleep sets)".into(),
@@ -358,13 +345,13 @@ pub struct AblationRow {
 }
 
 /// Regenerates the ablation rows for a given ping count: the canonical flow
-/// table, the coarse `process_pkt` transition, and replay-based state
-/// storage are each toggled independently.
+/// table, the coarse `process_pkt` transition, and per-node frontier
+/// snapshots are each toggled independently.
 pub fn ablation(pings: u32, max_transitions: u64) -> Vec<AblationRow> {
     let base = CheckerConfig::default().with_max_transitions(max_transitions);
     vec![
         AblationRow {
-            label: "baseline (canonical tables, coarse process_pkt, full-state storage)".into(),
+            label: "baseline (canonical tables, coarse process_pkt, snapshot per node)".into(),
             stats: exhaustive(ping_workload(pings, true), base.clone()),
         },
         AblationRow {
@@ -382,10 +369,10 @@ pub fn ablation(pings: u32, max_transitions: u64) -> Vec<AblationRow> {
             ),
         },
         AblationRow {
-            label: "replay-based state storage (trade CPU for memory)".into(),
+            label: "replay from the root, no snapshots (trade CPU for memory)".into(),
             stats: exhaustive(
                 ping_workload(pings, true),
-                base.with_state_storage(StateStorage::Replay),
+                base.with_checkpoint_interval(usize::MAX),
             ),
         },
     ]

@@ -5,10 +5,11 @@
 //! * `nice list` — every bug/fixed scenario the registry knows, with the
 //!   application and the property each one is expected to violate (or pass).
 //! * `nice run <scenario>` — an observable, cancellable check of one
-//!   registry scenario: streams progress to stderr, honours a wall-clock
-//!   budget (`--time-budget-ms`), with `--json` emits one machine-readable
+//!   registry scenario or workload spec (`chain:5:2`): streams progress to
+//!   stderr, honours a wall-clock budget (`--time-budget-ms`), with
+//!   `--json` emits one machine-readable
 //!   object embedding the first counterexample as a typed trace (schema
-//!   `nice-cli-run-v4`, documented in `bench/README.md`), and with
+//!   `nice-cli-run-v5`, documented in `bench/README.md`), and with
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
@@ -37,7 +38,7 @@ use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind}
 use nice_bench::jsonv::{escape_json, validate_json, validate_trace_json};
 use nice_mc::{
     render_timeline, CheckEvent, CheckReport, CheckerConfig, ExploredMode, ModelChecker,
-    ReductionKind, SchedulerKind, StrategyKind, Trace, TRACE_SCHEMA,
+    ReductionKind, Scenario, StrategyKind, Trace, TRACE_SCHEMA,
 };
 use std::io::Read;
 use std::time::Duration;
@@ -61,8 +62,6 @@ RUN / SWEEP OPTIONS:
   --strategy <pkt-seq|no-delay|flow-ir|unusual>   search strategy (run only; default pkt-seq)
   --reduction <none|por>                          partial-order reduction (run only; default none)
   --workers <N>                                   search worker threads (default 1)
-  --scheduler <work-stealing|donation>            how parallel workers share frontier nodes
-                                                  (default work-stealing; needs --workers > 1)
   --explored <mem|tiered|bitstate>                explored-set storage: exact in-memory (default),
                                                   exact with cold-shard spill to disk, or lossy
                                                   SPIN-style bitstate hashing (PASS not exhaustive)
@@ -78,7 +77,8 @@ RUN / SWEEP OPTIONS:
                                                   channel faults, failover — see README \"Fault injection\")
   --all-violations                                keep searching after the first violation
   --expect                                        exit non-zero unless the registry expectation holds
-                                                  (bug found its property / fixed variant passed; run only)
+                                                  (bug found its property / fixed variant passed; run
+                                                  only, registry scenarios only)
   --matrix strategies-x-reductions                sweep matrix selector (sweep only; the default)
   --json                                          emit machine-readable JSON on stdout
   --quiet                                         suppress streamed progress on stderr
@@ -108,7 +108,9 @@ TRACE COMMANDS (operate on nice-trace-v1 files, produced by `nice run --trace-ou
   timeline   ASCII timeline: one lane per switch/host/controller, with packet
              sends, flow-mods, barriers, faults and the violation marked
 
-Scenario names come from `nice list`; schemas are documented in bench/README.md.";
+<scenario> is a registry name from `nice list` or a workload spec (ping:<pings>,
+chain:<switches>:<pings>, chain-faults:<switches>:<pings>); schemas are documented in
+bench/README.md.";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,7 +154,6 @@ struct RunOptions {
     strategy: StrategyKind,
     reduction: ReductionKind,
     workers: usize,
-    scheduler: SchedulerKind,
     explored: ExploredMode,
     mem_limit: u64,
     /// Distributed mode: shard the search over this many worker
@@ -177,7 +178,6 @@ impl Default for RunOptions {
             strategy: StrategyKind::FullDfs,
             reduction: ReductionKind::None,
             workers: 1,
-            scheduler: SchedulerKind::default(),
             explored: ExploredMode::default(),
             mem_limit: 0,
             dist: 0,
@@ -225,12 +225,6 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             }
             "--workers" => {
                 opts.workers = parse_number(take_value(i)?, "--workers")? as usize;
-                i += 2;
-            }
-            "--scheduler" => {
-                let v = take_value(i)?;
-                opts.scheduler = SchedulerKind::parse(v)
-                    .ok_or_else(|| format!("unknown scheduler '{v}' (work-stealing, donation)"))?;
                 i += 2;
             }
             "--explored" => {
@@ -347,7 +341,6 @@ fn config_from(
         .with_strategy(strategy)
         .with_reduction(reduction)
         .with_workers(opts.workers)
-        .with_scheduler(opts.scheduler)
         .with_explored(opts.explored)
         .with_mem_limit(opts.mem_limit)
         .with_max_transitions(opts.max_transitions)
@@ -441,17 +434,50 @@ fn render_list_json(entries: &[ScenarioEntry]) -> String {
 // nice run
 // ---------------------------------------------------------------------------
 
+/// What `run` / `sweep` check: a scenario resolved from its spec the same
+/// way `submit`, `serve` and the dist workers resolve it, plus the registry
+/// entry (and with it the expectation) when the spec is a registry name.
+struct Target {
+    /// The spec as given: a registry name or a workload spec.
+    spec: String,
+    scenario: Scenario,
+    entry: Option<ScenarioEntry>,
+}
+
+fn resolve_target(command: &str, opts: &RunOptions) -> Result<Target, i32> {
+    let Some(spec) = opts.scenario.clone() else {
+        return Err(usage_error(&format!(
+            "{command} needs a scenario (a registry name or a spec like chain:5:2)"
+        )));
+    };
+    let Some(scenario) = nice_apps::workloads::resolve(&spec) else {
+        eprintln!(
+            "unknown scenario '{spec}'; `nice list` enumerates the registry, \
+             and ping:<pings>, chain:<switches>:<pings>, chain-faults:<switches>:<pings> are specs"
+        );
+        return Err(2);
+    };
+    let entry = find_scenario(&spec);
+    if opts.expect && entry.is_none() {
+        return Err(usage_error(&format!(
+            "--expect needs a registry scenario (`nice list`); '{spec}' is not one"
+        )));
+    }
+    Ok(Target {
+        spec,
+        scenario,
+        entry,
+    })
+}
+
 fn cmd_run(args: &[String]) -> i32 {
     let opts = match parse_run_options(args, Mode::Run) {
         Ok(o) => o,
         Err(e) => return usage_error(&e),
     };
-    let Some(name) = opts.scenario.clone() else {
-        return usage_error("run needs a scenario name (see `nice list`)");
-    };
-    let Some(entry) = find_scenario(&name) else {
-        eprintln!("unknown scenario '{name}'; `nice list` enumerates them");
-        return 2;
+    let target = match resolve_target("run", &opts) {
+        Ok(target) => target,
+        Err(code) => return code,
     };
 
     if opts.dist > 0 && opts.workers > 1 {
@@ -462,7 +488,7 @@ fn cmd_run(args: &[String]) -> i32 {
     }
     if opts.dist > 0 {
         let spec = nice_dist::JobSpec {
-            scenario: entry.name.clone(),
+            scenario: target.spec.clone(),
             strategy: opts.strategy,
             reduction: opts.reduction,
             inject_faults: opts.faults,
@@ -480,11 +506,11 @@ fn cmd_run(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        return finish_run(&entry, &opts, &report);
+        return finish_run(&target, &opts, &report);
     }
 
     let config = config_from(&opts, opts.strategy, opts.reduction);
-    let checker = ModelChecker::new(entry.build(), config);
+    let checker = ModelChecker::new(target.scenario.clone(), config);
     let mut session = checker.session().with_progress_every(opts.progress_every);
     if let Some(budget) = opts.time_budget {
         session = session.with_time_budget(budget);
@@ -523,13 +549,13 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     });
 
-    finish_run(&entry, &opts, &report)
+    finish_run(&target, &opts, &report)
 }
 
 /// The shared tail of `nice run`, for both the in-process engines and
 /// `--dist`: write `--trace-out`, print the report (or its JSON form), and
 /// apply `--expect`.
-fn finish_run(entry: &ScenarioEntry, opts: &RunOptions, report: &CheckReport) -> i32 {
+fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     let mut trace_file: Option<String> = None;
     if let Some(path) = &opts.trace_out {
         match report.first_violation() {
@@ -550,37 +576,55 @@ fn finish_run(entry: &ScenarioEntry, opts: &RunOptions, report: &CheckReport) ->
     }
 
     if opts.json {
-        let json = render_run_json(entry, opts, report, trace_file.as_deref());
+        let json = render_run_json(target, opts, report, trace_file.as_deref());
         validate_json(&json).expect("nice run emitted malformed JSON");
         println!("{json}");
     } else {
         print!("{report}");
-        match effective_expectation(entry, opts.faults) {
-            Some(property) if report.passed() => eprintln!(
-                "note: expected a {property} violation but none was found \
-                 (budget too small, or an over-restrictive strategy?)"
-            ),
-            None if !report.passed() => {
-                eprintln!("note: this scenario was expected to pass")
+        if let Some(entry) = &target.entry {
+            match effective_expectation(entry, opts.faults) {
+                Some(property) if report.passed() => eprintln!(
+                    "note: expected a {property} violation but none was found \
+                     (budget too small, or an over-restrictive strategy?)"
+                ),
+                None if !report.passed() => {
+                    eprintln!("note: this scenario was expected to pass")
+                }
+                None if entry.requires_faults && !opts.faults => eprintln!(
+                    "note: this bug only manifests under fault injection — re-run with --faults"
+                ),
+                _ => {}
             }
-            None if entry.requires_faults && !opts.faults => eprintln!(
-                "note: this bug only manifests under fault injection — re-run with --faults"
-            ),
-            _ => {}
         }
     }
-    if opts.expect && !expectation_met(entry, report, opts.faults) {
-        eprintln!(
-            "expectation not met for '{}': {}",
-            entry.name,
-            match effective_expectation(entry, opts.faults) {
-                Some(property) => format!("expected a {property} violation, found none"),
-                None => "this scenario was expected to pass".to_string(),
-            }
-        );
-        return 1;
+    // `--expect` implies a registry entry (`resolve_target` checked).
+    if let (true, Some(entry)) = (opts.expect, &target.entry) {
+        if !expectation_met(entry, report, opts.faults) {
+            eprintln!(
+                "expectation not met for '{}': {}",
+                entry.name,
+                match effective_expectation(entry, opts.faults) {
+                    Some(property) => format!("expected a {property} violation, found none"),
+                    None => "this scenario was expected to pass".to_string(),
+                }
+            );
+            return 1;
+        }
     }
     0
+}
+
+/// A JSON string literal, or `null`.
+fn json_opt_str(value: Option<&str>) -> String {
+    value.map_or("null".to_string(), |v| format!("\"{}\"", escape_json(v)))
+}
+
+/// `expectation_met` as a JSON value: `null` for a workload spec, which the
+/// registry predicts nothing about.
+fn expectation_met_json(target: &Target, report: &CheckReport, faults: bool) -> String {
+    target.entry.as_ref().map_or("null".to_string(), |entry| {
+        expectation_met(entry, report, faults).to_string()
+    })
 }
 
 /// The violation the registry predicts under the given fault setting:
@@ -603,7 +647,7 @@ fn expectation_met(entry: &ScenarioEntry, report: &CheckReport, faults: bool) ->
 }
 
 fn render_run_json(
-    entry: &ScenarioEntry,
+    target: &Target,
     opts: &RunOptions,
     report: &CheckReport,
     trace_file: Option<&str>,
@@ -638,11 +682,12 @@ fn render_run_json(
         } else {
             "parallel"
         });
+    let entry = target.entry.as_ref();
     format!(
-        "{{\n  \"schema\": \"nice-cli-run-v4\",\n  \"scenario\": \"{}\",\n  \"app\": \"{}\",\n  \
-         \"bug\": \"{}\",\n  \"kind\": \"{}\",\n  \"expected_violation\": {},\n  \
+        "{{\n  \"schema\": \"nice-cli-run-v5\",\n  \"scenario\": \"{}\",\n  \"app\": \"{}\",\n  \
+         \"bug\": {},\n  \"kind\": \"{}\",\n  \"expected_violation\": {},\n  \
          \"strategy\": \"{}\",\n  \"reduction\": \"{}\",\n  \"workers\": {},\n  \"engine\": \"{}\",\n  \
-         \"scheduler\": \"{}\",\n  \"explored\": \"{}\",\n  \"lossy\": {},\n  \
+         \"explored\": \"{}\",\n  \"lossy\": {},\n  \
          \"faults_enabled\": {},\n  \"injected_faults\": {{{}}},\n  \
          \"outcome\": \"{}\",\n  \"passed\": {},\n  \"expectation_met\": {},\n  \
          \"violated_properties\": [{}],\n  \"first_trace_len\": {},\n  \
@@ -652,27 +697,26 @@ fn render_run_json(
          \"work_steals\": {},\n  \"peak_explored_bytes\": {},\n  \"spilled_shards\": {},\n  \
          \"filter_hits\": {},\n  \"disk_probes\": {},\n  \
          \"max_depth\": {},\n  \"duration_secs\": {:.6},\n  \"states_per_sec\": {:.1}\n}}",
-        escape_json(&entry.name),
-        escape_json(entry.app),
-        entry.bug.label(),
-        match entry.kind {
-            ScenarioKind::Buggy => "bug",
-            ScenarioKind::Fixed => "fixed",
+        escape_json(&target.spec),
+        escape_json(entry.map_or(target.scenario.app.name(), |e| e.app)),
+        json_opt_str(entry.map(|e| e.bug.label())),
+        match entry.map(|e| e.kind) {
+            Some(ScenarioKind::Buggy) => "bug",
+            Some(ScenarioKind::Fixed) => "fixed",
+            None => "workload",
         },
-        effective_expectation(entry, opts.faults)
-            .map_or("null".to_string(), |p| format!("\"{}\"", escape_json(p))),
+        json_opt_str(entry.and_then(|e| effective_expectation(e, opts.faults))),
         opts.strategy.name(),
         opts.reduction.name(),
         opts.workers.max(1),
         engine,
-        opts.scheduler.name(),
         opts.explored.name(),
         report.lossy,
         opts.faults,
         injected,
         report.outcome.label(stats.truncated),
         report.passed(),
-        expectation_met(entry, report, opts.faults),
+        expectation_met_json(target, report, opts.faults),
         violated,
         report
             .first_violation()
@@ -680,7 +724,7 @@ fn render_run_json(
         report
             .first_violation()
             .map_or("null".to_string(), |v| v.trace.to_json()),
-        trace_file.map_or("null".to_string(), |p| format!("\"{}\"", escape_json(p))),
+        json_opt_str(trace_file),
         stats.unique_states,
         stats.transitions,
         stats.terminal_states,
@@ -707,19 +751,16 @@ fn cmd_sweep(args: &[String]) -> i32 {
         Ok(o) => o,
         Err(e) => return usage_error(&e),
     };
-    let Some(name) = opts.scenario.clone() else {
-        return usage_error("sweep needs a scenario name (see `nice list`)");
-    };
-    let Some(entry) = find_scenario(&name) else {
-        eprintln!("unknown scenario '{name}'; `nice list` enumerates them");
-        return 2;
+    let target = match resolve_target("sweep", &opts) {
+        Ok(target) => target,
+        Err(code) => return code,
     };
 
     let mut cells = Vec::new();
     for strategy in StrategyKind::ALL {
         for reduction in ReductionKind::ALL {
             let config = config_from(&opts, strategy, reduction);
-            let checker = ModelChecker::new(entry.build(), config);
+            let checker = ModelChecker::new(target.scenario.clone(), config);
             let mut session = checker.session();
             if let Some(budget) = opts.time_budget {
                 // Each cell gets its own budget, so one pathological
@@ -742,14 +783,14 @@ fn cmd_sweep(args: &[String]) -> i32 {
         }
     }
 
-    let json = render_sweep_json(&entry, &opts, &cells);
+    let json = render_sweep_json(&target, &opts, &cells);
     if opts.json {
         validate_json(&json).expect("nice sweep emitted malformed JSON");
         println!("{json}");
     } else {
         println!(
             "swept {} over {} strategy×reduction cells (re-run with --json for the report)",
-            entry.name,
+            target.spec,
             cells.len()
         );
     }
@@ -757,7 +798,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
 }
 
 fn render_sweep_json(
-    entry: &ScenarioEntry,
+    target: &Target,
     opts: &RunOptions,
     cells: &[(StrategyKind, ReductionKind, CheckReport)],
 ) -> String {
@@ -765,7 +806,7 @@ fn render_sweep_json(
         "{{\n  \"schema\": \"nice-cli-sweep-v3\",\n  \"scenario\": \"{}\",\n  \
          \"matrix\": \"strategies-x-reductions\",\n  \"workers\": {},\n  \"engine\": \"{}\",\n  \
          \"faults_enabled\": {},\n  \"cells\": [\n",
-        escape_json(&entry.name),
+        escape_json(&target.spec),
         opts.workers.max(1),
         if opts.workers.max(1) == 1 {
             "sequential"
@@ -783,7 +824,7 @@ fn render_sweep_json(
             reduction.name(),
             report.outcome.label(report.stats.truncated),
             report.passed(),
-            expectation_met(entry, report, opts.faults),
+            expectation_met_json(target, report, opts.faults),
             report.stats.unique_states,
             report.stats.transitions,
             report.stats.pruned_by_por,

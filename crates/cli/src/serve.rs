@@ -20,7 +20,9 @@
 
 use crate::{parse_number, usage_error};
 use nice_apps::scenarios::find_scenario;
-use nice_dist::{read_frame, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation};
+use nice_dist::{
+    read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
+};
 use nice_mc::{CheckReport, ReductionKind, ShardSpec, StrategyKind, Violation};
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -93,7 +95,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let mut coordinator = match Coordinator::new(workers) {
+    let mut coordinator = match worker_bin().and_then(|bin| Coordinator::new(bin, workers)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot start worker pool: {e}");
@@ -499,7 +501,9 @@ pub(crate) fn run_distributed(
     dist: usize,
     quiet: bool,
 ) -> Result<CheckReport, String> {
-    let mut coordinator = Coordinator::new(dist).map_err(|e| e.to_string())?;
+    let mut coordinator = worker_bin()
+        .and_then(|bin| Coordinator::new(bin, dist))
+        .map_err(|e| e.to_string())?;
     coordinator
         .run_job(
             spec,

@@ -30,8 +30,7 @@ pub use nice_openflow as openflow;
 pub use nice_sym as sym;
 
 use nice_mc::{
-    CheckObserver, CheckReport, CheckerConfig, ModelChecker, ReductionKind, Scenario, StateStorage,
-    StrategyKind,
+    CheckObserver, CheckReport, CheckerConfig, ModelChecker, ReductionKind, Scenario, StrategyKind,
 };
 
 /// Commonly used items, for glob import in examples and tests.
@@ -48,8 +47,8 @@ pub mod prelude {
         CheckSession, CheckerConfig, ExploredConfig, ExploredMode, ExploredStats,
         FailoverStaleness, FaultPlan, FaultStats, InterruptReason, MinimizeReport, ModelChecker,
         NoopObserver, Outcome, ReductionKind, ReplayOutcome, ReplayReport, ReplayViolation,
-        Scenario, ScenarioBuilder, SchedulerKind, SendPolicy, StateStorage, StrategyKind, Timeline,
-        Trace, TraceEngine, TraceStep, Violation, TRACE_SCHEMA,
+        Scenario, ScenarioBuilder, SendPolicy, StrategyKind, Timeline, Trace, TraceEngine,
+        TraceStep, Violation, TRACE_SCHEMA,
     };
     pub use nice_openflow::{
         Action, HostId, MacAddr, MatchPattern, NwAddr, Packet, PortId, SwitchId, Topology,
@@ -95,9 +94,10 @@ impl Nice {
         self
     }
 
-    /// Selects how frontier states are stored (builder style).
-    pub fn with_state_storage(mut self, storage: StateStorage) -> Self {
-        self.config.state_storage = storage;
+    /// Sets the frontier snapshot cadence (builder style; see
+    /// [`CheckerConfig::checkpoint_interval`]).
+    pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
+        self.config = self.config.with_checkpoint_interval(interval);
         self
     }
 
@@ -215,13 +215,13 @@ mod tests {
         let nice = Nice::new(testutil::hub_ping_scenario(1))
             .with_strategy(StrategyKind::NoDelay)
             .with_max_transitions(123)
-            .with_state_storage(StateStorage::Replay)
+            .with_checkpoint_interval(usize::MAX)
             .with_faults()
             .collect_all_violations();
         assert!(nice.config().inject_faults);
         assert_eq!(nice.config().strategy, StrategyKind::NoDelay);
         assert_eq!(nice.config().max_transitions, 123);
-        assert_eq!(nice.config().state_storage, StateStorage::Replay);
+        assert_eq!(nice.config().checkpoint_interval, usize::MAX);
         assert!(!nice.config().stop_at_first_violation);
         assert_eq!(nice.scenario().name, "hub-ping");
     }

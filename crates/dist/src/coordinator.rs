@@ -36,11 +36,12 @@
 use crate::pool::{PoolEvent, WorkerEvent, WorkerPool};
 use crate::proto::{Frame, WireViolation};
 use nice_mc::{
-    shard_of, CheckReport, CheckerConfig, ExploredConfig, ExploredMode, FaultStats, FrontierExport,
+    shard_of, CheckReport, CheckerConfig, ExploredConfig, ExploredMode, FrontierExport,
     InterruptReason, Outcome, ReductionKind, ShardSpec, StrategyKind, Trace, TraceEngine,
     TraceStep, Violation,
 };
 use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -172,10 +173,11 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Spawns a coordinator with `workers` worker processes (min 1).
-    pub fn new(workers: usize) -> io::Result<Coordinator> {
+    /// Spawns a coordinator with `workers` processes (min 1) of the worker
+    /// binary `worker_bin` (see [`worker_bin`](crate::worker_bin)).
+    pub fn new(worker_bin: PathBuf, workers: usize) -> io::Result<Coordinator> {
         Ok(Coordinator {
-            pool: WorkerPool::spawn(workers.max(1))?,
+            pool: WorkerPool::spawn(worker_bin, workers.max(1))?,
             next_job: 1,
         })
     }
@@ -445,10 +447,10 @@ impl Coordinator {
     }
 }
 
-/// Merges the shards' final reports into one job-wide [`CheckReport`].
-/// Additive counters sum (exact in crash-free runs — every unique state has
-/// one owner), `max_depth` takes the max, `truncated` ORs, and the duration
-/// is the job's wall clock. Violations are rebuilt with full replayable
+/// Merges the shards' final reports into one job-wide [`CheckReport`]:
+/// the counters by [`SearchStats::merge`](nice_mc::SearchStats::merge)
+/// (exact in crash-free runs — every unique state has one owner), and the
+/// duration is the job's wall clock. Violations are rebuilt with full replayable
 /// traces and sorted into the engine's canonical order.
 fn merge_reports(
     spec: &JobSpec,
@@ -459,27 +461,10 @@ fn merge_reports(
 ) -> CheckReport {
     let mut report = CheckReport::default();
     let engine = TraceEngine::from_config(&spec.config());
-    let mut fault_counts = [0u64; FaultStats::KINDS];
     for (stats, violations) in shards {
-        report.stats.transitions += stats.transitions;
-        report.stats.unique_states += stats.unique_states;
-        report.stats.terminal_states += stats.terminal_states;
-        report.stats.symbolic_executions += stats.symbolic_executions;
-        report.stats.pruned_by_strategy += stats.pruned_by_strategy;
-        report.stats.pruned_by_por += stats.pruned_by_por;
-        report.stats.dedup_hits += stats.dedup_hits;
-        report.stats.work_steals += stats.work_steals;
-        // Shards run concurrently, so the job's peak resident footprint is
-        // the sum of the shards' peaks.
-        report.stats.peak_explored_bytes += stats.peak_explored_bytes;
-        report.stats.spilled_shards += stats.spilled_shards;
-        report.stats.filter_hits += stats.filter_hits;
-        report.stats.disk_probes += stats.disk_probes;
-        report.stats.max_depth = report.stats.max_depth.max(stats.max_depth);
-        report.stats.truncated |= stats.truncated;
-        for (i, (_, count)) in stats.faults.labeled().iter().enumerate() {
-            fault_counts[i] += count;
-        }
+        // Shards run concurrently over disjoint stores, so the merge's
+        // summed explored-set peak is the job's resident footprint.
+        report.stats.merge(&stats);
         for v in violations {
             report.violations.push(Violation {
                 property: v.property.clone(),
@@ -498,7 +483,6 @@ fn merge_reports(
             });
         }
     }
-    report.stats.faults = FaultStats::from_counts(fault_counts);
     report.stats.duration = duration;
     report.lossy = spec.explored == ExploredMode::Bitstate;
     for v in &mut report.violations {

@@ -36,10 +36,11 @@ pub mod proto;
 pub mod worker;
 
 pub use coordinator::{Coordinator, JobEvent, JobSpec};
+pub use pool::worker_bin;
 pub use proto::{read_frame, write_frame, Frame, WireViolation, DIST_SCHEMA};
 pub use worker::worker_main;
 
-/// Environment variable overriding the worker binary the pool spawns.
+/// Environment variable overriding the worker binary [`worker_bin`] finds.
 pub const WORKER_BIN_ENV: &str = "NICE_DIST_WORKER_BIN";
 
 /// Environment variable (set on a spawned worker) making it abort after

@@ -57,11 +57,12 @@ pub struct WorkerPool {
     die_after: Option<(usize, u64)>,
 }
 
-/// Locates the worker binary: the [`WORKER_BIN_ENV`] override, else a
-/// `nice-dist-worker` sibling of the current executable (also checking the
-/// parent directory, because test binaries live in `target/<profile>/deps/`
-/// while bins live in `target/<profile>/`).
-fn worker_bin() -> io::Result<PathBuf> {
+/// Locates the worker binary for a front-end installed next to it (`nice
+/// serve`, `nice run --dist`, the bench gate): the [`WORKER_BIN_ENV`]
+/// override, else a `nice-dist-worker` sibling of the current executable
+/// (also checking the parent directory, because test binaries live in
+/// `target/<profile>/deps/` while bins live in `target/<profile>/`).
+pub fn worker_bin() -> io::Result<PathBuf> {
     if let Ok(path) = std::env::var(WORKER_BIN_ENV) {
         return Ok(PathBuf::from(path));
     }
@@ -85,9 +86,9 @@ fn worker_bin() -> io::Result<PathBuf> {
 }
 
 impl WorkerPool {
-    /// Spawns `count` workers and their reader threads.
-    pub fn spawn(count: usize) -> io::Result<WorkerPool> {
-        let bin = worker_bin()?;
+    /// Spawns `count` processes of the worker binary `bin` (see
+    /// [`worker_bin`]) and their reader threads.
+    pub fn spawn(bin: PathBuf, count: usize) -> io::Result<WorkerPool> {
         let die_after = std::env::var(DIE_AFTER_ENV).ok().and_then(|v| {
             let (worker, transitions) = v.split_once(':')?;
             Some((worker.parse().ok()?, transitions.parse().ok()?))

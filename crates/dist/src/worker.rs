@@ -201,18 +201,17 @@ fn run_job(
                 },
             )?;
         }
-        let report = search.report();
-        while sent_violations < report.violations.len() {
+        for violation in &search.violations()[sent_violations..] {
             write_frame(
                 out,
                 &Frame::Violation {
                     job,
-                    violation: wire_violation(&report.violations[sent_violations]),
+                    violation: wire_violation(violation),
                 },
             )?;
             sent_violations += 1;
         }
-        let stats = &search.report().stats;
+        let stats = search.stats();
         if stats.transitions - last_progress >= PROGRESS_EVERY {
             last_progress = stats.transitions;
             write_frame(

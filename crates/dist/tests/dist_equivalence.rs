@@ -13,9 +13,15 @@
 //! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
 //! environment variable, which must not leak into concurrent spawns.
 
-use nice::prelude::*;
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
+use nice_mc::{CheckReport, ModelChecker, ReplayOutcome};
+use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
+
+/// The worker binary cargo built for this test target.
+fn worker_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_nice-dist-worker"))
+}
 
 /// One coordinator (and its worker processes) at a time, and a fence around
 /// the crash test's environment variable.
@@ -41,7 +47,7 @@ fn sequential(spec: &JobSpec) -> CheckReport {
 }
 
 fn distributed(spec: &JobSpec, workers: usize) -> CheckReport {
-    let mut coordinator = Coordinator::new(workers).expect("spawn worker pool");
+    let mut coordinator = Coordinator::new(worker_bin(), workers).expect("spawn worker pool");
     coordinator
         .run_job(spec, |_| {}, None)
         .expect("distributed job completes")
@@ -207,7 +213,7 @@ fn a_worker_killed_mid_job_neither_hangs_nor_changes_the_verdict() {
     // transitions; BUG-V gives each of 2 shards ~1200, so it dies mid-job.
     std::env::set_var(DIE_AFTER_ENV, "1:150");
     let mut restarts = 0usize;
-    let mut coordinator = Coordinator::new(2).expect("spawn worker pool");
+    let mut coordinator = Coordinator::new(worker_bin(), 2).expect("spawn worker pool");
     let dist = coordinator.run_job(
         &spec,
         |event| {
@@ -260,11 +266,13 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
     std::fs::set_permissions(&script, perms).expect("chmod script");
 
+    // Through the override the installed front-ends honour.
     std::env::set_var(WORKER_BIN_ENV, &script);
-    let result = Coordinator::new(1)
+    let overridden = nice_dist::worker_bin();
+    std::env::remove_var(WORKER_BIN_ENV);
+    let result = Coordinator::new(overridden.expect("the override names the script"), 1)
         .expect("spawning the pool itself succeeds")
         .run_job(&full_spec("chain:3:1", false), |_| {}, None);
-    std::env::remove_var(WORKER_BIN_ENV);
     let _ = std::fs::remove_file(&script);
 
     let err = result.expect_err("a worker dying on every spawn must fail the job");

@@ -3,44 +3,40 @@
 //!
 //! # Search engines
 //!
-//! [`ModelChecker::run`] dispatches on [`CheckerConfig::workers`]:
+//! Every engine runs the same `Worker::expand` — one definition of
+//! "expand a frontier node" — over the same in-place `Stepper::advance`;
+//! [`ModelChecker::run`] only picks the driver, on
+//! [`CheckerConfig::workers`]:
 //!
-//! * `workers == 1` (default) — the canonical sequential depth-first search.
-//!   Fully deterministic: a fixed scenario and configuration always yield the
-//!   same transition count, unique-state count and violation traces.
-//! * `workers > 1` — a parallel search. By default
-//!   ([`SchedulerKind::WorkStealing`]) each worker owns a lock-free
-//!   Chase-Lev deque: children are pushed and popped locally (depth-first,
-//!   no synchronisation), and an idle worker steals half of a victim's
-//!   oldest work. The legacy mutex-protected donation frontier is kept
-//!   selectable ([`SchedulerKind::Donation`]) so the two can be
-//!   benchmarked against each other. Both deduplicate states through a
-//!   shared [`ExploredStore`], so each unique state is expanded exactly
-//!   once across all workers. With no truncating budget the parallel
-//!   search visits the same state space as the sequential one (identical
-//!   `unique_states` and `transitions`, same set of violated properties),
-//!   but the *order* of exploration — and therefore which trace first
-//!   reaches a violating state, and where a `max_transitions` budget cuts
-//!   off — is scheduling dependent.
+//! * `workers == 1` (default) — the canonical sequential depth-first search:
+//!   one worker popping its own stack. Fully deterministic: a fixed scenario
+//!   and configuration always yield the same transition count, unique-state
+//!   count and violation traces.
+//! * `workers > 1` — a parallel search: one worker per thread, each
+//!   expanding depth-first from a private stack and handing nodes to a
+//!   shared mutex-protected queue only when a sibling is starving. The
+//!   workers deduplicate states through one shared [`ExploredStore`], so
+//!   each unique state is expanded exactly once across all of them. With no
+//!   truncating budget the parallel search visits the same state space as
+//!   the sequential one (identical `unique_states` and `transitions`, same
+//!   set of violated properties), but the *order* of exploration — and
+//!   therefore which trace first reaches a violating state, and where a
+//!   `max_transitions` budget cuts off — is scheduling dependent.
 //!
-//! # Frontier storage modes
+//! # Frontier storage
 //!
 //! Every frontier node keeps its transition trace (it doubles as the
 //! violation trace). What else is kept is governed by
-//! [`StateStorage`](crate::scenario::StateStorage):
-//!
-//! * `Full` — each node carries a snapshot of its exact state. Since
-//!   [`SystemState`] is copy-on-write, the snapshot shares everything the
-//!   child did not modify with its parent, so this is the default and is
-//!   both fast and reasonably small.
-//! * `Replay` — nodes carry no state; expanding a node re-executes its whole
-//!   trace from the initial state (the paper's Section 6 memory-saving
-//!   mode). Cheapest per node, O(depth) re-execution per expansion.
-//! * `Checkpoint { interval }` — the hybrid: a copy-on-write snapshot is
-//!   taken every `interval` transitions of depth and shared (via `Arc`) by
-//!   every descendant node until the next checkpoint; expanding a node
-//!   replays only the suffix since its nearest checkpoint — at most
-//!   `interval - 1` transitions instead of the full depth.
+//! [`CheckerConfig::checkpoint_interval`]: a copy-on-write snapshot is taken
+//! every `interval` transitions of depth and shared (via `Arc`) by every
+//! descendant node until the next checkpoint; expanding a node replays only
+//! the suffix since its nearest checkpoint. At the default interval of `1`
+//! each node carries its exact state — since [`SystemState`] is
+//! copy-on-write the snapshot shares everything the child did not modify
+//! with its parent, so this is both fast and reasonably small. At
+//! `usize::MAX` nodes carry no state and expanding one re-executes its
+//! whole trace from the initial state (the paper's Section 6 memory-saving
+//! mode).
 //!
 //! The explored set stores only 64-bit state fingerprints (Section 6 of the
 //! paper), behind the tiered [`ExploredStore`] abstraction of
@@ -54,16 +50,16 @@
 
 use crate::explored::{build_store, visit_explored, ExploredStore, FingerprintMap, Visit};
 use crate::properties::{Event, Property};
-use crate::scenario::{CheckerConfig, Scenario, SchedulerKind, StateStorage};
+use crate::scenario::{CheckerConfig, Scenario};
 use crate::session::{Outcome, SessionCtrl};
+use crate::shard::{FrontierExport, ShardSpec};
 use crate::state::SystemState;
 use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy};
-use crate::trace::{Trace, TraceEngine, TraceStep};
+use crate::trace::{Trace, TraceEngine};
 use crate::transition::{
     drain_control_plane, enabled_transitions, execute, DiscoveryMemo, SharedDiscoveryCache,
     Transition,
 };
-use nice_deque::{Steal, Stealer, Worker as WorkDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -188,6 +184,12 @@ impl FaultStats {
         }
     }
 
+    /// Adds another set of counters to these, kind by kind.
+    pub fn merge(&mut self, other: &FaultStats) {
+        let (ours, theirs) = (self.labeled(), other.labeled());
+        *self = FaultStats::from_counts(std::array::from_fn(|i| ours[i].1 + theirs[i].1));
+    }
+
     /// Total fault transitions executed, across all kinds.
     pub fn total(&self) -> u64 {
         self.labeled().iter().map(|(_, n)| n).sum()
@@ -244,8 +246,8 @@ pub struct SearchStats {
     pub max_depth: usize,
     /// True if a budget (transition or depth limit) cut the search short.
     pub truncated: bool,
-    /// Frontier nodes an idle worker stole from a sibling's deque (only the
-    /// work-stealing parallel scheduler; zero elsewhere).
+    /// Frontier nodes busy workers handed to the parallel search's shared
+    /// queue for a starving sibling to pick up (zero on a single worker).
     pub work_steals: u64,
     /// High-water mark of the explored set's in-memory footprint, in bytes.
     pub peak_explored_bytes: u64,
@@ -262,7 +264,30 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Folds an explored-store's counters into the stats.
+    /// Folds the counters of another worker or shard of the same search
+    /// into these: counts add up (explored-set counters too — shards own
+    /// disjoint stores), `max_depth` takes the deeper, `truncated` ORs.
+    /// `duration` is left alone: the merged search's wall clock is the
+    /// caller's to measure.
+    pub fn merge(&mut self, other: &SearchStats) {
+        self.transitions += other.transitions;
+        self.unique_states += other.unique_states;
+        self.terminal_states += other.terminal_states;
+        self.symbolic_executions += other.symbolic_executions;
+        self.pruned_by_strategy += other.pruned_by_strategy;
+        self.pruned_by_por += other.pruned_by_por;
+        self.dedup_hits += other.dedup_hits;
+        self.faults.merge(&other.faults);
+        self.max_depth = self.max_depth.max(other.max_depth);
+        self.truncated |= other.truncated;
+        self.work_steals += other.work_steals;
+        self.peak_explored_bytes += other.peak_explored_bytes;
+        self.spilled_shards += other.spilled_shards;
+        self.filter_hits += other.filter_hits;
+        self.disk_probes += other.disk_probes;
+    }
+
+    /// Sets the explored-set counters from the search's store.
     pub(crate) fn absorb_explored(&mut self, stats: crate::explored::ExploredStats) {
         self.peak_explored_bytes = stats.peak_bytes;
         self.spilled_shards = stats.spilled_shards;
@@ -366,6 +391,129 @@ impl fmt::Display for CheckReport {
 }
 
 // ---------------------------------------------------------------------------
+// The step
+// ---------------------------------------------------------------------------
+
+/// What one thread of execution needs to run transitions: the system under
+/// test, the semantics-relevant configuration, the strategy, the symbolic
+/// discovery memo and a reusable event buffer. The search, the random
+/// walker and the [`Replayer`](crate::replay) all step through this, so
+/// there is one definition of what executing a transition means.
+pub(crate) struct Stepper<'a> {
+    pub(crate) scenario: &'a Scenario,
+    pub(crate) config: CheckerConfig,
+    strategy: Box<dyn SearchStrategy>,
+    pub(crate) memo: DiscoveryMemo,
+    /// The events emitted by the most recent [`Stepper::advance`].
+    pub(crate) events: Vec<Event>,
+}
+
+impl<'a> Stepper<'a> {
+    pub(crate) fn new(scenario: &'a Scenario, config: CheckerConfig, memo: DiscoveryMemo) -> Self {
+        Stepper {
+            scenario,
+            strategy: build_strategy(config.strategy),
+            config,
+            memo,
+            events: Vec::new(),
+        }
+    }
+
+    /// The transitions the strategy wants explored from `state`, plus how
+    /// many enabled ones it filtered out.
+    pub(crate) fn selected(&self, state: &SystemState) -> (Vec<Transition>, u64) {
+        let enabled = enabled_transitions(state, self.scenario, &self.config);
+        let enabled_count = enabled.len();
+        let selected = self.strategy.select(state, enabled);
+        let filtered = (enabled_count - selected.len()) as u64;
+        (selected, filtered)
+    }
+
+    /// Executes `transition` on `state` in place — the transition itself,
+    /// then the lock-step control-plane drain if the strategy asks for it —
+    /// and feeds every emitted event to the property observers.
+    pub(crate) fn advance(
+        &mut self,
+        state: &mut SystemState,
+        properties: &mut [Box<dyn Property>],
+        transition: &Transition,
+    ) {
+        self.events.clear();
+        execute(
+            state,
+            transition,
+            self.scenario,
+            &self.config,
+            &mut self.memo,
+            &mut self.events,
+        );
+        if self.strategy.lock_step_control_plane() {
+            drain_control_plane(
+                state,
+                self.scenario,
+                &self.config,
+                &mut self.memo,
+                &mut self.events,
+            );
+        }
+        for event in &self.events {
+            for property in properties.iter_mut() {
+                property.on_event(event, state);
+            }
+        }
+    }
+
+    /// Builds the violation record (with its typed witness trace) for a
+    /// violation found after `trace` plus the optional violating transition.
+    fn violation(
+        &self,
+        property: &str,
+        message: String,
+        trace: &[Transition],
+        last: Option<&Transition>,
+        transitions_explored: u64,
+        unique_states: u64,
+    ) -> Violation {
+        let mut witness = Trace::from_transitions(
+            &self.scenario.name,
+            TraceEngine::from_config(&self.config),
+            trace.iter().chain(last).cloned(),
+        );
+        witness.property = Some(property.to_string());
+        witness.message = Some(message.clone());
+        Violation {
+            property: property.to_string(),
+            message,
+            trace: witness,
+            transitions_explored,
+            unique_states,
+        }
+    }
+}
+
+/// The `(property name, message)` of every property violated in `state`.
+pub(crate) fn violated(
+    properties: &[Box<dyn Property>],
+    state: &SystemState,
+) -> Vec<(String, String)> {
+    properties
+        .iter()
+        .filter_map(|p| p.check(state).map(|m| (p.name().to_string(), m)))
+        .collect()
+}
+
+/// [`violated`] for a terminal `state`: the end-of-execution checks.
+pub(crate) fn violated_at_end(
+    properties: &[Box<dyn Property>],
+    state: &SystemState,
+) -> Vec<(String, String)> {
+    properties
+        .iter()
+        .filter_map(|p| p.check_final(state).map(|m| (p.name().to_string(), m)))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
 // Frontier nodes
 // ---------------------------------------------------------------------------
 
@@ -378,16 +526,16 @@ pub(crate) struct Snapshot {
 /// One frontier entry of the search.
 ///
 /// The node's state is `base` advanced by `trace[base_depth..]`; `trace` is
-/// always kept in full because it is also the violation trace. Under
-/// `StateStorage::Full` the base *is* the node's state (empty suffix); under
-/// `Replay` the base is the initial state; under `Checkpoint` it is the
-/// nearest ancestor checkpoint, shared via `Arc` with every other descendant
-/// of that checkpoint.
+/// always kept in full because it is also the violation trace. At
+/// [`CheckerConfig::checkpoint_interval`] `1` the base *is* the node's state
+/// (empty suffix); at larger intervals it is the nearest ancestor
+/// checkpoint, shared via `Arc` with every other descendant of that
+/// checkpoint; states injected by a peer shard are based on the root.
 ///
 /// The sleep set travels with the node (not with the snapshot), so it
-/// survives checkpoint/replay reconstruction unchanged: replaying the trace
-/// suffix rebuilds the state, while the pruning obligations were fixed when
-/// the node was generated.
+/// survives replay reconstruction unchanged: replaying the trace suffix
+/// rebuilds the state, while the pruning obligations were fixed when the
+/// node was generated.
 pub(crate) struct Node {
     pub(crate) base: Arc<Snapshot>,
     pub(crate) base_depth: usize,
@@ -402,6 +550,353 @@ pub(crate) struct Node {
     /// property checks must not run again.
     pub(crate) revisit: bool,
 }
+
+impl Node {
+    /// The snapshot handle this node's children inherit — or `None` when
+    /// they sit on a checkpoint depth and snapshot themselves. Taking the
+    /// handle only when a child will use it keeps the snapshot uniquely
+    /// owned at interval 1, so [`Node::materialize`] moves the state out
+    /// instead of cloning it.
+    fn inherited_base(&self, interval: usize) -> Option<(Arc<Snapshot>, usize)> {
+        (!(self.trace.len() + 1).is_multiple_of(interval))
+            .then(|| (Arc::clone(&self.base), self.base_depth))
+    }
+
+    /// Rebuilds the node's state (and its property state) by replaying the
+    /// trace suffix since the node's snapshot — the memory-saving state
+    /// restoration of Section 6, bounded by the checkpoint cadence. Replays
+    /// do not count as explored transitions.
+    #[allow(clippy::type_complexity)]
+    fn materialize(
+        self,
+        stepper: &mut Stepper,
+    ) -> (
+        SystemState,
+        Vec<Box<dyn Property>>,
+        Vec<Transition>,
+        Vec<Transition>,
+    ) {
+        let (mut state, mut properties) = match Arc::try_unwrap(self.base) {
+            Ok(snapshot) => (snapshot.state, snapshot.properties),
+            Err(shared) => (shared.state.clone(), shared.properties.clone()),
+        };
+        for transition in &self.trace[self.base_depth..] {
+            stepper.advance(&mut state, &mut properties, transition);
+        }
+        (state, properties, self.trace, self.sleep)
+    }
+}
+
+/// `trace` plus one more transition, in one allocation.
+fn extended(trace: &[Transition], last: &Transition) -> Vec<Transition> {
+    let mut out = Vec::with_capacity(trace.len() + 1);
+    out.extend_from_slice(trace);
+    out.push(last.clone());
+    out
+}
+
+// ---------------------------------------------------------------------------
+// The expansion
+// ---------------------------------------------------------------------------
+
+/// What is genuinely global to one search: the stop flag every worker
+/// polls, and the running totals the transition budget, the progress
+/// heartbeat and the violation stamps read. Everything else a worker counts
+/// is worker-local and summed at the end ([`SearchStats::merge`]).
+#[derive(Default)]
+pub(crate) struct Shared {
+    pub(crate) stop: AtomicBool,
+    transitions: AtomicU64,
+    unique_states: AtomicU64,
+}
+
+impl Shared {
+    /// Claims one unit of the transition budget (`0` = unlimited).
+    fn take_transition(&self, max_transitions: u64) -> bool {
+        if max_transitions == 0 {
+            self.transitions.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        self.transitions
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < max_transitions).then_some(n + 1)
+            })
+            .is_ok()
+    }
+}
+
+/// One worker of a search: its local frontier stack, its share of the
+/// results, and handles on what the search shares. The sequential engine is
+/// a single worker; the parallel engine runs one per thread over one
+/// explored store; a `nice-dist` shard is a single worker that owns only
+/// part of the fingerprint space and exports the rest.
+pub(crate) struct Worker<'a> {
+    pub(crate) stepper: Stepper<'a>,
+    reduction: Box<dyn Reduction>,
+    pub(crate) shard: ShardSpec,
+    store: Arc<dyn ExploredStore>,
+    root: Arc<Snapshot>,
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) stats: SearchStats,
+    pub(crate) violations: Vec<Violation>,
+    /// Frontier nodes waiting locally, expanded depth-first.
+    pub(crate) stack: Vec<Node>,
+    /// Successors owned by other shards, awaiting export.
+    pub(crate) forwards: Vec<FrontierExport>,
+}
+
+impl<'a> Worker<'a> {
+    pub(crate) fn new(
+        checker: &'a ModelChecker,
+        shard: ShardSpec,
+        store: Arc<dyn ExploredStore>,
+        root: Arc<Snapshot>,
+        shared: Arc<Shared>,
+        memo: DiscoveryMemo,
+    ) -> Self {
+        Worker {
+            stepper: Stepper::new(&checker.scenario, checker.config.clone(), memo),
+            reduction: build_reduction(checker.config.reduction),
+            shard,
+            store,
+            root,
+            shared,
+            stats: SearchStats::default(),
+            violations: Vec::new(),
+            stack: Vec::new(),
+            forwards: Vec::new(),
+        }
+    }
+
+    /// Visits `fingerprint` in the explored set under `sleep` and, if the
+    /// state is new (or must be re-expanded with a narrowed sleep set),
+    /// queues it as a node replaying `trace` from the root. This is how the
+    /// initial state and the states a peer shard exports enter the search.
+    pub(crate) fn enqueue(
+        &mut self,
+        fingerprint: u64,
+        trace: Vec<Transition>,
+        sleep: Vec<Transition>,
+    ) -> bool {
+        let Some((sleep, revisit)) = self.visit(fingerprint, sleep) else {
+            return false;
+        };
+        self.stack.push(Node {
+            base: Arc::clone(&self.root),
+            base_depth: 0,
+            trace,
+            sleep,
+            revisit,
+        });
+        true
+    }
+
+    /// Deduplicates one reached state. Returns the sleep set and revisit
+    /// flag it must be expanded with, or `None` if it is already covered.
+    fn visit(
+        &mut self,
+        fingerprint: u64,
+        mut sleep: Vec<Transition>,
+    ) -> Option<(Vec<Transition>, bool)> {
+        let mut digests: Vec<u64> = sleep.iter().map(Transition::digest).collect();
+        digests.sort_unstable();
+        digests.dedup();
+        match self.store.visit(fingerprint, &digests) {
+            Visit::New => {
+                self.stats.unique_states += 1;
+                self.shared.unique_states.fetch_add(1, Ordering::Relaxed);
+                Some((sleep, false))
+            }
+            Visit::Known => {
+                self.stats.dedup_hits += 1;
+                None
+            }
+            // The state was explored before, but with stronger pruning than
+            // this path justifies: re-expand it with the narrowed sleep set
+            // so nothing reachable only through the previously pruned
+            // transitions is missed.
+            Visit::Widen(narrowed) => {
+                sleep.retain(|t| narrowed.binary_search(&t.digest()).is_ok());
+                Some((sleep, true))
+            }
+        }
+    }
+
+    fn record_violation(
+        &mut self,
+        ctrl: Option<&SessionCtrl>,
+        property: &str,
+        message: String,
+        trace: &[Transition],
+        last: Option<&Transition>,
+    ) {
+        let violation = self.stepper.violation(
+            property,
+            message,
+            trace,
+            last,
+            self.shared.transitions.load(Ordering::Relaxed),
+            self.shared.unique_states.load(Ordering::Relaxed),
+        );
+        if let Some(ctrl) = ctrl {
+            ctrl.notify_violation(&violation);
+        }
+        self.violations.push(violation);
+    }
+
+    /// Raises the search-wide stop flag; `expand`'s "wind down" return.
+    fn stop(&self) -> bool {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        false
+    }
+
+    /// Expands one frontier node — the single definition of the search
+    /// loop's body (Figure 5), which the sequential engine, every parallel
+    /// worker and every `nice-dist` shard run: rebuild the node's state,
+    /// let the strategy and the reduction pick the transitions to explore,
+    /// execute each one, check the properties, and deduplicate the
+    /// successors. Unexplored successors this worker owns land on its
+    /// stack; the rest are exported through [`Worker::forwards`].
+    ///
+    /// Returns `false` once a stop condition fired (interrupt, exhausted
+    /// transition budget, first violation under `stop_at_first_violation`,
+    /// or a sibling's stop flag): the search is winding down and whatever
+    /// this node still had to contribute is deliberately dropped.
+    pub(crate) fn expand(&mut self, node: Node, ctrl: Option<&SessionCtrl>) -> bool {
+        if ctrl.is_some_and(|c| c.check_interrupt().is_some()) {
+            return self.stop();
+        }
+        let CheckerConfig {
+            max_transitions,
+            max_depth,
+            stop_at_first_violation,
+            checkpoint_interval,
+            ..
+        } = self.stepper.config;
+        self.stats.max_depth = self.stats.max_depth.max(node.trace.len());
+
+        let revisit = node.revisit;
+        let inherited = node.inherited_base(checkpoint_interval.max(1));
+        let (state, properties, trace, sleep) = node.materialize(&mut self.stepper);
+
+        let (enabled, filtered) = self.stepper.selected(&state);
+        self.stats.pruned_by_strategy += filtered;
+
+        if enabled.is_empty() {
+            // A widened revisit of a terminal state was already counted
+            // (and final-checked) on its first visit.
+            if !revisit {
+                self.stats.terminal_states += 1;
+                for (property, message) in violated_at_end(&properties, &state) {
+                    self.record_violation(ctrl, &property, message, &trace, None);
+                    if stop_at_first_violation {
+                        return self.stop();
+                    }
+                }
+            }
+            return true;
+        }
+
+        if trace.len() >= max_depth {
+            self.stats.truncated = true;
+            return true;
+        }
+
+        let scenario = self.stepper.scenario;
+        let choice = self.reduction.select(&state, scenario, enabled, &sleep);
+        self.stats.pruned_by_por += choice.pruned;
+        let mut child_sleeps =
+            self.reduction
+                .child_sleeps(&state, scenario, &choice.explore, &sleep);
+
+        for (index, transition) in choice.explore.into_iter().enumerate() {
+            if self.shared.stop.load(Ordering::Relaxed) {
+                return false;
+            }
+            if !self.shared.take_transition(max_transitions) {
+                self.stats.truncated = true;
+                return self.stop();
+            }
+            self.stats.transitions += 1;
+            self.stats.faults.record(&transition);
+
+            let mut next_state = state.clone();
+            let mut next_properties = properties.clone();
+            self.stepper
+                .advance(&mut next_state, &mut next_properties, &transition);
+            if let Some(ctrl) = ctrl {
+                ctrl.maybe_progress(
+                    self.shared.transitions.load(Ordering::Relaxed),
+                    self.shared.unique_states.load(Ordering::Relaxed),
+                    trace.len() + 1,
+                    self.store.bytes(),
+                );
+            }
+
+            let violations = violated(&next_properties, &next_state);
+            if !violations.is_empty() {
+                for (property, message) in violations {
+                    self.record_violation(ctrl, &property, message, &trace, Some(&transition));
+                }
+                if stop_at_first_violation {
+                    return self.stop();
+                }
+                // Do not explore past a violating state: the trace is the
+                // shortest continuation through this branch and deeper
+                // states would just repeat the same violation.
+                continue;
+            }
+
+            let child_sleep = std::mem::take(&mut child_sleeps[index]);
+            let fingerprint = next_state.fingerprint();
+            if !self.shard.owns(fingerprint) {
+                // Another shard owns this state: export it instead of
+                // exploring (or deduplicating) it here. The owner performs
+                // the visit, so the global unique/dedup accounting matches
+                // a solo search's exactly.
+                self.forwards.push(FrontierExport {
+                    fingerprint,
+                    trace: extended(&trace, &transition),
+                    sleep: child_sleep,
+                });
+                continue;
+            }
+            if let Some((sleep, revisit)) = self.visit(fingerprint, child_sleep) {
+                let (base, base_depth) = match &inherited {
+                    Some((base, base_depth)) => (Arc::clone(base), *base_depth),
+                    None => (
+                        Arc::new(Snapshot {
+                            state: next_state,
+                            properties: next_properties,
+                        }),
+                        trace.len() + 1,
+                    ),
+                };
+                self.stack.push(Node {
+                    base,
+                    base_depth,
+                    trace: extended(&trace, &transition),
+                    sleep,
+                    revisit,
+                });
+            }
+        }
+        true
+    }
+
+    /// Folds this worker's results into the search's report.
+    pub(crate) fn finish_into(self, report: &mut CheckReport) {
+        report.stats.merge(&self.stats);
+        report.stats.symbolic_executions += self.stepper.memo.symbolic_executions;
+        report.stats.absorb_explored(self.store.stats());
+        report.lossy = self.store.lossy();
+        report.violations.extend(self.violations);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The checker and its drivers
+// ---------------------------------------------------------------------------
 
 /// The NICE model checker.
 pub struct ModelChecker {
@@ -445,274 +940,72 @@ impl ModelChecker {
         }
     }
 
-    /// Builds the typed witness for a violation found at `transitions`
-    /// (plus the optional violating transition) — shared by the sequential
-    /// and parallel engines so their traces can never diverge.
-    pub(crate) fn make_trace(
-        &self,
-        transitions: &[Transition],
-        last: Option<&Transition>,
-        property: &str,
-        message: &str,
-    ) -> Trace {
-        let mut trace = Trace::from_transitions(
-            &self.scenario.name,
-            TraceEngine::from_config(&self.config),
-            transitions.iter().cloned(),
-        );
-        if let Some(t) = last {
-            trace.steps.push(TraceStep::Transition(t.clone()));
-        }
-        trace.property = Some(property.to_string());
-        trace.message = Some(message.to_string());
-        trace
-    }
-
-    /// Appends a violation (with its typed trace) to a sequential-engine
-    /// report.
-    pub(crate) fn record_violation(
-        &self,
-        report: &mut CheckReport,
-        property: &str,
-        message: String,
-        trace: &[Transition],
-        last: Option<&Transition>,
-    ) {
-        let trace = self.make_trace(trace, last, property, &message);
-        report.violations.push(Violation {
-            property: property.to_string(),
-            message,
-            trace,
-            transitions_explored: report.stats.transitions,
-            unique_states: report.stats.unique_states,
+    /// The search's root: the initial state (with the scenario's fresh
+    /// property observers) and its fingerprint.
+    pub(crate) fn root(&self) -> (Arc<Snapshot>, u64) {
+        let state = SystemState::initial(&self.scenario);
+        let fingerprint = state.fingerprint();
+        let root = Arc::new(Snapshot {
+            state,
+            properties: self.scenario.properties.clone(),
         });
+        (root, fingerprint)
     }
-
-    /// Clones a state for a child node, honouring the benchmark-only
-    /// deep-clone switch.
-    fn clone_state(&self, state: &SystemState) -> SystemState {
-        if self.config.force_deep_clone {
-            state.deep_clone()
-        } else {
-            state.clone()
-        }
-    }
-
-    /// Under checkpointed storage, the parent's snapshot handle must outlive
-    /// the parent node (children between checkpoints inherit it); this
-    /// captures it before [`ModelChecker::materialize`] consumes the node.
-    pub(crate) fn parent_base(&self, node: &Node) -> Option<(Arc<Snapshot>, usize)> {
-        match self.config.state_storage {
-            StateStorage::Checkpoint { .. } => Some((Arc::clone(&node.base), node.base_depth)),
-            _ => None,
-        }
-    }
-
-    /// Builds the frontier node for a child reached over `trace`, choosing
-    /// what to snapshot according to the storage mode.
-    pub(crate) fn make_node(
-        &self,
-        root: &Arc<Snapshot>,
-        parent_base: &Option<(Arc<Snapshot>, usize)>,
-        trace: Vec<Transition>,
-        state: SystemState,
-        properties: Vec<Box<dyn Property>>,
-        sleep: Vec<Transition>,
-    ) -> Node {
-        match self.config.state_storage {
-            StateStorage::Full => {
-                let base_depth = trace.len();
-                Node {
-                    base: Arc::new(Snapshot { state, properties }),
-                    base_depth,
-                    trace,
-                    sleep,
-                    revisit: false,
-                }
-            }
-            StateStorage::Replay => Node {
-                base: Arc::clone(root),
-                base_depth: 0,
-                trace,
-                sleep,
-                revisit: false,
-            },
-            StateStorage::Checkpoint { interval } => {
-                if trace.len().is_multiple_of(interval.max(1)) {
-                    let base_depth = trace.len();
-                    Node {
-                        base: Arc::new(Snapshot { state, properties }),
-                        base_depth,
-                        trace,
-                        sleep,
-                        revisit: false,
-                    }
-                } else {
-                    let (base, base_depth) = parent_base
-                        .as_ref()
-                        .expect("checkpoint mode captures the parent base");
-                    Node {
-                        base: Arc::clone(base),
-                        base_depth: *base_depth,
-                        trace,
-                        sleep,
-                        revisit: false,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one transition from `state`: clones the successor, runs the
-    /// transition (plus lock-step drain), feeds the property observers, and
-    /// collects any violations as `(property name, message)` pairs. This is
-    /// the single definition of a search step — the sequential and parallel
-    /// engines both call it, so their semantics cannot diverge.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub(crate) fn step_transition(
-        &self,
-        state: &SystemState,
-        properties: &[Box<dyn Property>],
-        transition: &Transition,
-        strategy: &dyn SearchStrategy,
-        memo: &mut DiscoveryMemo,
-        events: &mut Vec<Event>,
-    ) -> (SystemState, Vec<Box<dyn Property>>, Vec<(String, String)>) {
-        let mut next_state = self.clone_state(state);
-        let mut next_properties = properties.to_vec();
-        events.clear();
-        execute(
-            &mut next_state,
-            transition,
-            &self.scenario,
-            &self.config,
-            memo,
-            events,
-        );
-        if strategy.lock_step_control_plane() {
-            drain_control_plane(&mut next_state, &self.scenario, &self.config, memo, events);
-        }
-        for event in events.iter() {
-            for property in next_properties.iter_mut() {
-                property.on_event(event, &next_state);
-            }
-        }
-        let violations = next_properties
-            .iter()
-            .filter_map(|p| p.check(&next_state).map(|m| (p.name().to_string(), m)))
-            .collect();
-        (next_state, next_properties, violations)
-    }
-
-    /// Rebuilds a node's state (and its property state) by replaying the
-    /// trace suffix since the node's snapshot — the memory-saving state
-    /// restoration of Section 6, bounded by the checkpoint cadence.
-    ///
-    /// Consumes the node: under `Full` storage the snapshot is uniquely
-    /// owned, so the state is moved out without any clone at all.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn materialize(
-        &self,
-        node: Node,
-        strategy: &dyn SearchStrategy,
-        memo: &mut DiscoveryMemo,
-    ) -> (
-        SystemState,
-        Vec<Box<dyn Property>>,
-        Vec<Transition>,
-        Vec<Transition>,
-    ) {
-        let Node {
-            base,
-            base_depth,
-            trace,
-            sleep,
-            revisit: _,
-        } = node;
-        let (mut state, mut properties) = match Arc::try_unwrap(base) {
-            Ok(snapshot) => (snapshot.state, snapshot.properties),
-            Err(shared) => (shared.state.clone(), shared.properties.clone()),
-        };
-        let mut events = Vec::new();
-        for transition in &trace[base_depth..] {
-            events.clear();
-            execute(
-                &mut state,
-                transition,
-                &self.scenario,
-                &self.config,
-                memo,
-                &mut events,
-            );
-            if strategy.lock_step_control_plane() {
-                drain_control_plane(&mut state, &self.scenario, &self.config, memo, &mut events);
-            }
-            for event in &events {
-                for property in properties.iter_mut() {
-                    property.on_event(event, &state);
-                }
-            }
-        }
-        (state, properties, trace, sleep)
-    }
-
-    // -----------------------------------------------------------------------
-    // Sequential engine
-    // -----------------------------------------------------------------------
 
     /// The canonical sequential depth-first search: a solo-shard
-    /// [`ShardedSearch`](crate::shard::ShardedSearch) driven to completion.
-    /// The expansion loop lives in `shard.rs` — one definition shared with
-    /// the distributed engine, so a 1-shard distributed run is bit-identical
-    /// to this by construction.
+    /// [`ShardedSearch`](crate::shard::ShardedSearch) driven to completion,
+    /// so a 1-shard distributed run is bit-identical to this by
+    /// construction.
     fn run_sequential(&self, ctrl: &SessionCtrl) -> CheckReport {
-        let mut search = crate::shard::ShardedSearch::new(self, crate::shard::ShardSpec::solo());
+        let mut search = crate::shard::ShardedSearch::new(self, ShardSpec::solo());
         while search.step_ctrl(Some(ctrl)) == crate::shard::StepOutcome::Expanded {}
         search.finish()
     }
 
-    // -----------------------------------------------------------------------
-    // Parallel engine
-    // -----------------------------------------------------------------------
-
+    /// The parallel search: one [`Worker`] per thread over one shared
+    /// explored store, exchanging frontier nodes through a
+    /// [`DonationQueue`].
     fn run_parallel(&self, ctrl: &SessionCtrl) -> CheckReport {
         let start = Instant::now();
-        let workers = self.config.workers;
+        let (root, root_fingerprint) = self.root();
+        let store: Arc<dyn ExploredStore> = Arc::from(build_store(&self.config.explored));
+        let shared = Arc::new(Shared::default());
+        let discoveries = Arc::new(SharedDiscoveryCache::default());
+        let mut workers: Vec<Worker> = (0..self.config.workers)
+            .map(|_| {
+                Worker::new(
+                    self,
+                    ShardSpec::solo(),
+                    Arc::clone(&store),
+                    Arc::clone(&root),
+                    Arc::clone(&shared),
+                    DiscoveryMemo::with_shared(Arc::clone(&discoveries)),
+                )
+            })
+            .collect();
+        // The first worker starts from the root; its siblings start idle
+        // and are fed through the queue as soon as the frontier widens.
+        workers[0].enqueue(root_fingerprint, Vec::new(), Vec::new());
 
-        let initial_state = SystemState::initial(&self.scenario);
-        let initial_properties: Vec<Box<dyn Property>> = self.scenario.properties.clone();
-        let initial_fingerprint = initial_state.fingerprint();
-        let root = Arc::new(Snapshot {
-            state: initial_state,
-            properties: initial_properties,
+        let queue = DonationQueue::new(workers.len());
+        let workers: Vec<Worker> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|worker| {
+                    let queue = &queue;
+                    scope.spawn(move || parallel_worker(worker, queue, ctrl))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        let root_node = Node {
-            base: Arc::clone(&root),
-            base_depth: 0,
-            trace: Vec::new(),
-            sleep: Vec::new(),
-            revisit: false,
-        };
 
-        let store = build_store(&self.config.explored);
-        store.visit(initial_fingerprint, &[]);
-        let stats = SharedStats::new();
-        stats.unique_states.store(1, Ordering::Relaxed);
-
-        let cx = WorkerCtx {
-            stats: &stats,
-            store: store.as_ref(),
-            root: &root,
-            ctrl,
-        };
-        match self.config.scheduler {
-            SchedulerKind::WorkStealing => self.run_stealing(workers, root_node, cx),
-            SchedulerKind::Donation => self.run_donation(workers, root_node, cx),
+        let mut report = CheckReport::default();
+        for worker in workers {
+            worker.finish_into(&mut report);
         }
-
-        let mut report = stats.report();
-        report.stats.absorb_explored(store.stats());
-        report.lossy = store.lossy();
         // Workers race, so impose a stable order; `first_violation` then
         // means "a shortest witness".
         report.sort_violations();
@@ -720,325 +1013,17 @@ impl ModelChecker {
         report
     }
 
-    /// Runs the work-stealing scheduler: one Chase-Lev deque per worker,
-    /// the root seeded into worker 0's deque, termination through the
-    /// [`StealPool::node_done`] live-node counter.
-    fn run_stealing(&self, workers: usize, root_node: Node, cx: WorkerCtx<'_, '_>) {
-        let deques: Vec<WorkDeque<Node>> = (0..workers).map(|_| WorkDeque::new()).collect();
-        let pool = StealPool {
-            stealers: deques.iter().map(WorkDeque::stealer).collect(),
-            live: AtomicU64::new(1),
-            idlers: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            unpark: Condvar::new(),
-        };
-        deques[0].push(root_node);
-
-        std::thread::scope(|scope| {
-            for (index, deque) in deques.into_iter().enumerate() {
-                let pool = &pool;
-                scope.spawn(move || self.stealing_worker(index, deque, pool, cx));
-            }
-        });
-    }
-
-    /// One worker of the work-stealing search. The deque is *owned* by this
-    /// worker (local push/pop are lock- and fence-cheap); siblings only
-    /// touch it through their [`Stealer`] handles.
-    fn stealing_worker(
-        &self,
-        index: usize,
-        deque: WorkDeque<Node>,
-        pool: &StealPool,
-        cx: WorkerCtx<'_, '_>,
-    ) {
-        let _stop_on_panic = OnPanic(|| pool.stop(cx.stats));
-        let strategy = build_strategy(self.config.strategy);
-        let reduction = build_reduction(self.config.reduction);
-        let mut memo = DiscoveryMemo::with_shared(Arc::clone(&cx.stats.discoveries));
-        let mut events: Vec<Event> = Vec::new();
-
-        while let Some(node) = pool.next_node(index, &deque, cx.stats) {
-            // Session control: a fired cancel token or expired deadline winds
-            // every worker down (each polls here, so none can hang on work
-            // the others abandoned).
-            if cx.ctrl.check_interrupt().is_some() {
-                pool.stop(cx.stats);
-                break;
-            }
-            match self.expand_node(
-                node,
-                strategy.as_ref(),
-                reduction.as_ref(),
-                &mut memo,
-                &mut events,
-                cx,
-            ) {
-                Expanded::Children(children) => {
-                    // Children enter `live` *before* their parent retires, so
-                    // the counter cannot dip to zero while work is still in
-                    // flight.
-                    if !children.is_empty() {
-                        pool.live.fetch_add(children.len() as u64, Ordering::AcqRel);
-                        for child in children {
-                            deque.push(child);
-                        }
-                        if pool.idlers.load(Ordering::Relaxed) > 0 {
-                            let _guard = pool
-                                .park
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            pool.unpark.notify_all();
-                        }
-                    }
-                    pool.node_done(cx.stats);
-                }
-                Expanded::Stop => {
-                    pool.stop(cx.stats);
-                    break;
-                }
-            }
-        }
-
-        cx.stats
-            .symbolic_executions
-            .fetch_add(memo.symbolic_executions, Ordering::Relaxed);
-    }
-
-    /// Runs the legacy donation scheduler (kept as the benchmark baseline).
-    fn run_donation(&self, workers: usize, root_node: Node, cx: WorkerCtx<'_, '_>) {
-        let queue = DonationQueue::new(workers, root_node);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                scope.spawn(move || self.donation_worker(queue, cx));
-            }
-        });
-    }
-
-    /// One worker of the donation search: pops nodes, expands them, and
-    /// terminates when every worker is idle on an empty queue (or a stop
-    /// condition fired). Each worker keeps a private stack of nodes and only
-    /// exchanges work through the shared queue when other workers are
-    /// starving, so the common case pays no synchronisation beyond the
-    /// explored store and the statistics counters.
-    fn donation_worker(&self, queue: &DonationQueue, cx: WorkerCtx<'_, '_>) {
-        let _stop_on_panic = OnPanic(|| queue.stop(cx.stats));
-        let strategy = build_strategy(self.config.strategy);
-        let reduction = build_reduction(self.config.reduction);
-        let mut memo = DiscoveryMemo::with_shared(Arc::clone(&cx.stats.discoveries));
-        let mut local: Vec<Node> = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-
-        loop {
-            let node = if cx.stats.stop.load(Ordering::Relaxed) {
-                break;
-            } else if let Some(node) = local.pop() {
-                node
-            } else {
-                match queue.pop_work(cx.stats) {
-                    Some(node) => node,
-                    None => break,
-                }
-            };
-            if cx.ctrl.check_interrupt().is_some() {
-                queue.stop(cx.stats);
-                break;
-            }
-            match self.expand_node(
-                node,
-                strategy.as_ref(),
-                reduction.as_ref(),
-                &mut memo,
-                &mut events,
-                cx,
-            ) {
-                Expanded::Children(children) => {
-                    // Work sharing: hand nodes to the shared queue only when
-                    // another worker is starving (or the queue is empty);
-                    // otherwise keep them on the private stack and skip the
-                    // lock entirely.
-                    if queue.needs_work() {
-                        let mut donated = children;
-                        if local.len() > 1 {
-                            let take = local.len() / 2;
-                            donated.extend(local.drain(..take));
-                        }
-                        queue.push_work(donated);
-                    } else {
-                        local.extend(children);
-                    }
-                }
-                Expanded::Stop => {
-                    queue.stop(cx.stats);
-                    break;
-                }
-            }
-        }
-
-        cx.stats
-            .symbolic_executions
-            .fetch_add(memo.symbolic_executions, Ordering::Relaxed);
-    }
-
-    /// Expands one frontier node: materializes its state, applies the
-    /// strategy and the reduction, steps every surviving transition, and
-    /// returns the unexplored children. Scheduler-agnostic — both parallel
-    /// engines drive the search through this.
-    fn expand_node(
-        &self,
-        node: Node,
-        strategy: &dyn SearchStrategy,
-        reduction: &dyn Reduction,
-        memo: &mut DiscoveryMemo,
-        events: &mut Vec<Event>,
-        cx: WorkerCtx<'_, '_>,
-    ) -> Expanded {
-        let WorkerCtx {
-            stats,
-            store,
-            root,
-            ctrl,
-        } = cx;
-        stats
-            .max_depth
-            .fetch_max(node.trace.len(), Ordering::Relaxed);
-
-        let revisit = node.revisit;
-        let parent_base = self.parent_base(&node);
-        let (state, properties, trace, sleep) = self.materialize(node, strategy, memo);
-
-        let enabled = enabled_transitions(&state, &self.scenario, &self.config);
-        let enabled_count = enabled.len();
-        let enabled = strategy.select(&state, enabled);
-        stats
-            .pruned_by_strategy
-            .fetch_add((enabled_count - enabled.len()) as u64, Ordering::Relaxed);
-
-        if enabled.is_empty() {
-            // A widened revisit of a terminal state was already counted
-            // (and final-checked) on its first visit.
-            let mut stop = false;
-            if !revisit {
-                stats.terminal_states.fetch_add(1, Ordering::Relaxed);
-                for property in &properties {
-                    if let Some(message) = property.check_final(&state) {
-                        let typed = self.make_trace(&trace, None, property.name(), &message);
-                        let v = stats.record_violation(property.name(), message, typed);
-                        ctrl.notify_violation(&v);
-                        if self.config.stop_at_first_violation {
-                            stop = true;
-                        }
-                    }
-                }
-            }
-            return if stop {
-                Expanded::Stop
-            } else {
-                Expanded::Children(Vec::new())
-            };
-        }
-
-        if trace.len() >= self.config.max_depth {
-            stats.truncated.store(true, Ordering::Relaxed);
-            return Expanded::Children(Vec::new());
-        }
-
-        let choice = reduction.select(&state, &self.scenario, enabled, &sleep);
-        stats
-            .pruned_by_por
-            .fetch_add(choice.pruned, Ordering::Relaxed);
-        let mut child_sleeps =
-            reduction.child_sleeps(&state, &self.scenario, &choice.explore, &sleep);
-
-        let mut children = Vec::new();
-        for (index, transition) in choice.explore.into_iter().enumerate() {
-            if stats.stop.load(Ordering::Relaxed) {
-                return Expanded::Stop;
-            }
-            if !stats.try_take_transition_budget(self.config.max_transitions) {
-                return Expanded::Stop;
-            }
-            if let Some(index) = transition.fault_counter_index() {
-                stats.faults[index].fetch_add(1, Ordering::Relaxed);
-            }
-
-            let (next_state, next_properties, violations) =
-                self.step_transition(&state, &properties, &transition, strategy, memo, events);
-
-            ctrl.maybe_progress(
-                stats.transitions.load(Ordering::Relaxed),
-                stats.unique_states.load(Ordering::Relaxed),
-                trace.len() + 1,
-                store.bytes(),
-            );
-
-            let violated = !violations.is_empty();
-            for (property, message) in violations {
-                let typed = self.make_trace(&trace, Some(&transition), &property, &message);
-                let v = stats.record_violation(&property, message, typed);
-                ctrl.notify_violation(&v);
-            }
-            if violated {
-                if self.config.stop_at_first_violation {
-                    return Expanded::Stop;
-                }
-                continue;
-            }
-
-            let child_sleep = std::mem::take(&mut child_sleeps[index]);
-            let mut child_digests: Vec<u64> = child_sleep.iter().map(Transition::digest).collect();
-            child_digests.sort_unstable();
-            child_digests.dedup();
-
-            match store.visit(next_state.fingerprint(), &child_digests) {
-                Visit::New => {
-                    stats.unique_states.fetch_add(1, Ordering::Relaxed);
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    children.push(self.make_node(
-                        root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        child_sleep,
-                    ));
-                }
-                Visit::Known => {
-                    stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Visit::Widen(narrowed) => {
-                    let narrowed_sleep: Vec<Transition> = child_sleep
-                        .into_iter()
-                        .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                        .collect();
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    let mut node = self.make_node(
-                        root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        narrowed_sleep,
-                    );
-                    node.revisit = true;
-                    children.push(node);
-                }
-            }
-        }
-        Expanded::Children(children)
-    }
-
     /// Performs `walks` random walks of at most `max_steps` transitions each
     /// (the "random walks on system states" simulation mode of Section 1.3)
     /// and returns a report covering all walks.
     pub fn run_random_walk(&self, seed: u64, walks: u32, max_steps: usize) -> CheckReport {
         let start = Instant::now();
-        let strategy = build_strategy(self.config.strategy);
+        let mut stepper = Stepper::new(
+            &self.scenario,
+            self.config.clone(),
+            DiscoveryMemo::default(),
+        );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut memo = DiscoveryMemo::default();
         let mut report = CheckReport::default();
         let mut seen = FingerprintMap::default();
 
@@ -1049,357 +1034,90 @@ impl ModelChecker {
             visit_explored(&mut seen, state.fingerprint(), &[]);
 
             for _ in 0..max_steps {
-                let enabled = enabled_transitions(&state, &self.scenario, &self.config);
-                let enabled = strategy.select(&state, enabled);
+                let (enabled, _) = stepper.selected(&state);
+                let stats = &mut report.stats;
+                let found = if enabled.is_empty() {
+                    stats.terminal_states += 1;
+                    violated_at_end(&properties, &state)
+                } else {
+                    let transition = &enabled[rng.gen_range(0..enabled.len())];
+                    stepper.advance(&mut state, &mut properties, transition);
+                    stats.transitions += 1;
+                    stats.faults.record(transition);
+                    trace.push(transition.clone());
+                    stats.max_depth = stats.max_depth.max(trace.len());
+                    if visit_explored(&mut seen, state.fingerprint(), &[]) == Visit::New {
+                        stats.unique_states += 1;
+                    }
+                    violated(&properties, &state)
+                };
+                for (property, message) in found {
+                    report.violations.push(stepper.violation(
+                        &property,
+                        message,
+                        &trace,
+                        None,
+                        report.stats.transitions,
+                        report.stats.unique_states,
+                    ));
+                    if self.config.stop_at_first_violation {
+                        break 'walks;
+                    }
+                }
                 if enabled.is_empty() {
-                    report.stats.terminal_states += 1;
-                    for property in &properties {
-                        if let Some(message) = property.check_final(&state) {
-                            self.record_violation(
-                                &mut report,
-                                property.name(),
-                                message,
-                                &trace,
-                                None,
-                            );
-                            if self.config.stop_at_first_violation {
-                                break 'walks;
-                            }
-                        }
-                    }
                     break;
-                }
-                let choice = rng.gen_range(0..enabled.len());
-                let transition = enabled[choice].clone();
-                let mut events = Vec::new();
-                execute(
-                    &mut state,
-                    &transition,
-                    &self.scenario,
-                    &self.config,
-                    &mut memo,
-                    &mut events,
-                );
-                if strategy.lock_step_control_plane() {
-                    drain_control_plane(
-                        &mut state,
-                        &self.scenario,
-                        &self.config,
-                        &mut memo,
-                        &mut events,
-                    );
-                }
-                report.stats.transitions += 1;
-                report.stats.faults.record(&transition);
-                trace.push(transition.clone());
-                report.stats.max_depth = report.stats.max_depth.max(trace.len());
-                if matches!(
-                    visit_explored(&mut seen, state.fingerprint(), &[]),
-                    Visit::New
-                ) {
-                    report.stats.unique_states += 1;
-                }
-                for event in &events {
-                    for property in properties.iter_mut() {
-                        property.on_event(event, &state);
-                    }
-                }
-                for property in &properties {
-                    if let Some(message) = property.check(&state) {
-                        self.record_violation(
-                            &mut report,
-                            property.name(),
-                            message,
-                            &trace[..trace.len() - 1],
-                            Some(&transition),
-                        );
-                        if self.config.stop_at_first_violation {
-                            break 'walks;
-                        }
-                    }
                 }
             }
         }
 
-        report.stats.symbolic_executions = memo.symbolic_executions;
+        report.stats.symbolic_executions = stepper.memo.symbolic_executions;
         report.stats.duration = start.elapsed();
         report
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared state of the parallel search
+// The parallel driver
 // ---------------------------------------------------------------------------
 
-/// What expanding one frontier node produced.
-enum Expanded {
-    /// The node's unexplored children (possibly none). The caller owes the
-    /// scheduler a `node_done`-style retirement for the expanded node.
-    Children(Vec<Node>),
-    /// A stop condition fired mid-expansion (budget exhausted, first
-    /// violation under `stop_at_first_violation`, or a sibling's stop flag):
-    /// wind the search down; any children are deliberately discarded.
-    Stop,
-}
-
-/// The per-run references every worker shares, bundled so the worker and
-/// expansion signatures stay tractable.
-#[derive(Clone, Copy)]
-struct WorkerCtx<'a, 'c> {
-    stats: &'a SharedStats,
-    store: &'a dyn ExploredStore,
-    root: &'a Arc<Snapshot>,
-    ctrl: &'a SessionCtrl<'c>,
-}
-
-/// Scheduler-agnostic shared state of one parallel run: the statistics
-/// counters, the collected violations, and the stop flag every worker polls
-/// between transitions. The *work distribution* state lives in the
-/// scheduler ([`StealPool`] or [`DonationQueue`]).
-struct SharedStats {
-    /// Cross-worker symbolic-discovery cache (see [`SharedDiscoveryCache`]).
-    discoveries: Arc<SharedDiscoveryCache>,
-    /// Set by any stop condition; whoever sets it must also wake the
-    /// scheduler's sleepers (via [`StealPool::stop`] / [`DonationQueue::stop`]).
-    stop: AtomicBool,
-    transitions: AtomicU64,
-    unique_states: AtomicU64,
-    terminal_states: AtomicU64,
-    symbolic_executions: AtomicU64,
-    pruned_by_strategy: AtomicU64,
-    pruned_by_por: AtomicU64,
-    dedup_hits: AtomicU64,
-    work_steals: AtomicU64,
-    /// Per-kind fault counters, indexed by
-    /// [`Transition::fault_counter_index`].
-    faults: [AtomicU64; FaultStats::KINDS],
-    max_depth: AtomicUsize,
-    truncated: AtomicBool,
-    violations: Mutex<Vec<Violation>>,
-}
-
-impl SharedStats {
-    fn new() -> SharedStats {
-        SharedStats {
-            discoveries: Arc::new(SharedDiscoveryCache::default()),
-            stop: AtomicBool::new(false),
-            transitions: AtomicU64::new(0),
-            unique_states: AtomicU64::new(0),
-            terminal_states: AtomicU64::new(0),
-            symbolic_executions: AtomicU64::new(0),
-            pruned_by_strategy: AtomicU64::new(0),
-            pruned_by_por: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            work_steals: AtomicU64::new(0),
-            faults: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_depth: AtomicUsize::new(0),
-            truncated: AtomicBool::new(false),
-            violations: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Claims one unit of the transition budget. On exhaustion, marks the
-    /// run truncated and raises the stop flag — the calling worker returns
-    /// [`Expanded::Stop`] and its scheduler wakes the sleepers.
-    fn try_take_transition_budget(&self, max_transitions: u64) -> bool {
-        if max_transitions == 0 {
-            self.transitions.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        let mut current = self.transitions.load(Ordering::Relaxed);
-        loop {
-            if current >= max_transitions {
-                self.truncated.store(true, Ordering::Relaxed);
-                self.stop.store(true, Ordering::Relaxed);
-                return false;
-            }
-            match self.transitions.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Records a violation and returns the caller's copy of it (for
-    /// streaming through the session observer). The typed trace is built by
-    /// the worker (via [`ModelChecker::make_trace`]) before taking the lock.
-    fn record_violation(&self, property: &str, message: String, trace: Trace) -> Violation {
-        let violation = Violation {
-            property: property.to_string(),
-            message,
-            trace,
-            transitions_explored: self.transitions.load(Ordering::Relaxed),
-            unique_states: self.unique_states.load(Ordering::Relaxed),
+/// One thread of the parallel search: pops nodes, expands them, and
+/// terminates when every worker is idle on an empty queue (or a stop
+/// condition fired). Each worker keeps its private stack and only hands
+/// work to the shared queue when a sibling is starving, so the common case
+/// pays no synchronisation beyond the explored store and the shared totals.
+fn parallel_worker<'a>(
+    mut worker: Worker<'a>,
+    queue: &DonationQueue,
+    ctrl: &SessionCtrl,
+) -> Worker<'a> {
+    let shared = Arc::clone(&worker.shared);
+    let _stop_on_panic = OnPanic(|| queue.stop(&shared));
+    while !shared.stop.load(Ordering::Relaxed) {
+        let Some(node) = worker.stack.pop().or_else(|| queue.pop_work(&shared)) else {
+            break;
         };
-        self.violations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(violation.clone());
-        violation
-    }
-
-    /// Drains the counters and violations into a report (workers must have
-    /// joined).
-    fn report(&self) -> CheckReport {
-        let mut report = CheckReport::default();
-        report.stats.transitions = self.transitions.load(Ordering::Relaxed);
-        report.stats.unique_states = self.unique_states.load(Ordering::Relaxed);
-        report.stats.terminal_states = self.terminal_states.load(Ordering::Relaxed);
-        report.stats.symbolic_executions = self.symbolic_executions.load(Ordering::Relaxed);
-        report.stats.pruned_by_strategy = self.pruned_by_strategy.load(Ordering::Relaxed);
-        report.stats.pruned_by_por = self.pruned_by_por.load(Ordering::Relaxed);
-        report.stats.dedup_hits = self.dedup_hits.load(Ordering::Relaxed);
-        report.stats.work_steals = self.work_steals.load(Ordering::Relaxed);
-        report.stats.faults = FaultStats::from_counts(std::array::from_fn(|i| {
-            self.faults[i].load(Ordering::Relaxed)
-        }));
-        report.stats.max_depth = self.max_depth.load(Ordering::Relaxed);
-        report.stats.truncated = self.truncated.load(Ordering::Relaxed);
-        report.violations = std::mem::take(
-            &mut *self
-                .violations
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        report
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing scheduler state
-// ---------------------------------------------------------------------------
-
-/// How long an idle worker parks before re-checking the deques. The park
-/// protocol has a benign race (a producer can push between a thief's empty
-/// check and its wait), so sleeps are always bounded by this timeout
-/// instead of relying on wakeups alone.
-const PARK_TIMEOUT: Duration = Duration::from_micros(500);
-
-/// Shared state of the work-stealing scheduler: every worker's stealer
-/// handle plus the termination counter.
-struct StealPool {
-    stealers: Vec<Stealer<Node>>,
-    /// Frontier nodes created but not yet fully expanded (the root counts
-    /// as 1). A worker adds its children *before* retiring their parent
-    /// ([`StealPool::node_done`]), so `live` can only reach zero when no
-    /// node exists anywhere — in a deque, in flight, or being expanded —
-    /// which is exactly the termination condition. Workers that bail out
-    /// early (stop flag, interrupt, panic) leave `live` non-zero and
-    /// terminate through the stop flag instead.
-    live: AtomicU64,
-    /// Workers currently parked; producers only bother notifying when > 0.
-    idlers: AtomicUsize,
-    park: Mutex<()>,
-    unpark: Condvar,
-}
-
-impl StealPool {
-    /// Raises the stop flag and wakes every parked worker.
-    fn stop(&self, stats: &SharedStats) {
-        stats.stop.store(true, Ordering::Relaxed);
-        // Taking the lock orders this notify after any in-progress park
-        // decision, so nobody can sleep through the stop for more than the
-        // park timeout.
-        let _guard = self
-            .park
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.unpark.notify_all();
-    }
-
-    /// Retires one fully-expanded node; the last retirement ends the search.
-    fn node_done(&self, stats: &SharedStats) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.stop(stats);
+        let kept = worker.stack.len();
+        if !worker.expand(node, Some(ctrl)) {
+            queue.stop(&shared);
+            break;
+        }
+        // Work sharing: hand the node's children plus the older half of the
+        // private stack to the shared queue only when another worker is
+        // starving; otherwise skip the lock entirely.
+        if queue.needs_work() {
+            let mut donated = worker.stack.split_off(kept);
+            if kept > 1 {
+                donated.extend(worker.stack.drain(..kept / 2));
+            }
+            worker.stats.work_steals += donated.len() as u64;
+            queue.push_work(donated);
         }
     }
-
-    /// The idle path of a worker's scheduling loop: local pop, then
-    /// round-robin stealing, then a bounded park. Returns `None` when the
-    /// search is over.
-    fn next_node(
-        &self,
-        index: usize,
-        deque: &WorkDeque<Node>,
-        stats: &SharedStats,
-    ) -> Option<Node> {
-        loop {
-            if stats.stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            if let Some(node) = deque.pop() {
-                return Some(node);
-            }
-            if let Some(node) = self.try_steal(index, deque, stats) {
-                return Some(node);
-            }
-            if self.live.load(Ordering::Acquire) == 0 {
-                // The last node was retired between our pop and now.
-                self.stop(stats);
-                return None;
-            }
-            self.idlers.fetch_add(1, Ordering::Relaxed);
-            let guard = self
-                .park
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            drop(self.unpark.wait_timeout(guard, PARK_TIMEOUT));
-            self.idlers.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Tries each sibling round-robin, starting after `index`. On a hit,
-    /// migrates up to half of the victim's *remaining* deque into the
-    /// thief's own (steal-half: one successful steal rebalances whole
-    /// subtrees, so thieves then run locally instead of coming back per
-    /// node) before returning the first stolen node.
-    fn try_steal(
-        &self,
-        index: usize,
-        deque: &WorkDeque<Node>,
-        stats: &SharedStats,
-    ) -> Option<Node> {
-        let n = self.stealers.len();
-        for offset in 1..n {
-            let victim = &self.stealers[(index + offset) % n];
-            loop {
-                match victim.steal() {
-                    Steal::Success(node) => {
-                        stats.work_steals.fetch_add(1, Ordering::Relaxed);
-                        let extra = victim.len() / 2;
-                        for _ in 0..extra {
-                            match victim.steal() {
-                                Steal::Success(more) => {
-                                    stats.work_steals.fetch_add(1, Ordering::Relaxed);
-                                    deque.push(more);
-                                }
-                                Steal::Retry | Steal::Empty => break,
-                            }
-                        }
-                        return Some(node);
-                    }
-                    // Lost a race: the victim demonstrably has (or had)
-                    // work, so retry it rather than moving on.
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
-    }
+    worker
 }
 
-// ---------------------------------------------------------------------------
-// Donation scheduler state
-// ---------------------------------------------------------------------------
-
-/// The donation frontier queue plus the bookkeeping its termination
-/// protocol needs.
+/// The shared frontier queue plus the bookkeeping its termination protocol
+/// needs.
 struct Frontier {
     queue: Vec<Node>,
     /// Workers currently blocked waiting for work.
@@ -1409,10 +1127,8 @@ struct Frontier {
     stop: bool,
 }
 
-/// The legacy work-donation scheduler: one mutex-protected LIFO frontier
-/// that busy workers donate to only when a sibling is starving. Kept
-/// selectable ([`SchedulerKind::Donation`]) as the baseline the
-/// work-stealing scheduler is benchmarked against.
+/// The parallel scheduler: one mutex-protected LIFO frontier that busy
+/// workers donate to only when a sibling is starving.
 struct DonationQueue {
     workers: usize,
     frontier: Mutex<Frontier>,
@@ -1422,11 +1138,11 @@ struct DonationQueue {
 }
 
 impl DonationQueue {
-    fn new(workers: usize, root: Node) -> DonationQueue {
+    fn new(workers: usize) -> DonationQueue {
         DonationQueue {
             workers,
             frontier: Mutex::new(Frontier {
-                queue: vec![root],
+                queue: Vec::new(),
                 idle: 0,
                 stop: false,
             }),
@@ -1448,7 +1164,7 @@ impl DonationQueue {
     /// other workers may still produce work. Returns `None` when the search
     /// is over: stop was signalled, or every worker went idle at once (no
     /// node left anywhere to generate more work from).
-    fn pop_work(&self, stats: &SharedStats) -> Option<Node> {
+    fn pop_work(&self, shared: &Shared) -> Option<Node> {
         let mut frontier = self.lock_frontier();
         loop {
             if frontier.stop {
@@ -1461,7 +1177,7 @@ impl DonationQueue {
             self.idle_count.store(frontier.idle, Ordering::Relaxed);
             if frontier.idle == self.workers {
                 frontier.stop = true;
-                stats.stop.store(true, Ordering::Relaxed);
+                shared.stop.store(true, Ordering::Relaxed);
                 self.work_available.notify_all();
                 return None;
             }
@@ -1482,14 +1198,14 @@ impl DonationQueue {
         self.idle_count.load(Ordering::Relaxed) > 0
     }
 
-    /// Pushes a batch of children (one lock round-trip per expanded node).
-    fn push_work(&self, children: Vec<Node>) {
-        if children.is_empty() {
+    /// Pushes a batch of nodes (one lock round-trip per expanded node).
+    fn push_work(&self, nodes: Vec<Node>) {
+        if nodes.is_empty() {
             return;
         }
         let mut frontier = self.lock_frontier();
-        let woken = children.len();
-        frontier.queue.extend(children);
+        let woken = nodes.len();
+        frontier.queue.extend(nodes);
         drop(frontier);
         if woken == 1 {
             self.work_available.notify_one();
@@ -1498,10 +1214,10 @@ impl DonationQueue {
         }
     }
 
-    /// Ends the search (first violation under stop-at-first, budget, or a
-    /// panicking worker).
-    fn stop(&self, stats: &SharedStats) {
-        stats.stop.store(true, Ordering::Relaxed);
+    /// Ends the search (first violation under stop-at-first, budget,
+    /// interrupt, or a panicking worker) and wakes every sleeper.
+    fn stop(&self, shared: &Shared) {
+        shared.stop.store(true, Ordering::Relaxed);
         let mut frontier = self.lock_frontier();
         frontier.stop = true;
         drop(frontier);
@@ -1511,7 +1227,7 @@ impl DonationQueue {
 
 /// Guard ensuring a panicking worker winds the whole search down instead of
 /// leaving its siblings parked forever; the panic itself is then re-raised
-/// by `std::thread::scope`.
+/// when the worker is joined.
 struct OnPanic<F: Fn()>(F);
 
 impl<F: Fn()> Drop for OnPanic<F> {
@@ -1553,24 +1269,10 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_and_replay_storage_agree() {
-        let scenario = testutil::hub_ping_scenario(2);
-        let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        let replay = ModelChecker::new(
-            scenario,
-            CheckerConfig::default().with_state_storage(StateStorage::Replay),
-        )
-        .run();
-        assert_eq!(full.passed(), replay.passed());
-        assert_eq!(full.stats.transitions, replay.stats.transitions);
-        assert_eq!(full.stats.unique_states, replay.stats.unique_states);
-    }
-
-    #[test]
     fn checkpoint_storage_agrees_with_full_at_every_cadence() {
         let scenario = testutil::hub_ping_scenario(2);
         let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        for interval in [1, 2, 3, 5, 64] {
+        for interval in [1, 2, 3, 5, 64, usize::MAX] {
             let checkpointed = ModelChecker::new(
                 scenario.clone(),
                 CheckerConfig::default().with_checkpoint_interval(interval),
@@ -1609,34 +1311,83 @@ mod tests {
 
     #[test]
     fn parallel_search_agrees_with_sequential() {
-        let scenario = testutil::hub_ping_scenario(2);
-        let sequential = ModelChecker::new(
-            scenario.clone(),
-            CheckerConfig::default().with_stop_at_first(false),
-        )
-        .run();
-        for workers in [2, 4] {
-            let parallel = ModelChecker::new(
+        // The last leg has more workers than the frontier is ever wide:
+        // most of them never get a node and must still let the search end.
+        for (pings, workers) in [(2, 2), (2, 4), (1, 8)] {
+            let scenario = testutil::hub_ping_scenario(pings);
+            let sequential = ModelChecker::new(
                 scenario.clone(),
+                CheckerConfig::default().with_stop_at_first(false),
+            )
+            .run();
+            let parallel = ModelChecker::new(
+                scenario,
                 CheckerConfig::default()
                     .with_stop_at_first(false)
                     .with_workers(workers),
             )
             .run();
-            assert!(parallel.passed());
+            let label = format!("{pings} pings, {workers} workers");
+            assert!(parallel.passed(), "{label}");
             assert_eq!(
                 sequential.stats.unique_states, parallel.stats.unique_states,
-                "{workers} workers"
+                "{label}"
             );
             assert_eq!(
                 sequential.stats.transitions, parallel.stats.transitions,
-                "{workers} workers"
+                "{label}"
             );
             assert_eq!(
                 sequential.stats.terminal_states, parallel.stats.terminal_states,
-                "{workers} workers"
+                "{label}"
             );
+            assert_eq!(sequential.stats.work_steals, 0, "{label}: one worker");
         }
+    }
+
+    #[test]
+    fn snapshots_are_uniquely_owned_at_interval_one() {
+        // The zero-clone pop: at the default interval no child inherits its
+        // parent's snapshot handle, so every queued node is the sole owner
+        // of its snapshot and materializing it moves the state out.
+        let checker = ModelChecker::new(testutil::hub_ping_scenario(2), CheckerConfig::default());
+        let (root, root_fingerprint) = checker.root();
+        let mut worker = Worker::new(
+            &checker,
+            ShardSpec::solo(),
+            Arc::from(build_store(&checker.config.explored)),
+            root,
+            Arc::new(Shared::default()),
+            DiscoveryMemo::default(),
+        );
+        worker.enqueue(root_fingerprint, Vec::new(), Vec::new());
+        let mut expanded = 0;
+        while let Some(node) = worker.stack.pop() {
+            assert!(worker.expand(node, None));
+            expanded += 1;
+            for node in &worker.stack {
+                assert!(node.inherited_base(1).is_none());
+                assert_eq!(
+                    Arc::strong_count(&node.base),
+                    1,
+                    "depth {}",
+                    node.trace.len()
+                );
+                assert_eq!(node.base_depth, node.trace.len());
+            }
+        }
+        assert!(expanded > 10);
+
+        // At a wider cadence the nodes between checkpoints do share.
+        let node = Node {
+            base: checker.root().0,
+            base_depth: 0,
+            trace: Vec::new(),
+            sleep: Vec::new(),
+            revisit: false,
+        };
+        assert!(node.inherited_base(2).is_some());
+        assert!(node.inherited_base(usize::MAX).is_some());
     }
 
     #[test]
@@ -1871,30 +1622,26 @@ mod tests {
                 .with_reduction(crate::scenario::ReductionKind::Por),
         )
         .run();
-        for storage in [
-            StateStorage::Replay,
-            StateStorage::Checkpoint { interval: 2 },
-            StateStorage::Checkpoint { interval: 5 },
-        ] {
+        for storage in [usize::MAX, 2, 5] {
             let checkpointed = ModelChecker::new(
                 scenario.clone(),
                 CheckerConfig::default()
                     .with_stop_at_first(false)
                     .with_reduction(crate::scenario::ReductionKind::Por)
-                    .with_state_storage(storage),
+                    .with_checkpoint_interval(storage),
             )
             .run();
             assert_eq!(
                 reference.stats.transitions, checkpointed.stats.transitions,
-                "{storage:?}"
+                "interval {storage}"
             );
             assert_eq!(
                 reference.stats.unique_states, checkpointed.stats.unique_states,
-                "{storage:?}"
+                "interval {storage}"
             );
             assert_eq!(
                 reference.stats.pruned_by_por, checkpointed.stats.pruned_by_por,
-                "{storage:?}"
+                "interval {storage}"
             );
         }
     }

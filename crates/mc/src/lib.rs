@@ -10,8 +10,8 @@
 //!
 //! * [`scenario`] — what to check: topology, controller application, host
 //!   models, how clients choose packets (scripted or symbolically
-//!   discovered), and the checker configuration (strategy, bounds, state
-//!   storage, switch-model options).
+//!   discovered), and the checker configuration (strategy, bounds,
+//!   frontier checkpointing, switch-model options).
 //! * [`faults`] — the [`faults::FaultPlan`]: which faults (channel drops /
 //!   duplicates / reorders, switch crashes, controller failover, Byzantine
 //!   OpenFlow mutations) the checker may inject, under a bounded budget.
@@ -82,8 +82,7 @@ pub use properties::{
 };
 pub use replay::{ReplayOutcome, ReplayReport, ReplayViolation};
 pub use scenario::{
-    CheckerConfig, ReductionKind, Scenario, ScenarioBuilder, SchedulerKind, SendPolicy,
-    StateStorage, StrategyKind,
+    CheckerConfig, ReductionKind, Scenario, ScenarioBuilder, SendPolicy, StrategyKind,
 };
 pub use session::{
     CancelToken, CheckEvent, CheckObserver, CheckSession, InterruptReason, NoopObserver, Outcome,

@@ -347,7 +347,7 @@ impl ModelChecker {
         seen.insert(replayer.fingerprint());
         let mut queue: VecDeque<(Replayer<'_>, Vec<Transition>)> = VecDeque::new();
         queue.push_back((replayer, Vec::new()));
-        'bfs: while let Some((mut node, path)) = queue.pop_front() {
+        'bfs: while let Some((node, path)) = queue.pop_front() {
             let selected = node.selected();
             if selected.is_empty() {
                 if let Some((_, message)) =
@@ -556,7 +556,7 @@ impl ModelChecker {
         let mut stack = vec![root];
         let mut truncated = false;
 
-        while let Some(mut node) = stack.pop() {
+        while let Some(node) = stack.pop() {
             let selected = node.selected();
             if selected.is_empty() {
                 if !node.check_final().iter().any(|(p, _)| p == target) {

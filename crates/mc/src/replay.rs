@@ -16,14 +16,12 @@
 //! after every step (plus the final-state checks at a terminal end), so the
 //! report pinpoints the exact step each violation fires at.
 
-use crate::checker::ModelChecker;
+use crate::checker::{violated, violated_at_end, ModelChecker, Stepper};
 use crate::properties::{Event, Property};
-use crate::scenario::{CheckerConfig, ReductionKind, Scenario};
+use crate::scenario::ReductionKind;
 use crate::state::SystemState;
-use crate::strategy::{build_strategy, SearchStrategy};
 use crate::trace::{Trace, TraceEngine};
-use crate::transition::Transition;
-use crate::transition::{drain_control_plane, enabled_transitions, execute, DiscoveryMemo};
+use crate::transition::{DiscoveryMemo, Transition};
 use std::fmt;
 
 /// How a replay ended.
@@ -143,13 +141,9 @@ pub(crate) enum StepResult {
 /// [`ModelChecker::minimize`](crate::minimize),
 /// [`ModelChecker::bisect`](crate::minimize) and the timeline renderer.
 pub(crate) struct Replayer<'a> {
-    scenario: &'a Scenario,
-    config: CheckerConfig,
-    strategy: Box<dyn SearchStrategy>,
-    memo: DiscoveryMemo,
+    stepper: Stepper<'a>,
     state: SystemState,
     properties: Vec<Box<dyn Property>>,
-    events: Vec<Event>,
     steps_executed: usize,
 }
 
@@ -166,17 +160,10 @@ impl<'a> Replayer<'a> {
         // Replay follows the recorded sequence; it never prunes.
         config.reduction = ReductionKind::None;
         let scenario = checker.scenario();
-        let strategy = build_strategy(config.strategy);
-        let state = SystemState::initial(scenario);
-        let properties = scenario.properties.clone();
         Replayer {
-            scenario,
-            config,
-            strategy,
-            memo: DiscoveryMemo::default(),
-            state,
-            properties,
-            events: Vec::new(),
+            stepper: Stepper::new(scenario, config, DiscoveryMemo::default()),
+            state: SystemState::initial(scenario),
+            properties: scenario.properties.clone(),
             steps_executed: 0,
         }
     }
@@ -184,9 +171,8 @@ impl<'a> Replayer<'a> {
     /// The transitions the engine would offer in the current state (after
     /// strategy selection) — the membership oracle for divergence checks
     /// and the deterministic continuation choice for minimization.
-    pub(crate) fn selected(&mut self) -> Vec<Transition> {
-        let enabled = enabled_transitions(&self.state, self.scenario, &self.config);
-        self.strategy.select(&self.state, enabled)
+    pub(crate) fn selected(&self) -> Vec<Transition> {
+        self.stepper.selected(&self.state).0
     }
 
     /// Executes one transition if it is currently enabled, feeding property
@@ -202,52 +188,20 @@ impl<'a> Replayer<'a> {
     /// Executes a transition the caller already knows is enabled (e.g. one
     /// just returned by [`Replayer::selected`]).
     pub(crate) fn step_unchecked(&mut self, transition: &Transition) -> StepResult {
-        self.events.clear();
-        execute(
-            &mut self.state,
-            transition,
-            self.scenario,
-            &self.config,
-            &mut self.memo,
-            &mut self.events,
-        );
-        if self.strategy.lock_step_control_plane() {
-            drain_control_plane(
-                &mut self.state,
-                self.scenario,
-                &self.config,
-                &mut self.memo,
-                &mut self.events,
-            );
-        }
-        for event in self.events.iter() {
-            for property in self.properties.iter_mut() {
-                property.on_event(event, &self.state);
-            }
-        }
+        self.stepper
+            .advance(&mut self.state, &mut self.properties, transition);
         self.steps_executed += 1;
-        let violations = self
-            .properties
-            .iter()
-            .filter_map(|p| p.check(&self.state).map(|m| (p.name().to_string(), m)))
-            .collect();
-        StepResult::Executed(violations)
+        StepResult::Executed(violated(&self.properties, &self.state))
     }
 
     /// True if the current state has no enabled transitions.
-    pub(crate) fn terminal(&mut self) -> bool {
+    pub(crate) fn terminal(&self) -> bool {
         self.selected().is_empty()
     }
 
     /// Final-state property checks on the current state.
     pub(crate) fn check_final(&self) -> Vec<(String, String)> {
-        self.properties
-            .iter()
-            .filter_map(|p| {
-                p.check_final(&self.state)
-                    .map(|m| (p.name().to_string(), m))
-            })
-            .collect()
+        violated_at_end(&self.properties, &self.state)
     }
 
     /// Fingerprint of the current state.
@@ -263,7 +217,7 @@ impl<'a> Replayer<'a> {
     /// The events emitted by the most recent step (for the timeline
     /// renderer).
     pub(crate) fn last_events(&self) -> &[Event] {
-        &self.events
+        &self.stepper.events
     }
 
     /// The current state (for the timeline renderer's barrier peeking).
@@ -275,13 +229,13 @@ impl<'a> Replayer<'a> {
     /// bounded exploration from a replayed prefix (bisection probes).
     pub(crate) fn branch(&self) -> Replayer<'a> {
         Replayer {
-            scenario: self.scenario,
-            config: self.config.clone(),
-            strategy: build_strategy(self.config.strategy),
-            memo: DiscoveryMemo::default(),
+            stepper: Stepper::new(
+                self.stepper.scenario,
+                self.stepper.config.clone(),
+                DiscoveryMemo::default(),
+            ),
             state: self.state.clone(),
             properties: self.properties.clone(),
-            events: Vec::new(),
             steps_executed: self.steps_executed,
         }
     }

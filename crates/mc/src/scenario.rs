@@ -413,74 +413,6 @@ impl ReductionKind {
     }
 }
 
-/// How states on the search frontier are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateStorage {
-    /// Keep a full clone of each frontier state (fast, more memory — though
-    /// with copy-on-write states "full" costs only the components that
-    /// differ from the parent).
-    Full,
-    /// Keep only the transition sequence and rebuild states by replaying it
-    /// from the initial state — the approach the paper's prototype takes to
-    /// trade computation for memory (Section 6).
-    Replay,
-    /// Hybrid: snapshot the state every `interval` transitions of depth and
-    /// rebuild frontier states by replaying only the suffix since the
-    /// nearest snapshot. `interval = 1` behaves like [`StateStorage::Full`];
-    /// a large `interval` approaches [`StateStorage::Replay`]. Snapshots are
-    /// copy-on-write, so the memory cost of a checkpoint is only the part of
-    /// the state that changed since the previous one.
-    Checkpoint {
-        /// Snapshot cadence in transitions; `0` is treated as `1` (the
-        /// builder [`CheckerConfig::with_checkpoint_interval`] clamps, and
-        /// the checker guards direct construction).
-        interval: usize,
-    },
-}
-
-/// Which scheduler distributes frontier nodes across parallel workers
-/// (`workers > 1`; the sequential engine has no scheduler).
-///
-/// Both schedulers explore the same state space — they only differ in how
-/// idle workers obtain work, which changes throughput and the (already
-/// scheduling-dependent) exploration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// One lock-free Chase-Lev deque per worker: children are pushed and
-    /// popped locally with no synchronisation, and an idle worker steals
-    /// half of a victim's oldest subtree. The default — scales past the
-    /// point where a shared frontier lock saturates.
-    #[default]
-    WorkStealing,
-    /// The legacy shared mutex-protected frontier: busy workers donate
-    /// half their private stack only when a sibling is starving. Kept as
-    /// the baseline the work-stealing scheduler is benchmarked against.
-    Donation,
-}
-
-impl SchedulerKind {
-    /// Both schedulers, the default first.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::WorkStealing, SchedulerKind::Donation];
-
-    /// A short, stable label ("work-stealing" / "donation") used by reports
-    /// and the CLI.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::WorkStealing => "work-stealing",
-            SchedulerKind::Donation => "donation",
-        }
-    }
-
-    /// Parses a scheduler from its CLI spelling (case-insensitive).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "work-stealing" | "steal" => Some(SchedulerKind::WorkStealing),
-            "donation" | "donate" => Some(SchedulerKind::Donation),
-            _ => None,
-        }
-    }
-}
-
 /// Search configuration.
 #[derive(Debug, Clone)]
 pub struct CheckerConfig {
@@ -500,8 +432,15 @@ pub struct CheckerConfig {
     pub coarse_packet_processing: bool,
     /// Explore rule-expiry (timeout) transitions.
     pub explore_rule_expiry: bool,
-    /// How frontier states are stored.
-    pub state_storage: StateStorage,
+    /// Snapshot cadence of the search frontier, in transitions of depth: a
+    /// frontier node whose depth is a multiple of the interval carries a
+    /// copy-on-write snapshot of its state, every other node shares its
+    /// nearest ancestor snapshot and rebuilds its state by replaying the
+    /// trace suffix since then. `1` (the default) snapshots every node —
+    /// fast, and cheap because unmodified components are shared with the
+    /// parent; `usize::MAX` keeps only the initial state and replays every
+    /// node from the root, the paper's Section 6 memory-saving mode.
+    pub checkpoint_interval: usize,
     /// Number of worker threads for the state-space search. `1` (the
     /// default) runs the fully deterministic sequential engine; larger
     /// values explore the same state space concurrently with a shared
@@ -513,10 +452,6 @@ pub struct CheckerConfig {
     /// Partial-order reduction layered on top of the strategy (see
     /// [`ReductionKind`]).
     pub reduction: ReductionKind,
-    /// Benchmark-only switch: clone frontier states eagerly (pre-COW cost
-    /// profile) instead of copy-on-write. Exists so `nice-bench` can measure
-    /// the win of structural sharing; leave `false` for real searches.
-    pub force_deep_clone: bool,
     /// Schedule the fault transitions described by the scenario's
     /// [`FaultPlan`](crate::faults::FaultPlan). Off by default so that a
     /// scenario carrying a plan can still be checked fault-free (the CLI's
@@ -524,9 +459,6 @@ pub struct CheckerConfig {
     pub inject_faults: bool,
     /// Limits on symbolic path exploration.
     pub explore: ExploreConfig,
-    /// How parallel workers exchange frontier nodes (see [`SchedulerKind`]).
-    /// Ignored by the sequential engine (`workers == 1`).
-    pub scheduler: SchedulerKind,
     /// How the explored fingerprint set is stored (see
     /// [`ExploredConfig`](crate::explored::ExploredConfig)): exact in-memory
     /// (the default), exact with cold-shard spill to disk, or lossy bitstate
@@ -543,13 +475,11 @@ impl Default for CheckerConfig {
             stop_at_first_violation: true,
             coarse_packet_processing: true,
             explore_rule_expiry: false,
-            state_storage: StateStorage::Full,
+            checkpoint_interval: 1,
             workers: 1,
             reduction: ReductionKind::None,
-            force_deep_clone: false,
             inject_faults: false,
             explore: ExploreConfig::default(),
-            scheduler: SchedulerKind::default(),
             explored: crate::explored::ExploredConfig::default(),
         }
     }
@@ -591,19 +521,10 @@ impl CheckerConfig {
         self
     }
 
-    /// Sets the state-storage mode (builder style).
-    pub fn with_state_storage(mut self, storage: StateStorage) -> Self {
-        self.state_storage = storage;
-        self
-    }
-
-    /// Sets checkpointed-replay storage with the given snapshot cadence
-    /// (builder style). `0` is clamped to `1` (which behaves like
-    /// [`StateStorage::Full`]).
+    /// Sets the frontier snapshot cadence (builder style; see
+    /// [`CheckerConfig::checkpoint_interval`]). `0` is clamped to `1`.
     pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
-        self.state_storage = StateStorage::Checkpoint {
-            interval: interval.max(1),
-        };
+        self.checkpoint_interval = interval.max(1);
         self
     }
 
@@ -625,12 +546,6 @@ impl CheckerConfig {
     /// (builder style).
     pub fn with_fault_injection(mut self, inject: bool) -> Self {
         self.inject_faults = inject;
-        self
-    }
-
-    /// Selects the parallel scheduler (builder style).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -714,11 +629,11 @@ mod tests {
             .with_strategy(StrategyKind::Unusual)
             .with_max_transitions(10)
             .with_stop_at_first(false)
-            .with_state_storage(StateStorage::Replay);
+            .with_checkpoint_interval(0);
         assert_eq!(tuned.strategy, StrategyKind::Unusual);
         assert_eq!(tuned.max_transitions, 10);
         assert!(!tuned.stop_at_first_violation);
-        assert_eq!(tuned.state_storage, StateStorage::Replay);
+        assert_eq!(tuned.checkpoint_interval, 1, "0 is clamped");
         assert!(!CheckerConfig::generic_baseline().coarse_packet_processing);
     }
 }

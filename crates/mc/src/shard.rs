@@ -17,21 +17,21 @@
 //! sequential engine's counts. A single solo shard ([`ShardSpec::solo`])
 //! *is* the sequential engine: [`ModelChecker`]'s sequential search is
 //! implemented as a solo `ShardedSearch`, so the equivalence is by
-//! construction, not by parallel maintenance.
+//! construction, not by parallel maintenance. The expansion itself is not
+//! defined here: a shard is one `checker::Worker`, and stepping it runs the
+//! same `Worker::expand` every engine runs.
 //!
 //! Injected states are rebuilt by replaying their trace from the initial
-//! state (the Section 6 replay storage mode, independent of the shard's
-//! own [`StateStorage`](crate::scenario::StateStorage) configuration for
-//! locally-generated nodes). Replays do not count as explored transitions,
-//! exactly as in checkpoint/replay storage.
+//! state (the Section 6 replay mode, whatever
+//! [`checkpoint_interval`](crate::scenario::CheckerConfig::checkpoint_interval)
+//! the shard uses for locally-generated nodes). Replays do not count as
+//! explored transitions.
 
-use crate::checker::{CheckReport, ModelChecker, Node, Snapshot};
-use crate::explored::{build_store, ExploredStore, Visit};
-use crate::properties::Event;
+use crate::checker::{CheckReport, ModelChecker, SearchStats, Shared, Violation, Worker};
+use crate::explored::build_store;
 use crate::session::SessionCtrl;
-use crate::state::SystemState;
-use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy};
-use crate::transition::{enabled_transitions, DiscoveryMemo, Transition};
+use crate::transition::{DiscoveryMemo, Transition};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,100 +113,74 @@ pub enum StepOutcome {
     Stopped,
 }
 
-/// One shard of a (possibly distributed) depth-first search. See the
-/// [module docs](self) for the ownership/forwarding contract.
+/// One shard of a (possibly distributed) depth-first search: a single
+/// search worker driven one node at a time. See the [module docs](self)
+/// for the ownership/forwarding contract.
 pub struct ShardedSearch<'a> {
-    checker: &'a ModelChecker,
-    shard: ShardSpec,
-    strategy: Box<dyn SearchStrategy>,
-    reduction: Box<dyn Reduction>,
-    memo: DiscoveryMemo,
-    report: CheckReport,
-    /// The shard's explored set, in whatever storage mode
-    /// [`CheckerConfig::explored`](crate::scenario::CheckerConfig) selects —
-    /// a `nice serve` worker running a tiered store spills to disk exactly
-    /// like a local run would.
-    explored: Box<dyn ExploredStore>,
-    root: Arc<Snapshot>,
-    stack: Vec<Node>,
-    events: Vec<Event>,
-    forwards: Vec<FrontierExport>,
-    stopped: bool,
+    worker: Worker<'a>,
     start: Instant,
 }
 
 impl<'a> ShardedSearch<'a> {
     /// Creates the shard and seeds the initial state — on the shard that
-    /// owns its fingerprint only; every other shard starts idle.
+    /// owns its fingerprint only; every other shard starts idle. The
+    /// explored set is stored in whatever mode
+    /// [`CheckerConfig::explored`](crate::scenario::CheckerConfig) selects —
+    /// a `nice serve` worker running a tiered store spills to disk exactly
+    /// like a local run would.
     pub fn new(checker: &'a ModelChecker, shard: ShardSpec) -> Self {
         let start = Instant::now();
-        let scenario = checker.scenario();
-        let initial_state = SystemState::initial(scenario);
-        let initial_fingerprint = initial_state.fingerprint();
-        let root = Arc::new(Snapshot {
-            state: initial_state,
-            properties: scenario.properties.clone(),
-        });
-        let mut search = ShardedSearch {
+        let (root, root_fingerprint) = checker.root();
+        let mut worker = Worker::new(
             checker,
             shard,
-            strategy: build_strategy(checker.config().strategy),
-            reduction: build_reduction(checker.config().reduction),
-            memo: DiscoveryMemo::default(),
-            report: CheckReport::default(),
-            explored: build_store(&checker.config().explored),
+            Arc::from(build_store(&checker.config().explored)),
             root,
-            stack: Vec::new(),
-            events: Vec::new(),
-            forwards: Vec::new(),
-            stopped: false,
-            start,
-        };
-        if shard.owns(initial_fingerprint) {
-            search.explored.visit(initial_fingerprint, &[]);
-            search.report.stats.unique_states = 1;
-            search.stack.push(Node {
-                base: Arc::clone(&search.root),
-                base_depth: 0,
-                trace: Vec::new(),
-                sleep: Vec::new(),
-                revisit: false,
-            });
+            Arc::new(Shared::default()),
+            DiscoveryMemo::default(),
+        );
+        if shard.owns(root_fingerprint) {
+            worker.enqueue(root_fingerprint, Vec::new(), Vec::new());
         }
-        search
+        ShardedSearch { worker, start }
     }
 
     /// The shard this search owns.
     pub fn shard(&self) -> ShardSpec {
-        self.shard
+        self.worker.shard
     }
 
-    /// The report accumulated so far (stats and violations grow as the
-    /// search steps; `duration`/`symbolic_executions` are finalized by
+    /// The statistics accumulated so far (`duration`, `symbolic_executions`
+    /// and the explored-set counters are finalized by
     /// [`ShardedSearch::finish`]).
-    pub fn report(&self) -> &CheckReport {
-        &self.report
+    pub fn stats(&self) -> &SearchStats {
+        &self.worker.stats
+    }
+
+    /// The violations found so far, in discovery order.
+    pub fn violations(&self) -> &[Violation] {
+        &self.worker.violations
     }
 
     /// Number of frontier nodes waiting locally.
     pub fn pending(&self) -> usize {
-        self.stack.len()
+        self.worker.stack.len()
     }
 
     /// Stops the search: every subsequent [`ShardedSearch::step`] returns
     /// [`StepOutcome::Stopped`] and injections are refused.
     pub fn cancel(&mut self) {
-        self.stopped = true;
+        self.worker.shared.stop.store(true, Ordering::Relaxed);
     }
 
     /// True once the search has stopped for good.
     pub fn stopped(&self) -> bool {
-        self.stopped
+        self.worker.shared.stop.load(Ordering::Relaxed)
     }
 
     /// Drains the states exported for other shards since the last call.
     pub fn take_forwards(&mut self) -> Vec<FrontierExport> {
-        std::mem::take(&mut self.forwards)
+        std::mem::take(&mut self.worker.forwards)
     }
 
     /// Accepts a state exported by a peer shard. Returns true if the state
@@ -215,44 +189,11 @@ impl<'a> ShardedSearch<'a> {
     /// counted exactly as a locally re-reached state would be), not owned
     /// by this shard, or the search has stopped.
     pub fn inject(&mut self, export: FrontierExport) -> bool {
-        if self.stopped || !self.shard.owns(export.fingerprint) {
-            return false;
-        }
-        let mut digests: Vec<u64> = export.sleep.iter().map(Transition::digest).collect();
-        digests.sort_unstable();
-        digests.dedup();
-        match self.explored.visit(export.fingerprint, &digests) {
-            Visit::New => {
-                self.report.stats.unique_states += 1;
-                self.stack.push(Node {
-                    base: Arc::clone(&self.root),
-                    base_depth: 0,
-                    trace: export.trace,
-                    sleep: export.sleep,
-                    revisit: false,
-                });
-                true
-            }
-            Visit::Known => {
-                self.report.stats.dedup_hits += 1;
-                false
-            }
-            Visit::Widen(narrowed) => {
-                let sleep: Vec<Transition> = export
-                    .sleep
-                    .into_iter()
-                    .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                    .collect();
-                self.stack.push(Node {
-                    base: Arc::clone(&self.root),
-                    base_depth: 0,
-                    trace: export.trace,
-                    sleep,
-                    revisit: true,
-                });
-                true
-            }
-        }
+        !self.stopped()
+            && self.worker.shard.owns(export.fingerprint)
+            && self
+                .worker
+                .enqueue(export.fingerprint, export.trace, export.sleep)
     }
 
     /// Pops and expands one frontier node (depth-first). Successors owned
@@ -264,186 +205,25 @@ impl<'a> ShardedSearch<'a> {
 
     /// [`ShardedSearch::step`] under a session's control handles: the
     /// sequential engine routes interruption, progress heartbeats and live
-    /// violation events through `ctrl`. This is the *only* expansion loop —
-    /// `ModelChecker`'s sequential search is a solo-shard driver around it.
+    /// violation events through `ctrl`.
     pub(crate) fn step_ctrl(&mut self, ctrl: Option<&SessionCtrl>) -> StepOutcome {
-        if self.stopped {
+        if self.stopped() {
             return StepOutcome::Stopped;
         }
-        if let Some(ctrl) = ctrl {
-            if ctrl.check_interrupt().is_some() {
-                self.stopped = true;
-                return StepOutcome::Stopped;
-            }
-        }
-        let Some(node) = self.stack.pop() else {
+        let Some(node) = self.worker.stack.pop() else {
             return StepOutcome::Idle;
         };
-        let checker = self.checker;
-        let config = checker.config();
-        let report = &mut self.report;
-        report.stats.max_depth = report.stats.max_depth.max(node.trace.len());
-
-        let revisit = node.revisit;
-        let parent_base = checker.parent_base(&node);
-        let (state, properties, trace, sleep) =
-            checker.materialize(node, self.strategy.as_ref(), &mut self.memo);
-
-        let enabled = enabled_transitions(&state, checker.scenario(), config);
-        let enabled_count = enabled.len();
-        let enabled = self.strategy.select(&state, enabled);
-        report.stats.pruned_by_strategy += (enabled_count - enabled.len()) as u64;
-
-        if enabled.is_empty() {
-            // A widened revisit of a terminal state was already counted
-            // (and final-checked) on its first visit.
-            if !revisit {
-                report.stats.terminal_states += 1;
-                for property in &properties {
-                    if let Some(message) = property.check_final(&state) {
-                        checker.record_violation(report, property.name(), message, &trace, None);
-                        if let Some(ctrl) = ctrl {
-                            ctrl.notify_violation(report.violations.last().unwrap());
-                        }
-                        if config.stop_at_first_violation {
-                            self.stopped = true;
-                            return StepOutcome::Stopped;
-                        }
-                    }
-                }
-            }
-            return StepOutcome::Expanded;
+        if self.worker.expand(node, ctrl) {
+            StepOutcome::Expanded
+        } else {
+            StepOutcome::Stopped
         }
-
-        if trace.len() >= config.max_depth {
-            report.stats.truncated = true;
-            return StepOutcome::Expanded;
-        }
-
-        let choice = self
-            .reduction
-            .select(&state, checker.scenario(), enabled, &sleep);
-        report.stats.pruned_by_por += choice.pruned;
-        let mut child_sleeps =
-            self.reduction
-                .child_sleeps(&state, checker.scenario(), &choice.explore, &sleep);
-
-        for (index, transition) in choice.explore.into_iter().enumerate() {
-            if config.max_transitions > 0 && report.stats.transitions >= config.max_transitions {
-                report.stats.truncated = true;
-                self.stopped = true;
-                return StepOutcome::Stopped;
-            }
-
-            let (next_state, next_properties, violations) = checker.step_transition(
-                &state,
-                &properties,
-                &transition,
-                self.strategy.as_ref(),
-                &mut self.memo,
-                &mut self.events,
-            );
-            report.stats.transitions += 1;
-            report.stats.faults.record(&transition);
-            if let Some(ctrl) = ctrl {
-                ctrl.maybe_progress(
-                    report.stats.transitions,
-                    report.stats.unique_states,
-                    trace.len() + 1,
-                    self.explored.bytes(),
-                );
-            }
-
-            let violated = !violations.is_empty();
-            for (property, message) in violations {
-                checker.record_violation(report, &property, message, &trace, Some(&transition));
-                if let Some(ctrl) = ctrl {
-                    ctrl.notify_violation(report.violations.last().unwrap());
-                }
-            }
-            if violated {
-                if config.stop_at_first_violation {
-                    self.stopped = true;
-                    return StepOutcome::Stopped;
-                }
-                // Do not explore past a violating state: the trace is the
-                // shortest continuation through this branch and deeper
-                // states would just repeat the same violation.
-                continue;
-            }
-
-            let child_sleep = std::mem::take(&mut child_sleeps[index]);
-            let fingerprint = next_state.fingerprint();
-            if !self.shard.owns(fingerprint) {
-                // Another shard owns this state: export it instead of
-                // exploring (or deduplicating) it here. The owner performs
-                // the visit, so the global unique/dedup accounting matches
-                // the sequential engine's exactly.
-                let mut child_trace = trace.clone();
-                child_trace.push(transition.clone());
-                self.forwards.push(FrontierExport {
-                    fingerprint,
-                    trace: child_trace,
-                    sleep: child_sleep,
-                });
-                continue;
-            }
-            let mut child_digests: Vec<u64> = child_sleep.iter().map(Transition::digest).collect();
-            child_digests.sort_unstable();
-            child_digests.dedup();
-
-            match self.explored.visit(fingerprint, &child_digests) {
-                Visit::New => {
-                    report.stats.unique_states += 1;
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    self.stack.push(checker.make_node(
-                        &self.root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        child_sleep,
-                    ));
-                }
-                Visit::Known => {
-                    report.stats.dedup_hits += 1;
-                }
-                Visit::Widen(narrowed) => {
-                    // The state was explored before, but with stronger
-                    // pruning than this path justifies: re-expand it
-                    // with the narrowed sleep set so nothing reachable
-                    // only through the previously pruned transitions is
-                    // missed.
-                    let narrowed_sleep: Vec<Transition> = child_sleep
-                        .into_iter()
-                        .filter(|t| narrowed.binary_search(&t.digest()).is_ok())
-                        .collect();
-                    let mut child_trace = trace.clone();
-                    child_trace.push(transition.clone());
-                    let mut node = checker.make_node(
-                        &self.root,
-                        &parent_base,
-                        child_trace,
-                        next_state,
-                        next_properties,
-                        narrowed_sleep,
-                    );
-                    node.revisit = true;
-                    self.stack.push(node);
-                }
-            }
-        }
-        StepOutcome::Expanded
     }
 
-    /// Finalizes and returns the shard's report (duration, symbolic
-    /// execution count).
+    /// Finalizes and returns the shard's report.
     pub fn finish(self) -> CheckReport {
-        let mut report = self.report;
-        report.stats.symbolic_executions = self.memo.symbolic_executions;
-        report.stats.absorb_explored(self.explored.stats());
-        report.lossy = self.explored.lossy();
+        let mut report = CheckReport::default();
+        self.worker.finish_into(&mut report);
         report.stats.duration = self.start.elapsed();
         report
     }
@@ -493,11 +273,7 @@ mod tests {
         let mut merged = CheckReport::default();
         for shard in shards {
             let report = shard.finish();
-            merged.stats.transitions += report.stats.transitions;
-            merged.stats.unique_states += report.stats.unique_states;
-            merged.stats.terminal_states += report.stats.terminal_states;
-            merged.stats.dedup_hits += report.stats.dedup_hits;
-            merged.stats.truncated |= report.stats.truncated;
+            merged.stats.merge(&report.stats);
             merged.violations.extend(report.violations);
         }
         merged.sort_violations();

@@ -259,60 +259,6 @@ impl SystemState {
         state
     }
 
-    /// Clones this state with **no** structural sharing: every component is
-    /// copied eagerly, reproducing the cost profile the checker had before
-    /// the copy-on-write representation. Exists so benchmarks can compare
-    /// the two; the search itself always uses the cheap [`Clone`].
-    pub fn deep_clone(&self) -> SystemState {
-        // `Cached::new` (rather than cloning the `Cached`) deliberately drops
-        // the digest caches too: the pre-COW engine re-hashed the whole state
-        // on every fingerprint, and this mode exists to reproduce that cost.
-        SystemState {
-            controller: Arc::new(Cached::new(self.controller.value.clone())),
-            switches: self
-                .switches
-                .iter()
-                .map(|(&id, sw)| (id, Arc::new(Cached::new(sw.value.clone()))))
-                .collect(),
-            hosts: self
-                .hosts
-                .iter()
-                .map(|(&id, h)| (id, Arc::new(Cached::new(h.value.clone()))))
-                .collect(),
-            sw_to_ctrl: self
-                .sw_to_ctrl
-                .iter()
-                .map(|(&id, ch)| (id, Arc::new(Cached::new(ch.value.clone()))))
-                .collect(),
-            ctrl_to_sw: self
-                .ctrl_to_sw
-                .iter()
-                .map(|(&id, ch)| (id, Arc::new(Cached::new(ch.value.clone()))))
-                .collect(),
-            ingress: self
-                .ingress
-                .iter()
-                .map(|(&key, ch)| (key, Arc::new(Cached::new(ch.value.clone()))))
-                .collect(),
-            host_inbox: self
-                .host_inbox
-                .iter()
-                .map(|(&id, ch)| (id, Arc::new(Cached::new(ch.value.clone()))))
-                .collect(),
-            pending_stats: self.pending_stats.clone(),
-            relevant_packets: Arc::new(self.relevant_packets.as_ref().clone()),
-            discovered_stats: Arc::new(self.discovered_stats.as_ref().clone()),
-            next_packet_id: self.next_packet_id,
-            of_enqueue_seq: self.of_enqueue_seq,
-            last_of_enqueue: self.last_of_enqueue.clone(),
-            fault_budget: self.fault_budget,
-            crashed: self.crashed.clone(),
-            // The topology is immutable for the lifetime of a search; the
-            // pre-COW representation shared it too.
-            topology: Arc::clone(&self.topology),
-        }
-    }
-
     // ----- Component access -----
 
     /// The controller runtime.
@@ -917,21 +863,6 @@ mod tests {
             &b.switches[&SwitchId(2)]
         ));
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
-    }
-
-    #[test]
-    fn deep_clone_shares_nothing_but_topology() {
-        let scenario = testutil::hub_ping_scenario(1);
-        let a = SystemState::initial(&scenario);
-        let b = a.deep_clone();
-        assert!(!Arc::ptr_eq(&a.controller, &b.controller));
-        assert!(!Arc::ptr_eq(
-            &a.switches[&SwitchId(1)],
-            &b.switches[&SwitchId(1)]
-        ));
-        assert!(!Arc::ptr_eq(&a.relevant_packets, &b.relevant_packets));
-        assert!(Arc::ptr_eq(&a.topology, &b.topology));
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     /// Recomputes the combined fingerprint from scratch, bypassing every

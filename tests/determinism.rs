@@ -2,8 +2,8 @@
 //! public API on real application scenarios:
 //!
 //! (a) repeated runs of the same configuration agree bit-for-bit,
-//! (b) all frontier-storage modes (full, replay, checkpointed replay)
-//!     reconstruct the same search, and
+//! (b) every frontier snapshot cadence (per node, sparse checkpoints, replay
+//!     from the root) reconstructs the same search, and
 //! (c) the parallel engine visits the same state space as the sequential
 //!     one and finds the same set of violated properties (order-insensitive;
 //!     traces may differ because workers race to discover states).
@@ -39,43 +39,105 @@ fn repeated_runs_are_identical() {
     );
 }
 
+/// CI pins NICE_TEST_WORKERS=4 to exercise the parallel engine there.
+fn test_workers() -> usize {
+    std::env::var("NICE_TEST_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(4)
+}
+
 #[test]
-fn storage_modes_reconstruct_the_same_search() {
-    // A passing scenario explored exhaustively: every storage mode must see
-    // exactly the same states and transitions.
-    let scenario = || bug_scenario(BugId::BugIX);
-    let configs = [
-        CheckerConfig::default(),
-        CheckerConfig::default().with_state_storage(StateStorage::Replay),
-        CheckerConfig::default().with_state_storage(StateStorage::Checkpoint { interval: 4 }),
-        CheckerConfig::default().with_state_storage(StateStorage::Checkpoint { interval: 7 }),
-    ];
-    let reports: Vec<CheckReport> = configs
-        .into_iter()
-        .map(|config| {
-            Nice::new(scenario())
-                .with_config(config)
-                .with_max_transitions(100_000)
-                .check()
-        })
-        .collect();
-    let baseline = &reports[0];
+fn checkpoint_intervals_reconstruct_the_same_search() {
+    // Every snapshot cadence — one per node, sparse checkpoints, none at
+    // all (replay from the root) — must rebuild exactly the same states.
+    let run = |interval: usize, workers: usize| {
+        Nice::new(bug_scenario(BugId::BugIX))
+            .with_config(
+                CheckerConfig::default()
+                    .with_stop_at_first(false)
+                    .with_workers(workers)
+                    .with_checkpoint_interval(interval),
+            )
+            .with_max_transitions(100_000)
+            .check()
+    };
+    let baseline = run(1, 1);
     assert!(!baseline.passed(), "BUG-IX must be found");
-    for (i, report) in reports.iter().enumerate().skip(1) {
+    for interval in [2, 7, usize::MAX] {
+        // One worker is deterministic: the counters and the witness match.
+        let report = run(interval, 1);
+        let counters = |r: &CheckReport| {
+            (
+                r.stats.transitions,
+                r.stats.unique_states,
+                r.stats.terminal_states,
+                r.stats.dedup_hits,
+                r.stats.max_depth,
+            )
+        };
         assert_eq!(
-            baseline.stats.transitions, report.stats.transitions,
-            "config {i}"
-        );
-        assert_eq!(
-            baseline.stats.unique_states, report.stats.unique_states,
-            "config {i}"
+            counters(&baseline),
+            counters(&report),
+            "interval {interval}"
         );
         assert_eq!(
             baseline.first_violation().map(|v| v.trace.clone()),
             report.first_violation().map(|v| v.trace.clone()),
-            "config {i}"
+            "interval {interval}"
         );
     }
+    for interval in [1, 2, 7, usize::MAX] {
+        // Racing workers: the verdict and the violation set match.
+        let report = run(interval, test_workers());
+        assert_eq!(
+            violated_properties(&baseline),
+            violated_properties(&report),
+            "interval {interval}"
+        );
+        assert_eq!(
+            baseline.stats.unique_states, report.stats.unique_states,
+            "interval {interval}"
+        );
+    }
+}
+
+#[test]
+fn random_walk_is_pinned_on_bug_v() {
+    // Recorded before the walker, the search and the replayer were moved
+    // onto one shared step: sharing it must change nothing.
+    let report = Nice::new(bug_scenario(BugId::BugV))
+        .collect_all_violations()
+        .random_walk(42, 20, 80);
+    assert_eq!(report.stats.transitions, 277);
+    assert_eq!(report.stats.unique_states, 192);
+    assert_eq!(report.stats.terminal_states, 20);
+    assert_eq!(report.stats.max_depth, 18);
+    assert_eq!(violated_properties(&report), ["NoForgottenPackets"]);
+    let violation = report.first_violation().unwrap();
+    assert_eq!(violation.transitions_explored, 277);
+    assert_eq!(violation.unique_states, 192);
+    let syn =
+        "h1 send pkt#0 IP 02:00:00:00:00:01->02:00:00:00:00:01 10.0.0.1:1000->10.0.0.100:1000 SYN";
+    assert_eq!(
+        violation.trace.labels(),
+        [
+            "discover_packets(h1)",
+            syn,
+            syn,
+            "s1 process_pkt",
+            "s1 process_pkt",
+            "ctrl handle msg from s1",
+            "s1 process_of",
+            "ctrl handle msg from s1",
+            "s1 process_of",
+            "h2 receive",
+            "s1 process_pkt",
+            "ctrl handle msg from s1",
+            "s1 process_of",
+            "h1 receive",
+        ]
+    );
 }
 
 #[test]
@@ -147,12 +209,7 @@ fn parallel_workers_find_the_same_violations_order_insensitive() {
             .check()
     };
     let sequential = run(1);
-    // CI pins NICE_TEST_WORKERS=4 to exercise the parallel engine there.
-    let workers = std::env::var("NICE_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let parallel = run(workers);
+    let parallel = run(test_workers());
     assert!(!sequential.passed());
     assert!(!parallel.passed());
     assert_eq!(

@@ -48,7 +48,7 @@ fn replay_storage_matches_full_storage_through_public_api() {
         .check();
     let replay = Nice::new(bug_scenario(BugId::BugIV))
         .with_max_transitions(100_000)
-        .with_state_storage(StateStorage::Replay)
+        .with_checkpoint_interval(usize::MAX)
         .check();
     assert_eq!(full.passed(), replay.passed());
     assert_eq!(full.stats.unique_states, replay.stats.unique_states);

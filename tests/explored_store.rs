@@ -1,7 +1,7 @@
 //! Tiered explored-set equivalence: the spill-to-disk store must be a pure
 //! performance artifact, invisible in every verdict.
 //!
-//! Three invariants are pinned here:
+//! Two invariants are pinned here:
 //!
 //! 1. **Tiered is exact.** With any memory budget — including a 1-byte
 //!    budget that forces every shard cold immediately — the tiered store
@@ -10,11 +10,7 @@
 //!    workers and with POR on or off. At 1 worker the transition and state
 //!    counts match *exactly*: spilling changes where fingerprints live, not
 //!    which states get expanded.
-//! 2. **Both schedulers agree.** Work-stealing and work-donation explore
-//!    the same space: identical verdicts and violation sets at 4 workers,
-//!    identical counters at 1 worker (where both degenerate to a single
-//!    local stack).
-//! 3. **Bitstate is sound-for-violations.** Lossy hashing may *miss* states
+//! 2. **Bitstate is sound-for-violations.** Lossy hashing may *miss* states
 //!    (so a PASS is weaker, flagged via `CheckReport::lossy`) but never
 //!    invents them: on a violation-free workload it finds nothing at any
 //!    budget, and on a buggy workload every violation it reports is in the
@@ -151,47 +147,6 @@ fn tiered_run_past_the_memory_limit_reports_spill_counters() {
     assert!(mem.stats.peak_explored_bytes > 0);
     assert_eq!(mem.stats.spilled_shards, 0);
     assert_eq!(mem.stats.disk_probes, 0);
-}
-
-/// Work-stealing and donation schedulers explore the same space.
-#[test]
-fn schedulers_agree_on_verdicts_and_sequential_counters() {
-    for &(spec, faults) in SCENARIOS {
-        // 1 worker: both schedulers degenerate to one local stack, so every
-        // counter must match, steal count included (zero).
-        let steal = run(
-            spec,
-            full_config(faults).with_scheduler(SchedulerKind::WorkStealing),
-        );
-        let donate = run(
-            spec,
-            full_config(faults).with_scheduler(SchedulerKind::Donation),
-        );
-        let label = format!("{spec} workers=1");
-        assert_same_verdict(&steal, &donate, &label);
-        assert_eq!(steal.stats.transitions, donate.stats.transitions, "{label}");
-        assert_eq!(
-            steal.stats.unique_states, donate.stats.unique_states,
-            "{label}"
-        );
-        assert_eq!(steal.stats.work_steals, 0, "{label}: nothing to steal");
-
-        // 4 workers: verdict-level agreement (counters may differ — racing
-        // workers discover duplicate states in different interleavings).
-        let steal = run(
-            spec,
-            full_config(faults)
-                .with_workers(4)
-                .with_scheduler(SchedulerKind::WorkStealing),
-        );
-        let donate = run(
-            spec,
-            full_config(faults)
-                .with_workers(4)
-                .with_scheduler(SchedulerKind::Donation),
-        );
-        assert_same_verdict(&steal, &donate, &format!("{spec} workers=4"));
-    }
 }
 
 proptest! {
