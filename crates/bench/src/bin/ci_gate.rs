@@ -23,32 +23,22 @@
 //! Regenerate the committed baseline with
 //! `cargo run --release -p nice-bench --bin ci_gate -- --out bench/baseline.json`.
 
-use nice_bench::jsonv::{validate_json, validate_trace_json};
 use nice_bench::{
     chain_fault_workload, chain_ping_workload, engine_configs, exhaustive, load_balancer_workload,
 };
 use nice_dist::{Coordinator, JobSpec};
-use nice_mc::{CheckerConfig, ExploredMode, ModelChecker, Scenario};
+use nice_mc::{CheckerConfig, ExploredMode, Json, ModelChecker, Scenario, SearchStats};
 
 /// One engine's measurements on one workload.
 struct EngineRow {
     name: String,
-    states: u64,
-    transitions: u64,
+    /// The deterministic counters, from the first measurement cycle.
+    stats: SearchStats,
+    /// The best cycle's states/s.
     states_per_sec: f64,
     /// states/s divided by the reference (first) engine's states/s of the
     /// same run — the machine-independent number the gate compares.
     relative_rate: f64,
-    /// Frontier nodes handed to the shared queue (parallel legs only).
-    work_steals: u64,
-    /// Explored-set high-water mark in bytes.
-    peak_explored_bytes: u64,
-    /// Cold explored-set shards spilled to disk (tiered legs only).
-    spilled_shards: u64,
-    /// Disk probes the spill segments' bloom filters avoided.
-    filter_hits: u64,
-    /// Binary searches actually performed against spilled segments.
-    disk_probes: u64,
     /// Whether this engine's rate participates in the gate. Legs running a
     /// deliberately degraded explored set (forced spill, bitstate) are
     /// gated on their deterministic counters only: their states/s is
@@ -101,17 +91,11 @@ fn profile(label: &str, rate_gated: bool, scenario: impl Fn() -> Scenario) -> Pr
         .into_iter()
         .zip(stats)
         .zip(best_rates)
-        .map(|(((name, config), s), best_rate)| EngineRow {
+        .map(|(((name, config), stats), best_rate)| EngineRow {
             name,
-            states: s.unique_states,
-            transitions: s.transitions,
+            stats,
             states_per_sec: best_rate,
             relative_rate: best_rate / reference,
-            work_steals: s.work_steals,
-            peak_explored_bytes: s.peak_explored_bytes,
-            spilled_shards: s.spilled_shards,
-            filter_hits: s.filter_hits,
-            disk_probes: s.disk_probes,
             rate_gated: config.explored.mode == ExploredMode::Mem,
         })
         .collect();
@@ -148,15 +132,9 @@ fn dist_profile(coordinator: &mut Coordinator, label: &str, spec: &JobSpec) -> P
         scenario: label.to_string(),
         engines: vec![EngineRow {
             name,
-            states: report.stats.unique_states,
-            transitions: report.stats.transitions,
+            stats: report.stats,
             states_per_sec: best_rate,
             relative_rate: 1.0,
-            work_steals: report.stats.work_steals,
-            peak_explored_bytes: report.stats.peak_explored_bytes,
-            spilled_shards: report.stats.spilled_shards,
-            filter_hits: report.stats.filter_hits,
-            disk_probes: report.stats.disk_probes,
             rate_gated: false,
         }],
         rate_gated: false,
@@ -171,69 +149,48 @@ fn core_count() -> usize {
         .unwrap_or(1)
 }
 
-fn render_json(profiles: &[Profile]) -> String {
-    let mut out = format!("{{\n  \"cores\": {},\n  \"profiles\": [\n", core_count());
-    for (pi, p) in profiles.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"engines\": [\n",
-            p.scenario
-        ));
-        for (ei, e) in p.engines.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"name\": \"{}\", \"states\": {}, \"transitions\": {}, \
-                 \"states_per_sec\": {:.1}, \"relative_rate\": {:.4}, \
-                 \"work_steals\": {}, \"peak_explored_bytes\": {}, \
-                 \"spilled_shards\": {}, \"filter_hits\": {}, \"disk_probes\": {}}}{}\n",
-                e.name,
-                e.states,
-                e.transitions,
-                e.states_per_sec,
-                e.relative_rate,
-                e.work_steals,
-                e.peak_explored_bytes,
-                e.spilled_shards,
-                e.filter_hits,
-                e.disk_probes,
-                if ei + 1 < p.engines.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "      ]\n    }}{}\n",
-            if pi + 1 < profiles.len() { "," } else { "" }
-        ));
+impl EngineRow {
+    /// One engine object of the BENCH document.
+    fn to_json(&self) -> Json<'_> {
+        let stats = &self.stats;
+        Json::object([
+            ("name", self.name.as_str().into()),
+            ("states", stats.unique_states.into()),
+            ("transitions", stats.transitions.into()),
+            ("states_per_sec", Json::fixed(self.states_per_sec, 1)),
+            ("relative_rate", Json::fixed(self.relative_rate, 4)),
+            ("work_steals", stats.work_steals.into()),
+            ("peak_explored_bytes", stats.peak_explored_bytes.into()),
+            ("spilled_shards", stats.spilled_shards.into()),
+            ("filter_hits", stats.filter_hits.into()),
+            ("disk_probes", stats.disk_probes.into()),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Minimal extraction for the gate's own JSON shape: finds the object for
-/// `(scenario, engine)` and pulls numeric fields out of it. Not a general
-/// JSON parser — it only has to read what `render_json` writes.
-fn baseline_lookup<'a>(baseline: &'a str, scenario: &str, engine: &str) -> Option<&'a str> {
-    let scen_pos = baseline.find(&format!("\"scenario\": \"{scenario}\""))?;
-    let tail = &baseline[scen_pos..];
-    // Stay within this scenario block: stop at the next "scenario" key.
-    let block_end = tail[1..]
-        .find("\"scenario\"")
-        .map(|i| i + 1)
-        .unwrap_or(tail.len());
-    let block = &tail[..block_end];
-    let eng_pos = block.find(&format!("\"name\": \"{engine}\""))?;
-    let row = &block[eng_pos..];
-    let row_end = row.find('}').unwrap_or(row.len());
-    Some(&row[..row_end])
+/// The BENCH document: `{"cores", "profiles": [{"scenario", "engines"}]}`.
+fn bench_json(profiles: &[Profile]) -> Json<'_> {
+    let profiles = profiles.iter().map(|p| {
+        let engines = p.engines.iter().map(EngineRow::to_json).collect();
+        Json::object([
+            ("scenario", p.scenario.as_str().into()),
+            ("engines", Json::Arr(engines)),
+        ])
+    });
+    Json::object([
+        ("cores", core_count().into()),
+        ("profiles", Json::Arr(profiles.collect())),
+    ])
 }
 
-fn numeric_field(row: &str, key: &str) -> Option<f64> {
-    let pos = row.find(&format!("\"{key}\":"))?;
-    let rest = row[pos..].split(':').nth(1)?;
-    rest.trim()
-        .trim_end_matches(',')
-        .split([',', '}'])
-        .next()?
-        .trim()
-        .parse()
-        .ok()
+/// The engine object for `(scenario, engine)` of a parsed BENCH document.
+fn baseline_row<'a>(baseline: &'a Json<'a>, scenario: &str, engine: &str) -> Option<&'a Json<'a>> {
+    let profiles = baseline.arr("profiles").ok()?;
+    let profile = profiles
+        .iter()
+        .find(|p| p.str("scenario") == Ok(scenario))?;
+    let engines = profile.arr("engines").ok()?;
+    engines.iter().find(|e| e.str("name") == Ok(engine))
 }
 
 fn main() {
@@ -273,27 +230,20 @@ fn main() {
     );
 
     // The debugging toolkit contract: every witness the checker reports
-    // must serialize to schema-valid `nice-trace-v1` JSON and reproduce its
-    // violation under replay. Gated here so a trace-format or replay
+    // must reproduce its violation under replay. Gated here so a replay
     // regression fails CI even if no unit test covers the exact scenario.
+    // (The `nice-trace-v1` bytes are pinned by `nice-mc`'s golden test.)
     let checker = ModelChecker::new(load_balancer_workload(), CheckerConfig::default());
     let report = checker.run();
     let violation = report
         .first_violation()
         .expect("the load-balancer workload is the BUG-V witness generator");
-    let trace_json = violation.trace.to_json();
-    validate_trace_json(&trace_json)
-        .expect("emitted witness trace failed nice-trace-v1 validation");
     let replay = checker.replay(&violation.trace);
     assert!(
         replay.completed() && replay.reproduces(&violation.trace),
         "emitted witness trace did not reproduce under replay: {replay}"
     );
-    println!(
-        "trace self-validation check: OK ({} steps, {} bytes of nice-trace-v1)",
-        violation.trace.len(),
-        trace_json.len()
-    );
+    println!("witness replay check: OK ({} steps)", violation.trace.len());
 
     let mut profiles = vec![
         profile("pyswitch-chain-5sw-2pings", true, || {
@@ -330,41 +280,46 @@ fn main() {
     ));
     drop(coordinator);
 
-    let json = render_json(&profiles);
-    validate_json(&json).expect("ci_gate emitted malformed JSON");
+    let doc = bench_json(&profiles);
     // Schema-presence gate: the scheduler and tiered-explored counters are
     // part of the BENCH json shape now; a refactor that silently drops them
     // fails here, not in whatever dashboard consumes the file.
-    for key in [
-        "work_steals",
-        "peak_explored_bytes",
-        "spilled_shards",
-        "filter_hits",
-        "disk_probes",
-    ] {
-        assert!(
-            json.contains(&format!("\"{key}\":")),
-            "BENCH json lost the \"{key}\" counter"
-        );
+    for profile in doc.arr("profiles").expect("BENCH json lost its profiles") {
+        for engine in profile.arr("engines").expect("BENCH json lost its engines") {
+            for key in [
+                "work_steals",
+                "peak_explored_bytes",
+                "spilled_shards",
+                "filter_hits",
+                "disk_probes",
+            ] {
+                assert!(
+                    engine.u64(key).is_ok(),
+                    "BENCH json lost the \"{key}\" counter"
+                );
+            }
+        }
     }
+    let json = doc.block() + "\n";
     std::fs::write(&out_path, &json).expect("write results");
     println!("wrote {out_path}");
     for p in &profiles {
         println!("{}", p.scenario);
         for e in &p.engines {
+            let s = &e.stats;
             println!(
                 "  {:<32} states {:>8}  transitions {:>8}  {:>10.0} states/s ({:.2}x)",
-                e.name, e.states, e.transitions, e.states_per_sec, e.relative_rate
+                e.name, s.unique_states, s.transitions, e.states_per_sec, e.relative_rate
             );
-            if e.work_steals + e.spilled_shards + e.disk_probes > 0 {
+            if s.work_steals + s.spilled_shards + s.disk_probes > 0 {
                 println!(
                     "  {:<32} handoffs {}  spilled {}  filter hits {}  disk probes {}  peak {} KiB",
                     "",
-                    e.work_steals,
-                    e.spilled_shards,
-                    e.filter_hits,
-                    e.disk_probes,
-                    e.peak_explored_bytes >> 10
+                    s.work_steals,
+                    s.spilled_shards,
+                    s.filter_hits,
+                    s.disk_probes,
+                    s.peak_explored_bytes >> 10
                 );
             }
         }
@@ -375,13 +330,15 @@ fn main() {
     };
     let baseline = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+    let baseline = Json::parse(&baseline)
+        .unwrap_or_else(|e| panic!("baseline {baseline_path} is not JSON: {e}"));
 
     // Relative rates shift with core count (the parallel legs especially),
     // so a baseline measured on different hardware cannot gate throughput:
     // downgrade the rate leg to a warning until the baseline is
     // regenerated on matching hardware. Transition counts are
     // deterministic and are always gated.
-    let baseline_cores = numeric_field(&baseline, "cores").map(|c| c as usize);
+    let baseline_cores = baseline.u64("cores").ok().map(|c| c as usize);
     let rates_comparable = baseline_cores == Some(core_count());
     if !rates_comparable {
         println!(
@@ -396,22 +353,22 @@ fn main() {
     let mut failures = Vec::new();
     for p in &profiles {
         for e in &p.engines {
-            let Some(row) = baseline_lookup(&baseline, &p.scenario, &e.name) else {
+            let Some(row) = baseline_row(&baseline, &p.scenario, &e.name) else {
                 failures.push(format!(
                     "{} / {}: missing from baseline {baseline_path}",
                     p.scenario, e.name
                 ));
                 continue;
             };
-            let base_transitions = numeric_field(row, "transitions").expect("baseline transitions");
-            let base_rel = numeric_field(row, "relative_rate").expect("baseline relative_rate");
-            if e.transitions as f64 > base_transitions * TRANSITIONS_TOLERANCE {
+            let base_transitions = row.f64("transitions").expect("baseline transitions");
+            let base_rel = row.f64("relative_rate").expect("baseline relative_rate");
+            if e.stats.transitions as f64 > base_transitions * TRANSITIONS_TOLERANCE {
                 failures.push(format!(
                     "{} / {}: transitions regressed {} -> {} (>{:.0}% headroom)",
                     p.scenario,
                     e.name,
                     base_transitions,
-                    e.transitions,
+                    e.stats.transitions,
                     (TRANSITIONS_TOLERANCE - 1.0) * 100.0
                 ));
             }

@@ -29,11 +29,6 @@ use nice_mc::{
 };
 use std::time::Duration;
 
-// The JSON validator moved into `nice-mc` (the `nice-dist-v1` wire protocol
-// self-validates its frames with it); re-exported here so existing
-// `nice_bench::jsonv` consumers keep compiling.
-pub use nice_mc::jsonv;
-
 // The benchmark workloads moved into `nice_apps::workloads` so the
 // `nice-dist` worker processes can rebuild job scenarios by spec without
 // depending on this harness; the bench surface is unchanged.

@@ -13,7 +13,7 @@
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
-//!   scenario, as a JSON report in the same hand-rolled style as the bench
+//!   scenario, as a JSON report in the same block layout as the bench
 //!   gate's `BENCH_ci.json` (schema `nice-cli-sweep-v3`).
 //! * `nice replay <trace.json>` — re-executes a saved trace step by step on
 //!   the deterministic engine, checking every property at every step.
@@ -24,21 +24,19 @@
 //! * `nice timeline <trace.json>` — renders the trace as an ASCII timeline,
 //!   one lane per switch/host/controller.
 //! * `nice validate-json` — reads stdin and exits non-zero unless it is one
-//!   well-formed JSON value (what CI pipes `--json` output through); input
-//!   self-identifying as `nice-trace-v1` is additionally parsed as a typed
-//!   trace.
+//!   well-formed JSON value (what CI pipes `--json` output through); a
+//!   document whose top-level `"schema"` is `nice-trace-v1` must also read
+//!   as a typed trace.
 //!
-//! Every emitted JSON document is self-checked with the same validator
-//! before it is printed, so the CLI can never ship what `validate-json`
-//! would reject.
+//! Every emitted document is built as a [`nice_mc::Json`] value and rendered
+//! by its writer, the same module `validate-json` parses with.
 
 mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
-use nice_bench::jsonv::{escape_json, validate_json, validate_trace_json};
 use nice_mc::{
-    render_timeline, CheckEvent, CheckReport, CheckerConfig, ExploredMode, ModelChecker,
-    ReductionKind, Scenario, StrategyKind, Trace, TRACE_SCHEMA,
+    render_timeline, CheckEvent, CheckReport, CheckerConfig, ExploredMode, Json, ModelChecker,
+    ReductionKind, Scenario, StrategyKind, Trace, TraceEngine, TRACE_SCHEMA,
 };
 use std::io::Read;
 use std::time::Duration;
@@ -364,9 +362,7 @@ fn cmd_list(args: &[String]) -> i32 {
     }
     let entries = registry();
     if json {
-        let doc = render_list_json(&entries);
-        validate_json(&doc).expect("nice list emitted malformed JSON");
-        println!("{doc}");
+        println!("{}", list_json(&entries).block());
         return 0;
     }
     if names_only {
@@ -386,10 +382,7 @@ fn cmd_list(args: &[String]) -> i32 {
             e.name,
             e.app,
             e.bug.label(),
-            match e.kind {
-                ScenarioKind::Buggy => "bug",
-                ScenarioKind::Fixed => "fixed",
-            },
+            kind_label(e.kind),
             match (e.expected_violation, e.requires_faults) {
                 (Some(p), true) => format!("{p} (needs --faults)"),
                 (Some(p), false) => p.to_string(),
@@ -401,33 +394,32 @@ fn cmd_list(args: &[String]) -> i32 {
     0
 }
 
+fn kind_label(kind: ScenarioKind) -> &'static str {
+    match kind {
+        ScenarioKind::Buggy => "bug",
+        ScenarioKind::Fixed => "fixed",
+    }
+}
+
 /// The machine-readable registry dump (schema `nice-cli-list-v1`,
 /// documented in `bench/README.md`): what CI and scripting consume instead
 /// of scraping the human table.
-fn render_list_json(entries: &[ScenarioEntry]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"nice-cli-list-v1\",\n  \"count\": {},\n  \"scenarios\": [\n",
-        entries.len()
-    );
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"app\": \"{}\", \"bug\": \"{}\", \"kind\": \"{}\", \
-             \"expected_violation\": {}, \"requires_faults\": {}}}{}\n",
-            escape_json(&e.name),
-            escape_json(e.app),
-            e.bug.label(),
-            match e.kind {
-                ScenarioKind::Buggy => "bug",
-                ScenarioKind::Fixed => "fixed",
-            },
-            e.expected_violation
-                .map_or("null".to_string(), |p| format!("\"{}\"", escape_json(p))),
-            e.requires_faults,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
+fn list_json(entries: &[ScenarioEntry]) -> Json<'_> {
+    let scenarios = entries.iter().map(|e| {
+        Json::object([
+            ("name", e.name.as_str().into()),
+            ("app", e.app.into()),
+            ("bug", e.bug.label().into()),
+            ("kind", kind_label(e.kind).into()),
+            ("expected_violation", e.expected_violation.into()),
+            ("requires_faults", e.requires_faults.into()),
+        ])
+    });
+    Json::object([
+        ("schema", "nice-cli-list-v1".into()),
+        ("count", entries.len().into()),
+        ("scenarios", Json::Arr(scenarios.collect())),
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -560,9 +552,7 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     if let Some(path) = &opts.trace_out {
         match report.first_violation() {
             Some(v) => {
-                let doc = v.trace.to_json();
-                validate_trace_json(&doc).expect("nice run emitted a malformed trace");
-                if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+                if let Err(e) = std::fs::write(path, format!("{}\n", v.trace.to_json())) {
                     eprintln!("cannot write trace to '{path}': {e}");
                     return 2;
                 }
@@ -576,9 +566,8 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     }
 
     if opts.json {
-        let json = render_run_json(target, opts, report, trace_file.as_deref());
-        validate_json(&json).expect("nice run emitted malformed JSON");
-        println!("{json}");
+        let doc = run_json(target, opts, report, trace_file.as_deref());
+        println!("{}", doc.block());
     } else {
         print!("{report}");
         if let Some(entry) = &target.entry {
@@ -614,17 +603,11 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     0
 }
 
-/// A JSON string literal, or `null`.
-fn json_opt_str(value: Option<&str>) -> String {
-    value.map_or("null".to_string(), |v| format!("\"{}\"", escape_json(v)))
-}
-
 /// `expectation_met` as a JSON value: `null` for a workload spec, which the
 /// registry predicts nothing about.
-fn expectation_met_json(target: &Target, report: &CheckReport, faults: bool) -> String {
-    target.entry.as_ref().map_or("null".to_string(), |entry| {
-        expectation_met(entry, report, faults).to_string()
-    })
+fn expectation_met_json(target: &Target, report: &CheckReport, faults: bool) -> Json<'static> {
+    let entry = target.entry.as_ref();
+    entry.map(|e| expectation_met(e, report, faults)).into()
 }
 
 /// The violation the registry predicts under the given fault setting:
@@ -646,12 +629,23 @@ fn expectation_met(entry: &ScenarioEntry, report: &CheckReport, faults: bool) ->
     }
 }
 
-fn render_run_json(
-    target: &Target,
+/// Which engine a run with this many workers is.
+fn engine_label(workers: usize) -> &'static str {
+    let engine = TraceEngine {
+        workers: workers.max(1),
+        ..TraceEngine::default()
+    };
+    engine.label()
+}
+
+/// The `nice run --json` report (schema `nice-cli-run-v5`, documented in
+/// `bench/README.md`).
+fn run_json<'a>(
+    target: &'a Target,
     opts: &RunOptions,
-    report: &CheckReport,
-    trace_file: Option<&str>,
-) -> String {
+    report: &'a CheckReport,
+    trace_file: Option<&'a str>,
+) -> Json<'a> {
     let mut violated: Vec<&str> = report
         .violations
         .iter()
@@ -659,87 +653,57 @@ fn render_run_json(
         .collect();
     violated.sort_unstable();
     violated.dedup();
-    let violated = violated
-        .iter()
-        .map(|p| format!("\"{}\"", escape_json(p)))
-        .collect::<Vec<_>>()
-        .join(", ");
+    let violated = Json::Arr(violated.into_iter().map(Json::from).collect());
     let stats = &report.stats;
-    let injected = stats
-        .faults
-        .labeled()
-        .iter()
-        .map(|(label, count)| format!("\"{label}\": {count}"))
-        .collect::<Vec<_>>()
-        .join(", ");
+    let entry = target.entry.as_ref();
+    let app = entry.map_or(target.scenario.app.name(), |e| e.app);
+    let kind = entry.map_or("workload", |e| kind_label(e.kind));
+    let expected = entry.and_then(|e| effective_expectation(e, opts.faults));
+    let met = expectation_met_json(target, report, opts.faults);
+    let first = report.first_violation();
     // Which engine produced the first witness: the trace's own record when
     // there is one, otherwise inferred from the worker count.
-    let engine = report
-        .first_violation()
-        .map(|v| v.trace.engine.label())
-        .unwrap_or(if opts.workers.max(1) == 1 {
-            "sequential"
-        } else {
-            "parallel"
-        });
-    let entry = target.entry.as_ref();
-    format!(
-        "{{\n  \"schema\": \"nice-cli-run-v5\",\n  \"scenario\": \"{}\",\n  \"app\": \"{}\",\n  \
-         \"bug\": {},\n  \"kind\": \"{}\",\n  \"expected_violation\": {},\n  \
-         \"strategy\": \"{}\",\n  \"reduction\": \"{}\",\n  \"workers\": {},\n  \"engine\": \"{}\",\n  \
-         \"explored\": \"{}\",\n  \"lossy\": {},\n  \
-         \"faults_enabled\": {},\n  \"injected_faults\": {{{}}},\n  \
-         \"outcome\": \"{}\",\n  \"passed\": {},\n  \"expectation_met\": {},\n  \
-         \"violated_properties\": [{}],\n  \"first_trace_len\": {},\n  \
-         \"trace\": {},\n  \"trace_file\": {},\n  \
-         \"states\": {},\n  \"transitions\": {},\n  \"terminal_states\": {},\n  \
-         \"pruned_by_strategy\": {},\n  \"pruned_by_por\": {},\n  \"dedup_hits\": {},\n  \
-         \"work_steals\": {},\n  \"peak_explored_bytes\": {},\n  \"spilled_shards\": {},\n  \
-         \"filter_hits\": {},\n  \"disk_probes\": {},\n  \
-         \"max_depth\": {},\n  \"duration_secs\": {:.6},\n  \"states_per_sec\": {:.1}\n}}",
-        escape_json(&target.spec),
-        escape_json(entry.map_or(target.scenario.app.name(), |e| e.app)),
-        json_opt_str(entry.map(|e| e.bug.label())),
-        match entry.map(|e| e.kind) {
-            Some(ScenarioKind::Buggy) => "bug",
-            Some(ScenarioKind::Fixed) => "fixed",
-            None => "workload",
-        },
-        json_opt_str(entry.and_then(|e| effective_expectation(e, opts.faults))),
-        opts.strategy.name(),
-        opts.reduction.name(),
-        opts.workers.max(1),
-        engine,
-        opts.explored.name(),
-        report.lossy,
-        opts.faults,
-        injected,
-        report.outcome.label(stats.truncated),
-        report.passed(),
-        expectation_met_json(target, report, opts.faults),
-        violated,
-        report
-            .first_violation()
-            .map_or("null".to_string(), |v| v.trace.len().to_string()),
-        report
-            .first_violation()
-            .map_or("null".to_string(), |v| v.trace.to_json()),
-        json_opt_str(trace_file),
-        stats.unique_states,
-        stats.transitions,
-        stats.terminal_states,
-        stats.pruned_by_strategy,
-        stats.pruned_by_por,
-        stats.dedup_hits,
-        stats.work_steals,
-        stats.peak_explored_bytes,
-        stats.spilled_shards,
-        stats.filter_hits,
-        stats.disk_probes,
-        stats.max_depth,
-        stats.duration.as_secs_f64(),
-        stats.unique_states as f64 / stats.duration.as_secs_f64().max(1e-9),
-    )
+    let engine = first.map_or(engine_label(opts.workers), |v| v.trace.engine.label());
+    let trace = first.map(|v| Json::Compact(Box::new(v.trace.to_value())));
+    let secs = stats.duration.as_secs_f64();
+    let rate = stats.unique_states as f64 / secs.max(1e-9);
+    Json::object([
+        ("schema", "nice-cli-run-v5".into()),
+        ("scenario", target.spec.as_str().into()),
+        ("app", app.into()),
+        ("bug", entry.map(|e| e.bug.label()).into()),
+        ("kind", kind.into()),
+        ("expected_violation", expected.into()),
+        ("strategy", opts.strategy.name().into()),
+        ("reduction", opts.reduction.name().into()),
+        ("workers", opts.workers.max(1).into()),
+        ("engine", engine.into()),
+        ("explored", opts.explored.name().into()),
+        ("lossy", report.lossy.into()),
+        ("faults_enabled", opts.faults.into()),
+        ("injected_faults", stats.faults.to_json()),
+        ("outcome", report.outcome.label(stats.truncated).into()),
+        ("passed", report.passed().into()),
+        ("expectation_met", met),
+        ("violated_properties", violated),
+        ("first_trace_len", first.map(|v| v.trace.len()).into()),
+        ("trace", trace.into()),
+        ("trace_file", trace_file.into()),
+        ("states", stats.unique_states.into()),
+        ("transitions", stats.transitions.into()),
+        ("terminal_states", stats.terminal_states.into()),
+        ("pruned_by_strategy", stats.pruned_by_strategy.into()),
+        ("pruned_by_por", stats.pruned_by_por.into()),
+        ("dedup_hits", stats.dedup_hits.into()),
+        ("work_steals", stats.work_steals.into()),
+        ("peak_explored_bytes", stats.peak_explored_bytes.into()),
+        ("spilled_shards", stats.spilled_shards.into()),
+        ("filter_hits", stats.filter_hits.into()),
+        ("disk_probes", stats.disk_probes.into()),
+        ("max_depth", stats.max_depth.into()),
+        ("duration_secs", Json::fixed(secs, 6)),
+        ("states_per_sec", Json::fixed(rate, 1)),
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -783,10 +747,8 @@ fn cmd_sweep(args: &[String]) -> i32 {
         }
     }
 
-    let json = render_sweep_json(&target, &opts, &cells);
     if opts.json {
-        validate_json(&json).expect("nice sweep emitted malformed JSON");
-        println!("{json}");
+        println!("{}", sweep_json(&target, &opts, &cells).block());
     } else {
         println!(
             "swept {} over {} strategy×reduction cells (re-run with --json for the report)",
@@ -797,43 +759,40 @@ fn cmd_sweep(args: &[String]) -> i32 {
     0
 }
 
-fn render_sweep_json(
-    target: &Target,
+/// The `nice sweep --json` report (schema `nice-cli-sweep-v3`, documented
+/// in `bench/README.md`).
+fn sweep_json<'a>(
+    target: &'a Target,
     opts: &RunOptions,
     cells: &[(StrategyKind, ReductionKind, CheckReport)],
-) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"nice-cli-sweep-v3\",\n  \"scenario\": \"{}\",\n  \
-         \"matrix\": \"strategies-x-reductions\",\n  \"workers\": {},\n  \"engine\": \"{}\",\n  \
-         \"faults_enabled\": {},\n  \"cells\": [\n",
-        escape_json(&target.spec),
-        opts.workers.max(1),
-        if opts.workers.max(1) == 1 {
-            "sequential"
-        } else {
-            "parallel"
-        },
-        opts.faults,
-    );
-    for (i, (strategy, reduction, report)) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"reduction\": \"{}\", \"outcome\": \"{}\", \
-             \"passed\": {}, \"expectation_met\": {}, \"states\": {}, \"transitions\": {}, \
-             \"pruned_by_por\": {}, \"duration_secs\": {:.6}}}{}\n",
-            strategy.name(),
-            reduction.name(),
-            report.outcome.label(report.stats.truncated),
-            report.passed(),
-            expectation_met_json(target, report, opts.faults),
-            report.stats.unique_states,
-            report.stats.transitions,
-            report.stats.pruned_by_por,
-            report.stats.duration.as_secs_f64(),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
+) -> Json<'a> {
+    let cells = cells.iter().map(|(strategy, reduction, report)| {
+        let stats = &report.stats;
+        let met = expectation_met_json(target, report, opts.faults);
+        Json::object([
+            ("strategy", strategy.name().into()),
+            ("reduction", reduction.name().into()),
+            ("outcome", report.outcome.label(stats.truncated).into()),
+            ("passed", report.passed().into()),
+            ("expectation_met", met),
+            ("states", stats.unique_states.into()),
+            ("transitions", stats.transitions.into()),
+            ("pruned_by_por", stats.pruned_by_por.into()),
+            (
+                "duration_secs",
+                Json::fixed(stats.duration.as_secs_f64(), 6),
+            ),
+        ])
+    });
+    Json::object([
+        ("schema", "nice-cli-sweep-v3".into()),
+        ("scenario", target.spec.as_str().into()),
+        ("matrix", "strategies-x-reductions".into()),
+        ("workers", opts.workers.max(1).into()),
+        ("engine", engine_label(opts.workers).into()),
+        ("faults_enabled", opts.faults.into()),
+        ("cells", Json::Arr(cells.collect())),
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -956,7 +915,6 @@ fn cmd_minimize(args: &[String]) -> i32 {
     // document) to stdout or --out, so pipelines stay clean.
     eprint!("{report}");
     let doc = report.minimized.to_json();
-    validate_trace_json(&doc).expect("nice minimize emitted a malformed trace");
     match out {
         Some(file) => {
             if let Err(e) = std::fs::write(file, format!("{doc}\n")) {
@@ -1029,43 +987,58 @@ fn cmd_timeline(args: &[String]) -> i32 {
 // nice validate-json
 // ---------------------------------------------------------------------------
 
+/// What `input` is a valid instance of: `"JSON"`, or [`TRACE_SCHEMA`] for a
+/// document that says so in its *top-level* `"schema"` member (a run report
+/// embeds a whole trace under `"trace"`; that does not count) and then has
+/// to read as a typed trace.
+fn check_document(input: &str) -> Result<&'static str, String> {
+    let doc = Json::parse(input)?;
+    if doc.str("schema") == Ok(TRACE_SCHEMA) {
+        Trace::from_value(&doc).map(|_| TRACE_SCHEMA)
+    } else {
+        Ok("JSON")
+    }
+}
+
 fn cmd_validate_json() -> i32 {
     let mut input = String::new();
     if let Err(e) = std::io::stdin().read_to_string(&mut input) {
         eprintln!("cannot read stdin: {e}");
         return 2;
     }
-    // Trace documents get the stricter typed validation: well-formed JSON
-    // that also parses as a `nice-trace-v1` trace. Only the *top-level*
-    // schema key counts — a run-v3 report embeds a whole trace document,
-    // so a substring match anywhere would mis-route it here. Trace files
-    // are canonical compact JSON, so the schema key is the first key with
-    // no inner whitespace; tolerate leading whitespace and pretty spacing
-    // for hand-edited files.
-    let head: String = input
-        .trim_start()
-        .chars()
-        .take(64)
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    let is_trace = head.starts_with(&format!("{{\"schema\":\"{TRACE_SCHEMA}\""));
-    let result = if is_trace {
-        validate_trace_json(&input)
-    } else {
-        validate_json(&input)
-    };
-    match result {
-        Ok(()) => {
-            eprintln!(
-                "valid {} ({} bytes)",
-                if is_trace { TRACE_SCHEMA } else { "JSON" },
-                input.len()
-            );
+    match check_document(&input) {
+        Ok(what) => {
+            eprintln!("valid {what} ({} bytes)", input.len());
             0
         }
         Err(message) => {
             eprintln!("{message}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_validation_requires_the_typed_schema() {
+        let trace = Trace::from_transitions("demo", TraceEngine::default(), []);
+        assert_eq!(check_document(&trace.to_json()), Ok(TRACE_SCHEMA));
+        // Well-formed JSON that claims to be a trace has to be one, wherever
+        // an editor left the "schema" member and however it spaced it.
+        assert!(check_document(r#"{"schema": "nice-trace-v1"}"#).is_err());
+        let reordered = r#"{ "steps": [{"kind": "warp"}], "scenario": "demo",
+            "schema": "nice-trace-v1" }"#;
+        assert!(check_document(reordered).is_err());
+        // Anything else only has to be JSON; an embedded trace is not a claim.
+        assert_eq!(check_document("{}"), Ok("JSON"));
+        let report = format!(
+            r#"{{"schema": "nice-cli-run-v5", "trace": {}}}"#,
+            trace.to_json()
+        );
+        assert_eq!(check_document(&report), Ok("JSON"));
+        assert!(check_document("{\"schema\": \"nice-trace-v1\",}").is_err());
     }
 }

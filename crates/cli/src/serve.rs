@@ -23,7 +23,7 @@ use nice_apps::scenarios::find_scenario;
 use nice_dist::{
     read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
 };
-use nice_mc::{CheckReport, ReductionKind, ShardSpec, StrategyKind, Violation};
+use nice_mc::{CheckReport, ReductionKind, ShardSpec, StrategyKind};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -191,7 +191,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
             Ok(report) => Frame::JobDone {
                 job,
                 stats: report.stats.clone(),
-                violations: report.violations.iter().map(wire_violation).collect(),
+                violations: report.violations.iter().map(WireViolation::of).collect(),
             },
             Err(e) => Frame::Error {
                 job,
@@ -260,14 +260,6 @@ fn client_reader(index: usize, stream: UnixStream, clients: Arc<Mutex<Vec<Client
                 return;
             }
         }
-    }
-}
-
-fn wire_violation(v: &Violation) -> WireViolation {
-    WireViolation {
-        property: v.property.clone(),
-        message: v.message.clone(),
-        steps: v.trace.transitions().into_iter().cloned().collect(),
     }
 }
 

@@ -48,7 +48,7 @@ pub mod prelude {
         FailoverStaleness, FaultPlan, FaultStats, InterruptReason, MinimizeReport, ModelChecker,
         NoopObserver, Outcome, ReductionKind, ReplayOutcome, ReplayReport, ReplayViolation,
         Scenario, ScenarioBuilder, SendPolicy, StrategyKind, Timeline, Trace, TraceEngine,
-        TraceStep, Violation, TRACE_SCHEMA,
+        Violation, TRACE_SCHEMA,
     };
     pub use nice_openflow::{
         Action, HostId, MacAddr, MatchPattern, NwAddr, Packet, PortId, SwitchId, Topology,

@@ -37,8 +37,8 @@ use crate::pool::{PoolEvent, WorkerEvent, WorkerPool};
 use crate::proto::{Frame, WireViolation};
 use nice_mc::{
     shard_of, CheckReport, CheckerConfig, ExploredConfig, ExploredMode, FrontierExport,
-    InterruptReason, Outcome, ReductionKind, ShardSpec, StrategyKind, Trace, TraceEngine,
-    TraceStep, Violation,
+    InterruptReason, Json, Outcome, ReductionKind, ShardSpec, StrategyKind, Trace, TraceEngine,
+    Violation,
 };
 use std::io;
 use std::path::PathBuf;
@@ -123,6 +123,38 @@ impl JobSpec {
             },
             ..CheckerConfig::default()
         }
+    }
+
+    /// The `"spec"` object of the `job` frame.
+    pub fn to_json(&self) -> Json<'_> {
+        Json::object([
+            ("scenario", self.scenario.as_str().into()),
+            ("strategy", self.strategy.name().into()),
+            ("reduction", self.reduction.name().into()),
+            ("faults", self.inject_faults.into()),
+            ("stop_at_first", self.stop_at_first_violation.into()),
+            ("max_transitions", self.max_transitions.into()),
+            ("max_depth", self.max_depth.into()),
+            ("time_budget_ms", self.time_budget_ms.into()),
+            ("explored", self.explored.name().into()),
+            ("mem_limit", self.mem_limit.into()),
+        ])
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(JobSpec {
+            scenario: value.str("scenario")?.to_string(),
+            strategy: value.parsed("strategy", StrategyKind::parse)?,
+            reduction: value.parsed("reduction", ReductionKind::parse)?,
+            inject_faults: value.bool("faults")?,
+            stop_at_first_violation: value.bool("stop_at_first")?,
+            max_transitions: value.u64("max_transitions")?,
+            max_depth: value.u64("max_depth")? as usize,
+            time_budget_ms: value.u64("time_budget_ms")?,
+            explored: value.parsed("explored", ExploredMode::parse)?,
+            mem_limit: value.u64("mem_limit")?,
+        })
     }
 }
 
@@ -472,7 +504,7 @@ fn merge_reports(
                 trace: Trace {
                     scenario: scenario_name.to_string(),
                     engine,
-                    steps: v.steps.into_iter().map(TraceStep::Transition).collect(),
+                    steps: v.steps,
                     property: Some(v.property),
                     message: Some(v.message),
                 },

@@ -9,7 +9,7 @@
 //! not re-explored.
 //!
 //! * [`proto`] — the `nice-dist-v1` wire protocol: length-prefixed
-//!   single-line JSON frames, self-validated with [`nice_mc::jsonv`].
+//!   single-line JSON frames, written and parsed through [`nice_mc::json`].
 //! * [`worker`] — the worker main loop: drives a
 //!   [`nice_mc::ShardedSearch`] (the *same* expansion loop as the
 //!   in-process sequential engine — a 1-shard run is bit-identical to

@@ -3,11 +3,10 @@
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
 //! `"schema": "nice-dist-v1"` and a `"frame"` discriminant. Frames are
-//! hand-rolled (no serde in this offline build) and **self-validated**:
-//! [`write_frame`] runs every outgoing document through the strict
-//! [`nice_mc::jsonv`] validator before it touches the pipe, so a
-//! malformed emitter fails loudly at the sender, not as a parse error at
-//! the receiver.
+//! built as [`nice_mc::json::Json`] values and rendered by its writer, so
+//! an outgoing frame is well-formed by construction; incoming bytes go
+//! through its strict, linear, depth-bounded parser, so a hostile or
+//! corrupt peer gets an `InvalidData` error, not a stack overflow.
 //!
 //! Transition sequences reuse the `nice-trace-v1` step objects
 //! ([`nice_mc::trace::steps_to_json`]), so a violation streamed by a
@@ -28,15 +27,9 @@
 //! | `job_done` | W → C | final per-shard stats + violations |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
 
-use nice_mc::jsonv::{escape_json, validate_json};
-use nice_mc::trace::json::{Json, ObjRef};
-use nice_mc::trace::{json, steps_from_value, steps_to_json, TraceStep};
-use nice_mc::{
-    ExploredMode, FaultStats, FrontierExport, ReductionKind, SearchStats, ShardSpec, StrategyKind,
-    Transition,
-};
+use nice_mc::trace::{steps_from_json, steps_to_json};
+use nice_mc::{FrontierExport, Json, SearchStats, ShardSpec, Transition, Violation};
 use std::io::{self, BufRead, Write};
-use std::time::Duration;
 
 use crate::coordinator::JobSpec;
 
@@ -53,6 +46,35 @@ pub struct WireViolation {
     pub message: String,
     /// The reproducing transition sequence from the initial state.
     pub steps: Vec<Transition>,
+}
+
+impl WireViolation {
+    /// The wire form of a checker-reported violation.
+    pub fn of(v: &Violation) -> Self {
+        WireViolation {
+            property: v.property.clone(),
+            message: v.message.clone(),
+            steps: v.trace.steps.clone(),
+        }
+    }
+
+    /// The violation object of the `violation` and `job_done` frames.
+    pub fn to_json(&self) -> Json<'_> {
+        Json::object([
+            ("property", self.property.as_str().into()),
+            ("message", self.message.as_str().into()),
+            ("steps", steps_to_json(&self.steps)),
+        ])
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(WireViolation {
+            property: value.str("property")?.to_string(),
+            message: value.str("message")?.to_string(),
+            steps: steps_from_json(value, "steps")?,
+        })
+    }
 }
 
 /// A `nice-dist-v1` frame. See the [module docs](self) for the table.
@@ -147,347 +169,149 @@ pub enum Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// Encoding and decoding
 // ---------------------------------------------------------------------------
 
-fn steps_json(transitions: &[Transition]) -> String {
-    let steps: Vec<TraceStep> = transitions
-        .iter()
-        .cloned()
-        .map(TraceStep::Transition)
-        .collect();
-    steps_to_json(&steps)
+fn exports_to_json(states: &[FrontierExport]) -> Json<'_> {
+    Json::Arr(states.iter().map(FrontierExport::to_json).collect())
 }
 
-fn exports_json(states: &[FrontierExport]) -> String {
-    let rendered: Vec<String> = states
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"fingerprint\":{},\"steps\":{},\"sleep\":{}}}",
-                s.fingerprint,
-                steps_json(&s.trace),
-                steps_json(&s.sleep)
-            )
-        })
-        .collect();
-    format!("[{}]", rendered.join(","))
-}
-
-fn stats_json(stats: &SearchStats) -> String {
-    let faults: Vec<String> = stats
-        .faults
-        .labeled()
-        .iter()
-        .map(|(name, count)| format!("\"{name}\":{count}"))
-        .collect();
-    format!(
-        "{{\"transitions\":{},\"unique_states\":{},\"terminal_states\":{},\
-         \"symbolic_executions\":{},\"pruned_by_strategy\":{},\"pruned_by_por\":{},\
-         \"dedup_hits\":{},\"work_steals\":{},\"peak_explored_bytes\":{},\
-         \"spilled_shards\":{},\"filter_hits\":{},\"disk_probes\":{},\
-         \"max_depth\":{},\"truncated\":{},\"duration_ms\":{},\
-         \"faults\":{{{}}}}}",
-        stats.transitions,
-        stats.unique_states,
-        stats.terminal_states,
-        stats.symbolic_executions,
-        stats.pruned_by_strategy,
-        stats.pruned_by_por,
-        stats.dedup_hits,
-        stats.work_steals,
-        stats.peak_explored_bytes,
-        stats.spilled_shards,
-        stats.filter_hits,
-        stats.disk_probes,
-        stats.max_depth,
-        stats.truncated,
-        stats.duration.as_millis(),
-        faults.join(",")
-    )
-}
-
-fn violation_json(v: &WireViolation) -> String {
-    format!(
-        "{{\"property\":\"{}\",\"message\":\"{}\",\"steps\":{}}}",
-        escape_json(&v.property),
-        escape_json(&v.message),
-        steps_json(&v.steps)
-    )
-}
-
-fn spec_json(spec: &JobSpec) -> String {
-    format!(
-        "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"reduction\":\"{}\",\"faults\":{},\
-         \"stop_at_first\":{},\"max_transitions\":{},\"max_depth\":{},\"time_budget_ms\":{},\
-         \"explored\":\"{}\",\"mem_limit\":{}}}",
-        escape_json(&spec.scenario),
-        spec.strategy.name(),
-        spec.reduction.name(),
-        spec.inject_faults,
-        spec.stop_at_first_violation,
-        spec.max_transitions,
-        spec.max_depth,
-        spec.time_budget_ms,
-        spec.explored.name(),
-        spec.mem_limit,
-    )
+fn exports_from_json(frame: &Json) -> Result<Vec<FrontierExport>, String> {
+    let states = frame.arr("states")?.iter().enumerate();
+    states
+        .map(|(i, v)| FrontierExport::from_json(v).map_err(|e| format!("state {i}: {e}")))
+        .collect()
 }
 
 impl Frame {
     /// Renders the frame as its single-line `nice-dist-v1` JSON document.
     pub fn to_json(&self) -> String {
-        let body = match self {
-            Frame::Job { job, shard, spec } => format!(
-                "\"frame\":\"job\",\"job\":{job},\"shard\":{{\"index\":{},\"count\":{}}},\"spec\":{}",
-                shard.index,
-                shard.count,
-                spec_json(spec)
+        let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
+            Frame::Job { job, shard, spec } => {
+                let shard = [("index", shard.index.into()), ("count", shard.count.into())];
+                let body = vec![("shard", Json::object(shard)), ("spec", spec.to_json())];
+                ("job", Some(*job), body)
+            }
+            Frame::States { job, states } => (
+                "states",
+                Some(*job),
+                vec![("states", exports_to_json(states))],
             ),
-            Frame::States { job, states } => format!(
-                "\"frame\":\"states\",\"job\":{job},\"states\":{}",
-                exports_json(states)
-            ),
-            Frame::Cancel { job } => format!("\"frame\":\"cancel\",\"job\":{job}"),
-            Frame::Finish { job } => format!("\"frame\":\"finish\",\"job\":{job}"),
-            Frame::Shutdown => "\"frame\":\"shutdown\"".to_string(),
-            Frame::Hello { pid } => format!("\"frame\":\"hello\",\"pid\":{pid}"),
-            Frame::Forward { job, states } => format!(
-                "\"frame\":\"forward\",\"job\":{job},\"states\":{}",
-                exports_json(states)
+            Frame::Cancel { job } => ("cancel", Some(*job), vec![]),
+            Frame::Finish { job } => ("finish", Some(*job), vec![]),
+            Frame::Shutdown => ("shutdown", None, vec![]),
+            Frame::Hello { pid } => ("hello", None, vec![("pid", (*pid).into())]),
+            Frame::Forward { job, states } => (
+                "forward",
+                Some(*job),
+                vec![("states", exports_to_json(states))],
             ),
             Frame::Progress {
                 job,
                 transitions,
                 unique_states,
                 depth,
-            } => format!(
-                "\"frame\":\"progress\",\"job\":{job},\"transitions\":{transitions},\
-                 \"unique_states\":{unique_states},\"depth\":{depth}"
-            ),
-            Frame::Violation { job, violation } => format!(
-                "\"frame\":\"violation\",\"job\":{job},\"violation\":{}",
-                violation_json(violation)
+            } => {
+                let body = vec![
+                    ("transitions", (*transitions).into()),
+                    ("unique_states", (*unique_states).into()),
+                    ("depth", (*depth).into()),
+                ];
+                ("progress", Some(*job), body)
+            }
+            Frame::Violation { job, violation } => (
+                "violation",
+                Some(*job),
+                vec![("violation", violation.to_json())],
             ),
             Frame::Idle { job, received } => {
-                format!("\"frame\":\"idle\",\"job\":{job},\"received\":{received}")
+                ("idle", Some(*job), vec![("received", (*received).into())])
             }
             Frame::JobDone {
                 job,
                 stats,
                 violations,
             } => {
-                let rendered: Vec<String> = violations.iter().map(violation_json).collect();
-                format!(
-                    "\"frame\":\"job_done\",\"job\":{job},\"stats\":{},\"violations\":[{}]",
-                    stats_json(stats),
-                    rendered.join(",")
-                )
+                let violations = violations.iter().map(WireViolation::to_json).collect();
+                let body = vec![
+                    ("stats", stats.to_json()),
+                    ("violations", Json::Arr(violations)),
+                ];
+                ("job_done", Some(*job), body)
             }
-            Frame::Error { job, message } => format!(
-                "\"frame\":\"error\",\"job\":{job},\"message\":\"{}\"",
-                escape_json(message)
+            Frame::Error { job, message } => (
+                "error",
+                Some(*job),
+                vec![("message", message.as_str().into())],
             ),
         };
-        format!("{{\"schema\":\"{DIST_SCHEMA}\",{body}}}")
+        let head = [("schema", DIST_SCHEMA.into()), ("frame", kind.into())];
+        let job = job.map(|job| ("job", job.into()));
+        Json::object(head.into_iter().chain(job).chain(body)).compact()
     }
-}
 
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-fn need<'a>(obj: &ObjRef<'a>, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing '{key}'"))
-}
-
-fn need_u64(obj: &ObjRef<'_>, key: &str) -> Result<u64, String> {
-    need(obj, key)?
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
-}
-
-fn need_bool(obj: &ObjRef<'_>, key: &str) -> Result<bool, String> {
-    need(obj, key)?
-        .as_bool()
-        .ok_or_else(|| format!("'{key}' must be a boolean"))
-}
-
-fn need_str<'a>(obj: &ObjRef<'a>, key: &str) -> Result<&'a str, String> {
-    need(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' must be a string"))
-}
-
-fn transitions_from(value: &Json) -> Result<Vec<Transition>, String> {
-    Ok(steps_from_value(value)?
-        .into_iter()
-        .map(|step| {
-            let TraceStep::Transition(t) = step;
-            t
-        })
-        .collect())
-}
-
-fn exports_from(value: &Json) -> Result<Vec<FrontierExport>, String> {
-    let arr = value.as_arr().ok_or("'states' must be an array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let obj = v.as_obj().ok_or(format!("state {i}: not an object"))?;
-            Ok(FrontierExport {
-                fingerprint: need_u64(&obj, "fingerprint")
-                    .map_err(|e| format!("state {i}: {e}"))?,
-                trace: transitions_from(
-                    need(&obj, "steps").map_err(|e| format!("state {i}: {e}"))?,
-                )
-                .map_err(|e| format!("state {i}: {e}"))?,
-                sleep: transitions_from(
-                    need(&obj, "sleep").map_err(|e| format!("state {i}: {e}"))?,
-                )
-                .map_err(|e| format!("state {i}: {e}"))?,
-            })
-        })
-        .collect()
-}
-
-fn stats_from(value: &Json) -> Result<SearchStats, String> {
-    let obj = value.as_obj().ok_or("'stats' must be an object")?;
-    let faults_obj = need(&obj, "faults")?
-        .as_obj()
-        .ok_or("'faults' must be an object")?;
-    let mut counts = [0u64; FaultStats::KINDS];
-    for (i, (name, _)) in FaultStats::default().labeled().iter().enumerate() {
-        counts[i] = need_u64(&faults_obj, name)?;
-    }
-    Ok(SearchStats {
-        transitions: need_u64(&obj, "transitions")?,
-        unique_states: need_u64(&obj, "unique_states")?,
-        terminal_states: need_u64(&obj, "terminal_states")?,
-        symbolic_executions: need_u64(&obj, "symbolic_executions")?,
-        pruned_by_strategy: need_u64(&obj, "pruned_by_strategy")?,
-        pruned_by_por: need_u64(&obj, "pruned_by_por")?,
-        dedup_hits: need_u64(&obj, "dedup_hits")?,
-        work_steals: need_u64(&obj, "work_steals")?,
-        peak_explored_bytes: need_u64(&obj, "peak_explored_bytes")?,
-        spilled_shards: need_u64(&obj, "spilled_shards")?,
-        filter_hits: need_u64(&obj, "filter_hits")?,
-        disk_probes: need_u64(&obj, "disk_probes")?,
-        faults: FaultStats::from_counts(counts),
-        max_depth: need_u64(&obj, "max_depth")? as usize,
-        truncated: need_bool(&obj, "truncated")?,
-        duration: Duration::from_millis(need_u64(&obj, "duration_ms")?),
-    })
-}
-
-fn violation_from(value: &Json) -> Result<WireViolation, String> {
-    let obj = value.as_obj().ok_or("violation must be an object")?;
-    Ok(WireViolation {
-        property: need_str(&obj, "property")?.to_string(),
-        message: need_str(&obj, "message")?.to_string(),
-        steps: transitions_from(need(&obj, "steps")?)?,
-    })
-}
-
-fn spec_from(value: &Json) -> Result<JobSpec, String> {
-    let obj = value.as_obj().ok_or("'spec' must be an object")?;
-    let strategy = need_str(&obj, "strategy")?;
-    let reduction = need_str(&obj, "reduction")?;
-    let explored = need_str(&obj, "explored")?;
-    Ok(JobSpec {
-        scenario: need_str(&obj, "scenario")?.to_string(),
-        strategy: StrategyKind::parse(strategy)
-            .ok_or_else(|| format!("unknown strategy '{strategy}'"))?,
-        reduction: ReductionKind::parse(reduction)
-            .ok_or_else(|| format!("unknown reduction '{reduction}'"))?,
-        inject_faults: need_bool(&obj, "faults")?,
-        stop_at_first_violation: need_bool(&obj, "stop_at_first")?,
-        max_transitions: need_u64(&obj, "max_transitions")?,
-        max_depth: need_u64(&obj, "max_depth")? as usize,
-        time_budget_ms: need_u64(&obj, "time_budget_ms")?,
-        explored: ExploredMode::parse(explored)
-            .ok_or_else(|| format!("unknown explored mode '{explored}'"))?,
-        mem_limit: need_u64(&obj, "mem_limit")?,
-    })
-}
-
-impl Frame {
     /// Parses a single-line `nice-dist-v1` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
-        let value = json::parse(input)?;
-        let obj = value.as_obj().ok_or("frame must be a JSON object")?;
-        let schema = need_str(&obj, "schema")?;
+        let value = Json::parse(input)?;
+        let schema = value.str("schema")?;
         if schema != DIST_SCHEMA {
             return Err(format!("unknown schema '{schema}' (want '{DIST_SCHEMA}')"));
         }
-        let frame = need_str(&obj, "frame")?;
-        match frame {
+        let job = || value.u64("job");
+        Ok(match value.str("frame")? {
             "job" => {
-                let shard_obj = need(&obj, "shard")?
-                    .as_obj()
-                    .ok_or("'shard' must be an object")?;
-                let count = need_u64(&shard_obj, "count")? as u32;
-                let index = need_u64(&shard_obj, "index")? as u32;
-                if count == 0 || index >= count {
+                let shard = value.get("shard")?;
+                let (index, count) = (shard.u64("index")? as u32, shard.u64("count")? as u32);
+                if index >= count {
                     return Err(format!("invalid shard {index}/{count}"));
                 }
-                Ok(Frame::Job {
-                    job: need_u64(&obj, "job")?,
+                Frame::Job {
+                    job: job()?,
                     shard: ShardSpec { index, count },
-                    spec: spec_from(need(&obj, "spec")?)?,
-                })
+                    spec: JobSpec::from_json(value.get("spec")?)?,
+                }
             }
-            "states" => Ok(Frame::States {
-                job: need_u64(&obj, "job")?,
-                states: exports_from(need(&obj, "states")?)?,
-            }),
-            "cancel" => Ok(Frame::Cancel {
-                job: need_u64(&obj, "job")?,
-            }),
-            "finish" => Ok(Frame::Finish {
-                job: need_u64(&obj, "job")?,
-            }),
-            "shutdown" => Ok(Frame::Shutdown),
-            "hello" => Ok(Frame::Hello {
-                pid: need_u64(&obj, "pid")?,
-            }),
-            "forward" => Ok(Frame::Forward {
-                job: need_u64(&obj, "job")?,
-                states: exports_from(need(&obj, "states")?)?,
-            }),
-            "progress" => Ok(Frame::Progress {
-                job: need_u64(&obj, "job")?,
-                transitions: need_u64(&obj, "transitions")?,
-                unique_states: need_u64(&obj, "unique_states")?,
-                depth: need_u64(&obj, "depth")?,
-            }),
-            "violation" => Ok(Frame::Violation {
-                job: need_u64(&obj, "job")?,
-                violation: violation_from(need(&obj, "violation")?)?,
-            }),
-            "idle" => Ok(Frame::Idle {
-                job: need_u64(&obj, "job")?,
-                received: need_u64(&obj, "received")?,
-            }),
-            "job_done" => {
-                let violations = need(&obj, "violations")?
-                    .as_arr()
-                    .ok_or("'violations' must be an array")?
-                    .iter()
-                    .map(violation_from)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Frame::JobDone {
-                    job: need_u64(&obj, "job")?,
-                    stats: stats_from(need(&obj, "stats")?)?,
-                    violations,
-                })
-            }
-            "error" => Ok(Frame::Error {
-                job: need_u64(&obj, "job")?,
-                message: need_str(&obj, "message")?.to_string(),
-            }),
-            other => Err(format!("unknown frame kind '{other}'")),
-        }
+            "states" => Frame::States {
+                job: job()?,
+                states: exports_from_json(&value)?,
+            },
+            "cancel" => Frame::Cancel { job: job()? },
+            "finish" => Frame::Finish { job: job()? },
+            "shutdown" => Frame::Shutdown,
+            "hello" => Frame::Hello {
+                pid: value.u64("pid")?,
+            },
+            "forward" => Frame::Forward {
+                job: job()?,
+                states: exports_from_json(&value)?,
+            },
+            "progress" => Frame::Progress {
+                job: job()?,
+                transitions: value.u64("transitions")?,
+                unique_states: value.u64("unique_states")?,
+                depth: value.u64("depth")?,
+            },
+            "violation" => Frame::Violation {
+                job: job()?,
+                violation: WireViolation::from_json(value.get("violation")?)?,
+            },
+            "idle" => Frame::Idle {
+                job: job()?,
+                received: value.u64("received")?,
+            },
+            "job_done" => Frame::JobDone {
+                job: job()?,
+                stats: SearchStats::from_json(value.get("stats")?)?,
+                violations: (value.arr("violations")?.iter())
+                    .map(WireViolation::from_json)
+                    .collect::<Result<_, _>>()?,
+            },
+            "error" => Frame::Error {
+                job: job()?,
+                message: value.str("message")?.to_string(),
+            },
+            other => return Err(format!("unknown frame kind '{other}'")),
+        })
     }
 }
 
@@ -495,14 +319,9 @@ impl Frame {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one length-prefixed frame (`<len> <json>\n`) and flushes. The
-/// JSON is run through the strict [`nice_mc::jsonv`] validator first —
-/// the emitters are hand-rolled, so every frame proves its own
-/// well-formedness before it crosses the process boundary.
+/// Writes one length-prefixed frame (`<len> <json>\n`) and flushes.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let json = frame.to_json();
-    validate_json(&json)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("outgoing frame: {e}")))?;
     w.write_all(format!("{} {json}\n", json.len()).as_bytes())?;
     w.flush()
 }
@@ -535,7 +354,9 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nice_mc::CheckerConfig;
+    use nice_mc::{CheckerConfig, ExploredMode, FaultStats, ReductionKind, StrategyKind};
+    use nice_openflow::{HostId, MacAddr, Packet, PortId, SwitchId};
+    use std::time::{Duration, Instant};
 
     fn sample_exports() -> Vec<FrontierExport> {
         // Real transitions from a real scenario so the steps on the wire are
@@ -551,27 +372,8 @@ mod tests {
         }]
     }
 
-    fn round_trip(frame: Frame) {
-        let json = frame.to_json();
-        validate_json(&json).expect("frame validates");
-        // Decode → re-encode must be the identity on the wire form (frames
-        // hold types without PartialEq, so equality is checked on the JSON).
-        assert_eq!(
-            Frame::from_json(&json).expect("frame parses").to_json(),
-            json
-        );
-        // And through the length-prefixed pipe framing.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).expect("write");
-        let mut r = io::BufReader::new(buf.as_slice());
-        let read = read_frame(&mut r).expect("read").expect("one frame");
-        assert_eq!(read.to_json(), json);
-        assert!(read_frame(&mut r).expect("eof").is_none());
-    }
-
-    #[test]
-    fn every_frame_kind_round_trips() {
-        let spec = JobSpec {
+    fn sample_spec() -> JobSpec {
+        JobSpec {
             scenario: "chain:5:2".to_string(),
             strategy: StrategyKind::NoDelay,
             reduction: ReductionKind::Por,
@@ -582,8 +384,11 @@ mod tests {
             time_budget_ms: 60_000,
             explored: ExploredMode::Tiered,
             mem_limit: 1 << 20,
-        };
-        let stats = SearchStats {
+        }
+    }
+
+    fn sample_stats() -> SearchStats {
+        SearchStats {
             transitions: 11,
             unique_states: 7,
             terminal_states: 2,
@@ -599,61 +404,169 @@ mod tests {
             faults: FaultStats {
                 drops: 1,
                 crashes: 2,
+                mutations: 3,
                 ..FaultStats::default()
             },
             max_depth: 9,
             truncated: true,
             duration: Duration::from_millis(250),
-        };
+        }
+    }
+
+    fn round_trip(frame: Frame) {
+        let json = frame.to_json();
+        // Decode → re-encode must be the identity on the wire form (frames
+        // hold types without PartialEq, so equality is checked on the JSON).
+        assert_eq!(
+            Frame::from_json(&json).expect("frame parses").to_json(),
+            json
+        );
+        // And through the length-prefixed pipe framing.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &frame).expect("write");
+        let mut r = io::BufReader::new(buf.as_slice());
+        let read = read_frame(&mut r).expect("read").expect("one frame");
+        assert_eq!(read.to_json(), json);
+        assert!(read_frame(&mut r).expect("eof").is_none());
+    }
+
+    /// A frontier export whose bytes do not depend on any scenario.
+    fn golden_export() -> FrontierExport {
+        FrontierExport {
+            fingerprint: 0xfeed_face_cafe_beef,
+            trace: vec![
+                Transition::HostSend {
+                    host: HostId(1),
+                    packet: Packet::l2_ping(7, MacAddr::for_host(1), MacAddr::for_host(2), 3),
+                },
+                Transition::ProcessPacketOn {
+                    switch: SwitchId(1),
+                    port: PortId(2),
+                },
+                Transition::ControllerHandle {
+                    switch: SwitchId(1),
+                },
+            ],
+            sleep: vec![Transition::HostReceive { host: HostId(2) }],
+        }
+    }
+
+    /// One frame of each of the 12 kinds with its `nice-dist-v1` bytes, as
+    /// recorded from the `format!` emitters this module had before it was
+    /// rebuilt on `nice_mc::json`.
+    fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
             message: "packet \"lost\"\nat sw1".to_string(),
-            steps: sample_exports().remove(0).trace,
+            steps: golden_export().trace,
         };
-        for frame in [
-            Frame::Job {
-                job: 1,
-                shard: ShardSpec { index: 1, count: 4 },
-                spec: spec.clone(),
-            },
-            Frame::States {
-                job: 1,
-                states: sample_exports(),
-            },
-            Frame::Cancel { job: 1 },
-            Frame::Finish { job: 1 },
-            Frame::Shutdown,
-            Frame::Hello { pid: 4242 },
-            Frame::Forward {
-                job: 1,
-                states: sample_exports(),
-            },
-            Frame::Progress {
-                job: 1,
-                transitions: 100,
-                unique_states: 60,
-                depth: 12,
-            },
-            Frame::Violation {
-                job: 1,
-                violation: violation.clone(),
-            },
-            Frame::Idle {
-                job: 1,
-                received: 17,
-            },
-            Frame::JobDone {
-                job: 1,
-                stats,
-                violations: vec![violation],
-            },
-            Frame::Error {
-                job: 1,
-                message: "unknown scenario 'nope'".to_string(),
-            },
-        ] {
+        let max = FrontierExport {
+            fingerprint: u64::MAX,
+            trace: Vec::new(),
+            sleep: Vec::new(),
+        };
+        vec![
+            (
+                Frame::Job {
+                    job: 1,
+                    shard: ShardSpec { index: 1, count: 4 },
+                    spec: sample_spec(),
+                },
+                r#"{"schema":"nice-dist-v1","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000,"explored":"tiered","mem_limit":1048576}}"#,
+            ),
+            (
+                Frame::States {
+                    job: 2,
+                    states: vec![golden_export(), max],
+                },
+                r#"{"schema":"nice-dist-v1","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
+            ),
+            (
+                Frame::Cancel { job: 3 },
+                r#"{"schema":"nice-dist-v1","frame":"cancel","job":3}"#,
+            ),
+            (
+                Frame::Finish { job: 4 },
+                r#"{"schema":"nice-dist-v1","frame":"finish","job":4}"#,
+            ),
+            (
+                Frame::Shutdown,
+                r#"{"schema":"nice-dist-v1","frame":"shutdown"}"#,
+            ),
+            (
+                Frame::Hello { pid: 4242 },
+                r#"{"schema":"nice-dist-v1","frame":"hello","pid":4242}"#,
+            ),
+            (
+                Frame::Forward {
+                    job: 5,
+                    states: vec![golden_export()],
+                },
+                r#"{"schema":"nice-dist-v1","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]}]}"#,
+            ),
+            (
+                Frame::Progress {
+                    job: 6,
+                    transitions: 100,
+                    unique_states: 60,
+                    depth: 12,
+                },
+                r#"{"schema":"nice-dist-v1","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+            ),
+            (
+                Frame::Violation {
+                    job: 7,
+                    violation: violation.clone(),
+                },
+                r#"{"schema":"nice-dist-v1","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}}"#,
+            ),
+            (
+                Frame::Idle {
+                    job: 8,
+                    received: 17,
+                },
+                r#"{"schema":"nice-dist-v1","frame":"idle","job":8,"received":17}"#,
+            ),
+            (
+                Frame::JobDone {
+                    job: 9,
+                    stats: sample_stats(),
+                    violations: vec![violation],
+                },
+                r#"{"schema":"nice-dist-v1","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}]}"#,
+            ),
+            (
+                Frame::Error {
+                    job: 10,
+                    message: "unknown scenario 'nope'".to_string(),
+                },
+                r#"{"schema":"nice-dist-v1","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_frame_kind_round_trips() {
+        for (frame, _) in golden_frames() {
             round_trip(frame);
         }
+        round_trip(Frame::Forward {
+            job: 1,
+            states: sample_exports(),
+        });
+    }
+
+    #[test]
+    fn golden_bytes_are_pinned() {
+        for (frame, golden) in golden_frames() {
+            assert_eq!(frame.to_json(), golden);
+            let parsed = Frame::from_json(golden).expect("golden parses");
+            assert_eq!(parsed.to_json(), golden);
+        }
+        let stats = r#"{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}"#;
+        assert_eq!(sample_stats().to_json().compact(), stats);
+        let parsed = SearchStats::from_json(&Json::parse(stats).unwrap()).expect("golden parses");
+        assert_eq!(parsed.to_json().compact(), stats);
     }
 
     #[test]
@@ -667,6 +580,16 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_frame_is_invalid_data_not_a_stack_overflow() {
+        // What `nice serve`'s client reader and a worker's stdin thread see
+        // when the other process sends 100 000 opening brackets.
+        let hostile = format!("100000 {}\n", "[".repeat(100_000));
+        let err = read_frame(&mut hostile.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn u64_fingerprints_survive_the_wire() {
         let frame = Frame::States {
             job: 1,
@@ -677,5 +600,33 @@ mod tests {
             }],
         };
         round_trip(frame);
+    }
+
+    /// Crash recovery re-sends a worker's whole forward log as one `states`
+    /// frame, so the codec has to stay linear in the frame's size: a parser
+    /// that re-scans its input per character takes minutes here. The bound
+    /// is two orders of magnitude above what a linear codec needs.
+    #[test]
+    fn a_four_megabyte_states_frame_round_trips_in_linear_time() {
+        let export = sample_exports().remove(0);
+        let copies = (4 << 20) / export.to_json().compact().len() + 1;
+        let frame = Frame::States {
+            job: 1,
+            states: vec![export; copies],
+        };
+        let started = Instant::now();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).expect("write");
+        assert!(wire.len() >= 4 << 20, "{} bytes", wire.len());
+        let read = read_frame(&mut wire.as_slice()).expect("read");
+        let elapsed = started.elapsed();
+        let Some(Frame::States { states, .. }) = read else {
+            panic!("a states frame decoded as something else");
+        };
+        let Frame::States { states: sent, .. } = frame else {
+            unreachable!()
+        };
+        assert_eq!(states, sent);
+        assert!(elapsed.as_secs() < 5, "round trip took {elapsed:?}");
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::proto::{read_frame, write_frame, Frame, WireViolation};
 use crate::DIE_AFTER_ENV;
-use nice_mc::{ModelChecker, ShardSpec, ShardedSearch, StepOutcome, Violation};
+use nice_mc::{ModelChecker, ShardSpec, ShardedSearch, StepOutcome};
 use std::io::{self, BufWriter, Write};
 use std::sync::mpsc::{Receiver, TryRecvError};
 
@@ -141,14 +141,6 @@ fn refuse_job(job: u64, rx: &Receiver<Frame>, out: &mut impl Write) -> io::Resul
     }
 }
 
-fn wire_violation(v: &Violation) -> WireViolation {
-    WireViolation {
-        property: v.property.clone(),
-        message: v.message.clone(),
-        steps: v.trace.transitions().into_iter().cloned().collect(),
-    }
-}
-
 /// Drives one job on one shard. Returns when the job is wound down with
 /// `finish` (reply: `job_done`) or the process should exit.
 fn run_job(
@@ -206,7 +198,7 @@ fn run_job(
                 out,
                 &Frame::Violation {
                     job,
-                    violation: wire_violation(violation),
+                    violation: WireViolation::of(violation),
                 },
             )?;
             sent_violations += 1;
@@ -242,7 +234,7 @@ fn run_job(
         // acknowledgement level and block for the next frame.
         if finish {
             let report = search.finish();
-            let violations = report.violations.iter().map(wire_violation).collect();
+            let violations = report.violations.iter().map(WireViolation::of).collect();
             write_frame(
                 out,
                 &Frame::JobDone {

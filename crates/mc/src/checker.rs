@@ -49,6 +49,7 @@
 //! sound under state matching.
 
 use crate::explored::{build_store, visit_explored, ExploredStore, FingerprintMap, Visit};
+use crate::json::Json;
 use crate::properties::{Event, Property};
 use crate::scenario::{CheckerConfig, Scenario};
 use crate::session::{Outcome, SessionCtrl};
@@ -159,6 +160,22 @@ impl FaultStats {
             ("failovers", self.failovers),
             ("mutations", self.mutations),
         ]
+    }
+
+    /// The counters as a JSON object keyed by their stable names: the
+    /// `"faults"` of a wire stats object, the `"injected_faults"` of
+    /// `nice run --json`.
+    pub fn to_json(&self) -> Json<'_> {
+        Json::object(self.labeled().map(|(name, count)| (name, count.into())))
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        let mut counts = [0; Self::KINDS];
+        for (count, (name, _)) in counts.iter_mut().zip(FaultStats::default().labeled()) {
+            *count = value.u64(name)?;
+        }
+        Ok(FaultStats::from_counts(counts))
     }
 
     /// Counts one executed transition if it is a fault injection.
@@ -285,6 +302,50 @@ impl SearchStats {
         self.spilled_shards += other.spilled_shards;
         self.filter_hits += other.filter_hits;
         self.disk_probes += other.disk_probes;
+    }
+
+    /// The stats object of the `nice-dist-v1` `job_done` frame.
+    pub fn to_json(&self) -> Json<'_> {
+        Json::object([
+            ("transitions", self.transitions.into()),
+            ("unique_states", self.unique_states.into()),
+            ("terminal_states", self.terminal_states.into()),
+            ("symbolic_executions", self.symbolic_executions.into()),
+            ("pruned_by_strategy", self.pruned_by_strategy.into()),
+            ("pruned_by_por", self.pruned_by_por.into()),
+            ("dedup_hits", self.dedup_hits.into()),
+            ("work_steals", self.work_steals.into()),
+            ("peak_explored_bytes", self.peak_explored_bytes.into()),
+            ("spilled_shards", self.spilled_shards.into()),
+            ("filter_hits", self.filter_hits.into()),
+            ("disk_probes", self.disk_probes.into()),
+            ("max_depth", self.max_depth.into()),
+            ("truncated", self.truncated.into()),
+            ("duration_ms", (self.duration.as_millis() as u64).into()),
+            ("faults", self.faults.to_json()),
+        ])
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(SearchStats {
+            transitions: value.u64("transitions")?,
+            unique_states: value.u64("unique_states")?,
+            terminal_states: value.u64("terminal_states")?,
+            symbolic_executions: value.u64("symbolic_executions")?,
+            pruned_by_strategy: value.u64("pruned_by_strategy")?,
+            pruned_by_por: value.u64("pruned_by_por")?,
+            dedup_hits: value.u64("dedup_hits")?,
+            work_steals: value.u64("work_steals")?,
+            peak_explored_bytes: value.u64("peak_explored_bytes")?,
+            spilled_shards: value.u64("spilled_shards")?,
+            filter_hits: value.u64("filter_hits")?,
+            disk_probes: value.u64("disk_probes")?,
+            faults: FaultStats::from_json(value.get("faults")?)?,
+            max_depth: value.u64("max_depth")? as usize,
+            truncated: value.bool("truncated")?,
+            duration: Duration::from_millis(value.u64("duration_ms")?),
+        })
     }
 
     /// Sets the explored-set counters from the search's store.

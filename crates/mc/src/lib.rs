@@ -42,9 +42,10 @@
 //!   minimization ([`ModelChecker::minimize`]) and first-unavoidable-step
 //!   bisection ([`ModelChecker::bisect`]).
 //! * [`timeline`] — an ASCII lane-per-component renderer for traces.
-//! * [`jsonv`] — a strict, dependency-free JSON well-formedness validator
-//!   shared by the CLI, the bench gate, and the `nice-dist-v1` wire
-//!   protocol.
+//! * [`json`] — the workspace's one JSON module: the [`Json`] value, a
+//!   strict, linear, depth-bounded parser and a writer that is well-formed
+//!   by construction, shared by the traces, the CLI, the bench gate and the
+//!   `nice-dist-v1` wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
 //!   replayable frontier nodes, the substrate of the `nice-dist`
@@ -56,7 +57,7 @@
 pub mod checker;
 pub mod explored;
 pub mod faults;
-pub mod jsonv;
+pub mod json;
 pub mod minimize;
 pub mod por;
 pub mod properties;
@@ -74,6 +75,7 @@ pub mod transition;
 pub use checker::{CheckReport, FaultStats, ModelChecker, SearchStats, Violation};
 pub use explored::{ExploredConfig, ExploredMode, ExploredStats, ExploredStore};
 pub use faults::{FailoverStaleness, FaultPlan};
+pub use json::Json;
 pub use minimize::{BisectReport, MinimizeReport};
 pub use por::{independent, Footprint};
 pub use properties::{
@@ -94,5 +96,5 @@ pub use strategy::{
     SearchStrategy, Unusual,
 };
 pub use timeline::{render_timeline, Timeline};
-pub use trace::{Trace, TraceEngine, TraceStep, TRACE_SCHEMA};
+pub use trace::{Trace, TraceEngine, TRACE_SCHEMA};
 pub use transition::Transition;

@@ -172,7 +172,7 @@ impl ModelChecker {
     ///
     /// Errors if replay does not reproduce a violation to minimize against.
     pub fn minimize(&self, trace: &Trace) -> Result<MinimizeReport, String> {
-        let transitions: Vec<Transition> = trace.transitions().into_iter().cloned().collect();
+        let transitions = &trace.steps;
         let mut engine = trace.engine;
         engine.workers = 1;
         let original_len = transitions.len();
@@ -193,7 +193,7 @@ impl ModelChecker {
         };
 
         let mut best = self
-            .try_reproduce(&engine, &transitions, &target, original_len, &mut replays)
+            .try_reproduce(&engine, transitions, &target, original_len, &mut replays)
             .ok_or_else(|| {
                 format!("replay of the trace does not reproduce a violation of {target}")
             })?;
@@ -426,7 +426,7 @@ impl ModelChecker {
     /// `decided` flag is false and `first_unavoidable` is the best verified
     /// upper bound.
     pub fn bisect(&self, trace: &Trace, max_explored: u64) -> Result<BisectReport, String> {
-        let transitions: Vec<Transition> = trace.transitions().into_iter().cloned().collect();
+        let transitions = &trace.steps;
         let mut engine = trace.engine;
         engine.workers = 1;
 

@@ -258,8 +258,7 @@ impl ModelChecker {
     pub fn replay(&self, trace: &Trace) -> ReplayReport {
         let mut replayer = Replayer::new(self, &trace.engine);
         let mut violations = Vec::new();
-        for (index, step) in trace.steps.iter().enumerate() {
-            let transition = step.transition();
+        for (index, transition) in trace.steps.iter().enumerate() {
             match replayer.step(transition) {
                 StepResult::Diverged => {
                     return ReplayReport {
@@ -309,7 +308,6 @@ mod tests {
     use super::*;
     use crate::scenario::CheckerConfig;
     use crate::testutil;
-    use crate::trace::TraceStep;
 
     fn violating_checker() -> ModelChecker {
         let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);
@@ -359,9 +357,9 @@ mod tests {
         // A transition for a switch that does not exist can never be enabled.
         trace.steps.insert(
             0,
-            TraceStep::Transition(Transition::ProcessOf {
+            Transition::ProcessOf {
                 switch: nice_openflow::SwitchId(999),
-            }),
+            },
         );
         let replay = checker.replay(&trace);
         assert_eq!(replay.outcome, ReplayOutcome::Diverged { step: 0 });

@@ -29,7 +29,9 @@
 
 use crate::checker::{CheckReport, ModelChecker, SearchStats, Shared, Violation, Worker};
 use crate::explored::build_store;
+use crate::json::Json;
 use crate::session::SessionCtrl;
+use crate::trace::{steps_from_json, steps_to_json};
 use crate::transition::{DiscoveryMemo, Transition};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -96,6 +98,27 @@ pub struct FrontierExport {
     pub trace: Vec<Transition>,
     /// The sleep set the state was generated under (empty without POR).
     pub sleep: Vec<Transition>,
+}
+
+impl FrontierExport {
+    /// The state object of the `nice-dist-v1` `forward` / `states` frames;
+    /// both sequences are `nice-trace-v1` step arrays.
+    pub fn to_json(&self) -> Json<'_> {
+        Json::object([
+            ("fingerprint", self.fingerprint.into()),
+            ("steps", steps_to_json(&self.trace)),
+            ("sleep", steps_to_json(&self.sleep)),
+        ])
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(FrontierExport {
+            fingerprint: value.u64("fingerprint")?,
+            trace: steps_from_json(value, "steps")?,
+            sleep: steps_from_json(value, "sleep")?,
+        })
+    }
 }
 
 /// What one [`ShardedSearch::step`] did.

@@ -144,7 +144,7 @@ fn priority(symbol: char) -> u8 {
 /// Replays a trace and renders it as a per-component timeline. Errors if
 /// the trace diverges (is not a real execution of the checker's scenario).
 pub fn render_timeline(checker: &ModelChecker, trace: &Trace) -> Result<Timeline, String> {
-    let transitions = trace.transitions();
+    let transitions = &trace.steps;
     let columns = transitions.len();
 
     // Lanes: controller, then switches and hosts in id order.
@@ -252,7 +252,7 @@ pub fn render_timeline(checker: &ModelChecker, trace: &Trace) -> Result<Timeline
         if let Some((property, message)) = replayer.check_final().into_iter().next() {
             mark(
                 &mut grid,
-                anchor(transitions[columns - 1]),
+                anchor(&transitions[columns - 1]),
                 columns - 1,
                 '!',
             );

@@ -9,11 +9,13 @@
 //! `minimize`/`bisect` shrink and localise it, and `nice timeline` renders
 //! it, all without re-running the search that found it.
 //!
-//! Serialization is the hand-rolled, dependency-free `nice-trace-v1` JSON
-//! schema (documented in `bench/README.md`): [`Trace::to_json`] emits one
-//! canonical compact line (byte-deterministic for a given trace, so CI can
-//! diff archived artifacts), [`Trace::from_json`] parses it back.
+//! Serialization is the `nice-trace-v1` JSON schema (documented in
+//! `bench/README.md`), built and read through [`crate::json`]:
+//! [`Trace::to_json`] emits one canonical compact line (byte-deterministic
+//! for a given trace, so CI can diff archived artifacts),
+//! [`Trace::from_json`] parses it back.
 
+use crate::json::Json;
 use crate::scenario::{CheckerConfig, ReductionKind, StrategyKind};
 use crate::transition::Transition;
 use nice_openflow::{
@@ -77,49 +79,39 @@ impl TraceEngine {
             "parallel"
         }
     }
+
+    /// The `"engine"` object of a trace document.
+    pub fn to_json(&self) -> Json<'_> {
+        let strategy = self.strategy.name().to_ascii_lowercase();
+        Json::object([
+            ("strategy", Json::Str(strategy.into())),
+            ("reduction", self.reduction.name().into()),
+            ("workers", self.workers.into()),
+            ("faults", self.faults.into()),
+            (
+                "coarse_packet_processing",
+                self.coarse_packet_processing.into(),
+            ),
+            ("deterministic", self.deterministic().into()),
+        ])
+    }
+
+    /// Reads an `"engine"` object (`"deterministic"` is derived from
+    /// `"workers"`, not read).
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(TraceEngine {
+            strategy: value.parsed("strategy", StrategyKind::parse)?,
+            reduction: value.parsed("reduction", ReductionKind::parse)?,
+            workers: value.u64("workers")?.max(1) as usize,
+            faults: value.bool("faults")?,
+            coarse_packet_processing: value.bool("coarse_packet_processing")?,
+        })
+    }
 }
 
 impl Default for TraceEngine {
     fn default() -> Self {
         TraceEngine::from_config(&CheckerConfig::default())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Steps
-// ---------------------------------------------------------------------------
-
-/// One step of a trace.
-///
-/// Every step carries a typed, replayable [`Transition`]. The enum shape is
-/// kept (rather than a bare newtype) so the `nice-trace-v1` step objects
-/// retain their `"kind"` discriminant and future step categories can be
-/// added without a schema bump.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceStep {
-    /// A typed, replayable system transition.
-    Transition(Transition),
-}
-
-impl TraceStep {
-    /// The typed transition of this step.
-    pub fn transition(&self) -> &Transition {
-        match self {
-            TraceStep::Transition(t) => t,
-        }
-    }
-
-    /// The human-readable label of the step — exactly the `Display`
-    /// rendering of the transition, so migrating to typed traces changed no
-    /// printed output.
-    pub fn label(&self) -> String {
-        self.transition().to_string()
-    }
-}
-
-impl fmt::Display for TraceStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.transition().fmt(f)
     }
 }
 
@@ -137,7 +129,7 @@ pub struct Trace {
     /// The engine configuration that produced the trace.
     pub engine: TraceEngine,
     /// The steps, in execution order.
-    pub steps: Vec<TraceStep>,
+    pub steps: Vec<Transition>,
     /// The property this trace witnesses a violation of, if any.
     pub property: Option<String>,
     /// The violation message, if any.
@@ -154,7 +146,7 @@ impl Trace {
         Trace {
             scenario: scenario.to_string(),
             engine,
-            steps: transitions.into_iter().map(TraceStep::Transition).collect(),
+            steps: transitions.into_iter().collect(),
             property: None,
             message: None,
         }
@@ -171,81 +163,55 @@ impl Trace {
     }
 
     /// Iterates over the steps.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceStep> {
+    pub fn iter(&self) -> std::slice::Iter<'_, Transition> {
         self.steps.iter()
     }
 
-    /// The human-readable labels, one per step — exactly what the
-    /// stringified trace representation used to carry.
+    /// The human-readable labels, one per step — the `Display` rendering of
+    /// each transition.
     pub fn labels(&self) -> Vec<String> {
-        self.steps.iter().map(TraceStep::label).collect()
-    }
-
-    /// The typed transitions, one per step.
-    pub fn transitions(&self) -> Vec<&Transition> {
-        self.steps.iter().map(TraceStep::transition).collect()
+        self.steps.iter().map(Transition::to_string).collect()
     }
 
     /// Serializes the trace as one canonical `nice-trace-v1` JSON line.
     /// Byte-deterministic: the same trace always yields the same bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.steps.len() * 64);
-        out.push_str("{\"schema\":\"");
-        out.push_str(TRACE_SCHEMA);
-        out.push_str("\",\"scenario\":\"");
-        out.push_str(&escape(&self.scenario));
-        out.push_str("\",\"property\":");
-        push_opt_str(&mut out, self.property.as_deref());
-        out.push_str(",\"message\":");
-        push_opt_str(&mut out, self.message.as_deref());
-        out.push_str(",\"engine\":");
-        out.push_str(&engine_to_json(&self.engine));
-        out.push_str(",\"steps\":[");
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&step_to_json(step));
-        }
-        out.push_str("]}");
-        out
+        self.to_value().compact()
+    }
+
+    /// The `nice-trace-v1` document as a value (what `nice run --json`
+    /// embeds as `"trace"`).
+    pub fn to_value(&self) -> Json<'_> {
+        Json::object([
+            ("schema", TRACE_SCHEMA.into()),
+            ("scenario", self.scenario.as_str().into()),
+            ("property", self.property.as_deref().into()),
+            ("message", self.message.as_deref().into()),
+            ("engine", self.engine.to_json()),
+            ("steps", steps_to_json(&self.steps)),
+        ])
     }
 
     /// Parses a `nice-trace-v1` JSON document.
     pub fn from_json(input: &str) -> Result<Self, String> {
-        let value = json::parse(input)?;
-        let obj = value.as_obj().ok_or("trace document must be an object")?;
-        let schema = obj
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\"")?;
+        Trace::from_value(&Json::parse(input)?)
+    }
+
+    /// Reads a parsed `nice-trace-v1` document.
+    pub fn from_value(value: &Json) -> Result<Self, String> {
+        let schema = value.str("schema")?;
         if schema != TRACE_SCHEMA {
             return Err(format!(
                 "unsupported trace schema '{schema}' (expected {TRACE_SCHEMA})"
             ));
         }
-        let scenario = obj
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("missing \"scenario\"")?
-            .to_string();
-        let property = opt_str(obj.get("property"), "property")?;
-        let message = opt_str(obj.get("message"), "message")?;
-        let engine = engine_from_json(obj.get("engine").ok_or("missing \"engine\"")?)?;
-        let steps_value = obj
-            .get("steps")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"steps\" array")?;
-        let mut steps = Vec::with_capacity(steps_value.len());
-        for (i, v) in steps_value.iter().enumerate() {
-            steps.push(step_from_json(v).map_err(|e| format!("step {i}: {e}"))?);
-        }
         Ok(Trace {
-            scenario,
-            engine,
-            steps,
-            property,
-            message,
+            scenario: value.str("scenario")?.to_string(),
+            engine: TraceEngine::from_json(value.get("engine")?)
+                .map_err(|e| format!("engine: {e}"))?,
+            steps: steps_from_json(value, "steps")?,
+            property: value.opt_str("property")?.map(str::to_string),
+            message: value.opt_str("message")?.map(str::to_string),
         })
     }
 }
@@ -260,167 +226,194 @@ impl fmt::Display for Trace {
 }
 
 // ---------------------------------------------------------------------------
-// JSON encoding
+// Steps
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A transition sequence as a JSON array of `nice-trace-v1` step objects —
+/// the `"steps"` of a trace, and the fragment the `nice-dist-v1` wire frames
+/// embed when a worker forwards frontier states or streams a violation.
+pub fn steps_to_json(steps: &[Transition]) -> Json<'_> {
+    Json::Arr(steps.iter().map(Transition::to_json).collect())
+}
+
+/// Reads the step array stored under `key` of `object` (the inverse of
+/// [`steps_to_json`]).
+pub fn steps_from_json(object: &Json, key: &str) -> Result<Vec<Transition>, String> {
+    let steps = object.arr(key)?.iter().enumerate();
+    steps
+        .map(|(i, v)| Transition::from_json(v).map_err(|e| format!("{key}[{i}]: {e}")))
+        .collect()
+}
+
+impl Transition {
+    /// The `nice-trace-v1` step object: `"kind"`, then the kind's fields.
+    pub fn to_json(&self) -> Json<'_> {
+        let kind = ("kind", self.kind().into());
+        match self {
+            Transition::HostSend { host, packet } => Json::object([
+                kind,
+                ("host", host.0.into()),
+                ("packet", packet_to_json(packet)),
+            ]),
+            Transition::HostReceive { host } | Transition::DiscoverPackets { host } => {
+                Json::object([kind, ("host", host.0.into())])
+            }
+            Transition::HostMove { host, to } => Json::object([
+                kind,
+                ("host", host.0.into()),
+                ("switch", to.switch.0.into()),
+                ("port", to.port.0.into()),
+            ]),
+            Transition::ProcessPacket { switch }
+            | Transition::ProcessOf { switch }
+            | Transition::ControllerHandle { switch }
+            | Transition::DiscoverStats { switch }
+            | Transition::SwitchCrash { switch }
+            | Transition::SwitchReconnect { switch } => {
+                Json::object([kind, ("switch", switch.0.into())])
+            }
+            Transition::ProcessPacketOn { switch, port } => {
+                Json::object([kind, ("switch", switch.0.into()), ("port", port.0.into())])
+            }
+            Transition::InjectStats { switch, stats } => Json::object([
+                kind,
+                ("switch", switch.0.into()),
+                (
+                    "stats",
+                    Json::Arr(stats.iter().map(stats_to_json).collect()),
+                ),
+            ]),
+            Transition::ExpireRule { switch, rule_index } => Json::object([
+                kind,
+                ("switch", switch.0.into()),
+                ("rule_index", (*rule_index).into()),
+            ]),
+            Transition::ChannelFault {
+                switch,
+                port,
+                fault,
+            } => Json::object([
+                kind,
+                ("switch", switch.0.into()),
+                ("port", port.0.into()),
+                ("fault", channel_fault_name(*fault).into()),
+            ]),
+            Transition::ControllerFailover => Json::object([kind]),
+            Transition::MutateOfHead { switch, mutation } => Json::object([
+                kind,
+                ("switch", switch.0.into()),
+                ("mutation", mutation.name().into()),
+            ]),
         }
     }
-    out
-}
 
-fn push_opt_str(out: &mut String, value: Option<&str>) {
-    match value {
-        Some(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        None => out.push_str("null"),
+    /// Reads a `nice-trace-v1` step object.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        let host = || value.u64("host").map(|h| HostId(h as u32));
+        let switch = || value.u64("switch").map(|s| SwitchId(s as u32));
+        let port = || value.u64("port").map(|p| PortId(p as u16));
+        Ok(match value.str("kind")? {
+            "host_send" => Transition::HostSend {
+                host: host()?,
+                packet: packet_from_json(value.get("packet")?)
+                    .map_err(|e| format!("packet: {e}"))?,
+            },
+            "host_receive" => Transition::HostReceive { host: host()? },
+            "host_move" => Transition::HostMove {
+                host: host()?,
+                to: Location {
+                    switch: switch()?,
+                    port: port()?,
+                },
+            },
+            "process_pkt" => Transition::ProcessPacket { switch: switch()? },
+            "process_pkt_on" => Transition::ProcessPacketOn {
+                switch: switch()?,
+                port: port()?,
+            },
+            "process_of" => Transition::ProcessOf { switch: switch()? },
+            "ctrl_handle" => Transition::ControllerHandle { switch: switch()? },
+            "discover_packets" => Transition::DiscoverPackets { host: host()? },
+            "discover_stats" => Transition::DiscoverStats { switch: switch()? },
+            "process_stats" => Transition::InjectStats {
+                switch: switch()?,
+                stats: (value.arr("stats")?.iter())
+                    .map(stats_from_json)
+                    .collect::<Result<_, _>>()?,
+            },
+            "expire_rule" => Transition::ExpireRule {
+                switch: switch()?,
+                rule_index: value.u64("rule_index")? as usize,
+            },
+            "channel_fault" => Transition::ChannelFault {
+                switch: switch()?,
+                port: port()?,
+                fault: value.parsed("fault", channel_fault_parse)?,
+            },
+            "switch_crash" => Transition::SwitchCrash { switch: switch()? },
+            "switch_reconnect" => Transition::SwitchReconnect { switch: switch()? },
+            "ctrl_failover" => Transition::ControllerFailover,
+            "mutate_of" => Transition::MutateOfHead {
+                switch: switch()?,
+                mutation: value.parsed("mutation", mutation_parse)?,
+            },
+            other => return Err(format!("unknown step kind '{other}'")),
+        })
     }
 }
 
-fn opt_str(value: Option<&Json>, key: &str) -> Result<Option<String>, String> {
-    match value {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("\"{key}\" must be a string or null")),
-    }
-}
-
-fn engine_to_json(engine: &TraceEngine) -> String {
-    format!(
-        "{{\"strategy\":\"{}\",\"reduction\":\"{}\",\"workers\":{},\"faults\":{},\
-         \"coarse_packet_processing\":{},\"deterministic\":{}}}",
-        engine.strategy.name().to_ascii_lowercase(),
-        engine.reduction.name(),
-        engine.workers,
-        engine.faults,
-        engine.coarse_packet_processing,
-        engine.deterministic(),
-    )
-}
-
-fn engine_from_json(value: &Json) -> Result<TraceEngine, String> {
-    let obj = value.as_obj().ok_or("\"engine\" must be an object")?;
-    let strategy_name = obj
-        .get("strategy")
-        .and_then(Json::as_str)
-        .ok_or("engine: missing \"strategy\"")?;
-    let strategy = StrategyKind::parse(strategy_name)
-        .ok_or_else(|| format!("engine: unknown strategy '{strategy_name}'"))?;
-    let reduction_name = obj
-        .get("reduction")
-        .and_then(Json::as_str)
-        .ok_or("engine: missing \"reduction\"")?;
-    let reduction = ReductionKind::parse(reduction_name)
-        .ok_or_else(|| format!("engine: unknown reduction '{reduction_name}'"))?;
-    Ok(TraceEngine {
-        strategy,
-        reduction,
-        workers: obj
-            .get("workers")
-            .and_then(Json::as_u64)
-            .ok_or("engine: missing \"workers\"")?
-            .max(1) as usize,
-        faults: obj
-            .get("faults")
-            .and_then(Json::as_bool)
-            .ok_or("engine: missing \"faults\"")?,
-        coarse_packet_processing: obj
-            .get("coarse_packet_processing")
-            .and_then(Json::as_bool)
-            .ok_or("engine: missing \"coarse_packet_processing\"")?,
-    })
-}
-
-fn packet_to_json(p: &Packet) -> String {
-    format!(
-        "{{\"id\":{},\"src_mac\":{},\"dst_mac\":{},\"eth_type\":{},\"src_ip\":{},\
-         \"dst_ip\":{},\"nw_proto\":{},\"src_port\":{},\"dst_port\":{},\"tcp_flags\":{},\
-         \"arp_op\":{},\"payload\":{}}}",
-        p.id.0,
-        p.src_mac.0,
-        p.dst_mac.0,
-        p.eth_type.value(),
-        p.src_ip.0,
-        p.dst_ip.0,
-        p.nw_proto.value(),
-        p.src_port,
-        p.dst_port,
-        p.tcp_flags.0,
-        p.arp_op,
-        p.payload,
-    )
+fn packet_to_json(p: &Packet) -> Json<'_> {
+    Json::object([
+        ("id", p.id.0.into()),
+        ("src_mac", p.src_mac.0.into()),
+        ("dst_mac", p.dst_mac.0.into()),
+        ("eth_type", p.eth_type.value().into()),
+        ("src_ip", p.src_ip.0.into()),
+        ("dst_ip", p.dst_ip.0.into()),
+        ("nw_proto", p.nw_proto.value().into()),
+        ("src_port", p.src_port.into()),
+        ("dst_port", p.dst_port.into()),
+        ("tcp_flags", p.tcp_flags.0.into()),
+        ("arp_op", p.arp_op.into()),
+        ("payload", p.payload.into()),
+    ])
 }
 
 fn packet_from_json(value: &Json) -> Result<Packet, String> {
-    let obj = value.as_obj().ok_or("\"packet\" must be an object")?;
-    let field = |key: &str| -> Result<u64, String> {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("packet: missing numeric \"{key}\""))
-    };
     Ok(Packet {
-        id: PacketId(field("id")?),
-        src_mac: MacAddr(field("src_mac")?),
-        dst_mac: MacAddr(field("dst_mac")?),
-        eth_type: EthType::from_value(field("eth_type")? as u16),
-        src_ip: NwAddr(field("src_ip")? as u32),
-        dst_ip: NwAddr(field("dst_ip")? as u32),
-        nw_proto: IpProto::from_value(field("nw_proto")? as u8),
-        src_port: field("src_port")? as u16,
-        dst_port: field("dst_port")? as u16,
-        tcp_flags: TcpFlags(field("tcp_flags")? as u8),
-        arp_op: field("arp_op")? as u8,
-        payload: field("payload")? as u32,
+        id: PacketId(value.u64("id")?),
+        src_mac: MacAddr(value.u64("src_mac")?),
+        dst_mac: MacAddr(value.u64("dst_mac")?),
+        eth_type: EthType::from_value(value.u64("eth_type")? as u16),
+        src_ip: NwAddr(value.u64("src_ip")? as u32),
+        dst_ip: NwAddr(value.u64("dst_ip")? as u32),
+        nw_proto: IpProto::from_value(value.u64("nw_proto")? as u8),
+        src_port: value.u64("src_port")? as u16,
+        dst_port: value.u64("dst_port")? as u16,
+        tcp_flags: TcpFlags(value.u64("tcp_flags")? as u8),
+        arp_op: value.u64("arp_op")? as u8,
+        payload: value.u64("payload")? as u32,
     })
 }
 
-fn stats_to_json(stats: &[PortStatsEntry]) -> String {
-    let entries: Vec<String> = stats
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"port\":{},\"rx_packets\":{},\"tx_packets\":{},\"rx_bytes\":{},\
-                 \"tx_bytes\":{}}}",
-                e.port.0, e.rx_packets, e.tx_packets, e.rx_bytes, e.tx_bytes
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
+fn stats_to_json(entry: &PortStatsEntry) -> Json<'_> {
+    Json::object([
+        ("port", entry.port.0.into()),
+        ("rx_packets", entry.rx_packets.into()),
+        ("tx_packets", entry.tx_packets.into()),
+        ("rx_bytes", entry.rx_bytes.into()),
+        ("tx_bytes", entry.tx_bytes.into()),
+    ])
 }
 
-fn stats_from_json(value: &Json) -> Result<Vec<PortStatsEntry>, String> {
-    let arr = value.as_arr().ok_or("\"stats\" must be an array")?;
-    arr.iter()
-        .map(|v| {
-            let obj = v.as_obj().ok_or("stats entry must be an object")?;
-            let field = |key: &str| -> Result<u64, String> {
-                obj.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("stats entry: missing numeric \"{key}\""))
-            };
-            Ok(PortStatsEntry {
-                port: PortId(field("port")? as u16),
-                rx_packets: field("rx_packets")?,
-                tx_packets: field("tx_packets")?,
-                rx_bytes: field("rx_bytes")?,
-                tx_bytes: field("tx_bytes")?,
-            })
-        })
-        .collect()
+fn stats_from_json(value: &Json) -> Result<PortStatsEntry, String> {
+    Ok(PortStatsEntry {
+        port: PortId(value.u64("port")? as u16),
+        rx_packets: value.u64("rx_packets")?,
+        tx_packets: value.u64("tx_packets")?,
+        rx_bytes: value.u64("rx_bytes")?,
+        tx_bytes: value.u64("tx_bytes")?,
+    })
 }
 
 fn channel_fault_name(fault: ChannelFault) -> &'static str {
@@ -433,523 +426,14 @@ fn channel_fault_name(fault: ChannelFault) -> &'static str {
 }
 
 fn channel_fault_parse(name: &str) -> Option<ChannelFault> {
-    match name {
-        "drop_head" => Some(ChannelFault::DropHead),
-        "duplicate_head" => Some(ChannelFault::DuplicateHead),
-        "reorder_head" => Some(ChannelFault::ReorderHead),
-        "fail_link" => Some(ChannelFault::FailLink),
-        _ => None,
-    }
+    use ChannelFault::*;
+    let all = [DropHead, DuplicateHead, ReorderHead, FailLink];
+    all.into_iter().find(|f| channel_fault_name(*f) == name)
 }
 
 fn mutation_parse(name: &str) -> Option<OfMutation> {
-    match name {
-        "drop_actions" => Some(OfMutation::DropActions),
-        "zero_priority" => Some(OfMutation::ZeroPriority),
-        _ => None,
-    }
-}
-
-fn step_to_json(step: &TraceStep) -> String {
-    let TraceStep::Transition(t) = step;
-    let kind = t.kind();
-    match t {
-        Transition::HostSend { host, packet } => format!(
-            "{{\"kind\":\"{kind}\",\"host\":{},\"packet\":{}}}",
-            host.0,
-            packet_to_json(packet)
-        ),
-        Transition::HostReceive { host } | Transition::DiscoverPackets { host } => {
-            format!("{{\"kind\":\"{kind}\",\"host\":{}}}", host.0)
-        }
-        Transition::HostMove { host, to } => format!(
-            "{{\"kind\":\"{kind}\",\"host\":{},\"switch\":{},\"port\":{}}}",
-            host.0, to.switch.0, to.port.0
-        ),
-        Transition::ProcessPacket { switch }
-        | Transition::ProcessOf { switch }
-        | Transition::ControllerHandle { switch }
-        | Transition::DiscoverStats { switch }
-        | Transition::SwitchCrash { switch }
-        | Transition::SwitchReconnect { switch } => {
-            format!("{{\"kind\":\"{kind}\",\"switch\":{}}}", switch.0)
-        }
-        Transition::ProcessPacketOn { switch, port } => format!(
-            "{{\"kind\":\"{kind}\",\"switch\":{},\"port\":{}}}",
-            switch.0, port.0
-        ),
-        Transition::InjectStats { switch, stats } => format!(
-            "{{\"kind\":\"{kind}\",\"switch\":{},\"stats\":{}}}",
-            switch.0,
-            stats_to_json(stats)
-        ),
-        Transition::ExpireRule { switch, rule_index } => format!(
-            "{{\"kind\":\"{kind}\",\"switch\":{},\"rule_index\":{rule_index}}}",
-            switch.0
-        ),
-        Transition::ChannelFault {
-            switch,
-            port,
-            fault,
-        } => format!(
-            "{{\"kind\":\"{kind}\",\"switch\":{},\"port\":{},\"fault\":\"{}\"}}",
-            switch.0,
-            port.0,
-            channel_fault_name(*fault)
-        ),
-        Transition::ControllerFailover => format!("{{\"kind\":\"{kind}\"}}"),
-        Transition::MutateOfHead { switch, mutation } => format!(
-            "{{\"kind\":\"{kind}\",\"switch\":{},\"mutation\":\"{}\"}}",
-            switch.0,
-            mutation.name()
-        ),
-    }
-}
-
-fn step_from_json(value: &Json) -> Result<TraceStep, String> {
-    let obj = value.as_obj().ok_or("step must be an object")?;
-    let kind = obj
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("step: missing \"kind\"")?;
-    let num = |key: &str| -> Result<u64, String> {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("{kind}: missing numeric \"{key}\""))
-    };
-    let switch = |key: &str| -> Result<SwitchId, String> { Ok(SwitchId(num(key)? as u32)) };
-    let host = || -> Result<HostId, String> { Ok(HostId(num("host")? as u32)) };
-    let transition = match kind {
-        "host_send" => Transition::HostSend {
-            host: host()?,
-            packet: packet_from_json(obj.get("packet").ok_or("host_send: missing \"packet\"")?)?,
-        },
-        "host_receive" => Transition::HostReceive { host: host()? },
-        "host_move" => Transition::HostMove {
-            host: host()?,
-            to: Location {
-                switch: switch("switch")?,
-                port: PortId(num("port")? as u16),
-            },
-        },
-        "process_pkt" => Transition::ProcessPacket {
-            switch: switch("switch")?,
-        },
-        "process_pkt_on" => Transition::ProcessPacketOn {
-            switch: switch("switch")?,
-            port: PortId(num("port")? as u16),
-        },
-        "process_of" => Transition::ProcessOf {
-            switch: switch("switch")?,
-        },
-        "ctrl_handle" => Transition::ControllerHandle {
-            switch: switch("switch")?,
-        },
-        "discover_packets" => Transition::DiscoverPackets { host: host()? },
-        "discover_stats" => Transition::DiscoverStats {
-            switch: switch("switch")?,
-        },
-        "process_stats" => Transition::InjectStats {
-            switch: switch("switch")?,
-            stats: stats_from_json(obj.get("stats").ok_or("process_stats: missing \"stats\"")?)?,
-        },
-        "expire_rule" => Transition::ExpireRule {
-            switch: switch("switch")?,
-            rule_index: num("rule_index")? as usize,
-        },
-        "channel_fault" => {
-            let name = obj
-                .get("fault")
-                .and_then(Json::as_str)
-                .ok_or("channel_fault: missing \"fault\"")?;
-            Transition::ChannelFault {
-                switch: switch("switch")?,
-                port: PortId(num("port")? as u16),
-                fault: channel_fault_parse(name)
-                    .ok_or_else(|| format!("channel_fault: unknown fault '{name}'"))?,
-            }
-        }
-        "switch_crash" => Transition::SwitchCrash {
-            switch: switch("switch")?,
-        },
-        "switch_reconnect" => Transition::SwitchReconnect {
-            switch: switch("switch")?,
-        },
-        "ctrl_failover" => Transition::ControllerFailover,
-        "mutate_of" => {
-            let name = obj
-                .get("mutation")
-                .and_then(Json::as_str)
-                .ok_or("mutate_of: missing \"mutation\"")?;
-            Transition::MutateOfHead {
-                switch: switch("switch")?,
-                mutation: mutation_parse(name)
-                    .ok_or_else(|| format!("mutate_of: unknown mutation '{name}'"))?,
-            }
-        }
-        other => return Err(format!("unknown step kind '{other}'")),
-    };
-    Ok(TraceStep::Transition(transition))
-}
-
-/// Serializes a step sequence as a canonical JSON array of `nice-trace-v1`
-/// step objects — the fragment the `nice-dist-v1` wire frames embed when a
-/// worker forwards frontier states to the shard owner.
-pub fn steps_to_json(steps: &[TraceStep]) -> String {
-    let mut out = String::with_capacity(2 + steps.len() * 64);
-    out.push('[');
-    for (i, step) in steps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&step_to_json(step));
-    }
-    out.push(']');
-    out
-}
-
-/// Parses a JSON array of `nice-trace-v1` step objects (the inverse of
-/// [`steps_to_json`]), accepting either a raw JSON string or an
-/// already-parsed [`json::Json`] array via [`steps_from_value`].
-pub fn steps_from_json(input: &str) -> Result<Vec<TraceStep>, String> {
-    steps_from_value(&json::parse(input)?)
-}
-
-/// Parses a step array out of an already-parsed JSON value.
-pub fn steps_from_value(value: &Json) -> Result<Vec<TraceStep>, String> {
-    let arr = value.as_arr().ok_or("steps must be an array")?;
-    arr.iter()
-        .enumerate()
-        .map(|(i, v)| step_from_json(v).map_err(|e| format!("step {i}: {e}")))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser
-// ---------------------------------------------------------------------------
-
-pub use json::Json;
-
-/// A minimal JSON value parser, originally private to trace
-/// deserialization and now shared with the `nice-dist-v1` wire protocol.
-///
-/// `nice-mc` sits below the crates that could otherwise supply a parser,
-/// and this offline build has no serde — so the trace format carries its
-/// own ~150-line recursive-descent reader. Numbers keep their raw text, so
-/// `u64` values round-trip exactly (no `f64` detour).
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, kept as its raw source text for exact integer reads.
-        Num(String),
-        /// A string (escapes decoded).
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, as insertion-ordered key/value pairs.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// The string value, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The boolean value, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The number as an exact `u64`, if this is a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// The items, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// A keyed-lookup view, if this is an object.
-        pub fn as_obj(&self) -> Option<ObjRef<'_>> {
-            match self {
-                Json::Obj(pairs) => Some(ObjRef { pairs }),
-                _ => None,
-            }
-        }
-
-        /// Re-serializes the value as compact JSON. Numbers are emitted
-        /// with their original source text, so a parse → render round trip
-        /// is lossless for the integer-only documents the workspace emits.
-        pub fn render(&self) -> String {
-            match self {
-                Json::Null => "null".to_string(),
-                Json::Bool(b) => b.to_string(),
-                Json::Num(raw) => raw.clone(),
-                Json::Str(s) => format!("\"{}\"", super::escape(s)),
-                Json::Arr(items) => {
-                    let rendered: Vec<String> = items.iter().map(Json::render).collect();
-                    format!("[{}]", rendered.join(","))
-                }
-                Json::Obj(pairs) => {
-                    let rendered: Vec<String> = pairs
-                        .iter()
-                        .map(|(k, v)| format!("\"{}\":{}", super::escape(k), v.render()))
-                        .collect();
-                    format!("{{{}}}", rendered.join(","))
-                }
-            }
-        }
-    }
-
-    /// A borrowed view of an object with keyed lookup.
-    #[derive(Clone, Copy)]
-    pub struct ObjRef<'a> {
-        pairs: &'a [(String, Json)],
-    }
-
-    impl<'a> ObjRef<'a> {
-        /// The value stored under `key`, if present.
-        pub fn get(&self, key: &str) -> Option<&'a Json> {
-            self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Parses exactly one JSON value (with no trailing garbage).
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the JSON value"));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, message: &str) -> String {
-            format!("invalid JSON at byte {}: {}", self.pos, message)
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{}'", byte as char)))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Json::Str),
-                Some(b't') => self.literal("true").map(|_| Json::Bool(true)),
-                Some(b'f') => self.literal("false").map(|_| Json::Bool(false)),
-                Some(b'n') => self.literal("null").map(|_| Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-
-        fn literal(&mut self, lit: &str) -> Result<(), String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(())
-            } else {
-                Err(self.err(&format!("expected '{lit}'")))
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            let mut digits = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-                digits += 1;
-            }
-            if digits == 0 {
-                return Err(self.err("expected digits in number"));
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| self.err("invalid UTF-8 in number"))?;
-            Ok(Json::Num(raw.to_string()))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'b') => out.push('\u{0008}'),
-                            Some(b'f') => out.push('\u{000c}'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                self.pos += 1;
-                                let code = self.hex4()?;
-                                // BMP only: the trace writer never emits
-                                // surrogate pairs (labels are ASCII).
-                                out.push(
-                                    char::from_u32(u32::from(code))
-                                        .ok_or_else(|| self.err("invalid \\u escape"))?,
-                                );
-                                continue;
-                            }
-                            _ => return Err(self.err("invalid escape")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                    Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u16, String> {
-            let mut code: u16 = 0;
-            for _ in 0..4 {
-                let d = match self.peek() {
-                    Some(c @ b'0'..=b'9') => c - b'0',
-                    Some(c @ b'a'..=b'f') => c - b'a' + 10,
-                    Some(c @ b'A'..=b'F') => c - b'A' + 10,
-                    _ => return Err(self.err("expected 4 hex digits after \\u")),
-                };
-                code = code << 4 | u16::from(d);
-                self.pos += 1;
-            }
-            // Leave pos on the last hex digit; caller's loop continues.
-            self.pos -= 1;
-            self.pos += 1;
-            Ok(code)
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.expect(b'{')?;
-            self.skip_ws();
-            let mut pairs = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                pairs.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(self.err("expected ',' or '}' in object")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.expect(b'[')?;
-            self.skip_ws();
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(self.err("expected ',' or ']' in array")),
-                }
-            }
-        }
-    }
+    let all = [OfMutation::DropActions, OfMutation::ZeroPriority];
+    all.into_iter().find(|m| m.name() == name)
 }
 
 #[cfg(test)]
@@ -957,60 +441,21 @@ mod tests {
     use super::*;
 
     fn sample_trace() -> Trace {
-        let packet = Packet::l2_ping(7, MacAddr::for_host(1), MacAddr::for_host(2), 3);
         Trace {
             scenario: "hub-ping".to_string(),
             engine: TraceEngine::default(),
-            steps: vec![
-                TraceStep::Transition(Transition::HostSend {
-                    host: HostId(1),
-                    packet,
-                }),
-                TraceStep::Transition(Transition::ProcessPacket {
-                    switch: SwitchId(1),
-                }),
-                TraceStep::Transition(Transition::ChannelFault {
-                    switch: SwitchId(1),
-                    port: PortId(2),
-                    fault: ChannelFault::DropHead,
-                }),
-                TraceStep::Transition(Transition::ControllerFailover),
-                TraceStep::Transition(Transition::MutateOfHead {
-                    switch: SwitchId(2),
-                    mutation: OfMutation::ZeroPriority,
-                }),
-                TraceStep::Transition(Transition::InjectStats {
-                    switch: SwitchId(1),
-                    stats: vec![PortStatsEntry {
-                        port: PortId(1),
-                        rx_packets: 3,
-                        tx_packets: 4,
-                        rx_bytes: 1500,
-                        tx_bytes: 9000,
-                    }],
-                }),
-            ],
+            steps: every_kind(),
             property: Some("NoAbandonedPackets".to_string()),
             message: Some("packet 7 was \"lost\"".to_string()),
         }
     }
 
-    #[test]
-    fn json_round_trip_preserves_every_step() {
-        let trace = sample_trace();
-        let json = trace.to_json();
-        let parsed = Trace::from_json(&json).expect("round trip");
-        assert_eq!(trace, parsed);
-        // Canonical serialization: re-serializing yields identical bytes.
-        assert_eq!(json, parsed.to_json());
-    }
-
-    #[test]
-    fn every_transition_kind_round_trips() {
-        let all = vec![
+    /// One transition of each of the 16 step kinds.
+    fn every_kind() -> Vec<Transition> {
+        vec![
             Transition::HostSend {
                 host: HostId(3),
-                packet: Packet::l2_ping(9, MacAddr::for_host(3), MacAddr::for_host(4), 0),
+                packet: Packet::l2_ping(9, MacAddr::for_host(3), MacAddr::for_host(4), 5),
             },
             Transition::HostReceive { host: HostId(2) },
             Transition::HostMove {
@@ -1039,7 +484,16 @@ mod tests {
             },
             Transition::InjectStats {
                 switch: SwitchId(1),
-                stats: vec![PortStatsEntry::zero(PortId(1))],
+                stats: vec![
+                    PortStatsEntry {
+                        port: PortId(1),
+                        rx_packets: 3,
+                        tx_packets: 4,
+                        rx_bytes: 1500,
+                        tx_bytes: 9000,
+                    },
+                    PortStatsEntry::zero(PortId(2)),
+                ],
             },
             Transition::ExpireRule {
                 switch: SwitchId(2),
@@ -1061,13 +515,60 @@ mod tests {
                 switch: SwitchId(1),
                 mutation: OfMutation::DropActions,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn json_round_trip_preserves_every_step() {
+        let trace = sample_trace();
+        let json = trace.to_json();
+        let parsed = Trace::from_json(&json).expect("round trip");
+        assert_eq!(trace, parsed);
+        // Canonical serialization: re-serializing yields identical bytes.
+        assert_eq!(json, parsed.to_json());
+    }
+
+    #[test]
+    fn every_transition_kind_round_trips() {
+        let all = every_kind();
         let trace = Trace::from_transitions("kinds", TraceEngine::default(), all.clone());
         let parsed = Trace::from_json(&trace.to_json()).expect("round trip");
-        let transitions = parsed.transitions();
-        assert_eq!(transitions.len(), all.len());
-        for (original, parsed) in all.iter().zip(transitions) {
+        assert_eq!(parsed.steps.len(), all.len());
+        for (original, parsed) in all.iter().zip(&parsed.steps) {
             assert_eq!(original, parsed);
+        }
+    }
+
+    /// The `nice-trace-v1` bytes, recorded from the emitter this module had
+    /// before it was rebuilt on `crate::json`: all 16 step kinds, every
+    /// escape class in the strings, both engine shapes.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let mut trace =
+            Trace::from_transitions("golden \"kinds\"", TraceEngine::default(), every_kind());
+        trace.property = Some("NoForgottenPackets".to_string());
+        trace.message = Some("packet 9 \\ \"lost\"\n\tat sw1 \u{1} é".to_string());
+        let parallel = TraceEngine {
+            strategy: StrategyKind::NoDelay,
+            reduction: ReductionKind::Por,
+            workers: 4,
+            faults: true,
+            coarse_packet_processing: false,
+        };
+        for (trace, golden) in [
+            (
+                trace,
+                r#"{"schema":"nice-trace-v1","scenario":"golden \"kinds\"","property":"NoForgottenPackets","message":"packet 9 \\ \"lost\"\n\tat sw1 \u0001 é","engine":{"strategy":"pkt-seq","reduction":"none","workers":1,"faults":false,"coarse_packet_processing":true,"deterministic":true},"steps":[{"kind":"host_send","host":3,"packet":{"id":9,"src_mac":2199023255555,"dst_mac":2199023255556,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":5}},{"kind":"host_receive","host":2},{"kind":"host_move","host":1,"switch":2,"port":3},{"kind":"process_pkt","switch":1},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"process_of","switch":4},{"kind":"ctrl_handle","switch":5},{"kind":"discover_packets","host":1},{"kind":"discover_stats","switch":1},{"kind":"process_stats","switch":1,"stats":[{"port":1,"rx_packets":3,"tx_packets":4,"rx_bytes":1500,"tx_bytes":9000},{"port":2,"rx_packets":0,"tx_packets":0,"rx_bytes":0,"tx_bytes":0}]},{"kind":"expire_rule","switch":2,"rule_index":5},{"kind":"channel_fault","switch":1,"port":1,"fault":"fail_link"},{"kind":"switch_crash","switch":3},{"kind":"switch_reconnect","switch":3},{"kind":"ctrl_failover"},{"kind":"mutate_of","switch":1,"mutation":"drop_actions"}]}"#,
+            ),
+            (
+                Trace::from_transitions("t", parallel, []),
+                r#"{"schema":"nice-trace-v1","scenario":"t","property":null,"message":null,"engine":{"strategy":"no-delay","reduction":"por","workers":4,"faults":true,"coarse_packet_processing":false,"deterministic":false},"steps":[]}"#,
+            ),
+        ] {
+            assert_eq!(trace.to_json(), golden);
+            let parsed = Trace::from_json(golden).expect("golden parses");
+            assert_eq!(parsed, trace);
+            assert_eq!(parsed.to_json(), golden);
         }
     }
 
@@ -1093,15 +594,17 @@ mod tests {
 
     #[test]
     fn step_arrays_round_trip_standalone() {
+        // The dist wire frames embed step arrays under their own keys.
         let trace = sample_trace();
-        let json = steps_to_json(&trace.steps);
-        let parsed = steps_from_json(&json).expect("round trip");
-        assert_eq!(parsed, trace.steps);
-        // A rendered Json value re-parses to the same steps (the dist wire
-        // frames embed step arrays as nested values and re-render them).
-        let value = json::parse(&json).expect("parse");
-        assert_eq!(steps_from_value(&value).expect("from value"), trace.steps);
-        assert_eq!(value.render(), json);
+        let text = Json::object([("sleep", steps_to_json(&trace.steps))]).compact();
+        let parsed = Json::parse(&text).expect("parse");
+        assert_eq!(steps_from_json(&parsed, "sleep"), Ok(trace.steps));
+        assert_eq!(parsed.compact(), text);
+        let err = steps_from_json(
+            &Json::parse(r#"{"sleep":[{"kind":"warp"}]}"#).unwrap(),
+            "sleep",
+        );
+        assert_eq!(err.unwrap_err(), "sleep[0]: unknown step kind 'warp'");
     }
 
     #[test]
@@ -1109,6 +612,7 @@ mod tests {
         assert!(Trace::from_json("").is_err());
         assert!(Trace::from_json("{}").is_err());
         assert!(Trace::from_json("{\"schema\":\"nice-trace-v0\"}").is_err());
+        assert!(Trace::from_json(r#"{"schema": "nice-trace-v1"}"#).is_err());
         assert!(Trace::from_json("[1,2,3]").is_err());
         let missing_engine = "{\"schema\":\"nice-trace-v1\",\"scenario\":\"x\",\"property\":null,\
              \"message\":null,\"steps\":[]}";
