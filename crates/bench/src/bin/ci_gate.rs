@@ -4,19 +4,16 @@
 //! the `parallel` bin, plus the POR legs) on the pyswitch chain and
 //! load-balancer workloads, writes the results as JSON (`BENCH_ci.json` by
 //! default), and — when given a committed baseline — fails the process if
+//! an engine explores **more transitions or more states** than the baseline
+//! allows (`> baseline * 1.15`): state-space regressions are deterministic
+//! and always real.
 //!
-//! * an engine explores **more transitions** than the baseline allows
-//!   (`> baseline * 1.15`): state-space regressions are deterministic and
-//!   always real, or
-//! * an engine's **states/s slows down relative to the in-run reference
-//!   engine** by more than 15%: rates are normalised against the default
-//!   engine (the first `engine_configs` row) measured in the *same* run, so
-//!   the gate compares engine ratios rather than absolute throughput (which
-//!   would make the gate flap with runner hardware). The ratios still move
-//!   with the core count, so this leg is report-only unless the baseline
-//!   records the same `cores`.
-//!   Each engine reports its best of three runs, and only workloads large
-//!   enough to time meaningfully are rate-gated (small ones are report-only).
+//! Each engine runs once. Its states/s, and that rate divided by the default
+//! engine's of the same run, are printed and written as report-only columns:
+//! they are not gated. A rate relative to the default engine reads a faster
+//! default engine as a regression of every other row, and an absolute one
+//! follows the runner; speed is measured by `benchmark/` (ten alternating
+//! parent/change pairs), not here.
 //!
 //! Usage: `ci_gate [--out FILE] [--baseline FILE]`
 //!
@@ -27,122 +24,77 @@ use nice_bench::{
     chain_fault_workload, chain_ping_workload, engine_configs, exhaustive, load_balancer_workload,
 };
 use nice_dist::{Coordinator, JobSpec};
-use nice_mc::{CheckerConfig, ExploredMode, Json, ModelChecker, Scenario, SearchStats};
+use nice_mc::{CheckerConfig, Json, ModelChecker, Scenario, SearchStats};
 
 /// One engine's measurements on one workload.
 struct EngineRow {
     name: String,
-    /// The deterministic counters, from the first measurement cycle.
+    /// The counters the gate compares.
     stats: SearchStats,
-    /// The best cycle's states/s.
+    /// Report only.
     states_per_sec: f64,
     /// states/s divided by the reference (first) engine's states/s of the
-    /// same run — the machine-independent number the gate compares.
+    /// same run. Report only.
     relative_rate: f64,
-    /// Whether this engine's rate participates in the gate. Legs running a
-    /// deliberately degraded explored set (forced spill, bitstate) are
-    /// gated on their deterministic counters only: their states/s is
-    /// dominated by per-visit disk I/O or hashing and flaps with runner
-    /// load far beyond [`RATE_TOLERANCE`].
-    rate_gated: bool,
 }
 
 struct Profile {
     scenario: String,
     engines: Vec<EngineRow>,
-    /// Whether the states/s leg of the gate applies: only workloads with
-    /// enough work per run (tens of milliseconds) produce rates stable
-    /// enough to gate on — tiny ones are reported but not rate-gated.
-    rate_gated: bool,
 }
 
-/// Transition-count headroom before the gate fails (deterministic metric).
-const TRANSITIONS_TOLERANCE: f64 = 1.15;
-/// Allowed relative slowdown of an engine's normalised rate.
-const RATE_TOLERANCE: f64 = 0.85;
+/// Transition- and state-count headroom before the gate fails.
+const COUNT_TOLERANCE: f64 = 1.15;
 
 /// Workers for the parallel legs; fixed so the engine labels (and therefore
 /// the baseline keys) never drift with runner hardware.
 const GATE_WORKERS: usize = 4;
 
-/// Measurement cycles per profile; each cycle runs every engine once
-/// (round-robin) and each engine reports its best cycle. Interleaving the
-/// engines means a transient load burst degrades one *cycle* for everyone
-/// rather than all runs of one engine, which keeps the relative rates —
-/// the numbers the gate compares — stable on busy CI runners.
-const MEASUREMENT_CYCLES: usize = 5;
+/// Unique states per second of wall clock.
+fn states_per_sec(stats: &SearchStats) -> f64 {
+    stats.unique_states as f64 / stats.duration.as_secs_f64().max(1e-9)
+}
 
-fn profile(label: &str, rate_gated: bool, scenario: impl Fn() -> Scenario) -> Profile {
-    let configs = engine_configs(GATE_WORKERS);
-    let mut best_rates = vec![0.0f64; configs.len()];
-    let mut stats = Vec::new();
-    for cycle in 0..MEASUREMENT_CYCLES {
-        for (i, (_, config)) in configs.iter().enumerate() {
-            let s = exhaustive(scenario(), config.clone());
-            let rate = s.unique_states as f64 / s.duration.as_secs_f64().max(1e-9);
-            best_rates[i] = best_rates[i].max(rate);
-            if cycle == 0 {
-                stats.push(s);
-            }
-        }
-    }
-    let reference = best_rates[0];
-    let engines = configs
-        .into_iter()
-        .zip(stats)
-        .zip(best_rates)
-        .map(|(((name, config), stats), best_rate)| EngineRow {
+fn profile(label: &str, scenario: impl Fn() -> Scenario) -> Profile {
+    let mut engines: Vec<EngineRow> = Vec::new();
+    for (name, config) in engine_configs(GATE_WORKERS) {
+        let stats = exhaustive(scenario(), config);
+        let states_per_sec = states_per_sec(&stats);
+        let reference = engines.first().map_or(states_per_sec, |e| e.states_per_sec);
+        engines.push(EngineRow {
             name,
             stats,
-            states_per_sec: best_rate,
-            relative_rate: best_rate / reference,
-            rate_gated: config.explored.mode == ExploredMode::Mem,
-        })
-        .collect();
+            states_per_sec,
+            relative_rate: states_per_sec / reference,
+        });
+    }
     Profile {
         scenario: label.to_string(),
         engines,
-        rate_gated,
     }
 }
 
 /// One distributed row: the coordinator + worker-process service checking
-/// the same workload. Transition counts are sharding-invariant (each
-/// fingerprint has exactly one owner), so they gate like any engine's; the
-/// rate leg is exempt — process spawn and IPC framing costs depend on the
-/// runner, and the in-process reference engine is not a fair yardstick for
-/// a multi-process run.
+/// the same workload. Transition and state counts are sharding-invariant
+/// (each fingerprint has exactly one owner), so they gate like any
+/// engine's.
 fn dist_profile(coordinator: &mut Coordinator, label: &str, spec: &JobSpec) -> Profile {
-    let name = format!("dist-{}proc", coordinator.workers());
-    let mut best_rate = 0.0f64;
-    let mut first: Option<nice_mc::CheckReport> = None;
-    for _ in 0..MEASUREMENT_CYCLES {
-        let report = coordinator
-            .run_job(spec, |_| {}, None)
-            .expect("distributed gate job");
-        let rate =
-            report.stats.unique_states as f64 / report.stats.duration.as_secs_f64().max(1e-9);
-        best_rate = best_rate.max(rate);
-        if first.is_none() {
-            first = Some(report);
-        }
-    }
-    let report = first.expect("at least one measurement cycle");
+    let report = coordinator
+        .run_job(spec, |_| {}, None)
+        .expect("distributed gate job");
     Profile {
         scenario: label.to_string(),
         engines: vec![EngineRow {
-            name,
+            name: format!("dist-{}proc", coordinator.workers()),
+            states_per_sec: states_per_sec(&report.stats),
             stats: report.stats,
-            states_per_sec: best_rate,
             relative_rate: 1.0,
-            rate_gated: false,
         }],
-        rate_gated: false,
     }
 }
 
-/// The parallelism the profile ran with; recorded in the JSON so the gate
-/// can tell whether a baseline was measured on comparable hardware.
+/// The parallelism the profile ran with; recorded in the JSON so a reader
+/// of the report-only rates knows what they were measured on.
 fn core_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -215,8 +167,7 @@ fn main() {
     // A dormant fault plan must not perturb the gated numbers: the chain
     // workload *with* a fault plan attached but injection off (the default)
     // has to explore the identical state space as the plain chain workload.
-    // Checked before profiling so a zero-cost regression fails fast, ahead
-    // of the (slower) measurement cycles.
+    // Checked before profiling so a zero-cost regression fails fast.
     let plain = exhaustive(chain_ping_workload(3, 1), CheckerConfig::default());
     let dormant = exhaustive(chain_fault_workload(3, 1), CheckerConfig::default());
     assert_eq!(
@@ -246,15 +197,12 @@ fn main() {
     println!("witness replay check: OK ({} steps)", violation.trace.len());
 
     let mut profiles = vec![
-        profile("pyswitch-chain-5sw-2pings", true, || {
-            chain_ping_workload(5, 2)
-        }),
-        profile("loadbalancer-bug-v", false, load_balancer_workload),
+        profile("pyswitch-chain-5sw-2pings", || chain_ping_workload(5, 2)),
+        profile("loadbalancer-bug-v", load_balancer_workload),
     ];
 
     // Multi-worker rows: the same workloads through `nice serve`'s
-    // coordinator + 2 sharded worker processes. One pool serves all cycles
-    // (respawning per cycle would measure process startup, not checking).
+    // coordinator + 2 sharded worker processes, one pool for both jobs.
     // Needs `cargo build --release` first: the pool execs the
     // `nice-dist-worker` binary next to this one.
     let mut coordinator = nice_dist::worker_bin()
@@ -333,23 +281,6 @@ fn main() {
     let baseline = Json::parse(&baseline)
         .unwrap_or_else(|e| panic!("baseline {baseline_path} is not JSON: {e}"));
 
-    // Relative rates shift with core count (the parallel legs especially),
-    // so a baseline measured on different hardware cannot gate throughput:
-    // downgrade the rate leg to a warning until the baseline is
-    // regenerated on matching hardware. Transition counts are
-    // deterministic and are always gated.
-    let baseline_cores = baseline.u64("cores").ok().map(|c| c as usize);
-    let rates_comparable = baseline_cores == Some(core_count());
-    if !rates_comparable {
-        println!(
-            "bench gate: baseline cores ({}) != this machine ({}); \
-             states/s checks are report-only until bench/baseline.json is \
-             regenerated here",
-            baseline_cores.map_or("unknown".to_string(), |c| c.to_string()),
-            core_count()
-        );
-    }
-
     let mut failures = Vec::new();
     for p in &profiles {
         for e in &p.engines {
@@ -360,36 +291,25 @@ fn main() {
                 ));
                 continue;
             };
-            let base_transitions = row.f64("transitions").expect("baseline transitions");
-            let base_rel = row.f64("relative_rate").expect("baseline relative_rate");
-            if e.stats.transitions as f64 > base_transitions * TRANSITIONS_TOLERANCE {
-                failures.push(format!(
-                    "{} / {}: transitions regressed {} -> {} (>{:.0}% headroom)",
-                    p.scenario,
-                    e.name,
-                    base_transitions,
-                    e.stats.transitions,
-                    (TRANSITIONS_TOLERANCE - 1.0) * 100.0
-                ));
-            }
-            if p.rate_gated
-                && e.rate_gated
-                && rates_comparable
-                && e.relative_rate < base_rel * RATE_TOLERANCE
-            {
-                failures.push(format!(
-                    "{} / {}: states/s (relative to the default engine) regressed \
-                     {base_rel:.2}x -> {:.2}x (>15%)",
-                    p.scenario, e.name, e.relative_rate
-                ));
+            for (count, now) in [
+                ("transitions", e.stats.transitions),
+                ("states", e.stats.unique_states),
+            ] {
+                let base = row.f64(count).expect("baseline count");
+                if now as f64 > base * COUNT_TOLERANCE {
+                    failures.push(format!(
+                        "{} / {}: {count} regressed {base} -> {now} (>{:.0}% headroom)",
+                        p.scenario,
+                        e.name,
+                        (COUNT_TOLERANCE - 1.0) * 100.0
+                    ));
+                }
             }
         }
     }
 
     if failures.is_empty() {
-        println!(
-            "bench gate: OK (within {TRANSITIONS_TOLERANCE}x transitions, {RATE_TOLERANCE}x rate)"
-        );
+        println!("bench gate: OK (within {COUNT_TOLERANCE}x transitions and states)");
     } else {
         eprintln!("bench gate: FAILED");
         for f in &failures {

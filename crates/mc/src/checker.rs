@@ -26,7 +26,10 @@
 //! # Frontier storage
 //!
 //! Every frontier node keeps its transition trace (it doubles as the
-//! violation trace). What else is kept is governed by
+//! violation trace) as a `Path`: its own step plus a shared pointer to its
+//! parent's, so a new node costs one small allocation at any depth and the
+//! trace is copied out only for a violation, an export to a peer shard or a
+//! replay. What else is kept is governed by
 //! [`CheckerConfig::checkpoint_interval`]: a copy-on-write snapshot is taken
 //! every `interval` transitions of depth and shared (via `Arc`) by every
 //! descendant node until the next checkpoint; expanding a node replays only
@@ -37,6 +40,12 @@
 //! `usize::MAX` nodes carry no state and expanding one re-executes its
 //! whole trace from the initial state (the paper's Section 6 memory-saving
 //! mode).
+//!
+//! Expanding a node copies its state and property observers for every
+//! successor but the last, which takes them over: a node with one successor
+//! (most nodes of a deep search) copies nothing. Each successor's
+//! fingerprint is read off the accumulator its state carries (see
+//! [`crate::state`]), not recomputed.
 //!
 //! The explored set stores only 64-bit state fingerprints (Section 6 of the
 //! paper), behind the tiered [`ExploredStore`] abstraction of
@@ -525,20 +534,19 @@ impl<'a> Stepper<'a> {
     }
 
     /// Builds the violation record (with its typed witness trace) for a
-    /// violation found after `trace` plus the optional violating transition.
+    /// violation found after `trace`.
     fn violation(
         &self,
         property: &str,
         message: String,
-        trace: &[Transition],
-        last: Option<&Transition>,
+        trace: Vec<Transition>,
         transitions_explored: u64,
         unique_states: u64,
     ) -> Violation {
         let mut witness = Trace::from_transitions(
             &self.scenario.name,
             TraceEngine::from_config(&self.config),
-            trace.iter().chain(last).cloned(),
+            trace,
         );
         witness.property = Some(property.to_string());
         witness.message = Some(message.clone());
@@ -584,10 +592,118 @@ pub(crate) struct Snapshot {
     pub(crate) properties: Vec<Box<dyn Property>>,
 }
 
+/// The transitions from the initial state to a frontier node, stored as
+/// what the node added to its parent's path: a link holding the node's own
+/// step and an `Arc` to the parent's newest link, so siblings and
+/// descendants share their common prefix and a child costs one small
+/// allocation whatever its depth. A state exported by a peer shard arrives
+/// with its whole trace, which becomes one link of many steps that all of
+/// the state's descendants here share. A path is laid out in order
+/// ([`Path::suffix`]) only where it is read: a violation's witness, a
+/// [`FrontierExport`], the replay since a checkpoint.
+#[derive(Clone, Default)]
+pub(crate) struct Path {
+    newest: Option<Arc<Link>>,
+    len: usize,
+}
+
+struct Link {
+    steps: Steps,
+    parent: Option<Arc<Link>>,
+}
+
+enum Steps {
+    One(Transition),
+    Many(Vec<Transition>),
+}
+
+impl Link {
+    fn steps(&self) -> &[Transition] {
+        match &self.steps {
+            Steps::One(step) => std::slice::from_ref(step),
+            Steps::Many(steps) => steps,
+        }
+    }
+}
+
+impl Drop for Link {
+    /// Frees the ancestors this link was the last owner of in a loop: left
+    /// to the compiler, dropping the newest link of a long path would
+    /// recurse once per link and overflow the stack.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(link) = next {
+            next = Arc::into_inner(link).and_then(|mut link| link.parent.take());
+        }
+    }
+}
+
+impl From<Vec<Transition>> for Path {
+    /// A path received whole: the empty one of the initial state, or the
+    /// trace of a state a peer shard exported.
+    fn from(steps: Vec<Transition>) -> Path {
+        Path {
+            len: steps.len(),
+            newest: (!steps.is_empty()).then(|| {
+                Arc::new(Link {
+                    steps: Steps::Many(steps),
+                    parent: None,
+                })
+            }),
+        }
+    }
+}
+
+impl Path {
+    /// Number of transitions on the path.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// This path plus one more transition.
+    pub(crate) fn push(&self, step: Transition) -> Path {
+        Path {
+            len: self.len + 1,
+            newest: Some(Arc::new(Link {
+                steps: Steps::One(step),
+                parent: self.newest.clone(),
+            })),
+        }
+    }
+
+    /// The transitions from depth `from` on, in execution order;
+    /// `suffix(0)` is the whole path. Walks only the links it returns
+    /// steps of.
+    pub(crate) fn suffix(&self, from: usize) -> Vec<&Transition> {
+        let links = std::iter::successors(self.newest.as_deref(), |link| link.parent.as_deref());
+        let mut steps: Vec<&Transition> = links
+            .flat_map(|link| link.steps().iter().rev())
+            .take(self.len - from)
+            .collect();
+        steps.reverse();
+        steps
+    }
+
+    /// An owned copy of the whole path with `last` appended: what leaves
+    /// the search, as a violation's witness or an export to a peer shard.
+    fn followed_by(&self, last: Option<&Transition>) -> Vec<Transition> {
+        self.suffix(0).into_iter().chain(last).cloned().collect()
+    }
+}
+
+// Frontier nodes move between the parallel search's threads, and nodes on
+// different threads share the snapshot of a common checkpoint.
+const _: fn() = || {
+    fn crosses_threads<T: Send + Sync>() {}
+    crosses_threads::<SystemState>();
+    crosses_threads::<Node>();
+};
+
 /// One frontier entry of the search.
 ///
-/// The node's state is `base` advanced by `trace[base_depth..]`; `trace` is
-/// always kept in full because it is also the violation trace. At
+/// The node's state is `base` advanced by `trace.suffix(base_depth)`; the
+/// whole of `trace` is kept (as a [`Path`], shared with the node's
+/// relatives) because it is also the violation trace. At
 /// [`CheckerConfig::checkpoint_interval`] `1` the base *is* the node's state
 /// (empty suffix); at larger intervals it is the nearest ancestor
 /// checkpoint, shared via `Arc` with every other descendant of that
@@ -600,7 +716,7 @@ pub(crate) struct Snapshot {
 pub(crate) struct Node {
     pub(crate) base: Arc<Snapshot>,
     pub(crate) base_depth: usize,
-    pub(crate) trace: Vec<Transition>,
+    pub(crate) trace: Path,
     /// Transitions whose exploration from this node is redundant (already
     /// covered by a commuting sibling branch). Always empty without POR.
     pub(crate) sleep: Vec<Transition>,
@@ -626,34 +742,26 @@ impl Node {
     /// Rebuilds the node's state (and its property state) by replaying the
     /// trace suffix since the node's snapshot — the memory-saving state
     /// restoration of Section 6, bounded by the checkpoint cadence. Replays
-    /// do not count as explored transitions.
+    /// do not count as explored transitions. The state comes back settled:
+    /// it is about to be cloned once per successor, and a settled state's
+    /// clones fold nothing and fingerprint for what each successor writes.
+    /// Settling here, once, rather than after every replayed step also
+    /// keeps a replay from digesting components it is about to write again.
     #[allow(clippy::type_complexity)]
     fn materialize(
         self,
         stepper: &mut Stepper,
-    ) -> (
-        SystemState,
-        Vec<Box<dyn Property>>,
-        Vec<Transition>,
-        Vec<Transition>,
-    ) {
+    ) -> (SystemState, Vec<Box<dyn Property>>, Path, Vec<Transition>) {
         let (mut state, mut properties) = match Arc::try_unwrap(self.base) {
             Ok(snapshot) => (snapshot.state, snapshot.properties),
             Err(shared) => (shared.state.clone(), shared.properties.clone()),
         };
-        for transition in &self.trace[self.base_depth..] {
+        for transition in self.trace.suffix(self.base_depth) {
             stepper.advance(&mut state, &mut properties, transition);
         }
+        state.settle();
         (state, properties, self.trace, self.sleep)
     }
-}
-
-/// `trace` plus one more transition, in one allocation.
-fn extended(trace: &[Transition], last: &Transition) -> Vec<Transition> {
-    let mut out = Vec::with_capacity(trace.len() + 1);
-    out.extend_from_slice(trace);
-    out.push(last.clone());
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -745,7 +853,7 @@ impl<'a> Worker<'a> {
         self.stack.push(Node {
             base: Arc::clone(&self.root),
             base_depth: 0,
-            trace,
+            trace: trace.into(),
             sleep,
             revisit,
         });
@@ -788,14 +896,13 @@ impl<'a> Worker<'a> {
         ctrl: Option<&SessionCtrl>,
         property: &str,
         message: String,
-        trace: &[Transition],
+        trace: &Path,
         last: Option<&Transition>,
     ) {
         let violation = self.stepper.violation(
             property,
             message,
-            trace,
-            last,
+            trace.followed_by(last),
             self.shared.transitions.load(Ordering::Relaxed),
             self.shared.unique_states.load(Ordering::Relaxed),
         );
@@ -870,6 +977,10 @@ impl<'a> Worker<'a> {
             self.reduction
                 .child_sleeps(&state, scenario, &choice.explore, &sleep);
 
+        // The node's last successor takes the node's state and property
+        // observers over instead of copying them.
+        let last = choice.explore.len().saturating_sub(1);
+        let mut parent = Some((state, properties));
         for (index, transition) in choice.explore.into_iter().enumerate() {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return false;
@@ -881,8 +992,12 @@ impl<'a> Worker<'a> {
             self.stats.transitions += 1;
             self.stats.faults.record(&transition);
 
-            let mut next_state = state.clone();
-            let mut next_properties = properties.clone();
+            let (mut next_state, mut next_properties) = if index == last {
+                parent.take()
+            } else {
+                parent.clone()
+            }
+            .expect("only the last successor takes the parent");
             self.stepper
                 .advance(&mut next_state, &mut next_properties, &transition);
             if let Some(ctrl) = ctrl {
@@ -917,7 +1032,7 @@ impl<'a> Worker<'a> {
                 // a solo search's exactly.
                 self.forwards.push(FrontierExport {
                     fingerprint,
-                    trace: extended(&trace, &transition),
+                    trace: trace.followed_by(Some(&transition)),
                     sleep: child_sleep,
                 });
                 continue;
@@ -936,7 +1051,7 @@ impl<'a> Worker<'a> {
                 self.stack.push(Node {
                     base,
                     base_depth,
-                    trace: extended(&trace, &transition),
+                    trace: trace.push(transition),
                     sleep,
                     revisit,
                 });
@@ -1116,8 +1231,7 @@ impl ModelChecker {
                     report.violations.push(stepper.violation(
                         &property,
                         message,
-                        &trace,
-                        None,
+                        trace.clone(),
                         report.stats.transitions,
                         report.stats.unique_states,
                     ));
@@ -1406,15 +1520,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshots_are_uniquely_owned_at_interval_one() {
-        // The zero-clone pop: at the default interval no child inherits its
-        // parent's snapshot handle, so every queued node is the sole owner
-        // of its snapshot and materializing it moves the state out.
-        let checker = ModelChecker::new(testutil::hub_ping_scenario(2), CheckerConfig::default());
+    /// A worker over `checker` with the root queued, as the sequential
+    /// engine starts.
+    fn solo_worker(checker: &ModelChecker) -> Worker<'_> {
         let (root, root_fingerprint) = checker.root();
         let mut worker = Worker::new(
-            &checker,
+            checker,
             ShardSpec::solo(),
             Arc::from(build_store(&checker.config.explored)),
             root,
@@ -1422,9 +1533,137 @@ mod tests {
             DiscoveryMemo::default(),
         );
         worker.enqueue(root_fingerprint, Vec::new(), Vec::new());
+        worker
+    }
+
+    /// `n` distinguishable transitions.
+    fn steps(n: u32) -> Vec<Transition> {
+        (0..n)
+            .map(|host| Transition::HostReceive {
+                host: nice_openflow::HostId(host),
+            })
+            .collect()
+    }
+
+    /// [`Path::suffix`], owned.
+    fn suffix(path: &Path, from: usize) -> Vec<Transition> {
+        path.suffix(from).into_iter().cloned().collect()
+    }
+
+    #[test]
+    fn a_path_reads_back_what_was_pushed_from_any_depth() {
+        let all = steps(9);
+        // Grown from the initial state, and grown from a trace a peer
+        // shard sent (one link of four steps, then one link per step).
+        for received in [0, 4] {
+            let mut path = Path::from(all[..received].to_vec());
+            for step in &all[received..] {
+                let longer = path.push(step.clone());
+                assert_eq!(longer.len(), path.len() + 1);
+                path = longer;
+            }
+            assert_eq!(path.len(), all.len());
+            for from in 0..=all.len() {
+                assert_eq!(suffix(&path, from), all[from..], "from {from}");
+            }
+        }
+        // Siblings share their prefix and do not see each other's step.
+        let parent = Path::from(all[..2].to_vec()).push(all[2].clone());
+        let (left, right) = (parent.push(all[3].clone()), parent.push(all[4].clone()));
+        assert_eq!(suffix(&left, 0), all[..4]);
+        assert_eq!(suffix(&right, 2), [all[2].clone(), all[4].clone()]);
+        assert_eq!(suffix(&parent, 0), all[..3]);
+        assert!(Path::default().suffix(0).is_empty());
+    }
+
+    #[test]
+    fn nodes_replay_exactly_the_steps_since_their_checkpoint() {
+        for interval in [1, 3, usize::MAX] {
+            let checker = ModelChecker::new(
+                testutil::hub_ping_scenario(2),
+                CheckerConfig::default().with_checkpoint_interval(interval),
+            );
+            let mut worker = solo_worker(&checker);
+            let mut deepest = 0;
+            while let Some(node) = worker.stack.pop() {
+                let depth = node.trace.len();
+                let checkpoint = match interval {
+                    usize::MAX => 0,
+                    _ => depth / interval * interval,
+                };
+                assert_eq!(node.base_depth, checkpoint, "interval {interval}");
+                let whole = suffix(&node.trace, 0);
+                assert_eq!(whole.len(), depth);
+                assert_eq!(suffix(&node.trace, checkpoint), whole[checkpoint..]);
+                deepest = deepest.max(depth);
+                assert!(worker.expand(node, None));
+            }
+            assert!(deepest > 6, "interval {interval}: depth {deepest}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_million_link_path_does_not_recurse() {
+        // Test threads get the default 2 MiB stack; one frame per link
+        // would need far more.
+        let step = &steps(1)[0];
+        let mut path = Path::default();
+        for _ in 0..1_000_000 {
+            path = path.push(step.clone());
+        }
+        assert_eq!(path.len(), 1_000_000);
+        // A second owner of the older half: the loop must stop at the
+        // first link somebody else still holds, and that owner frees the
+        // rest later.
+        let newest = path.newest.as_deref().expect("a non-empty path");
+        let older = std::iter::successors(Some(newest), |link| link.parent.as_deref())
+            .nth(500_000)
+            .and_then(|link| link.parent.clone());
+        drop(path);
+        drop(older);
+    }
+
+    #[test]
+    fn snapshots_are_uniquely_owned_at_interval_one() {
+        // The zero-clone pop: at the default interval no child inherits its
+        // parent's snapshot handle, so every queued node is the sole owner
+        // of its snapshot and materializing it moves the state out. And the
+        // zero-clone last child: a node's state and observers are copied
+        // for every successor but the last, which takes them over.
+        #[derive(Clone)]
+        struct CountsClones(Arc<AtomicUsize>);
+        impl Property for CountsClones {
+            fn name(&self) -> &str {
+                "CountsClones"
+            }
+            fn on_event(&mut self, _: &Event, _: &SystemState) {}
+            fn check(&self, _: &SystemState) -> Option<String> {
+                None
+            }
+            fn clone_property(&self) -> Box<dyn Property> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Box::new(self.clone())
+            }
+        }
+        let clones = Arc::new(AtomicUsize::new(0));
+        let scenario = testutil::hub_ping_scenario(2)
+            .with_property(Box::new(CountsClones(Arc::clone(&clones))));
+        let checker = ModelChecker::new(scenario, CheckerConfig::default());
+        let mut worker = solo_worker(&checker);
         let mut expanded = 0;
         while let Some(node) = worker.stack.pop() {
+            // The root's snapshot is also the worker's handle for injected
+            // states, so the root alone is copied out of its snapshot.
+            let copied_out = usize::from(node.trace.len() == 0);
+            let (clones_before, transitions_before) =
+                (clones.load(Ordering::Relaxed), worker.stats.transitions);
             assert!(worker.expand(node, None));
+            let executed = (worker.stats.transitions - transitions_before) as usize;
+            assert_eq!(
+                clones.load(Ordering::Relaxed) - clones_before,
+                copied_out + executed.saturating_sub(1),
+                "{executed} successors"
+            );
             expanded += 1;
             for node in &worker.stack {
                 assert!(node.inherited_base(1).is_none());
@@ -1443,7 +1682,7 @@ mod tests {
         let node = Node {
             base: checker.root().0,
             base_depth: 0,
-            trace: Vec::new(),
+            trace: Path::default(),
             sleep: Vec::new(),
             revisit: false,
         };

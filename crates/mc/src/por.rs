@@ -306,7 +306,7 @@ impl Transition {
 
             Transition::ProcessPacket { switch } => {
                 fp.touch(res::switch(*switch));
-                let busy = state.busy_ingress_ports(*switch);
+                let busy: Vec<PortId> = state.busy_ingress_ports(*switch).collect();
                 let all_ports = state
                     .switch(*switch)
                     .map(|s| s.ports.clone())

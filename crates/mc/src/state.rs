@@ -21,6 +21,27 @@
 //! checkpoint snapshots (see [`crate::checker`]) be taken essentially for
 //! free. `Arc` (not `Rc`) is used throughout so states can move between the
 //! worker threads of the parallel search.
+//!
+//! ## Incremental fingerprint
+//!
+//! The state fingerprint is an XOR of one value per component *slot* (the
+//! controller, each switch, each host, each channel): the component's
+//! digest mixed with the slot's kind and key. The state carries that XOR
+//! with it instead of recomputing it. The invariant, kept by the only code
+//! that hands out mutable access to a component (`Accumulator::write`):
+//!
+//! > a slot that is not in the dirty list has its digest cached and its
+//! > mixed digest is in the accumulator.
+//!
+//! The first write to a slot XORs its old mixed digest out and lists it as
+//! dirty; [`SystemState::fingerprint`] folds the dirty slots' current digests
+//! over the accumulator, and settling folds them *in* and empties the list.
+//! A clone is born settled, and the search settles a node's state before
+//! cloning it for each successor, so a successor's list holds one
+//! transition's writes: two to four slots of the fifty a mid-sized scenario
+//! has, and that is what its fingerprint costs. Digests stay lazy: a slot
+//! written again and again between two fingerprints (a replay) is digested
+//! once, when it is next read.
 
 use crate::scenario::Scenario;
 use nice_controller::ControllerRuntime;
@@ -32,12 +53,58 @@ use nice_openflow::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
+/// What the fingerprint needs from a copy-on-write component: the seed that
+/// separates its kind's digests from every other kind's, and its contents.
+trait Component {
+    /// Domain-separation seed of the component kind's digest.
+    const SEED: u64;
+
+    /// Feeds the component's fingerprint-relevant contents to `h`.
+    fn write(&self, h: &mut Fnv64);
+}
+
+impl Component for ControllerRuntime {
+    /// `state(ctrl)` in Figure 5 — also the key of the relevant-packet
+    /// caches.
+    const SEED: u64 = 0xc0_11;
+
+    fn write(&self, h: &mut Fnv64) {
+        self.fingerprint(h);
+    }
+}
+
+impl Component for Switch {
+    const SEED: u64 = 0x5_317c;
+
+    fn write(&self, h: &mut Fnv64) {
+        self.fingerprint(h);
+    }
+}
+
+impl Component for Box<dyn HostModel> {
+    const SEED: u64 = 0x40_57;
+
+    fn write(&self, h: &mut Fnv64) {
+        self.fingerprint(h);
+    }
+}
+
+impl<T: Fingerprint> Component for FifoChannel<T> {
+    /// One seed for all four channel kinds: the channel's *slot* in the
+    /// combined fingerprint provides the per-kind separation.
+    const SEED: u64 = 0xc4a_221;
+
+    fn write(&self, h: &mut Fnv64) {
+        self.fingerprint(h);
+    }
+}
+
 /// A component paired with a lazily computed fingerprint digest.
 ///
 /// Because components are copy-on-write, a component that was not written
 /// since its digest was computed still has that digest — so the state
 /// fingerprint absorbs the cached 64-bit digest instead of re-hashing the
-/// component's whole contents. The `*_mut` accessors reset the cache after
+/// component's whole contents. `Accumulator::write` resets the cache after
 /// un-sharing (cloning an un-mutated component keeps the digest, which is
 /// exactly right).
 #[derive(Clone)]
@@ -65,21 +132,101 @@ impl<T> Cached<T> {
             digest: OnceLock::new(),
         }
     }
+}
 
+/// The digest of a component's current contents.
+fn rehash<T: Component>(component: &T) -> u64 {
+    let mut h = Fnv64::with_seed(T::SEED);
+    component.write(&mut h);
+    h.finish()
+}
+
+impl<T: Component> Cached<T> {
     /// The component's digest, computing (and caching) it on first use.
-    /// `seed` provides domain separation between component types.
-    fn digest_with(&self, seed: u64, write: impl FnOnce(&T, &mut Fnv64)) -> u64 {
-        *self.digest.get_or_init(|| {
-            let mut h = Fnv64::with_seed(seed);
-            write(&self.value, &mut h);
-            h.finish()
-        })
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| rehash(&self.value))
+    }
+}
+
+/// One place a copy-on-write component sits in the state: its kind and key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Controller,
+    Switch(SwitchId),
+    Host(HostId),
+    SwToCtrl(SwitchId),
+    CtrlToSw(SwitchId),
+    Ingress(SwitchId, PortId),
+    HostInbox(HostId),
+}
+
+impl Slot {
+    /// The value this slot contributes to the state fingerprint while its
+    /// component digests to `digest`.
+    fn mix(self, digest: u64) -> u64 {
+        let (tag, key) = match self {
+            Slot::Controller => (slot::CONTROLLER, 0),
+            Slot::Switch(id) => (slot::SWITCH, id.0 as u64),
+            Slot::Host(id) => (slot::HOST, id.0 as u64),
+            Slot::SwToCtrl(id) => (slot::SW_TO_CTRL, id.0 as u64),
+            Slot::CtrlToSw(id) => (slot::CTRL_TO_SW, id.0 as u64),
+            Slot::Ingress(sw, port) => (slot::INGRESS, ((sw.0 as u64) << 16) | port.0 as u64),
+            Slot::HostInbox(id) => (slot::HOST_INBOX, id.0 as u64),
+        };
+        mix(tag, key, digest)
+    }
+}
+
+/// The running XOR of the component slots' contributions to the state
+/// fingerprint (module docs, "Incremental fingerprint").
+#[derive(Default)]
+struct Accumulator {
+    /// XOR of [`Slot::mix`] over every slot that is not in `dirty`.
+    folded: u64,
+    /// Slots written since the state was last settled, each once.
+    dirty: Vec<Slot>,
+}
+
+impl Accumulator {
+    /// Announces a write to the component in `cell`: on the first one since
+    /// the last settle the slot's contribution leaves the accumulator and
+    /// the slot turns dirty.
+    fn retire<T: Component>(&mut self, slot: Slot, cell: &Cached<T>) {
+        if !self.dirty.contains(&slot) {
+            self.folded ^= slot.mix(cell.digest());
+            self.dirty.push(slot);
+        }
     }
 
-    /// Mutable access to the component, invalidating the cached digest.
-    fn value_mut(&mut self) -> &mut T {
-        self.digest = OnceLock::new();
-        &mut self.value
+    /// Mutable access to the component in `cell`, un-sharing it and dropping
+    /// its cached digest.
+    fn write<'a, T: Component + Clone>(
+        &mut self,
+        slot: Slot,
+        cell: &'a mut Arc<Cached<T>>,
+    ) -> &'a mut T {
+        self.retire(slot, cell);
+        let cell = Arc::make_mut(cell);
+        cell.digest = OnceLock::new();
+        &mut cell.value
+    }
+
+    /// The channel at `key`, for queueing on. [`SystemState::initial`]
+    /// creates every channel the topology implies, so a missing one means a
+    /// message for a switch, port or host the topology does not know; it
+    /// starts empty and folded in, like every other clean slot.
+    fn channel_mut<'a, K: Ord, T: Fingerprint + Clone>(
+        &mut self,
+        slot: Slot,
+        channels: &'a mut BTreeMap<K, Arc<Cached<FifoChannel<T>>>>,
+        key: K,
+    ) -> &'a mut FifoChannel<T> {
+        let cell = channels.entry(key).or_insert_with(|| {
+            let cell = Arc::<Cached<FifoChannel<T>>>::default();
+            self.folded ^= slot.mix(cell.digest());
+            cell
+        });
+        self.write(slot, cell)
     }
 }
 
@@ -87,7 +234,6 @@ impl<T> Cached<T> {
 ///
 /// Cloning is cheap (copy-on-write, see the module docs); mutation goes
 /// through the `*_mut` accessors which un-share only the touched component.
-#[derive(Clone)]
 pub struct SystemState {
     controller: Arc<Cached<ControllerRuntime>>,
     switches: BTreeMap<SwitchId, Arc<Cached<Switch>>>,
@@ -125,18 +271,41 @@ pub struct SystemState {
     crashed: BTreeSet<SwitchId>,
     /// The static topology (shared, not part of the mutable state).
     topology: Arc<Topology>,
+    /// The component slots' share of the fingerprint, kept up to date by
+    /// every write.
+    acc: Accumulator,
 }
 
-/// Domain-separation seed of the controller digest (`state(ctrl)` in
-/// Figure 5 — also the key of the relevant-packet caches).
-const CTRL_FP_SEED: u64 = 0xc0_11;
-/// Domain-separation seed of per-switch digests.
-const SWITCH_FP_SEED: u64 = 0x5_317c;
-/// Domain-separation seed of per-host digests.
-const HOST_FP_SEED: u64 = 0x40_57;
-/// Domain-separation seed of per-channel digests (the channel's *slot* in
-/// the combined fingerprint provides the per-kind separation).
-const CHANNEL_FP_SEED: u64 = 0xc4a_221;
+impl Clone for SystemState {
+    /// Bumps the components' reference counts and settles the copy, whose
+    /// fingerprint then costs what is written to *it*. The states the
+    /// search clones are settled already, so there the fold is empty.
+    fn clone(&self) -> Self {
+        SystemState {
+            controller: self.controller.clone(),
+            switches: self.switches.clone(),
+            hosts: self.hosts.clone(),
+            sw_to_ctrl: self.sw_to_ctrl.clone(),
+            ctrl_to_sw: self.ctrl_to_sw.clone(),
+            ingress: self.ingress.clone(),
+            host_inbox: self.host_inbox.clone(),
+            pending_stats: self.pending_stats.clone(),
+            relevant_packets: self.relevant_packets.clone(),
+            discovered_stats: self.discovered_stats.clone(),
+            next_packet_id: self.next_packet_id,
+            of_enqueue_seq: self.of_enqueue_seq,
+            last_of_enqueue: self.last_of_enqueue.clone(),
+            fault_budget: self.fault_budget,
+            crashed: self.crashed.clone(),
+            topology: self.topology.clone(),
+            acc: Accumulator {
+                folded: self.slots_share(),
+                dirty: Vec::new(),
+            },
+        }
+    }
+}
+
 /// Domain-separation seed of the fault-state digest (remaining budget plus
 /// the crashed-switch set).
 const FAULTS_FP_SEED: u64 = 0xfa_017;
@@ -163,12 +332,6 @@ fn mix(tag: u64, key: u64, digest: u64) -> u64 {
     h.write_u64(key);
     h.write_u64(digest);
     h.finish()
-}
-
-/// The cached digest of one channel, recomputed only if the channel was
-/// mutated since it was last fingerprinted.
-fn channel_digest<T: Fingerprint>(ch: &Cached<FifoChannel<T>>) -> u64 {
-    ch.digest_with(CHANNEL_FP_SEED, |c, h| c.fingerprint(h))
 }
 
 impl std::fmt::Debug for SystemState {
@@ -210,16 +373,28 @@ impl SystemState {
             switches.insert(spec.id, Arc::new(Cached::new(switch)));
         }
 
+        let mut hosts = BTreeMap::new();
+        let mut host_inbox = BTreeMap::new();
+        for host in &scenario.hosts {
+            host_inbox.insert(host.id(), Arc::new(Cached::new(FifoChannel::reliable())));
+            hosts.insert(host.id(), Arc::new(Cached::new(host.clone_host())));
+        }
+
+        // Deliver switch_join events synchronously during initialisation so
+        // the controller starts with its per-switch state set up.
+        let produced: Vec<(SwitchId, OfMessage)> = switches
+            .values()
+            .flat_map(|sw| controller.handle_message(&sw.value.join_message()))
+            .collect();
+
         let mut state = SystemState {
-            controller: Arc::new(Cached::new(ControllerRuntime::new(
-                scenario.app.clone_app(),
-            ))),
+            controller: Arc::new(Cached::new(controller)),
             switches,
-            hosts: BTreeMap::new(),
+            hosts,
             sw_to_ctrl,
             ctrl_to_sw,
             ingress,
-            host_inbox: BTreeMap::new(),
+            host_inbox,
             pending_stats: BTreeSet::new(),
             relevant_packets: Arc::new(BTreeMap::new()),
             discovered_stats: Arc::new(BTreeMap::new()),
@@ -229,34 +404,63 @@ impl SystemState {
             fault_budget: scenario.fault_plan.budget,
             crashed: BTreeSet::new(),
             topology,
+            acc: Accumulator::default(),
         };
-
-        // Deliver switch_join events synchronously during initialisation so
-        // the controller starts with its per-switch state set up.
-        let join_messages: Vec<OfMessage> = state
-            .switches
-            .values()
-            .map(|sw| sw.value.join_message())
-            .collect();
-        for msg in join_messages {
-            let produced = controller.handle_message(&msg);
-            for (target, m) in produced {
-                state.enqueue_to_switch(target, m);
-            }
+        // Nothing is folded yet, so every slot starts dirty; settling is
+        // then the one full walk over the slots, and every later
+        // fingerprint starts from the accumulator it seeds.
+        state.acc.dirty = state.slots().collect();
+        for (target, msg) in produced {
+            state.enqueue_to_switch(target, msg);
         }
-        state.controller = Arc::new(Cached::new(controller));
-
-        for host in &scenario.hosts {
-            let id = host.id();
-            state
-                .host_inbox
-                .insert(id, Arc::new(Cached::new(FifoChannel::reliable())));
-            state
-                .hosts
-                .insert(id, Arc::new(Cached::new(host.clone_host())));
-        }
-
+        state.settle();
         state
+    }
+
+    /// Every component slot of this state.
+    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        std::iter::once(Slot::Controller)
+            .chain(self.switches.keys().map(|&id| Slot::Switch(id)))
+            .chain(self.hosts.keys().map(|&id| Slot::Host(id)))
+            .chain(self.sw_to_ctrl.keys().map(|&id| Slot::SwToCtrl(id)))
+            .chain(self.ctrl_to_sw.keys().map(|&id| Slot::CtrlToSw(id)))
+            .chain(
+                self.ingress
+                    .keys()
+                    .map(|&(sw, port)| Slot::Ingress(sw, port)),
+            )
+            .chain(self.host_inbox.keys().map(|&id| Slot::HostInbox(id)))
+    }
+
+    /// What `slot` contributes to the fingerprint right now (caching the
+    /// component's digest if it was not).
+    fn contribution(&self, slot: Slot) -> u64 {
+        slot.mix(match slot {
+            Slot::Controller => self.controller.digest(),
+            Slot::Switch(id) => self.switches[&id].digest(),
+            Slot::Host(id) => self.hosts[&id].digest(),
+            Slot::SwToCtrl(id) => self.sw_to_ctrl[&id].digest(),
+            Slot::CtrlToSw(id) => self.ctrl_to_sw[&id].digest(),
+            Slot::Ingress(sw, port) => self.ingress[&(sw, port)].digest(),
+            Slot::HostInbox(id) => self.host_inbox[&id].digest(),
+        })
+    }
+
+    /// The component slots' share of the fingerprint: the accumulator with
+    /// the dirty slots' current contributions folded over it.
+    fn slots_share(&self) -> u64 {
+        self.acc
+            .dirty
+            .iter()
+            .fold(self.acc.folded, |acc, &slot| acc ^ self.contribution(slot))
+    }
+
+    /// Folds the dirty slots back into the accumulator, so that neither
+    /// [`fingerprint`](Self::fingerprint) nor a clone has to. The search
+    /// calls this once per expanded node (`Node::materialize`).
+    pub(crate) fn settle(&mut self) {
+        self.acc.folded = self.slots_share();
+        self.acc.dirty.clear();
     }
 
     // ----- Component access -----
@@ -269,7 +473,7 @@ impl SystemState {
     /// Mutable access to the controller runtime (un-shares it if the
     /// allocation is shared with other states).
     pub fn controller_mut(&mut self) -> &mut ControllerRuntime {
-        Arc::make_mut(&mut self.controller).value_mut()
+        self.acc.write(Slot::Controller, &mut self.controller)
     }
 
     /// The switches, in id order.
@@ -284,9 +488,8 @@ impl SystemState {
 
     /// Mutable access to one switch (un-shares only that switch).
     pub fn switch_mut(&mut self, id: SwitchId) -> Option<&mut Switch> {
-        self.switches
-            .get_mut(&id)
-            .map(|sw| Arc::make_mut(sw).value_mut())
+        let cell = self.switches.get_mut(&id)?;
+        Some(self.acc.write(Slot::Switch(id), cell))
     }
 
     /// The hosts, in id order.
@@ -301,9 +504,8 @@ impl SystemState {
 
     /// Mutable access to one host (un-shares only that host).
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut Box<dyn HostModel>> {
-        self.hosts
-            .get_mut(&id)
-            .map(|h| Arc::make_mut(h).value_mut())
+        let cell = self.hosts.get_mut(&id)?;
+        Some(self.acc.write(Slot::Host(id), cell))
     }
 
     /// The static topology.
@@ -329,15 +531,15 @@ impl SystemState {
         }
         self.of_enqueue_seq += 1;
         self.last_of_enqueue.insert(switch, self.of_enqueue_seq);
-        Arc::make_mut(self.ctrl_to_sw.entry(switch).or_default())
-            .value_mut()
+        self.acc
+            .channel_mut(Slot::CtrlToSw(switch), &mut self.ctrl_to_sw, switch)
             .push(msg);
     }
 
     /// Enqueues an OpenFlow message from a switch towards the controller.
     pub fn enqueue_to_controller(&mut self, switch: SwitchId, msg: OfMessage) {
-        Arc::make_mut(self.sw_to_ctrl.entry(switch).or_default())
-            .value_mut()
+        self.acc
+            .channel_mut(Slot::SwToCtrl(switch), &mut self.sw_to_ctrl, switch)
             .push(msg);
     }
 
@@ -347,15 +549,16 @@ impl SystemState {
         if self.crashed.contains(&switch) {
             return;
         }
-        Arc::make_mut(self.ingress.entry((switch, port)).or_default())
-            .value_mut()
+        let slot = Slot::Ingress(switch, port);
+        self.acc
+            .channel_mut(slot, &mut self.ingress, (switch, port))
             .push(packet);
     }
 
     /// Enqueues a packet for delivery to a host.
     pub fn enqueue_host(&mut self, host: HostId, packet: Packet) {
-        Arc::make_mut(self.host_inbox.entry(host).or_default())
-            .value_mut()
+        self.acc
+            .channel_mut(Slot::HostInbox(host), &mut self.host_inbox, host)
             .push(packet);
     }
 
@@ -366,9 +569,8 @@ impl SystemState {
 
     /// Mutable controller→switch channel (un-shares only that channel).
     pub fn ctrl_to_sw_mut(&mut self, switch: SwitchId) -> Option<&mut FifoChannel<OfMessage>> {
-        self.ctrl_to_sw
-            .get_mut(&switch)
-            .map(|ch| Arc::make_mut(ch).value_mut())
+        let cell = self.ctrl_to_sw.get_mut(&switch)?;
+        Some(self.acc.write(Slot::CtrlToSw(switch), cell))
     }
 
     /// The switch→controller channel of a switch.
@@ -378,9 +580,8 @@ impl SystemState {
 
     /// Mutable switch→controller channel (un-shares only that channel).
     pub fn sw_to_ctrl_mut(&mut self, switch: SwitchId) -> Option<&mut FifoChannel<OfMessage>> {
-        self.sw_to_ctrl
-            .get_mut(&switch)
-            .map(|ch| Arc::make_mut(ch).value_mut())
+        let cell = self.sw_to_ctrl.get_mut(&switch)?;
+        Some(self.acc.write(Slot::SwToCtrl(switch), cell))
     }
 
     /// The ingress channel of `(switch, port)`.
@@ -394,18 +595,17 @@ impl SystemState {
         switch: SwitchId,
         port: PortId,
     ) -> Option<&mut FifoChannel<Packet>> {
-        self.ingress
-            .get_mut(&(switch, port))
-            .map(|ch| Arc::make_mut(ch).value_mut())
+        let cell = self.ingress.get_mut(&(switch, port))?;
+        Some(self.acc.write(Slot::Ingress(switch, port), cell))
     }
 
-    /// Ports of `switch` whose ingress channel currently holds packets.
-    pub fn busy_ingress_ports(&self, switch: SwitchId) -> Vec<PortId> {
+    /// Ports of `switch` whose ingress channel currently holds packets, in
+    /// port order.
+    pub fn busy_ingress_ports(&self, switch: SwitchId) -> impl Iterator<Item = PortId> + '_ {
         self.ingress
-            .iter()
-            .filter(|((s, _), ch)| *s == switch && !ch.value.is_empty())
-            .map(|((_, p), _)| *p)
-            .collect()
+            .range((switch, PortId(0))..=(switch, PortId(u16::MAX)))
+            .filter(|(_, ch)| !ch.value.is_empty())
+            .map(|(&(_, port), _)| port)
     }
 
     /// The inbox channel of a host.
@@ -415,9 +615,8 @@ impl SystemState {
 
     /// Mutable inbox channel of a host (un-shares only that channel).
     pub fn host_inbox_mut(&mut self, host: HostId) -> Option<&mut FifoChannel<Packet>> {
-        self.host_inbox
-            .get_mut(&host)
-            .map(|ch| Arc::make_mut(ch).value_mut())
+        let cell = self.host_inbox.get_mut(&host)?;
+        Some(self.acc.write(Slot::HostInbox(host), cell))
     }
 
     /// True if any switch↔controller channel holds messages (used to drain
@@ -450,8 +649,7 @@ impl SystemState {
     /// relevant-packet cache (`state(ctrl)` in Figure 5). Cached until the
     /// controller is next mutated.
     pub fn controller_fingerprint(&self) -> u64 {
-        self.controller
-            .digest_with(CTRL_FP_SEED, |c, h| c.fingerprint(h))
+        self.controller.digest()
     }
 
     /// The relevant packets cached for `host` in the current controller
@@ -545,11 +743,10 @@ impl SystemState {
     /// inert until [`SystemState::reconnect_switch`].
     pub fn crash_switch(&mut self, switch: SwitchId) {
         self.crashed.insert(switch);
-        if let Some(sw) = self.switches.get_mut(&switch) {
-            let fresh = Switch::with_config(switch, sw.value.ports.clone(), sw.value.config());
-            *Arc::make_mut(sw).value_mut() = fresh;
+        if let Some(sw) = self.switch_mut(switch) {
+            *sw = Switch::with_config(switch, sw.ports.clone(), sw.config());
         }
-        let busy: Vec<PortId> = self.busy_ingress_ports(switch);
+        let busy: Vec<PortId> = self.busy_ingress_ports(switch).collect();
         for port in busy {
             if let Some(ch) = self.ingress_mut(switch, port) {
                 while ch.pop().is_some() {}
@@ -583,6 +780,7 @@ impl SystemState {
 
     /// Replaces the controller runtime (failover to a standby).
     pub fn replace_controller(&mut self, runtime: ControllerRuntime) {
+        self.acc.retire(Slot::Controller, &self.controller);
         self.controller = Arc::new(Cached::new(runtime));
     }
 
@@ -591,55 +789,33 @@ impl SystemState {
     /// The canonical 64-bit fingerprint of this state, used for the explored
     /// set (Section 6: hashes instead of full states).
     ///
-    /// Computed *incrementally* as an order-independent XOR over the cached
-    /// per-component digests: every copy-on-write component — the
-    /// controller, each switch, each host, and since the incremental
-    /// fingerprinting rework **each FIFO channel** — carries a lazily
-    /// recomputed digest ([`Cached`]) that survives as long as the component
-    /// is not mutated. Each digest is mixed with its slot (component kind +
-    /// key, Zobrist style) before being XORed into the accumulator, so equal
-    /// digests in different positions cannot cancel. A transition therefore
-    /// pays only for re-hashing the handful of components it actually
-    /// touched plus an O(#components) walk over cached 64-bit values —
-    /// instead of re-walking every packet in every channel map as the
-    /// pre-incremental implementation did. The small bookkeeping sets
-    /// (pending statistics, the discovery-cache rows of the *current*
-    /// controller state) are folded the same way; they are tiny.
+    /// An order-independent XOR of one value per component slot — the
+    /// component's digest mixed with the slot's kind and key, Zobrist style,
+    /// so equal digests in different positions cannot cancel — and of the
+    /// small bookkeeping sets. The slots' share is not recomputed here: it
+    /// is the accumulator the state carries (module docs, "Incremental
+    /// fingerprint") with the slots written since the last settle folded
+    /// over it, so a call costs one component re-hash and one mix per
+    /// written slot — not a walk over every slot. The bookkeeping (pending
+    /// statistics, the fault slot, the discovery-cache rows of the *current*
+    /// controller state) is folded afresh each call; it is tiny.
     ///
     /// Golden-value tests in this module pin the per-channel digests to the
-    /// exact FNV-1a hash of the channel contents and the combined value to
-    /// an independent reference implementation, so the incremental path
-    /// cannot silently drift.
+    /// exact FNV-1a hash of the channel contents, and
+    /// [`reference_fingerprint`](Self::reference_fingerprint) re-hashes
+    /// everything from scratch; `tests/fingerprint_walk.rs` holds the two
+    /// equal after every transition of a random walk over every shipped
+    /// scenario, so the accumulator cannot silently drift.
     pub fn fingerprint(&self) -> u64 {
+        self.slots_share() ^ self.bookkeeping_share(self.controller_fingerprint())
+    }
+
+    /// The share of the fingerprint that has no cache to go stale and is
+    /// folded afresh on every call: pending statistics requests, the fault
+    /// state, and the discovery-cache rows of the controller state that
+    /// digests to `ctrl_fp`.
+    fn bookkeeping_share(&self, ctrl_fp: u64) -> u64 {
         let mut acc = 0u64;
-        acc ^= mix(slot::CONTROLLER, 0, self.controller_fingerprint());
-        for (id, sw) in &self.switches {
-            acc ^= mix(
-                slot::SWITCH,
-                id.0 as u64,
-                sw.digest_with(SWITCH_FP_SEED, |s, h| s.fingerprint(h)),
-            );
-        }
-        for (id, host) in &self.hosts {
-            acc ^= mix(
-                slot::HOST,
-                id.0 as u64,
-                host.digest_with(HOST_FP_SEED, |x, h| x.fingerprint(h)),
-            );
-        }
-        for (id, ch) in &self.sw_to_ctrl {
-            acc ^= mix(slot::SW_TO_CTRL, id.0 as u64, channel_digest(ch));
-        }
-        for (id, ch) in &self.ctrl_to_sw {
-            acc ^= mix(slot::CTRL_TO_SW, id.0 as u64, channel_digest(ch));
-        }
-        for ((sw, port), ch) in &self.ingress {
-            let key = ((sw.0 as u64) << 16) | port.0 as u64;
-            acc ^= mix(slot::INGRESS, key, channel_digest(ch));
-        }
-        for (id, ch) in &self.host_inbox {
-            acc ^= mix(slot::HOST_INBOX, id.0 as u64, channel_digest(ch));
-        }
         for sw in &self.pending_stats {
             acc ^= mix(slot::PENDING_STATS, sw.0 as u64, 1);
         }
@@ -659,7 +835,6 @@ impl SystemState {
         // Only the discovery-cache entries for the *current* controller state
         // matter for enabledness; including the full history would make
         // states that differ only in stale cache entries look distinct.
-        let ctrl_fp = self.controller_fingerprint();
         for (host, cache) in self.relevant_packets.iter() {
             if let Some(packets) = cache.get(&ctrl_fp) {
                 let mut h = Fnv64::with_seed(ctrl_fp);
@@ -678,6 +853,35 @@ impl SystemState {
             }
         }
         acc
+    }
+
+    /// The reference the tests hold [`fingerprint`](Self::fingerprint) to: a
+    /// full re-hash of every component, map by map, that reads neither a
+    /// cached digest nor the accumulator. Nothing in the checker calls it.
+    #[doc(hidden)]
+    pub fn reference_fingerprint(&self) -> u64 {
+        let ctrl_fp = rehash(&self.controller.value);
+        let mut acc = mix(slot::CONTROLLER, 0, ctrl_fp);
+        for (id, sw) in &self.switches {
+            acc ^= mix(slot::SWITCH, id.0 as u64, rehash(&sw.value));
+        }
+        for (id, host) in &self.hosts {
+            acc ^= mix(slot::HOST, id.0 as u64, rehash(&host.value));
+        }
+        for (id, ch) in &self.sw_to_ctrl {
+            acc ^= mix(slot::SW_TO_CTRL, id.0 as u64, rehash(&ch.value));
+        }
+        for (id, ch) in &self.ctrl_to_sw {
+            acc ^= mix(slot::CTRL_TO_SW, id.0 as u64, rehash(&ch.value));
+        }
+        for ((sw, port), ch) in &self.ingress {
+            let key = ((sw.0 as u64) << 16) | port.0 as u64;
+            acc ^= mix(slot::INGRESS, key, rehash(&ch.value));
+        }
+        for (id, ch) in &self.host_inbox {
+            acc ^= mix(slot::HOST_INBOX, id.0 as u64, rehash(&ch.value));
+        }
+        acc ^ self.bookkeeping_share(ctrl_fp)
     }
 
     /// Total number of packets currently buffered at switches awaiting a
@@ -865,121 +1069,30 @@ mod tests {
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
     }
 
-    /// Recomputes the combined fingerprint from scratch, bypassing every
-    /// digest cache: the independent reference the incremental path is
-    /// pinned against.
-    fn reference_fingerprint(state: &SystemState) -> u64 {
-        let fresh = |write: &dyn Fn(&mut Fnv64), seed: u64| -> u64 {
-            let mut h = Fnv64::with_seed(seed);
-            write(&mut h);
-            h.finish()
-        };
-        let mut acc = 0u64;
-        acc ^= mix(
-            slot::CONTROLLER,
-            0,
-            fresh(&|h| state.controller.value.fingerprint(h), CTRL_FP_SEED),
-        );
-        for (id, sw) in &state.switches {
-            acc ^= mix(
-                slot::SWITCH,
-                id.0 as u64,
-                fresh(&|h| sw.value.fingerprint(h), SWITCH_FP_SEED),
-            );
-        }
-        for (id, host) in &state.hosts {
-            acc ^= mix(
-                slot::HOST,
-                id.0 as u64,
-                fresh(&|h| host.value.fingerprint(h), HOST_FP_SEED),
-            );
-        }
-        for (id, ch) in &state.sw_to_ctrl {
-            acc ^= mix(
-                slot::SW_TO_CTRL,
-                id.0 as u64,
-                fresh(&|h| ch.value.fingerprint(h), CHANNEL_FP_SEED),
-            );
-        }
-        for (id, ch) in &state.ctrl_to_sw {
-            acc ^= mix(
-                slot::CTRL_TO_SW,
-                id.0 as u64,
-                fresh(&|h| ch.value.fingerprint(h), CHANNEL_FP_SEED),
-            );
-        }
-        for ((sw, port), ch) in &state.ingress {
-            let key = ((sw.0 as u64) << 16) | port.0 as u64;
-            acc ^= mix(
-                slot::INGRESS,
-                key,
-                fresh(&|h| ch.value.fingerprint(h), CHANNEL_FP_SEED),
-            );
-        }
-        for (id, ch) in &state.host_inbox {
-            acc ^= mix(
-                slot::HOST_INBOX,
-                id.0 as u64,
-                fresh(&|h| ch.value.fingerprint(h), CHANNEL_FP_SEED),
-            );
-        }
-        for sw in &state.pending_stats {
-            acc ^= mix(slot::PENDING_STATS, sw.0 as u64, 1);
-        }
-        if state.fault_budget != 0 || !state.crashed.is_empty() {
-            let mut h = Fnv64::with_seed(FAULTS_FP_SEED);
-            h.write_u64(state.fault_budget as u64);
-            h.write_usize(state.crashed.len());
-            for sw in &state.crashed {
-                sw.fingerprint(&mut h);
-            }
-            acc ^= mix(slot::FAULTS, 0, h.finish());
-        }
-        let ctrl_fp = state.controller_fingerprint();
-        for (host, cache) in state.relevant_packets.iter() {
-            if let Some(packets) = cache.get(&ctrl_fp) {
-                let mut h = Fnv64::with_seed(ctrl_fp);
-                packets.fingerprint(&mut h);
-                acc ^= mix(slot::RELEVANT_PACKETS, host.0 as u64, h.finish());
-            }
-        }
-        for (switch, cache) in state.discovered_stats.iter() {
-            if let Some(entries) = cache.get(&ctrl_fp) {
-                let mut h = Fnv64::with_seed(ctrl_fp);
-                h.write_usize(entries.len());
-                for reply in entries {
-                    reply.fingerprint(&mut h);
-                }
-                acc ^= mix(slot::DISCOVERED_STATS, switch.0 as u64, h.finish());
-            }
-        }
-        acc
-    }
-
     #[test]
     fn incremental_fingerprint_matches_uncached_reference() {
         let scenario = testutil::hub_ping_scenario(2);
         let mut state = SystemState::initial(&scenario);
-        assert_eq!(state.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
 
         // Drive a few mutations through the cached accessors and re-check
         // after every step: the caches must never go stale.
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
-        assert_eq!(state.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
 
         state.enqueue_to_switch(SwitchId(2), OfMessage::BarrierRequest { request_id: 7 });
-        assert_eq!(state.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
 
         // Fingerprint once (filling every cache), mutate a single channel,
         // and verify only correct values come back out.
         let _ = state.fingerprint();
         state.ctrl_to_sw_mut(SwitchId(2)).unwrap().pop();
-        assert_eq!(state.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
 
         state.enqueue_host(HostId(2), pkt);
         let cloned = state.clone();
-        assert_eq!(cloned.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(cloned.fingerprint(), state.reference_fingerprint());
     }
 
     #[test]
@@ -991,11 +1104,11 @@ mod tests {
 
         let ch = &state.ingress[&(SwitchId(1), PortId(1))];
         let direct = {
-            let mut h = Fnv64::with_seed(CHANNEL_FP_SEED);
+            let mut h = Fnv64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.fingerprint(&mut h);
             h.finish()
         };
-        assert_eq!(channel_digest(ch), direct);
+        assert_eq!(ch.digest(), direct);
         // Cached on the OnceLock now.
         assert_eq!(ch.digest.get().copied(), Some(direct));
 
@@ -1005,12 +1118,76 @@ mod tests {
         assert_eq!(ch.digest.get(), None);
         // ...and the recomputed digest reflects the new contents.
         let direct_after = {
-            let mut h = Fnv64::with_seed(CHANNEL_FP_SEED);
+            let mut h = Fnv64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.fingerprint(&mut h);
             h.finish()
         };
         assert_ne!(direct, direct_after);
-        assert_eq!(channel_digest(ch), direct_after);
+        assert_eq!(ch.digest(), direct_after);
+    }
+
+    #[test]
+    fn a_written_slot_is_dirty_once_until_the_state_settles() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        assert!(state.acc.dirty.is_empty(), "initial states are settled");
+        let clean = state.acc.folded;
+
+        let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+        state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
+        state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
+        state.ingress_mut(SwitchId(1), PortId(1)).unwrap().pop();
+        state.controller_mut();
+        let ingress = Slot::Ingress(SwitchId(1), PortId(1));
+        assert_eq!(state.acc.dirty, [ingress, Slot::Controller]);
+        // Both contributions left the accumulator with the first write.
+        let empty = Arc::<Cached<FifoChannel<Packet>>>::default().digest();
+        assert_eq!(
+            state.acc.folded,
+            clean ^ ingress.mix(empty) ^ Slot::Controller.mix(state.controller_fingerprint())
+        );
+        let dirty_fingerprint = state.fingerprint();
+        assert_eq!(dirty_fingerprint, state.reference_fingerprint());
+
+        // A clone is born settled; settling the original changes what the
+        // accumulator holds, not the fingerprint.
+        let clone = state.clone();
+        assert!(clone.acc.dirty.is_empty());
+        assert_eq!(clone.fingerprint(), dirty_fingerprint);
+        state.settle();
+        assert!(state.acc.dirty.is_empty());
+        assert_eq!(state.acc.folded, clone.acc.folded);
+        assert_eq!(state.fingerprint(), dirty_fingerprint);
+    }
+
+    #[test]
+    fn queueing_on_a_channel_the_topology_lacks_keeps_the_accumulator_exact() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+        let nowhere = SwitchId(9);
+        let barrier = OfMessage::BarrierRequest { request_id: 1 };
+        let queue: [&dyn Fn(&mut SystemState); 4] = [
+            &|s| s.enqueue_to_switch(nowhere, barrier.clone()),
+            &|s| s.enqueue_to_controller(nowhere, OfMessage::SwitchLeave { switch: nowhere }),
+            &|s| s.enqueue_ingress(nowhere, PortId(4), pkt),
+            &|s| s.enqueue_host(HostId(9), pkt),
+        ];
+        for (queued, enqueue) in queue.iter().enumerate() {
+            let before = state.fingerprint();
+            enqueue(&mut state);
+            assert_ne!(state.fingerprint(), before, "channel {queued}");
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+            assert_eq!(state.clone().fingerprint(), state.reference_fingerprint());
+            // Once more on the now-known (and, every other time, settled)
+            // channel.
+            if queued % 2 == 0 {
+                state.settle();
+            }
+            enqueue(&mut state);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+        assert_eq!(state.total_queued_messages(), 8);
     }
 
     #[test]
@@ -1073,7 +1250,7 @@ mod tests {
             .map(|m| m.kind_name())
             .collect();
         assert_eq!(kinds, vec!["switch_leave", "switch_join"]);
-        assert_eq!(state.fingerprint(), reference_fingerprint(&state));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
     }
 
     #[test]
@@ -1084,7 +1261,7 @@ mod tests {
         assert_eq!(budgeted.fault_budget(), 0);
         budgeted.fault_budget = 2;
         assert_ne!(plain.fingerprint(), budgeted.fingerprint());
-        assert_eq!(budgeted.fingerprint(), reference_fingerprint(&budgeted));
+        assert_eq!(budgeted.fingerprint(), budgeted.reference_fingerprint());
         budgeted.consume_fault_budget();
         let one_left = budgeted.fingerprint();
         budgeted.consume_fault_budget();
@@ -1106,10 +1283,14 @@ mod tests {
     fn busy_ingress_ports_reports_queued_packets() {
         let scenario = testutil::hub_ping_scenario(1);
         let mut state = SystemState::initial(&scenario);
-        assert!(state.busy_ingress_ports(SwitchId(1)).is_empty());
+        let busy = |state: &SystemState, switch| -> Vec<PortId> {
+            state.busy_ingress_ports(SwitchId(switch)).collect()
+        };
+        assert!(busy(&state, 1).is_empty());
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
         state.enqueue_ingress(SwitchId(1), PortId(2), pkt);
-        assert_eq!(state.busy_ingress_ports(SwitchId(1)), vec![PortId(2)]);
-        assert!(state.busy_ingress_ports(SwitchId(2)).is_empty());
+        state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
+        assert_eq!(busy(&state, 1), vec![PortId(1), PortId(2)]);
+        assert!(busy(&state, 2).is_empty());
     }
 }

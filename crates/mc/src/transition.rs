@@ -355,18 +355,16 @@ pub fn enabled_transitions(
 
     // Switch and controller transitions.
     for (switch_id, switch) in state.switches() {
-        let busy_ports = state.busy_ingress_ports(switch_id);
-        if !busy_ports.is_empty() {
-            if config.coarse_packet_processing {
+        let mut busy_ports = state.busy_ingress_ports(switch_id);
+        if config.coarse_packet_processing {
+            if busy_ports.next().is_some() {
                 out.push(Transition::ProcessPacket { switch: switch_id });
-            } else {
-                for port in busy_ports {
-                    out.push(Transition::ProcessPacketOn {
-                        switch: switch_id,
-                        port,
-                    });
-                }
             }
+        } else {
+            out.extend(busy_ports.map(|port| Transition::ProcessPacketOn {
+                switch: switch_id,
+                port,
+            }));
         }
         if state.ctrl_to_sw(switch_id).is_some_and(|ch| !ch.is_empty()) {
             out.push(Transition::ProcessOf { switch: switch_id });
@@ -523,7 +521,7 @@ pub fn execute(
         }
 
         Transition::ProcessPacket { switch } => {
-            let ports = state.busy_ingress_ports(*switch);
+            let ports: Vec<PortId> = state.busy_ingress_ports(*switch).collect();
             for port in ports {
                 process_one_ingress(state, *switch, port, events);
             }
@@ -1165,7 +1163,7 @@ mod tests {
             &mut m,
             &mut events,
         );
-        assert!(state.busy_ingress_ports(SwitchId(1)).is_empty());
+        assert_eq!(state.busy_ingress_ports(SwitchId(1)).count(), 0);
         let arrivals = events
             .iter()
             .filter(|e| matches!(e, Event::PacketArrivedAtSwitch { .. }))
