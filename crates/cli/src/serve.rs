@@ -7,7 +7,7 @@
 //! **fair queuing**: the scheduler round-robins across connections that
 //! have jobs pending, so one chatty client cannot starve the others.
 //!
-//! The client protocol is `nice-dist-v1` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v2` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame (its `shard` field is ignored; sharding is the server's
 //! business) and receives `progress` and `violation` frames while the job
@@ -24,11 +24,11 @@ use nice_dist::{
     read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
 };
 use nice_mc::{CheckReport, ReductionKind, ShardSpec, StrategyKind};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -42,10 +42,28 @@ struct Client {
     pending: VecDeque<(u64, JobSpec)>,
     /// The running job's client id and cancel flag, while one is running.
     current: Option<(u64, Arc<AtomicBool>)>,
-    /// Write half of the connection.
-    writer: UnixStream,
-    /// Reader saw EOF — drop the client once its queue drains.
+    /// The connection; its reader thread holds the other handle.
+    stream: Arc<UnixStream>,
+    /// Reader saw EOF: the client is dropped (and the connection closed
+    /// with it) as soon as no job of its is running.
     closed: bool,
+}
+
+/// The open connections by connection id — ids are never reused, so the
+/// scheduler and a reader thread keep naming the same client while others
+/// come and go — and the signal that one of them queued a job.
+#[derive(Default)]
+struct Clients {
+    by_id: Mutex<BTreeMap<u64, Client>>,
+    job_queued: Condvar,
+}
+
+impl Clients {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Client>> {
+        self.by_id
+            .lock()
+            .expect("no thread panics holding the client table")
+    }
 }
 
 pub(crate) fn cmd_serve(args: &[String]) -> i32 {
@@ -108,58 +126,60 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
         if coordinator.workers() == 1 { "" } else { "es" }
     );
 
-    let clients: Arc<Mutex<Vec<Client>>> = Arc::new(Mutex::new(Vec::new()));
+    let clients = Arc::new(Clients::default());
     let accept_clients = Arc::clone(&clients);
     std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            let Ok(writer) = stream.try_clone() else {
-                continue;
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
+            let stream = match stream {
+                Ok(stream) => Arc::new(stream),
+                Err(e) => {
+                    // Out of descriptors, most likely: they come back as
+                    // open connections close, so keep accepting.
+                    eprintln!("nice serve: cannot accept a connection: {e}");
+                    std::thread::sleep(Duration::from_millis(50));
+                    continue;
+                }
             };
-            let index = {
-                let mut clients = accept_clients.lock().unwrap();
-                clients.push(Client {
+            accept_clients.lock().insert(
+                id,
+                Client {
                     pending: VecDeque::new(),
                     current: None,
-                    writer,
+                    stream: Arc::clone(&stream),
                     closed: false,
-                });
-                clients.len() - 1
-            };
+                },
+            );
             let reader_clients = Arc::clone(&accept_clients);
-            std::thread::spawn(move || client_reader(index, stream, reader_clients));
+            std::thread::spawn(move || client_reader(id, &stream, &reader_clients));
         }
     });
 
     let mut served: u64 = 0;
-    let mut next_client = 0usize;
+    let mut next_client = 0u64;
     loop {
         // Round-robin pick: the first connection at or after the cursor
-        // with a job pending.
-        let picked = {
-            let mut clients = clients.lock().unwrap();
-            let n = clients.len();
-            let mut picked = None;
-            for offset in 0..n {
-                let index = (next_client + offset) % n;
-                if let Some((job, spec)) = clients[index].pending.pop_front() {
+        // with a job pending. With none the scheduler sleeps until a reader
+        // queues one.
+        let (id, job, spec, cancel, stream) = {
+            let mut by_id = clients.lock();
+            loop {
+                let (from, before) = (by_id.range(next_client..), by_id.range(..next_client));
+                let mut waiting = from.chain(before).filter(|(_, c)| !c.pending.is_empty());
+                if let Some((&id, _)) = waiting.next() {
+                    let client = by_id.get_mut(&id).expect("found under this lock");
+                    let (job, spec) = client.pending.pop_front().expect("found non-empty");
                     let cancel = Arc::new(AtomicBool::new(false));
-                    clients[index].current = Some((job, Arc::clone(&cancel)));
-                    let writer = clients[index].writer.try_clone();
-                    next_client = index + 1;
-                    picked = Some((index, job, spec, cancel, writer));
-                    break;
+                    client.current = Some((job, Arc::clone(&cancel)));
+                    break (id, job, spec, cancel, Arc::clone(&client.stream));
                 }
+                by_id = (clients.job_queued.wait(by_id))
+                    .expect("no thread panics holding the client table");
             }
-            picked
         };
-        let Some((index, job, spec, cancel, writer)) = picked else {
-            std::thread::sleep(Duration::from_millis(20));
-            continue;
-        };
-        let Ok(mut writer) = writer else { continue };
+        next_client = id + 1;
+        let mut writer = &*stream;
 
-        eprintln!("job {job} (client {index}): {}", spec.scenario);
+        eprintln!("job {job} (client {id}): {}", spec.scenario);
         let result = coordinator.run_job(
             &spec,
             |event| {
@@ -213,7 +233,16 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
             ),
             Err(e) => eprintln!("job {job} failed: {e}"),
         }
-        clients.lock().unwrap()[index].current = None;
+        {
+            let mut by_id = clients.lock();
+            let client = by_id
+                .get_mut(&id)
+                .expect("a client outlives its running job");
+            client.current = None;
+            if client.closed {
+                by_id.remove(&id);
+            }
+        }
 
         served += 1;
         if max_jobs > 0 && served >= max_jobs {
@@ -229,18 +258,20 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
 
 /// Reads a client's frames: `job` enqueues, `cancel` stops a queued or
 /// running job, EOF closes the connection (and cancels its running job).
-fn client_reader(index: usize, stream: UnixStream, clients: Arc<Mutex<Vec<Client>>>) {
+fn client_reader(id: u64, stream: &UnixStream, clients: &Clients) {
     let mut reader = BufReader::new(stream);
     loop {
-        match read_frame(&mut reader) {
+        let frame = read_frame(&mut reader);
+        let mut by_id = clients.lock();
+        let client = by_id
+            .get_mut(&id)
+            .expect("a client stays until its reader has seen EOF");
+        match frame {
             Ok(Some(Frame::Job { job, spec, .. })) => {
-                clients.lock().unwrap()[index]
-                    .pending
-                    .push_back((job, spec));
+                client.pending.push_back((job, spec));
+                clients.job_queued.notify_one();
             }
             Ok(Some(Frame::Cancel { job })) => {
-                let mut clients = clients.lock().unwrap();
-                let client = &mut clients[index];
                 if let Some((current, cancel)) = &client.current {
                     if *current == job {
                         cancel.store(true, Ordering::Relaxed);
@@ -250,12 +281,12 @@ fn client_reader(index: usize, stream: UnixStream, clients: Arc<Mutex<Vec<Client
             }
             Ok(Some(_)) => {} // clients only submit and cancel
             Ok(None) | Err(_) => {
-                let mut clients = clients.lock().unwrap();
-                let client = &mut clients[index];
                 client.closed = true;
                 client.pending.clear();
-                if let Some((_, cancel)) = &client.current {
-                    cancel.store(true, Ordering::Relaxed);
+                match &client.current {
+                    // The scheduler drops the client when the job returns.
+                    Some((_, cancel)) => cancel.store(true, Ordering::Relaxed),
+                    None => drop(by_id.remove(&id)),
                 }
                 return;
             }

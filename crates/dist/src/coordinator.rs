@@ -2,14 +2,16 @@
 //!
 //! The coordinator shards the fingerprint space over the pool
 //! (worker *i* runs [`ShardSpec`] `{index: i, count: N}`), routes each
-//! `forward`ed frontier export to the worker that owns its fingerprint, and
-//! decides global termination: the frontier is empty exactly when every
-//! worker has announced `idle` acknowledging *all* the state records routed
-//! to it (workers flush forwards before announcing idle, and pipes are
-//! FIFO, so nothing can be in flight when the acknowledgements line up).
+//! `forward`ed frontier export to the worker that owns its fingerprint —
+//! a batch in, one batch out per owner — and decides global termination:
+//! the frontier is empty exactly when every worker has announced `idle`
+//! acknowledging *all* the state records routed to it (workers flush
+//! forwards before announcing idle, and pipes are FIFO, so nothing can be
+//! in flight when the acknowledgements line up).
 //!
 //! **Crash recovery.** Every export routed to a worker is also appended to
-//! that worker's *forward log*. When a worker's pipe hits EOF mid-job, the
+//! that worker's *forward log* (the logged paths share their prefixes, as
+//! they did on the wire, so the log costs what the states differ in). When a worker's pipe hits EOF mid-job, the
 //! coordinator respawns it (bumping its generation — frames a dead process
 //! left behind are discarded by generation tag), re-sends the job, and
 //! replays the log; the worker re-derives its shard of the frontier by
@@ -305,6 +307,9 @@ impl Coordinator {
                 break;
             }
 
+            // The timeout only paces the cancel and deadline polls above:
+            // every frame wakes this at once, and a blocking receive read
+            // the same round trips (ROADMAP, wire item).
             let event = match self.pool.events().recv_timeout(Duration::from_millis(50)) {
                 Ok(event) => event,
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,

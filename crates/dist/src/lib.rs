@@ -8,7 +8,7 @@
 //! another worker's shard are forwarded (as replayable frontier exports),
 //! not re-explored.
 //!
-//! * [`proto`] — the `nice-dist-v1` wire protocol: length-prefixed
+//! * [`proto`] — the `nice-dist-v2` wire protocol: length-prefixed
 //!   single-line JSON frames, written and parsed through [`nice_mc::json`].
 //! * [`worker`] — the worker main loop: drives a
 //!   [`nice_mc::ShardedSearch`] (the *same* expansion loop as the

@@ -1,8 +1,8 @@
-//! The `nice-dist-v1` wire protocol.
+//! The `nice-dist-v2` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v1"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v2"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -12,29 +12,49 @@
 //! ([`nice_mc::trace::steps_to_json`]), so a violation streamed by a
 //! worker carries the same replayable steps a trace file does.
 //!
+//! **Exported states travel as deltas.** The `"states"` array of a
+//! `forward` / `states` frame ([`nice_mc::shard::exports_to_json`]) writes
+//! each state as `{"fingerprint", "keep", "steps", "sleep"}`: `"keep": k`
+//! says the state's trace starts with the first `k` transitions of the
+//! state *before it in the same array*, and `"steps"` holds only what
+//! follows them. A shard exports in depth-first order, so neighbours share
+//! all but their last few steps and a state costs those few on the wire,
+//! not its depth. The first state of an array keeps nothing and carries its
+//! whole trace: a frame decodes on its own, and the coordinator can regroup
+//! states by owner, log them and replay the log without any state of the
+//! codec to carry along. A `keep` past the end of the previous trace (any
+//! at all on a first state) is `InvalidData`.
+//!
+//! That is what `v2` is for: the other ten frame kinds keep their
+//! `nice-dist-v1` bytes, but a v1 peer would hand over whole traces where
+//! this one reads suffixes, and the owner of a state re-derives nothing
+//! from its trace — so a stale worker binary must fail loudly on the
+//! schema tag instead of exploring a wrong state silently.
+//!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
 //! | `job` | C → W | start a job on a shard (scenario spec + engine config) |
-//! | `states` | C → W | frontier exports routed to this worker's shard |
+//! | `states` | C → W | frontier exports routed to this worker's shard, each relative to the one before (`keep`) |
 //! | `cancel` | C → W | stop expanding (the job still completes with `job_done`) |
 //! | `finish` | C → W | no more states will arrive; finalize and report |
 //! | `shutdown` | C → W | exit the worker process |
 //! | `hello` | W → C | worker is up (pid) |
-//! | `forward` | W → C | frontier exports owned by other shards |
+//! | `forward` | W → C | a batch of frontier exports owned by other shards, each relative to the one before (`keep`) |
 //! | `progress` | W → C | periodic transition/state counters |
 //! | `violation` | W → C | a violation, streamed live with its steps |
 //! | `idle` | W → C | local frontier drained; `received` acknowledges injected states |
 //! | `job_done` | W → C | final per-shard stats + violations |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
 
+use nice_mc::shard::{exports_from_json, exports_to_json};
 use nice_mc::trace::{steps_from_json, steps_to_json};
 use nice_mc::{FrontierExport, Json, SearchStats, ShardSpec, Transition, Violation};
 use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v1` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v1";
+/// The schema tag every `nice-dist-v2` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v2";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -77,7 +97,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v1` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v2` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: start `job` on `shard` with the given spec.
@@ -172,19 +192,8 @@ pub enum Frame {
 // Encoding and decoding
 // ---------------------------------------------------------------------------
 
-fn exports_to_json(states: &[FrontierExport]) -> Json<'_> {
-    Json::Arr(states.iter().map(FrontierExport::to_json).collect())
-}
-
-fn exports_from_json(frame: &Json) -> Result<Vec<FrontierExport>, String> {
-    let states = frame.arr("states")?.iter().enumerate();
-    states
-        .map(|(i, v)| FrontierExport::from_json(v).map_err(|e| format!("state {i}: {e}")))
-        .collect()
-}
-
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v1` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v2` JSON document.
     pub fn to_json(&self) -> String {
         let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
             Frame::Job { job, shard, spec } => {
@@ -250,7 +259,7 @@ impl Frame {
         Json::object(head.into_iter().chain(job).chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v1` JSON document.
+    /// Parses a single-line `nice-dist-v2` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -273,7 +282,7 @@ impl Frame {
             }
             "states" => Frame::States {
                 job: job()?,
-                states: exports_from_json(&value)?,
+                states: exports_from_json(value.arr("states")?)?,
             },
             "cancel" => Frame::Cancel { job: job()? },
             "finish" => Frame::Finish { job: job()? },
@@ -283,7 +292,7 @@ impl Frame {
             },
             "forward" => Frame::Forward {
                 job: job()?,
-                states: exports_from_json(&value)?,
+                states: exports_from_json(value.arr("states")?)?,
             },
             "progress" => Frame::Progress {
                 job: job()?,
@@ -367,7 +376,7 @@ mod tests {
             nice_mc::transition::enabled_transitions(&state, &scenario, &CheckerConfig::default());
         vec![FrontierExport {
             fingerprint: state.fingerprint(),
-            trace: steps.clone(),
+            trace: steps.clone().into(),
             sleep: steps,
         }]
     }
@@ -446,23 +455,41 @@ mod tests {
                 Transition::ControllerHandle {
                     switch: SwitchId(1),
                 },
-            ],
+            ]
+            .into(),
             sleep: vec![Transition::HostReceive { host: HostId(2) }],
         }
     }
 
-    /// One frame of each of the 12 kinds with its `nice-dist-v1` bytes, as
-    /// recorded from the `format!` emitters this module had before it was
-    /// rebuilt on `nice_mc::json`.
+    /// The transitions of `path`, owned.
+    fn steps_of(path: &nice_mc::Path) -> Vec<Transition> {
+        path.suffix(0).into_iter().cloned().collect()
+    }
+
+    /// [`golden_export`]'s sibling: the same way up to its last step.
+    fn golden_sibling() -> FrontierExport {
+        let mut steps = steps_of(&golden_export().trace);
+        steps.pop();
+        steps.push(Transition::HostReceive { host: HostId(2) });
+        FrontierExport {
+            fingerprint: 7,
+            trace: steps.into(),
+            sleep: Vec::new(),
+        }
+    }
+
+    /// One frame of each of the 12 kinds with its `nice-dist-v2` bytes. Ten
+    /// of them are their `nice-dist-v1` bytes but for the tag; `states` and
+    /// `forward` carry `"keep"`.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
             message: "packet \"lost\"\nat sw1".to_string(),
-            steps: golden_export().trace,
+            steps: steps_of(&golden_export().trace),
         };
         let max = FrontierExport {
             fingerprint: u64::MAX,
-            trace: Vec::new(),
+            trace: Vec::new().into(),
             sleep: Vec::new(),
         };
         vec![
@@ -472,37 +499,37 @@ mod tests {
                     shard: ShardSpec { index: 1, count: 4 },
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v1","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000,"explored":"tiered","mem_limit":1048576}}"#,
+                r#"{"schema":"nice-dist-v2","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000,"explored":"tiered","mem_limit":1048576}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
-                    states: vec![golden_export(), max],
+                    states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v1","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v2","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v1","frame":"cancel","job":3}"#,
+                r#"{"schema":"nice-dist-v2","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Finish { job: 4 },
-                r#"{"schema":"nice-dist-v1","frame":"finish","job":4}"#,
+                r#"{"schema":"nice-dist-v2","frame":"finish","job":4}"#,
             ),
             (
                 Frame::Shutdown,
-                r#"{"schema":"nice-dist-v1","frame":"shutdown"}"#,
+                r#"{"schema":"nice-dist-v2","frame":"shutdown"}"#,
             ),
             (
                 Frame::Hello { pid: 4242 },
-                r#"{"schema":"nice-dist-v1","frame":"hello","pid":4242}"#,
+                r#"{"schema":"nice-dist-v2","frame":"hello","pid":4242}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
-                    states: vec![golden_export()],
+                    states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v1","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]}]}"#,
+                r#"{"schema":"nice-dist-v2","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -511,21 +538,21 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v1","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v2","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation {
                     job: 7,
                     violation: violation.clone(),
                 },
-                r#"{"schema":"nice-dist-v1","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}}"#,
+                r#"{"schema":"nice-dist-v2","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::Idle {
                     job: 8,
                     received: 17,
                 },
-                r#"{"schema":"nice-dist-v1","frame":"idle","job":8,"received":17}"#,
+                r#"{"schema":"nice-dist-v2","frame":"idle","job":8,"received":17}"#,
             ),
             (
                 Frame::JobDone {
@@ -533,14 +560,14 @@ mod tests {
                     stats: sample_stats(),
                     violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v1","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v2","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"ctrl_handle","switch":1}]}]}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v1","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v2","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -572,6 +599,18 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
+        // A peer from before `keep` would hand over whole traces the owner
+        // takes for suffixes (or the reverse): it must fail on the tag.
+        for (frame, golden) in golden_frames() {
+            let stale = golden.replacen("nice-dist-v2", "nice-dist-v1", 1);
+            let wire = format!("{} {stale}\n", stale.len());
+            let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("unknown schema 'nice-dist-v1'"),
+                "{err}"
+            );
+        }
         assert!(Frame::from_json("{\"frame\":\"cancel\",\"job\":1}").is_err());
         let mut r = io::BufReader::new(&b"9 {\"a\":1}\n"[..]);
         assert!(read_frame(&mut r).is_err(), "length mismatch must fail");
@@ -595,7 +634,7 @@ mod tests {
             job: 1,
             states: vec![FrontierExport {
                 fingerprint: u64::MAX,
-                trace: Vec::new(),
+                trace: Vec::new().into(),
                 sleep: Vec::new(),
             }],
         };
@@ -608,11 +647,19 @@ mod tests {
     /// is two orders of magnitude above what a linear codec needs.
     #[test]
     fn a_four_megabyte_states_frame_round_trips_in_linear_time() {
-        let export = sample_exports().remove(0);
-        let copies = (4 << 20) / export.to_json().compact().len() + 1;
+        // Neighbours that share nothing, so that every state travels whole.
+        let (export, mut other) = (sample_exports().remove(0), sample_exports().remove(0));
+        let mut detour = vec![Transition::HostReceive { host: HostId(9) }];
+        detour.extend(steps_of(&other.trace));
+        other.trace = detour.into();
+        let states_frame = |states| Frame::States { job: 1, states }.to_json().len();
+        let pair = states_frame(vec![export.clone(), other.clone()]) - states_frame(Vec::new());
+        let copies = (4 << 20) / pair + 1;
         let frame = Frame::States {
             job: 1,
-            states: vec![export; copies],
+            states: (0..copies)
+                .flat_map(|_| [export.clone(), other.clone()])
+                .collect(),
         };
         let started = Instant::now();
         let mut wire = Vec::new();
@@ -628,5 +675,93 @@ mod tests {
         };
         assert_eq!(states, sent);
         assert!(elapsed.as_secs() < 5, "round trip took {elapsed:?}");
+    }
+
+    /// 64 depth-first neighbours: one long way, then siblings at its end.
+    fn neighbours() -> Vec<FrontierExport> {
+        let way = steps_of(&sample_exports()[0].trace);
+        let way: Vec<Transition> = (0..8).flat_map(|_| way.clone()).collect();
+        (0..64)
+            .map(|host| {
+                let mut steps = way[..way.len() - (host as usize % 5)].to_vec();
+                steps.push(Transition::HostReceive { host: HostId(host) });
+                FrontierExport {
+                    fingerprint: u64::from(host),
+                    trace: steps.into(),
+                    sleep: Vec::new(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_corrupt_keep_is_invalid_data_not_a_panic_or_a_state() {
+        let states = neighbours();
+        let deepest = states.iter().map(|s| s.trace.len()).max().unwrap();
+        let json = Frame::Forward { job: 1, states }.to_json();
+        let read = |json: &str| read_frame(&mut format!("{} {json}\n", json.len()).as_bytes());
+        let Some(Frame::Forward {
+            states: decoded, ..
+        }) = read(&json).expect("intact")
+        else {
+            panic!("a forward frame decoded as something else");
+        };
+        assert_eq!(decoded, neighbours());
+        assert_eq!(json.matches("\"keep\":").count(), 64);
+        // Every state's keep in turn, past anything the frame holds.
+        for (at, _) in json.match_indices("\"keep\":") {
+            let digits = json[at + 7..].find(',').unwrap();
+            let corrupt = format!(
+                "{}{}{}",
+                &json[..at + 7],
+                deepest + 1,
+                &json[at + 7 + digits..]
+            );
+            let err = read(&corrupt).expect_err("a keep past the previous trace");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("keep"), "{err}");
+        }
+        // The first state has nothing before it to keep from.
+        let first = json.replacen("\"keep\":0", "\"keep\":1", 1);
+        let err = read(&first).expect_err("a keep on the first state");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("state 0: keep 1"), "{err}");
+    }
+
+    #[test]
+    fn a_batch_is_no_dearer_than_its_states_sent_singly() {
+        let states = neighbours();
+        let over_the_wire = |frames: &[Frame]| {
+            let started = Instant::now();
+            let mut bytes = 0;
+            for frame in frames {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, frame).expect("write");
+                bytes += wire.len();
+                read_frame(&mut wire.as_slice())
+                    .expect("read")
+                    .expect("a frame");
+            }
+            (started.elapsed(), bytes)
+        };
+        let frame = |states: &[FrontierExport]| Frame::States {
+            job: 1,
+            states: states.to_vec(),
+        };
+        let singly: Vec<Frame> = states.chunks(1).map(frame).collect();
+        let batched = [frame(&states)];
+        // Best of five a side: the batch writes a fraction of the bytes, so
+        // "no slower" holds with a wide margin when nothing is quadratic.
+        let best = |frames: &[Frame]| (0..5).map(|_| over_the_wire(frames)).min().unwrap();
+        let ((singly_took, singly_bytes), (batched_took, batched_bytes)) =
+            (best(&singly), best(&batched));
+        assert!(
+            batched_bytes * 4 < singly_bytes,
+            "{batched_bytes} vs {singly_bytes} bytes"
+        );
+        assert!(
+            batched_took <= singly_took,
+            "{batched_took:?} vs {singly_took:?}"
+        );
     }
 }

@@ -9,9 +9,17 @@
 //! Protocol, per job:
 //!
 //! 1. coordinator sends `job` (scenario spec + shard assignment);
-//! 2. the worker steps its shard, emitting `forward` frames for successors
-//!    owned by other shards, `violation` frames as they are found, and
-//!    `progress` frames every [`PROGRESS_EVERY`] transitions;
+//! 2. the worker steps its shard, streaming `violation` frames as they are
+//!    found and `progress` frames every [`PROGRESS_EVERY`] transitions.
+//!    Successors owned by other shards collect in the shard and leave as
+//!    one `forward` frame when [`FORWARD_BATCH`] of them are pending, and
+//!    whenever the local frontier drains or the search stops — so always
+//!    before an `idle` or a `job_done`. The coordinator's termination
+//!    argument needs no more than that: a worker that announces `idle` has
+//!    flushed every export it made, and pipes are FIFO, so when the
+//!    acknowledgements line up nothing is in flight. Exports a crash
+//!    catches unflushed were never routed or logged; the respawned process
+//!    derives them again;
 //! 3. whenever the local frontier drains it announces `idle` carrying the
 //!    number of state records received so far (the coordinator's
 //!    termination detector compares that against what it routed here);
@@ -32,6 +40,15 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 
 /// Emit a `progress` frame every this many locally-executed transitions.
 pub const PROGRESS_EVERY: u64 = 2048;
+
+/// Exported states a `forward` frame waits for while the shard still has
+/// local work. Every frame's first state carries its whole trace and the
+/// rest only what they add to their predecessor, so small batches pay for
+/// many whole traces, while large ones keep the peer waiting for work:
+/// `serve_roundtrip` read a verdict in 0.097 s at 16, 0.084 s at 64 and
+/// 0.100 s at 256 (where the CPU time per job was lowest and the idle time
+/// highest).
+pub const FORWARD_BATCH: usize = 64;
 
 /// What the per-job loop asks the process loop to do next.
 enum After {
@@ -182,17 +199,15 @@ fn run_job(
 
         let outcome = search.step();
 
-        // Stream exports, new violations, and progress.
-        let forwards = search.take_forwards();
-        if !forwards.is_empty() {
-            write_frame(
-                out,
-                &Frame::Forward {
-                    job,
-                    states: forwards,
-                },
-            )?;
+        // Hand the exports to the wire a batch at a time, and whenever the
+        // frontier drained or the search stopped: everything below this
+        // point that announces `idle` or `job_done` finds nothing pending.
+        let pending = search.forwards_pending();
+        if pending >= FORWARD_BATCH || (pending > 0 && outcome != StepOutcome::Expanded) {
+            let states = search.take_forwards();
+            write_frame(out, &Frame::Forward { job, states })?;
         }
+        // Stream new violations and progress.
         for violation in &search.violations()[sent_violations..] {
             write_frame(
                 out,

@@ -2,7 +2,7 @@
 //! one writer.
 //!
 //! Every document this workspace reads or writes — `nice-trace-v1` traces,
-//! `nice-dist-v1` wire frames, the `nice-cli-*` reports and the bench gate's
+//! `nice-dist-v2` wire frames, the `nice-cli-*` reports and the bench gate's
 //! `BENCH_*.json` — goes through here (the offline build has no serde).
 //!
 //! * [`Json::parse`] is a strict RFC 8259 parser: one pass over the input

@@ -45,7 +45,7 @@
 //! * [`json`] — the workspace's one JSON module: the [`Json`] value, a
 //!   strict, linear, depth-bounded parser and a writer that is well-formed
 //!   by construction, shared by the traces, the CLI, the bench gate and the
-//!   `nice-dist-v1` wire protocol.
+//!   `nice-dist-v2` wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
 //!   replayable frontier nodes, the substrate of the `nice-dist`
@@ -72,7 +72,7 @@ pub mod timeline;
 pub mod trace;
 pub mod transition;
 
-pub use checker::{CheckReport, FaultStats, ModelChecker, SearchStats, Violation};
+pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Violation};
 pub use explored::{ExploredConfig, ExploredMode, ExploredStats, ExploredStore};
 pub use faults::{FailoverStaleness, FaultPlan};
 pub use json::Json;

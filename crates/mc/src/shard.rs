@@ -21,13 +21,22 @@
 //! defined here: a shard is one `checker::Worker`, and stepping it runs the
 //! same `Worker::expand` every engine runs.
 //!
-//! Injected states are rebuilt by replaying their trace from the initial
-//! state (the Section 6 replay mode, whatever
+//! An export's trace is the engine's [`Path`]: exporting pushes one link
+//! onto the parent node's path instead of copying it out, the wire
+//! ([`exports_to_json`]) writes only what a state does not share with the
+//! one before it, and the owner's paths share their prefixes again.
+//! A shard also remembers what it exported: a successor it already sent
+//! its owner with an empty sleep set is counted as the deduplication hit
+//! the owner would count, and not sent again (`checker::SentFilter`).
+//!
+//! Injected states are rebuilt by replay (the Section 6 mode, whatever
 //! [`checkpoint_interval`](crate::scenario::CheckerConfig::checkpoint_interval)
-//! the shard uses for locally-generated nodes). Replays do not count as
-//! explored transitions.
+//! the shard uses for locally-generated nodes) — from the initial state in
+//! principle, in practice from the deepest snapshot the previous such
+//! replay left on the same path (`Worker::materialize`). Replays do not
+//! count as explored transitions.
 
-use crate::checker::{CheckReport, ModelChecker, SearchStats, Shared, Violation, Worker};
+use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Violation, Worker};
 use crate::explored::build_store;
 use crate::json::Json;
 use crate::session::SessionCtrl;
@@ -88,37 +97,81 @@ impl ShardSpec {
 /// A frontier state exported to the shard that owns its fingerprint:
 /// enough to rebuild the state anywhere (replay `trace` from the initial
 /// state) and to keep partial-order reduction sound across the handoff
-/// (`sleep` travels with the node exactly as it does locally).
+/// (`sleep` travels with the node exactly as it does locally). Cloning one
+/// copies no transition of the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierExport {
     /// The state's 64-bit fingerprint (computed by the exporting shard; the
     /// owner re-derives nothing, ownership and deduplication key off this).
     pub fingerprint: u64,
-    /// The transition path from the initial state to this state.
-    pub trace: Vec<Transition>,
+    /// The transition path from the initial state to this state, sharing
+    /// its prefix with the paths of the states exported around it.
+    pub trace: Path,
     /// The sleep set the state was generated under (empty without POR).
     pub sleep: Vec<Transition>,
 }
 
 impl FrontierExport {
-    /// The state object of the `nice-dist-v1` `forward` / `states` frames;
-    /// both sequences are `nice-trace-v1` step arrays.
-    pub fn to_json(&self) -> Json<'_> {
+    /// The state object of the `nice-dist-v2` `forward` / `states` frames,
+    /// written relative to the state `previous` leads to: `"keep"` counts
+    /// the leading transitions the two traces share and `"steps"` holds
+    /// only what follows them (both sequences are `nice-trace-v1` step
+    /// arrays).
+    fn to_json(&self, previous: &Path) -> Json<'_> {
+        let keep = self.trace.shared_with(previous);
+        let steps = self.trace.suffix(keep).into_iter();
         Json::object([
             ("fingerprint", self.fingerprint.into()),
-            ("steps", steps_to_json(&self.trace)),
+            ("keep", keep.into()),
+            ("steps", Json::Arr(steps.map(Transition::to_json).collect())),
             ("sleep", steps_to_json(&self.sleep)),
         ])
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
+    /// Reads what [`to_json`](Self::to_json) writes, building the path on
+    /// the links of `previous`. A `keep` past its end is an error: the
+    /// owner re-derives nothing from a trace, so a wrong prefix would be a
+    /// wrong state explored silently.
+    fn from_json(value: &Json, previous: &Path) -> Result<Self, String> {
+        let keep = value.u64("keep")? as usize;
+        if keep > previous.len() {
+            let len = previous.len();
+            return Err(format!("keep {keep} of a previous trace of {len}"));
+        }
         Ok(FrontierExport {
             fingerprint: value.u64("fingerprint")?,
-            trace: steps_from_json(value, "steps")?,
+            trace: (previous.prefix(keep)).extended(steps_from_json(value, "steps")?),
             sleep: steps_from_json(value, "sleep")?,
         })
     }
+}
+
+/// The `"states"` array of a `nice-dist-v2` `forward` / `states` frame:
+/// every state written relative to the one before it *in the same array*.
+/// The first keeps nothing and carries its whole trace, so an array decodes
+/// on its own.
+pub fn exports_to_json(states: &[FrontierExport]) -> Json<'_> {
+    let mut previous = &Path::default();
+    let mut array = Vec::with_capacity(states.len());
+    for state in states {
+        array.push(state.to_json(previous));
+        previous = &state.trace;
+    }
+    Json::Arr(array)
+}
+
+/// Reads what [`exports_to_json`] writes; the states' paths share their
+/// prefixes as the array said they do.
+pub fn exports_from_json(states: &[Json]) -> Result<Vec<FrontierExport>, String> {
+    let mut exports = Vec::with_capacity(states.len());
+    let mut previous = Path::default();
+    for (i, value) in states.iter().enumerate() {
+        let state =
+            FrontierExport::from_json(value, &previous).map_err(|e| format!("state {i}: {e}"))?;
+        previous = state.trace.clone();
+        exports.push(state);
+    }
+    Ok(exports)
 }
 
 /// What one [`ShardedSearch::step`] did.
@@ -163,7 +216,7 @@ impl<'a> ShardedSearch<'a> {
             DiscoveryMemo::default(),
         );
         if shard.owns(root_fingerprint) {
-            worker.enqueue(root_fingerprint, Vec::new(), Vec::new());
+            worker.enqueue(root_fingerprint, Path::default(), Vec::new());
         }
         ShardedSearch { worker, start }
     }
@@ -199,6 +252,12 @@ impl<'a> ShardedSearch<'a> {
     /// True once the search has stopped for good.
     pub fn stopped(&self) -> bool {
         self.worker.shared.stop.load(Ordering::Relaxed)
+    }
+
+    /// Number of exported states waiting for
+    /// [`ShardedSearch::take_forwards`].
+    pub fn forwards_pending(&self) -> usize {
+        self.worker.forwards.len()
     }
 
     /// Drains the states exported for other shards since the last call.
@@ -429,24 +488,107 @@ mod tests {
 
     #[test]
     fn exported_frontier_replays_to_the_same_fingerprint() {
-        let checker = ModelChecker::new(testutil::hub_ping_scenario(1), exhaustive_config());
-        let mut shard = ShardedSearch::new(&checker, ShardSpec { index: 0, count: 2 });
-        // Run shard 0 dry and check each export replays to its fingerprint.
-        while shard.step() == StepOutcome::Expanded {}
-        let exports = shard.take_forwards();
-        if exports.is_empty() {
-            // Tiny state space may land entirely in one shard; nothing to
-            // check in that case (the equivalence tests above cover real
-            // splits).
-            return;
-        }
-        for export in exports {
-            let mut replayer =
-                crate::replay::Replayer::new(&checker, &crate::trace::TraceEngine::default());
-            for t in &export.trace {
-                replayer.step_unchecked(t);
+        let make = || ModelChecker::new(testutil::hub_ping_scenario(2), exhaustive_config());
+        let checkers = [make(), make()];
+        let mut shards: Vec<ShardedSearch<'_>> = (checkers.iter().zip(0..))
+            .map(|(checker, index)| ShardedSearch::new(checker, ShardSpec { index, count: 2 }))
+            .collect();
+        // A real two-shard run, every batch taken over the wire: what the
+        // owner decodes is what the sender exported, each state replays to
+        // its fingerprint, and the run carries on from the decoded paths.
+        let (mut batches, mut states, mut written) = (0, 0, 0);
+        loop {
+            let mut progressed = false;
+            for i in 0..shards.len() {
+                while shards[i].step() == StepOutcome::Expanded {}
+                let exports = shards[i].take_forwards();
+                if exports.is_empty() {
+                    continue;
+                }
+                let wire = exports_to_json(&exports).compact();
+                let Json::Arr(array) = Json::parse(&wire).expect("well-formed") else {
+                    panic!("not an array: {wire}");
+                };
+                let decoded = exports_from_json(&array).expect("decodes");
+                assert_eq!(decoded, exports);
+                batches += 1;
+                states += exports.len();
+                written += array
+                    .iter()
+                    .map(|s| s.arr("steps").unwrap().len())
+                    .sum::<usize>();
+                for export in decoded {
+                    let mut replayer = crate::replay::Replayer::new(
+                        &checkers[i],
+                        &crate::trace::TraceEngine::default(),
+                    );
+                    for t in export.trace.suffix(0) {
+                        replayer.step_unchecked(t);
+                    }
+                    assert_eq!(replayer.fingerprint(), export.fingerprint);
+                    progressed |= shards[1 - i].inject(export);
+                }
             }
-            assert_eq!(replayer.fingerprint(), export.fingerprint);
+            if !progressed {
+                break;
+            }
         }
+        assert!(batches > 2 && states > 2 * batches, "{states} in {batches}");
+        // Depth-first neighbours share most of their way: a state costs a
+        // few steps on the wire, not its depth.
+        let depth = shards.iter().map(|s| s.stats().max_depth).max().unwrap();
+        assert!(
+            written / states < depth / 3,
+            "{written} steps for {states} states"
+        );
+        let sequential = make().run();
+        let sum =
+            |field: fn(&SearchStats) -> u64| shards.iter().map(|s| field(s.stats())).sum::<u64>();
+        assert_eq!(sum(|s| s.transitions), sequential.stats.transitions);
+        assert_eq!(sum(|s| s.unique_states), sequential.stats.unique_states);
+        assert_eq!(sum(|s| s.dedup_hits), sequential.stats.dedup_hits);
+    }
+
+    #[test]
+    fn a_keep_past_the_previous_trace_is_an_error() {
+        let step = |host| Transition::HostReceive {
+            host: nice_openflow::HostId(host),
+        };
+        let export = |steps: Vec<Transition>| FrontierExport {
+            fingerprint: steps.len() as u64,
+            trace: steps.into(),
+            sleep: Vec::new(),
+        };
+        let exports = [
+            export(vec![step(1), step(2), step(3)]),
+            export(vec![step(1), step(2), step(4), step(5)]),
+            export(vec![step(9)]),
+            export(vec![]),
+        ];
+        let wire = exports_to_json(&exports).compact();
+        let keeps: Vec<&str> = wire
+            .match_indices("\"keep\":")
+            .map(|(at, _)| &wire[at + 7..at + 8])
+            .collect();
+        assert_eq!(keeps, ["0", "2", "0", "0"], "{wire}");
+        let decode = |wire: &str| {
+            let Json::Arr(array) = Json::parse(wire).unwrap() else {
+                panic!("not an array: {wire}");
+            };
+            exports_from_json(&array)
+        };
+        assert_eq!(decode(&wire).unwrap(), exports);
+        // Exactly the previous trace may be kept; one more may not, and the
+        // first state has no previous trace.
+        let kept_all = wire.replacen("\"keep\":2", "\"keep\":3", 1);
+        assert_eq!(decode(&kept_all).unwrap()[1].trace.len(), 5);
+        let too_long = wire.replacen("\"keep\":2", "\"keep\":4", 1);
+        assert!(decode(&too_long)
+            .unwrap_err()
+            .starts_with("state 1: keep 4"));
+        let first = wire.replacen("\"keep\":0", "\"keep\":1", 1);
+        assert!(decode(&first).unwrap_err().starts_with("state 0: keep 1"));
+        let missing = wire.replacen("\"keep\":2,", "", 1);
+        assert!(decode(&missing).unwrap_err().starts_with("state 1:"));
     }
 }

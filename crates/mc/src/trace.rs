@@ -230,7 +230,7 @@ impl fmt::Display for Trace {
 // ---------------------------------------------------------------------------
 
 /// A transition sequence as a JSON array of `nice-trace-v1` step objects —
-/// the `"steps"` of a trace, and the fragment the `nice-dist-v1` wire frames
+/// the `"steps"` of a trace, and the fragment the `nice-dist-v2` wire frames
 /// embed when a worker forwards frontier states or streams a violation.
 pub fn steps_to_json(steps: &[Transition]) -> Json<'_> {
     Json::Arr(steps.iter().map(Transition::to_json).collect())
