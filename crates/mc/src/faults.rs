@@ -9,10 +9,13 @@
 //! and describes which fault classes the checker may schedule:
 //!
 //! * **channel faults** — drop / duplicate / reorder / fail-link on the
-//!   packet ingress channels, reusing the dormant
-//!   [`FaultModel`](nice_openflow::FaultModel) machinery on
+//!   packet ingress channels, through the
+//!   [`FaultModel`](nice_openflow::FaultModel) machinery of
 //!   [`FifoChannel`](nice_openflow::FifoChannel) so the two mechanisms
-//!   cannot drift;
+//!   cannot drift. The plan holds the model, not the channel: the checker
+//!   asks [`FaultPlan::channel_model_for`] where it enumerates and where it
+//!   applies a fault, so a port with nothing queued needs no channel in the
+//!   state for its link to fail;
 //! * **switch crashes** — a crash wipes the flow table, packet buffers and
 //!   in-flight channels; a (budget-free) reconnect re-handshakes with the
 //!   controller;

@@ -222,6 +222,11 @@ pub fn independent(
         .independent_of(&b.footprint(state, scenario))
 }
 
+/// The ports `switch` declares (none if the state has no such switch).
+fn ports_of(state: &SystemState, switch: SwitchId) -> &[PortId] {
+    state.switch(switch).map_or(&[], |sw| &sw.ports)
+}
+
 /// Appends the delivery resources for a copy emitted by `switch` on `port`:
 /// the inbox of the attached host, or the ingress of the peer switch, or
 /// nothing (the copy is lost). Mirrors `deliver` in [`crate::transition`].
@@ -252,14 +257,23 @@ fn fate_writes(fp: &mut Footprint, state: &SystemState, switch: SwitchId, fate: 
 /// flood out of every port and notify the controller. Used when the concrete
 /// input (head message) cannot be inspected.
 fn worst_case_emission(fp: &mut Footprint, state: &SystemState, switch: SwitchId) {
-    let ports = state
-        .switch(switch)
-        .map(|s| s.ports.clone())
-        .unwrap_or_default();
     fp.write(res::sw2c_tail(switch));
     fp.read(res::LOCATIONS);
-    for port in ports {
+    for &port in ports_of(state, switch) {
         delivery_writes(fp, state, switch, port);
+    }
+}
+
+/// Folds in what processing the packet at the head of `(switch, port)` may
+/// emit: its predicted fate, or the worst case if the head cannot be seen.
+fn head_packet_writes(fp: &mut Footprint, state: &SystemState, switch: SwitchId, port: PortId) {
+    match state.ingress(switch, port).and_then(|ch| ch.peek()) {
+        Some(packet) => {
+            if let Some(sw) = state.switch(switch) {
+                fate_writes(fp, state, switch, &sw.predict_packet_fate(packet, port));
+            }
+        }
+        None => worst_case_emission(fp, state, switch),
     }
 }
 
@@ -306,14 +320,18 @@ impl Transition {
 
             Transition::ProcessPacket { switch } => {
                 fp.touch(res::switch(*switch));
-                let busy: Vec<PortId> = state.busy_ingress_ports(*switch).collect();
-                let all_ports = state
-                    .switch(*switch)
-                    .map(|s| s.ports.clone())
-                    .unwrap_or_default();
-                for &port in &all_ports {
-                    if busy.contains(&port) {
+                // The switch's ports and its busy ports both come in port
+                // order: one walk over each.
+                let mut busy = state.busy_ingress_ports(*switch).peekable();
+                for &port in ports_of(state, *switch) {
+                    // (A busy port the switch does not declare has no
+                    // head or tail resource, only what it emits.)
+                    while let Some(stray) = busy.next_if(|&b| b < port) {
+                        head_packet_writes(&mut fp, state, *switch, stray);
+                    }
+                    if busy.next_if_eq(&port).is_some() {
                         fp.touch(res::ingress_head(*switch, port));
+                        head_packet_writes(&mut fp, state, *switch, port);
                     } else {
                         // The coarse transition services *every* busy port,
                         // so making an idle port busy changes its behaviour:
@@ -321,31 +339,15 @@ impl Transition {
                         fp.read(res::ingress_tail(*switch, port));
                     }
                 }
-                for port in busy {
-                    match state.ingress(*switch, port).and_then(|ch| ch.peek()) {
-                        Some(packet) => {
-                            if let Some(sw) = state.switch(*switch) {
-                                let fate = sw.predict_packet_fate(packet, port);
-                                fate_writes(&mut fp, state, *switch, &fate);
-                            }
-                        }
-                        None => worst_case_emission(&mut fp, state, *switch),
-                    }
+                for stray in busy {
+                    head_packet_writes(&mut fp, state, *switch, stray);
                 }
             }
 
             Transition::ProcessPacketOn { switch, port } => {
                 fp.touch(res::switch(*switch));
                 fp.touch(res::ingress_head(*switch, *port));
-                match state.ingress(*switch, *port).and_then(|ch| ch.peek()) {
-                    Some(packet) => {
-                        if let Some(sw) = state.switch(*switch) {
-                            let fate = sw.predict_packet_fate(packet, *port);
-                            fate_writes(&mut fp, state, *switch, &fate);
-                        }
-                    }
-                    None => worst_case_emission(&mut fp, state, *switch),
-                }
+                head_packet_writes(&mut fp, state, *switch, *port);
             }
 
             Transition::ProcessOf { switch } => {
@@ -452,11 +454,7 @@ impl Transition {
                 fp.touch(res::sw2c_tail(*switch));
                 fp.touch(res::c2s_head(*switch));
                 fp.touch(res::c2s_tail(*switch));
-                let ports = state
-                    .switch(*switch)
-                    .map(|s| s.ports.clone())
-                    .unwrap_or_default();
-                for port in ports {
+                for &port in ports_of(state, *switch) {
                     fp.touch(res::ingress_head(*switch, port));
                     fp.touch(res::ingress_tail(*switch, port));
                 }
@@ -471,11 +469,7 @@ impl Transition {
                 fp.write(res::sw2c_tail(*switch));
                 fp.touch(res::c2s_head(*switch));
                 fp.touch(res::c2s_tail(*switch));
-                let ports = state
-                    .switch(*switch)
-                    .map(|s| s.ports.clone())
-                    .unwrap_or_default();
-                for port in ports {
+                for &port in ports_of(state, *switch) {
                     fp.write(res::ingress_tail(*switch, port));
                 }
             }

@@ -903,7 +903,7 @@ mod tests {
         );
         // Once the packet is traceable nowhere, the loss is flagged at the
         // very transition that dropped it.
-        state.host_inbox_mut(HostId(2)).unwrap().pop();
+        state.host_inbox_mut(HostId(2)).pop();
         assert!(
             p.check(&state).unwrap().contains("lost"),
             "an untraceable acknowledged packet is flagged mid-run"

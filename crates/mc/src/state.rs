@@ -8,19 +8,37 @@
 //! which transitions are enabled and are therefore part of the client
 //! component state.
 //!
-//! ## Copy-on-write representation
+//! ## Copy-on-write cells, and only for what is there
 //!
 //! Every large component — the controller runtime, each switch (and its flow
-//! table), each host model, every FIFO channel, and the discovery memo
-//! tables — sits behind an [`Arc`]. Cloning a `SystemState` therefore costs
-//! O(number of components), not O(total state size): it bumps reference
-//! counts. A component is deep-copied only at the first mutation after a
-//! clone, via [`Arc::make_mut`] inside the `*_mut` accessors, so executing a
-//! transition pays only for the components that transition actually touches.
-//! This is what makes storing full frontier states affordable and what lets
-//! checkpoint snapshots (see [`crate::checker`]) be taken essentially for
-//! free. `Arc` (not `Rc`) is used throughout so states can move between the
-//! worker threads of the parallel search.
+//! table), each host model, each FIFO channel *that holds something* — sits
+//! in a cell behind an [`Arc`], and the cells of one kind sit in one small
+//! vector sorted by id (`Sorted`). The two discovery tables, which only the
+//! two discover transitions write, share one more `Arc`. Cloning a
+//! `SystemState` therefore copies a handful of short vectors and bumps one
+//! reference count per cell; a component is deep-copied only at the first
+//! mutation after a clone, via [`Arc::make_mut`] inside the `*_mut`
+//! accessors, so executing a transition pays only for the components it
+//! touches. This is what makes storing full frontier states affordable and
+//! what lets checkpoint snapshots (see [`crate::checker`]) be taken
+//! essentially for free. `Arc` (not `Rc`) is used throughout so states can
+//! move between the worker threads of the parallel search.
+//!
+//! **A channel has a cell iff it holds a message or its link has failed.**
+//! An absent channel *is* the empty channel whose link is up, for every
+//! reader: the accessors return `None` for it and every caller reads `None`
+//! as "nothing queued". Most channels a topology implies are in that state
+//! most of the time (an 8-switch chain implies 42 of them, and with two
+//! pings in flight a handful hold anything), and a cell per channel would
+//! be cloned and dropped with every successor state without ever being
+//! read. The `*_mut` accessors create the cell they are asked for — a push,
+//! or `fail()` on a crash, must land somewhere — and the cell of a channel
+//! that has gone back to empty and un-failed is dropped when the state is
+//! settled (see below) and is never copied into a clone. So a settled state
+//! and every clone hold no cell for an idle channel; between two settles a
+//! written state may hold a few. The initial state of `chain:8:2` holds 11
+//! cells (controller, 8 switches, 2 hosts) plus one per queued
+//! `switch_join` reply, where a cell per channel made it 53.
 //!
 //! ## Incremental fingerprint
 //!
@@ -28,20 +46,32 @@
 //! controller, each switch, each host, each channel): the component's
 //! digest mixed with the slot's kind and key. The state carries that XOR
 //! with it instead of recomputing it. The invariant, kept by the only code
-//! that hands out mutable access to a component (`Accumulator::write`):
+//! that hands out mutable access to a component (`Accumulator::write` and
+//! `Accumulator::channel_mut`):
 //!
-//! > a slot that is not in the dirty list has its digest cached and its
-//! > mixed digest is in the accumulator.
+//! > a slot that is not in the dirty list has its share in the accumulator
+//! > (and, if it has a cell, its digest cached).
 //!
-//! The first write to a slot XORs its old mixed digest out and lists it as
-//! dirty; [`SystemState::fingerprint`] folds the dirty slots' current digests
-//! over the accumulator, and settling folds them *in* and empties the list.
-//! A clone is born settled, and the search settles a node's state before
+//! The first write to a slot XORs its old share out and lists it as dirty;
+//! [`SystemState::fingerprint`] folds the dirty slots' current shares over
+//! the accumulator, and settling folds them *in* and empties the list. A
+//! clone is born settled, and the search settles a node's state before
 //! cloning it for each successor, so a successor's list holds one
 //! transition's writes: two to four slots of the fifty a mid-sized scenario
 //! has, and that is what its fingerprint costs. Digests stay lazy: a slot
 //! written again and again between two fingerprints (a replay) is digested
 //! once, when it is next read.
+//!
+//! An absent channel still has a share: a channel the scenario implies (the
+//! control channels and ingress ports of its switches, the inboxes of its
+//! hosts) contributes the idle channel's digest mixed with its slot, cell
+//! or no cell — [`SystemState::initial`] folds that in once per implied
+//! channel — so fingerprints are exactly what they were when every implied
+//! channel had a cell, and so are shard assignments, counts and witness
+//! traces. A channel the scenario does not imply (a message for a port no
+//! switch declares) contributes while it holds something and nothing once
+//! it is idle again. The fault *model* of a channel is scenario
+//! configuration and was never hashed.
 
 use crate::scenario::Scenario;
 use nice_controller::ControllerRuntime;
@@ -89,14 +119,30 @@ impl Component for Box<dyn HostModel> {
     }
 }
 
+/// One seed for all four channel kinds: the channel's *slot* in the combined
+/// fingerprint provides the per-kind separation.
+const CHANNEL_SEED: u64 = 0xc4a_221;
+
 impl<T: Fingerprint> Component for FifoChannel<T> {
-    /// One seed for all four channel kinds: the channel's *slot* in the
-    /// combined fingerprint provides the per-kind separation.
-    const SEED: u64 = 0xc4a_221;
+    const SEED: u64 = CHANNEL_SEED;
 
     fn write(&self, h: &mut Fnv64) {
         self.fingerprint(h);
     }
+}
+
+/// The digest of an idle channel — nothing queued, link up — of any message
+/// type: what a channel without a cell digests to.
+const IDLE_CHANNEL: u64 = {
+    let mut h = Fnv64::with_seed(CHANNEL_SEED);
+    h.write_bool(false);
+    h.write_usize(0);
+    h.finish()
+};
+
+/// True if `channel` is in the state an absent channel stands for.
+fn is_idle<T>(channel: &FifoChannel<T>) -> bool {
+    channel.is_empty() && !channel.is_failed()
 }
 
 /// A component paired with a lazily computed fingerprint digest.
@@ -112,12 +158,6 @@ struct Cached<T> {
     value: T,
     digest: OnceLock<u64>,
 }
-
-/// Relevant packets per controller-state fingerprint, per host.
-type RelevantPacketsTable = BTreeMap<HostId, BTreeMap<u64, Vec<Packet>>>;
-/// Discovered statistics replies per controller-state fingerprint, per
-/// switch.
-type DiscoveredStatsTable = BTreeMap<SwitchId, BTreeMap<u64, Vec<Vec<PortStatsEntry>>>>;
 
 impl<T: Default> Default for Cached<T> {
     fn default() -> Self {
@@ -148,6 +188,106 @@ impl<T: Component> Cached<T> {
     }
 }
 
+/// A small map kept as a vector sorted by key. A state holds a dozen
+/// entries of a kind at most, so a lookup is a binary search over one cache
+/// line or two and a clone is one allocation and a walk — where a
+/// `BTreeMap` clone builds a tree node by node.
+#[derive(Clone)]
+struct Sorted<K, V>(Vec<(K, V)>);
+
+/// The copy-on-write cells of one kind of component, by id.
+type Cells<K, T> = Sorted<K, Arc<Cached<T>>>;
+
+impl<K, V> Default for Sorted<K, V> {
+    fn default() -> Self {
+        Sorted(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy, V> FromIterator<(K, V)> for Sorted<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        let mut sorted = Sorted::default();
+        for (key, value) in entries {
+            sorted.insert(key, value);
+        }
+        sorted
+    }
+}
+
+impl<K: Ord + Copy, V> Sorted<K, V> {
+    /// Where `key` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, key: K) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    fn get(&self, key: K) -> Option<&V> {
+        self.position(key).ok().map(|at| &self.0[at].1)
+    }
+
+    fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        self.position(key).ok().map(|at| &mut self.0[at].1)
+    }
+
+    /// Sets the value at `key`.
+    fn insert(&mut self, key: K, value: V) {
+        match self.position(key) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.0.insert(at, (key, value)),
+        }
+    }
+
+    /// The value at `key`, which is `absent()` if there was none.
+    fn entry(&mut self, key: K, absent: impl FnOnce() -> V) -> &mut V {
+        let at = self.position(key).unwrap_or_else(|at| {
+            self.0.insert(at, (key, absent()));
+            at
+        });
+        &mut self.0[at].1
+    }
+
+    /// Removes the entry at `key` if it is there and `condemned` says so.
+    fn remove_if(&mut self, key: K, condemned: impl FnOnce(&V) -> bool) {
+        if let Ok(at) = self.position(key) {
+            if condemned(&self.0[at].1) {
+                self.0.remove(at);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.0.iter().map(|(key, value)| (*key, value))
+    }
+
+    fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.0.iter().map(|&(key, _)| key)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, value)| value)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Relevant packets per controller-state fingerprint, per host.
+type RelevantPacketsTable = BTreeMap<HostId, BTreeMap<u64, Vec<Packet>>>;
+/// Discovered statistics replies per controller-state fingerprint, per
+/// switch.
+type DiscoveredStatsTable = BTreeMap<SwitchId, BTreeMap<u64, Vec<Vec<PortStatsEntry>>>>;
+
+/// What symbolic execution has discovered so far. Written only by
+/// `discover_packets` and `discover_stats` (never on a scripted workload),
+/// so both tables share one copy-on-write allocation.
+#[derive(Clone, Default)]
+struct Discovered {
+    /// Per-host relevant packets (`client.packets` in Figure 5).
+    packets: RelevantPacketsTable,
+    /// Per-switch statistics replies.
+    stats: DiscoveredStatsTable,
+}
+
 /// One place a copy-on-write component sits in the state: its kind and key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
@@ -175,13 +315,38 @@ impl Slot {
         };
         mix(tag, key, digest)
     }
+
+    /// What this channel slot contributes while its channel is idle: the
+    /// idle digest if the scenario implies the channel — it has one whether
+    /// or not anything was ever queued on it — and nothing otherwise.
+    fn idle_share(
+        self,
+        switches: &Cells<SwitchId, Switch>,
+        hosts: &Cells<HostId, Box<dyn HostModel>>,
+    ) -> u64 {
+        let implied = match self {
+            Slot::SwToCtrl(id) | Slot::CtrlToSw(id) => switches.get(id).is_some(),
+            Slot::Ingress(id, port) => switches
+                .get(id)
+                .is_some_and(|sw| sw.value.ports.binary_search(&port).is_ok()),
+            Slot::HostInbox(id) => hosts.get(id).is_some(),
+            Slot::Controller | Slot::Switch(_) | Slot::Host(_) => {
+                unreachable!("{self:?} is not a channel")
+            }
+        };
+        if implied {
+            self.mix(IDLE_CHANNEL)
+        } else {
+            0
+        }
+    }
 }
 
 /// The running XOR of the component slots' contributions to the state
 /// fingerprint (module docs, "Incremental fingerprint").
 #[derive(Default)]
 struct Accumulator {
-    /// XOR of [`Slot::mix`] over every slot that is not in `dirty`.
+    /// XOR of every slot's share but those of the slots in `dirty`.
     folded: u64,
     /// Slots written since the state was last settled, each once.
     dirty: Vec<Slot>,
@@ -211,20 +376,25 @@ impl Accumulator {
         &mut cell.value
     }
 
-    /// The channel at `key`, for queueing on. [`SystemState::initial`]
-    /// creates every channel the topology implies, so a missing one means a
-    /// message for a switch, port or host the topology does not know; it
-    /// starts empty and folded in, like every other clean slot.
-    fn channel_mut<'a, K: Ord, T: Fingerprint + Clone>(
+    /// Mutable access to the channel at `key`, whose cell is created if the
+    /// channel was idle; `idle_share` is then what leaves the accumulator.
+    /// (A cell that exists and is not dirty holds something: idle cells are
+    /// dropped whenever the dirty list is emptied.)
+    fn channel_mut<'a, K: Ord + Copy, T: Fingerprint + Clone>(
         &mut self,
         slot: Slot,
-        channels: &'a mut BTreeMap<K, Arc<Cached<FifoChannel<T>>>>,
+        channels: &'a mut Cells<K, FifoChannel<T>>,
         key: K,
+        idle_share: impl FnOnce() -> u64,
     ) -> &'a mut FifoChannel<T> {
-        let cell = channels.entry(key).or_insert_with(|| {
-            let cell = Arc::<Cached<FifoChannel<T>>>::default();
-            self.folded ^= slot.mix(cell.digest());
-            cell
+        let cell = channels.entry(key, || {
+            debug_assert!(
+                !self.dirty.contains(&slot),
+                "{slot:?}: dirty without a cell"
+            );
+            self.folded ^= idle_share();
+            self.dirty.push(slot);
+            Arc::default()
         });
         self.write(slot, cell)
     }
@@ -236,32 +406,29 @@ impl Accumulator {
 /// through the `*_mut` accessors which un-share only the touched component.
 pub struct SystemState {
     controller: Arc<Cached<ControllerRuntime>>,
-    switches: BTreeMap<SwitchId, Arc<Cached<Switch>>>,
-    hosts: BTreeMap<HostId, Arc<Cached<Box<dyn HostModel>>>>,
-    /// Switch → controller OpenFlow channels (reliable, in order).
-    sw_to_ctrl: BTreeMap<SwitchId, Arc<Cached<FifoChannel<OfMessage>>>>,
+    switches: Cells<SwitchId, Switch>,
+    hosts: Cells<HostId, Box<dyn HostModel>>,
+    /// Switch → controller OpenFlow channels (reliable, in order). Like the
+    /// three stores below it holds the channels that are not idle.
+    sw_to_ctrl: Cells<SwitchId, FifoChannel<OfMessage>>,
     /// Controller → switch OpenFlow channels (reliable, in order).
-    ctrl_to_sw: BTreeMap<SwitchId, Arc<Cached<FifoChannel<OfMessage>>>>,
+    ctrl_to_sw: Cells<SwitchId, FifoChannel<OfMessage>>,
     /// Data-plane ingress channels: packets waiting to be processed by a
     /// switch, keyed by the port they will arrive on.
-    ingress: BTreeMap<(SwitchId, PortId), Arc<Cached<FifoChannel<Packet>>>>,
+    ingress: Cells<(SwitchId, PortId), FifoChannel<Packet>>,
     /// Packets in flight towards a host (delivered when the host's `receive`
     /// transition runs).
-    host_inbox: BTreeMap<HostId, Arc<Cached<FifoChannel<Packet>>>>,
+    host_inbox: Cells<HostId, FifoChannel<Packet>>,
     /// Switches with an outstanding statistics request from the controller.
     pending_stats: BTreeSet<SwitchId>,
-    /// Per-host relevant packets, keyed by controller-state fingerprint
-    /// (`client.packets` in Figure 5). Written only by `discover_packets`,
-    /// so the whole table shares one copy-on-write allocation.
-    relevant_packets: Arc<RelevantPacketsTable>,
-    /// Per-switch discovered replies, keyed by controller-state fingerprint.
-    discovered_stats: Arc<DiscoveredStatsTable>,
+    /// The discovery caches, keyed by controller-state fingerprint.
+    discovered: Arc<Discovered>,
     /// Provenance-id allocator for injected packets.
     next_packet_id: u64,
     /// Monotonic sequence used to remember when each controller→switch
     /// channel last received a message (consumed by the UNUSUAL strategy).
     of_enqueue_seq: u64,
-    last_of_enqueue: BTreeMap<SwitchId, u64>,
+    last_of_enqueue: Sorted<SwitchId, u64>,
     /// Remaining fault-injection budget (starts at the scenario's
     /// [`FaultPlan`](crate::faults::FaultPlan) budget; each injected fault
     /// consumes one unit).
@@ -277,11 +444,13 @@ pub struct SystemState {
 }
 
 impl Clone for SystemState {
-    /// Bumps the components' reference counts and settles the copy, whose
-    /// fingerprint then costs what is written to *it*. The states the
-    /// search clones are settled already, so there the fold is empty.
+    /// Bumps the cells' reference counts and settles the copy: its
+    /// fingerprint then costs what is written to *it*, and it holds no cell
+    /// for an idle channel. The states the search clones are settled
+    /// already, so there the fold is empty and there is nothing to leave
+    /// behind.
     fn clone(&self) -> Self {
-        SystemState {
+        let mut copy = SystemState {
             controller: self.controller.clone(),
             switches: self.switches.clone(),
             hosts: self.hosts.clone(),
@@ -290,8 +459,7 @@ impl Clone for SystemState {
             ingress: self.ingress.clone(),
             host_inbox: self.host_inbox.clone(),
             pending_stats: self.pending_stats.clone(),
-            relevant_packets: self.relevant_packets.clone(),
-            discovered_stats: self.discovered_stats.clone(),
+            discovered: self.discovered.clone(),
             next_packet_id: self.next_packet_id,
             of_enqueue_seq: self.of_enqueue_seq,
             last_of_enqueue: self.last_of_enqueue.clone(),
@@ -302,7 +470,11 @@ impl Clone for SystemState {
                 folded: self.slots_share(),
                 dirty: Vec::new(),
             },
+        };
+        for &slot in &self.acc.dirty {
+            copy.drop_idle_cell(slot);
         }
+        copy
     }
 }
 
@@ -347,38 +519,23 @@ impl std::fmt::Debug for SystemState {
 
 impl SystemState {
     /// Builds the initial state of a scenario: switches and hosts at their
-    /// topology-declared attachments, empty channels, and the controller
+    /// topology-declared attachments, every channel idle, and the controller
     /// having already processed every switch's `switch_join` (switches are
     /// connected before testing starts, as in the paper's experiments).
     pub fn initial(scenario: &Scenario) -> SystemState {
         let topology = Arc::new(scenario.topology.clone());
         let mut controller = ControllerRuntime::new(scenario.app.clone_app());
 
-        let mut switches = BTreeMap::new();
-        let mut sw_to_ctrl = BTreeMap::new();
-        let mut ctrl_to_sw = BTreeMap::new();
-        let mut ingress = BTreeMap::new();
-        for spec in topology.switches() {
-            let switch = Switch::with_config(spec.id, spec.ports.clone(), scenario.switch_config);
-            for &port in &spec.ports {
-                ingress.insert(
-                    (spec.id, port),
-                    Arc::new(Cached::new(FifoChannel::with_faults(
-                        scenario.fault_plan.channel_model_for(spec.id),
-                    ))),
-                );
-            }
-            sw_to_ctrl.insert(spec.id, Arc::new(Cached::new(FifoChannel::reliable())));
-            ctrl_to_sw.insert(spec.id, Arc::new(Cached::new(FifoChannel::reliable())));
-            switches.insert(spec.id, Arc::new(Cached::new(switch)));
-        }
-
-        let mut hosts = BTreeMap::new();
-        let mut host_inbox = BTreeMap::new();
-        for host in &scenario.hosts {
-            host_inbox.insert(host.id(), Arc::new(Cached::new(FifoChannel::reliable())));
-            hosts.insert(host.id(), Arc::new(Cached::new(host.clone_host())));
-        }
+        let switches: Cells<SwitchId, Switch> = (topology.switches())
+            .map(|spec| {
+                let switch =
+                    Switch::with_config(spec.id, spec.ports.clone(), scenario.switch_config);
+                (spec.id, Arc::new(Cached::new(switch)))
+            })
+            .collect();
+        let hosts: Cells<HostId, Box<dyn HostModel>> = (scenario.hosts.iter())
+            .map(|host| (host.id(), Arc::new(Cached::new(host.clone_host()))))
+            .collect();
 
         // Deliver switch_join events synchronously during initialisation so
         // the controller starts with its per-switch state set up.
@@ -391,25 +548,34 @@ impl SystemState {
             controller: Arc::new(Cached::new(controller)),
             switches,
             hosts,
-            sw_to_ctrl,
-            ctrl_to_sw,
-            ingress,
-            host_inbox,
+            sw_to_ctrl: Cells::default(),
+            ctrl_to_sw: Cells::default(),
+            ingress: Cells::default(),
+            host_inbox: Cells::default(),
             pending_stats: BTreeSet::new(),
-            relevant_packets: Arc::new(BTreeMap::new()),
-            discovered_stats: Arc::new(BTreeMap::new()),
+            discovered: Arc::default(),
             next_packet_id: 1,
             of_enqueue_seq: 0,
-            last_of_enqueue: BTreeMap::new(),
+            last_of_enqueue: Sorted::default(),
             fault_budget: scenario.fault_plan.budget,
             crashed: BTreeSet::new(),
             topology,
             acc: Accumulator::default(),
         };
-        // Nothing is folded yet, so every slot starts dirty; settling is
-        // then the one full walk over the slots, and every later
-        // fingerprint starts from the accumulator it seeds.
-        state.acc.dirty = state.slots().collect();
+        // Nothing is folded yet. The channels the scenario implies have no
+        // cell to digest and share the idle channel's; the components start
+        // dirty, so settling is the one full walk over them, and every
+        // later fingerprint starts from the accumulator this seeds.
+        let mut implied: Vec<Slot> = state.hosts.keys().map(Slot::HostInbox).collect();
+        for (id, sw) in state.switches.iter() {
+            implied.extend([Slot::SwToCtrl(id), Slot::CtrlToSw(id)]);
+            implied.extend(sw.value.ports.iter().map(|&port| Slot::Ingress(id, port)));
+        }
+        state.acc.folded = (implied.iter()).fold(0, |acc, slot| acc ^ slot.mix(IDLE_CHANNEL));
+        state.acc.dirty = std::iter::once(Slot::Controller)
+            .chain(state.switches.keys().map(Slot::Switch))
+            .chain(state.hosts.keys().map(Slot::Host))
+            .collect();
         for (target, msg) in produced {
             state.enqueue_to_switch(target, msg);
         }
@@ -417,33 +583,32 @@ impl SystemState {
         state
     }
 
-    /// Every component slot of this state.
-    fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
-        std::iter::once(Slot::Controller)
-            .chain(self.switches.keys().map(|&id| Slot::Switch(id)))
-            .chain(self.hosts.keys().map(|&id| Slot::Host(id)))
-            .chain(self.sw_to_ctrl.keys().map(|&id| Slot::SwToCtrl(id)))
-            .chain(self.ctrl_to_sw.keys().map(|&id| Slot::CtrlToSw(id)))
-            .chain(
-                self.ingress
-                    .keys()
-                    .map(|&(sw, port)| Slot::Ingress(sw, port)),
-            )
-            .chain(self.host_inbox.keys().map(|&id| Slot::HostInbox(id)))
-    }
-
     /// What `slot` contributes to the fingerprint right now (caching the
     /// component's digest if it was not).
     fn contribution(&self, slot: Slot) -> u64 {
-        slot.mix(match slot {
-            Slot::Controller => self.controller.digest(),
-            Slot::Switch(id) => self.switches[&id].digest(),
-            Slot::Host(id) => self.hosts[&id].digest(),
-            Slot::SwToCtrl(id) => self.sw_to_ctrl[&id].digest(),
-            Slot::CtrlToSw(id) => self.ctrl_to_sw[&id].digest(),
-            Slot::Ingress(sw, port) => self.ingress[&(sw, port)].digest(),
-            Slot::HostInbox(id) => self.host_inbox[&id].digest(),
-        })
+        const CELL: &str = "a component the scenario declared has a cell";
+        match slot {
+            Slot::Controller => slot.mix(self.controller.digest()),
+            Slot::Switch(id) => slot.mix(self.switches.get(id).expect(CELL).digest()),
+            Slot::Host(id) => slot.mix(self.hosts.get(id).expect(CELL).digest()),
+            Slot::SwToCtrl(id) => self.channel_share(slot, self.sw_to_ctrl.get(id)),
+            Slot::CtrlToSw(id) => self.channel_share(slot, self.ctrl_to_sw.get(id)),
+            Slot::Ingress(sw, port) => self.channel_share(slot, self.ingress.get((sw, port))),
+            Slot::HostInbox(id) => self.channel_share(slot, self.host_inbox.get(id)),
+        }
+    }
+
+    /// What the channel at `slot` contributes: its digest if it holds
+    /// something, an idle channel's share with or without a cell.
+    fn channel_share<T: Fingerprint>(
+        &self,
+        slot: Slot,
+        cell: Option<&Arc<Cached<FifoChannel<T>>>>,
+    ) -> u64 {
+        match cell {
+            Some(cell) if !is_idle(&cell.value) => slot.mix(cell.digest()),
+            _ => slot.idle_share(&self.switches, &self.hosts),
+        }
     }
 
     /// The component slots' share of the fingerprint: the accumulator with
@@ -455,12 +620,43 @@ impl SystemState {
             .fold(self.acc.folded, |acc, &slot| acc ^ self.contribution(slot))
     }
 
+    /// Drops the cell of the channel at `slot` if the channel is idle.
+    fn drop_idle_cell(&mut self, slot: Slot) {
+        match slot {
+            Slot::Controller | Slot::Switch(_) | Slot::Host(_) => {}
+            Slot::SwToCtrl(id) => self.sw_to_ctrl.remove_if(id, |c| is_idle(&c.value)),
+            Slot::CtrlToSw(id) => self.ctrl_to_sw.remove_if(id, |c| is_idle(&c.value)),
+            Slot::Ingress(sw, port) => self.ingress.remove_if((sw, port), |c| is_idle(&c.value)),
+            Slot::HostInbox(id) => self.host_inbox.remove_if(id, |c| is_idle(&c.value)),
+        }
+    }
+
     /// Folds the dirty slots back into the accumulator, so that neither
-    /// [`fingerprint`](Self::fingerprint) nor a clone has to. The search
-    /// calls this once per expanded node (`Node::materialize`).
+    /// [`fingerprint`](Self::fingerprint) nor a clone has to, and drops the
+    /// cells of the channels that went idle since the last settle — only a
+    /// written channel can have, so the dirty list names them all. The
+    /// search calls this once per expanded node (`Worker::materialize`).
     pub(crate) fn settle(&mut self) {
         self.acc.folded = self.slots_share();
-        self.acc.dirty.clear();
+        let mut dirty = std::mem::take(&mut self.acc.dirty);
+        for slot in dirty.drain(..) {
+            self.drop_idle_cell(slot);
+        }
+        self.acc.dirty = dirty;
+    }
+
+    /// How many copy-on-write cells this state holds: one for the
+    /// controller and for each switch and host, one per channel that is not
+    /// idle (and, between two settles, per channel written since). Tests
+    /// hold the layout to it; nothing else reads it.
+    #[doc(hidden)]
+    pub fn cell_count(&self) -> usize {
+        1 + self.switches.len()
+            + self.hosts.len()
+            + self.sw_to_ctrl.len()
+            + self.ctrl_to_sw.len()
+            + self.ingress.len()
+            + self.host_inbox.len()
     }
 
     // ----- Component access -----
@@ -478,33 +674,33 @@ impl SystemState {
 
     /// The switches, in id order.
     pub fn switches(&self) -> impl Iterator<Item = (SwitchId, &Switch)> {
-        self.switches.iter().map(|(&id, sw)| (id, &sw.value))
+        self.switches.iter().map(|(id, sw)| (id, &sw.value))
     }
 
     /// One switch.
     pub fn switch(&self, id: SwitchId) -> Option<&Switch> {
-        self.switches.get(&id).map(|sw| &sw.value)
+        self.switches.get(id).map(|sw| &sw.value)
     }
 
     /// Mutable access to one switch (un-shares only that switch).
     pub fn switch_mut(&mut self, id: SwitchId) -> Option<&mut Switch> {
-        let cell = self.switches.get_mut(&id)?;
+        let cell = self.switches.get_mut(id)?;
         Some(self.acc.write(Slot::Switch(id), cell))
     }
 
     /// The hosts, in id order.
     pub fn hosts(&self) -> impl Iterator<Item = (HostId, &dyn HostModel)> {
-        self.hosts.iter().map(|(&id, h)| (id, h.value.as_ref()))
+        self.hosts.iter().map(|(id, h)| (id, h.value.as_ref()))
     }
 
     /// One host.
     pub fn host(&self, id: HostId) -> Option<&dyn HostModel> {
-        self.hosts.get(&id).map(|h| h.value.as_ref())
+        self.hosts.get(id).map(|h| h.value.as_ref())
     }
 
     /// Mutable access to one host (un-shares only that host).
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut Box<dyn HostModel>> {
-        let cell = self.hosts.get_mut(&id)?;
+        let cell = self.hosts.get_mut(id)?;
         Some(self.acc.write(Slot::Host(id), cell))
     }
 
@@ -519,10 +715,14 @@ impl SystemState {
         self.hosts
             .iter()
             .find(|(_, h)| h.value.location() == Location { switch, port })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
     }
 
     // ----- Channels -----
+    //
+    // A reader returns `None` for an idle channel: nothing queued, link up.
+    // A `*_mut` accessor returns the channel whatever its state, creating
+    // its cell if it was idle, so that no write is ever lost on `None`.
 
     /// Enqueues an OpenFlow message from the controller towards a switch.
     pub fn enqueue_to_switch(&mut self, switch: SwitchId, msg: OfMessage) {
@@ -531,99 +731,93 @@ impl SystemState {
         }
         self.of_enqueue_seq += 1;
         self.last_of_enqueue.insert(switch, self.of_enqueue_seq);
-        self.acc
-            .channel_mut(Slot::CtrlToSw(switch), &mut self.ctrl_to_sw, switch)
-            .push(msg);
+        self.ctrl_to_sw_mut(switch).push(msg);
     }
 
     /// Enqueues an OpenFlow message from a switch towards the controller.
     pub fn enqueue_to_controller(&mut self, switch: SwitchId, msg: OfMessage) {
-        self.acc
-            .channel_mut(Slot::SwToCtrl(switch), &mut self.sw_to_ctrl, switch)
-            .push(msg);
+        self.sw_to_ctrl_mut(switch).push(msg);
     }
 
     /// Enqueues a data packet on a switch ingress port. Packets towards a
     /// crashed switch are silently discarded — its links are down.
     pub fn enqueue_ingress(&mut self, switch: SwitchId, port: PortId, packet: Packet) {
-        if self.crashed.contains(&switch) {
-            return;
+        if !self.crashed.contains(&switch) {
+            self.ingress_mut(switch, port).push(packet);
         }
-        let slot = Slot::Ingress(switch, port);
-        self.acc
-            .channel_mut(slot, &mut self.ingress, (switch, port))
-            .push(packet);
     }
 
     /// Enqueues a packet for delivery to a host.
     pub fn enqueue_host(&mut self, host: HostId, packet: Packet) {
-        self.acc
-            .channel_mut(Slot::HostInbox(host), &mut self.host_inbox, host)
-            .push(packet);
+        self.host_inbox_mut(host).push(packet);
     }
 
-    /// The controller→switch channel of a switch.
+    /// The controller→switch channel of a switch, unless it is idle.
     pub fn ctrl_to_sw(&self, switch: SwitchId) -> Option<&FifoChannel<OfMessage>> {
-        self.ctrl_to_sw.get(&switch).map(|ch| &ch.value)
+        self.ctrl_to_sw.get(switch).map(|ch| &ch.value)
     }
 
     /// Mutable controller→switch channel (un-shares only that channel).
-    pub fn ctrl_to_sw_mut(&mut self, switch: SwitchId) -> Option<&mut FifoChannel<OfMessage>> {
-        let cell = self.ctrl_to_sw.get_mut(&switch)?;
-        Some(self.acc.write(Slot::CtrlToSw(switch), cell))
+    pub fn ctrl_to_sw_mut(&mut self, switch: SwitchId) -> &mut FifoChannel<OfMessage> {
+        let slot = Slot::CtrlToSw(switch);
+        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
+        (self.acc).channel_mut(slot, &mut self.ctrl_to_sw, switch, idle_share)
     }
 
-    /// The switch→controller channel of a switch.
+    /// The switch→controller channel of a switch, unless it is idle.
     pub fn sw_to_ctrl(&self, switch: SwitchId) -> Option<&FifoChannel<OfMessage>> {
-        self.sw_to_ctrl.get(&switch).map(|ch| &ch.value)
+        self.sw_to_ctrl.get(switch).map(|ch| &ch.value)
     }
 
     /// Mutable switch→controller channel (un-shares only that channel).
-    pub fn sw_to_ctrl_mut(&mut self, switch: SwitchId) -> Option<&mut FifoChannel<OfMessage>> {
-        let cell = self.sw_to_ctrl.get_mut(&switch)?;
-        Some(self.acc.write(Slot::SwToCtrl(switch), cell))
+    pub fn sw_to_ctrl_mut(&mut self, switch: SwitchId) -> &mut FifoChannel<OfMessage> {
+        let slot = Slot::SwToCtrl(switch);
+        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
+        (self.acc).channel_mut(slot, &mut self.sw_to_ctrl, switch, idle_share)
     }
 
-    /// The ingress channel of `(switch, port)`.
+    /// The ingress channel of `(switch, port)`, unless it is idle.
     pub fn ingress(&self, switch: SwitchId, port: PortId) -> Option<&FifoChannel<Packet>> {
-        self.ingress.get(&(switch, port)).map(|ch| &ch.value)
+        self.ingress.get((switch, port)).map(|ch| &ch.value)
     }
 
     /// Mutable ingress channel (un-shares only that channel).
-    pub fn ingress_mut(
-        &mut self,
-        switch: SwitchId,
-        port: PortId,
-    ) -> Option<&mut FifoChannel<Packet>> {
-        let cell = self.ingress.get_mut(&(switch, port))?;
-        Some(self.acc.write(Slot::Ingress(switch, port), cell))
+    pub fn ingress_mut(&mut self, switch: SwitchId, port: PortId) -> &mut FifoChannel<Packet> {
+        let slot = Slot::Ingress(switch, port);
+        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
+        (self.acc).channel_mut(slot, &mut self.ingress, (switch, port), idle_share)
     }
 
     /// Ports of `switch` whose ingress channel currently holds packets, in
     /// port order.
     pub fn busy_ingress_ports(&self, switch: SwitchId) -> impl Iterator<Item = PortId> + '_ {
-        self.ingress
-            .range((switch, PortId(0))..=(switch, PortId(u16::MAX)))
+        let cells = &self.ingress.0;
+        let first = cells.partition_point(|&((sw, _), _)| sw < switch);
+        cells[first..]
+            .iter()
+            .take_while(move |((sw, _), _)| *sw == switch)
             .filter(|(_, ch)| !ch.value.is_empty())
-            .map(|(&(_, port), _)| port)
+            .map(|&((_, port), _)| port)
     }
 
-    /// The inbox channel of a host.
+    /// The inbox channel of a host, unless it is idle.
     pub fn host_inbox(&self, host: HostId) -> Option<&FifoChannel<Packet>> {
-        self.host_inbox.get(&host).map(|ch| &ch.value)
+        self.host_inbox.get(host).map(|ch| &ch.value)
     }
 
     /// Mutable inbox channel of a host (un-shares only that channel).
-    pub fn host_inbox_mut(&mut self, host: HostId) -> Option<&mut FifoChannel<Packet>> {
-        let cell = self.host_inbox.get_mut(&host)?;
-        Some(self.acc.write(Slot::HostInbox(host), cell))
+    pub fn host_inbox_mut(&mut self, host: HostId) -> &mut FifoChannel<Packet> {
+        let slot = Slot::HostInbox(host);
+        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
+        (self.acc).channel_mut(slot, &mut self.host_inbox, host, idle_share)
     }
 
     /// True if any switch↔controller channel holds messages (used to drain
     /// the control plane under NO-DELAY).
     pub fn control_plane_busy(&self) -> bool {
-        self.sw_to_ctrl.values().any(|c| !c.value.is_empty())
-            || self.ctrl_to_sw.values().any(|c| !c.value.is_empty())
+        (self.sw_to_ctrl.values())
+            .chain(self.ctrl_to_sw.values())
+            .any(|c| !c.value.is_empty())
     }
 
     /// Switches whose controller→switch channel is non-empty, with the
@@ -632,7 +826,7 @@ impl SystemState {
         self.ctrl_to_sw
             .iter()
             .filter(|(_, ch)| !ch.value.is_empty())
-            .map(|(&sw, _)| (sw, self.last_of_enqueue.get(&sw).copied().unwrap_or(0)))
+            .map(|(sw, _)| (sw, self.last_of_enqueue.get(sw).copied().unwrap_or(0)))
             .collect()
     }
 
@@ -655,15 +849,14 @@ impl SystemState {
     /// The relevant packets cached for `host` in the current controller
     /// state, if discovery has run.
     pub fn relevant_packets(&self, host: HostId, ctrl_fp: u64) -> Option<&Vec<Packet>> {
-        self.relevant_packets
-            .get(&host)
-            .and_then(|m| m.get(&ctrl_fp))
+        (self.discovered.packets.get(&host)).and_then(|m| m.get(&ctrl_fp))
     }
 
     /// Stores the relevant packets for `host` under the given controller
     /// state.
     pub fn set_relevant_packets(&mut self, host: HostId, ctrl_fp: u64, packets: Vec<Packet>) {
-        Arc::make_mut(&mut self.relevant_packets)
+        Arc::make_mut(&mut self.discovered)
+            .packets
             .entry(host)
             .or_default()
             .insert(ctrl_fp, packets);
@@ -676,9 +869,7 @@ impl SystemState {
         switch: SwitchId,
         ctrl_fp: u64,
     ) -> Option<&Vec<Vec<PortStatsEntry>>> {
-        self.discovered_stats
-            .get(&switch)
-            .and_then(|m| m.get(&ctrl_fp))
+        (self.discovered.stats.get(&switch)).and_then(|m| m.get(&ctrl_fp))
     }
 
     /// Stores discovered statistics replies.
@@ -688,7 +879,8 @@ impl SystemState {
         ctrl_fp: u64,
         stats: Vec<Vec<PortStatsEntry>>,
     ) {
-        Arc::make_mut(&mut self.discovered_stats)
+        Arc::make_mut(&mut self.discovered)
+            .stats
             .entry(switch)
             .or_default()
             .insert(ctrl_fp, stats);
@@ -748,20 +940,17 @@ impl SystemState {
         }
         let busy: Vec<PortId> = self.busy_ingress_ports(switch).collect();
         for port in busy {
-            if let Some(ch) = self.ingress_mut(switch, port) {
-                while ch.pop().is_some() {}
-            }
-        }
-        if let Some(ch) = self.sw_to_ctrl_mut(switch) {
+            let ch = self.ingress_mut(switch, port);
             while ch.pop().is_some() {}
         }
         // An in-flight statistics request died with the channels.
         self.pending_stats.remove(&switch);
-        if let Some(ch) = self.ctrl_to_sw_mut(switch) {
-            ch.fail();
-        }
-        let leave = OfMessage::SwitchLeave { switch };
-        self.enqueue_to_controller(switch, leave);
+        // The link is down whether or not anything was queued on it: a
+        // channel that had no cell gets one, to hold the failure.
+        self.ctrl_to_sw_mut(switch).fail();
+        let ch = self.sw_to_ctrl_mut(switch);
+        while ch.pop().is_some() {}
+        ch.push(OfMessage::SwitchLeave { switch });
     }
 
     /// Reconnects a crashed switch: the control channel comes back up and
@@ -770,9 +959,7 @@ impl SystemState {
     /// re-handshake with ordinary traffic.
     pub fn reconnect_switch(&mut self, switch: SwitchId) {
         self.crashed.remove(&switch);
-        if let Some(ch) = self.ctrl_to_sw_mut(switch) {
-            ch.restore();
-        }
+        self.ctrl_to_sw_mut(switch).restore();
         if let Some(join) = self.switch(switch).map(|sw| sw.join_message()) {
             self.enqueue_to_controller(switch, join);
         }
@@ -835,14 +1022,14 @@ impl SystemState {
         // Only the discovery-cache entries for the *current* controller state
         // matter for enabledness; including the full history would make
         // states that differ only in stale cache entries look distinct.
-        for (host, cache) in self.relevant_packets.iter() {
+        for (host, cache) in self.discovered.packets.iter() {
             if let Some(packets) = cache.get(&ctrl_fp) {
                 let mut h = Fnv64::with_seed(ctrl_fp);
                 packets.fingerprint(&mut h);
                 acc ^= mix(slot::RELEVANT_PACKETS, host.0 as u64, h.finish());
             }
         }
-        for (switch, cache) in self.discovered_stats.iter() {
+        for (switch, cache) in self.discovered.stats.iter() {
             if let Some(entries) = cache.get(&ctrl_fp) {
                 let mut h = Fnv64::with_seed(ctrl_fp);
                 h.write_usize(entries.len());
@@ -856,30 +1043,57 @@ impl SystemState {
     }
 
     /// The reference the tests hold [`fingerprint`](Self::fingerprint) to: a
-    /// full re-hash of every component, map by map, that reads neither a
-    /// cached digest nor the accumulator. Nothing in the checker calls it.
+    /// full re-hash of every component that reads neither a cached digest
+    /// nor the accumulator, and that takes the channels to hash from the
+    /// topology and the host list, not from the cells that happen to exist.
+    /// Nothing in the checker calls it.
     #[doc(hidden)]
     pub fn reference_fingerprint(&self) -> u64 {
         let ctrl_fp = rehash(&self.controller.value);
         let mut acc = mix(slot::CONTROLLER, 0, ctrl_fp);
-        for (id, sw) in &self.switches {
+        for (id, sw) in self.switches.iter() {
             acc ^= mix(slot::SWITCH, id.0 as u64, rehash(&sw.value));
         }
-        for (id, host) in &self.hosts {
+        for (id, host) in self.hosts.iter() {
             acc ^= mix(slot::HOST, id.0 as u64, rehash(&host.value));
         }
-        for (id, ch) in &self.sw_to_ctrl {
-            acc ^= mix(slot::SW_TO_CTRL, id.0 as u64, rehash(&ch.value));
+
+        // Digest by slot tag and key. Every channel the scenario implies is
+        // there, idle until a cell says otherwise; any other channel is
+        // there while it holds something.
+        let ingress_key = |sw: SwitchId, port: PortId| ((sw.0 as u64) << 16) | port.0 as u64;
+        let idle = rehash(&FifoChannel::<Packet>::new());
+        let mut channels = BTreeMap::new();
+        for spec in self.topology.switches() {
+            channels.insert((slot::SW_TO_CTRL, spec.id.0 as u64), idle);
+            channels.insert((slot::CTRL_TO_SW, spec.id.0 as u64), idle);
+            for &port in &spec.ports {
+                channels.insert((slot::INGRESS, ingress_key(spec.id, port)), idle);
+            }
         }
-        for (id, ch) in &self.ctrl_to_sw {
-            acc ^= mix(slot::CTRL_TO_SW, id.0 as u64, rehash(&ch.value));
+        for id in self.hosts.keys() {
+            channels.insert((slot::HOST_INBOX, id.0 as u64), idle);
         }
-        for ((sw, port), ch) in &self.ingress {
-            let key = ((sw.0 as u64) << 16) | port.0 as u64;
-            acc ^= mix(slot::INGRESS, key, rehash(&ch.value));
+        fn busy<T: Fingerprint>(cell: &Cached<FifoChannel<T>>) -> Option<u64> {
+            (!is_idle(&cell.value)).then(|| rehash(&cell.value))
         }
-        for (id, ch) in &self.host_inbox {
-            acc ^= mix(slot::HOST_INBOX, id.0 as u64, rehash(&ch.value));
+        let cells = (self.sw_to_ctrl.iter())
+            .map(|(id, cell)| (slot::SW_TO_CTRL, id.0 as u64, busy(cell)))
+            .chain((self.ctrl_to_sw.iter()).map(|(id, c)| (slot::CTRL_TO_SW, id.0 as u64, busy(c))))
+            .chain(
+                (self.ingress.iter())
+                    .map(|((sw, p), c)| (slot::INGRESS, ingress_key(sw, p), busy(c))),
+            )
+            .chain(
+                (self.host_inbox.iter()).map(|(id, c)| (slot::HOST_INBOX, id.0 as u64, busy(c))),
+            );
+        for (tag, key, digest) in cells {
+            if let Some(digest) = digest {
+                channels.insert((tag, key), digest);
+            }
+        }
+        for ((tag, key), digest) in channels {
+            acc ^= mix(tag, key, digest);
         }
         acc ^ self.bookkeeping_share(ctrl_fp)
     }
@@ -914,8 +1128,7 @@ impl SystemState {
             } => packet.id == id,
             _ => false,
         };
-        self.ingress
-            .values()
+        (self.ingress.values())
             .chain(self.host_inbox.values())
             .any(|ch| ch.value.iter().any(|p| p.id == id))
             || self
@@ -1048,10 +1261,10 @@ mod tests {
         // A fresh clone shares every component allocation.
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
         assert!(Arc::ptr_eq(
-            &a.switches[&SwitchId(1)],
-            &b.switches[&SwitchId(1)]
+            a.switches.get(SwitchId(1)).unwrap(),
+            b.switches.get(SwitchId(1)).unwrap()
         ));
-        assert!(Arc::ptr_eq(&a.relevant_packets, &b.relevant_packets));
+        assert!(Arc::ptr_eq(&a.discovered, &b.discovered));
 
         // Writing one switch un-shares only that switch.
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
@@ -1059,12 +1272,12 @@ mod tests {
             .unwrap()
             .process_packet(pkt, PortId(1));
         assert!(!Arc::ptr_eq(
-            &a.switches[&SwitchId(1)],
-            &b.switches[&SwitchId(1)]
+            a.switches.get(SwitchId(1)).unwrap(),
+            b.switches.get(SwitchId(1)).unwrap()
         ));
         assert!(Arc::ptr_eq(
-            &a.switches[&SwitchId(2)],
-            &b.switches[&SwitchId(2)]
+            a.switches.get(SwitchId(2)).unwrap(),
+            b.switches.get(SwitchId(2)).unwrap()
         ));
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
     }
@@ -1087,7 +1300,7 @@ mod tests {
         // Fingerprint once (filling every cache), mutate a single channel,
         // and verify only correct values come back out.
         let _ = state.fingerprint();
-        state.ctrl_to_sw_mut(SwitchId(2)).unwrap().pop();
+        state.ctrl_to_sw_mut(SwitchId(2)).pop();
         assert_eq!(state.fingerprint(), state.reference_fingerprint());
 
         state.enqueue_host(HostId(2), pkt);
@@ -1102,7 +1315,7 @@ mod tests {
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
 
-        let ch = &state.ingress[&(SwitchId(1), PortId(1))];
+        let ch = state.ingress.get((SwitchId(1), PortId(1))).unwrap();
         let direct = {
             let mut h = Fnv64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.fingerprint(&mut h);
@@ -1113,8 +1326,8 @@ mod tests {
         assert_eq!(ch.digest.get().copied(), Some(direct));
 
         // Mutation through the accessor drops the cache...
-        state.ingress_mut(SwitchId(1), PortId(1)).unwrap().pop();
-        let ch = &state.ingress[&(SwitchId(1), PortId(1))];
+        state.ingress_mut(SwitchId(1), PortId(1)).pop();
+        let ch = state.ingress.get((SwitchId(1), PortId(1))).unwrap();
         assert_eq!(ch.digest.get(), None);
         // ...and the recomputed digest reflects the new contents.
         let direct_after = {
@@ -1136,7 +1349,7 @@ mod tests {
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
-        state.ingress_mut(SwitchId(1), PortId(1)).unwrap().pop();
+        state.ingress_mut(SwitchId(1), PortId(1)).pop();
         state.controller_mut();
         let ingress = Slot::Ingress(SwitchId(1), PortId(1));
         assert_eq!(state.acc.dirty, [ingress, Slot::Controller]);
@@ -1188,6 +1401,190 @@ mod tests {
             assert_eq!(state.fingerprint(), state.reference_fingerprint());
         }
         assert_eq!(state.total_queued_messages(), 8);
+    }
+
+    /// The four channel stores' cells, as `(sw→ctrl, ctrl→sw, ingress, inbox)`.
+    fn channel_cells(state: &SystemState) -> (usize, usize, usize, usize) {
+        (
+            state.sw_to_ctrl.len(),
+            state.ctrl_to_sw.len(),
+            state.ingress.len(),
+            state.host_inbox.len(),
+        )
+    }
+
+    #[test]
+    fn the_idle_channel_constant_is_an_idle_channels_digest() {
+        assert_eq!(IDLE_CHANNEL, rehash(&FifoChannel::<Packet>::new()));
+        assert_eq!(IDLE_CHANNEL, rehash(&FifoChannel::<OfMessage>::new()));
+        let mut restored = FifoChannel::<Packet>::new();
+        restored.fail();
+        assert_ne!(IDLE_CHANNEL, rehash(&restored));
+        restored.restore();
+        assert_eq!(IDLE_CHANNEL, rehash(&restored));
+    }
+
+    #[test]
+    fn a_settled_state_and_every_clone_hold_no_cell_for_an_idle_channel() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        // Two switches, two hosts, the controller — and not one of the
+        // 2 x 2 control channels, 2 x 3 ingress ports and 2 inboxes.
+        assert_eq!(state.cell_count(), 5);
+        assert_eq!(channel_cells(&state), (0, 0, 0, 0));
+        let settled = (state.acc.folded, state.fingerprint());
+
+        let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+        state.enqueue_to_controller(
+            SwitchId(1),
+            OfMessage::SwitchLeave {
+                switch: SwitchId(1),
+            },
+        );
+        state.enqueue_to_switch(SwitchId(2), OfMessage::BarrierRequest { request_id: 1 });
+        state.enqueue_ingress(SwitchId(1), PortId(2), pkt);
+        state.enqueue_host(HostId(2), pkt);
+        assert_eq!(channel_cells(&state), (1, 1, 1, 1));
+        state.settle();
+        assert_eq!(channel_cells(&state), (1, 1, 1, 1), "busy channels stay");
+
+        // Drained, every channel is idle again. The written state keeps the
+        // cells until it settles (readers see an empty channel either
+        // way); a clone never gets them.
+        state.sw_to_ctrl_mut(SwitchId(1)).pop();
+        state.ctrl_to_sw_mut(SwitchId(2)).pop();
+        state.ingress_mut(SwitchId(1), PortId(2)).pop();
+        state.host_inbox_mut(HostId(2)).pop();
+        assert_eq!(channel_cells(&state), (1, 1, 1, 1));
+        assert!(state.ingress(SwitchId(1), PortId(2)).unwrap().is_empty());
+        assert_eq!(state.total_queued_messages(), 0);
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        let clone = state.clone();
+        assert_eq!(channel_cells(&clone), (0, 0, 0, 0));
+        assert!(clone.ingress(SwitchId(1), PortId(2)).is_none());
+        state.settle();
+        assert_eq!(channel_cells(&state), (0, 0, 0, 0));
+        // Both are the state it started as.
+        for state in [&state, &clone] {
+            assert_eq!((state.acc.folded, state.fingerprint()), settled);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+
+        // Popping a channel that has no cell is popping an empty channel.
+        assert_eq!(state.host_inbox_mut(HostId(1)).pop(), None);
+        assert_eq!(state.fingerprint(), settled.1);
+        state.settle();
+        assert_eq!(state.cell_count(), 5);
+    }
+
+    #[test]
+    fn a_crash_fails_a_control_channel_that_had_no_cell() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        let sw = SwitchId(1);
+        assert!(state.ctrl_to_sw(sw).is_none() && state.sw_to_ctrl(sw).is_none());
+        let flow_mod = || {
+            OfMessage::add_rule(&nice_openflow::FlowRule::new(
+                nice_openflow::MatchPattern::any(),
+                1,
+                vec![nice_openflow::Action::Drop],
+            ))
+        };
+
+        state.crash_switch(sw);
+        assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_failed()));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        // What the controller sends a crashed switch is lost...
+        state.enqueue_to_switch(sw, flow_mod());
+        assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_empty()));
+        // ...also once the state has settled and in its clones: the failed
+        // channel is empty, and keeps its cell.
+        state.settle();
+        let mut clone = state.clone();
+        for state in [&mut state, &mut clone] {
+            assert_eq!(
+                channel_cells(state),
+                (1, 1, 0, 0),
+                "switch_leave, down link"
+            );
+            assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_failed()));
+            state.enqueue_to_switch(sw, flow_mod());
+            assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_empty()));
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+
+        // Restored, the channel is idle: its cell goes with the next
+        // settle, and a message sent after the reconnect arrives.
+        state.reconnect_switch(sw);
+        assert!(state.ctrl_to_sw(sw).is_some_and(|ch| !ch.is_failed()));
+        assert!(state.clone().ctrl_to_sw(sw).is_none());
+        state.settle();
+        assert!(state.ctrl_to_sw(sw).is_none());
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        state.enqueue_to_switch(sw, flow_mod());
+        let queued = state.ctrl_to_sw(sw).expect("a busy channel has a cell");
+        assert_eq!(queued.len(), 1);
+        assert_eq!(
+            queued.peek().map(OfMessage::kind_name),
+            Some("flow_mod_add")
+        );
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+    }
+
+    #[test]
+    fn a_crash_with_packets_on_two_ingress_ports_leaves_no_ingress_cell() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+        state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
+        state.enqueue_ingress(SwitchId(1), PortId(2), pkt);
+        state.enqueue_ingress(SwitchId(1), PortId(2), pkt);
+        state.enqueue_ingress(SwitchId(2), PortId(1), pkt);
+        state.settle();
+        assert_eq!(state.ingress.len(), 3);
+
+        state.crash_switch(SwitchId(1));
+        assert_eq!(state.busy_ingress_ports(SwitchId(1)).count(), 0);
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        let clone = state.clone();
+        state.settle();
+        for state in [&state, &clone] {
+            let left: Vec<_> = state.ingress.keys().collect();
+            assert_eq!(left, [(SwitchId(2), PortId(1))]);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+        // A packet towards the crashed switch is dropped on the floor, not
+        // on a new cell.
+        state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
+        assert_eq!(state.ingress.len(), 1);
+    }
+
+    #[test]
+    fn a_drained_channel_the_topology_lacks_leaves_the_accumulator_as_it_found_it() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+        let found = (state.acc.folded, state.fingerprint(), state.cell_count());
+        // Switch 1 exists, its port 9 does not; switch 9 does not exist.
+        for (sw, port) in [(SwitchId(1), PortId(9)), (SwitchId(9), PortId(1))] {
+            state.enqueue_ingress(sw, port, pkt);
+            assert_ne!(state.fingerprint(), found.1);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+            state.settle();
+            assert_eq!(state.cell_count(), found.2 + 1);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+
+            // Drained, it counts for nothing: settled or not, cloned or not.
+            assert_eq!(state.ingress_mut(sw, port).pop(), Some(pkt));
+            assert_eq!(state.fingerprint(), found.1);
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+            let clone = state.clone();
+            state.settle();
+            for state in [&state, &clone] {
+                let now = (state.acc.folded, state.fingerprint(), state.cell_count());
+                assert_eq!(now, found);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::scenario::{CheckerConfig, Scenario, SendPolicy};
 use crate::state::SystemState;
 use nice_controller::{ControllerRuntime, PacketInContext};
 use nice_openflow::{
-    BufferId, ChannelFault, ForwardingDecision, HostId, Location, OfMessage, OfMutation, Packet,
-    PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput,
+    BufferId, ChannelFault, FifoChannel, ForwardingDecision, HostId, Location, OfMessage,
+    OfMutation, Packet, PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput,
 };
 use nice_sym::{ConcreteEnv, PathExplorer, Solver, SymPacket, SymStats};
 use std::collections::BTreeMap;
@@ -402,6 +402,7 @@ pub fn enabled_transitions(
     let plan = &scenario.fault_plan;
     if config.inject_faults && plan.any_enabled() {
         let budget_left = state.fault_budget() > 0;
+        let idle = FifoChannel::new();
         for (switch_id, switch) in state.switches() {
             if state.is_crashed(switch_id) {
                 // A crashed switch can only come back; recovery is
@@ -415,21 +416,20 @@ pub fn enabled_transitions(
             if plan.switch_crash {
                 out.push(Transition::SwitchCrash { switch: switch_id });
             }
-            if plan.channel.any_enabled() {
-                // The per-channel fault models were seeded from the plan at
-                // state construction, so out-of-scope channels report none.
+            // The plan, not the channel, says which faults a link allows
+            // (none on a switch it leaves out of scope); a port with no
+            // channel in the state has an idle one, whose link can fail.
+            let model = plan.channel_model_for(switch_id);
+            if model.any_enabled() {
                 for &port in &switch.ports {
-                    let faults = state
-                        .ingress(switch_id, port)
-                        .map(|ch| ch.enabled_faults())
-                        .unwrap_or_default();
-                    for fault in faults {
-                        out.push(Transition::ChannelFault {
+                    let channel = state.ingress(switch_id, port).unwrap_or(&idle);
+                    out.extend(channel.enabled_faults(model).map(|fault| {
+                        Transition::ChannelFault {
                             switch: switch_id,
                             port,
                             fault,
-                        });
-                    }
+                        }
+                    }));
                 }
             }
             if plan.of_mutations {
@@ -481,7 +481,7 @@ pub fn execute(
         Transition::HostReceive { host } => {
             let packet = state
                 .host_inbox_mut(*host)
-                .and_then(|ch| ch.pop())
+                .pop()
                 .expect("host_receive with empty inbox");
             events.push(Event::PacketDeliveredToHost {
                 host: *host,
@@ -534,7 +534,7 @@ pub fn execute(
         Transition::ProcessOf { switch } => {
             let msg = state
                 .ctrl_to_sw_mut(*switch)
-                .and_then(|ch| ch.pop())
+                .pop()
                 .expect("process_of with empty channel");
             if let OfMessage::FlowMod {
                 command,
@@ -565,7 +565,7 @@ pub fn execute(
         Transition::ControllerHandle { switch } => {
             let msg = state
                 .sw_to_ctrl_mut(*switch)
-                .and_then(|ch| ch.pop())
+                .pop()
                 .expect("ctrl_handle with empty channel");
             match &msg {
                 OfMessage::PacketIn {
@@ -627,10 +627,8 @@ pub fn execute(
             fault,
         } => {
             state.consume_fault_budget();
-            state
-                .ingress_mut(*switch, *port)
-                .expect("unknown ingress channel")
-                .apply_fault(*fault);
+            let model = scenario.fault_plan.channel_model_for(*switch);
+            state.ingress_mut(*switch, *port).apply_fault(*fault, model);
         }
 
         Transition::SwitchCrash { switch } => {
@@ -683,7 +681,7 @@ pub fn execute(
             state.consume_fault_budget();
             state
                 .ctrl_to_sw_mut(*switch)
-                .and_then(|ch| ch.peek_mut())
+                .peek_mut()
                 .expect("mutate_of with empty channel")
                 .apply_mutation(*mutation);
         }
@@ -751,7 +749,7 @@ fn process_one_ingress(
     port: PortId,
     events: &mut Vec<Event>,
 ) {
-    let packet = match state.ingress_mut(switch, port).and_then(|ch| ch.pop()) {
+    let packet = match state.ingress_mut(switch, port).pop() {
         Some(p) => p,
         None => return,
     };

@@ -10,6 +10,12 @@
 //! which faulty transitions are currently enabled; the model checker chooses
 //! among them like any other transition, so every fault interleaving is
 //! explored systematically rather than sampled.
+//!
+//! Nor does it know *which* faults its link allows: a [`FaultModel`] is
+//! configuration of the scenario, not state of the channel, so whoever
+//! enumerates or applies a fault hands the model in. A channel is a queue
+//! plus a `failed` bit — which is what lets the model checker keep no
+//! channel at all where nothing is queued and nothing has failed.
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use std::collections::VecDeque;
@@ -70,38 +76,22 @@ pub enum ChannelFault {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FifoChannel<T> {
     queue: VecDeque<T>,
-    faults: FaultModel,
     failed: bool,
 }
 
 impl<T> Default for FifoChannel<T> {
     fn default() -> Self {
-        Self::reliable()
+        Self::new()
     }
 }
 
 impl<T> FifoChannel<T> {
-    /// Creates an empty, reliable channel.
-    pub fn reliable() -> Self {
+    /// Creates an empty channel whose link is up.
+    pub const fn new() -> Self {
         FifoChannel {
             queue: VecDeque::new(),
-            faults: FaultModel::RELIABLE,
             failed: false,
         }
-    }
-
-    /// Creates an empty channel with the given fault model.
-    pub fn with_faults(faults: FaultModel) -> Self {
-        FifoChannel {
-            queue: VecDeque::new(),
-            faults,
-            failed: false,
-        }
-    }
-
-    /// The configured fault model.
-    pub fn fault_model(&self) -> FaultModel {
-        self.faults
     }
 
     /// True if the link has failed.
@@ -165,55 +155,50 @@ impl<T> FifoChannel<T> {
         self.failed = false;
     }
 
-    /// Lists the fault transitions currently enabled, given the fault model
-    /// and queue contents. The model checker schedules these alongside the
-    /// ordinary deliver transitions.
-    pub fn enabled_faults(&self) -> Vec<ChannelFault> {
-        let mut out = Vec::new();
-        if self.failed {
-            return out;
-        }
-        if self.faults.allow_drop && !self.queue.is_empty() {
-            out.push(ChannelFault::DropHead);
-        }
-        if self.faults.allow_duplicate && !self.queue.is_empty() {
-            out.push(ChannelFault::DuplicateHead);
-        }
-        if self.faults.allow_reorder && self.queue.len() >= 2 {
-            out.push(ChannelFault::ReorderHead);
-        }
-        if self.faults.allow_link_failure {
-            out.push(ChannelFault::FailLink);
-        }
-        out
+    /// The fault transitions `model` enables right now, given the queue
+    /// contents. The model checker schedules these alongside the ordinary
+    /// deliver transitions.
+    pub fn enabled_faults(&self, model: FaultModel) -> impl Iterator<Item = ChannelFault> {
+        // A fault, whether the model allows it, and the messages it needs.
+        let faults = [
+            (ChannelFault::DropHead, model.allow_drop, 1),
+            (ChannelFault::DuplicateHead, model.allow_duplicate, 1),
+            (ChannelFault::ReorderHead, model.allow_reorder, 2),
+            (ChannelFault::FailLink, model.allow_link_failure, 0),
+        ];
+        let (up, queued) = (!self.failed, self.queue.len());
+        faults
+            .into_iter()
+            .filter(move |&(_, allowed, needs)| up && allowed && queued >= needs)
+            .map(|(fault, ..)| fault)
     }
 
-    /// Applies a fault transition. Panics if the fault is not currently
-    /// enabled — the model checker only applies faults it obtained from
-    /// [`FifoChannel::enabled_faults`].
-    pub fn apply_fault(&mut self, fault: ChannelFault)
+    /// Applies a fault transition. Panics if `model` does not allow the
+    /// fault — the model checker only applies faults it obtained from
+    /// [`FifoChannel::enabled_faults`] under the same model.
+    pub fn apply_fault(&mut self, fault: ChannelFault, model: FaultModel)
     where
         T: Clone,
     {
         match fault {
             ChannelFault::DropHead => {
-                assert!(self.faults.allow_drop, "drop fault not enabled");
+                assert!(model.allow_drop, "drop fault not enabled");
                 self.queue.pop_front();
             }
             ChannelFault::DuplicateHead => {
-                assert!(self.faults.allow_duplicate, "duplicate fault not enabled");
+                assert!(model.allow_duplicate, "duplicate fault not enabled");
                 if let Some(head) = self.queue.front().cloned() {
                     self.queue.push_front(head);
                 }
             }
             ChannelFault::ReorderHead => {
-                assert!(self.faults.allow_reorder, "reorder fault not enabled");
+                assert!(model.allow_reorder, "reorder fault not enabled");
                 if self.queue.len() >= 2 {
                     self.queue.swap(0, 1);
                 }
             }
             ChannelFault::FailLink => {
-                assert!(self.faults.allow_link_failure, "link failure not enabled");
+                assert!(model.allow_link_failure, "link failure not enabled");
                 self.failed = true;
                 self.queue.clear();
             }
@@ -247,7 +232,7 @@ mod tests {
 
     #[test]
     fn fifo_ordering() {
-        let mut ch: FifoChannel<u32> = FifoChannel::reliable();
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         assert!(ch.is_empty());
         ch.push(1);
         ch.push(2);
@@ -262,45 +247,57 @@ mod tests {
 
     #[test]
     fn reliable_channel_has_no_fault_transitions() {
-        let mut ch: FifoChannel<u32> = FifoChannel::reliable();
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         ch.push(1);
         ch.push(2);
-        assert!(ch.enabled_faults().is_empty());
-        assert!(!ch.fault_model().any_enabled());
+        assert_eq!(ch.enabled_faults(FaultModel::RELIABLE).count(), 0);
+        assert!(!FaultModel::RELIABLE.any_enabled());
     }
 
     #[test]
     fn lossy_channel_exposes_faults_dependent_on_queue() {
-        let mut ch: FifoChannel<u32> = FifoChannel::with_faults(FaultModel::LOSSY);
+        use ChannelFault::{DropHead, DuplicateHead, FailLink, ReorderHead};
+        let lossy =
+            |ch: &FifoChannel<u32>| ch.enabled_faults(FaultModel::LOSSY).collect::<Vec<_>>();
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         // Empty queue: only link failure is possible.
-        assert_eq!(ch.enabled_faults(), vec![ChannelFault::FailLink]);
+        assert_eq!(lossy(&ch), vec![FailLink]);
         ch.push(1);
-        let faults = ch.enabled_faults();
-        assert!(faults.contains(&ChannelFault::DropHead));
-        assert!(faults.contains(&ChannelFault::DuplicateHead));
-        assert!(!faults.contains(&ChannelFault::ReorderHead));
+        assert_eq!(lossy(&ch), vec![DropHead, DuplicateHead, FailLink]);
         ch.push(2);
-        assert!(ch.enabled_faults().contains(&ChannelFault::ReorderHead));
+        assert_eq!(
+            lossy(&ch),
+            vec![DropHead, DuplicateHead, ReorderHead, FailLink]
+        );
+        // A model allows what it allows, whatever is queued.
+        let duplicates = FaultModel {
+            allow_duplicate: true,
+            ..FaultModel::RELIABLE
+        };
+        assert_eq!(
+            ch.enabled_faults(duplicates).collect::<Vec<_>>(),
+            vec![DuplicateHead]
+        );
     }
 
     #[test]
     fn drop_duplicate_reorder_semantics() {
-        let mut ch: FifoChannel<u32> = FifoChannel::with_faults(FaultModel::LOSSY);
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         ch.push(1);
         ch.push(2);
-        ch.apply_fault(ChannelFault::ReorderHead);
+        ch.apply_fault(ChannelFault::ReorderHead, FaultModel::LOSSY);
         assert_eq!(ch.iter().copied().collect::<Vec<_>>(), vec![2, 1]);
-        ch.apply_fault(ChannelFault::DuplicateHead);
+        ch.apply_fault(ChannelFault::DuplicateHead, FaultModel::LOSSY);
         assert_eq!(ch.iter().copied().collect::<Vec<_>>(), vec![2, 2, 1]);
-        ch.apply_fault(ChannelFault::DropHead);
+        ch.apply_fault(ChannelFault::DropHead, FaultModel::LOSSY);
         assert_eq!(ch.iter().copied().collect::<Vec<_>>(), vec![2, 1]);
     }
 
     #[test]
     fn link_failure_discards_everything() {
-        let mut ch: FifoChannel<u32> = FifoChannel::with_faults(FaultModel::LOSSY);
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         ch.push(1);
-        ch.apply_fault(ChannelFault::FailLink);
+        ch.apply_fault(ChannelFault::FailLink, FaultModel::LOSSY);
         assert!(ch.is_failed());
         assert!(ch.is_empty());
         ch.push(7);
@@ -308,12 +305,12 @@ mod tests {
             ch.is_empty(),
             "a failed link silently discards new messages"
         );
-        assert!(ch.enabled_faults().is_empty());
+        assert_eq!(ch.enabled_faults(FaultModel::LOSSY).count(), 0);
     }
 
     #[test]
     fn external_fail_and_restore() {
-        let mut ch: FifoChannel<u32> = FifoChannel::reliable();
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         ch.push(1);
         ch.fail();
         assert!(ch.is_failed());
@@ -329,22 +326,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "drop fault not enabled")]
     fn applying_disabled_fault_panics() {
-        let mut ch: FifoChannel<u32> = FifoChannel::reliable();
+        let mut ch: FifoChannel<u32> = FifoChannel::new();
         ch.push(1);
-        ch.apply_fault(ChannelFault::DropHead);
+        ch.apply_fault(ChannelFault::DropHead, FaultModel::RELIABLE);
     }
 
     #[test]
     fn fingerprint_covers_contents_and_failure() {
-        let mut a: FifoChannel<u32> = FifoChannel::reliable();
-        let mut b: FifoChannel<u32> = FifoChannel::reliable();
+        let mut a: FifoChannel<u32> = FifoChannel::new();
+        let mut b: FifoChannel<u32> = FifoChannel::new();
         a.push(1);
         b.push(2);
         assert_ne!(fingerprint_of(&a), fingerprint_of(&b));
-        let mut c: FifoChannel<u32> = FifoChannel::with_faults(FaultModel::LOSSY);
+        let mut c: FifoChannel<u32> = FifoChannel::new();
         c.push(1);
         let before = fingerprint_of(&c);
-        c.apply_fault(ChannelFault::FailLink);
+        c.apply_fault(ChannelFault::FailLink, FaultModel::LOSSY);
         assert_ne!(before, fingerprint_of(&c));
     }
 }

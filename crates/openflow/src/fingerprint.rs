@@ -29,12 +29,12 @@ impl Default for Fnv64 {
 
 impl Fnv64 {
     /// Creates a hasher seeded with the standard FNV offset basis.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Fnv64 { state: FNV_OFFSET }
     }
 
     /// Creates a hasher with an explicit seed, useful for domain separation.
-    pub fn with_seed(seed: u64) -> Self {
+    pub const fn with_seed(seed: u64) -> Self {
         let mut h = Fnv64::new();
         h.write_u64(seed);
         h
@@ -42,7 +42,7 @@ impl Fnv64 {
 
     /// Folds one byte into the state (the FNV-1a step).
     #[inline(always)]
-    fn step(&mut self, b: u8) {
+    const fn step(&mut self, b: u8) {
         self.state ^= b as u64;
         self.state = self.state.wrapping_mul(FNV_PRIME);
     }
@@ -53,7 +53,7 @@ impl Fnv64 {
     /// fast path changes the loop structure, never the function — so replay
     /// files and golden fingerprints stay stable.
     #[inline(always)]
-    fn step_word(&mut self, v: u64) {
+    const fn step_word(&mut self, v: u64) {
         self.step(v as u8);
         self.step((v >> 8) as u8);
         self.step((v >> 16) as u8);
@@ -78,7 +78,7 @@ impl Fnv64 {
     }
 
     /// Absorbs a single byte.
-    pub fn write_u8(&mut self, v: u8) {
+    pub const fn write_u8(&mut self, v: u8) {
         self.step(v);
     }
 
@@ -97,17 +97,17 @@ impl Fnv64 {
     }
 
     /// Absorbs a `u64` in little-endian order (word-at-a-time fast path).
-    pub fn write_u64(&mut self, v: u64) {
+    pub const fn write_u64(&mut self, v: u64) {
         self.step_word(v);
     }
 
     /// Absorbs a `usize` (widened to 64 bits so 32/64-bit platforms agree).
-    pub fn write_usize(&mut self, v: usize) {
+    pub const fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
     /// Absorbs a boolean as a full byte.
-    pub fn write_bool(&mut self, v: bool) {
+    pub const fn write_bool(&mut self, v: bool) {
         self.write_u8(v as u8);
     }
 
@@ -119,7 +119,7 @@ impl Fnv64 {
     }
 
     /// Returns the current digest.
-    pub fn finish(&self) -> u64 {
+    pub const fn finish(&self) -> u64 {
         self.state
     }
 }

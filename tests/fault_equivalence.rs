@@ -13,7 +13,14 @@
 //!    reports the same verdict and violated-property set as FullDfs alone
 //!    while exploring no more (and on the chain workload strictly fewer)
 //!    transitions.
+//!
+//! And one about the state layout underneath: a channel with nothing queued
+//! and its link up has no cell in the state, and the fault layer must not
+//! be able to tell — the last two tests.
 
+use nice::mc::transition::{enabled_transitions, execute, DiscoveryMemo};
+use nice::mc::{SystemState, Transition};
+use nice::openflow::{ChannelFault, FlowRule, OfMessage};
 use nice::prelude::*;
 use nice::scenarios::{bug_scenario, BugId};
 use nice_bench::{chain_fault_workload, chain_ping_workload};
@@ -217,4 +224,147 @@ fn bug_xii_violations_survive_por_and_parallelism() {
         );
         assert!(por.stats.transitions <= full.stats.transitions);
     }
+}
+
+/// The channel faults enabled on `(switch, port)` in `state`, in the order
+/// the checker schedules them.
+fn channel_faults(
+    state: &SystemState,
+    scenario: &Scenario,
+    switch: SwitchId,
+    port: PortId,
+) -> Vec<ChannelFault> {
+    let config = CheckerConfig::default().with_fault_injection(true);
+    enabled_transitions(state, scenario, &config)
+        .into_iter()
+        .filter_map(|t| match t {
+            Transition::ChannelFault {
+                switch: s,
+                port: p,
+                fault,
+            } if (s, p) == (switch, port) => Some(fault),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Which faults a link allows is the plan's to say, not the channel's: an
+/// ingress port nothing is queued on has no channel in the state, and its
+/// link can fail all the same; the faults that need a message appear with
+/// the first and the second one queued.
+#[test]
+fn a_lossy_plan_fails_links_nothing_is_queued_on() {
+    use ChannelFault::{DropHead, DuplicateHead, FailLink, ReorderHead};
+    let (sw, port) = (SwitchId(2), PortId(3));
+    let scenario = chain_ping_workload(3, 1).with_fault_plan(FaultPlan::lossy(2));
+    let mut state = SystemState::initial(&scenario);
+    assert!(
+        state.ingress(sw, port).is_none(),
+        "an idle channel has no cell"
+    );
+    assert_eq!(channel_faults(&state, &scenario, sw, port), [FailLink]);
+
+    let packet = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
+    state.enqueue_ingress(sw, port, packet);
+    let one_queued = [DropHead, DuplicateHead, FailLink];
+    assert_eq!(channel_faults(&state, &scenario, sw, port), one_queued);
+    state.enqueue_ingress(sw, port, packet);
+    let two_queued = [DropHead, DuplicateHead, ReorderHead, FailLink];
+    assert_eq!(channel_faults(&state, &scenario, sw, port), two_queued);
+    assert_eq!(
+        channel_faults(&state.clone(), &scenario, sw, port),
+        two_queued
+    );
+
+    // Failing the idle link of another port gives that channel a cell that
+    // stays, empty, through clones; a failed link has no faults left.
+    let config = CheckerConfig::default().with_fault_injection(true);
+    let fail = Transition::ChannelFault {
+        switch: sw,
+        port: PortId(2),
+        fault: FailLink,
+    };
+    let (mut memo, mut events) = (DiscoveryMemo::default(), Vec::new());
+    execute(
+        &mut state,
+        &fail,
+        &scenario,
+        &config,
+        &mut memo,
+        &mut events,
+    );
+    let state = state.clone();
+    assert!(state
+        .ingress(sw, PortId(2))
+        .is_some_and(|ch| ch.is_failed()));
+    assert_eq!(channel_faults(&state, &scenario, sw, PortId(2)), []);
+    assert_eq!(state.fault_budget(), 1);
+    assert_eq!(channel_faults(&state, &scenario, sw, port), two_queued);
+
+    // Out of the plan's scope, and out of budget, nothing is enabled —
+    // queued or not.
+    let elsewhere = scenario
+        .clone()
+        .with_fault_plan(FaultPlan::lossy(2).on_switches([SwitchId(1)]));
+    let state = SystemState::initial(&elsewhere);
+    assert_eq!(channel_faults(&state, &elsewhere, sw, port), []);
+    assert_eq!(
+        channel_faults(&state, &elsewhere, SwitchId(1), PortId(1)),
+        [FailLink]
+    );
+    let spent = scenario.clone().with_fault_plan(FaultPlan::lossy(0));
+    let state = SystemState::initial(&spent);
+    assert_eq!(channel_faults(&state, &spent, sw, port), []);
+}
+
+/// A switch that crashes while its control channels are idle — no cell to
+/// mark — is cut off all the same: a `FlowMod` sent before it reconnects is
+/// lost, one sent after is delivered and installed.
+#[test]
+fn a_crashed_switch_with_idle_control_channels_receives_nothing_until_it_reconnects() {
+    let sw = SwitchId(2);
+    let scenario = chain_fault_workload(3, 1);
+    let config = CheckerConfig::default().with_fault_injection(true);
+    let mut state = SystemState::initial(&scenario);
+    assert!(state.ctrl_to_sw(sw).is_none() && state.sw_to_ctrl(sw).is_none());
+    let (mut memo, mut events) = (DiscoveryMemo::default(), Vec::new());
+    let mut step = |state: &mut SystemState, transition: Transition| {
+        let enabled = enabled_transitions(state, &scenario, &config);
+        assert!(enabled.contains(&transition), "{transition} is not enabled");
+        execute(
+            state,
+            &transition,
+            &scenario,
+            &config,
+            &mut memo,
+            &mut events,
+        );
+    };
+    let flow_mod = || {
+        let rule = FlowRule::new(MatchPattern::any(), 1, vec![Action::Drop]);
+        OfMessage::add_rule(&rule)
+    };
+    let process_of = Transition::ProcessOf { switch: sw };
+
+    step(&mut state, Transition::SwitchCrash { switch: sw });
+    assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_failed()));
+    // Through a clone too: the search works on clones of this state.
+    let mut state = state.clone();
+    state.enqueue_to_switch(sw, flow_mod());
+    assert!(state.ctrl_to_sw(sw).is_some_and(|ch| ch.is_empty()));
+    assert!(!enabled_transitions(&state, &scenario, &config).contains(&process_of));
+
+    step(&mut state, Transition::SwitchReconnect { switch: sw });
+    let mut state = state.clone();
+    state.enqueue_to_switch(sw, flow_mod());
+    step(&mut state, process_of);
+    let table = &state
+        .switch(sw)
+        .expect("the chain has a switch 2")
+        .flow_table;
+    assert_eq!(
+        table.rules().count(),
+        1,
+        "sent after the reconnect, installed"
+    );
 }
