@@ -1,6 +1,5 @@
-//! Ablation of the design choices called out in DESIGN.md: canonical flow
-//! tables, the coarse `process_pkt` transition, and replay-based state
-//! storage.
+//! Ablation of two design choices: canonical flow tables and the coarse
+//! `process_pkt` transition.
 //!
 //! Usage: `ablation [pings] [max_transitions]`
 

@@ -1,8 +1,8 @@
 //! Deterministic bench-regression gate for CI.
 //!
-//! Runs a quick, fixed profile of the exploration engines (the same legs as
-//! the `parallel` bin, plus the POR legs) on the pyswitch chain and
-//! load-balancer workloads, writes the results as JSON (`BENCH_ci.json` by
+//! Runs a quick, fixed profile of the exploration engines
+//! ([`nice_bench::engine_configs`]) on the pyswitch chain and load-balancer
+//! workloads, writes the results as JSON (`BENCH_ci.json` by
 //! default), and — when given a committed baseline — fails the process if
 //! an engine explores **more transitions or more states** than the baseline
 //! allows (`> baseline * 1.15`): state-space regressions are deterministic

@@ -11,13 +11,11 @@
 //!   domain-specific reductions (the SPIN/JPF comparison of Section 7).
 //! * [`table2`] — transitions / time to the first violation for each of the
 //!   eleven bugs under the four search strategies (Table 2).
-//! * [`ablation`] — the design-choice ablations called out in DESIGN.md
-//!   (canonical flow tables, replay-from-the-root vs snapshot-per-node
-//!   frontier storage, coarse vs fine-grained packet processing).
+//! * [`ablation`] — the design-choice ablations (canonical flow tables,
+//!   coarse vs fine-grained packet processing).
 //!
 //! Binaries under `src/bin/` print the rows in the same shape as the paper;
-//! Criterion benches under `benches/` track the runtime of representative
-//! configurations.
+//! speed is measured by the repo benchmark (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,19 +34,12 @@ pub use nice_apps::workloads::{
     chain_fault_workload, chain_ping_workload, load_balancer_workload, ping_workload,
 };
 
-/// The engine matrix the exploration benches and the CI bench gate profile:
-/// the default engine (a copy-on-write snapshot per frontier node — the
-/// first row, which the others' rates are normalised against), checkpointed
-/// replay, the parallel engine, the POR legs, and the tiered / bitstate
-/// explored-set legs. Shared by the `parallel` and `ci_gate` bins so their
-/// rows can never drift apart.
+/// The engine matrix the CI bench gate profiles: the default engine (the
+/// first row, which the others' rates are normalised against), the parallel
+/// engine, the POR legs, and the tiered / bitstate explored-set legs.
 pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
     vec![
         ("cow-snapshot".into(), CheckerConfig::default()),
-        (
-            "checkpoint-replay (K=8)".into(),
-            CheckerConfig::default().with_checkpoint_interval(8),
-        ),
         (
             format!("parallel ({workers} workers)"),
             CheckerConfig::default().with_workers(workers),
@@ -340,13 +331,13 @@ pub struct AblationRow {
 }
 
 /// Regenerates the ablation rows for a given ping count: the canonical flow
-/// table, the coarse `process_pkt` transition, and per-node frontier
-/// snapshots are each toggled independently.
+/// table and the coarse `process_pkt` transition are each toggled
+/// independently.
 pub fn ablation(pings: u32, max_transitions: u64) -> Vec<AblationRow> {
     let base = CheckerConfig::default().with_max_transitions(max_transitions);
     vec![
         AblationRow {
-            label: "baseline (canonical tables, coarse process_pkt, snapshot per node)".into(),
+            label: "baseline (canonical tables, coarse process_pkt)".into(),
             stats: exhaustive(ping_workload(pings, true), base.clone()),
         },
         AblationRow {
@@ -359,15 +350,8 @@ pub fn ablation(pings: u32, max_transitions: u64) -> Vec<AblationRow> {
                 ping_workload(pings, true),
                 CheckerConfig {
                     coarse_packet_processing: false,
-                    ..base.clone()
+                    ..base
                 },
-            ),
-        },
-        AblationRow {
-            label: "replay from the root, no snapshots (trade CPU for memory)".into(),
-            stats: exhaustive(
-                ping_workload(pings, true),
-                base.with_checkpoint_interval(usize::MAX),
             ),
         },
     ]
@@ -455,9 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn ablation_has_four_rows() {
+    fn ablation_has_a_row_per_toggle() {
         let rows = ablation(2, 0);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.stats.transitions > 0));
         assert!(stats_cell(&rows[0].stats).contains("transitions"));
     }

@@ -94,13 +94,6 @@ impl Nice {
         self
     }
 
-    /// Sets the frontier snapshot cadence (builder style; see
-    /// [`CheckerConfig::checkpoint_interval`]).
-    pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
-        self.config = self.config.with_checkpoint_interval(interval);
-        self
-    }
-
     /// Selects the partial-order reduction layered on top of the strategy
     /// (builder style).
     pub fn with_reduction(mut self, reduction: ReductionKind) -> Self {
@@ -215,13 +208,11 @@ mod tests {
         let nice = Nice::new(testutil::hub_ping_scenario(1))
             .with_strategy(StrategyKind::NoDelay)
             .with_max_transitions(123)
-            .with_checkpoint_interval(usize::MAX)
             .with_faults()
             .collect_all_violations();
         assert!(nice.config().inject_faults);
         assert_eq!(nice.config().strategy, StrategyKind::NoDelay);
         assert_eq!(nice.config().max_transitions, 123);
-        assert_eq!(nice.config().checkpoint_interval, usize::MAX);
         assert!(!nice.config().stop_at_first_violation);
         assert_eq!(nice.scenario().name, "hub-ping");
     }

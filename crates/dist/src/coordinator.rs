@@ -15,8 +15,8 @@
 //! coordinator respawns it (bumping its generation — frames a dead process
 //! left behind are discarded by generation tag), re-sends the job, and
 //! replays the log; the worker re-derives its shard of the frontier by
-//! replaying the logged traces, exactly as checkpoint/replay storage
-//! rebuilds states. Re-explored work may re-forward states other shards
+//! replaying the logged traces, exactly as it rebuilds every state a peer
+//! sends it. Re-explored work may re-forward states other shards
 //! have already seen — those deduplicate at the owner, so the verdict and
 //! the violation set are unaffected (per-shard counters may differ from a
 //! crash-free run; the equivalence guarantees are for crash-free runs).

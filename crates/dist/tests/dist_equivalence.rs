@@ -149,14 +149,21 @@ fn sharded_chain_run_matches_sequential_verdict_and_counters() {
 #[test]
 fn sharded_bug_v_run_finds_the_same_violations() {
     let _guard = lock();
-    let spec = full_spec("bug-v-packets-dropped-in-transition", false);
-    let seq = sequential(&spec);
-    assert!(!seq.passed(), "BUG-V violates sequentially");
-    for workers in [2, 4] {
-        let dist = distributed(&spec, workers);
-        let label = format!("bug-v dist-{workers}");
-        assert_same_verdict(&seq, &dist, &label);
-        assert_exact_counters(&seq, &dist, &label);
+    // BUG-IX rides along: a second application (energy TE, statistics
+    // replies) whose every forwarded state the owner rebuilds by replay.
+    for scenario in [
+        "bug-v-packets-dropped-in-transition",
+        "bug-ix-intermediate-switch-packets-dropped",
+    ] {
+        let spec = full_spec(scenario, false);
+        let seq = sequential(&spec);
+        assert!(!seq.passed(), "{scenario} violates sequentially");
+        for workers in [2, 4] {
+            let dist = distributed(&spec, workers);
+            let label = format!("{scenario} dist-{workers}");
+            assert_same_verdict(&seq, &dist, &label);
+            assert_exact_counters(&seq, &dist, &label);
+        }
     }
 }
 

@@ -29,20 +29,18 @@
 //! violation trace) as a `Path`: its own step plus a shared pointer to its
 //! parent's, so a new node costs one small allocation at any depth — an
 //! export to a peer shard too, which travels as what it adds to the export
-//! before it — and the trace is copied out only for a violation. What else
-//! is kept is governed by
-//! [`CheckerConfig::checkpoint_interval`]: a copy-on-write snapshot is taken
-//! every `interval` transitions of depth and shared (via `Arc`) by every
-//! descendant node until the next checkpoint; expanding a node replays only
-//! the suffix since its nearest checkpoint. At the default interval of `1`
-//! each node carries its exact state — since [`SystemState`] is
-//! copy-on-write the snapshot shares everything the child did not modify
-//! with its parent, so this is both fast and reasonably small. At
-//! `usize::MAX` nodes carry no state and expanding one re-executes its
-//! trace from the initial state (the paper's Section 6 memory-saving mode)
-//! — or, like every replay that would start at the initial state, from the
-//! deepest of the few snapshots the previous one left along the same path
-//! (`Worker::materialize`).
+//! before it — and the trace is copied out only for a violation.
+//!
+//! A node also owns its state and property observers: `Worker::expand`
+//! moves each successor's into its node and `Worker::materialize` moves
+//! them out again. Since [`SystemState`] is copy-on-write, what a node owns
+//! shares everything its transition did not write with its parent and
+//! siblings. Two kinds of node carry no state, because none exists where
+//! they are created: the root, and the states a peer shard exports (a wire
+//! carries traces, not states). Those are rebuilt by re-executing their
+//! trace — the state restoration of the paper's Section 6 — from the
+//! initial state or from the deepest of the few snapshots the previous such
+//! replay left along the same path (`Worker::replay_from_root`).
 //!
 //! Expanding a node copies its state and property observers for every
 //! successor but the last, which takes them over: a node with one successor
@@ -589,10 +587,22 @@ pub(crate) fn violated_at_end(
 // Frontier nodes
 // ---------------------------------------------------------------------------
 
-/// A snapshot of the system and property state at some depth of a trace.
+/// The system and property state at some depth of a trace.
+#[derive(Clone)]
 pub(crate) struct Snapshot {
     pub(crate) state: SystemState,
     pub(crate) properties: Vec<Box<dyn Property>>,
+}
+
+impl Snapshot {
+    /// Where every execution of `scenario` starts: its initial state,
+    /// observed by fresh copies of its properties.
+    pub(crate) fn initial(scenario: &Scenario) -> Snapshot {
+        Snapshot {
+            state: SystemState::initial(scenario),
+            properties: scenario.properties.clone(),
+        }
+    }
 }
 
 /// The transitions from the initial state to a frontier node, stored as
@@ -735,8 +745,8 @@ impl Path {
     }
 }
 
-// Frontier nodes move between the parallel search's threads, and nodes on
-// different threads share the snapshot of a common checkpoint.
+// Frontier nodes move between the parallel search's threads, and states on
+// different threads share the components neither has written.
 const _: fn() = || {
     fn crosses_threads<T: Send + Sync>() {}
     crosses_threads::<SystemState>();
@@ -745,23 +755,17 @@ const _: fn() = || {
 
 /// One frontier entry of the search.
 ///
-/// The node's state is `base` advanced by `trace.suffix(base_depth)`; the
-/// whole of `trace` is kept (as a [`Path`], shared with the node's
-/// relatives) because it is also the violation trace. At
-/// [`CheckerConfig::checkpoint_interval`] `1` the base *is* the node's state
-/// (empty suffix); at larger intervals it is the nearest ancestor
-/// checkpoint, shared via `Arc` with every other descendant of that
-/// checkpoint; states injected by a peer shard are based on the root, and
-/// what is based on the root is replayed from a nearer snapshot where the
-/// worker has one (`Worker::materialize`).
+/// The node's state is `trace` executed from the initial state; the whole
+/// of `trace` is kept (as a [`Path`], shared with the node's relatives)
+/// because it is also the violation trace. A node `Worker::expand` made
+/// owns that state; the root and the states a peer shard injected carry
+/// none and are rebuilt by replay (`Worker::replay_from_root`).
 ///
-/// The sleep set travels with the node (not with the snapshot), so it
-/// survives replay reconstruction unchanged: replaying the trace suffix
-/// rebuilds the state, while the pruning obligations were fixed when the
-/// node was generated.
+/// The sleep set travels with the node (not with the state), so it survives
+/// a rebuild unchanged: replaying the trace rebuilds the state, while the
+/// pruning obligations were fixed when the node was generated.
 pub(crate) struct Node {
-    pub(crate) base: Arc<Snapshot>,
-    pub(crate) base_depth: usize,
+    pub(crate) owned: Option<Snapshot>,
     pub(crate) trace: Path,
     /// Transitions whose exploration from this node is redundant (already
     /// covered by a commuting sibling branch). Always empty without POR.
@@ -772,18 +776,6 @@ pub(crate) struct Node {
     /// already accounted for, so terminal counting and end-of-trace
     /// property checks must not run again.
     pub(crate) revisit: bool,
-}
-
-impl Node {
-    /// The snapshot handle this node's children inherit — or `None` when
-    /// they sit on a checkpoint depth and snapshot themselves. Taking the
-    /// handle only when a child will use it keeps the snapshot uniquely
-    /// owned at interval 1, so `Worker::materialize` moves the state out
-    /// instead of cloning it.
-    fn inherited_base(&self, interval: usize) -> Option<(Arc<Snapshot>, usize)> {
-        (!(self.trace.len() + 1).is_multiple_of(interval))
-            .then(|| (Arc::clone(&self.base), self.base_depth))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -817,7 +809,7 @@ impl Shared {
 }
 
 /// Steps between the snapshots a replay from the root leaves behind
-/// (`Worker::materialize`). A snapshot is not free — the copy, and the
+/// (`Worker::replay_from_root`). A snapshot is not free — the copy, and the
 /// components the replay has to un-share again after it, cost several
 /// replayed steps — and saves half the spacing per later replay on average:
 /// `serve_roundtrip` read a verdict in 0.088 s at 4, 0.084 s at 8, 0.087 s
@@ -872,7 +864,8 @@ pub(crate) struct Worker<'a> {
     store: Arc<dyn ExploredStore>,
     root: Arc<Snapshot>,
     /// The path last replayed from the root, and the snapshots kept along
-    /// it as `(depth, snapshot)`, shallowest first (`Worker::materialize`).
+    /// it as `(depth, snapshot)`, shallowest first
+    /// (`Worker::replay_from_root`).
     replayed: Path,
     rungs: Vec<(usize, Arc<Snapshot>)>,
     pub(crate) shared: Arc<Shared>,
@@ -915,7 +908,7 @@ impl<'a> Worker<'a> {
 
     /// Visits `fingerprint` in the explored set under `sleep` and, if the
     /// state is new (or must be re-expanded with a narrowed sleep set),
-    /// queues it as a node replaying `trace` from the root. This is how the
+    /// queues it as a node to rebuild by replaying `trace`. This is how the
     /// initial state and the states a peer shard exports enter the search.
     pub(crate) fn enqueue(
         &mut self,
@@ -927,8 +920,7 @@ impl<'a> Worker<'a> {
             return false;
         };
         self.stack.push(Node {
-            base: Arc::clone(&self.root),
-            base_depth: 0,
+            owned: None,
             trace,
             sleep,
             revisit,
@@ -936,53 +928,51 @@ impl<'a> Worker<'a> {
         true
     }
 
-    /// Rebuilds the node's state (and its property state) by replaying the
-    /// trace suffix since the node's snapshot — the memory-saving state
-    /// restoration of Section 6, bounded by the checkpoint cadence. Replays
-    /// do not count as explored transitions. The state comes back settled:
-    /// it is about to be cloned once per successor, and a settled state's
-    /// clones fold nothing and fingerprint for what each successor writes.
-    /// Settling here, once, rather than after every replayed step also
-    /// keeps a replay from digesting components it is about to write again.
+    /// Takes the node apart: its state and property observers — moved out
+    /// of a node that owns them, rebuilt by replay for one that does not —
+    /// its trace and its sleep set. The state comes back settled: it is
+    /// about to be cloned once per successor, and a settled state's clones
+    /// fold nothing and fingerprint for what each successor writes.
+    fn materialize(&mut self, node: Node) -> (Snapshot, Path, Vec<Transition>) {
+        let mut snapshot = match node.owned {
+            Some(owned) => owned,
+            None => self.replay_from_root(&node.trace),
+        };
+        snapshot.state.settle();
+        (snapshot, node.trace, node.sleep)
+    }
+
+    /// The state and property state `trace` leads to, by re-executing it —
+    /// the memory-saving state restoration of Section 6, here for the nodes
+    /// that arrive without a state. Replays do not count as explored
+    /// transitions, and settle nothing on the way: that would digest
+    /// components the next replayed step is about to write again.
     ///
-    /// A node based on the root — a state a peer shard exported, or any
-    /// node of a search that checkpoints nothing — would replay its whole
-    /// depth. Such replays leave a snapshot every [`RUNG_SPACING`] steps,
-    /// and the next one starts from the deepest of them still on its own
-    /// path: nodes come off the stack in depth-first order, each sharing
-    /// all but its last few steps with the one before it, so a replay is
-    /// those few steps plus the way up from the rung below them.
-    #[allow(clippy::type_complexity)]
-    fn materialize(
-        &mut self,
-        node: Node,
-    ) -> (SystemState, Vec<Box<dyn Property>>, Path, Vec<Transition>) {
-        let (mut base, mut base_depth) = (node.base, node.base_depth);
-        let from_root = base_depth == 0 && !node.trace.is_empty();
-        if from_root {
-            let shared = node.trace.shared_with(&self.replayed);
+    /// A replay leaves a snapshot every [`RUNG_SPACING`] steps, and the
+    /// next one starts from the deepest of them still on its own path:
+    /// injected states come off the stack in depth-first order, each
+    /// sharing all but its last few steps with the one before it, so a
+    /// replay is those few steps plus the way up from the rung below them.
+    fn replay_from_root(&mut self, trace: &Path) -> Snapshot {
+        let (mut start, mut start_depth) = (&self.root, 0);
+        if !trace.is_empty() {
+            let shared = trace.shared_with(&self.replayed);
             let on_path = self.rungs.partition_point(|(depth, _)| *depth <= shared);
             self.rungs.truncate(on_path);
             if let Some((depth, rung)) = self.rungs.last() {
-                (base, base_depth) = (Arc::clone(rung), *depth);
+                (start, start_depth) = (rung, *depth);
             }
-            self.replayed = node.trace.clone();
+            self.replayed = trace.clone();
         }
-        let (mut state, mut properties) = match Arc::try_unwrap(base) {
-            Ok(snapshot) => (snapshot.state, snapshot.properties),
-            Err(shared) => (shared.state.clone(), shared.properties.clone()),
-        };
-        for (depth, transition) in (base_depth + 1..).zip(node.trace.suffix(base_depth)) {
+        let mut snapshot = Snapshot::clone(start);
+        for (depth, transition) in (start_depth + 1..).zip(trace.suffix(start_depth)) {
             self.stepper
-                .advance(&mut state, &mut properties, transition);
-            if from_root && depth.is_multiple_of(RUNG_SPACING) && depth < node.trace.len() {
-                let (state, properties) = (state.clone(), properties.clone());
-                self.rungs
-                    .push((depth, Arc::new(Snapshot { state, properties })));
+                .advance(&mut snapshot.state, &mut snapshot.properties, transition);
+            if depth.is_multiple_of(RUNG_SPACING) && depth < trace.len() {
+                self.rungs.push((depth, Arc::new(snapshot.clone())));
             }
         }
-        state.settle();
-        (state, properties, node.trace, node.sleep)
+        snapshot
     }
 
     /// Deduplicates one reached state. Returns the sleep set and revisit
@@ -1063,14 +1053,12 @@ impl<'a> Worker<'a> {
             max_transitions,
             max_depth,
             stop_at_first_violation,
-            checkpoint_interval,
             ..
         } = self.stepper.config;
         self.stats.max_depth = self.stats.max_depth.max(node.trace.len());
 
         let revisit = node.revisit;
-        let inherited = node.inherited_base(checkpoint_interval.max(1));
-        let (state, properties, trace, sleep) = self.materialize(node);
+        let (Snapshot { state, properties }, trace, sleep) = self.materialize(node);
 
         let (enabled, filtered) = self.stepper.selected(&state);
         self.stats.pruned_by_strategy += filtered;
@@ -1169,19 +1157,11 @@ impl<'a> Worker<'a> {
                 continue;
             }
             if let Some((sleep, revisit)) = self.visit(fingerprint, child_sleep) {
-                let (base, base_depth) = match &inherited {
-                    Some((base, base_depth)) => (Arc::clone(base), *base_depth),
-                    None => (
-                        Arc::new(Snapshot {
-                            state: next_state,
-                            properties: next_properties,
-                        }),
-                        trace.len() + 1,
-                    ),
-                };
                 self.stack.push(Node {
-                    base,
-                    base_depth,
+                    owned: Some(Snapshot {
+                        state: next_state,
+                        properties: next_properties,
+                    }),
                     trace: trace.push(transition),
                     sleep,
                     revisit,
@@ -1250,13 +1230,9 @@ impl ModelChecker {
     /// The search's root: the initial state (with the scenario's fresh
     /// property observers) and its fingerprint.
     pub(crate) fn root(&self) -> (Arc<Snapshot>, u64) {
-        let state = SystemState::initial(&self.scenario);
-        let fingerprint = state.fingerprint();
-        let root = Arc::new(Snapshot {
-            state,
-            properties: self.scenario.properties.clone(),
-        });
-        (root, fingerprint)
+        let root = Snapshot::initial(&self.scenario);
+        let fingerprint = root.state.fingerprint();
+        (Arc::new(root), fingerprint)
     }
 
     /// The canonical sequential depth-first search: a solo-shard
@@ -1335,8 +1311,10 @@ impl ModelChecker {
         let mut seen = FingerprintMap::default();
 
         'walks: for _ in 0..walks {
-            let mut state = SystemState::initial(&self.scenario);
-            let mut properties = self.scenario.properties.clone();
+            let Snapshot {
+                mut state,
+                mut properties,
+            } = Snapshot::initial(&self.scenario);
             let mut trace: Vec<Transition> = Vec::new();
             visit_explored(&mut seen, state.fingerprint(), &[]);
 
@@ -1575,47 +1553,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_storage_agrees_with_full_at_every_cadence() {
-        let scenario = testutil::hub_ping_scenario(2);
-        let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        for interval in [1, 2, 3, 5, 64, usize::MAX] {
-            let checkpointed = ModelChecker::new(
-                scenario.clone(),
-                CheckerConfig::default().with_checkpoint_interval(interval),
-            )
-            .run();
-            assert_eq!(full.passed(), checkpointed.passed(), "interval {interval}");
-            assert_eq!(
-                full.stats.transitions, checkpointed.stats.transitions,
-                "interval {interval}"
-            );
-            assert_eq!(
-                full.stats.unique_states, checkpointed.stats.unique_states,
-                "interval {interval}"
-            );
-            assert_eq!(
-                full.stats.max_depth, checkpointed.stats.max_depth,
-                "interval {interval}"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_storage_reproduces_violation_traces() {
-        let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);
-        let full = ModelChecker::new(scenario.clone(), CheckerConfig::default()).run();
-        let checkpointed = ModelChecker::new(
-            scenario,
-            CheckerConfig::default().with_checkpoint_interval(3),
-        )
-        .run();
-        assert_eq!(
-            full.first_violation().map(|v| v.trace.clone()),
-            checkpointed.first_violation().map(|v| v.trace.clone())
-        );
-    }
-
-    #[test]
     fn parallel_search_agrees_with_sequential() {
         // The last leg has more workers than the frontier is ever wide:
         // most of them never get a node and must still let the search end.
@@ -1742,32 +1679,6 @@ mod tests {
     }
 
     #[test]
-    fn nodes_replay_exactly_the_steps_since_their_checkpoint() {
-        for interval in [1, 3, usize::MAX] {
-            let checker = ModelChecker::new(
-                testutil::hub_ping_scenario(2),
-                CheckerConfig::default().with_checkpoint_interval(interval),
-            );
-            let mut worker = solo_worker(&checker);
-            let mut deepest = 0;
-            while let Some(node) = worker.stack.pop() {
-                let depth = node.trace.len();
-                let checkpoint = match interval {
-                    usize::MAX => 0,
-                    _ => depth / interval * interval,
-                };
-                assert_eq!(node.base_depth, checkpoint, "interval {interval}");
-                let whole = suffix(&node.trace, 0);
-                assert_eq!(whole.len(), depth);
-                assert_eq!(suffix(&node.trace, checkpoint), whole[checkpoint..]);
-                deepest = deepest.max(depth);
-                assert!(worker.expand(node, None));
-            }
-            assert!(deepest > 6, "interval {interval}: depth {deepest}");
-        }
-    }
-
-    #[test]
     fn the_sent_filter_remembers_only_empty_sleep_exports_and_nothing_at_first() {
         let mut sent = SentFilter::new();
         // Nothing was sent yet — not even the fingerprint an all-zero table
@@ -1801,8 +1712,7 @@ mod tests {
         );
         let (root, _) = checker.root();
         let root_node = || Node {
-            base: Arc::clone(&root),
-            base_depth: 0,
+            owned: None,
             trace: Path::default(),
             sleep: Vec::new(),
             revisit: true,
@@ -1873,8 +1783,7 @@ mod tests {
 
         let mut worker = solo_worker(&checker);
         let root_node = |trace: Path| Node {
-            base: checker.root().0,
-            base_depth: 0,
+            owned: None,
             trace,
             sleep: Vec::new(),
             revisit: false,
@@ -1887,7 +1796,7 @@ mod tests {
             let label = format!("depth {}", trace.len());
             let before: Vec<Arc<Snapshot>> =
                 (worker.rungs.iter().map(|(_, rung)| Arc::clone(rung))).collect();
-            let (state, _, _, _) = worker.materialize(root_node(trace.clone()));
+            let (Snapshot { state, .. }, _, _) = worker.materialize(root_node(trace.clone()));
             let mut replayer =
                 crate::replay::Replayer::new(&checker, &crate::trace::TraceEngine::default());
             for transition in trace.suffix(0) {
@@ -1921,7 +1830,7 @@ mod tests {
         // A path that shares nothing with the last one starts over.
         check(Path::from(elsewhere.clone()), elsewhere.len(), 0);
         // The initial state replays nothing and disturbs nothing.
-        let (state, _, _, _) = worker.materialize(root_node(Path::default()));
+        let (Snapshot { state, .. }, _, _) = worker.materialize(root_node(Path::default()));
         assert_eq!(state.fingerprint(), checker.root().1);
         assert_eq!(worker.rungs.len(), (elsewhere.len() - 1) / RUNG_SPACING);
     }
@@ -1948,12 +1857,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_uniquely_owned_at_interval_one() {
-        // The zero-clone pop: at the default interval no child inherits its
-        // parent's snapshot handle, so every queued node is the sole owner
-        // of its snapshot and materializing it moves the state out. And the
-        // zero-clone last child: a node's state and observers are copied
-        // for every successor but the last, which takes them over.
+    fn a_node_owns_its_state_and_its_last_child_takes_it_over() {
+        // The zero-clone pop: every node `expand` queues owns its state, so
+        // materializing it moves the state out. And the zero-clone last
+        // child: a node's state and observers are copied for every
+        // successor but the last, which takes them over.
         #[derive(Clone)]
         struct CountsClones(Arc<AtomicUsize>);
         impl Property for CountsClones {
@@ -1976,9 +1884,10 @@ mod tests {
         let mut worker = solo_worker(&checker);
         let mut expanded = 0;
         while let Some(node) = worker.stack.pop() {
-            // The root's snapshot is also the worker's handle for injected
-            // states, so the root alone is copied out of its snapshot.
-            let copied_out = usize::from(node.trace.is_empty());
+            // The root alone carries no state and is copied out of the
+            // snapshot every worker of a search shares.
+            assert_eq!(node.owned.is_none(), node.trace.is_empty());
+            let copied_out = usize::from(node.owned.is_none());
             let (clones_before, transitions_before) =
                 (clones.load(Ordering::Relaxed), worker.stats.transitions);
             assert!(worker.expand(node, None));
@@ -1989,29 +1898,68 @@ mod tests {
                 "{executed} successors"
             );
             expanded += 1;
-            for node in &worker.stack {
-                assert!(node.inherited_base(1).is_none());
-                assert_eq!(
-                    Arc::strong_count(&node.base),
-                    1,
-                    "depth {}",
-                    node.trace.len()
-                );
-                assert_eq!(node.base_depth, node.trace.len());
-            }
         }
         assert!(expanded > 10);
+    }
 
-        // At a wider cadence the nodes between checkpoints do share.
-        let node = Node {
-            base: checker.root().0,
-            base_depth: 0,
-            trace: Path::default(),
-            sleep: Vec::new(),
-            revisit: false,
-        };
-        assert!(node.inherited_base(2).is_some());
-        assert!(node.inherited_base(usize::MAX).is_some());
+    #[test]
+    fn a_search_rebuilt_from_the_root_at_every_node_is_the_same_search() {
+        // Strip every queued node of its state, so that each is rebuilt by
+        // replay through the rungs — as a state a peer shard injected is.
+        // The replay must reach the very same states in the same order, and
+        // the sleep sets, which travel with the node, must prune the same.
+        let scenarios = [
+            (
+                "forgetful ping",
+                testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 2),
+            ),
+            ("hub ping", testutil::hub_ping_scenario(2)),
+        ];
+        let mut deepest = 0;
+        for (name, scenario) in scenarios {
+            for reduction in crate::scenario::ReductionKind::ALL {
+                let label = format!("{name}, {}", reduction.name());
+                let checker = ModelChecker::new(
+                    scenario.clone(),
+                    CheckerConfig::default()
+                        .with_stop_at_first(false)
+                        .with_max_transitions(100_000)
+                        .with_reduction(reduction),
+                );
+                let mut worker = solo_worker(&checker);
+                while let Some(node) = worker.stack.pop() {
+                    assert!(node.owned.is_none(), "{label}");
+                    assert!(worker.expand(node, None), "{label}");
+                    for node in &mut worker.stack {
+                        node.owned = None;
+                    }
+                }
+                let mut replayed = CheckReport::default();
+                worker.finish_into(&mut replayed);
+
+                let owned = checker.run();
+                let counters = |report: &CheckReport| {
+                    let stats = &report.stats;
+                    (
+                        stats.transitions,
+                        stats.unique_states,
+                        stats.terminal_states,
+                        stats.dedup_hits,
+                        stats.max_depth,
+                        stats.pruned_by_por,
+                    )
+                };
+                assert!(!owned.stats.truncated, "{label}");
+                assert_eq!(counters(&replayed), counters(&owned), "{label}");
+                let witness = |report: &CheckReport| {
+                    let first = report.first_violation();
+                    first.map(|v| (v.property.clone(), v.trace.clone()))
+                };
+                assert_eq!(witness(&replayed), witness(&owned), "{label}");
+                deepest = deepest.max(replayed.stats.max_depth);
+            }
+        }
+        assert!(deepest > 2 * RUNG_SPACING, "no replay used a rung");
     }
 
     #[test]
@@ -2234,40 +2182,6 @@ mod tests {
         assert_eq!(properties(&full), properties(&por));
         assert_eq!(shortest(&full), shortest(&por));
         assert!(por.stats.transitions <= full.stats.transitions);
-    }
-
-    #[test]
-    fn por_sleep_sets_survive_checkpoint_replay_reconstruction() {
-        let scenario = testutil::hub_ping_scenario(2);
-        let reference = ModelChecker::new(
-            scenario.clone(),
-            CheckerConfig::default()
-                .with_stop_at_first(false)
-                .with_reduction(crate::scenario::ReductionKind::Por),
-        )
-        .run();
-        for storage in [usize::MAX, 2, 5] {
-            let checkpointed = ModelChecker::new(
-                scenario.clone(),
-                CheckerConfig::default()
-                    .with_stop_at_first(false)
-                    .with_reduction(crate::scenario::ReductionKind::Por)
-                    .with_checkpoint_interval(storage),
-            )
-            .run();
-            assert_eq!(
-                reference.stats.transitions, checkpointed.stats.transitions,
-                "interval {storage}"
-            );
-            assert_eq!(
-                reference.stats.unique_states, checkpointed.stats.unique_states,
-                "interval {storage}"
-            );
-            assert_eq!(
-                reference.stats.pruned_by_por, checkpointed.stats.pruned_by_por,
-                "interval {storage}"
-            );
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`scenario`] — what to check: topology, controller application, host
 //!   models, how clients choose packets (scripted or symbolically
 //!   discovered), and the checker configuration (strategy, bounds,
-//!   frontier checkpointing, switch-model options).
+//!   switch-model options).
 //! * [`faults`] — the [`faults::FaultPlan`]: which faults (channel drops /
 //!   duplicates / reorders, switch crashes, controller failover, Byzantine
 //!   OpenFlow mutations) the checker may inject, under a bounded budget.

@@ -16,7 +16,7 @@
 //! after every step (plus the final-state checks at a terminal end), so the
 //! report pinpoints the exact step each violation fires at.
 
-use crate::checker::{violated, violated_at_end, ModelChecker, Stepper};
+use crate::checker::{violated, violated_at_end, ModelChecker, Snapshot, Stepper};
 use crate::properties::{Event, Property};
 use crate::scenario::ReductionKind;
 use crate::state::SystemState;
@@ -160,10 +160,11 @@ impl<'a> Replayer<'a> {
         // Replay follows the recorded sequence; it never prunes.
         config.reduction = ReductionKind::None;
         let scenario = checker.scenario();
+        let Snapshot { state, properties } = Snapshot::initial(scenario);
         Replayer {
             stepper: Stepper::new(scenario, config, DiscoveryMemo::default()),
-            state: SystemState::initial(scenario),
-            properties: scenario.properties.clone(),
+            state,
+            properties,
             steps_executed: 0,
         }
     }

@@ -432,15 +432,6 @@ pub struct CheckerConfig {
     pub coarse_packet_processing: bool,
     /// Explore rule-expiry (timeout) transitions.
     pub explore_rule_expiry: bool,
-    /// Snapshot cadence of the search frontier, in transitions of depth: a
-    /// frontier node whose depth is a multiple of the interval carries a
-    /// copy-on-write snapshot of its state, every other node shares its
-    /// nearest ancestor snapshot and rebuilds its state by replaying the
-    /// trace suffix since then. `1` (the default) snapshots every node —
-    /// fast, and cheap because unmodified components are shared with the
-    /// parent; `usize::MAX` keeps only the initial state and replays every
-    /// node from the root, the paper's Section 6 memory-saving mode.
-    pub checkpoint_interval: usize,
     /// Number of worker threads for the state-space search. `1` (the
     /// default) runs the fully deterministic sequential engine; larger
     /// values explore the same state space concurrently with a shared
@@ -475,7 +466,6 @@ impl Default for CheckerConfig {
             stop_at_first_violation: true,
             coarse_packet_processing: true,
             explore_rule_expiry: false,
-            checkpoint_interval: 1,
             workers: 1,
             reduction: ReductionKind::None,
             inject_faults: false,
@@ -518,13 +508,6 @@ impl CheckerConfig {
     /// Sets whether to stop at the first violation (builder style).
     pub fn with_stop_at_first(mut self, stop: bool) -> Self {
         self.stop_at_first_violation = stop;
-        self
-    }
-
-    /// Sets the frontier snapshot cadence (builder style; see
-    /// [`CheckerConfig::checkpoint_interval`]). `0` is clamped to `1`.
-    pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
-        self.checkpoint_interval = interval.max(1);
         self
     }
 
@@ -628,12 +611,10 @@ mod tests {
         let tuned = CheckerConfig::default()
             .with_strategy(StrategyKind::Unusual)
             .with_max_transitions(10)
-            .with_stop_at_first(false)
-            .with_checkpoint_interval(0);
+            .with_stop_at_first(false);
         assert_eq!(tuned.strategy, StrategyKind::Unusual);
         assert_eq!(tuned.max_transitions, 10);
         assert!(!tuned.stop_at_first_violation);
-        assert_eq!(tuned.checkpoint_interval, 1, "0 is clamped");
         assert!(!CheckerConfig::generic_baseline().coarse_packet_processing);
     }
 }

@@ -29,12 +29,12 @@
 //! its owner with an empty sleep set is counted as the deduplication hit
 //! the owner would count, and not sent again (`checker::SentFilter`).
 //!
-//! Injected states are rebuilt by replay (the Section 6 mode, whatever
-//! [`checkpoint_interval`](crate::scenario::CheckerConfig::checkpoint_interval)
-//! the shard uses for locally-generated nodes) — from the initial state in
-//! principle, in practice from the deepest snapshot the previous such
-//! replay left on the same path (`Worker::materialize`). Replays do not
-//! count as explored transitions.
+//! Injected states arrive as traces and are rebuilt by replay (the paper's
+//! Section 6 state restoration; a node the shard generated itself owns its
+//! state) — from the initial state in principle, in practice from the
+//! deepest snapshot the previous such replay left on the same path
+//! (`Worker::replay_from_root`). Replays do not count as explored
+//! transitions.
 
 use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Violation, Worker};
 use crate::explored::build_store;

@@ -19,9 +19,8 @@
 //! reference count per cell; a component is deep-copied only at the first
 //! mutation after a clone, via [`Arc::make_mut`] inside the `*_mut`
 //! accessors, so executing a transition pays only for the components it
-//! touches. This is what makes storing full frontier states affordable and
-//! what lets checkpoint snapshots (see [`crate::checker`]) be taken
-//! essentially for free. `Arc` (not `Rc`) is used throughout so states can
+//! touches. This is what makes it affordable for every frontier node to
+//! own its state (see [`crate::checker`]). `Arc` (not `Rc`) is used throughout so states can
 //! move between the worker threads of the parallel search.
 //!
 //! **A channel has a cell iff it holds a message or its link has failed.**

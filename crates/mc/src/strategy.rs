@@ -39,10 +39,10 @@
 //!   explored in order, the child reached by `t2` inherits `t1` in its
 //!   *sleep set* if `t1` and `t2` are independent — the `t2;t1` order is
 //!   pruned because `t1;t2` reaches the same state. Sleep sets travel with
-//!   frontier nodes (surviving checkpoint/replay reconstruction) and are
-//!   stored alongside explored-state fingerprints so that a state revisited
-//!   with a *smaller* sleep set is re-expanded (the classic fix that keeps
-//!   sleep sets sound under state matching).
+//!   frontier nodes (surviving the replay that rebuilds an injected state)
+//!   and are stored alongside explored-state fingerprints so that a state
+//!   revisited with a *smaller* sleep set is re-expanded (the classic fix
+//!   that keeps sleep sets sound under state matching).
 //! * **A persistent-set-style selector**: when an enabled `host_receive`
 //!   can neither generate replies nor re-enable sending (see
 //!   [`HostModel::may_reply`](nice_hosts::HostModel::may_reply)), it is

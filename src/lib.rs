@@ -6,8 +6,8 @@
 //! the evaluated applications) and hosts the runnable examples and the
 //! cross-crate integration tests.
 //!
-//! See `README.md` for a tour and `DESIGN.md` / `EXPERIMENTS.md` for the
-//! mapping between the paper and this implementation.
+//! See `README.md` for a tour and for the mapping between the paper and
+//! this implementation.
 
 #![forbid(unsafe_code)]
 

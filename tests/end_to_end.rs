@@ -42,19 +42,6 @@ fn violation_traces_replay_deterministically() {
 }
 
 #[test]
-fn replay_storage_matches_full_storage_through_public_api() {
-    let full = Nice::new(bug_scenario(BugId::BugIV))
-        .with_max_transitions(100_000)
-        .check();
-    let replay = Nice::new(bug_scenario(BugId::BugIV))
-        .with_max_transitions(100_000)
-        .with_checkpoint_interval(usize::MAX)
-        .check();
-    assert_eq!(full.passed(), replay.passed());
-    assert_eq!(full.stats.unique_states, replay.stats.unique_states);
-}
-
-#[test]
 fn strategies_shrink_the_ping_workload_state_space() {
     // Build the Section 7 ping workload through the public API and verify the
     // headline claim: the heuristic strategies explore no more transitions

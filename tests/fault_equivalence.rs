@@ -23,7 +23,7 @@ use nice::mc::{SystemState, Transition};
 use nice::openflow::{ChannelFault, FlowRule, OfMessage};
 use nice::prelude::*;
 use nice::scenarios::{bug_scenario, BugId};
-use nice_bench::{chain_fault_workload, chain_ping_workload};
+use nice_apps::workloads::{chain_fault_workload, chain_ping_workload};
 
 /// Worker count for the parallel legs (CI sets `NICE_TEST_WORKERS=4`).
 fn test_workers() -> usize {

@@ -12,7 +12,7 @@
 
 use nice::prelude::*;
 use nice::scenarios::{bug_scenario, BugId};
-use nice_bench::chain_ping_workload;
+use nice_apps::workloads::chain_ping_workload;
 
 /// Worker count for the parallel legs (CI sets `NICE_TEST_WORKERS=4`).
 fn test_workers() -> usize {

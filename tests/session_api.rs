@@ -13,7 +13,7 @@
 
 use nice::prelude::*;
 use nice::scenarios::{find_scenario, registry};
-use nice_bench::chain_ping_workload;
+use nice_apps::workloads::chain_ping_workload;
 use std::time::{Duration, Instant};
 
 /// Worker count for the parallel legs (CI sets `NICE_TEST_WORKERS=4`).
