@@ -65,7 +65,7 @@ use crate::scenario::{CheckerConfig, Scenario};
 use crate::session::{Outcome, SessionCtrl};
 use crate::shard::{FrontierExport, ShardSpec};
 use crate::state::SystemState;
-use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy};
+use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy, Sleeper};
 use crate::trace::{Trace, TraceEngine};
 use crate::transition::{
     drain_control_plane, enabled_transitions, execute, DiscoveryMemo, SharedDiscoveryCache,
@@ -769,7 +769,7 @@ pub(crate) struct Node {
     pub(crate) trace: Path,
     /// Transitions whose exploration from this node is redundant (already
     /// covered by a commuting sibling branch). Always empty without POR.
-    pub(crate) sleep: Vec<Transition>,
+    pub(crate) sleep: Vec<Sleeper>,
     /// True if this node re-expands an already-visited state with a
     /// narrowed sleep set (`Visit::Widen`). Re-expansions exist only to
     /// cover successors the first visit pruned; the state itself was
@@ -860,6 +860,12 @@ impl SentFilter {
 pub(crate) struct Worker<'a> {
     pub(crate) stepper: Stepper<'a>,
     reduction: Box<dyn Reduction>,
+    /// The sleep sets of the successors of the node being expanded, as the
+    /// reduction left them; kept for its capacity.
+    child_sleeps: Vec<Vec<Sleeper>>,
+    /// The sorted digests of the sleep set being visited; kept for its
+    /// capacity.
+    sleep_digests: Vec<u64>,
     pub(crate) shard: ShardSpec,
     store: Arc<dyn ExploredStore>,
     root: Arc<Snapshot>,
@@ -891,7 +897,9 @@ impl<'a> Worker<'a> {
     ) -> Self {
         Worker {
             stepper: Stepper::new(&checker.scenario, checker.config.clone(), memo),
-            reduction: build_reduction(checker.config.reduction),
+            reduction: build_reduction(checker.config.reduction, &checker.scenario),
+            child_sleeps: Vec::new(),
+            sleep_digests: Vec::new(),
             shard,
             store,
             root,
@@ -916,6 +924,8 @@ impl<'a> Worker<'a> {
         trace: Path,
         sleep: Vec<Transition>,
     ) -> bool {
+        // The shard boundary: a sleep set crosses the wire as transitions.
+        let sleep = sleep.into_iter().map(Sleeper::new).collect();
         let Some((sleep, revisit)) = self.visit(fingerprint, sleep) else {
             return false;
         };
@@ -932,13 +942,17 @@ impl<'a> Worker<'a> {
     /// of a node that owns them, rebuilt by replay for one that does not —
     /// its trace and its sleep set. The state comes back settled: it is
     /// about to be cloned once per successor, and a settled state's clones
-    /// fold nothing and fingerprint for what each successor writes.
-    fn materialize(&mut self, node: Node) -> (Snapshot, Path, Vec<Transition>) {
-        let mut snapshot = match node.owned {
+    /// fold nothing and fingerprint for what each successor writes. (A
+    /// state a node owns was settled where `expand` fingerprinted it.)
+    fn materialize(&mut self, node: Node) -> (Snapshot, Path, Vec<Sleeper>) {
+        let snapshot = match node.owned {
             Some(owned) => owned,
-            None => self.replay_from_root(&node.trace),
+            None => {
+                let mut replayed = self.replay_from_root(&node.trace);
+                replayed.state.settle();
+                replayed
+            }
         };
-        snapshot.state.settle();
         (snapshot, node.trace, node.sleep)
     }
 
@@ -977,15 +991,12 @@ impl<'a> Worker<'a> {
 
     /// Deduplicates one reached state. Returns the sleep set and revisit
     /// flag it must be expanded with, or `None` if it is already covered.
-    fn visit(
-        &mut self,
-        fingerprint: u64,
-        mut sleep: Vec<Transition>,
-    ) -> Option<(Vec<Transition>, bool)> {
-        let mut digests: Vec<u64> = sleep.iter().map(Transition::digest).collect();
-        digests.sort_unstable();
-        digests.dedup();
-        match self.store.visit(fingerprint, &digests) {
+    fn visit(&mut self, fingerprint: u64, mut sleep: Vec<Sleeper>) -> Option<(Vec<Sleeper>, bool)> {
+        self.sleep_digests.clear();
+        self.sleep_digests.extend(sleep.iter().map(Sleeper::digest));
+        self.sleep_digests.sort_unstable();
+        self.sleep_digests.dedup();
+        match self.store.visit(fingerprint, &self.sleep_digests) {
             Visit::New => {
                 self.stats.unique_states += 1;
                 self.shared.unique_states.fetch_add(1, Ordering::Relaxed);
@@ -1000,7 +1011,7 @@ impl<'a> Worker<'a> {
             // so nothing reachable only through the previously pruned
             // transitions is missed.
             Visit::Widen(narrowed) => {
-                sleep.retain(|t| narrowed.binary_search(&t.digest()).is_ok());
+                sleep.retain(|s| narrowed.binary_search(&s.digest()).is_ok());
                 Some((sleep, true))
             }
         }
@@ -1060,10 +1071,10 @@ impl<'a> Worker<'a> {
         let revisit = node.revisit;
         let (Snapshot { state, properties }, trace, sleep) = self.materialize(node);
 
-        let (enabled, filtered) = self.stepper.selected(&state);
+        let (mut explore, filtered) = self.stepper.selected(&state);
         self.stats.pruned_by_strategy += filtered;
 
-        if enabled.is_empty() {
+        if explore.is_empty() {
             // A widened revisit of a terminal state was already counted
             // (and final-checked) on its first visit.
             if !revisit {
@@ -1084,17 +1095,15 @@ impl<'a> Worker<'a> {
         }
 
         let scenario = self.stepper.scenario;
-        let choice = self.reduction.select(&state, scenario, enabled, &sleep);
-        self.stats.pruned_by_por += choice.pruned;
-        let mut child_sleeps =
-            self.reduction
-                .child_sleeps(&state, scenario, &choice.explore, &sleep);
+        let mut child_sleeps = std::mem::take(&mut self.child_sleeps);
+        self.stats.pruned_by_por +=
+            (self.reduction).reduce(&state, scenario, &sleep, &mut explore, &mut child_sleeps);
 
         // The node's last successor takes the node's state and property
         // observers over instead of copying them.
-        let last = choice.explore.len().saturating_sub(1);
+        let last = explore.len().saturating_sub(1);
         let mut parent = Some((state, properties));
-        for (index, transition) in choice.explore.into_iter().enumerate() {
+        for (index, transition) in explore.into_iter().enumerate() {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return false;
             }
@@ -1136,7 +1145,10 @@ impl<'a> Worker<'a> {
                 continue;
             }
 
-            let child_sleep = std::mem::take(&mut child_sleeps[index]);
+            let child_sleep = (child_sleeps.get_mut(index)).map_or_else(Vec::new, std::mem::take);
+            // Settled first: the fingerprint is the fold settling does,
+            // and the node that will own this state is not folded again.
+            next_state.settle();
             let fingerprint = next_state.fingerprint();
             if !self.shard.owns(fingerprint) {
                 // Another shard owns this state: export it instead of
@@ -1149,10 +1161,11 @@ impl<'a> Worker<'a> {
                     self.stats.dedup_hits += 1;
                     continue;
                 }
+                let sleep = child_sleep.into_iter().map(Sleeper::into_transition);
                 self.forwards.push(FrontierExport {
                     fingerprint,
                     trace: trace.push(transition),
-                    sleep: child_sleep,
+                    sleep: sleep.collect(),
                 });
                 continue;
             }
@@ -1168,6 +1181,10 @@ impl<'a> Worker<'a> {
                 });
             }
         }
+        // Handed back empty, for the next node (a search that is winding
+        // down has no use for it).
+        child_sleeps.clear();
+        self.child_sleeps = child_sleeps;
         true
     }
 
@@ -2216,6 +2233,74 @@ mod tests {
             sequential.stats.terminal_states,
             parallel.stats.terminal_states
         );
+    }
+
+    #[test]
+    fn a_widened_visit_keeps_the_sleepers_the_narrowed_digests_name() {
+        let checker = ModelChecker::new(
+            testutil::hub_ping_scenario(1),
+            CheckerConfig::default().with_reduction(crate::scenario::ReductionKind::Por),
+        );
+        let mut worker = solo_worker(&checker);
+        let asleep = |hosts: &[u32]| -> Vec<Sleeper> {
+            let receive = |&host| Transition::HostReceive {
+                host: nice_openflow::HostId(host),
+            };
+            hosts.iter().map(receive).map(Sleeper::new).collect()
+        };
+        let hosts = |sleep: &[Sleeper]| -> Vec<Transition> {
+            sleep.iter().map(|s| s.transition().clone()).collect()
+        };
+        for sleeper in asleep(&[1, 2, 3]) {
+            assert_eq!(sleeper.digest(), sleeper.transition().digest());
+        }
+        let (fingerprint, unique) = (0xfeed, worker.stats.unique_states);
+
+        // First seen under {5, 1, 3}: stored, and expanded as it came.
+        let (kept, revisit) = worker.visit(fingerprint, asleep(&[5, 1, 3])).expect("new");
+        assert_eq!((hosts(&kept), revisit), (hosts(&asleep(&[5, 1, 3])), false));
+        // Then under {3, 4, 5, 3}: neither set covers the other, so the
+        // state is re-opened under the intersection — exactly the entries
+        // whose digests the store named, in the order they came in.
+        let (kept, revisit) = (worker.visit(fingerprint, asleep(&[3, 4, 5, 3]))).expect("widened");
+        assert_eq!((hosts(&kept), revisit), (hosts(&asleep(&[3, 5, 3])), true));
+        // {3, 5} is what is stored now: a superset is covered, and a
+        // disjoint set narrows it to nothing.
+        assert!(worker.visit(fingerprint, asleep(&[5, 2, 3])).is_none());
+        let (kept, revisit) = worker.visit(fingerprint, asleep(&[1])).expect("widened");
+        assert!(kept.is_empty() && revisit);
+        assert!(worker.visit(fingerprint, Vec::new()).is_none());
+        assert_eq!(worker.stats.unique_states, unique + 1);
+        assert_eq!(worker.stats.dedup_hits, 2);
+    }
+
+    #[test]
+    fn a_por_search_digests_a_transition_once_when_it_is_first_put_to_sleep() {
+        let checker = ModelChecker::new(
+            testutil::hub_ping_scenario(2),
+            CheckerConfig::default()
+                .with_stop_at_first(false)
+                .with_reduction(crate::scenario::ReductionKind::Por),
+        );
+        let mut worker = solo_worker(&checker);
+        let before = crate::por::DIGESTS.get();
+        let (mut slept, mut inherited) = (0, 0);
+        while let Some(node) = worker.stack.pop() {
+            slept += usize::from(!node.sleep.is_empty());
+            inherited += node.sleep.len() as u64;
+            assert!(worker.expand(node, None));
+        }
+        let digests = crate::por::DIGESTS.get() - before;
+        // Not one per enabled transition and per visit: a sleeper is made
+        // of a transition the node executes, at most once per execution,
+        // however many children and grandchildren inherit it.
+        assert!(slept > 50, "{slept} nodes slept anything");
+        assert!(digests > 0 && digests <= worker.stats.transitions);
+        assert!(
+            digests < inherited,
+            "{digests} digests, {inherited} inherited"
+        );
+        assert!(worker.stats.pruned_by_por > 0);
     }
 
     #[test]

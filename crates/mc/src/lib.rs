@@ -92,8 +92,8 @@ pub use session::{
 pub use shard::{shard_of, FrontierExport, ShardSpec, ShardedSearch, StepOutcome};
 pub use state::SystemState;
 pub use strategy::{
-    FlowIr, FullDfs, NoDelay, NoReduction, PorReduction, Reduction, ReductionChoice,
-    SearchStrategy, Unusual,
+    FlowIr, FullDfs, NoDelay, NoReduction, PorReduction, Reduction, SearchStrategy, Sleeper,
+    Unusual,
 };
 pub use timeline::{render_timeline, Timeline};
 pub use trace::{Trace, TraceEngine, TRACE_SCHEMA};

@@ -27,6 +27,17 @@
 //!   packet delivery is only permitted when the FIFO head/tail split proves
 //!   the pair commutes.
 //!
+//! A footprint is two bit sets — reads, writes — over the resources a
+//! scenario has. The `Layout` gives every resource its bit: three global
+//! ones, then a run per switch and a run per host, as many 64-bit words as
+//! the topology needs. Disjointness is three ANDs per word, and filling a
+//! footprint sets bits in a buffer the caller owns: the sleep-set reduction
+//! ([`PorReduction`](crate::strategy::PorReduction)) lays the footprints of
+//! one expansion side by side in one buffer it keeps, so computing them
+//! allocates nothing. Footprints are computed from each state afresh — the
+//! lock-step drain of NO-DELAY writes outside the executed transition's
+//! footprint, so one cannot be carried from a node to its successors.
+//!
 //! Soundness argument, in brief: a transition's footprint is computed in the
 //! current state `s` and over-approximates every component the execution can
 //! touch. If `t1` and `t2` are independent in `s`, then executing `t1`
@@ -45,169 +56,309 @@
 use crate::scenario::Scenario;
 use crate::state::SystemState;
 use crate::transition::Transition;
-use nice_openflow::{
-    ChannelFault, Fingerprint, Fnv64, HostId, OfMessage, PacketFate, PortId, SwitchId,
-};
+use nice_openflow::{ChannelFault, Fingerprint, Fnv64, HostId, OfMessage, PortId, SwitchId};
 
-/// Abstract resource identifiers, encoded as `u64`s so footprints are flat
-/// sorted vectors with cheap disjointness checks.
-mod res {
-    use super::{HostId, PortId, SwitchId};
-
-    const fn encode(tag: u64, a: u64, b: u64) -> u64 {
-        (tag << 48) | (a << 16) | b
-    }
-
+/// An abstract resource a transition may read or write.
+#[derive(Debug, Clone, Copy)]
+enum Res {
     /// The controller runtime, including the symbolic-discovery caches and
     /// the pending-statistics bookkeeping it owns.
-    pub const CONTROLLER: u64 = encode(1, 0, 0);
+    Controller,
     /// The global host-attachment map consulted by packet delivery
     /// (`host_at`), written by host moves.
-    pub const LOCATIONS: u64 = encode(2, 0, 0);
-
-    /// A switch's own state: flow table, packet buffer, counters.
-    pub fn switch(s: SwitchId) -> u64 {
-        encode(3, s.0 as u64, 0)
-    }
-    /// Consumer side of the switch→controller channel.
-    pub fn sw2c_head(s: SwitchId) -> u64 {
-        encode(4, s.0 as u64, 0)
-    }
-    /// Producer side of the switch→controller channel.
-    pub fn sw2c_tail(s: SwitchId) -> u64 {
-        encode(5, s.0 as u64, 0)
-    }
-    /// Consumer side of the controller→switch channel.
-    pub fn c2s_head(s: SwitchId) -> u64 {
-        encode(6, s.0 as u64, 0)
-    }
-    /// Producer side of the controller→switch channel.
-    pub fn c2s_tail(s: SwitchId) -> u64 {
-        encode(7, s.0 as u64, 0)
-    }
-    /// Consumer side of a switch ingress channel.
-    pub fn ingress_head(s: SwitchId, p: PortId) -> u64 {
-        encode(8, s.0 as u64, p.0 as u64)
-    }
-    /// Producer side of a switch ingress channel.
-    pub fn ingress_tail(s: SwitchId, p: PortId) -> u64 {
-        encode(9, s.0 as u64, p.0 as u64)
-    }
-    /// A host's sending state (budget, burst credit, script position).
-    pub fn host_tx(h: HostId) -> u64 {
-        encode(10, h.0 as u64, 0)
-    }
-    /// A host's receiving state (delivery counters).
-    pub fn host_rx(h: HostId) -> u64 {
-        encode(11, h.0 as u64, 0)
-    }
-    /// A host's attachment point (read by its own sends/replies, written by
-    /// moves).
-    pub fn host_loc(h: HostId) -> u64 {
-        encode(12, h.0 as u64, 0)
-    }
-    /// Consumer side of a host inbox.
-    pub fn inbox_head(h: HostId) -> u64 {
-        encode(13, h.0 as u64, 0)
-    }
-    /// Producer side of a host inbox.
-    pub fn inbox_tail(h: HostId) -> u64 {
-        encode(14, h.0 as u64, 0)
-    }
+    Locations,
     /// The shared fault budget. Every budget-consuming fault injection both
     /// reads it (enabledness requires a non-zero budget) and writes it (the
     /// injection decrements it), so any two injections are mutually
     /// dependent — which is exactly what soundness needs, because with one
     /// unit of budget left either injection disables the other.
-    pub const BUDGET: u64 = encode(15, 0, 0);
+    Budget,
+    /// A switch's own state: flow table, packet buffer, counters.
+    Switch(SwitchId),
+    /// Consumer side of the switch→controller channel.
+    Sw2cHead(SwitchId),
+    /// Producer side of the switch→controller channel.
+    Sw2cTail(SwitchId),
+    /// Consumer side of the controller→switch channel.
+    C2sHead(SwitchId),
+    /// Producer side of the controller→switch channel.
+    C2sTail(SwitchId),
+    /// Consumer side of a switch ingress channel.
+    IngressHead(SwitchId, PortId),
+    /// Producer side of a switch ingress channel.
+    IngressTail(SwitchId, PortId),
+    /// A host's sending state (budget, burst credit, script position).
+    HostTx(HostId),
+    /// A host's receiving state (delivery counters).
+    HostRx(HostId),
+    /// A host's attachment point (read by its own sends/replies, written by
+    /// moves).
+    HostLoc(HostId),
+    /// Consumer side of a host inbox.
+    InboxHead(HostId),
+    /// Producer side of a host inbox.
+    InboxTail(HostId),
 }
 
-/// The components a transition reads and writes, plus whether it involves
-/// the controller runtime (which makes it dependent on everything).
-#[derive(Debug, Clone, Default)]
+/// Where each resource of a scenario sits in a footprint's bit sets: the
+/// three global resources, then `5 + 2 * ports` bits per switch (its state,
+/// both ends of both control channels, both ends of each ingress port),
+/// then five per host.
+///
+/// A footprint is a dozen lookups here, so the ids sit in arrays of their
+/// own and are scanned: over the handful of switches and hosts a scenario
+/// has that beats a search tree, and still costs nothing next to the rest
+/// of a footprint on a topology of a hundred.
+pub(crate) struct Layout {
+    /// The switches, by id; `switch_first` and `switch_ports` run parallel.
+    switch_ids: Vec<SwitchId>,
+    /// Each switch's first bit.
+    switch_first: Vec<usize>,
+    /// Each switch's ports, sorted.
+    switch_ports: Vec<Vec<PortId>>,
+    /// The hosts, by id: host `i` has the five bits from
+    /// `hosts_first + 5 * i`.
+    host_ids: Vec<HostId>,
+    hosts_first: usize,
+    /// 64-bit words in one bit set.
+    words: usize,
+}
+
+impl Layout {
+    const GLOBALS: usize = 3;
+    const PER_SWITCH: usize = 5;
+    const PER_HOST: usize = 5;
+
+    pub(crate) fn of(scenario: &Scenario) -> Layout {
+        let mut switches: Vec<(SwitchId, Vec<PortId>)> = (scenario.topology.switches())
+            .map(|spec| (spec.id, spec.ports.clone()))
+            .collect();
+        switches.sort_unstable_by_key(|(id, _)| *id);
+        let mut next = Self::GLOBALS;
+        let mut switch_first = Vec::with_capacity(switches.len());
+        for (_, ports) in &mut switches {
+            ports.sort_unstable();
+            ports.dedup();
+            switch_first.push(next);
+            next += Self::PER_SWITCH + 2 * ports.len();
+        }
+        let (switch_ids, switch_ports) = switches.into_iter().unzip();
+        let mut host_ids: Vec<HostId> = scenario.hosts.iter().map(|host| host.id()).collect();
+        host_ids.sort_unstable();
+        let hosts_first = next;
+        next += Self::PER_HOST * host_ids.len();
+        Layout {
+            switch_ids,
+            switch_first,
+            switch_ports,
+            host_ids,
+            hosts_first,
+            words: next.div_ceil(64),
+        }
+    }
+
+    /// 64-bit words in one footprint: its read set, then its write set.
+    pub(crate) fn footprint_words(&self) -> usize {
+        2 * self.words
+    }
+
+    fn switch_bit(&self, switch: SwitchId, offset: usize) -> Option<usize> {
+        let at = self.switch_ids.iter().position(|&id| id == switch)?;
+        Some(self.switch_first[at] + offset)
+    }
+
+    fn port_bit(&self, switch: SwitchId, port: PortId, tail: usize) -> Option<usize> {
+        let at = self.switch_ids.iter().position(|&id| id == switch)?;
+        let index = self.switch_ports[at].iter().position(|&p| p == port)?;
+        Some(self.switch_first[at] + Self::PER_SWITCH + 2 * index + tail)
+    }
+
+    fn host_bit(&self, host: HostId, offset: usize) -> Option<usize> {
+        let at = self.host_ids.iter().position(|&id| id == host)?;
+        Some(self.hosts_first + Self::PER_HOST * at + offset)
+    }
+
+    /// The bit of `resource`; `None` for a switch, port or host the
+    /// scenario does not declare.
+    fn bit(&self, resource: Res) -> Option<usize> {
+        match resource {
+            Res::Controller => Some(0),
+            Res::Locations => Some(1),
+            Res::Budget => Some(2),
+            Res::Switch(s) => self.switch_bit(s, 0),
+            Res::Sw2cHead(s) => self.switch_bit(s, 1),
+            Res::Sw2cTail(s) => self.switch_bit(s, 2),
+            Res::C2sHead(s) => self.switch_bit(s, 3),
+            Res::C2sTail(s) => self.switch_bit(s, 4),
+            Res::IngressHead(s, p) => self.port_bit(s, p, 0),
+            Res::IngressTail(s, p) => self.port_bit(s, p, 1),
+            Res::HostTx(h) => self.host_bit(h, 0),
+            Res::HostRx(h) => self.host_bit(h, 1),
+            Res::HostLoc(h) => self.host_bit(h, 2),
+            Res::InboxHead(h) => self.host_bit(h, 3),
+            Res::InboxTail(h) => self.host_bit(h, 4),
+        }
+    }
+}
+
+/// True if two footprints laid out as `[reads.., writes..]` permit commuting
+/// their transitions: no write/write or read/write overlap between them
+/// (read/read sharing is harmless).
+pub(crate) fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len(), "footprints of two layouts");
+    let (a_reads, a_writes) = a.split_at(a.len() / 2);
+    let (b_reads, b_writes) = b.split_at(b.len() / 2);
+    (0..a_reads.len()).all(|i| {
+        a_writes[i] & b_writes[i] == 0
+            && a_writes[i] & b_reads[i] == 0
+            && a_reads[i] & b_writes[i] == 0
+    })
+}
+
+/// A footprint being filled in: the layout that places resources and the
+/// two zeroed bit sets they are recorded in.
+struct Sink<'a> {
+    layout: &'a Layout,
+    reads: &'a mut [u64],
+    writes: &'a mut [u64],
+}
+
+impl Sink<'_> {
+    /// The word and mask of `resource`. One the layout cannot place is a
+    /// bug in the footprint rules (they name only what the scenario
+    /// declares); a release build then records a write to *everything*,
+    /// which conflicts with every footprint and so can only cost pruning.
+    fn place(&mut self, resource: Res) -> Option<(usize, u64)> {
+        let Some(bit) = self.layout.bit(resource) else {
+            debug_assert!(false, "{resource:?} has no place in the layout");
+            self.writes.fill(u64::MAX);
+            return None;
+        };
+        Some((bit / 64, 1 << (bit % 64)))
+    }
+
+    fn read(&mut self, resource: Res) {
+        if let Some((word, mask)) = self.place(resource) {
+            self.reads[word] |= mask;
+        }
+    }
+
+    fn write(&mut self, resource: Res) {
+        if let Some((word, mask)) = self.place(resource) {
+            self.writes[word] |= mask;
+        }
+    }
+
+    fn touch(&mut self, resource: Res) {
+        if let Some((word, mask)) = self.place(resource) {
+            self.reads[word] |= mask;
+            self.writes[word] |= mask;
+        }
+    }
+
+    /// Records what a copy emitted by `switch` on `port` touches:
+    /// `deliver` / `has_receiver` consult every host's current location,
+    /// and the copy lands in the inbox of the attached host, or the ingress
+    /// of the peer switch, or nowhere (it is lost). Mirrors `deliver` in
+    /// [`crate::transition`].
+    fn emit(&mut self, state: &SystemState, switch: SwitchId, port: PortId) {
+        self.read(Res::Locations);
+        if let Some(host) = state.host_at(switch, port) {
+            self.write(Res::InboxTail(host));
+        } else if let Some(peer) = state.topology().switch_peer(switch, port) {
+            self.write(Res::IngressTail(peer.switch, peer.port));
+        }
+    }
+
+    /// Worst-case footprint of a packet-emitting transition at `switch`: it
+    /// may flood out of every port and notify the controller. Used when the
+    /// concrete input (head message) cannot be inspected.
+    fn worst_case_emission(&mut self, state: &SystemState, switch: SwitchId) {
+        self.write(Res::Sw2cTail(switch));
+        self.read(Res::Locations);
+        for &port in ports_of(state, switch) {
+            self.emit(state, switch, port);
+        }
+    }
+
+    /// Folds in what processing the packet at the head of `(switch, port)`
+    /// may emit: its predicted fate, or the worst case if the head cannot
+    /// be seen.
+    fn head_packet_writes(&mut self, state: &SystemState, switch: SwitchId, port: PortId) {
+        match state.ingress(switch, port).and_then(|ch| ch.peek()) {
+            Some(packet) => {
+                if let Some(sw) = state.switch(switch) {
+                    let emit = |out| self.emit(state, switch, out);
+                    if sw.predict_packet_fate(packet, port, emit) {
+                        self.write(Res::Sw2cTail(switch));
+                    }
+                }
+            }
+            None => self.worst_case_emission(state, switch),
+        }
+    }
+}
+
+/// The components a transition reads and writes, as bit sets over the
+/// resources of its scenario (see the module docs).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Footprint {
-    reads: Vec<u64>,
-    writes: Vec<u64>,
-    controller: bool,
+    /// The read set, then the write set.
+    words: Vec<u64>,
+}
+
+/// The indices of the bits set in `words`, ascending.
+fn set_bits(words: &[u64]) -> Vec<usize> {
+    (0..64 * words.len())
+        .filter(|bit| words[bit / 64] >> (bit % 64) & 1 == 1)
+        .collect()
+}
+
+impl std::fmt::Debug for Footprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Footprint")
+            .field("reads", &self.reads())
+            .field("writes", &self.writes())
+            .finish()
+    }
 }
 
 impl Footprint {
-    fn read(&mut self, r: u64) {
-        self.reads.push(r);
+    /// The resources this transition may read, as ascending bit positions
+    /// in its scenario's layout (for diagnostics; the search never lists a
+    /// footprint).
+    pub fn reads(&self) -> Vec<usize> {
+        set_bits(&self.words[..self.words.len() / 2])
     }
 
-    fn write(&mut self, r: u64) {
-        self.writes.push(r);
-    }
-
-    fn touch(&mut self, r: u64) {
-        self.reads.push(r);
-        self.writes.push(r);
-    }
-
-    fn involve_controller(&mut self) {
-        self.controller = true;
-        self.reads.push(res::CONTROLLER);
-        self.writes.push(res::CONTROLLER);
-    }
-
-    fn normalize(mut self) -> Self {
-        self.reads.sort_unstable();
-        self.reads.dedup();
-        self.writes.sort_unstable();
-        self.writes.dedup();
-        self
-    }
-
-    /// The resources this transition may read, sorted.
-    pub fn reads(&self) -> &[u64] {
-        &self.reads
-    }
-
-    /// The resources this transition may write, sorted.
-    pub fn writes(&self) -> &[u64] {
-        &self.writes
+    /// The resources this transition may write, likewise.
+    pub fn writes(&self) -> Vec<usize> {
+        set_bits(&self.words[self.words.len() / 2..])
     }
 
     /// True if the transition executes controller code or mutates
     /// controller-owned state (discovery caches, pending statistics).
     pub fn involves_controller(&self) -> bool {
-        self.controller
+        self.words[self.words.len() / 2] & 1 == 1
     }
 
-    /// True if the two footprints permit commuting the transitions: no
-    /// write/write or read/write overlap between them (read/read sharing is
-    /// harmless).
+    /// True if the two footprints — of transitions of one scenario — permit
+    /// commuting the transitions: no write/write or read/write overlap
+    /// between them (read/read sharing is harmless).
     ///
     /// The controller runtime needs no special-casing beyond its resource:
     /// every transition that executes controller code both reads and writes
-    /// [`res::CONTROLLER`], so two controller-involving transitions always
-    /// conflict, and anything whose enabledness or effect depends on the
-    /// controller state (e.g. discovery-mode sends) conflicts with them via
-    /// its `CONTROLLER` read. A controller handler and, say, a remote
-    /// `process_pkt` genuinely commute: the handler consumes the head of one
-    /// switch→controller channel and appends to controller→switch channels,
-    /// while the packet processing appends to the *tail* of its own
-    /// switch→controller channel — FIFO pushes and pops on disjoint ends
-    /// commute.
+    /// it, so two controller-involving transitions always conflict, and
+    /// anything whose enabledness or effect depends on the controller state
+    /// (e.g. discovery-mode sends) conflicts with them via its read of it.
+    /// A controller handler and, say, a remote `process_pkt` genuinely
+    /// commute: the handler consumes the head of one switch→controller
+    /// channel and appends to controller→switch channels, while the packet
+    /// processing appends to the *tail* of its own switch→controller
+    /// channel — FIFO pushes and pops on disjoint ends commute.
     pub fn independent_of(&self, other: &Footprint) -> bool {
-        !sorted_overlap(&self.writes, &other.writes)
-            && !sorted_overlap(&self.writes, &other.reads)
-            && !sorted_overlap(&self.reads, &other.writes)
+        disjoint(&self.words, &other.words)
     }
-}
-
-/// True if two sorted slices share an element (merge walk, no allocation).
-fn sorted_overlap(a: &[u64], b: &[u64]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 /// Two transitions commute in `state`: executing them in either order yields
@@ -227,99 +378,69 @@ fn ports_of(state: &SystemState, switch: SwitchId) -> &[PortId] {
     state.switch(switch).map_or(&[], |sw| &sw.ports)
 }
 
-/// Appends the delivery resources for a copy emitted by `switch` on `port`:
-/// the inbox of the attached host, or the ingress of the peer switch, or
-/// nothing (the copy is lost). Mirrors `deliver` in [`crate::transition`].
-fn delivery_writes(fp: &mut Footprint, state: &SystemState, switch: SwitchId, port: PortId) {
-    if let Some(host) = state.host_at(switch, port) {
-        fp.write(res::inbox_tail(host));
-    } else if let Some(peer) = state.topology().switch_peer(switch, port) {
-        fp.write(res::ingress_tail(peer.switch, peer.port));
-    }
-}
-
-/// Folds a predicted packet fate into a footprint: deliveries (which consult
-/// the global attachment map) and the optional controller notification.
-fn fate_writes(fp: &mut Footprint, state: &SystemState, switch: SwitchId, fate: &PacketFate) {
-    if fate.to_controller {
-        fp.write(res::sw2c_tail(switch));
-    }
-    if !fate.out_ports.is_empty() {
-        // `deliver` / `has_receiver` consult every host's current location.
-        fp.read(res::LOCATIONS);
-        for &port in &fate.out_ports {
-            delivery_writes(fp, state, switch, port);
-        }
-    }
-}
-
-/// Worst-case footprint of a packet-emitting transition at `switch`: it may
-/// flood out of every port and notify the controller. Used when the concrete
-/// input (head message) cannot be inspected.
-fn worst_case_emission(fp: &mut Footprint, state: &SystemState, switch: SwitchId) {
-    fp.write(res::sw2c_tail(switch));
-    fp.read(res::LOCATIONS);
-    for &port in ports_of(state, switch) {
-        delivery_writes(fp, state, switch, port);
-    }
-}
-
-/// Folds in what processing the packet at the head of `(switch, port)` may
-/// emit: its predicted fate, or the worst case if the head cannot be seen.
-fn head_packet_writes(fp: &mut Footprint, state: &SystemState, switch: SwitchId, port: PortId) {
-    match state.ingress(switch, port).and_then(|ch| ch.peek()) {
-        Some(packet) => {
-            if let Some(sw) = state.switch(switch) {
-                fate_writes(fp, state, switch, &sw.predict_packet_fate(packet, port));
-            }
-        }
-        None => worst_case_emission(fp, state, switch),
-    }
-}
-
 impl Transition {
     /// The component footprint of this transition in `state`: which parts of
     /// the system it may read and write when executed, over-approximated
     /// conservatively (see the module docs for the soundness argument).
     pub fn footprint(&self, state: &SystemState, scenario: &Scenario) -> Footprint {
-        let mut fp = Footprint::default();
+        let layout = Layout::of(scenario);
+        let mut words = vec![0; layout.footprint_words()];
+        self.fill_footprint(state, scenario, &layout, &mut words);
+        Footprint { words }
+    }
+
+    /// Records this transition's footprint in `words`, which is zeroed and
+    /// `layout.footprint_words()` long.
+    pub(crate) fn fill_footprint(
+        &self,
+        state: &SystemState,
+        scenario: &Scenario,
+        layout: &Layout,
+        words: &mut [u64],
+    ) {
+        let (reads, writes) = words.split_at_mut(layout.words);
+        let mut fp = Sink {
+            layout,
+            reads,
+            writes,
+        };
         match self {
             Transition::HostSend { host, .. } => {
-                fp.touch(res::host_tx(*host));
-                fp.read(res::host_loc(*host));
+                fp.touch(Res::HostTx(*host));
+                fp.read(Res::HostLoc(*host));
                 if scenario.send_policy.is_discover() {
                     // Which packets are relevant (and hence which send
                     // transitions exist) depends on the controller state.
-                    fp.read(res::CONTROLLER);
+                    fp.read(Res::Controller);
                 }
                 if let Some(h) = state.host(*host) {
                     let loc = h.location();
-                    fp.write(res::ingress_tail(loc.switch, loc.port));
+                    fp.write(Res::IngressTail(loc.switch, loc.port));
                 }
             }
 
             Transition::HostReceive { host } => {
-                fp.touch(res::host_rx(*host));
-                fp.touch(res::inbox_head(*host));
+                fp.touch(Res::HostRx(*host));
+                fp.touch(Res::InboxHead(*host));
                 if let Some(h) = state.host(*host) {
                     if h.receive_replenishes_sends() {
-                        fp.write(res::host_tx(*host));
+                        fp.write(Res::HostTx(*host));
                     }
                     if h.may_reply() {
-                        fp.read(res::host_loc(*host));
+                        fp.read(Res::HostLoc(*host));
                         let loc = h.location();
-                        fp.write(res::ingress_tail(loc.switch, loc.port));
+                        fp.write(Res::IngressTail(loc.switch, loc.port));
                     }
                 }
             }
 
             Transition::HostMove { host, .. } => {
-                fp.touch(res::host_loc(*host));
-                fp.write(res::LOCATIONS);
+                fp.touch(Res::HostLoc(*host));
+                fp.write(Res::Locations);
             }
 
             Transition::ProcessPacket { switch } => {
-                fp.touch(res::switch(*switch));
+                fp.touch(Res::Switch(*switch));
                 // The switch's ports and its busy ports both come in port
                 // order: one walk over each.
                 let mut busy = state.busy_ingress_ports(*switch).peekable();
@@ -327,44 +448,44 @@ impl Transition {
                     // (A busy port the switch does not declare has no
                     // head or tail resource, only what it emits.)
                     while let Some(stray) = busy.next_if(|&b| b < port) {
-                        head_packet_writes(&mut fp, state, *switch, stray);
+                        fp.head_packet_writes(state, *switch, stray);
                     }
                     if busy.next_if_eq(&port).is_some() {
-                        fp.touch(res::ingress_head(*switch, port));
-                        head_packet_writes(&mut fp, state, *switch, port);
+                        fp.touch(Res::IngressHead(*switch, port));
+                        fp.head_packet_writes(state, *switch, port);
                     } else {
                         // The coarse transition services *every* busy port,
                         // so making an idle port busy changes its behaviour:
                         // record an enabling read on the producer side.
-                        fp.read(res::ingress_tail(*switch, port));
+                        fp.read(Res::IngressTail(*switch, port));
                     }
                 }
                 for stray in busy {
-                    head_packet_writes(&mut fp, state, *switch, stray);
+                    fp.head_packet_writes(state, *switch, stray);
                 }
             }
 
             Transition::ProcessPacketOn { switch, port } => {
-                fp.touch(res::switch(*switch));
-                fp.touch(res::ingress_head(*switch, *port));
-                head_packet_writes(&mut fp, state, *switch, *port);
+                fp.touch(Res::Switch(*switch));
+                fp.touch(Res::IngressHead(*switch, *port));
+                fp.head_packet_writes(state, *switch, *port);
             }
 
             Transition::ProcessOf { switch } => {
-                fp.touch(res::c2s_head(*switch));
+                fp.touch(Res::C2sHead(*switch));
                 match state.ctrl_to_sw(*switch).and_then(|ch| ch.peek()) {
                     Some(OfMessage::FlowMod { .. }) => {
-                        fp.write(res::switch(*switch));
-                        fp.read(res::switch(*switch));
+                        fp.write(Res::Switch(*switch));
+                        fp.read(Res::Switch(*switch));
                     }
                     Some(OfMessage::BarrierRequest { .. }) => {
-                        fp.write(res::sw2c_tail(*switch));
+                        fp.write(Res::Sw2cTail(*switch));
                     }
                     Some(OfMessage::StatsRequest { .. }) => {
                         // Stats replies snapshot the counters, which every
                         // packet-processing step mutates.
-                        fp.read(res::switch(*switch));
-                        fp.write(res::sw2c_tail(*switch));
+                        fp.read(Res::Switch(*switch));
+                        fp.write(Res::Sw2cTail(*switch));
                     }
                     Some(OfMessage::PacketOut {
                         buffer_id,
@@ -372,7 +493,7 @@ impl Transition {
                         in_port,
                         actions,
                     }) => {
-                        fp.touch(res::switch(*switch));
+                        fp.touch(Res::Switch(*switch));
                         let resolved = match buffer_id {
                             Some(id) => state
                                 .switch(*switch)
@@ -381,48 +502,50 @@ impl Transition {
                             None => packet.as_ref().map(|_| *in_port),
                         };
                         if let (Some(origin), Some(sw)) = (resolved, state.switch(*switch)) {
-                            let fate = sw.predict_actions_fate(actions, origin);
-                            fate_writes(&mut fp, state, *switch, &fate);
+                            let emit = |out| fp.emit(state, *switch, out);
+                            if sw.predict_actions_fate(actions, origin, emit) {
+                                fp.write(Res::Sw2cTail(*switch));
+                            }
                         }
                     }
                     // An unexpected (or unobservable) head message: assume
                     // the worst.
                     _ => {
-                        fp.touch(res::switch(*switch));
-                        worst_case_emission(&mut fp, state, *switch);
+                        fp.touch(Res::Switch(*switch));
+                        fp.worst_case_emission(state, *switch);
                     }
                 }
             }
 
             Transition::ControllerHandle { switch } => {
-                fp.involve_controller();
-                fp.touch(res::sw2c_head(*switch));
+                fp.touch(Res::Controller);
+                fp.touch(Res::Sw2cHead(*switch));
                 // The handler may enqueue messages towards any switch.
                 for (s, _) in state.switches() {
-                    fp.write(res::c2s_tail(s));
+                    fp.write(Res::C2sTail(s));
                 }
             }
 
             Transition::DiscoverPackets { host } => {
-                fp.involve_controller();
-                fp.read(res::host_loc(*host));
+                fp.touch(Res::Controller);
+                fp.read(Res::HostLoc(*host));
             }
 
             Transition::DiscoverStats { switch } => {
-                fp.involve_controller();
-                fp.read(res::switch(*switch));
+                fp.touch(Res::Controller);
+                fp.read(Res::Switch(*switch));
             }
 
             Transition::InjectStats { switch, .. } => {
-                fp.involve_controller();
-                fp.read(res::switch(*switch));
+                fp.touch(Res::Controller);
+                fp.read(Res::Switch(*switch));
                 for (s, _) in state.switches() {
-                    fp.write(res::c2s_tail(s));
+                    fp.write(Res::C2sTail(s));
                 }
             }
 
             Transition::ExpireRule { switch, .. } => {
-                fp.touch(res::switch(*switch));
+                fp.touch(Res::Switch(*switch));
             }
 
             Transition::ChannelFault {
@@ -430,33 +553,33 @@ impl Transition {
                 port,
                 fault,
             } => {
-                fp.touch(res::BUDGET);
+                fp.touch(Res::Budget);
                 // Drop, duplicate and reorder only rearrange the first one or
                 // two messages: they commute with a push onto the tail of the
                 // same (non-empty) queue. A link failure additionally clears
                 // the queue and discards future pushes, so it conflicts with
                 // the producer side too.
-                fp.touch(res::ingress_head(*switch, *port));
+                fp.touch(Res::IngressHead(*switch, *port));
                 if matches!(fault, ChannelFault::FailLink) {
-                    fp.touch(res::ingress_tail(*switch, *port));
+                    fp.touch(Res::IngressTail(*switch, *port));
                 }
             }
 
             Transition::SwitchCrash { switch } => {
-                fp.touch(res::BUDGET);
+                fp.touch(Res::Budget);
                 // The crash wipes the switch, drains every attached channel
                 // (both ends: queued messages vanish and, while crashed,
                 // deliveries towards the switch are discarded), and clears
                 // the controller's pending-statistics bookkeeping for it.
-                fp.involve_controller();
-                fp.touch(res::switch(*switch));
-                fp.touch(res::sw2c_head(*switch));
-                fp.touch(res::sw2c_tail(*switch));
-                fp.touch(res::c2s_head(*switch));
-                fp.touch(res::c2s_tail(*switch));
+                fp.touch(Res::Controller);
+                fp.touch(Res::Switch(*switch));
+                fp.touch(Res::Sw2cHead(*switch));
+                fp.touch(Res::Sw2cTail(*switch));
+                fp.touch(Res::C2sHead(*switch));
+                fp.touch(Res::C2sTail(*switch));
                 for &port in ports_of(state, *switch) {
-                    fp.touch(res::ingress_head(*switch, port));
-                    fp.touch(res::ingress_tail(*switch, port));
+                    fp.touch(Res::IngressHead(*switch, port));
+                    fp.touch(Res::IngressTail(*switch, port));
                 }
             }
 
@@ -465,37 +588,36 @@ impl Transition {
                 // flag — which re-enables deliveries to every ingress port —
                 // restores the control channel, and enqueues a fresh join
                 // towards the controller.
-                fp.touch(res::switch(*switch));
-                fp.write(res::sw2c_tail(*switch));
-                fp.touch(res::c2s_head(*switch));
-                fp.touch(res::c2s_tail(*switch));
+                fp.touch(Res::Switch(*switch));
+                fp.write(Res::Sw2cTail(*switch));
+                fp.touch(Res::C2sHead(*switch));
+                fp.touch(Res::C2sTail(*switch));
                 for &port in ports_of(state, *switch) {
-                    fp.write(res::ingress_tail(*switch, port));
+                    fp.write(Res::IngressTail(*switch, port));
                 }
             }
 
             Transition::ControllerFailover => {
-                fp.touch(res::BUDGET);
+                fp.touch(Res::Budget);
                 // The standby replays (warm) or requests (cold) a join from
                 // every live switch, so it reads every switch's state and may
                 // append to every control channel in both directions.
-                fp.involve_controller();
+                fp.touch(Res::Controller);
                 for (s, _) in state.switches() {
-                    fp.read(res::switch(s));
-                    fp.write(res::sw2c_tail(s));
-                    fp.write(res::c2s_tail(s));
+                    fp.read(Res::Switch(s));
+                    fp.write(Res::Sw2cTail(s));
+                    fp.write(Res::C2sTail(s));
                 }
             }
 
             Transition::MutateOfHead { switch, .. } => {
-                fp.touch(res::BUDGET);
+                fp.touch(Res::Budget);
                 // The mutation rewrites the head of one controller→switch
                 // channel in place; which mutations are enabled also depends
                 // on that head message.
-                fp.touch(res::c2s_head(*switch));
+                fp.touch(Res::C2sHead(*switch));
             }
         }
-        fp.normalize()
     }
 
     /// A 64-bit digest identifying this transition (kind plus every
@@ -503,6 +625,8 @@ impl Transition {
     /// sets compactly alongside state fingerprints and to match enabled
     /// transitions against inherited sleep-set entries.
     pub fn digest(&self) -> u64 {
+        #[cfg(test)]
+        DIGESTS.with(|calls| calls.set(calls.get() + 1));
         let mut h = Fnv64::with_seed(0xde_d0c);
         h.write_str(self.kind());
         match self {
@@ -555,6 +679,13 @@ impl Transition {
         }
         h.finish()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Transition::digest`] calls made on this thread: the search is held
+    /// to one per sleeper it creates.
+    pub(crate) static DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -672,6 +803,122 @@ mod tests {
         assert!(!fp.writes().is_empty());
         assert!(fp.reads().windows(2).all(|w| w[0] < w[1]));
         assert!(fp.writes().windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn bit_set_independence_agrees_with_a_set_based_reference() {
+        use std::collections::BTreeSet;
+        // SplitMix64, seeded.
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        type Sets = (BTreeSet<usize>, BTreeSet<usize>);
+        let footprint = |(reads, writes): &Sets, words: usize| {
+            let mut fp = Footprint {
+                words: vec![0; 2 * words],
+            };
+            for &bit in reads {
+                fp.words[bit / 64] |= 1 << (bit % 64);
+            }
+            for &bit in writes {
+                fp.words[words + bit / 64] |= 1 << (bit % 64);
+            }
+            fp
+        };
+        let (mut independent, mut dependent) = (0, 0);
+        for case in 0..10_000 {
+            // One to three words, and resources drawn from a range narrow
+            // enough for overlaps and wide enough to cross a word boundary.
+            let words = 1 + case % 3;
+            let range = (64 * words).min(8 + next() as usize % 120);
+            let mut draw = |most: u64| -> BTreeSet<usize> {
+                let drawn = next() % most;
+                (0..drawn).map(|_| next() as usize % range).collect()
+            };
+            let mut sets = || -> Sets { (draw(7), draw(5)) };
+            let (a, b) = (sets(), sets());
+            let expected = a.1.is_disjoint(&b.1) && a.1.is_disjoint(&b.0) && a.0.is_disjoint(&b.1);
+            let (fa, fb) = (footprint(&a, words), footprint(&b, words));
+            assert_eq!(
+                fa.independent_of(&fb),
+                expected,
+                "case {case}: {fa:?} / {fb:?}"
+            );
+            assert_eq!(fb.independent_of(&fa), expected, "case {case}, swapped");
+            assert_eq!(fa.reads(), a.0.iter().copied().collect::<Vec<_>>());
+            assert_eq!(fa.writes(), a.1.iter().copied().collect::<Vec<_>>());
+            if expected {
+                independent += 1;
+            } else {
+                dependent += 1;
+            }
+        }
+        assert!(
+            independent > 1_000 && dependent > 1_000,
+            "{independent} / {dependent}"
+        );
+    }
+
+    #[test]
+    fn the_layout_gives_every_declared_resource_a_bit_of_its_own() {
+        // Two switches of three ports, two hosts.
+        let scenario = testutil::hub_ping_scenario(1);
+        let layout = Layout::of(&scenario);
+        let mut resources = vec![Res::Controller, Res::Locations, Res::Budget];
+        for spec in scenario.topology.switches() {
+            let s = spec.id;
+            resources.extend([
+                Res::Switch(s),
+                Res::Sw2cHead(s),
+                Res::Sw2cTail(s),
+                Res::C2sHead(s),
+                Res::C2sTail(s),
+            ]);
+            for &p in &spec.ports {
+                resources.extend([Res::IngressHead(s, p), Res::IngressTail(s, p)]);
+            }
+        }
+        for host in &scenario.hosts {
+            let h = host.id();
+            resources.extend([
+                Res::HostTx(h),
+                Res::HostRx(h),
+                Res::HostLoc(h),
+                Res::InboxHead(h),
+                Res::InboxTail(h),
+            ]);
+        }
+        let expected = 3 + 2 * (5 + 2 * 3) + 2 * 5;
+        assert_eq!(resources.len(), expected);
+        let bits: Vec<usize> = (resources.iter())
+            .map(|&r| layout.bit(r).unwrap_or_else(|| panic!("{r:?} has no bit")))
+            .collect();
+        // Dense and in declaration order: no two resources share a bit and
+        // no bit is wasted.
+        assert_eq!(bits, (0..expected).collect::<Vec<_>>());
+        assert_eq!(layout.footprint_words(), 2 * expected.div_ceil(64));
+        // What the scenario does not declare has no place.
+        for stranger in [
+            Res::Switch(SwitchId(9)),
+            Res::IngressTail(SwitchId(1), PortId(9)),
+            Res::InboxTail(HostId(9)),
+        ] {
+            assert_eq!(layout.bit(stranger), None, "{stranger:?}");
+        }
+        // The word count follows the topology, without a cap.
+        let wide = nice_openflow::Topology::builder();
+        let wide = (1..=40).fold(wide, |t, s| t.switch(SwitchId(s), &[1, 2, 3, 4]));
+        let mut scenario = scenario;
+        scenario.topology = wide.build();
+        assert_eq!(
+            Layout::of(&scenario).footprint_words(),
+            2 * (3 + 40 * 13 + 10usize).div_ceil(64)
+        );
     }
 
     #[test]

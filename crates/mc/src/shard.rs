@@ -550,6 +550,65 @@ mod tests {
     }
 
     #[test]
+    fn a_sleep_set_crosses_the_wire_as_transitions_and_is_digested_on_arrival() {
+        let make = || {
+            ModelChecker::new(
+                testutil::hub_ping_scenario(2),
+                CheckerConfig {
+                    reduction: ReductionKind::Por,
+                    ..exhaustive_config()
+                },
+            )
+        };
+        let checkers = [make(), make()];
+        let mut shards: Vec<ShardedSearch<'_>> = (checkers.iter().zip(0..))
+            .map(|(checker, index)| ShardedSearch::new(checker, ShardSpec { index, count: 2 }))
+            .collect();
+        let (mut asleep_on_the_wire, mut asleep_on_arrival) = (0, 0);
+        loop {
+            let mut progressed = false;
+            for i in 0..shards.len() {
+                while shards[i].step() == StepOutcome::Expanded {}
+                let exports = shards[i].take_forwards();
+                let wire = exports_to_json(&exports).compact();
+                let Json::Arr(array) = Json::parse(&wire).expect("well-formed") else {
+                    panic!("not an array: {wire}");
+                };
+                let decoded = exports_from_json(&array).expect("decodes");
+                assert_eq!(decoded, exports);
+                for export in decoded {
+                    let sent = export.sleep.clone();
+                    asleep_on_the_wire += sent.len();
+                    let owner = &mut shards[1 - i];
+                    let queued = owner.pending();
+                    if !owner.inject(export) {
+                        continue;
+                    }
+                    progressed = true;
+                    // Queued under what was sent or, widened, under part of
+                    // it — every entry with the digest of its transition.
+                    assert_eq!(owner.pending(), queued + 1);
+                    let node = owner.worker.stack.last().expect("just queued");
+                    assert!(node.revisit || node.sleep.len() == sent.len());
+                    for sleeper in &node.sleep {
+                        assert!(sent.contains(sleeper.transition()));
+                        assert_eq!(sleeper.digest(), sleeper.transition().digest());
+                    }
+                    asleep_on_arrival += node.sleep.len();
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        assert!(
+            asleep_on_arrival > 10,
+            "{asleep_on_arrival} sleepers arrived"
+        );
+        assert!(asleep_on_the_wire >= asleep_on_arrival);
+    }
+
+    #[test]
     fn a_keep_past_the_previous_trace_is_an_error() {
         let step = |host| Transition::HostReceive {
             host: nice_openflow::HostId(host),

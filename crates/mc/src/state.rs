@@ -54,8 +54,9 @@
 //! The first write to a slot XORs its old share out and lists it as dirty;
 //! [`SystemState::fingerprint`] folds the dirty slots' current shares over
 //! the accumulator, and settling folds them *in* and empties the list. A
-//! clone is born settled, and the search settles a node's state before
-//! cloning it for each successor, so a successor's list holds one
+//! clone is born settled, and the search settles a successor where it
+//! fingerprints it — one fold for both — before the node that owns it
+//! clones it for each of its own successors, so a successor's list holds one
 //! transition's writes: two to four slots of the fifty a mid-sized scenario
 //! has, and that is what its fingerprint costs. Digests stay lazy: a slot
 //! written again and again between two fingerprints (a replay) is digested
@@ -270,11 +271,52 @@ impl<K: Ord + Copy, V> Sorted<K, V> {
     }
 }
 
+/// One row of a discovery table next to what it contributes to the
+/// fingerprint (its digest mixed with its table and key): rows are written
+/// once, by a discover transition, and then folded into the fingerprint of
+/// every state that carries them, so the share is taken when the row goes
+/// in.
+#[derive(Clone)]
+struct Row<T> {
+    value: T,
+    share: u64,
+}
+
 /// Relevant packets per controller-state fingerprint, per host.
-type RelevantPacketsTable = BTreeMap<HostId, BTreeMap<u64, Vec<Packet>>>;
+type RelevantPacketsTable = BTreeMap<HostId, BTreeMap<u64, Row<Vec<Packet>>>>;
 /// Discovered statistics replies per controller-state fingerprint, per
 /// switch.
-type DiscoveredStatsTable = BTreeMap<SwitchId, BTreeMap<u64, Vec<Vec<PortStatsEntry>>>>;
+type DiscoveredStatsTable = BTreeMap<SwitchId, BTreeMap<u64, Row<Vec<Vec<PortStatsEntry>>>>>;
+
+/// What the relevant packets discovered for `host` under the controller
+/// state that digests to `ctrl_fp` contribute to the fingerprint.
+fn packets_row_share(host: HostId, ctrl_fp: u64, packets: &[Packet]) -> u64 {
+    let mut h = Fnv64::with_seed(ctrl_fp);
+    packets.fingerprint(&mut h);
+    mix(slot::RELEVANT_PACKETS, host.0 as u64, h.finish())
+}
+
+/// What the statistics replies discovered for `switch` under the controller
+/// state that digests to `ctrl_fp` contribute to the fingerprint.
+fn stats_row_share(switch: SwitchId, ctrl_fp: u64, replies: &[Vec<PortStatsEntry>]) -> u64 {
+    let mut h = Fnv64::with_seed(ctrl_fp);
+    replies.fingerprint(&mut h);
+    mix(slot::DISCOVERED_STATS, switch.0 as u64, h.finish())
+}
+
+/// What the fault state contributes to the fingerprint. Nothing when no
+/// fault state exists, so a faults-off search (and a fault search that has
+/// spent its whole budget with every switch recovered) fingerprints
+/// bit-identically to a fault-unaware checker.
+fn fault_share(budget: u32, crashed: &BTreeSet<SwitchId>) -> u64 {
+    if budget == 0 && crashed.is_empty() {
+        return 0;
+    }
+    let mut h = Fnv64::with_seed(FAULTS_FP_SEED);
+    h.write_u64(budget as u64);
+    crashed.fingerprint(&mut h);
+    mix(slot::FAULTS, 0, h.finish())
+}
 
 /// What symbolic execution has discovered so far. Written only by
 /// `discover_packets` and `discover_stats` (never on a scripted workload),
@@ -435,6 +477,9 @@ pub struct SystemState {
     /// Switches currently crashed (flow table wiped, channels down) and
     /// awaiting a reconnect.
     crashed: BTreeSet<SwitchId>,
+    /// [`fault_share`] of the two fields above, refreshed by everything
+    /// that writes either.
+    fault_share: u64,
     /// The static topology (shared, not part of the mutable state).
     topology: Arc<Topology>,
     /// The component slots' share of the fingerprint, kept up to date by
@@ -464,6 +509,7 @@ impl Clone for SystemState {
             last_of_enqueue: self.last_of_enqueue.clone(),
             fault_budget: self.fault_budget,
             crashed: self.crashed.clone(),
+            fault_share: self.fault_share,
             topology: self.topology.clone(),
             acc: Accumulator {
                 folded: self.slots_share(),
@@ -558,6 +604,7 @@ impl SystemState {
             last_of_enqueue: Sorted::default(),
             fault_budget: scenario.fault_plan.budget,
             crashed: BTreeSet::new(),
+            fault_share: fault_share(scenario.fault_plan.budget, &BTreeSet::new()),
             topology,
             acc: Accumulator::default(),
         };
@@ -634,7 +681,8 @@ impl SystemState {
     /// [`fingerprint`](Self::fingerprint) nor a clone has to, and drops the
     /// cells of the channels that went idle since the last settle — only a
     /// written channel can have, so the dirty list names them all. The
-    /// search calls this once per expanded node (`Worker::materialize`).
+    /// search calls this once per successor, right before it fingerprints
+    /// it (`Worker::expand`), and once per state it rebuilt by replay.
     pub(crate) fn settle(&mut self) {
         self.acc.folded = self.slots_share();
         let mut dirty = std::mem::take(&mut self.acc.dirty);
@@ -848,17 +896,22 @@ impl SystemState {
     /// The relevant packets cached for `host` in the current controller
     /// state, if discovery has run.
     pub fn relevant_packets(&self, host: HostId, ctrl_fp: u64) -> Option<&Vec<Packet>> {
-        (self.discovered.packets.get(&host)).and_then(|m| m.get(&ctrl_fp))
+        let row = (self.discovered.packets.get(&host)).and_then(|m| m.get(&ctrl_fp))?;
+        Some(&row.value)
     }
 
     /// Stores the relevant packets for `host` under the given controller
     /// state.
     pub fn set_relevant_packets(&mut self, host: HostId, ctrl_fp: u64, packets: Vec<Packet>) {
+        let row = Row {
+            share: packets_row_share(host, ctrl_fp, &packets),
+            value: packets,
+        };
         Arc::make_mut(&mut self.discovered)
             .packets
             .entry(host)
             .or_default()
-            .insert(ctrl_fp, packets);
+            .insert(ctrl_fp, row);
     }
 
     /// Discovered statistics replies for `switch` in the current controller
@@ -868,7 +921,8 @@ impl SystemState {
         switch: SwitchId,
         ctrl_fp: u64,
     ) -> Option<&Vec<Vec<PortStatsEntry>>> {
-        (self.discovered.stats.get(&switch)).and_then(|m| m.get(&ctrl_fp))
+        let row = (self.discovered.stats.get(&switch)).and_then(|m| m.get(&ctrl_fp))?;
+        Some(&row.value)
     }
 
     /// Stores discovered statistics replies.
@@ -878,11 +932,15 @@ impl SystemState {
         ctrl_fp: u64,
         stats: Vec<Vec<PortStatsEntry>>,
     ) {
+        let row = Row {
+            share: stats_row_share(switch, ctrl_fp, &stats),
+            value: stats,
+        };
         Arc::make_mut(&mut self.discovered)
             .stats
             .entry(switch)
             .or_default()
-            .insert(ctrl_fp, stats);
+            .insert(ctrl_fp, row);
     }
 
     /// True if `switch` has an outstanding statistics request.
@@ -914,6 +972,7 @@ impl SystemState {
     pub fn consume_fault_budget(&mut self) {
         assert!(self.fault_budget > 0, "fault budget exhausted");
         self.fault_budget -= 1;
+        self.fault_share = fault_share(self.fault_budget, &self.crashed);
     }
 
     /// True if `switch` is currently crashed.
@@ -934,6 +993,7 @@ impl SystemState {
     /// inert until [`SystemState::reconnect_switch`].
     pub fn crash_switch(&mut self, switch: SwitchId) {
         self.crashed.insert(switch);
+        self.fault_share = fault_share(self.fault_budget, &self.crashed);
         if let Some(sw) = self.switch_mut(switch) {
             *sw = Switch::with_config(switch, sw.ports.clone(), sw.config());
         }
@@ -958,6 +1018,7 @@ impl SystemState {
     /// re-handshake with ordinary traffic.
     pub fn reconnect_switch(&mut self, switch: SwitchId) {
         self.crashed.remove(&switch);
+        self.fault_share = fault_share(self.fault_budget, &self.crashed);
         self.ctrl_to_sw_mut(switch).restore();
         if let Some(join) = self.switch(switch).map(|sw| sw.join_message()) {
             self.enqueue_to_controller(switch, join);
@@ -984,7 +1045,8 @@ impl SystemState {
     /// over it, so a call costs one component re-hash and one mix per
     /// written slot — not a walk over every slot. The bookkeeping (pending
     /// statistics, the fault slot, the discovery-cache rows of the *current*
-    /// controller state) is folded afresh each call; it is tiny.
+    /// controller state) is folded from digests taken where each was
+    /// written: a few map lookups and mixes.
     ///
     /// Golden-value tests in this module pin the per-channel digests to the
     /// exact FNV-1a hash of the channel contents, and
@@ -996,46 +1058,47 @@ impl SystemState {
         self.slots_share() ^ self.bookkeeping_share(self.controller_fingerprint())
     }
 
-    /// The share of the fingerprint that has no cache to go stale and is
-    /// folded afresh on every call: pending statistics requests, the fault
-    /// state, and the discovery-cache rows of the controller state that
-    /// digests to `ctrl_fp`.
+    /// The share of the fingerprint that is not a component slot: pending
+    /// statistics requests, the fault state, and the discovery-cache rows
+    /// of the controller state that digests to `ctrl_fp`. Every share it
+    /// folds but the pending requests' was taken where the thing was written.
     fn bookkeeping_share(&self, ctrl_fp: u64) -> u64 {
-        let mut acc = 0u64;
+        let mut acc = self.fault_share;
         for sw in &self.pending_stats {
             acc ^= mix(slot::PENDING_STATS, sw.0 as u64, 1);
-        }
-        // The fault slot is folded only when fault state exists, so a
-        // faults-off search (and a fault search that has spent its whole
-        // budget with every switch recovered) fingerprints bit-identically
-        // to a fault-unaware checker.
-        if self.fault_budget != 0 || !self.crashed.is_empty() {
-            let mut h = Fnv64::with_seed(FAULTS_FP_SEED);
-            h.write_u64(self.fault_budget as u64);
-            h.write_usize(self.crashed.len());
-            for sw in &self.crashed {
-                sw.fingerprint(&mut h);
-            }
-            acc ^= mix(slot::FAULTS, 0, h.finish());
         }
         // Only the discovery-cache entries for the *current* controller state
         // matter for enabledness; including the full history would make
         // states that differ only in stale cache entries look distinct.
+        for cache in self.discovered.packets.values() {
+            if let Some(row) = cache.get(&ctrl_fp) {
+                acc ^= row.share;
+            }
+        }
+        for cache in self.discovered.stats.values() {
+            if let Some(row) = cache.get(&ctrl_fp) {
+                acc ^= row.share;
+            }
+        }
+        acc
+    }
+
+    /// [`bookkeeping_share`](Self::bookkeeping_share) with every share
+    /// taken afresh from what it digests, for
+    /// [`reference_fingerprint`](Self::reference_fingerprint).
+    fn reference_bookkeeping_share(&self, ctrl_fp: u64) -> u64 {
+        let mut acc = fault_share(self.fault_budget, &self.crashed);
+        for sw in &self.pending_stats {
+            acc ^= mix(slot::PENDING_STATS, sw.0 as u64, 1);
+        }
         for (host, cache) in self.discovered.packets.iter() {
-            if let Some(packets) = cache.get(&ctrl_fp) {
-                let mut h = Fnv64::with_seed(ctrl_fp);
-                packets.fingerprint(&mut h);
-                acc ^= mix(slot::RELEVANT_PACKETS, host.0 as u64, h.finish());
+            if let Some(row) = cache.get(&ctrl_fp) {
+                acc ^= packets_row_share(*host, ctrl_fp, &row.value);
             }
         }
         for (switch, cache) in self.discovered.stats.iter() {
-            if let Some(entries) = cache.get(&ctrl_fp) {
-                let mut h = Fnv64::with_seed(ctrl_fp);
-                h.write_usize(entries.len());
-                for reply in entries {
-                    reply.fingerprint(&mut h);
-                }
-                acc ^= mix(slot::DISCOVERED_STATS, switch.0 as u64, h.finish());
+            if let Some(row) = cache.get(&ctrl_fp) {
+                acc ^= stats_row_share(*switch, ctrl_fp, &row.value);
             }
         }
         acc
@@ -1094,7 +1157,7 @@ impl SystemState {
         for ((tag, key), digest) in channels {
             acc ^= mix(tag, key, digest);
         }
-        acc ^ self.bookkeeping_share(ctrl_fp)
+        acc ^ self.reference_bookkeeping_share(ctrl_fp)
     }
 
     /// Total number of packets currently buffered at switches awaiting a
@@ -1656,6 +1719,7 @@ mod tests {
         let mut budgeted = SystemState::initial(&scenario);
         assert_eq!(budgeted.fault_budget(), 0);
         budgeted.fault_budget = 2;
+        budgeted.fault_share = fault_share(2, &budgeted.crashed);
         assert_ne!(plain.fingerprint(), budgeted.fingerprint());
         assert_eq!(budgeted.fingerprint(), budgeted.reference_fingerprint());
         budgeted.consume_fault_budget();
@@ -1665,6 +1729,67 @@ mod tests {
         // merges with the fault-free space.
         assert_ne!(one_left, budgeted.fingerprint());
         assert_eq!(plain.fingerprint(), budgeted.fingerprint());
+    }
+
+    #[test]
+    fn stored_bookkeeping_digests_are_fresh_after_every_write() {
+        let scenario = testutil::hub_ping_scenario(1);
+        let mut state = SystemState::initial(&scenario);
+        let ctrl_fp = state.controller_fingerprint();
+        let ping =
+            |payload| Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), payload);
+        let reply = |port, rx_packets| PortStatsEntry {
+            rx_packets,
+            ..PortStatsEntry::zero(PortId(port))
+        };
+
+        // A discovery row's share is taken when the row goes in — also
+        // when it replaces the row already at its key.
+        for packets in [vec![ping(0)], vec![ping(1), ping(2)], vec![]] {
+            state.set_relevant_packets(HostId(1), ctrl_fp, packets.clone());
+            let row = &state.discovered.packets[&HostId(1)][&ctrl_fp];
+            assert_eq!(row.value, packets);
+            assert_eq!(row.share, packets_row_share(HostId(1), ctrl_fp, &packets));
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+        for stats in [vec![vec![reply(1, 3)]], vec![vec![reply(1, 4)], vec![]]] {
+            state.set_discovered_stats(SwitchId(2), ctrl_fp, stats.clone());
+            let row = &state.discovered.stats[&SwitchId(2)][&ctrl_fp];
+            assert_eq!(row.value, stats);
+            assert_eq!(row.share, stats_row_share(SwitchId(2), ctrl_fp, &stats));
+            assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        }
+        assert_eq!(state.discovered.packets[&HostId(1)].len(), 1);
+        assert_eq!(state.discovered.stats[&SwitchId(2)].len(), 1);
+
+        // The fault slot follows the budget and the crashed set through
+        // every writer of either, and vanishes with the last of them.
+        state.fault_budget = 2;
+        state.fault_share = fault_share(2, &state.crashed);
+        let fresh = |state: &SystemState| fault_share(state.fault_budget, &state.crashed);
+        let no_faults = state.fingerprint() ^ state.fault_share;
+        state.crash_switch(SwitchId(1));
+        assert_eq!(state.fault_share, fresh(&state));
+        state.consume_fault_budget();
+        assert_eq!(state.fault_share, fresh(&state));
+        let crashed = state.fault_share;
+        state.reconnect_switch(SwitchId(1));
+        assert_eq!(state.fault_share, fresh(&state));
+        assert_ne!(state.fault_share, crashed);
+        assert_ne!(state.fault_share, 0);
+        assert_eq!(state.clone().fault_share, state.fault_share);
+        state.consume_fault_budget();
+        assert_eq!((state.fault_budget(), state.fault_share), (0, 0));
+        assert_eq!(state.fingerprint(), state.reference_fingerprint());
+        // With the slot gone, what is left is what the crash and the
+        // reconnect did to the components — not a trace of the budget.
+        let mut unbudgeted = SystemState::initial(&scenario);
+        unbudgeted.set_relevant_packets(HostId(1), ctrl_fp, vec![]);
+        unbudgeted.set_discovered_stats(SwitchId(2), ctrl_fp, vec![vec![reply(1, 4)], vec![]]);
+        assert_eq!(no_faults, unbudgeted.fingerprint());
+        unbudgeted.crash_switch(SwitchId(1));
+        unbudgeted.reconnect_switch(SwitchId(1));
+        assert_eq!(state.fingerprint(), unbudgeted.fingerprint());
     }
 
     #[test]

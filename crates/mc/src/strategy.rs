@@ -42,7 +42,9 @@
 //!   frontier nodes (surviving the replay that rebuilds an injected state)
 //!   and are stored alongside explored-state fingerprints so that a state
 //!   revisited with a *smaller* sleep set is re-expanded (the classic fix
-//!   that keeps sleep sets sound under state matching).
+//!   that keeps sleep sets sound under state matching). A sleeping
+//!   transition is a [`Sleeper`]: shared by every node that inherits it,
+//!   and digested once, when it is first put to sleep.
 //! * **A persistent-set-style selector**: when an enabled `host_receive`
 //!   can neither generate replies nor re-enable sending (see
 //!   [`HostModel::may_reply`](nice_hosts::HostModel::may_reply)), it is
@@ -57,12 +59,12 @@
 //! [`CheckerConfig::reduction`]: crate::scenario::CheckerConfig
 //! [`CheckerConfig::with_reduction`]: crate::scenario::CheckerConfig::with_reduction
 
-use crate::por::Footprint;
+use crate::por::{disjoint, Layout};
 use crate::scenario::{ReductionKind, Scenario, StrategyKind};
 use crate::state::SystemState;
 use crate::transition::Transition;
 use nice_openflow::Packet;
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A search strategy: filters the enabled transitions of a state.
 ///
@@ -97,14 +99,41 @@ pub fn build_strategy(kind: StrategyKind) -> Box<dyn SearchStrategy> {
 // The partial-order reduction layer
 // ---------------------------------------------------------------------------
 
-/// What a [`Reduction`] decided to explore from one state.
-#[derive(Debug, Default)]
-pub struct ReductionChoice {
-    /// The transitions to actually execute, in exploration order.
-    pub explore: Vec<Transition>,
-    /// How many strategy-selected transitions the reduction pruned at this
-    /// state (sleep-set hits plus persistent-set exclusions).
-    pub pruned: u64,
+/// A transition asleep at a frontier node: exploring it from there is
+/// redundant, a commuting sibling branch covers it. The transition is
+/// shared — a child that inherits a sleeper bumps a reference count — and
+/// travels with its [`Transition::digest`], which is what the explored set
+/// stores of a sleep set, so the digest is computed once per sleeper
+/// however many nodes carry it and however often they are visited.
+#[derive(Debug, Clone)]
+pub struct Sleeper {
+    digest: u64,
+    transition: Arc<Transition>,
+}
+
+impl Sleeper {
+    /// Puts `transition` to sleep.
+    pub fn new(transition: Transition) -> Sleeper {
+        Sleeper {
+            digest: transition.digest(),
+            transition: Arc::new(transition),
+        }
+    }
+
+    /// [`Transition::digest`] of the sleeping transition.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The sleeping transition.
+    pub fn transition(&self) -> &Transition {
+        &self.transition
+    }
+
+    /// The sleeping transition, owned: as it leaves for another shard.
+    pub fn into_transition(self) -> Transition {
+        Arc::unwrap_or_clone(self.transition)
+    }
 }
 
 /// A partial-order reduction layered *under* a [`SearchStrategy`]: the
@@ -112,40 +141,41 @@ pub struct ReductionChoice {
 /// reduction which of the surviving transitions to execute and which sleep
 /// set each child inherits. See the module docs for how the two layers
 /// compose and for the soundness argument.
+///
+/// Every worker of a search owns one reduction and calls it once per
+/// expanded node, so an implementation keeps whatever scratch space it
+/// needs between calls.
 pub trait Reduction: Send + Sync {
     /// The reduction's name (used in reports).
     fn name(&self) -> &str;
 
-    /// Selects which of the strategy-filtered `enabled` transitions to
-    /// execute from `state`, given the sleep set the frontier node carried.
-    fn select(
-        &self,
+    /// Reduces `explore` — the strategy-selected transitions of `state`, in
+    /// exploration order — in place to the ones to execute, given the sleep
+    /// set the frontier node carried, and returns how many it pruned
+    /// (sleep-set hits plus persistent-set exclusions).
+    ///
+    /// `child_sleeps` arrives empty and is left either empty — no child
+    /// sleeps anything — or holding, for every remaining transition of
+    /// `explore`, the sleep set its child inherits: the node's `sleep`
+    /// entries plus the siblings explored before it, each kept only while
+    /// independent of the executed transition. The caller hands the same
+    /// vector in again, emptied, with the next node.
+    fn reduce(
+        &mut self,
         state: &SystemState,
         scenario: &Scenario,
-        enabled: Vec<Transition>,
-        sleep: &[Transition],
-    ) -> ReductionChoice;
-
-    /// Computes, for every transition of `explore` (in exploration order),
-    /// the sleep set its child inherits: the node's `sleep` entries plus the
-    /// siblings explored before it, each kept only while independent of the
-    /// executed transition. Batched so an implementation can compute each
-    /// transition's footprint once per state instead of once per sibling
-    /// pair.
-    fn child_sleeps(
-        &self,
-        state: &SystemState,
-        scenario: &Scenario,
-        explore: &[Transition],
-        sleep: &[Transition],
-    ) -> Vec<Vec<Transition>>;
+        sleep: &[Sleeper],
+        explore: &mut Vec<Transition>,
+        child_sleeps: &mut Vec<Vec<Sleeper>>,
+    ) -> u64;
 }
 
-/// Builds the reduction implementation for a [`ReductionKind`].
-pub fn build_reduction(kind: ReductionKind) -> Box<dyn Reduction> {
+/// Builds the reduction implementation for a [`ReductionKind`], for
+/// searches of `scenario`.
+pub fn build_reduction(kind: ReductionKind, scenario: &Scenario) -> Box<dyn Reduction> {
     match kind {
         ReductionKind::None => Box::new(NoReduction),
-        ReductionKind::Por => Box::new(PorReduction),
+        ReductionKind::Por => Box::new(PorReduction::new(scenario)),
     }
 }
 
@@ -159,37 +189,41 @@ impl Reduction for NoReduction {
         "NONE"
     }
 
-    fn select(
-        &self,
+    fn reduce(
+        &mut self,
         _state: &SystemState,
         _scenario: &Scenario,
-        enabled: Vec<Transition>,
-        _sleep: &[Transition],
-    ) -> ReductionChoice {
-        ReductionChoice {
-            explore: enabled,
-            pruned: 0,
-        }
-    }
-
-    fn child_sleeps(
-        &self,
-        _state: &SystemState,
-        _scenario: &Scenario,
-        explore: &[Transition],
-        _sleep: &[Transition],
-    ) -> Vec<Vec<Transition>> {
-        vec![Vec::new(); explore.len()]
+        _sleep: &[Sleeper],
+        _explore: &mut Vec<Transition>,
+        _child_sleeps: &mut Vec<Vec<Sleeper>>,
+    ) -> u64 {
+        0
     }
 }
 
 /// Sleep-set partial-order reduction over [`Transition::footprint`]'s static
 /// independence relation, plus a persistent-set-style selector for purely
 /// local receives. See the module docs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PorReduction;
+pub struct PorReduction {
+    layout: Layout,
+    /// The footprints of one expansion, `layout.footprint_words()` words
+    /// each: the node's sleepers', then the explored transitions'.
+    footprints: Vec<u64>,
+    /// The explored transitions of one expansion that were put to sleep, in
+    /// exploration order: made when the first later sibling inherits them.
+    siblings: Vec<Option<Sleeper>>,
+}
 
 impl PorReduction {
+    /// The reduction for searches of `scenario`.
+    pub fn new(scenario: &Scenario) -> PorReduction {
+        PorReduction {
+            layout: Layout::of(scenario),
+            footprints: Vec::new(),
+            siblings: Vec::new(),
+        }
+    }
+
     /// True if `t` is a `host_receive` that can neither inject replies nor
     /// re-enable sending: such a receive is independent of every other
     /// present and future transition, so `{t}` is a valid persistent set.
@@ -208,73 +242,73 @@ impl Reduction for PorReduction {
         "POR"
     }
 
-    fn select(
-        &self,
+    fn reduce(
+        &mut self,
         state: &SystemState,
-        _scenario: &Scenario,
-        enabled: Vec<Transition>,
-        sleep: &[Transition],
-    ) -> ReductionChoice {
+        scenario: &Scenario,
+        sleep: &[Sleeper],
+        explore: &mut Vec<Transition>,
+        child_sleeps: &mut Vec<Vec<Sleeper>>,
+    ) -> u64 {
         // Sleep-set pruning: a transition in the node's sleep set was
         // already executed on a sibling branch that commutes with the path
         // to this node; re-executing it here would only rediscover states
         // the search reaches anyway.
-        let sleeping: BTreeSet<u64> = sleep.iter().map(Transition::digest).collect();
-        let before = enabled.len();
-        let awake: Vec<Transition> = enabled
-            .into_iter()
-            .filter(|t| !sleeping.contains(&t.digest()))
-            .collect();
-        let mut pruned = (before - awake.len()) as u64;
+        let enabled = explore.len();
+        explore.retain(|t| !sleep.iter().any(|s| s.transition() == t));
+        let mut pruned = (enabled - explore.len()) as u64;
 
         // Persistent-set-style selector: a purely local receive commutes
         // with everything, so exploring it alone covers the whole state
         // space reachable from here (the deferred siblings stay enabled in
         // the child and are explored there).
-        if awake.len() > 1 {
-            if let Some(pos) = awake.iter().position(|t| Self::is_local_receive(t, state)) {
-                pruned += (awake.len() - 1) as u64;
-                let chosen = awake[pos].clone();
-                return ReductionChoice {
-                    explore: vec![chosen],
-                    pruned,
-                };
+        if explore.len() > 1 {
+            if let Some(pos) = (explore.iter()).position(|t| Self::is_local_receive(t, state)) {
+                pruned += (explore.len() - 1) as u64;
+                explore.swap(0, pos);
+                explore.truncate(1);
             }
         }
 
-        ReductionChoice {
-            explore: awake,
-            pruned,
+        // With nothing asleep and at most one transition to execute, no
+        // child can inherit anything.
+        if explore.len() + sleep.len() <= 1 || explore.is_empty() {
+            return pruned;
         }
-    }
 
-    fn child_sleeps(
-        &self,
-        state: &SystemState,
-        scenario: &Scenario,
-        explore: &[Transition],
-        sleep: &[Transition],
-    ) -> Vec<Vec<Transition>> {
-        // One footprint per transition per state; the O(k^2) part is only
-        // the cheap sorted-merge disjointness checks.
-        let sleep_fps: Vec<Footprint> =
-            sleep.iter().map(|t| t.footprint(state, scenario)).collect();
-        let explore_fps: Vec<Footprint> = explore
-            .iter()
-            .map(|t| t.footprint(state, scenario))
-            .collect();
-        (0..explore.len())
-            .map(|i| {
-                let executed_fp = &explore_fps[i];
-                sleep
-                    .iter()
-                    .zip(sleep_fps.iter())
-                    .chain(explore[..i].iter().zip(explore_fps[..i].iter()))
-                    .filter(|(_, fp)| fp.independent_of(executed_fp))
-                    .map(|(t, _)| t.clone())
-                    .collect()
-            })
-            .collect()
+        // One footprint per transition per state, side by side in the
+        // buffer this reduction keeps; the O(k^2) part is only the
+        // disjointness checks, a few ANDs each.
+        let stride = self.layout.footprint_words();
+        self.footprints.clear();
+        (self.footprints).resize((sleep.len() + explore.len()) * stride, 0);
+        let transitions = (sleep.iter().map(Sleeper::transition)).chain(explore.iter());
+        for (t, words) in transitions.zip(self.footprints.chunks_exact_mut(stride)) {
+            t.fill_footprint(state, scenario, &self.layout, words);
+        }
+        let (sleep_fps, explore_fps) = self.footprints.split_at(sleep.len() * stride);
+
+        self.siblings.clear();
+        self.siblings.resize(explore.len(), None);
+        for (index, executed) in explore_fps.chunks_exact(stride).enumerate() {
+            // An empty sleep set costs no allocation.
+            let mut child = Vec::new();
+            for (sleeper, footprint) in sleep.iter().zip(sleep_fps.chunks_exact(stride)) {
+                if disjoint(footprint, executed) {
+                    child.push(sleeper.clone());
+                }
+            }
+            let earlier = explore_fps.chunks_exact(stride).take(index);
+            for ((sibling, footprint), slot) in explore.iter().zip(earlier).zip(&mut self.siblings)
+            {
+                if disjoint(footprint, executed) {
+                    let sleeper = slot.get_or_insert_with(|| Sleeper::new(sibling.clone()));
+                    child.push(sleeper.clone());
+                }
+            }
+            child_sleeps.push(child);
+        }
+        pruned
     }
 }
 
@@ -414,8 +448,12 @@ mod tests {
 
     #[test]
     fn build_reduction_matches_kind() {
-        assert_eq!(build_reduction(ReductionKind::None).name(), "NONE");
-        assert_eq!(build_reduction(ReductionKind::Por).name(), "POR");
+        let scenario = testutil::hub_ping_scenario(1);
+        assert_eq!(
+            build_reduction(ReductionKind::None, &scenario).name(),
+            "NONE"
+        );
+        assert_eq!(build_reduction(ReductionKind::Por, &scenario).name(), "POR");
     }
 
     #[test]

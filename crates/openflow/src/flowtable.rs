@@ -246,9 +246,9 @@ impl FlowTable {
         }
     }
 
-    /// Looks up the highest-priority rule matching `pkt` on `in_port`
-    /// *without* updating counters.
-    pub fn lookup(&self, pkt: &Packet, in_port: PortId) -> TableLookup {
+    /// Canonical index of the highest-priority rule matching `pkt` on
+    /// `in_port`.
+    fn best_match(&self, pkt: &Packet, in_port: PortId) -> Option<usize> {
         let mut best: Option<(usize, u16, u32)> = None;
         for (i, rule) in self.rules.iter().enumerate() {
             if rule.pattern.matches(pkt, in_port) {
@@ -269,10 +269,23 @@ impl FlowTable {
                 };
             }
         }
-        match best {
-            Some((idx, _, _)) => TableLookup::Match {
-                rule_index: idx,
-                actions: self.rules[idx].actions.clone(),
+        best.map(|(index, _, _)| index)
+    }
+
+    /// The actions of the rule [`lookup`](Self::lookup) would pick, borrowed
+    /// from the table; `None` on a miss.
+    pub fn matching_actions(&self, pkt: &Packet, in_port: PortId) -> Option<&[Action]> {
+        let index = self.best_match(pkt, in_port)?;
+        Some(&self.rules[index].actions)
+    }
+
+    /// Looks up the highest-priority rule matching `pkt` on `in_port`
+    /// *without* updating counters.
+    pub fn lookup(&self, pkt: &Packet, in_port: PortId) -> TableLookup {
+        match self.best_match(pkt, in_port) {
+            Some(rule_index) => TableLookup::Match {
+                rule_index,
+                actions: self.rules[rule_index].actions.clone(),
             },
             None => TableLookup::Miss,
         }

@@ -41,6 +41,6 @@ pub use matchfields::MatchPattern;
 pub use messages::{FlowModCommand, OfMessage, OfMutation, PacketInReason, StatsKind};
 pub use packet::{EthType, IpProto, Packet, PacketId, TcpFlags};
 pub use stats::{FlowStatsEntry, PortStatsEntry};
-pub use switch::{BufferId, BufferedPacket, PacketFate, Switch, SwitchConfig, SwitchOutput};
+pub use switch::{BufferId, BufferedPacket, Switch, SwitchConfig, SwitchOutput};
 pub use topology::{Endpoint, HostSpec, LinkSpec, Location, SwitchSpec, Topology, TopologyBuilder};
 pub use types::{HostId, MacAddr, NwAddr, PortId, SwitchId, FLOOD_PORT, OFPP_CONTROLLER};

@@ -55,17 +55,6 @@ impl Default for SwitchConfig {
     }
 }
 
-/// The statically predicted effect of processing a packet (see
-/// [`Switch::predict_packet_fate`]): where copies would be emitted and
-/// whether the controller would be involved.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PacketFate {
-    /// Ports the packet would be emitted on (flood expanded, deduplicated).
-    pub out_ports: Vec<PortId>,
-    /// True if a message would (or could) be sent to the controller.
-    pub to_controller: bool,
-}
-
 /// Everything produced by one switch transition: messages destined for the
 /// controller and data-plane forwarding decisions.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -168,48 +157,52 @@ impl Switch {
         self.port_stats.values().copied().collect()
     }
 
-    /// Predicts, without mutating anything, what [`Switch::process_packet`]
-    /// would do with `packet` arriving on `in_port` in the switch's current
-    /// state: the ports the packet would be emitted on and whether a message
-    /// would be sent to the controller.
+    /// Predicts, without mutating or allocating anything, what
+    /// [`Switch::process_packet`] would do with `packet` arriving on
+    /// `in_port` in the switch's current state: `emit` is called with every
+    /// port the packet would be emitted on (a flood expanded over the
+    /// switch's ports; a port named by two actions is visited twice), and
+    /// the result says whether a message would be sent to the controller.
     ///
     /// Used by the model checker's partial-order reduction to compute
     /// transition footprints, so it must stay in lock step with
     /// [`Switch::process_packet`] / [`Switch::apply_actions`]. It may
-    /// over-approximate (e.g. it reports `to_controller` even when the
+    /// over-approximate (e.g. it reports the controller even when the
     /// buffer is full and the packet would actually be dropped) but must
     /// never under-approximate the set of components the real execution can
     /// touch.
-    pub fn predict_packet_fate(&self, packet: &Packet, in_port: PortId) -> PacketFate {
-        match self.flow_table.lookup(packet, in_port) {
-            TableLookup::Match { actions, .. } => self.predict_actions_fate(&actions, in_port),
-            TableLookup::Miss => PacketFate {
-                out_ports: Vec::new(),
-                to_controller: true,
-            },
+    pub fn predict_packet_fate(
+        &self,
+        packet: &Packet,
+        in_port: PortId,
+        emit: impl FnMut(PortId),
+    ) -> bool {
+        match self.flow_table.matching_actions(packet, in_port) {
+            Some(actions) => self.predict_actions_fate(actions, in_port, emit),
+            None => true,
         }
     }
 
     /// Predicts the fate of applying an explicit action list (the
     /// `packet_out` path) — see [`Switch::predict_packet_fate`].
-    pub fn predict_actions_fate(&self, actions: &[Action], in_port: PortId) -> PacketFate {
-        let mut fate = PacketFate {
-            out_ports: Vec::new(),
-            to_controller: false,
-        };
+    pub fn predict_actions_fate(
+        &self,
+        actions: &[Action],
+        in_port: PortId,
+        mut emit: impl FnMut(PortId),
+    ) -> bool {
+        let mut to_controller = false;
         for action in actions {
             match action {
-                Action::Output(port) => fate.out_ports.push(*port),
-                Action::Flood => fate
-                    .out_ports
-                    .extend(self.ports.iter().copied().filter(|&p| p != in_port)),
+                Action::Output(port) => emit(*port),
+                Action::Flood => (self.ports.iter())
+                    .filter(|&&port| port != in_port)
+                    .for_each(|&port| emit(port)),
                 Action::Drop => {}
-                Action::ToController => fate.to_controller = true,
+                Action::ToController => to_controller = true,
             }
         }
-        fate.out_ports.sort();
-        fate.out_ports.dedup();
-        fate
+        to_controller
     }
 
     /// Processes one data packet arriving on `in_port` — the `process_pkt`
@@ -508,6 +501,43 @@ mod tests {
             }]
         );
         assert_eq!(sw.buffered_count(), 0);
+    }
+
+    #[test]
+    fn the_predicted_fate_covers_what_processing_does() {
+        let pkt = ping();
+        let action_lists = [
+            vec![],
+            vec![Action::Drop],
+            vec![Action::Output(PortId(2)), Action::Output(PortId(2))],
+            vec![Action::Flood, Action::Output(PortId(3))],
+            vec![Action::ToController, Action::Output(PortId(1))],
+        ];
+        // A miss first, then one matching rule per action list.
+        for actions in std::iter::once(None).chain(action_lists.into_iter().map(Some)) {
+            let mut sw = switch();
+            if let Some(actions) = &actions {
+                let pattern = MatchPattern::l2_flow(&pkt, PortId(1));
+                sw.flow_table
+                    .add_rule(FlowRule::new(pattern, 100, actions.clone()));
+            }
+            let mut predicted = Vec::new();
+            let to_controller = sw.predict_packet_fate(&pkt, PortId(1), |p| predicted.push(p));
+            let out = sw.process_packet(pkt, PortId(1));
+            let mut emitted = Vec::new();
+            for decision in &out.decisions {
+                match decision {
+                    ForwardingDecision::Forward { port, .. } => emitted.push(*port),
+                    ForwardingDecision::FloodExcept { in_port, .. } => {
+                        emitted.extend(sw.ports.iter().filter(|p| *p != in_port))
+                    }
+                    ForwardingDecision::SentToController { .. }
+                    | ForwardingDecision::Dropped { .. } => {}
+                }
+            }
+            assert_eq!(predicted, emitted, "{actions:?}");
+            assert_eq!(to_controller, !out.to_controller.is_empty(), "{actions:?}");
+        }
     }
 
     #[test]

@@ -173,3 +173,78 @@ fn por_composes_with_heuristic_strategies() {
         );
     }
 }
+
+/// Every resource a footprint names has a bit in its scenario's layout: a
+/// footprint rule that reached outside it (a port the topology lacks, a host
+/// nobody declared) would panic a debug build (`debug_assert!` in
+/// `nice_mc::por`) and saturate the write set in a release build, where it
+/// costs pruning instead of soundness. Walks every shipped scenario, a long
+/// chain and the chain under its fault plan with fault injection on, and
+/// takes the footprint of *every* enabled transition of every state on the
+/// way.
+#[test]
+fn every_footprint_along_a_random_walk_lands_inside_the_layout() {
+    use nice::apps::workloads::resolve;
+    use nice::mc::transition::{enabled_transitions, execute, DiscoveryMemo};
+    use nice::mc::SystemState;
+    use nice::scenarios::registry;
+    use std::collections::BTreeSet;
+
+    let mut scenarios: Vec<Scenario> = registry().iter().map(|entry| entry.build()).collect();
+    assert!(scenarios.iter().any(|s| s.name.starts_with("bug-xii")));
+    for spec in ["chain:8:2", "chain-faults:3:1"] {
+        scenarios.push(resolve(spec).expect("a chain workload spec"));
+    }
+    let config = CheckerConfig::default().with_fault_injection(true);
+    let mut kinds = BTreeSet::new();
+    for (index, scenario) in scenarios.iter().enumerate() {
+        // SplitMix64, seeded per scenario.
+        let mut seed = index as u64;
+        let mut below = move |n: usize| {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut memo = DiscoveryMemo::default();
+        let mut events = Vec::new();
+        let mut state = SystemState::initial(scenario);
+        for step in 0..2_000 {
+            let enabled = enabled_transitions(&state, scenario, &config);
+            if enabled.is_empty() {
+                state = SystemState::initial(scenario);
+                continue;
+            }
+            for t in &enabled {
+                let fp = t.footprint(&state, scenario);
+                let written = fp.writes().len();
+                assert!(
+                    (1..64).contains(&written),
+                    "{}, step {step}: {t} writes {written} resources: {fp:?}",
+                    scenario.name
+                );
+                kinds.insert(t.kind());
+            }
+            let taken = &enabled[below(enabled.len())];
+            events.clear();
+            execute(&mut state, taken, scenario, &config, &mut memo, &mut events);
+        }
+    }
+    for kind in [
+        "host_send",
+        "host_receive",
+        "host_move",
+        "process_pkt",
+        "process_of",
+        "ctrl_handle",
+        "discover_packets",
+        "discover_stats",
+        "process_stats",
+        "channel_fault",
+        "switch_crash",
+        "switch_reconnect",
+    ] {
+        assert!(kinds.contains(kind), "no walk enabled a {kind}: {kinds:?}");
+    }
+}
