@@ -23,6 +23,7 @@
 
 use nice_bench::{
     chain_fault_workload, chain_ping_workload, engine_configs, exhaustive, load_balancer_workload,
+    TIERED_ENGINE,
 };
 use nice_dist::{Coordinator, JobSpec};
 use nice_mc::{CheckerConfig, Json, ModelChecker, Scenario, SearchStats};
@@ -74,7 +75,11 @@ fn states_per_sec(stats: &SearchStats) -> f64 {
 
 fn profile(label: &str, scenario: impl Fn() -> Scenario) -> Profile {
     let mut engines: Vec<EngineRow> = Vec::new();
-    for (name, config) in engine_configs(GATE_WORKERS) {
+    for (name, mut config) in engine_configs(GATE_WORKERS) {
+        if name == TIERED_ENGINE {
+            let in_memory = &engines[0].stats;
+            config.explored.mem_limit = in_memory.peak_explored_bytes / 4;
+        }
         let stats = exhaustive(scenario(), config);
         let states_per_sec = states_per_sec(&stats);
         let reference = engines.first().map_or(states_per_sec, |e| e.states_per_sec);
@@ -288,8 +293,9 @@ fn main() {
     let mut coordinator = nice_dist::worker_bin()
         .and_then(|bin| Coordinator::new(bin, 2))
         .expect("spawn distributed worker pool");
+    let every_violation = CheckerConfig::default().with_stop_at_first(false);
     let chain_spec = JobSpec {
-        stop_at_first_violation: false,
+        config: every_violation.clone(),
         ..JobSpec::new("chain:5:2")
     };
     profiles.push(dist_profile(
@@ -298,7 +304,7 @@ fn main() {
         &chain_spec,
     ));
     let bug_v_spec = JobSpec {
-        stop_at_first_violation: false,
+        config: every_violation,
         ..JobSpec::new("bug-v-packets-dropped-in-transition")
     };
     profiles.push(dist_profile(

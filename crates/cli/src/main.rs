@@ -56,29 +56,33 @@ USAGE:
   nice timeline <trace.json>
   nice validate-json            (reads stdin)
 
-RUN / SWEEP OPTIONS:
-  --strategy <pkt-seq|no-delay|flow-ir|unusual>   search strategy (run only; default pkt-seq)
-  --reduction <none|por>                          partial-order reduction (run only; default none)
-  --workers <N>                                   search worker threads (default 1)
+CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
+  --strategy <pkt-seq|no-delay|flow-ir|unusual>   search strategy (default pkt-seq; not sweep, which
+                                                  covers all four)
+  --reduction <none|por>                          partial-order reduction (default none; not sweep,
+                                                  which covers both)
   --explored <mem|tiered|bitstate>                explored-set storage: exact in-memory (default),
                                                   exact with cold-shard spill to disk, or lossy
                                                   SPIN-style bitstate hashing (PASS not exhaustive)
   --mem-limit <BYTES>                             explored-set memory budget (0 = mode default:
-                                                  tiered 512 MiB, bitstate 64 MiB; mem ignores it)
-  --dist <N>                                      run only: distribute the search over N worker
-                                                  processes (fingerprint-sharded explored set)
+                                                  tiered 512 MiB, bitstate 64 MiB; mem ignores it);
+                                                  per worker process under --dist and submit
   --max-transitions <N>                           transition budget (default 500000; 0 = unlimited)
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
-  --progress-every <N>                            Progress event cadence in transitions (run only; default 8192)
   --faults                                        enable the scenario's fault plan (switch crashes,
                                                   channel faults, failover — see README \"Fault injection\")
   --all-violations                                keep searching after the first violation
+
+OTHER OPTIONS:
+  --workers <N>                                   search worker threads (run, sweep; default 1)
+  --dist <N>                                      run only: distribute the search over N worker
+                                                  processes (fingerprint-sharded explored set)
+  --progress-every <N>                            Progress event cadence in transitions (run only; default 8192)
   --expect                                        exit non-zero unless the registry expectation holds
                                                   (bug found its property / fixed variant passed; run
-                                                  only, registry scenarios only)
-  --matrix strategies-x-reductions                sweep matrix selector (sweep only; the default)
-  --json                                          emit machine-readable JSON on stdout
+                                                  and submit, registry scenarios only)
+  --json                                          emit machine-readable JSON on stdout (run, sweep)
   --quiet                                         suppress streamed progress on stderr
   --trace-out <FILE>                              write the first violation's trace as a
                                                   nice-trace-v1 JSON file (run only)
@@ -90,9 +94,7 @@ SERVE / SUBMIT (the distributed checking service — see README \"Serving checks
              --max-jobs N exits after N jobs (CI smoke)
   submit     send one job to a running server (scenario name or a spec like
              ping:2 / chain:5:2 / chain-faults:3:1) and stream its progress;
-             accepts --strategy/--reduction/--faults/--all-violations/
-             --max-transitions/--max-depth/--time-budget-ms/--expect/--quiet/
-             --explored/--mem-limit (each worker shard spills independently)
+             takes the check options, --expect and --quiet
 
 TRACE COMMANDS (operate on nice-trace-v1 files, produced by `nice run --trace-out`):
   replay     re-execute the trace on the deterministic engine, checking every
@@ -139,184 +141,157 @@ fn main() {
 // Option parsing (hand-rolled; the offline build has no clap)
 // ---------------------------------------------------------------------------
 
-/// Which subcommand is parsing: `run` rejects sweep-only flags and vice
-/// versa, so no option is ever silently ignored.
+/// Which subcommand is parsing: each rejects the flags that are another's,
+/// so no option is ever silently ignored.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Run,
     Sweep,
+    Submit,
 }
+
+/// The transition budget of a check nobody gave `--max-transitions`.
+const DEFAULT_MAX_TRANSITIONS: u64 = 500_000;
 
 struct RunOptions {
     scenario: Option<String>,
-    strategy: StrategyKind,
-    reduction: ReductionKind,
-    workers: usize,
-    explored: ExploredMode,
-    mem_limit: u64,
+    /// The check: what the shared flags (and `--workers`) describe.
+    config: CheckerConfig,
+    /// `--time-budget-ms`: a deadline for the run, not a property of the
+    /// search.
+    time_budget: Option<Duration>,
     /// Distributed mode: shard the search over this many worker
     /// *processes* (0 = off, the in-process engine).
     dist: usize,
-    max_transitions: u64,
-    max_depth: usize,
-    time_budget: Option<Duration>,
     progress_every: u64,
-    faults: bool,
-    all_violations: bool,
     expect: bool,
     json: bool,
     quiet: bool,
     trace_out: Option<String>,
+    /// Where `nice serve` listens (`submit` only).
+    socket: Option<String>,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             scenario: None,
-            strategy: StrategyKind::FullDfs,
-            reduction: ReductionKind::None,
-            workers: 1,
-            explored: ExploredMode::default(),
-            mem_limit: 0,
-            dist: 0,
-            max_transitions: 500_000,
-            max_depth: 400,
+            config: CheckerConfig::default().with_max_transitions(DEFAULT_MAX_TRANSITIONS),
             time_budget: None,
+            dist: 0,
             progress_every: nice_mc::session::DEFAULT_PROGRESS_EVERY,
-            faults: false,
-            all_violations: false,
             expect: false,
             json: false,
             quiet: false,
             trace_out: None,
+            socket: None,
         }
     }
 }
 
+impl RunOptions {
+    /// The job `run --dist` and `submit` hand to a coordinator.
+    fn job(&self, scenario: &str) -> nice_dist::JobSpec {
+        nice_dist::JobSpec {
+            scenario: scenario.to_string(),
+            config: self.config.clone(),
+            time_budget_ms: self.time_budget.map_or(0, |d| d.as_millis() as u64),
+        }
+    }
+}
+
+/// Parses the arguments of `run`, `sweep` or `submit`. The nine flags that
+/// describe the check itself (USAGE's "check options") mean the same to all
+/// three and are read here only.
 fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> {
     let mut opts = RunOptions::default();
     let mut i = 0;
     while i < args.len() {
-        let take_value = |i: usize| -> Result<&String, String> {
+        let flag = args[i].as_str();
+        let value = || {
             args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match args[i].as_str() {
+        let number = || parse_number(value()?, flag);
+        // Sweep says why it refuses a flag of `run`; a flag a command has
+        // never had is unknown to it.
+        let refusal = match (flag, mode) {
+            ("--strategy", Mode::Sweep) => Some("; sweep covers every strategy"),
+            ("--reduction", Mode::Sweep) => Some("; sweep covers every reduction"),
+            ("--dist", Mode::Sweep) => Some(" (sweep cells stay in-process)"),
+            ("--progress-every", Mode::Sweep) => Some(" (sweep streams no progress)"),
+            ("--trace-out", Mode::Sweep) => Some(" (sweep cells race for the witness)"),
+            ("--expect", Mode::Sweep) => Some(" (heuristic sweep cells legitimately miss bugs)"),
+            _ => None,
+        };
+        if let Some(why) = refusal {
+            return Err(format!("{flag} is run-only{why}"));
+        }
+        let foreign = match mode {
+            Mode::Run | Mode::Sweep => flag == "--socket",
+            Mode::Submit => matches!(
+                flag,
+                "--workers" | "--dist" | "--progress-every" | "--trace-out" | "--json"
+            ),
+        };
+        let config = &mut opts.config;
+        let mut valued = true;
+        match flag {
+            _ if foreign => return Err(format!("unknown option '{flag}'")),
             "--strategy" => {
-                if mode == Mode::Sweep {
-                    return Err("--strategy is run-only; sweep covers every strategy".into());
-                }
-                let v = take_value(i)?;
-                opts.strategy = StrategyKind::parse(v).ok_or_else(|| {
-                    format!("unknown strategy '{v}' (pkt-seq, no-delay, flow-ir, unusual)")
-                })?;
-                i += 2;
+                let names = "pkt-seq, no-delay, flow-ir, unusual";
+                config.strategy = parse_name(value()?, "strategy", names, StrategyKind::parse)?;
             }
             "--reduction" => {
-                if mode == Mode::Sweep {
-                    return Err("--reduction is run-only; sweep covers every reduction".into());
-                }
-                let v = take_value(i)?;
-                opts.reduction = ReductionKind::parse(v)
-                    .ok_or_else(|| format!("unknown reduction '{v}' (none, por)"))?;
-                i += 2;
-            }
-            "--workers" => {
-                opts.workers = parse_number(take_value(i)?, "--workers")? as usize;
-                i += 2;
+                let names = "none, por";
+                config.reduction = parse_name(value()?, "reduction", names, ReductionKind::parse)?;
             }
             "--explored" => {
-                let v = take_value(i)?;
-                opts.explored = ExploredMode::parse(v).ok_or_else(|| {
-                    format!("unknown explored mode '{v}' (mem, tiered, bitstate)")
-                })?;
-                i += 2;
+                let names = "mem, tiered, bitstate";
+                config.explored.mode =
+                    parse_name(value()?, "explored mode", names, ExploredMode::parse)?;
             }
-            "--mem-limit" => {
-                opts.mem_limit = parse_number(take_value(i)?, "--mem-limit")?;
-                i += 2;
-            }
-            "--dist" => {
-                if mode == Mode::Sweep {
-                    return Err("--dist is run-only (sweep cells stay in-process)".into());
-                }
-                opts.dist = parse_number(take_value(i)?, "--dist")? as usize;
-                i += 2;
-            }
-            "--max-transitions" => {
-                opts.max_transitions = parse_number(take_value(i)?, "--max-transitions")?;
-                i += 2;
-            }
-            "--max-depth" => {
-                opts.max_depth = parse_number(take_value(i)?, "--max-depth")? as usize;
-                i += 2;
-            }
-            "--time-budget-ms" => {
-                let ms = parse_number(take_value(i)?, "--time-budget-ms")?;
-                opts.time_budget = Some(Duration::from_millis(ms));
-                i += 2;
-            }
-            "--progress-every" => {
-                if mode == Mode::Sweep {
-                    return Err("--progress-every is run-only (sweep streams no progress)".into());
-                }
-                opts.progress_every = parse_number(take_value(i)?, "--progress-every")?;
-                i += 2;
-            }
-            "--matrix" => {
-                if mode == Mode::Run {
-                    return Err("--matrix is sweep-only".into());
-                }
-                let v = take_value(i)?;
-                // One matrix is supported today; accept both spellings of ×.
-                if v != "strategies-x-reductions" && v != "strategies×reductions" {
-                    return Err(format!("unknown matrix '{v}' (strategies-x-reductions)"));
-                }
-                i += 2;
-            }
-            "--trace-out" => {
-                if mode == Mode::Sweep {
-                    return Err("--trace-out is run-only (sweep cells race for the witness)".into());
-                }
-                opts.trace_out = Some(take_value(i)?.clone());
-                i += 2;
-            }
-            "--faults" => {
-                opts.faults = true;
-                i += 1;
-            }
-            "--all-violations" => {
-                opts.all_violations = true;
-                i += 1;
-            }
-            "--expect" => {
-                if mode == Mode::Sweep {
-                    return Err(
-                        "--expect is run-only (heuristic sweep cells legitimately miss bugs)"
-                            .into(),
-                    );
-                }
-                opts.expect = true;
-                i += 1;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            "--quiet" => {
-                opts.quiet = true;
-                i += 1;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
+            "--mem-limit" => config.explored.mem_limit = number()?,
+            "--max-transitions" => config.max_transitions = number()?,
+            "--max-depth" => config.max_depth = number()? as usize,
+            "--time-budget-ms" => opts.time_budget = Some(Duration::from_millis(number()?)),
+            "--workers" => config.workers = (number()? as usize).max(1),
+            "--dist" => opts.dist = number()? as usize,
+            "--progress-every" => opts.progress_every = number()?,
+            "--trace-out" => opts.trace_out = Some(value()?.clone()),
+            "--socket" => opts.socket = Some(value()?.clone()),
+            _ => valued = false,
+        }
+        if valued {
+            i += 2;
+            continue;
+        }
+        match flag {
+            "--faults" => config.inject_faults = true,
+            "--all-violations" => config.stop_at_first_violation = false,
+            "--expect" => opts.expect = true,
+            "--json" => opts.json = true,
+            "--quiet" => opts.quiet = true,
+            _ if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
             name => {
                 if opts.scenario.replace(name.to_string()).is_some() {
                     return Err("more than one scenario name given".into());
                 }
-                i += 1;
             }
         }
+        i += 1;
     }
     Ok(opts)
+}
+
+/// `value` as one of the CLI `names` of an enum.
+fn parse_name<T>(
+    value: &str,
+    what: &str,
+    names: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    parse(value).ok_or_else(|| format!("unknown {what} '{value}' ({names})"))
 }
 
 fn parse_number(value: &str, flag: &str) -> Result<u64, String> {
@@ -328,23 +303,6 @@ fn parse_number(value: &str, flag: &str) -> Result<u64, String> {
 fn usage_error(message: &str) -> i32 {
     eprintln!("error: {message}\n\n{USAGE}");
     2
-}
-
-fn config_from(
-    opts: &RunOptions,
-    strategy: StrategyKind,
-    reduction: ReductionKind,
-) -> CheckerConfig {
-    CheckerConfig::default()
-        .with_strategy(strategy)
-        .with_reduction(reduction)
-        .with_workers(opts.workers)
-        .with_explored(opts.explored)
-        .with_mem_limit(opts.mem_limit)
-        .with_max_transitions(opts.max_transitions)
-        .with_stop_at_first(!opts.all_violations)
-        .with_max_depth(opts.max_depth)
-        .with_fault_injection(opts.faults)
 }
 
 // ---------------------------------------------------------------------------
@@ -472,25 +430,14 @@ fn cmd_run(args: &[String]) -> i32 {
         Err(code) => return code,
     };
 
-    if opts.dist > 0 && opts.workers > 1 {
+    if opts.dist > 0 && opts.config.workers > 1 {
         return usage_error(
             "--dist and --workers are mutually exclusive \
              (each dist worker process runs the sequential engine over its shard)",
         );
     }
     if opts.dist > 0 {
-        let spec = nice_dist::JobSpec {
-            scenario: target.spec.clone(),
-            strategy: opts.strategy,
-            reduction: opts.reduction,
-            inject_faults: opts.faults,
-            stop_at_first_violation: !opts.all_violations,
-            max_transitions: opts.max_transitions,
-            max_depth: opts.max_depth,
-            time_budget_ms: opts.time_budget.map_or(0, |d| d.as_millis() as u64),
-            explored: opts.explored,
-            mem_limit: opts.mem_limit,
-        };
+        let spec = opts.job(&target.spec);
         let report = match serve::run_distributed(&spec, opts.dist, opts.quiet) {
             Ok(report) => report,
             Err(e) => {
@@ -501,8 +448,7 @@ fn cmd_run(args: &[String]) -> i32 {
         return finish_run(&target, &opts, &report);
     }
 
-    let config = config_from(&opts, opts.strategy, opts.reduction);
-    let checker = ModelChecker::new(target.scenario.clone(), config);
+    let checker = ModelChecker::new(target.scenario.clone(), opts.config.clone());
     let mut session = checker.session().with_progress_every(opts.progress_every);
     if let Some(budget) = opts.time_budget {
         session = session.with_time_budget(budget);
@@ -571,7 +517,7 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     } else {
         print!("{report}");
         if let Some(entry) = &target.entry {
-            match effective_expectation(entry, opts.faults) {
+            match effective_expectation(entry, opts.config.inject_faults) {
                 Some(property) if report.passed() => eprintln!(
                     "note: expected a {property} violation but none was found \
                      (budget too small, or an over-restrictive strategy?)"
@@ -579,7 +525,7 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
                 None if !report.passed() => {
                     eprintln!("note: this scenario was expected to pass")
                 }
-                None if entry.requires_faults && !opts.faults => eprintln!(
+                None if entry.requires_faults && !opts.config.inject_faults => eprintln!(
                     "note: this bug only manifests under fault injection — re-run with --faults"
                 ),
                 _ => {}
@@ -588,11 +534,11 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     }
     // `--expect` implies a registry entry (`resolve_target` checked).
     if let (true, Some(entry)) = (opts.expect, &target.entry) {
-        if !expectation_met(entry, report, opts.faults) {
+        if !expectation_met(entry, report, opts.config.inject_faults) {
             eprintln!(
                 "expectation not met for '{}': {}",
                 entry.name,
-                match effective_expectation(entry, opts.faults) {
+                match effective_expectation(entry, opts.config.inject_faults) {
                     Some(property) => format!("expected a {property} violation, found none"),
                     None => "this scenario was expected to pass".to_string(),
                 }
@@ -658,12 +604,14 @@ fn run_json<'a>(
     let entry = target.entry.as_ref();
     let app = entry.map_or(target.scenario.app.name(), |e| e.app);
     let kind = entry.map_or("workload", |e| kind_label(e.kind));
-    let expected = entry.and_then(|e| effective_expectation(e, opts.faults));
-    let met = expectation_met_json(target, report, opts.faults);
+    let expected = entry.and_then(|e| effective_expectation(e, opts.config.inject_faults));
+    let met = expectation_met_json(target, report, opts.config.inject_faults);
     let first = report.first_violation();
     // Which engine produced the first witness: the trace's own record when
     // there is one, otherwise inferred from the worker count.
-    let engine = first.map_or(engine_label(opts.workers), |v| v.trace.engine.label());
+    let engine = first.map_or(engine_label(opts.config.workers), |v| {
+        v.trace.engine.label()
+    });
     let trace = first.map(|v| Json::Compact(Box::new(v.trace.to_value())));
     let secs = stats.duration.as_secs_f64();
     let rate = stats.unique_states as f64 / secs.max(1e-9);
@@ -674,13 +622,13 @@ fn run_json<'a>(
         ("bug", entry.map(|e| e.bug.label()).into()),
         ("kind", kind.into()),
         ("expected_violation", expected.into()),
-        ("strategy", opts.strategy.name().into()),
-        ("reduction", opts.reduction.name().into()),
-        ("workers", opts.workers.max(1).into()),
+        ("strategy", opts.config.strategy.name().into()),
+        ("reduction", opts.config.reduction.name().into()),
+        ("workers", opts.config.workers.into()),
         ("engine", engine.into()),
-        ("explored", opts.explored.name().into()),
+        ("explored", opts.config.explored.mode.name().into()),
         ("lossy", report.lossy.into()),
-        ("faults_enabled", opts.faults.into()),
+        ("faults_enabled", opts.config.inject_faults.into()),
         ("injected_faults", stats.faults.to_json()),
         ("outcome", report.outcome.label(stats.truncated).into()),
         ("passed", report.passed().into()),
@@ -723,7 +671,9 @@ fn cmd_sweep(args: &[String]) -> i32 {
     let mut cells = Vec::new();
     for strategy in StrategyKind::ALL {
         for reduction in ReductionKind::ALL {
-            let config = config_from(&opts, strategy, reduction);
+            let config = (opts.config.clone())
+                .with_strategy(strategy)
+                .with_reduction(reduction);
             let checker = ModelChecker::new(target.scenario.clone(), config);
             let mut session = checker.session();
             if let Some(budget) = opts.time_budget {
@@ -768,7 +718,7 @@ fn sweep_json<'a>(
 ) -> Json<'a> {
     let cells = cells.iter().map(|(strategy, reduction, report)| {
         let stats = &report.stats;
-        let met = expectation_met_json(target, report, opts.faults);
+        let met = expectation_met_json(target, report, opts.config.inject_faults);
         Json::object([
             ("strategy", strategy.name().into()),
             ("reduction", reduction.name().into()),
@@ -788,9 +738,9 @@ fn sweep_json<'a>(
         ("schema", "nice-cli-sweep-v3".into()),
         ("scenario", target.spec.as_str().into()),
         ("matrix", "strategies-x-reductions".into()),
-        ("workers", opts.workers.max(1).into()),
-        ("engine", engine_label(opts.workers).into()),
-        ("faults_enabled", opts.faults.into()),
+        ("workers", opts.config.workers.into()),
+        ("engine", engine_label(opts.config.workers).into()),
+        ("faults_enabled", opts.config.inject_faults.into()),
         ("cells", Json::Arr(cells.collect())),
     ])
 }
@@ -1021,6 +971,41 @@ fn cmd_validate_json() -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `run` and `submit` describe a check with the same nine flags: same
+    /// defaults, same `CheckerConfig` for a good value, same words for a bad
+    /// one.
+    #[test]
+    fn run_and_submit_parse_the_check_options_alike() {
+        let both = |flags: &[&str]| {
+            let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            let parse =
+                |mode| parse_run_options(&args, mode).map(|opts| (opts.config, opts.time_budget));
+            let run = parse(Mode::Run);
+            assert_eq!(run, parse(Mode::Submit), "{flags:?}");
+            run
+        };
+        let defaults = both(&[]).expect("no flags is a check");
+        let budgeted = CheckerConfig::default().with_max_transitions(500_000);
+        assert_eq!(defaults, (budgeted, None));
+        for (flag, good, bad) in [
+            ("--strategy", "unusual", "bfs"),
+            ("--reduction", "por", "tso"),
+            ("--explored", "tiered", "mmap"),
+            ("--mem-limit", "4096", "4k"),
+            ("--max-transitions", "0", "-1"),
+            ("--max-depth", "9", "deep"),
+            ("--time-budget-ms", "50", "1s"),
+        ] {
+            assert_ne!(both(&[flag, good]).expect(flag), defaults, "{flag}");
+            let refused = both(&[flag, bad]).expect_err(flag);
+            assert!(refused.contains(&format!("'{bad}'")), "{refused}");
+            assert_eq!(both(&[flag]), Err(format!("{flag} needs a value")));
+        }
+        for flag in ["--faults", "--all-violations"] {
+            assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
+        }
+    }
 
     #[test]
     fn trace_validation_requires_the_typed_schema() {

@@ -15,15 +15,15 @@
 //! or `error`. A `cancel` frame stops the named job whether it is running
 //! or still queued.
 //!
-//! `submit` is the matching client: build a [`JobSpec`] from the usual
-//! `run` flags, send it, stream progress to stderr, print the verdict.
+//! `submit` is the matching client: build a [`JobSpec`] from the flags it
+//! shares with `run`, send it, stream progress to stderr, print the verdict.
 
-use crate::{parse_number, usage_error};
+use crate::{parse_number, parse_run_options, usage_error, Mode};
 use nice_apps::scenarios::find_scenario;
 use nice_dist::{
     read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
 };
-use nice_mc::{CheckReport, ReductionKind, ShardSpec, StrategyKind};
+use nice_mc::{CheckReport, ShardSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -299,117 +299,27 @@ fn client_reader(id: u64, stream: &UnixStream, clients: &Clients) {
 // ---------------------------------------------------------------------------
 
 pub(crate) fn cmd_submit(args: &[String]) -> i32 {
-    let mut socket: Option<String> = None;
-    let mut spec = JobSpec::new("");
-    let mut scenario: Option<String> = None;
-    let mut expect = false;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        let step = match args[i].as_str() {
-            "--socket" => take(i).map(|v| {
-                socket = Some(v.clone());
-                2
-            }),
-            "--strategy" => take(i).and_then(|v| {
-                StrategyKind::parse(v)
-                    .map(|s| {
-                        spec.strategy = s;
-                        2
-                    })
-                    .ok_or_else(|| format!("unknown strategy '{v}'"))
-            }),
-            "--reduction" => take(i).and_then(|v| {
-                ReductionKind::parse(v)
-                    .map(|r| {
-                        spec.reduction = r;
-                        2
-                    })
-                    .ok_or_else(|| format!("unknown reduction '{v}'"))
-            }),
-            "--max-transitions" => take(i)
-                .and_then(|v| parse_number(v, "--max-transitions"))
-                .map(|n| {
-                    spec.max_transitions = n;
-                    2
-                }),
-            "--max-depth" => take(i)
-                .and_then(|v| parse_number(v, "--max-depth"))
-                .map(|n| {
-                    spec.max_depth = n as usize;
-                    2
-                }),
-            "--time-budget-ms" => take(i)
-                .and_then(|v| parse_number(v, "--time-budget-ms"))
-                .map(|n| {
-                    spec.time_budget_ms = n;
-                    2
-                }),
-            "--explored" => take(i).and_then(|v| {
-                nice_mc::ExploredMode::parse(v)
-                    .map(|m| {
-                        spec.explored = m;
-                        2
-                    })
-                    .ok_or_else(|| format!("unknown explored mode '{v}' (mem, tiered, bitstate)"))
-            }),
-            "--mem-limit" => take(i)
-                .and_then(|v| parse_number(v, "--mem-limit"))
-                .map(|n| {
-                    spec.mem_limit = n;
-                    2
-                }),
-            "--faults" => {
-                spec.inject_faults = true;
-                Ok(1)
-            }
-            "--all-violations" => {
-                spec.stop_at_first_violation = false;
-                Ok(1)
-            }
-            "--expect" => {
-                expect = true;
-                Ok(1)
-            }
-            "--quiet" => {
-                quiet = true;
-                Ok(1)
-            }
-            flag if flag.starts_with('-') => Err(format!("unknown submit option '{flag}'")),
-            name => {
-                if scenario.replace(name.to_string()).is_some() {
-                    Err("more than one scenario given".into())
-                } else {
-                    Ok(1)
-                }
-            }
-        };
-        match step {
-            Ok(n) => i += n,
-            Err(e) => return usage_error(&e),
-        }
-    }
-    let Some(socket) = socket else {
+    let opts = match parse_run_options(args, Mode::Submit) {
+        Ok(opts) => opts,
+        Err(e) => return usage_error(&e),
+    };
+    let Some(socket) = &opts.socket else {
         return usage_error("submit needs --socket PATH");
     };
-    let Some(scenario) = scenario else {
+    let Some(scenario) = &opts.scenario else {
         return usage_error("submit needs a scenario (a registry name or a spec like chain:5:2)");
     };
-    spec.scenario = scenario.clone();
+    let spec = opts.job(scenario);
 
     // --expect needs the registry's prediction; parameterised specs
     // (ping:N, chain:S:P) carry none.
-    let entry = find_scenario(&scenario);
-    if expect && entry.is_none() {
+    let entry = find_scenario(scenario);
+    if opts.expect && entry.is_none() {
         eprintln!("--expect needs a registry scenario (`nice list`); '{scenario}' is not one");
         return 2;
     }
 
-    let stream = match UnixStream::connect(&socket) {
+    let stream = match UnixStream::connect(socket) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot connect to '{socket}': {e} (is `nice serve` running?)");
@@ -441,14 +351,14 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
                 depth,
                 ..
             })) => {
-                if !quiet {
+                if !opts.quiet {
                     eprintln!(
                         "  {unique_states} states / {transitions} transitions, depth {depth}"
                     );
                 }
             }
             Ok(Some(Frame::Violation { violation, .. })) => {
-                if !quiet {
+                if !opts.quiet {
                     eprintln!(
                         "  violation: {} — {}",
                         violation.property, violation.message
@@ -475,9 +385,9 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
                 for property in &properties {
                     println!("  violated: {property}");
                 }
-                if expect {
+                if opts.expect {
                     let entry = entry.expect("checked above");
-                    let expected = crate::effective_expectation(&entry, spec.inject_faults);
+                    let expected = crate::effective_expectation(&entry, spec.config.inject_faults);
                     let met = match expected {
                         Some(property) => properties.contains(&property),
                         None => passed,
@@ -539,8 +449,8 @@ pub(crate) fn run_distributed(
                         "checking {} over {workers} worker process{} (strategy {}, reduction {})",
                         spec.scenario,
                         if workers == 1 { "" } else { "es" },
-                        spec.strategy.name(),
-                        spec.reduction.name(),
+                        spec.config.strategy.name(),
+                        spec.config.reduction.name(),
                     ),
                     JobEvent::Progress {
                         transitions,

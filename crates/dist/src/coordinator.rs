@@ -38,9 +38,8 @@
 use crate::pool::{PoolEvent, WorkerEvent, WorkerPool};
 use crate::proto::{Frame, WireViolation};
 use nice_mc::{
-    shard_of, CheckReport, CheckerConfig, ExploredConfig, ExploredMode, FrontierExport,
-    InterruptReason, Json, Outcome, ReductionKind, ShardSpec, StrategyKind, Trace, TraceEngine,
-    Violation,
+    shard_of, CheckReport, CheckerConfig, ExploredMode, FrontierExport, InterruptReason, Json,
+    Outcome, ShardSpec, Trace, TraceEngine, Violation,
 };
 use std::io;
 use std::path::PathBuf;
@@ -55,8 +54,8 @@ use std::time::{Duration, Instant};
 /// override) climbs past this.
 const MAX_CRASH_STREAK: u32 = 5;
 
-/// What to check and how: the distributed analogue of picking a registry
-/// scenario and a [`CheckerConfig`]. Serialized inside the `job` frame.
+/// What to check and how: a scenario spec, the [`CheckerConfig`] to search
+/// it with and the job's deadline. Serialized inside the `job` frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Scenario spec, resolved worker-side by
@@ -64,98 +63,49 @@ pub struct JobSpec {
     /// (`bug-v-packets-dropped-in-transition`) or a parameterised workload
     /// (`ping:2`, `chain:5:2`, `chain-faults:3:1`).
     pub scenario: String,
-    /// The search strategy.
-    pub strategy: StrategyKind,
-    /// Partial-order reduction layered on the strategy.
-    pub reduction: ReductionKind,
-    /// Schedule the scenario's fault plan.
-    pub inject_faults: bool,
-    /// Stop the whole job at the first violation any shard finds.
-    pub stop_at_first_violation: bool,
-    /// Job-wide transition budget (0 = unlimited).
-    pub max_transitions: u64,
-    /// Depth bound, per shard (depth is a path property, so per-shard and
-    /// global bounds coincide).
-    pub max_depth: usize,
+    /// The search configuration. `max_transitions` is the job-wide budget
+    /// (and each shard's own); the depth bound and the explored-set mode
+    /// and memory budget apply per shard. `workers` stays 1: a shard runs
+    /// the sequential engine, distribution happens *across* processes, and
+    /// the wire does not carry the field.
+    pub config: CheckerConfig,
     /// Wall-clock budget for the job in milliseconds (0 = unlimited).
     pub time_budget_ms: u64,
-    /// Explored-set storage mode each worker runs its shard with
-    /// ([`ExploredMode`]): a `tiered` job spills cold shards to the
-    /// worker-local disk exactly like a local tiered run.
-    pub explored: ExploredMode,
-    /// Per-worker explored-set memory budget in bytes (0 = the mode's
-    /// default; ignored by [`ExploredMode::Mem`]).
-    pub mem_limit: u64,
 }
 
 impl JobSpec {
-    /// A spec with the engine defaults (same defaults as
-    /// [`CheckerConfig::default`]) for the given scenario.
+    /// A spec with the engine defaults for the given scenario.
     pub fn new(scenario: impl Into<String>) -> Self {
-        let defaults = CheckerConfig::default();
         JobSpec {
             scenario: scenario.into(),
-            strategy: defaults.strategy,
-            reduction: defaults.reduction,
-            inject_faults: defaults.inject_faults,
-            stop_at_first_violation: defaults.stop_at_first_violation,
-            max_transitions: defaults.max_transitions,
-            max_depth: defaults.max_depth,
+            config: CheckerConfig::default(),
             time_budget_ms: 0,
-            explored: defaults.explored.mode,
-            mem_limit: defaults.explored.mem_limit,
         }
     }
 
-    /// The per-worker engine configuration this spec describes. Each worker
-    /// runs the deterministic sequential engine (`workers = 1`) over its
-    /// shard; distribution happens *across* processes, not inside one.
-    pub fn config(&self) -> CheckerConfig {
-        CheckerConfig {
-            strategy: self.strategy,
-            reduction: self.reduction,
-            inject_faults: self.inject_faults,
-            stop_at_first_violation: self.stop_at_first_violation,
-            max_transitions: self.max_transitions,
-            max_depth: self.max_depth,
-            workers: 1,
-            explored: ExploredConfig {
-                mode: self.explored,
-                mem_limit: self.mem_limit,
-            },
-            ..CheckerConfig::default()
-        }
-    }
-
-    /// The `"spec"` object of the `job` frame.
+    /// The `"spec"` object of the `job` frame: the scenario, then the
+    /// config's members with the deadline where `nice-dist-v2` has always
+    /// written it, ahead of the explored-set pair.
     pub fn to_json(&self) -> Json<'_> {
-        Json::object([
-            ("scenario", self.scenario.as_str().into()),
-            ("strategy", self.strategy.name().into()),
-            ("reduction", self.reduction.name().into()),
-            ("faults", self.inject_faults.into()),
-            ("stop_at_first", self.stop_at_first_violation.into()),
-            ("max_transitions", self.max_transitions.into()),
-            ("max_depth", self.max_depth.into()),
-            ("time_budget_ms", self.time_budget_ms.into()),
-            ("explored", self.explored.name().into()),
-            ("mem_limit", self.mem_limit.into()),
-        ])
+        let Json::Obj(mut members) = self.config.to_json() else {
+            unreachable!("a config is written as an object")
+        };
+        members.retain(|(key, _)| key != "workers");
+        let explored = members.iter().position(|(key, _)| key == "explored");
+        members.insert(
+            explored.expect("a config has an explored mode"),
+            ("time_budget_ms".into(), self.time_budget_ms.into()),
+        );
+        members.insert(0, ("scenario".into(), self.scenario.as_str().into()));
+        Json::Obj(members)
     }
 
     /// Reads what [`to_json`](Self::to_json) writes.
     pub fn from_json(value: &Json) -> Result<Self, String> {
         Ok(JobSpec {
             scenario: value.str("scenario")?.to_string(),
-            strategy: value.parsed("strategy", StrategyKind::parse)?,
-            reduction: value.parsed("reduction", ReductionKind::parse)?,
-            inject_faults: value.bool("faults")?,
-            stop_at_first_violation: value.bool("stop_at_first")?,
-            max_transitions: value.u64("max_transitions")?,
-            max_depth: value.u64("max_depth")? as usize,
+            config: CheckerConfig::from_json(value)?,
             time_budget_ms: value.u64("time_budget_ms")?,
-            explored: value.parsed("explored", ExploredMode::parse)?,
-            mem_limit: value.u64("mem_limit")?,
         })
     }
 }
@@ -424,8 +374,8 @@ impl Coordinator {
                         depth: progress.iter().map(|p| p.2).max().unwrap_or(0),
                     });
                     if !cancelled
-                        && spec.max_transitions > 0
-                        && total_transitions >= spec.max_transitions
+                        && spec.config.max_transitions > 0
+                        && total_transitions >= spec.config.max_transitions
                     {
                         cancelled = true;
                         self.pool.broadcast(&Frame::Cancel { job })?;
@@ -435,7 +385,7 @@ impl Coordinator {
                     if !finishing {
                         on_event(JobEvent::Violation(violation));
                     }
-                    if spec.stop_at_first_violation && !cancelled {
+                    if spec.config.stop_at_first_violation && !cancelled {
                         cancelled = true;
                         self.pool.broadcast(&Frame::Cancel { job })?;
                     }
@@ -497,7 +447,7 @@ fn merge_reports(
     interrupted: Option<InterruptReason>,
 ) -> CheckReport {
     let mut report = CheckReport::default();
-    let engine = TraceEngine::from_config(&spec.config());
+    let engine = TraceEngine::from_config(&spec.config);
     for (stats, violations) in shards {
         // Shards run concurrently over disjoint stores, so the merge's
         // summed explored-set peak is the job's resident footprint.
@@ -521,7 +471,7 @@ fn merge_reports(
         }
     }
     report.stats.duration = duration;
-    report.lossy = spec.explored == ExploredMode::Bitstate;
+    report.lossy = spec.config.explored.mode == ExploredMode::Bitstate;
     for v in &mut report.violations {
         v.transitions_explored = report.stats.transitions;
         v.unique_states = report.stats.unique_states;

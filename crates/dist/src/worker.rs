@@ -96,7 +96,7 @@ pub fn worker_main() -> io::Result<()> {
             Frame::Job { job, shard, spec } => {
                 let after = match nice_apps::workloads::resolve(&spec.scenario) {
                     Some(scenario) => {
-                        let checker = ModelChecker::new(scenario, spec.config());
+                        let checker = ModelChecker::new(scenario, spec.config.clone());
                         run_job(job, &checker, shard, &rx, &mut out, die_after)?
                     }
                     None => {

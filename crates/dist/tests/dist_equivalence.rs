@@ -14,7 +14,7 @@
 //! environment variable, which must not leak into concurrent spawns.
 
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
-use nice_mc::{CheckReport, ModelChecker, ReplayOutcome};
+use nice_mc::{CheckReport, CheckerConfig, ModelChecker, ReplayOutcome};
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
@@ -34,16 +34,17 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// A spec exploring the full space: every violation, no budgets.
 fn full_spec(scenario: &str, inject_faults: bool) -> JobSpec {
     JobSpec {
-        inject_faults,
-        stop_at_first_violation: false,
-        max_transitions: 0,
+        config: CheckerConfig::default()
+            .with_fault_injection(inject_faults)
+            .with_stop_at_first(false)
+            .with_max_transitions(0),
         ..JobSpec::new(scenario)
     }
 }
 
 fn sequential(spec: &JobSpec) -> CheckReport {
     let scenario = nice_apps::workloads::resolve(&spec.scenario).expect("known scenario spec");
-    ModelChecker::new(scenario, spec.config()).run()
+    ModelChecker::new(scenario, spec.config.clone()).run()
 }
 
 fn distributed(spec: &JobSpec, workers: usize) -> CheckReport {
@@ -190,7 +191,7 @@ fn distributed_violation_traces_replay_in_process() {
     // The merged report's traces must be replayable end to end on the
     // sequential engine — shipping steps over the wire loses nothing.
     let scenario = nice_apps::workloads::resolve(&spec.scenario).unwrap();
-    let checker = ModelChecker::new(scenario, spec.config());
+    let checker = ModelChecker::new(scenario, spec.config.clone());
     for violation in &dist.violations {
         let replay = checker.replay(&violation.trace);
         assert!(

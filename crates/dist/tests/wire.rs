@@ -18,8 +18,8 @@
 use nice_dist::worker::FORWARD_BATCH;
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV};
 use nice_mc::{
-    shard_of, CheckReport, ModelChecker, ReductionKind, ShardSpec, ShardedSearch, StepOutcome,
-    SystemState,
+    shard_of, CheckReport, CheckerConfig, ModelChecker, ReductionKind, ShardSpec, ShardedSearch,
+    StepOutcome, SystemState,
 };
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -35,15 +35,16 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// A spec exploring the full space: every violation, no budgets.
 fn full_spec(scenario: &str) -> JobSpec {
     JobSpec {
-        stop_at_first_violation: false,
-        max_transitions: 0,
+        config: CheckerConfig::default()
+            .with_stop_at_first(false)
+            .with_max_transitions(0),
         ..JobSpec::new(scenario)
     }
 }
 
 fn checker(spec: &JobSpec) -> ModelChecker {
     let scenario = nice_apps::workloads::resolve(&spec.scenario).expect("known scenario spec");
-    ModelChecker::new(scenario, spec.config())
+    ModelChecker::new(scenario, spec.config.clone())
 }
 
 fn distributed(spec: &JobSpec, workers: usize, on_event: impl FnMut(JobEvent)) -> CheckReport {
@@ -75,10 +76,8 @@ fn violation_set(report: &CheckReport) -> Vec<(&str, &str)> {
 #[test]
 fn a_por_job_over_two_processes_finds_the_sequential_violations() {
     let _guard = lock();
-    let spec = JobSpec {
-        reduction: ReductionKind::Por,
-        ..full_spec(BUG_V)
-    };
+    let mut spec = full_spec(BUG_V);
+    spec.config.reduction = ReductionKind::Por;
     let seq = checker(&spec).run();
     assert!(!seq.passed(), "BUG-V violates under POR too");
     assert!(seq.stats.pruned_by_por > 0);

@@ -454,7 +454,7 @@ impl Transition {
                         fp.touch(Res::IngressHead(*switch, port));
                         fp.head_packet_writes(state, *switch, port);
                     } else {
-                        // The coarse transition services *every* busy port,
+                        // The transition services *every* busy port,
                         // so making an idle port busy changes its behaviour:
                         // record an enabling read on the producer side.
                         fp.read(Res::IngressTail(*switch, port));
@@ -463,12 +463,6 @@ impl Transition {
                 for stray in busy {
                     fp.head_packet_writes(state, *switch, stray);
                 }
-            }
-
-            Transition::ProcessPacketOn { switch, port } => {
-                fp.touch(Res::Switch(*switch));
-                fp.touch(Res::IngressHead(*switch, *port));
-                fp.head_packet_writes(state, *switch, *port);
             }
 
             Transition::ProcessOf { switch } => {
@@ -542,10 +536,6 @@ impl Transition {
                 for (s, _) in state.switches() {
                     fp.write(Res::C2sTail(s));
                 }
-            }
-
-            Transition::ExpireRule { switch, .. } => {
-                fp.touch(Res::Switch(*switch));
             }
 
             Transition::ChannelFault {
@@ -646,10 +636,6 @@ impl Transition {
             | Transition::DiscoverStats { switch }
             | Transition::SwitchCrash { switch }
             | Transition::SwitchReconnect { switch } => switch.fingerprint(&mut h),
-            Transition::ProcessPacketOn { switch, port } => {
-                switch.fingerprint(&mut h);
-                port.fingerprint(&mut h);
-            }
             Transition::DiscoverPackets { host } => host.fingerprint(&mut h),
             Transition::InjectStats { switch, stats } => {
                 switch.fingerprint(&mut h);
@@ -657,10 +643,6 @@ impl Transition {
                 for entry in stats {
                     entry.fingerprint(&mut h);
                 }
-            }
-            Transition::ExpireRule { switch, rule_index } => {
-                switch.fingerprint(&mut h);
-                h.write_usize(*rule_index);
             }
             Transition::ChannelFault {
                 switch,

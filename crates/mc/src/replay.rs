@@ -154,7 +154,6 @@ impl<'a> Replayer<'a> {
     pub(crate) fn new(checker: &'a ModelChecker, engine: &TraceEngine) -> Self {
         let mut config = checker.config().clone();
         config.strategy = engine.strategy;
-        config.coarse_packet_processing = engine.coarse_packet_processing;
         config.inject_faults = engine.faults;
         config.workers = 1;
         // Replay follows the recorded sequence; it never prunes.

@@ -1,12 +1,14 @@
 //! What to check and how to search: the [`Scenario`] (system under test) and
 //! the [`CheckerConfig`] (search configuration).
 
+use crate::explored::{ExploredConfig, ExploredMode};
 use crate::faults::FaultPlan;
+use crate::json::Json;
 use crate::properties::Property;
 use nice_controller::ControllerApp;
 use nice_hosts::HostModel;
 use nice_openflow::{HostId, Packet, SwitchConfig, Topology};
-use nice_sym::{ExploreConfig, PacketDomains, StatsDomains};
+use nice_sym::{PacketDomains, StatsDomains};
 use std::collections::BTreeMap;
 
 /// How clients choose the packets they send.
@@ -413,8 +415,10 @@ impl ReductionKind {
     }
 }
 
-/// Search configuration.
-#[derive(Debug, Clone)]
+/// Search configuration: the one description of a check. The CLI parses its
+/// flags into one, the `nice-dist-v2` job frame carries one
+/// ([`to_json`](CheckerConfig::to_json)), and the engine reads nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckerConfig {
     /// The search strategy.
     pub strategy: StrategyKind,
@@ -425,13 +429,6 @@ pub struct CheckerConfig {
     /// Stop at the first property violation (the paper's default workflow) or
     /// keep searching to collect every violation.
     pub stop_at_first_violation: bool,
-    /// Process all of a switch's busy ingress ports in one `process_pkt`
-    /// transition (the paper's simplification). Disabling it yields the
-    /// fine-grained interleaving granularity of generic model checkers, used
-    /// for the Section 7 comparison.
-    pub coarse_packet_processing: bool,
-    /// Explore rule-expiry (timeout) transitions.
-    pub explore_rule_expiry: bool,
     /// Number of worker threads for the state-space search. `1` (the
     /// default) runs the fully deterministic sequential engine; larger
     /// values explore the same state space concurrently with a shared
@@ -448,13 +445,11 @@ pub struct CheckerConfig {
     /// scenario carrying a plan can still be checked fault-free (the CLI's
     /// `--faults` flag flips this on).
     pub inject_faults: bool,
-    /// Limits on symbolic path exploration.
-    pub explore: ExploreConfig,
     /// How the explored fingerprint set is stored (see
     /// [`ExploredConfig`](crate::explored::ExploredConfig)): exact in-memory
     /// (the default), exact with cold-shard spill to disk, or lossy bitstate
     /// hashing.
-    pub explored: crate::explored::ExploredConfig,
+    pub explored: ExploredConfig,
 }
 
 impl Default for CheckerConfig {
@@ -464,29 +459,15 @@ impl Default for CheckerConfig {
             max_transitions: 2_000_000,
             max_depth: 400,
             stop_at_first_violation: true,
-            coarse_packet_processing: true,
-            explore_rule_expiry: false,
             workers: 1,
             reduction: ReductionKind::None,
             inject_faults: false,
-            explore: ExploreConfig::default(),
-            explored: crate::explored::ExploredConfig::default(),
+            explored: ExploredConfig::default(),
         }
     }
 }
 
 impl CheckerConfig {
-    /// The configuration used for the generic-model-checker baseline of the
-    /// Section 7 comparison: no coarse packet processing (finest interleaving
-    /// granularity). Combine with a scenario whose switches disable the
-    /// canonical flow table to remove all domain-specific reductions.
-    pub fn generic_baseline() -> Self {
-        CheckerConfig {
-            coarse_packet_processing: false,
-            ..Default::default()
-        }
-    }
-
     /// Sets the strategy (builder style).
     pub fn with_strategy(mut self, strategy: StrategyKind) -> Self {
         self.strategy = strategy;
@@ -535,7 +516,7 @@ impl CheckerConfig {
     /// Selects the explored-set storage mode (builder style). The memory
     /// limit keeps its current value; see
     /// [`with_mem_limit`](CheckerConfig::with_mem_limit).
-    pub fn with_explored(mut self, mode: crate::explored::ExploredMode) -> Self {
+    pub fn with_explored(mut self, mode: ExploredMode) -> Self {
         self.explored.mode = mode;
         self
     }
@@ -546,6 +527,45 @@ impl CheckerConfig {
     pub fn with_mem_limit(mut self, bytes: u64) -> Self {
         self.explored.mem_limit = bytes;
         self
+    }
+
+    /// The eight fields as a JSON object, under the keys (and in the order)
+    /// the `nice-dist-v2` job frame has always used for the ones it carries;
+    /// `workers`, which that frame leaves out, comes last.
+    pub fn to_json(&self) -> Json<'static> {
+        Json::object([
+            ("strategy", self.strategy.name().into()),
+            ("reduction", self.reduction.name().into()),
+            ("faults", self.inject_faults.into()),
+            ("stop_at_first", self.stop_at_first_violation.into()),
+            ("max_transitions", self.max_transitions.into()),
+            ("max_depth", self.max_depth.into()),
+            ("explored", self.explored.mode.name().into()),
+            ("mem_limit", self.explored.mem_limit.into()),
+            ("workers", self.workers.into()),
+        ])
+    }
+
+    /// Reads what [`to_json`](Self::to_json) writes, from any object that
+    /// holds those members. An absent `workers` is 1: a shard of a
+    /// distributed job runs the sequential engine.
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(CheckerConfig {
+            strategy: value.parsed("strategy", StrategyKind::parse)?,
+            reduction: value.parsed("reduction", ReductionKind::parse)?,
+            inject_faults: value.bool("faults")?,
+            stop_at_first_violation: value.bool("stop_at_first")?,
+            max_transitions: value.u64("max_transitions")?,
+            max_depth: value.u64("max_depth")? as usize,
+            explored: ExploredConfig {
+                mode: value.parsed("explored", ExploredMode::parse)?,
+                mem_limit: value.u64("mem_limit")?,
+            },
+            workers: match value.get("workers") {
+                Ok(_) => value.u64("workers")?.max(1) as usize,
+                Err(_) => 1,
+            },
+        })
     }
 }
 
@@ -605,7 +625,6 @@ mod tests {
     #[test]
     fn checker_config_defaults_and_builders() {
         let config = CheckerConfig::default();
-        assert!(config.coarse_packet_processing);
         assert!(config.stop_at_first_violation);
         assert_eq!(config.strategy, StrategyKind::FullDfs);
         let tuned = CheckerConfig::default()
@@ -615,6 +634,35 @@ mod tests {
         assert_eq!(tuned.strategy, StrategyKind::Unusual);
         assert_eq!(tuned.max_transitions, 10);
         assert!(!tuned.stop_at_first_violation);
-        assert!(!CheckerConfig::generic_baseline().coarse_packet_processing);
+    }
+
+    #[test]
+    fn checker_config_round_trips_through_json() {
+        // Every field off its default.
+        let config = CheckerConfig {
+            strategy: StrategyKind::Unusual,
+            max_transitions: 7,
+            max_depth: 9,
+            stop_at_first_violation: false,
+            workers: 3,
+            reduction: ReductionKind::Por,
+            inject_faults: true,
+            explored: ExploredConfig {
+                mode: ExploredMode::Tiered,
+                mem_limit: 4096,
+            },
+        };
+        let text = config.to_json().compact();
+        let parsed = Json::parse(&text).expect("parse");
+        assert_eq!(CheckerConfig::from_json(&parsed), Ok(config.clone()));
+
+        for (good, bad, names) in [
+            ("\"UNUSUAL\"", "\"bfs\"", "unknown strategy 'bfs'"),
+            ("\"tiered\"", "\"mmap\"", "unknown explored 'mmap'"),
+        ] {
+            let text = text.replace(good, bad);
+            let parsed = Json::parse(&text).expect("parse");
+            assert_eq!(CheckerConfig::from_json(&parsed), Err(names.to_string()));
+        }
     }
 }

@@ -116,11 +116,9 @@ fn anchor(transition: &Transition) -> LaneKey {
         | Transition::DiscoverPackets { host } => LaneKey::Host(*host),
         Transition::ControllerHandle { .. } | Transition::ControllerFailover => LaneKey::Ctrl,
         Transition::ProcessPacket { switch }
-        | Transition::ProcessPacketOn { switch, .. }
         | Transition::ProcessOf { switch }
         | Transition::DiscoverStats { switch }
         | Transition::InjectStats { switch, .. }
-        | Transition::ExpireRule { switch, .. }
         | Transition::ChannelFault { switch, .. }
         | Transition::SwitchCrash { switch }
         | Transition::SwitchReconnect { switch }

@@ -49,8 +49,6 @@ pub struct TraceEngine {
     pub workers: usize,
     /// Whether fault transitions were schedulable.
     pub faults: bool,
-    /// Whether `process_pkt` serviced all busy ports at once.
-    pub coarse_packet_processing: bool,
 }
 
 impl TraceEngine {
@@ -61,7 +59,6 @@ impl TraceEngine {
             reduction: config.reduction,
             workers: config.workers.max(1),
             faults: config.inject_faults,
-            coarse_packet_processing: config.coarse_packet_processing,
         }
     }
 
@@ -80,7 +77,9 @@ impl TraceEngine {
         }
     }
 
-    /// The `"engine"` object of a trace document.
+    /// The `"engine"` object of a trace document. `process_pkt` services
+    /// every busy port, always: the key that once said so is written as a
+    /// constant, so the documents keep their bytes.
     pub fn to_json(&self) -> Json<'_> {
         let strategy = self.strategy.name().to_ascii_lowercase();
         Json::object([
@@ -88,10 +87,7 @@ impl TraceEngine {
             ("reduction", self.reduction.name().into()),
             ("workers", self.workers.into()),
             ("faults", self.faults.into()),
-            (
-                "coarse_packet_processing",
-                self.coarse_packet_processing.into(),
-            ),
+            ("coarse_packet_processing", true.into()),
             ("deterministic", self.deterministic().into()),
         ])
     }
@@ -99,12 +95,18 @@ impl TraceEngine {
     /// Reads an `"engine"` object (`"deterministic"` is derived from
     /// `"workers"`, not read).
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        if !value.bool("coarse_packet_processing")? {
+            return Err(
+                "coarse_packet_processing is false: that is the per-port process_pkt \
+                 mode, which was removed"
+                    .to_string(),
+            );
+        }
         Ok(TraceEngine {
             strategy: value.parsed("strategy", StrategyKind::parse)?,
             reduction: value.parsed("reduction", ReductionKind::parse)?,
             workers: value.u64("workers")?.max(1) as usize,
             faults: value.bool("faults")?,
-            coarse_packet_processing: value.bool("coarse_packet_processing")?,
         })
     }
 }
@@ -272,9 +274,6 @@ impl Transition {
             | Transition::SwitchReconnect { switch } => {
                 Json::object([kind, ("switch", switch.0.into())])
             }
-            Transition::ProcessPacketOn { switch, port } => {
-                Json::object([kind, ("switch", switch.0.into()), ("port", port.0.into())])
-            }
             Transition::InjectStats { switch, stats } => Json::object([
                 kind,
                 ("switch", switch.0.into()),
@@ -282,11 +281,6 @@ impl Transition {
                     "stats",
                     Json::Arr(stats.iter().map(stats_to_json).collect()),
                 ),
-            ]),
-            Transition::ExpireRule { switch, rule_index } => Json::object([
-                kind,
-                ("switch", switch.0.into()),
-                ("rule_index", (*rule_index).into()),
             ]),
             Transition::ChannelFault {
                 switch,
@@ -327,10 +321,6 @@ impl Transition {
                 },
             },
             "process_pkt" => Transition::ProcessPacket { switch: switch()? },
-            "process_pkt_on" => Transition::ProcessPacketOn {
-                switch: switch()?,
-                port: port()?,
-            },
             "process_of" => Transition::ProcessOf { switch: switch()? },
             "ctrl_handle" => Transition::ControllerHandle { switch: switch()? },
             "discover_packets" => Transition::DiscoverPackets { host: host()? },
@@ -340,10 +330,6 @@ impl Transition {
                 stats: (value.arr("stats")?.iter())
                     .map(stats_from_json)
                     .collect::<Result<_, _>>()?,
-            },
-            "expire_rule" => Transition::ExpireRule {
-                switch: switch()?,
-                rule_index: value.u64("rule_index")? as usize,
             },
             "channel_fault" => Transition::ChannelFault {
                 switch: switch()?,
@@ -357,6 +343,12 @@ impl Transition {
                 switch: switch()?,
                 mutation: value.parsed("mutation", mutation_parse)?,
             },
+            removed @ ("process_pkt_on" | "expire_rule") => {
+                return Err(format!(
+                    "step kind '{removed}' was removed (per-port packet processing and \
+                     rule expiry are no longer modelled)"
+                ))
+            }
             other => return Err(format!("unknown step kind '{other}'")),
         })
     }
@@ -450,7 +442,7 @@ mod tests {
         }
     }
 
-    /// One transition of each of the 16 step kinds.
+    /// One transition of each of the 14 step kinds.
     fn every_kind() -> Vec<Transition> {
         vec![
             Transition::HostSend {
@@ -467,10 +459,6 @@ mod tests {
             },
             Transition::ProcessPacket {
                 switch: SwitchId(1),
-            },
-            Transition::ProcessPacketOn {
-                switch: SwitchId(1),
-                port: PortId(2),
             },
             Transition::ProcessOf {
                 switch: SwitchId(4),
@@ -494,10 +482,6 @@ mod tests {
                     },
                     PortStatsEntry::zero(PortId(2)),
                 ],
-            },
-            Transition::ExpireRule {
-                switch: SwitchId(2),
-                rule_index: 5,
             },
             Transition::ChannelFault {
                 switch: SwitchId(1),
@@ -540,7 +524,7 @@ mod tests {
     }
 
     /// The `nice-trace-v1` bytes, recorded from the emitter this module had
-    /// before it was rebuilt on `crate::json`: all 16 step kinds, every
+    /// before it was rebuilt on `crate::json`: the 14 step kinds, every
     /// escape class in the strings, both engine shapes.
     #[test]
     fn golden_bytes_are_pinned() {
@@ -553,16 +537,15 @@ mod tests {
             reduction: ReductionKind::Por,
             workers: 4,
             faults: true,
-            coarse_packet_processing: false,
         };
         for (trace, golden) in [
             (
                 trace,
-                r#"{"schema":"nice-trace-v1","scenario":"golden \"kinds\"","property":"NoForgottenPackets","message":"packet 9 \\ \"lost\"\n\tat sw1 \u0001 é","engine":{"strategy":"pkt-seq","reduction":"none","workers":1,"faults":false,"coarse_packet_processing":true,"deterministic":true},"steps":[{"kind":"host_send","host":3,"packet":{"id":9,"src_mac":2199023255555,"dst_mac":2199023255556,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":5}},{"kind":"host_receive","host":2},{"kind":"host_move","host":1,"switch":2,"port":3},{"kind":"process_pkt","switch":1},{"kind":"process_pkt_on","switch":1,"port":2},{"kind":"process_of","switch":4},{"kind":"ctrl_handle","switch":5},{"kind":"discover_packets","host":1},{"kind":"discover_stats","switch":1},{"kind":"process_stats","switch":1,"stats":[{"port":1,"rx_packets":3,"tx_packets":4,"rx_bytes":1500,"tx_bytes":9000},{"port":2,"rx_packets":0,"tx_packets":0,"rx_bytes":0,"tx_bytes":0}]},{"kind":"expire_rule","switch":2,"rule_index":5},{"kind":"channel_fault","switch":1,"port":1,"fault":"fail_link"},{"kind":"switch_crash","switch":3},{"kind":"switch_reconnect","switch":3},{"kind":"ctrl_failover"},{"kind":"mutate_of","switch":1,"mutation":"drop_actions"}]}"#,
+                r#"{"schema":"nice-trace-v1","scenario":"golden \"kinds\"","property":"NoForgottenPackets","message":"packet 9 \\ \"lost\"\n\tat sw1 \u0001 é","engine":{"strategy":"pkt-seq","reduction":"none","workers":1,"faults":false,"coarse_packet_processing":true,"deterministic":true},"steps":[{"kind":"host_send","host":3,"packet":{"id":9,"src_mac":2199023255555,"dst_mac":2199023255556,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":5}},{"kind":"host_receive","host":2},{"kind":"host_move","host":1,"switch":2,"port":3},{"kind":"process_pkt","switch":1},{"kind":"process_of","switch":4},{"kind":"ctrl_handle","switch":5},{"kind":"discover_packets","host":1},{"kind":"discover_stats","switch":1},{"kind":"process_stats","switch":1,"stats":[{"port":1,"rx_packets":3,"tx_packets":4,"rx_bytes":1500,"tx_bytes":9000},{"port":2,"rx_packets":0,"tx_packets":0,"rx_bytes":0,"tx_bytes":0}]},{"kind":"channel_fault","switch":1,"port":1,"fault":"fail_link"},{"kind":"switch_crash","switch":3},{"kind":"switch_reconnect","switch":3},{"kind":"ctrl_failover"},{"kind":"mutate_of","switch":1,"mutation":"drop_actions"}]}"#,
             ),
             (
                 Trace::from_transitions("t", parallel, []),
-                r#"{"schema":"nice-trace-v1","scenario":"t","property":null,"message":null,"engine":{"strategy":"no-delay","reduction":"por","workers":4,"faults":true,"coarse_packet_processing":false,"deterministic":false},"steps":[]}"#,
+                r#"{"schema":"nice-trace-v1","scenario":"t","property":null,"message":null,"engine":{"strategy":"no-delay","reduction":"por","workers":4,"faults":true,"coarse_packet_processing":true,"deterministic":false},"steps":[]}"#,
             ),
         ] {
             assert_eq!(trace.to_json(), golden);
@@ -590,6 +573,40 @@ mod tests {
              \"steps\":[{\"kind\":\"opaque\",\"label\":\"step one\"}]}";
         let err = Trace::from_json(legacy).unwrap_err();
         assert!(err.contains("unknown step kind"), "{err}");
+    }
+
+    /// What the removed modes wrote is refused by name, never skipped.
+    #[test]
+    fn documents_of_the_removed_modes_are_rejected() {
+        let document = |coarse: bool, step: &str| {
+            format!(
+                "{{\"schema\":\"nice-trace-v1\",\"scenario\":\"x\",\"property\":null,\
+                 \"message\":null,\"engine\":{{\"strategy\":\"pkt-seq\",\"reduction\":\"none\",\
+                 \"workers\":1,\"faults\":false,\"coarse_packet_processing\":{coarse}}},\
+                 \"steps\":[{step}]}}"
+            )
+        };
+        assert!(Trace::from_json(&document(true, "")).is_ok());
+        for (coarse, step, names) in [
+            (
+                false,
+                "",
+                "the per-port process_pkt mode, which was removed",
+            ),
+            (
+                true,
+                r#"{"kind":"process_pkt_on","switch":1,"port":2}"#,
+                "steps[0]: step kind 'process_pkt_on' was removed",
+            ),
+            (
+                true,
+                r#"{"kind":"expire_rule","switch":2,"rule_index":5}"#,
+                "steps[0]: step kind 'expire_rule' was removed",
+            ),
+        ] {
+            let err = Trace::from_json(&document(coarse, step)).unwrap_err();
+            assert!(err.contains(names), "{err}");
+        }
     }
 
     #[test]
@@ -634,7 +651,6 @@ mod tests {
                     reduction,
                     workers: 4,
                     faults: true,
-                    coarse_packet_processing: false,
                 };
                 let trace = Trace::from_transitions("t", engine, []);
                 let parsed = Trace::from_json(&trace.to_json()).expect("round trip");

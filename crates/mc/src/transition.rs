@@ -15,7 +15,7 @@ use nice_openflow::{
     BufferId, ChannelFault, FifoChannel, ForwardingDecision, HostId, Location, OfMessage,
     OfMutation, Packet, PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput,
 };
-use nice_sym::{ConcreteEnv, PathExplorer, Solver, SymPacket, SymStats};
+use nice_sym::{ConcreteEnv, ExploreConfig, PathExplorer, Solver, SymPacket, SymStats};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -43,18 +43,10 @@ pub enum Transition {
         to: Location,
     },
     /// A switch processes the packet at the head of every busy ingress
-    /// channel (the paper's coarse `process_pkt` transition).
+    /// channel (the paper's `process_pkt` transition).
     ProcessPacket {
         /// The switch.
         switch: SwitchId,
-    },
-    /// Fine-grained variant: the switch processes only the head packet of a
-    /// single ingress channel (used by the generic-model-checker baseline).
-    ProcessPacketOn {
-        /// The switch.
-        switch: SwitchId,
-        /// The ingress port to service.
-        port: PortId,
     },
     /// A switch processes the next OpenFlow message from the controller
     /// (`process_of`).
@@ -87,13 +79,6 @@ pub enum Transition {
         switch: SwitchId,
         /// The concrete statistics values.
         stats: Vec<PortStatsEntry>,
-    },
-    /// A rule with a timeout expires at a switch.
-    ExpireRule {
-        /// The switch.
-        switch: SwitchId,
-        /// The canonical index of the expiring rule.
-        rule_index: usize,
     },
     /// Inject a channel fault (drop / duplicate / reorder the head, or fail
     /// the link) on a fault-enabled ingress channel. Consumes one unit of
@@ -142,13 +127,11 @@ impl Transition {
             Transition::HostReceive { .. } => "host_receive",
             Transition::HostMove { .. } => "host_move",
             Transition::ProcessPacket { .. } => "process_pkt",
-            Transition::ProcessPacketOn { .. } => "process_pkt_on",
             Transition::ProcessOf { .. } => "process_of",
             Transition::ControllerHandle { .. } => "ctrl_handle",
             Transition::DiscoverPackets { .. } => "discover_packets",
             Transition::DiscoverStats { .. } => "discover_stats",
             Transition::InjectStats { .. } => "process_stats",
-            Transition::ExpireRule { .. } => "expire_rule",
             Transition::ChannelFault { .. } => "channel_fault",
             Transition::SwitchCrash { .. } => "switch_crash",
             Transition::SwitchReconnect { .. } => "switch_reconnect",
@@ -184,18 +167,12 @@ impl fmt::Display for Transition {
             Transition::HostReceive { host } => write!(f, "{host} receive"),
             Transition::HostMove { host, to } => write!(f, "{host} move to {to}"),
             Transition::ProcessPacket { switch } => write!(f, "{switch} process_pkt"),
-            Transition::ProcessPacketOn { switch, port } => {
-                write!(f, "{switch} process_pkt on {port}")
-            }
             Transition::ProcessOf { switch } => write!(f, "{switch} process_of"),
             Transition::ControllerHandle { switch } => write!(f, "ctrl handle msg from {switch}"),
             Transition::DiscoverPackets { host } => write!(f, "discover_packets({host})"),
             Transition::DiscoverStats { switch } => write!(f, "discover_stats({switch})"),
             Transition::InjectStats { switch, stats } => {
                 write!(f, "process_stats({switch}, {} ports)", stats.len())
-            }
-            Transition::ExpireRule { switch, rule_index } => {
-                write!(f, "expire rule #{rule_index} at {switch}")
             }
             Transition::ChannelFault {
                 switch,
@@ -354,31 +331,15 @@ pub fn enabled_transitions(
     }
 
     // Switch and controller transitions.
-    for (switch_id, switch) in state.switches() {
-        let mut busy_ports = state.busy_ingress_ports(switch_id);
-        if config.coarse_packet_processing {
-            if busy_ports.next().is_some() {
-                out.push(Transition::ProcessPacket { switch: switch_id });
-            }
-        } else {
-            out.extend(busy_ports.map(|port| Transition::ProcessPacketOn {
-                switch: switch_id,
-                port,
-            }));
+    for (switch_id, _) in state.switches() {
+        if state.busy_ingress_ports(switch_id).next().is_some() {
+            out.push(Transition::ProcessPacket { switch: switch_id });
         }
         if state.ctrl_to_sw(switch_id).is_some_and(|ch| !ch.is_empty()) {
             out.push(Transition::ProcessOf { switch: switch_id });
         }
         if state.sw_to_ctrl(switch_id).is_some_and(|ch| !ch.is_empty()) {
             out.push(Transition::ControllerHandle { switch: switch_id });
-        }
-        if config.explore_rule_expiry {
-            for rule_index in switch.expirable_rules() {
-                out.push(Transition::ExpireRule {
-                    switch: switch_id,
-                    rule_index,
-                });
-            }
         }
         if state.controller().uses_stats() && state.stats_pending(switch_id) {
             match state.discovered_stats(switch_id, ctrl_fp) {
@@ -452,12 +413,14 @@ pub fn enabled_transitions(
 }
 
 /// Executes one transition, mutating `state` and appending the observable
-/// events to `events`.
+/// events to `events`. What a transition does no longer depends on the
+/// search configuration; the parameter stays because `benchmark/`'s probe
+/// binds this signature.
 pub fn execute(
     state: &mut SystemState,
     transition: &Transition,
     scenario: &Scenario,
-    config: &CheckerConfig,
+    _config: &CheckerConfig,
     memo: &mut DiscoveryMemo,
     events: &mut Vec<Event>,
 ) {
@@ -527,10 +490,6 @@ pub fn execute(
             }
         }
 
-        Transition::ProcessPacketOn { switch, port } => {
-            process_one_ingress(state, *switch, *port, events);
-        }
-
         Transition::ProcessOf { switch } => {
             let msg = state
                 .ctrl_to_sw_mut(*switch)
@@ -590,11 +549,11 @@ pub fn execute(
         }
 
         Transition::DiscoverPackets { host } => {
-            discover_packets(state, *host, scenario, config, memo);
+            discover_packets(state, *host, scenario, memo);
         }
 
         Transition::DiscoverStats { switch } => {
-            discover_stats(state, *switch, scenario, config, memo);
+            discover_stats(state, *switch, scenario, memo);
         }
 
         Transition::InjectStats { switch, stats } => {
@@ -605,19 +564,6 @@ pub fn execute(
             let produced = state.controller_mut().run_stats_in(&mut env, *switch, &sym);
             for (target, m) in produced {
                 state.enqueue_to_switch(target, m);
-            }
-        }
-
-        Transition::ExpireRule { switch, rule_index } => {
-            let expired = state
-                .switch_mut(*switch)
-                .expect("unknown switch")
-                .expire_rule(*rule_index);
-            if let Some(rule) = expired {
-                events.push(Event::RuleDeleted {
-                    switch: *switch,
-                    pattern: rule.pattern,
-                });
             }
         }
 
@@ -857,7 +803,6 @@ fn discover_packets(
     state: &mut SystemState,
     host: HostId,
     scenario: &Scenario,
-    config: &CheckerConfig,
     memo: &mut DiscoveryMemo,
 ) {
     let ctrl_fp = state.controller_fingerprint();
@@ -883,7 +828,7 @@ fn discover_packets(
         reason: nice_openflow::PacketInReason::NoMatch,
     };
     let snapshot = state.controller().clone();
-    let explorer = PathExplorer::new(config.explore);
+    let explorer = PathExplorer::new(ExploreConfig::default());
     let outcome = explorer.explore(&mut solver, |env| {
         let mut controller = snapshot.clone();
         let _ = controller.run_packet_in_symbolic(env, ctx, &sym_packet);
@@ -929,7 +874,6 @@ fn discover_stats(
     state: &mut SystemState,
     switch: SwitchId,
     scenario: &Scenario,
-    config: &CheckerConfig,
     memo: &mut DiscoveryMemo,
 ) {
     let ctrl_fp = state.controller_fingerprint();
@@ -950,7 +894,7 @@ fn discover_stats(
     let mut solver = Solver::new();
     let sym_stats = SymStats::symbolic(&mut solver, &ports, &scenario.stats_domains);
     let snapshot = state.controller().clone();
-    let explorer = PathExplorer::new(config.explore);
+    let explorer = PathExplorer::new(ExploreConfig::default());
     let outcome = explorer.explore(&mut solver, |env| {
         let mut controller = snapshot.clone();
         let _ = controller.run_stats_in(env, switch, &sym_stats);
@@ -1106,41 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_vs_fine_packet_processing() {
-        let scenario = testutil::hub_ping_scenario(1);
-        let mut state = SystemState::initial(&scenario);
-        let pkt1 = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
-        let pkt2 = Packet::l2_ping(2, MacAddr::for_host(2), MacAddr::for_host(1), 0);
-        state.enqueue_ingress(SwitchId(1), PortId(1), pkt1);
-        state.enqueue_ingress(SwitchId(1), PortId(2), pkt2);
-
-        let coarse = CheckerConfig::default();
-        let enabled = enabled_transitions(&state, &scenario, &coarse);
-        let pkt_transitions: Vec<_> = enabled
-            .iter()
-            .filter(|t| {
-                matches!(
-                    t,
-                    Transition::ProcessPacket { .. } | Transition::ProcessPacketOn { .. }
-                )
-            })
-            .collect();
-        assert_eq!(pkt_transitions.len(), 1, "coarse mode merges busy ports");
-
-        let fine = CheckerConfig::generic_baseline();
-        let enabled = enabled_transitions(&state, &scenario, &fine);
-        let pkt_transitions: Vec<_> = enabled
-            .iter()
-            .filter(|t| matches!(t, Transition::ProcessPacketOn { .. }))
-            .collect();
-        assert_eq!(
-            pkt_transitions.len(),
-            2,
-            "fine mode exposes one transition per port"
-        );
-    }
-
-    #[test]
     fn coarse_process_packet_services_every_busy_port() {
         let scenario = testutil::hub_ping_scenario(1);
         let config = CheckerConfig::default();
@@ -1151,6 +1060,14 @@ mod tests {
         let pkt2 = Packet::l2_ping(2, MacAddr::for_host(2), MacAddr::for_host(1), 0);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt1);
         state.enqueue_ingress(SwitchId(1), PortId(2), pkt2);
+        let process_pkt = enabled_transitions(&state, &scenario, &config)
+            .iter()
+            .filter(|t| matches!(t, Transition::ProcessPacket { .. }))
+            .count();
+        assert_eq!(
+            process_pkt, 1,
+            "one process_pkt however many ports are busy"
+        );
         execute(
             &mut state,
             &Transition::ProcessPacket {

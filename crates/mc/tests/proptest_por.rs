@@ -148,19 +148,6 @@ proptest! {
         let outcome = check_commutation(&state, &scenario, &config);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
-
-    /// Fine-grained (per-port) packet processing obeys the same relation.
-    #[test]
-    fn independent_pairs_commute_with_fine_grained_processing(
-        seed in 0u64..1_000_000,
-        steps in 0usize..12,
-    ) {
-        let scenario = testutil::hub_ping_scenario(2);
-        let config = CheckerConfig::generic_baseline();
-        let state = random_state(&scenario, &config, seed, steps);
-        let outcome = check_commutation(&state, &scenario, &config);
-        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
-    }
 }
 
 /// Deterministic smoke check that the property is not vacuous: the walk

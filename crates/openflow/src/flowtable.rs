@@ -22,9 +22,9 @@ use std::fmt;
 
 /// Soft (idle) and hard timeouts attached to a rule.
 ///
-/// The model checker does not advance wall-clock time; timeouts are recorded
-/// so that an (optional) `expire_rule` transition and the application code can
-/// reason about them, matching how the paper discusses BUG-I.
+/// The model checker does not advance wall-clock time and no rule ever
+/// expires; timeouts are recorded so that the application code can reason
+/// about them, matching how the paper discusses BUG-I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Timeouts {
     /// Idle (soft) timeout in abstract seconds; `None` means permanent.

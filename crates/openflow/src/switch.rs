@@ -344,33 +344,6 @@ impl Switch {
         out
     }
 
-    /// Expires the rule at canonical index `index`, modelling a timeout
-    /// firing. Only rules with a timeout configured can expire. Returns the
-    /// expired rule.
-    pub fn expire_rule(&mut self, index: usize) -> Option<FlowRule> {
-        let can_expire = self
-            .flow_table
-            .rule(index)
-            .map(|r| r.timeouts.can_expire())
-            .unwrap_or(false);
-        if can_expire {
-            self.flow_table.remove_index(index)
-        } else {
-            None
-        }
-    }
-
-    /// Indices of rules that could expire (used to enable timeout
-    /// transitions when the model checker is configured to explore them).
-    pub fn expirable_rules(&self) -> Vec<usize> {
-        self.flow_table
-            .rules()
-            .enumerate()
-            .filter(|(_, r)| r.timeouts.can_expire())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     fn send_to_controller(
         &mut self,
         packet: Packet,
@@ -697,26 +670,6 @@ mod tests {
         }
         assert_eq!(sw.buffered_count(), 2);
         assert_eq!(sw.buffer_overflow_drops, 1);
-    }
-
-    #[test]
-    fn expire_rule_only_with_timeout() {
-        let mut sw = switch();
-        let pkt = ping();
-        sw.flow_table.add_rule(FlowRule::new(
-            MatchPattern::l2_flow(&pkt, PortId(1)),
-            100,
-            vec![Action::Output(PortId(2))],
-        ));
-        assert!(sw.expirable_rules().is_empty());
-        assert!(sw.expire_rule(0).is_none());
-        sw.flow_table.add_rule(
-            FlowRule::new(MatchPattern::any(), 1, vec![Action::Drop])
-                .with_timeouts(Timeouts::SOFT_5),
-        );
-        assert_eq!(sw.expirable_rules().len(), 1);
-        let idx = sw.expirable_rules()[0];
-        assert!(sw.expire_rule(idx).is_some());
     }
 
     #[test]

@@ -24,14 +24,14 @@ fn checker_for(name: &str, faults: bool) -> ModelChecker {
     )
 }
 
-/// The checker used for the sloppy-witness legs: random walks over the
-/// finest interleaving granularity with fault injection on, collecting
-/// every violation so the longest (most redundant) witness is available.
+/// The checker used for the sloppy-witness legs: random walks with fault
+/// injection on, collecting every violation so the longest (most
+/// redundant) witness is available.
 fn walk_checker(name: &str) -> ModelChecker {
     let entry = find_scenario(name).expect("scenario is registered");
     ModelChecker::new(
         entry.build(),
-        CheckerConfig::generic_baseline()
+        CheckerConfig::default()
             .with_stop_at_first(false)
             .with_fault_injection(true),
     )
