@@ -2,11 +2,6 @@
 //! scenarios so every front-end — the bench bins, the CLI, and the
 //! `nice-dist` worker processes — constructs bit-identical systems from a
 //! name alone.
-//!
-//! The builders used to live in `nice-bench`; they moved here so the
-//! distributed checking service can resolve a job's scenario without
-//! depending on the bench harness (which sits above the service in the
-//! crate stack). `nice-bench` re-exports them unchanged.
 
 use crate::pyswitch::{PySwitchApp, PySwitchVariant};
 use crate::scenarios::find_scenario;
@@ -84,21 +79,11 @@ pub fn chain_ping_workload(switches: u32, pings: u32) -> Scenario {
 /// The chain ping workload with a fault plan attached: a switch-crash budget
 /// plus lossy ingress channels. With fault injection *off* (the default) the
 /// plan is dormant and the explored state space is bit-identical to
-/// [`chain_ping_workload`] — the CI bench gate asserts exactly that — while
-/// runs with `CheckerConfig::inject_faults` stress the crash/recovery
-/// paths of the same topology.
+/// [`chain_ping_workload`] (`tests/fault_equivalence.rs` holds exactly
+/// that), while runs with `CheckerConfig::inject_faults` stress the
+/// crash/recovery paths of the same topology.
 pub fn chain_fault_workload(switches: u32, pings: u32) -> Scenario {
     chain_ping_workload(switches, pings).with_fault_plan(FaultPlan::lossy(1).with_switch_crash())
-}
-
-/// The load-balancer bug-hunt scenario (BUG-V) explored exhaustively — the
-/// second workload the exploration-engine benches must demonstrate wins on.
-/// Resolved through the scenario registry, so the bench bins exercise the
-/// same entry `nice run` does.
-pub fn load_balancer_workload() -> Scenario {
-    find_scenario("bug-v-packets-dropped-in-transition")
-        .expect("BUG-V is registered")
-        .build()
 }
 
 /// Resolves a scenario *spec* to a scenario: either a registry name

@@ -13,84 +13,23 @@
 //! The Section 7 comparison against SPIN and JPF is not reproduced: their
 //! models cannot be obtained offline.
 //!
-//! The `reproduce` binary prints the rows in the same shape as the paper and
-//! `ci_gate` holds the engine matrix to its committed counts; speed is
-//! measured by the repo benchmark (`benchmark/`), not here.
+//! The `reproduce` binary prints the rows in the same shape as the paper;
+//! the tier-1 suites hold the engines' counts and the repo benchmark
+//! (`benchmark/`) measures speed, not this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use nice_apps::scenarios::{bug_scenario, BugId};
-use nice_mc::{
-    CheckObserver, CheckerConfig, ExploredMode, ModelChecker, NoopObserver, ReductionKind,
-    Scenario, SearchStats, StrategyKind,
-};
+use nice_apps::workloads::ping_workload;
+use nice_mc::{CheckerConfig, ModelChecker, Scenario, SearchStats, StrategyKind};
 use std::time::Duration;
 
-// The benchmark workloads moved into `nice_apps::workloads` so the
-// `nice-dist` worker processes can rebuild job scenarios by spec without
-// depending on this harness; the bench surface is unchanged.
-pub use nice_apps::workloads::{
-    chain_fault_workload, chain_ping_workload, load_balancer_workload, ping_workload,
-};
-
-/// The tiered explored-set row of [`engine_configs`].
-pub const TIERED_ENGINE: &str = "tiered explored (quarter of mem)";
-
-/// The engine matrix the CI bench gate profiles: the default engine (the
-/// first row, which the others' rates are normalised against), the parallel
-/// engine, the POR legs, and the tiered / bitstate explored-set legs.
-pub fn engine_configs(workers: usize) -> Vec<(String, CheckerConfig)> {
-    vec![
-        ("cow-snapshot".into(), CheckerConfig::default()),
-        (
-            format!("parallel ({workers} workers)"),
-            CheckerConfig::default().with_workers(workers),
-        ),
-        (
-            "por (sleep sets)".into(),
-            CheckerConfig::default().with_reduction(ReductionKind::Por),
-        ),
-        (
-            format!("por + parallel ({workers} workers)"),
-            CheckerConfig::default()
-                .with_reduction(ReductionKind::Por)
-                .with_workers(workers),
-        ),
-        (
-            // The gate gives this row a memory budget of a quarter of what
-            // the default row's explored set peaked at in the same run: the
-            // regime the tier exists for, most of the set on disk.
-            TIERED_ENGINE.into(),
-            CheckerConfig::default().with_explored(ExploredMode::Tiered),
-        ),
-        (
-            "bitstate explored (lossy)".into(),
-            CheckerConfig::default().with_explored(ExploredMode::Bitstate),
-        ),
-    ]
-}
-
-/// Runs an exhaustive search (no property checking, no early stop) and
-/// returns the search statistics.
+/// Runs an exhaustive search (no early stop at a violation) and returns the
+/// search statistics.
 pub fn exhaustive(scenario: Scenario, config: CheckerConfig) -> SearchStats {
-    exhaustive_with(scenario, config, &mut NoopObserver)
-}
-
-/// [`exhaustive`], but driven as a check session streaming events to
-/// `observer` — how the bench bins surface live progress.
-pub fn exhaustive_with(
-    scenario: Scenario,
-    config: CheckerConfig,
-    observer: &mut dyn CheckObserver,
-) -> SearchStats {
-    let config = CheckerConfig {
-        stop_at_first_violation: false,
-        ..config
-    };
-    ModelChecker::new(scenario, config)
-        .session()
-        .run_with(observer)
+    ModelChecker::new(scenario, config.with_stop_at_first(false))
+        .run()
         .stats
 }
 
@@ -295,6 +234,7 @@ pub fn stats_cell(stats: &SearchStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nice_apps::workloads::{chain_fault_workload, chain_ping_workload};
 
     #[test]
     fn ping_workload_shape() {
@@ -321,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn table1_rho_is_positive_for_two_pings() {
+    fn table1_rho_is_not_negative_for_two_pings() {
         let rows = table1([2], 0);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];

@@ -13,8 +13,7 @@
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
-//!   scenario, as a JSON report in the same block layout as the bench
-//!   gate's `BENCH_ci.json` (schema `nice-cli-sweep-v3`).
+//!   scenario, as a JSON report (schema `nice-cli-sweep-v3`).
 //! * `nice replay <trace.json>` — re-executes a saved trace step by step on
 //!   the deterministic engine, checking every property at every step.
 //! * `nice minimize <trace.json>` — ddmin delta debugging: shrinks the

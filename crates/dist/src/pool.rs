@@ -58,7 +58,7 @@ pub struct WorkerPool {
 }
 
 /// Locates the worker binary for a front-end installed next to it (`nice
-/// serve`, `nice run --dist`, the bench gate): the [`WORKER_BIN_ENV`]
+/// serve`, `nice run --dist`): the [`WORKER_BIN_ENV`]
 /// override, else a `nice-dist-worker` sibling of the current executable
 /// (also checking the parent directory, because test binaries live in
 /// `target/<profile>/deps/` while bins live in `target/<profile>/`).

@@ -2,8 +2,8 @@
 //! one writer.
 //!
 //! Every document this workspace reads or writes — `nice-trace-v1` traces,
-//! `nice-dist-v2` wire frames, the `nice-cli-*` reports and the bench gate's
-//! `BENCH_*.json` — goes through here (the offline build has no serde).
+//! `nice-dist-v2` wire frames and the `nice-cli-*` reports — goes through
+//! here (the offline build has no serde).
 //!
 //! * [`Json::parse`] is a strict RFC 8259 parser: one pass over the input
 //!   (cost linear in its length), nesting bounded by [`MAX_DEPTH`] so bytes

@@ -44,8 +44,8 @@
 //! * [`timeline`] — an ASCII lane-per-component renderer for traces.
 //! * [`json`] — the workspace's one JSON module: the [`Json`] value, a
 //!   strict, linear, depth-bounded parser and a writer that is well-formed
-//!   by construction, shared by the traces, the CLI, the bench gate and the
-//!   `nice-dist-v2` wire protocol.
+//!   by construction, shared by the traces, the CLI and the `nice-dist-v2`
+//!   wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
 //!   replayable frontier nodes, the substrate of the `nice-dist`

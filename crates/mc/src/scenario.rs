@@ -96,31 +96,11 @@ impl std::fmt::Debug for Scenario {
 }
 
 impl Scenario {
-    /// Starts a fluent [`ScenarioBuilder`] — the preferred way to assemble a
-    /// scenario. Topology and app are required; everything else has the
-    /// same defaults as [`Scenario::new`].
+    /// Starts a fluent [`ScenarioBuilder`]. Topology and app are required;
+    /// everything else defaults to the default switch configuration,
+    /// reliable channels, symbolic discovery and no properties.
     pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
         ScenarioBuilder::new(name)
-    }
-
-    /// Creates a scenario with default switch configuration, reliable
-    /// channels, and no properties.
-    ///
-    /// A positional-argument shim kept for source compatibility; new code
-    /// should prefer [`Scenario::builder`].
-    pub fn new(
-        name: impl Into<String>,
-        topology: Topology,
-        app: Box<dyn ControllerApp>,
-        hosts: Vec<Box<dyn HostModel>>,
-        send_policy: SendPolicy,
-    ) -> Self {
-        Scenario::builder(name)
-            .topology(topology)
-            .app(app)
-            .hosts(hosts)
-            .send_policy(send_policy)
-            .build()
     }
 
     /// Adds a correctness property (builder style).
@@ -477,12 +457,6 @@ impl CheckerConfig {
     /// Sets the transition budget (builder style).
     pub fn with_max_transitions(mut self, max: u64) -> Self {
         self.max_transitions = max;
-        self
-    }
-
-    /// Sets the depth bound (builder style).
-    pub fn with_max_depth(mut self, max: usize) -> Self {
-        self.max_depth = max;
         self
     }
 

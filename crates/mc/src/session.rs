@@ -215,13 +215,6 @@ impl ModelChecker {
 }
 
 impl<'c> CheckSession<'c> {
-    /// Uses `token` for cancellation instead of the session's own fresh one
-    /// (builder style). Share clones of it with other threads or observers.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
     /// Stops the search (with [`Outcome::Interrupted`]) once `deadline`
     /// passes (builder style).
     pub fn with_deadline(mut self, deadline: Instant) -> Self {

@@ -6,7 +6,7 @@
 //! ones here exist so this crate's own tests do not depend on it.
 
 use crate::properties::default_properties;
-use crate::scenario::{Scenario, SendPolicy};
+use crate::scenario::Scenario;
 use nice_controller::{ControllerApp, ControllerOps, PacketInContext, RuleSpec};
 use nice_hosts::{ClientHost, HostModel, SendBudget};
 use nice_openflow::{
@@ -167,14 +167,13 @@ pub fn ping_scenario_with_app(app: Box<dyn ControllerApp>, pings: u32) -> Scenar
         .map(|i| Packet::l2_ping(i as u64 + 1, host_a.mac, host_b.mac, i))
         .collect();
 
-    Scenario::new(
-        "hub-ping",
-        topology,
-        app,
-        hosts,
-        SendPolicy::scripted([(HostId(1), pings_script)]),
-    )
-    .with_properties(default_properties())
+    Scenario::builder("hub-ping")
+        .topology(topology)
+        .app(app)
+        .hosts(hosts)
+        .scripted_sends([(HostId(1), pings_script)])
+        .properties(default_properties())
+        .build()
 }
 
 /// A single-switch scenario driven by symbolic packet discovery instead of a
@@ -187,13 +186,18 @@ pub fn discovery_scenario(app: Box<dyn ControllerApp>, sends: u32) -> Scenario {
         Box::new(ClientHost::new(host_a, SendBudget::sends(sends))),
         Box::new(ClientHost::new(host_b, SendBudget::SILENT).with_echo()),
     ];
-    Scenario::new("discovery", topology, app, hosts, SendPolicy::Discover)
-        .with_properties(default_properties())
+    Scenario::builder("discovery")
+        .topology(topology)
+        .app(app)
+        .hosts(hosts)
+        .properties(default_properties())
+        .build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SendPolicy;
     use nice_controller::ControllerRuntime;
     use nice_openflow::{BufferId, OfMessage, PacketInReason, SwitchId};
 

@@ -177,11 +177,6 @@ impl FlowTable {
         }
     }
 
-    /// Whether canonicalisation is enabled.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
     /// Number of installed rules.
     pub fn len(&self) -> usize {
         self.rules.len()

@@ -137,19 +137,6 @@ impl MatchPattern {
         }
     }
 
-    /// An exact TCP five-tuple match.
-    pub fn tcp_flow(pkt: &Packet) -> Self {
-        MatchPattern {
-            dl_type: Some(EthType::Ipv4),
-            nw_proto: Some(IpProto::Tcp),
-            nw_src: Some(PrefixMatch::exact(pkt.src_ip)),
-            nw_dst: Some(PrefixMatch::exact(pkt.dst_ip)),
-            tp_src: Some(pkt.src_port),
-            tp_dst: Some(pkt.dst_port),
-            ..MatchPattern::default()
-        }
-    }
-
     /// True if the pattern matches `pkt` arriving on `in_port`.
     pub fn matches(&self, pkt: &Packet, in_port: PortId) -> bool {
         if let Some(p) = self.in_port {

@@ -108,11 +108,6 @@ impl<V: Clone> SymMap<V> {
         self.base.remove(&key)
     }
 
-    /// Iterates over concrete entries in key order.
-    pub fn iter_concrete(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.base.iter().map(|(&k, v)| (k, v))
-    }
-
     /// Concrete keys in order.
     pub fn concrete_keys(&self) -> Vec<u64> {
         self.base.keys().copied().collect()

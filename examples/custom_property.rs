@@ -85,7 +85,8 @@ fn main() {
         .property(Box::new(BoundedFlooding::new(2)))
         .build();
 
-    let report = Nice::new(scenario).with_max_transitions(100_000).check();
+    let config = CheckerConfig::default().with_max_transitions(100_000);
+    let report = ModelChecker::new(scenario, config).run();
     println!("custom property check: {report}");
     match report.first_violation() {
         Some(v) => println!("violation found as expected: {}", v.message),

@@ -25,9 +25,8 @@ fn main() {
         // A session with a time budget: even a search that would blow the
         // transition budget ends within a minute, and the report says so
         // (`outcome: interrupted-by-deadline`) instead of silently lying.
-        let report = Nice::new(entry.build())
-            .with_max_transitions(300_000)
-            .checker()
+        let config = CheckerConfig::default().with_max_transitions(300_000);
+        let report = ModelChecker::new(entry.build(), config)
             .session()
             .with_time_budget(Duration::from_secs(60))
             .run();
@@ -51,9 +50,8 @@ fn main() {
 
     // The fixed load balancer releases every buffered packet.
     let entry = find_scenario("bug-iv-fixed").expect("registered");
-    let report = Nice::new(entry.build())
-        .with_max_transitions(300_000)
-        .check();
+    let config = CheckerConfig::default().with_max_transitions(300_000);
+    let report = ModelChecker::new(entry.build(), config).run();
     println!(
         "\nfixed load balancer vs NoForgottenPackets: {}",
         if report.passed() { "PASS" } else { "FAIL" }

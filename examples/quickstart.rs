@@ -15,11 +15,10 @@ use nice::scenarios::{find_scenario, ScenarioEntry};
 /// Checks one registry entry through the session API, streaming progress
 /// and violations as they happen, and returns the final report.
 fn check_streaming(entry: &ScenarioEntry) -> CheckReport {
-    let checker = Nice::new(entry.build())
+    let config = CheckerConfig::default()
         .with_strategy(StrategyKind::FullDfs)
-        .with_max_transitions(200_000)
-        .checker();
-    checker
+        .with_max_transitions(200_000);
+    ModelChecker::new(entry.build(), config)
         .session()
         .with_progress_every(5_000)
         .run_with(&mut |event: &CheckEvent| match event {

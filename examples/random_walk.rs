@@ -13,13 +13,14 @@ use nice::scenarios::find_scenario;
 
 fn main() {
     let entry = find_scenario("bug-viii-first-packet-dropped").expect("registered");
-    let nice = Nice::new(entry.build()).with_max_transitions(200_000);
+    let config = CheckerConfig::default().with_max_transitions(200_000);
+    let checker = ModelChecker::new(entry.build(), config);
 
     println!("Random-walk simulation vs systematic search (BUG-VIII)");
     println!("=======================================================");
 
     for seed in [1u64, 7, 42] {
-        let report = nice.random_walk(seed, 20, 200);
+        let report = checker.run_random_walk(seed, 20, 200);
         println!(
             "random walks (seed {seed:>2}): {} transitions, {} walks hit a violation: {}",
             report.stats.transitions,
@@ -32,7 +33,7 @@ fn main() {
         );
     }
 
-    let report = nice.check_with(&mut |event: &CheckEvent| {
+    let report = checker.session().run_with(&mut |event: &CheckEvent| {
         if let CheckEvent::ViolationFound(v) = event {
             println!(
                 "systematic search     : {} found after {} transitions (streamed)",

@@ -27,13 +27,14 @@ fn main() {
         ),
     ] {
         let entry = find_scenario(name).expect("registered");
-        let report = Nice::new(entry.build())
-            .with_max_transitions(300_000)
-            .check_with(&mut |event: &CheckEvent| {
+        let config = CheckerConfig::default().with_max_transitions(300_000);
+        let report = ModelChecker::new(entry.build(), config).session().run_with(
+            &mut |event: &CheckEvent| {
                 if let CheckEvent::Started { scenario, .. } = event {
                     println!("\n{label} [{scenario}]:");
                 }
-            });
+            },
+        );
         match report.first_violation() {
             Some(v) => {
                 println!("  violated property : {}", v.property);
@@ -48,9 +49,8 @@ fn main() {
     }
 
     let entry = find_scenario("bug-x-fixed").expect("registered");
-    let report = Nice::new(entry.build())
-        .with_max_transitions(300_000)
-        .check();
+    let config = CheckerConfig::default().with_max_transitions(300_000);
+    let report = ModelChecker::new(entry.build(), config).run();
     println!(
         "\nfixed traffic engineering vs UseCorrectRoutingTable: {}",
         if report.passed() { "PASS" } else { "FAIL" }

@@ -22,9 +22,8 @@ fn violated_properties(report: &CheckReport) -> Vec<String> {
 #[test]
 fn repeated_runs_are_identical() {
     let run = || {
-        Nice::new(bug_scenario(BugId::BugVIII))
-            .with_max_transitions(100_000)
-            .check()
+        let config = CheckerConfig::default().with_max_transitions(100_000);
+        ModelChecker::new(bug_scenario(BugId::BugVIII), config).run()
     };
     let a = run();
     let b = run();
@@ -49,9 +48,8 @@ fn test_workers() -> usize {
 fn random_walk_is_pinned_on_bug_v() {
     // Recorded before the walker, the search and the replayer were moved
     // onto one shared step: sharing it must change nothing.
-    let report = Nice::new(bug_scenario(BugId::BugV))
-        .collect_all_violations()
-        .random_walk(42, 20, 80);
+    let config = CheckerConfig::default().with_stop_at_first(false);
+    let report = ModelChecker::new(bug_scenario(BugId::BugV), config).run_random_walk(42, 20, 80);
     assert_eq!(report.stats.transitions, 277);
     assert_eq!(report.stats.unique_states, 192);
     assert_eq!(report.stats.terminal_states, 20);
@@ -87,12 +85,9 @@ fn random_walk_is_pinned_on_bug_v() {
 fn single_worker_parallel_config_is_the_sequential_engine() {
     // workers = 1 runs the canonical sequential code path: identical
     // statistics and identical violation traces, by construction.
-    let base = Nice::new(bug_scenario(BugId::BugVIII)).with_max_transitions(100_000);
-    let sequential = base.check();
-    let one_worker = Nice::new(bug_scenario(BugId::BugVIII))
-        .with_config(CheckerConfig::default().with_workers(1))
-        .with_max_transitions(100_000)
-        .check();
+    let config = CheckerConfig::default().with_max_transitions(100_000);
+    let sequential = ModelChecker::new(bug_scenario(BugId::BugVIII), config.clone()).run();
+    let one_worker = ModelChecker::new(bug_scenario(BugId::BugVIII), config.with_workers(1)).run();
     assert_eq!(sequential.stats.transitions, one_worker.stats.transitions);
     assert_eq!(
         sequential.stats.unique_states,
@@ -113,18 +108,12 @@ fn parallel_workers_agree_with_sequential_on_a_passing_scenario() {
         use nice::mc::testutil::ping_scenario_with_app;
         ping_scenario_with_app(Box::new(PySwitchApp::new(PySwitchVariant::Original)), 2)
     };
-    let sequential = Nice::new(scenario())
-        .with_config(CheckerConfig::default().with_stop_at_first(false))
-        .check();
+    let every_violation = CheckerConfig::default().with_stop_at_first(false);
+    let sequential = ModelChecker::new(scenario(), every_violation.clone()).run();
     assert!(sequential.passed());
     for workers in [2, 4] {
-        let parallel = Nice::new(scenario())
-            .with_config(
-                CheckerConfig::default()
-                    .with_stop_at_first(false)
-                    .with_workers(workers),
-            )
-            .check();
+        let config = every_violation.clone().with_workers(workers);
+        let parallel = ModelChecker::new(scenario(), config).run();
         assert!(parallel.passed(), "{workers} workers");
         assert_eq!(
             sequential.stats.unique_states, parallel.stats.unique_states,
@@ -142,14 +131,11 @@ fn parallel_workers_find_the_same_violations_order_insensitive() {
     // Collect-all search of a buggy scenario: the set of violated properties
     // is a function of the reachable state space, not the schedule.
     let run = |workers: usize| {
-        Nice::new(bug_scenario(BugId::BugIX))
-            .with_config(
-                CheckerConfig::default()
-                    .with_stop_at_first(false)
-                    .with_workers(workers),
-            )
-            .with_max_transitions(100_000)
-            .check()
+        let config = CheckerConfig::default()
+            .with_stop_at_first(false)
+            .with_workers(workers)
+            .with_max_transitions(100_000);
+        ModelChecker::new(bug_scenario(BugId::BugIX), config).run()
     };
     let sequential = run(1);
     let parallel = run(test_workers());

@@ -7,17 +7,14 @@ use nice::scenarios::{bug_scenario, fixed_scenario, BugId};
 
 #[test]
 fn quickstart_pipeline_finds_bug_ii_and_fix_passes() {
-    let report = Nice::new(bug_scenario(BugId::BugII))
-        .with_max_transitions(300_000)
-        .check();
+    let config = CheckerConfig::default().with_max_transitions(300_000);
+    let report = ModelChecker::new(bug_scenario(BugId::BugII), config.clone()).run();
     assert!(!report.passed());
     let violation = report.first_violation().unwrap();
     assert_eq!(violation.property, "StrictDirectPaths");
     assert!(violation.trace.len() >= 3, "a meaningful trace is reported");
 
-    let fixed = Nice::new(fixed_scenario(BugId::BugII).unwrap())
-        .with_max_transitions(300_000)
-        .check();
+    let fixed = ModelChecker::new(fixed_scenario(BugId::BugII).unwrap(), config).run();
     assert!(fixed.passed(), "{fixed}");
 }
 
@@ -27,9 +24,8 @@ fn violation_traces_replay_deterministically() {
     // identical traces — the determinism the paper relies on to reproduce
     // violations.
     let run = || {
-        Nice::new(bug_scenario(BugId::BugVIII))
-            .with_max_transitions(100_000)
-            .check()
+        let config = CheckerConfig::default().with_max_transitions(100_000);
+        ModelChecker::new(bug_scenario(BugId::BugVIII), config).run()
     };
     let a = run();
     let b = run();
@@ -55,16 +51,15 @@ fn strategies_shrink_the_ping_workload_state_space() {
         s.properties.clear(); // pure state-space measurement
         s
     };
-    let full = Nice::new(scenario()).collect_all_violations().check();
+    let every_violation = CheckerConfig::default().with_stop_at_first(false);
+    let full = ModelChecker::new(scenario(), every_violation.clone()).run();
     for strategy in [
         StrategyKind::NoDelay,
         StrategyKind::FlowIr,
         StrategyKind::Unusual,
     ] {
-        let reduced = Nice::new(scenario())
-            .with_strategy(strategy)
-            .collect_all_violations()
-            .check();
+        let config = every_violation.clone().with_strategy(strategy);
+        let reduced = ModelChecker::new(scenario(), config).run();
         assert!(
             reduced.stats.transitions <= full.stats.transitions,
             "{strategy:?}: {} > {}",
@@ -79,9 +74,8 @@ fn symbolic_discovery_feeds_the_search_through_the_public_api() {
     // The load-balancer scenarios rely on discover_packets to generate ARP
     // and TCP packet classes; a successful BUG-VI detection implies the
     // whole MC + SE pipeline worked.
-    let report = Nice::new(bug_scenario(BugId::BugVI))
-        .with_max_transitions(200_000)
-        .check();
+    let config = CheckerConfig::default().with_max_transitions(200_000);
+    let report = ModelChecker::new(bug_scenario(BugId::BugVI), config).run();
     assert!(!report.passed());
     assert_eq!(
         report.first_violation().unwrap().property,

@@ -147,6 +147,17 @@ fn tiered_run_past_the_memory_limit_reports_spill_counters() {
     assert!(mem.stats.peak_explored_bytes > 0);
     assert_eq!(mem.stats.spilled_shards, 0);
     assert_eq!(mem.stats.disk_probes, 0);
+
+    // At its default size the bitstate filter has no collision on this
+    // workload: it finds every state the exact store does.
+    let bitstate = run(
+        "chain:5:2",
+        full_config(false).with_explored(ExploredMode::Bitstate),
+    );
+    assert!(bitstate.lossy);
+    let counts = |report: &CheckReport| (report.stats.unique_states, report.stats.transitions);
+    assert_eq!(counts(&mem), (6941, 11044));
+    assert_eq!(counts(&bitstate), counts(&mem));
 }
 
 proptest! {

@@ -56,10 +56,7 @@ fn shortest_traces(report: &CheckReport) -> Vec<(String, usize)> {
 }
 
 fn run(scenario: Scenario, config: CheckerConfig) -> CheckReport {
-    Nice::new(scenario)
-        .with_config(config)
-        .collect_all_violations()
-        .check()
+    ModelChecker::new(scenario, config.with_stop_at_first(false)).run()
 }
 
 /// Asserts that two exhaustive reports describe the same search: identical

@@ -51,16 +51,20 @@ fn shortest_traces(report: &CheckReport) -> Vec<(String, usize)> {
 }
 
 fn run(scenario: Scenario, reduction: ReductionKind, workers: usize) -> CheckReport {
-    Nice::new(scenario)
-        .collect_all_violations()
+    let config = CheckerConfig::default()
+        .with_stop_at_first(false)
         .with_reduction(reduction)
-        .with_workers(workers)
-        .check()
+        .with_workers(workers);
+    ModelChecker::new(scenario, config).run()
 }
 
 /// The core equivalence assertion: FullDfs+POR vs FullDfs on one scenario
-/// under one worker count.
-fn assert_equivalent(make: impl Fn() -> Scenario, workers: usize, label: &str) {
+/// under one worker count. Returns the two reports, unreduced first.
+fn assert_equivalent(
+    make: impl Fn() -> Scenario,
+    workers: usize,
+    label: &str,
+) -> (CheckReport, CheckReport) {
     let full = run(make(), ReductionKind::None, workers);
     let por = run(make(), ReductionKind::Por, workers);
     assert!(
@@ -94,17 +98,43 @@ fn assert_equivalent(make: impl Fn() -> Scenario, workers: usize, label: &str) {
         full.stats.terminal_states, por.stats.terminal_states,
         "{label}: terminal coverage differs"
     );
+    (full, por)
+}
+
+/// (unique states, transitions) of a search.
+fn counts(report: &CheckReport) -> (u64, u64) {
+    (report.stats.unique_states, report.stats.transitions)
+}
+
+/// [`assert_equivalent`] under 1 worker and under [`test_workers`], and the
+/// parallel searches against the sequential ones. Unreduced, the counts are
+/// a function of the state space. Under POR, parallel workers race to store
+/// a state's sleep set and whoever loses re-expands it under the
+/// intersection, so the transition count follows the schedule; the states
+/// found do not. Returns the sequential reports.
+fn assert_equivalent_under_one_and_many_workers(
+    make: impl Fn() -> Scenario,
+    label: &str,
+) -> (CheckReport, CheckReport) {
+    let (full, por) = assert_equivalent(&make, 1, &format!("{label} x1"));
+    let workers = test_workers();
+    let (parallel_full, parallel_por) =
+        assert_equivalent(&make, workers, &format!("{label} x{workers}"));
+    assert_eq!(
+        counts(&parallel_full),
+        counts(&full),
+        "{label}: {workers} workers and one explore different spaces"
+    );
+    assert_eq!(
+        parallel_por.stats.unique_states, por.stats.unique_states,
+        "{label}: POR under {workers} workers and sequential POR find different states"
+    );
+    (full, por)
 }
 
 #[test]
 fn pyswitch_chain_equivalence_under_one_and_many_workers() {
-    for workers in [1, test_workers()] {
-        assert_equivalent(
-            || chain_ping_scenario(5, 2),
-            workers,
-            &format!("pyswitch-chain x{workers}"),
-        );
-    }
+    assert_equivalent_under_one_and_many_workers(|| chain_ping_scenario(5, 2), "pyswitch-chain");
 }
 
 #[test]
@@ -125,24 +155,15 @@ fn pyswitch_chain_reduction_meets_the_thirty_percent_bar() {
 
 #[test]
 fn load_balancer_bug_v_equivalence() {
-    for workers in [1, test_workers()] {
-        assert_equivalent(
-            || bug_scenario(BugId::BugV),
-            workers,
-            &format!("loadbalancer-bug-v x{workers}"),
-        );
-    }
+    let (full, por) =
+        assert_equivalent_under_one_and_many_workers(|| bug_scenario(BugId::BugV), "bug-v");
+    assert_eq!(counts(&full), (1367, 2569), "unreduced BUG-V moved");
+    assert_eq!(counts(&por), (1367, 1975), "BUG-V under POR moved");
 }
 
 #[test]
 fn energyte_equivalence() {
-    for workers in [1, test_workers()] {
-        assert_equivalent(
-            || bug_scenario(BugId::BugXI),
-            workers,
-            &format!("energyte-bug-xi x{workers}"),
-        );
-    }
+    assert_equivalent_under_one_and_many_workers(|| bug_scenario(BugId::BugXI), "energyte-bug-xi");
 }
 
 #[test]
@@ -155,15 +176,15 @@ fn por_composes_with_heuristic_strategies() {
         StrategyKind::FlowIr,
         StrategyKind::Unusual,
     ] {
-        let base = Nice::new(chain_ping_scenario(4, 2))
-            .collect_all_violations()
-            .with_strategy(strategy)
-            .check();
-        let reduced = Nice::new(chain_ping_scenario(4, 2))
-            .collect_all_violations()
-            .with_strategy(strategy)
-            .with_reduction(ReductionKind::Por)
-            .check();
+        let config = CheckerConfig::default()
+            .with_stop_at_first(false)
+            .with_strategy(strategy);
+        let base = ModelChecker::new(chain_ping_scenario(4, 2), config.clone()).run();
+        let reduced = ModelChecker::new(
+            chain_ping_scenario(4, 2),
+            config.with_reduction(ReductionKind::Por),
+        )
+        .run();
         assert_eq!(base.passed(), reduced.passed(), "{strategy:?}");
         assert!(
             reduced.stats.transitions <= base.stats.transitions,

@@ -35,10 +35,10 @@ fn bug_v_scenario() -> Scenario {
 }
 
 fn checker(scenario: Scenario, workers: usize) -> ModelChecker {
-    Nice::new(scenario)
-        .collect_all_violations()
-        .with_workers(workers)
-        .checker()
+    let config = CheckerConfig::default()
+        .with_stop_at_first(false)
+        .with_workers(workers);
+    ModelChecker::new(scenario, config)
 }
 
 /// (property, trace) pairs, sorted — the full violation identity.
@@ -227,10 +227,8 @@ fn report_text_distinguishes_outcomes() {
     let report = checker(bug_v_scenario(), 1).run();
     assert!(report.to_string().contains("outcome: exhausted"));
     // Budget-truncated search (completed, but cut by max_transitions).
-    let truncated = Nice::new(chain_scenario())
-        .with_max_transitions(5)
-        .checker()
-        .run();
+    let config = CheckerConfig::default().with_max_transitions(5);
+    let truncated = ModelChecker::new(chain_scenario(), config).run();
     assert!(truncated.stats.truncated);
     assert!(truncated.to_string().contains("outcome: budget-truncated"));
     // Interrupted search.
