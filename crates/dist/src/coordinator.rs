@@ -38,8 +38,8 @@
 use crate::pool::{PoolEvent, WorkerEvent, WorkerPool};
 use crate::proto::{Frame, WireViolation};
 use nice_mc::{
-    shard_of, CheckReport, CheckerConfig, ExploredMode, FrontierExport, InterruptReason, Json,
-    Outcome, ShardSpec, Trace, TraceEngine, Violation,
+    shard_of, CheckReport, CheckerConfig, FrontierExport, InterruptReason, Json, Outcome,
+    ShardSpec, Trace, TraceEngine, Violation,
 };
 use std::io;
 use std::path::PathBuf;
@@ -471,7 +471,7 @@ fn merge_reports(
         }
     }
     report.stats.duration = duration;
-    report.lossy = spec.config.explored.mode == ExploredMode::Bitstate;
+    report.lossy = spec.config.explored.mode.lossy();
     for v in &mut report.violations {
         v.transitions_explored = report.stats.transitions;
         v.unique_states = report.stats.unique_states;

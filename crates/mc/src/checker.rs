@@ -61,11 +61,11 @@
 use crate::explored::{build_store, visit_explored, ExploredStore, FingerprintMap, Visit};
 use crate::json::Json;
 use crate::properties::{Event, Property};
-use crate::scenario::{CheckerConfig, Scenario};
+use crate::scenario::{CheckerConfig, ReductionKind, Scenario};
 use crate::session::{Outcome, SessionCtrl};
 use crate::shard::{FrontierExport, ShardSpec};
 use crate::state::SystemState;
-use crate::strategy::{build_reduction, build_strategy, Reduction, SearchStrategy, Sleeper};
+use crate::strategy::{PorReduction, Sleeper};
 use crate::trace::{Trace, TraceEngine};
 use crate::transition::{
     drain_control_plane, enabled_transitions, execute, DiscoveryMemo, SharedDiscoveryCache,
@@ -466,14 +466,13 @@ impl fmt::Display for CheckReport {
 // ---------------------------------------------------------------------------
 
 /// What one thread of execution needs to run transitions: the system under
-/// test, the semantics-relevant configuration, the strategy, the symbolic
-/// discovery memo and a reusable event buffer. The search, the random
+/// test, the semantics-relevant configuration (the strategy among it), the
+/// symbolic discovery memo and a reusable event buffer. The search, the random
 /// walker and the [`Replayer`](crate::replay) all step through this, so
 /// there is one definition of what executing a transition means.
 pub(crate) struct Stepper<'a> {
     pub(crate) scenario: &'a Scenario,
     pub(crate) config: CheckerConfig,
-    strategy: Box<dyn SearchStrategy>,
     pub(crate) memo: DiscoveryMemo,
     /// The events emitted by the most recent [`Stepper::advance`].
     pub(crate) events: Vec<Event>,
@@ -483,7 +482,6 @@ impl<'a> Stepper<'a> {
     pub(crate) fn new(scenario: &'a Scenario, config: CheckerConfig, memo: DiscoveryMemo) -> Self {
         Stepper {
             scenario,
-            strategy: build_strategy(config.strategy),
             config,
             memo,
             events: Vec::new(),
@@ -495,7 +493,7 @@ impl<'a> Stepper<'a> {
     pub(crate) fn selected(&self, state: &SystemState) -> (Vec<Transition>, u64) {
         let enabled = enabled_transitions(state, self.scenario, &self.config);
         let enabled_count = enabled.len();
-        let selected = self.strategy.select(state, enabled);
+        let selected = self.config.strategy.select(state, enabled);
         let filtered = (enabled_count - selected.len()) as u64;
         (selected, filtered)
     }
@@ -518,7 +516,7 @@ impl<'a> Stepper<'a> {
             &mut self.memo,
             &mut self.events,
         );
-        if self.strategy.lock_step_control_plane() {
+        if self.config.strategy.lock_step_control_plane() {
             drain_control_plane(
                 state,
                 self.scenario,
@@ -859,7 +857,8 @@ impl SentFilter {
 /// part of the fingerprint space and exports the rest.
 pub(crate) struct Worker<'a> {
     pub(crate) stepper: Stepper<'a>,
-    reduction: Box<dyn Reduction>,
+    /// The sleep-set reduction, under [`ReductionKind::Por`].
+    reduction: Option<PorReduction>,
     /// The sleep sets of the successors of the node being expanded, as the
     /// reduction left them; kept for its capacity.
     child_sleeps: Vec<Vec<Sleeper>>,
@@ -897,7 +896,8 @@ impl<'a> Worker<'a> {
     ) -> Self {
         Worker {
             stepper: Stepper::new(&checker.scenario, checker.config.clone(), memo),
-            reduction: build_reduction(checker.config.reduction, &checker.scenario),
+            reduction: (checker.config.reduction == ReductionKind::Por)
+                .then(|| PorReduction::new(&checker.scenario)),
             child_sleeps: Vec::new(),
             sleep_digests: Vec::new(),
             shard,
@@ -1094,10 +1094,12 @@ impl<'a> Worker<'a> {
             return true;
         }
 
-        let scenario = self.stepper.scenario;
         let mut child_sleeps = std::mem::take(&mut self.child_sleeps);
-        self.stats.pruned_by_por +=
-            (self.reduction).reduce(&state, scenario, &sleep, &mut explore, &mut child_sleeps);
+        if let Some(por) = &mut self.reduction {
+            let scenario = self.stepper.scenario;
+            self.stats.pruned_by_por +=
+                por.reduce(&state, scenario, &sleep, &mut explore, &mut child_sleeps);
+        }
 
         // The node's last successor takes the node's state and property
         // observers over instead of copying them.
@@ -1193,7 +1195,7 @@ impl<'a> Worker<'a> {
         report.stats.merge(&self.stats);
         report.stats.symbolic_executions += self.stepper.memo.symbolic_executions;
         report.stats.absorb_explored(self.store.stats());
-        report.lossy = self.store.lossy();
+        report.lossy = self.stepper.config.explored.mode.lossy();
         report.violations.extend(self.violations);
     }
 }
@@ -1895,8 +1897,10 @@ mod tests {
             }
         }
         let clones = Arc::new(AtomicUsize::new(0));
-        let scenario = testutil::hub_ping_scenario(2)
-            .with_property(Box::new(CountsClones(Arc::clone(&clones))));
+        let mut scenario = testutil::hub_ping_scenario(2);
+        scenario
+            .properties
+            .push(Box::new(CountsClones(Arc::clone(&clones))));
         let checker = ModelChecker::new(scenario, CheckerConfig::default());
         let mut worker = solo_worker(&checker);
         let mut expanded = 0;
@@ -2128,7 +2132,8 @@ mod tests {
             }
         }
 
-        let scenario = testutil::hub_ping_scenario(1).with_property(Box::new(PanickingProperty));
+        let mut scenario = testutil::hub_ping_scenario(1);
+        scenario.properties.push(Box::new(PanickingProperty));
         let checker = ModelChecker::new(scenario, CheckerConfig::default().with_workers(4));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| checker.run()));
         assert!(result.is_err(), "the worker panic must propagate, not hang");

@@ -1,33 +1,34 @@
-//! Tiered explored-set storage: packed tables, disk spill behind a bloom
-//! filter, and lossy bitstate hashing.
+//! Explored-set storage: packed tables, disk spill behind a bloom filter,
+//! and lossy bitstate hashing.
 //!
 //! The explored set is the memory ceiling of an exhaustive run: every other
 //! structure (frontier, traces) is proportional to the *frontier*, but the
 //! fingerprint set grows with every unique state ever seen. This module
-//! puts that set behind the [`ExploredStore`] trait with three engines,
-//! selected by [`ExploredMode`]:
+//! puts that set behind the [`ExploredStore`] trait: two implementations
+//! behind the three names of [`ExploredMode`].
 //!
-//! * **`mem`** — [`MemStore`]: 64 independently locked open-addressed
-//!   tables packing `fingerprint + sleep-digest ref` into 12 bytes per
-//!   slot (vs ~48+ for the `HashMap<u64, Box<[u64]>>` it replaces).
-//!   Exact, unbounded.
-//! * **`tiered`** — [`TieredStore`]: the same packed tables as a hot
-//!   *delta* tier, plus cold shards spilled to sorted on-disk segments
-//!   once the in-memory footprint passes `--mem-limit`. Every segment
-//!   carries a bloom filter consulted before any disk probe, so absent
-//!   fingerprints (the common case: most visits are *new* states) almost
-//!   never touch disk. Exact: verdicts are identical to `mem`, which
+//! * **`mem`** and **`tiered`** — the exact store: 64 independently locked
+//!   open-addressed tables packing `fingerprint + sleep-digest ref` into 12
+//!   bytes per slot (vs ~48+ for a `HashMap<u64, Box<[u64]>>`), plus cold
+//!   shards spilled to sorted on-disk segments once the in-memory footprint
+//!   passes a memory limit. Every segment carries a bloom filter consulted
+//!   before any disk probe, so absent fingerprints (the common case: most
+//!   visits are *new* states) almost never touch disk, and a shard with
+//!   nothing spilled is its table alone. `mem` is this store with no limit,
+//!   so it never spills; `tiered` is the same store under `--mem-limit`
+//!   (512 MiB by default). Verdicts are identical, which
 //!   `tests/explored_store.rs` pins.
-//! * **`bitstate`** — [`BitstateStore`]: SPIN-style bitstate hashing. Two
-//!   hash positions in a fixed bit array; constant memory, **lossy**: a
-//!   hash collision makes the search treat an unvisited state as known,
-//!   so states may be *missed* — but a violation that is reported was
-//!   still actually executed, so violations are never invented. Reports
-//!   from this mode carry `lossy: true`.
+//! * **`bitstate`** — SPIN-style bitstate hashing. Two hash positions in a
+//!   fixed bit array; constant memory, **lossy**: a hash collision makes
+//!   the search treat an unvisited state as known, so states may be
+//!   *missed* — but a violation that is reported was still actually
+//!   executed, so violations are never invented. Reports from this mode
+//!   carry `lossy: true` ([`ExploredMode::lossy`]).
 //!
-//! All three speak the sleep-set-aware visit protocol ([`Visit`]) that
-//! keeps partial-order reduction sound under state matching; see
-//! [`FingerprintMap`] for the invariant.
+//! Both speak the sleep-set-aware visit protocol ([`Visit`]) that keeps
+//! partial-order reduction sound under state matching: a state revisited
+//! with a sleep set that does not contain the one it was explored with is
+//! re-expanded with the intersection of the two.
 //!
 //! # Shard-bit budget
 //!
@@ -35,7 +36,7 @@
 //! the *distributed* coordinator routes states to worker processes by the
 //! top byte — bits 56..=63, via [`shard_of`](crate::shard::shard_of) —
 //! while the in-process stores here pick their lock shard from bits
-//! 48..=55 ([`store_shard`]). A dist worker therefore sees fingerprints
+//! 48..=55 (`store_shard`). A dist worker therefore sees fingerprints
 //! with a fixed top byte, but they still spread uniformly over the store's
 //! 64 lock shards.
 
@@ -170,11 +171,12 @@ pub(crate) fn visit_explored(
 /// `nice run --explored mem|tiered|bitstate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploredMode {
-    /// Exact, in-memory packed tables (the default).
+    /// Exact, in-memory packed tables (the default): the exact store with
+    /// no memory limit, so it never spills.
     #[default]
     Mem,
-    /// Exact, with cold shards spilled to disk behind a bloom filter once
-    /// the in-memory footprint exceeds the memory limit.
+    /// The same exact store, with cold shards spilled to disk behind a
+    /// bloom filter once the in-memory footprint exceeds the memory limit.
     Tiered,
     /// Lossy SPIN-style bitstate hashing in a fixed-size bit array: may
     /// *miss* states, never invents violations. Reports are flagged
@@ -200,6 +202,14 @@ impl ExploredMode {
             "bitstate" => Some(ExploredMode::Bitstate),
             _ => None,
         }
+    }
+
+    /// True if this mode may *miss* states (bitstate hashing). A lossy
+    /// search never reports a spurious violation — any violation reported
+    /// was actually executed — but a PASS only means "no violation found in
+    /// the states that were covered".
+    pub fn lossy(self) -> bool {
+        self == ExploredMode::Bitstate
     }
 }
 
@@ -249,28 +259,20 @@ pub trait ExploredStore: Send + Sync {
 
     /// Snapshot of the store's counters.
     fn stats(&self) -> ExploredStats;
-
-    /// True if this store may *miss* states (bitstate hashing). Lossy
-    /// stores never cause spurious violations — any violation reported was
-    /// actually executed — but a PASS only means "no violation found in
-    /// the states that were covered".
-    fn lossy(&self) -> bool {
-        false
-    }
 }
 
 /// Builds the store a [`CheckerConfig`](crate::scenario::CheckerConfig)
 /// asks for.
 pub(crate) fn build_store(config: &ExploredConfig) -> Box<dyn ExploredStore> {
     match config.mode {
-        ExploredMode::Mem => Box::new(MemStore::new()),
+        ExploredMode::Mem => Box::new(ExactStore::new(u64::MAX)),
         ExploredMode::Tiered => {
             let limit = if config.mem_limit == 0 {
                 DEFAULT_TIERED_LIMIT
             } else {
                 config.mem_limit
             };
-            Box::new(TieredStore::new(limit))
+            Box::new(ExactStore::new(limit))
         }
         ExploredMode::Bitstate => {
             let bytes = if config.mem_limit == 0 {
@@ -470,72 +472,8 @@ impl PackedTable {
 }
 
 // ---------------------------------------------------------------------------
-// mem: exact in-memory store
-// ---------------------------------------------------------------------------
-
-/// Byte-accounting shared by the in-memory stores.
-#[derive(Default)]
-struct MemGauge {
-    bytes: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl MemGauge {
-    /// Applies the byte delta of one table mutation and tracks the peak.
-    fn adjust(&self, before: u64, after: u64) {
-        if after >= before {
-            let now = self.bytes.fetch_add(after - before, Ordering::Relaxed) + (after - before);
-            self.peak.fetch_max(now, Ordering::Relaxed);
-        } else {
-            self.bytes.fetch_sub(before - after, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The exact in-memory store: [`STORE_SHARDS`] independently locked
-/// [`PackedTable`]s.
-struct MemStore {
-    shards: Vec<Mutex<PackedTable>>,
-    gauge: MemGauge,
-}
-
-impl MemStore {
-    fn new() -> MemStore {
-        MemStore {
-            shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(PackedTable::new()))
-                .collect(),
-            gauge: MemGauge::default(),
-        }
-    }
-}
-
-impl ExploredStore for MemStore {
-    fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit {
-        let mut table = lock(&self.shards[store_shard(fingerprint)]);
-        let before = table.bytes();
-        let verdict = table.visit(fingerprint, sleep_digests);
-        let after = table.bytes();
-        drop(table);
-        self.gauge.adjust(before, after);
-        verdict
-    }
-
-    fn bytes(&self) -> u64 {
-        self.gauge.bytes.load(Ordering::Relaxed)
-    }
-
-    fn stats(&self) -> ExploredStats {
-        ExploredStats {
-            bytes: self.gauge.bytes.load(Ordering::Relaxed),
-            peak_bytes: self.gauge.peak.load(Ordering::Relaxed),
-            ..ExploredStats::default()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tiered: spill cold shards to disk behind a bloom filter
+// mem and tiered: the exact store, spilling cold shards to disk behind a
+// bloom filter
 // ---------------------------------------------------------------------------
 
 /// A bloom filter over one segment's fingerprints: `k = 3` hash positions
@@ -680,7 +618,7 @@ impl Segment {
     }
 }
 
-/// One lock shard of the tiered store: the hot delta table plus the
+/// One lock shard of the exact store: the hot delta table plus the
 /// spilled generations, oldest first.
 struct TierShard {
     table: PackedTable,
@@ -692,15 +630,36 @@ struct TierShard {
 /// per-insert spills would produce one segment per state.
 const SPILL_MIN_ENTRIES: usize = 8;
 
-/// The exact spill-to-disk store. Visits consult the hot delta table
-/// first (newest narrowing wins), then segment blooms newest-first; a
-/// fingerprint found only on disk that needs widening is re-inserted into
-/// the delta, shadowing the stale segment record. When the total
-/// in-memory footprint passes `mem_limit`, the shard holding the current
-/// visit is spilled — a deliberately local policy: it needs no cross-shard
-/// lock order, and under a uniform fingerprint distribution every shard
-/// is visited (and thus spilled) at the same rate.
-struct TieredStore {
+/// The exact store's in-memory byte accounting.
+#[derive(Default)]
+struct MemGauge {
+    bytes: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl MemGauge {
+    /// Applies the byte delta of one table mutation and tracks the peak.
+    fn adjust(&self, before: u64, after: u64) {
+        if after >= before {
+            let now = self.bytes.fetch_add(after - before, Ordering::Relaxed) + (after - before);
+            self.peak.fetch_max(now, Ordering::Relaxed);
+        } else {
+            self.bytes.fetch_sub(before - after, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The exact store, behind both `mem` (no limit) and `tiered`: a shard
+/// that never spilled answers from its [`PackedTable`] alone. Once a shard
+/// has spilled, visits consult the hot delta table first (newest narrowing
+/// wins), then segment blooms newest-first; a fingerprint found only on
+/// disk that needs widening is re-inserted into the delta, shadowing the
+/// stale segment record. When the total in-memory footprint passes
+/// `mem_limit`, the shard holding the current visit is spilled — a
+/// deliberately local policy: it needs no cross-shard lock order, and
+/// under a uniform fingerprint distribution every shard is visited (and
+/// thus spilled) at the same rate.
+struct ExactStore {
     shards: Vec<Mutex<TierShard>>,
     mem_limit: u64,
     gauge: MemGauge,
@@ -709,9 +668,9 @@ struct TieredStore {
     disk_probes: AtomicU64,
 }
 
-impl TieredStore {
-    fn new(mem_limit: u64) -> TieredStore {
-        TieredStore {
+impl ExactStore {
+    fn new(mem_limit: u64) -> ExactStore {
+        ExactStore {
             shards: (0..STORE_SHARDS)
                 .map(|_| {
                     Mutex::new(TierShard {
@@ -746,6 +705,27 @@ impl TieredStore {
         None
     }
 
+    /// The visit protocol for a shard with spilled segments: the delta
+    /// table first, then the disk.
+    fn visit_spilled(&self, shard: &mut TierShard, fp: u64, sleep_digests: &[u64]) -> Visit {
+        if let Some(verdict) = shard.table.visit_existing(fp, sleep_digests) {
+            return verdict;
+        }
+        match self.find_on_disk(shard, fp) {
+            None => {
+                shard.table.insert(fp, sleep_digests);
+                Visit::New
+            }
+            Some(stored) if sorted_subset(&stored, sleep_digests) => Visit::Known,
+            Some(stored) => {
+                let narrowed = sorted_intersection(&stored, sleep_digests);
+                // Shadow the stale disk record with the narrowed set.
+                shard.table.insert(fp, &narrowed);
+                Visit::Widen(narrowed)
+            }
+        }
+    }
+
     /// Spills `shard`'s delta table to a new segment. On I/O failure the
     /// table simply stays in memory (the limit becomes advisory).
     fn spill(&self, shard: &mut TierShard) {
@@ -765,28 +745,14 @@ impl TieredStore {
     }
 }
 
-impl ExploredStore for TieredStore {
+impl ExploredStore for ExactStore {
     fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit {
         let mut shard = lock(&self.shards[store_shard(fingerprint)]);
         let before = shard.table.bytes();
-        let verdict = match shard.table.visit_existing(fingerprint, sleep_digests) {
-            Some(verdict) => verdict,
-            None => match self.find_on_disk(&shard, fingerprint) {
-                None => {
-                    shard.table.insert(fingerprint, sleep_digests);
-                    Visit::New
-                }
-                Some(stored) => {
-                    if sorted_subset(&stored, sleep_digests) {
-                        Visit::Known
-                    } else {
-                        let narrowed = sorted_intersection(&stored, sleep_digests);
-                        // Shadow the stale disk record with the narrowed set.
-                        shard.table.insert(fingerprint, &narrowed);
-                        Visit::Widen(narrowed)
-                    }
-                }
-            },
+        let verdict = if shard.segments.is_empty() {
+            shard.table.visit(fingerprint, sleep_digests)
+        } else {
+            self.visit_spilled(&mut shard, fingerprint, sleep_digests)
         };
         let after = shard.table.bytes();
         self.gauge.adjust(before, after);
@@ -897,10 +863,6 @@ impl ExploredStore for BitstateStore {
             ..ExploredStats::default()
         }
     }
-
-    fn lossy(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -950,7 +912,8 @@ mod tests {
 
     #[test]
     fn packed_table_agrees_with_reference_semantics() {
-        agrees_with_reference(&MemStore::new(), 5_000, 1);
+        let mem = build_store(&ExploredConfig::default());
+        agrees_with_reference(&*mem, 5_000, 1);
     }
 
     #[test]
@@ -958,7 +921,7 @@ mod tests {
         // A 1-byte limit keeps the store permanently over budget, so every
         // shard spills as soon as it holds SPILL_MIN_ENTRIES — the verdicts
         // must not change.
-        let store = TieredStore::new(1);
+        let store = ExactStore::new(1);
         agrees_with_reference(&store, 5_000, 2);
         let stats = store.stats();
         assert!(stats.spilled_shards > 0, "tiny limit must force spills");
@@ -968,8 +931,11 @@ mod tests {
 
     #[test]
     fn tiered_store_with_room_never_touches_disk() {
-        let store = TieredStore::new(u64::MAX);
-        agrees_with_reference(&store, 2_000, 3);
+        let store = build_store(&ExploredConfig {
+            mode: ExploredMode::Tiered,
+            mem_limit: 0,
+        });
+        agrees_with_reference(&*store, 2_000, 3);
         let stats = store.stats();
         assert_eq!(stats.spilled_shards, 0);
         assert_eq!(stats.disk_probes, 0);
@@ -1013,7 +979,7 @@ mod tests {
         // filters reject most (filter_hits), a few collide (false
         // positives) and must fall through to a disk probe that correctly
         // concludes New.
-        let store = TieredStore::new(1);
+        let store = ExactStore::new(1);
         for i in 0..2_000u64 {
             assert_eq!(store.visit(splitmix64(i), &[]), Visit::New);
         }
@@ -1036,8 +1002,8 @@ mod tests {
 
     #[test]
     fn bitstate_dedups_without_sleep_sets_and_is_flagged_lossy() {
+        assert!(ExploredMode::Bitstate.lossy());
         let store = BitstateStore::new(1 << 16);
-        assert!(store.lossy());
         assert_eq!(store.visit(42, &[]), Visit::New);
         assert_eq!(store.visit(42, &[]), Visit::Known);
         assert_eq!(store.visit(42, &[1, 2]), Visit::Known); // sleep ignored
@@ -1077,10 +1043,20 @@ mod tests {
             (ExploredMode::Tiered, false),
             (ExploredMode::Bitstate, true),
         ] {
-            let store = build_store(&ExploredConfig { mode, mem_limit: 0 });
-            assert_eq!(store.lossy(), lossy, "{}", mode.name());
-            assert_eq!(store.visit(99, &[]), Visit::New);
-            assert_eq!(store.visit(99, &[]), Visit::Known);
+            assert_eq!(mode.lossy(), lossy, "{}", mode.name());
+            for mem_limit in [0, 1] {
+                let store = build_store(&ExploredConfig { mode, mem_limit });
+                assert_eq!(store.visit(99, &[]), Visit::New);
+                assert_eq!(store.visit(99, &[]), Visit::Known);
+                for i in 0..2_000u64 {
+                    store.visit(splitmix64(i), &[]);
+                }
+                // The one difference between the two exact modes: only
+                // `tiered` honours a limit, so `mem` never spills.
+                let spills = mode == ExploredMode::Tiered && mem_limit == 1;
+                let label = format!("{} at {mem_limit}", mode.name());
+                assert_eq!(store.stats().spilled_shards > 0, spills, "{label}");
+            }
         }
     }
 

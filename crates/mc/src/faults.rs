@@ -10,7 +10,7 @@
 //!
 //! * **channel faults** — drop / duplicate / reorder / fail-link on the
 //!   packet ingress channels, through the
-//!   [`FaultModel`](nice_openflow::FaultModel) machinery of
+//!   [`FaultModel`] machinery of
 //!   [`FifoChannel`](nice_openflow::FifoChannel) so the two mechanisms
 //!   cannot drift. The plan holds the model, not the channel: the checker
 //!   asks [`FaultPlan::channel_model_for`] where it enumerates and where it

@@ -18,19 +18,20 @@
 //! * [`state`] — the [`state::SystemState`]: every component plus the FIFO
 //!   channels between them, with a canonical 64-bit fingerprint.
 //! * [`transition`] — the system transitions and their semantics.
-//! * [`strategy`] — NICE-MC full search, NO-DELAY, FLOW-IR and UNUSUAL,
-//!   plus the composable partial-order [`Reduction`](strategy::Reduction)
-//!   layer.
+//! * [`strategy`] — what each [`StrategyKind`] (NICE-MC full search,
+//!   NO-DELAY, FLOW-IR, UNUSUAL) selects, and the sleep-set partial-order
+//!   reduction [`ReductionKind::Por`] stacks under it.
 //! * [`por`] — transition footprints and the static independence relation
 //!   the reduction is built on.
 //! * [`properties`] — the correctness-property library of Section 5.2 plus
 //!   the trait for application-specific properties.
 //! * [`checker`] — the depth-first search loop of Figure 5, violation
 //!   traces, search statistics, and a random-walk simulation mode.
-//! * [`explored`] — tiered explored-set storage behind the
-//!   [`ExploredStore`] trait: packed in-memory tables, cold-shard spill to
-//!   disk behind a bloom filter, and lossy SPIN-style bitstate hashing,
-//!   selected with [`ExploredMode`].
+//! * [`explored`] — explored-set storage behind the [`ExploredStore`]
+//!   trait, selected with [`ExploredMode`]: one exact store of packed
+//!   in-memory tables that spills cold shards to disk behind a bloom filter
+//!   under a memory limit (`mem` has none), and lossy SPIN-style bitstate
+//!   hashing.
 //! * [`session`] — observable, cancellable check sessions: streamed
 //!   [`CheckEvent`]s, [`CancelToken`]/deadline interruption, and the
 //!   [`Outcome`] recorded on every report.
@@ -91,10 +92,7 @@ pub use session::{
 };
 pub use shard::{shard_of, FrontierExport, ShardSpec, ShardedSearch, StepOutcome};
 pub use state::SystemState;
-pub use strategy::{
-    FlowIr, FullDfs, NoDelay, NoReduction, PorReduction, Reduction, SearchStrategy, Sleeper,
-    Unusual,
-};
+pub use strategy::Sleeper;
 pub use timeline::{render_timeline, Timeline};
 pub use trace::{Trace, TraceEngine, TRACE_SCHEMA};
 pub use transition::Transition;

@@ -32,8 +32,8 @@
 //! ones, then a run per switch and a run per host, as many 64-bit words as
 //! the topology needs. Disjointness is three ANDs per word, and filling a
 //! footprint sets bits in a buffer the caller owns: the sleep-set reduction
-//! ([`PorReduction`](crate::strategy::PorReduction)) lays the footprints of
-//! one expansion side by side in one buffer it keeps, so computing them
+//! of [`crate::strategy`] lays the footprints of one expansion side by side
+//! in one buffer it keeps, so computing them
 //! allocates nothing. Footprints are computed from each state afresh — the
 //! lock-step drain of NO-DELAY writes outside the executed transition's
 //! footprint, so one cannot be carried from a node to its successors.
@@ -49,9 +49,9 @@
 //! fingerprints (see `Packet`'s `Fingerprint` impl), so id-allocation order
 //! does not distinguish states.
 //!
-//! The sleep-set search built on this relation lives in
-//! [`crate::checker`]; the composable [`Reduction`](crate::strategy::Reduction)
-//! layer in [`crate::strategy`].
+//! The sleep-set reduction built on this relation, which the checker runs
+//! under [`ReductionKind::Por`](crate::scenario::ReductionKind::Por), lives
+//! in [`crate::strategy`].
 
 use crate::scenario::Scenario;
 use crate::state::SystemState;

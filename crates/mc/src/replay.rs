@@ -4,7 +4,7 @@
 //! how many workers the producing search used: a trace is a single
 //! interleaving, so re-executing it needs no parallelism and must not
 //! inherit any scheduling dependence. The trace's own
-//! [`TraceEngine`](crate::trace::TraceEngine) supplies the semantics-
+//! [`TraceEngine`] supplies the semantics-
 //! relevant knobs (strategy, fault injection, coarse packet processing), so
 //! a BUG-XII witness recorded under `--faults` replays its fault
 //! transitions exactly.
@@ -246,7 +246,7 @@ impl ModelChecker {
     /// 1-worker engine, checking every property at every step (and the
     /// final-state properties if the trace ends in a terminal state).
     ///
-    /// The trace's [`TraceEngine`](crate::trace::TraceEngine) governs the
+    /// The trace's [`TraceEngine`] governs the
     /// execution semantics — strategy, fault injection, coarse packet
     /// processing — so traces recorded under `--faults` (BUG-XII) replay
     /// their fault transitions. The checker's own configuration supplies

@@ -103,38 +103,6 @@ impl Scenario {
         ScenarioBuilder::new(name)
     }
 
-    /// Adds a correctness property (builder style).
-    pub fn with_property(mut self, property: Box<dyn Property>) -> Self {
-        self.properties.push(property);
-        self
-    }
-
-    /// Adds several correctness properties (builder style).
-    pub fn with_properties(mut self, properties: Vec<Box<dyn Property>>) -> Self {
-        self.properties.extend(properties);
-        self
-    }
-
-    /// Overrides the switch configuration (builder style). Passing
-    /// `canonical_flow_table: false` reproduces the NO-SWITCH-REDUCTION
-    /// baseline of Table 1.
-    pub fn with_switch_config(mut self, config: SwitchConfig) -> Self {
-        self.switch_config = config;
-        self
-    }
-
-    /// Overrides the symbolic packet domains (builder style).
-    pub fn with_packet_domains(mut self, domains: PacketDomains) -> Self {
-        self.packet_domains = Some(domains);
-        self
-    }
-
-    /// Overrides the symbolic statistics domains (builder style).
-    pub fn with_stats_domains(mut self, domains: StatsDomains) -> Self {
-        self.stats_domains = domains;
-        self
-    }
-
     /// Replaces the fault plan (builder style).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
@@ -352,7 +320,7 @@ impl StrategyKind {
 }
 
 /// Which partial-order reduction runs on top of the search strategy (see
-/// [`crate::strategy::Reduction`]).
+/// [`crate::strategy`]).
 ///
 /// Orthogonal to [`StrategyKind`]: the strategy first filters the enabled
 /// transitions (a heuristic, possibly unsound restriction of event
@@ -368,8 +336,6 @@ pub enum ReductionKind {
     /// Sleep-set partial-order reduction over the static independence
     /// relation of [`Transition::footprint`](crate::transition::Transition),
     /// plus a persistent-set-style selector for provably local transitions.
-    /// (The implementation's display name lives on
-    /// [`Reduction::name`](crate::strategy::Reduction::name).)
     Por,
 }
 
@@ -421,12 +387,12 @@ pub struct CheckerConfig {
     /// [`ReductionKind`]).
     pub reduction: ReductionKind,
     /// Schedule the fault transitions described by the scenario's
-    /// [`FaultPlan`](crate::faults::FaultPlan). Off by default so that a
+    /// [`FaultPlan`]. Off by default so that a
     /// scenario carrying a plan can still be checked fault-free (the CLI's
     /// `--faults` flag flips this on).
     pub inject_faults: bool,
     /// How the explored fingerprint set is stored (see
-    /// [`ExploredConfig`](crate::explored::ExploredConfig)): exact in-memory
+    /// [`ExploredConfig`]): exact in-memory
     /// (the default), exact with cold-shard spill to disk, or lossy bitstate
     /// hashing.
     pub explored: ExploredConfig,
@@ -559,13 +525,11 @@ mod tests {
 
     #[test]
     fn scenario_builders_compose() {
-        let scenario = testutil::hub_ping_scenario(2)
-            .with_switch_config(SwitchConfig {
-                canonical_flow_table: false,
-                buffer_capacity: 8,
-            })
-            .with_fault_plan(FaultPlan::lossy(2))
-            .with_stats_domains(StatsDomains::around_threshold(100));
+        let mut scenario = testutil::hub_ping_scenario(2).with_fault_plan(FaultPlan::lossy(2));
+        scenario.switch_config = SwitchConfig {
+            canonical_flow_table: false,
+            buffer_capacity: 8,
+        };
         assert!(!scenario.switch_config.canonical_flow_table);
         assert_eq!(scenario.switch_config.buffer_capacity, 8);
         let cloned = scenario.clone();
@@ -581,9 +545,9 @@ mod tests {
         let scenario = testutil::hub_ping_scenario(1);
         let domains = scenario.effective_packet_domains();
         assert!(domains.macs.contains(&MacAddr::for_host(1).value()));
-        let overridden = scenario.with_packet_domains(
-            nice_sym::PacketDomains::from_topology(&Topology::single_switch(1)).with_ports(vec![9]),
-        );
+        let mut overridden = scenario;
+        overridden.packet_domains =
+            Some(PacketDomains::from_topology(&Topology::single_switch(1)).with_ports(vec![9]));
         assert_eq!(overridden.effective_packet_domains().ports, vec![9]);
     }
 

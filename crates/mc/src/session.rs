@@ -37,8 +37,8 @@
 //! ```
 
 use crate::checker::{CheckReport, ModelChecker, Violation};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -273,13 +273,9 @@ impl<'c> CheckSession<'c> {
 // Engine-side control plumbing
 // ---------------------------------------------------------------------------
 
-const INTERRUPT_NONE: u8 = 0;
-const INTERRUPT_CANCELLED: u8 = 1;
-const INTERRUPT_DEADLINE: u8 = 2;
-
 /// The session state the engines poll and emit through. Shared by reference
-/// with every parallel worker; all its hooks are no-ops (beyond one relaxed
-/// atomic load) for the default `run()` session, which keeps the wrapper
+/// with every parallel worker; all its hooks are no-ops (beyond an atomic
+/// load or two) for the default `run()` session, which keeps the wrapper
 /// bit-identical and costs the hot loop nothing measurable.
 pub(crate) struct SessionCtrl<'o> {
     cancel: CancelToken,
@@ -287,8 +283,8 @@ pub(crate) struct SessionCtrl<'o> {
     progress_every: u64,
     /// Next transition count at which to emit a `Progress` event.
     next_progress: AtomicU64,
-    /// First interrupt reason observed (`INTERRUPT_*`); first writer wins.
-    interrupted: AtomicU8,
+    /// First interrupt reason observed; first writer wins.
+    interrupted: OnceLock<InterruptReason>,
     start: Instant,
     observer: Mutex<&'o mut dyn CheckObserver>,
 }
@@ -305,7 +301,7 @@ impl<'o> SessionCtrl<'o> {
             deadline,
             progress_every,
             next_progress: AtomicU64::new(progress_every.max(1)),
-            interrupted: AtomicU8::new(INTERRUPT_NONE),
+            interrupted: OnceLock::new(),
             start: Instant::now(),
             observer: Mutex::new(observer),
         }
@@ -327,37 +323,26 @@ impl<'o> SessionCtrl<'o> {
     /// Polls the cancel token and deadline. Returns the interrupt reason the
     /// search should stop with, sticky across calls (the first reason
     /// observed by any worker wins). Engines call this once per expanded
-    /// node: one relaxed atomic load when idle, plus a clock read only when
+    /// node: two atomic loads when idle, plus a clock read only when
     /// a deadline is armed.
     pub(crate) fn check_interrupt(&self) -> Option<InterruptReason> {
-        match self.interrupted.load(Ordering::Relaxed) {
-            INTERRUPT_CANCELLED => return Some(InterruptReason::Cancelled),
-            INTERRUPT_DEADLINE => return Some(InterruptReason::DeadlineExceeded),
-            _ => {}
+        if let Some(reason) = self.interrupt_reason() {
+            return Some(reason);
         }
-        let code = if self.cancel.is_cancelled() {
-            INTERRUPT_CANCELLED
+        let reason = if self.cancel.is_cancelled() {
+            InterruptReason::Cancelled
         } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            INTERRUPT_DEADLINE
+            InterruptReason::DeadlineExceeded
         } else {
             return None;
         };
-        let _ = self.interrupted.compare_exchange(
-            INTERRUPT_NONE,
-            code,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+        let _ = self.interrupted.set(reason);
         self.interrupt_reason()
     }
 
     /// The sticky interrupt reason, if any poll has fired.
     pub(crate) fn interrupt_reason(&self) -> Option<InterruptReason> {
-        match self.interrupted.load(Ordering::Relaxed) {
-            INTERRUPT_CANCELLED => Some(InterruptReason::Cancelled),
-            INTERRUPT_DEADLINE => Some(InterruptReason::DeadlineExceeded),
-            _ => None,
-        }
+        self.interrupted.get().copied()
     }
 
     /// Emits a `Progress` event if `transitions` crossed the next cadence

@@ -1,21 +1,26 @@
-//! OpenFlow-specific search strategies (Section 4) and the composable
-//! partial-order [`Reduction`] layer.
+//! OpenFlow-specific search strategies (Section 4) and the sleep-set
+//! partial-order reduction that stacks under them.
 //!
-//! A strategy restricts which of a state's enabled transitions the checker
-//! explores, trading completeness for a (much) smaller space of event
-//! orderings biased towards the interleavings that uncover bugs:
+//! A strategy is its [`StrategyKind`] — the value of
+//! [`CheckerConfig::strategy`] — and restricts which of a state's enabled
+//! transitions the checker explores, trading completeness for a (much)
+//! smaller space of event orderings biased towards the interleavings that
+//! uncover bugs:
 //!
-//! * [`FullDfs`] — NICE-MC: explore everything (PKT-SEQ bounds on host send
-//!   budgets still apply; they are part of the scenario, not the strategy).
-//! * [`NoDelay`] — controller↔switch communication is atomic ("lock step"):
-//!   useful early in development, but blind to rule-installation races.
-//! * [`FlowIr`] — flow independence reduction: explore only one relative
-//!   ordering between packets the application declares independent.
-//! * [`Unusual`] — deliver outstanding controller→switch messages in the
-//!   most unusual order (most recently issued first) to expose races like
-//!   the Figure 1 example.
+//! * [`StrategyKind::FullDfs`] (PKT-SEQ) — NICE-MC: explore everything
+//!   (PKT-SEQ bounds on host send budgets still apply; they are part of the
+//!   scenario, not the strategy).
+//! * [`StrategyKind::NoDelay`] — controller↔switch communication is atomic
+//!   ("lock step"): useful early in development, but blind to
+//!   rule-installation races.
+//! * [`StrategyKind::FlowIr`] — flow independence reduction: explore only
+//!   one relative ordering between packets the application declares
+//!   independent.
+//! * [`StrategyKind::Unusual`] — deliver outstanding controller→switch
+//!   messages in the most unusual order (most recently issued first) to
+//!   expose races like the Figure 1 example.
 //!
-//! # How `Reduction` composes with the NICE strategies
+//! # How the reduction composes with the NICE strategies
 //!
 //! The two layers answer different questions and stack cleanly:
 //!
@@ -23,17 +28,17 @@
 //!    completeness (relative to the full interleaving space) to bias the
 //!    search towards bug-revealing orderings. It runs first, on the raw
 //!    enabled set of each state.
-//! 2. The **reduction** is a *sound* filter relative to whatever space the
-//!    strategy left: among the strategy-selected transitions it prunes
-//!    interleavings of provably independent transitions — orders that are
-//!    guaranteed (via [`Transition::footprint`]) to reach states the search
-//!    visits anyway through a sibling ordering. `FullDfs` + [`PorReduction`]
-//!    therefore finds exactly the violations of `FullDfs` alone while
-//!    executing strictly fewer transitions; `NoDelay`/`FlowIr`/`Unusual` +
-//!    POR prune the same commuting orders within each strategy's
-//!    already-restricted space.
+//! 2. The **reduction** ([`ReductionKind::Por`]) is a *sound* filter
+//!    relative to whatever space the strategy left: among the
+//!    strategy-selected transitions it prunes interleavings of provably
+//!    independent transitions — orders that are guaranteed (via
+//!    [`Transition::footprint`]) to reach states the search visits anyway
+//!    through a sibling ordering. PKT-SEQ + POR therefore finds exactly the
+//!    violations of PKT-SEQ alone while executing strictly fewer
+//!    transitions; NO-DELAY/FLOW-IR/UNUSUAL + POR prune the same commuting
+//!    orders within each strategy's already-restricted space.
 //!
-//! Concretely, [`PorReduction`] contributes two mechanisms:
+//! Concretely, the reduction contributes two mechanisms:
 //!
 //! * **Sleep sets** (Godefroid): when a state's transitions `t1, t2, …` are
 //!   explored in order, the child reached by `t2` inherits `t1` in its
@@ -52,51 +57,96 @@
 //!   singleton `{receive}` is a valid persistent set — the state expands
 //!   through that one transition and every sibling interleaving is pruned.
 //!
-//! The checker threads both through [`CheckerConfig::reduction`]
+//! The checker reads the reduction off [`CheckerConfig::reduction`]
 //! (builder: [`CheckerConfig::with_reduction`]); statistics report the
 //! pruned counts as `pruned_by_por`.
 //!
-//! [`CheckerConfig::reduction`]: crate::scenario::CheckerConfig
+//! [`CheckerConfig::strategy`]: crate::scenario::CheckerConfig::strategy
+//! [`CheckerConfig::reduction`]: crate::scenario::CheckerConfig::reduction
 //! [`CheckerConfig::with_reduction`]: crate::scenario::CheckerConfig::with_reduction
+//! [`ReductionKind::Por`]: crate::scenario::ReductionKind::Por
 
 use crate::por::{disjoint, Layout};
-use crate::scenario::{ReductionKind, Scenario, StrategyKind};
+use crate::scenario::{Scenario, StrategyKind};
 use crate::state::SystemState;
 use crate::transition::Transition;
 use nice_openflow::Packet;
 use std::sync::Arc;
 
-/// A search strategy: filters the enabled transitions of a state.
-///
-/// `Send + Sync` so each worker thread of the parallel search can hold its
-/// own strategy instance (they are stateless filters).
-pub trait SearchStrategy: Send + Sync {
-    /// The strategy's name (used in reports).
-    fn name(&self) -> &str;
+impl StrategyKind {
+    /// Restricts (and possibly reorders) the enabled transitions of `state`
+    /// to the ones this strategy wants explored.
+    pub(crate) fn select(self, state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+        match self {
+            // NO-DELAY drains the control-plane channels atomically after
+            // every transition, so ControllerHandle/ProcessOf transitions are
+            // never enabled on their own; nothing to filter here.
+            StrategyKind::FullDfs | StrategyKind::NoDelay => enabled,
+            StrategyKind::FlowIr => flow_ir(state, enabled),
+            StrategyKind::Unusual => unusual(state, enabled),
+        }
+    }
 
-    /// Restricts (and possibly reorders) the enabled transitions to the ones
-    /// this strategy wants explored from `state`.
-    fn select(&self, state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition>;
-
-    /// True if controller↔switch communication should be drained atomically
-    /// after every transition (the NO-DELAY semantics).
-    fn lock_step_control_plane(&self) -> bool {
-        false
+    /// True if controller↔switch communication is drained atomically after
+    /// every transition (the NO-DELAY semantics).
+    pub(crate) fn lock_step_control_plane(self) -> bool {
+        self == StrategyKind::NoDelay
     }
 }
 
-/// Builds the strategy implementation for a [`StrategyKind`].
-pub fn build_strategy(kind: StrategyKind) -> Box<dyn SearchStrategy> {
-    match kind {
-        StrategyKind::FullDfs => Box::new(FullDfs),
-        StrategyKind::NoDelay => Box::new(NoDelay),
-        StrategyKind::FlowIr => Box::new(FlowIr),
-        StrategyKind::Unusual => Box::new(Unusual),
+/// FLOW-IR: flow independence reduction.
+fn flow_ir(state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+    // Partition the enabled host-send transitions into flow groups using
+    // the application's isSameFlow oracle, then keep only the sends of
+    // the first group: the relative ordering between independent groups
+    // is explored exactly once (group 1 entirely before group 2, ...).
+    let mut group_leader: Option<Packet> = None;
+    let mut out = Vec::with_capacity(enabled.len());
+    for t in enabled {
+        match &t {
+            Transition::HostSend { packet, .. } => match &group_leader {
+                None => {
+                    group_leader = Some(*packet);
+                    out.push(t);
+                }
+                Some(leader) => {
+                    if state.controller().app().is_same_flow(leader, packet) {
+                        out.push(t);
+                    }
+                    // Sends of independent flows are pruned here; they
+                    // become enabled again once the leader flow has no
+                    // enabled sends left.
+                }
+            },
+            _ => out.push(t),
+        }
     }
+    out
+}
+
+/// UNUSUAL: uncommon delays and reorderings of control messages.
+fn unusual(state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+    // Among the pending controller→switch deliveries, keep only the one
+    // for the switch whose message was issued most recently: rule
+    // installations are explored in reverse order, the scenario of
+    // Figure 1 / BUG-IX.
+    let backlog = state.of_backlog();
+    let newest = backlog
+        .iter()
+        .max_by_key(|(_, seq)| *seq)
+        .map(|(sw, _)| *sw);
+    let multiple_pending = backlog.len() > 1;
+    enabled
+        .into_iter()
+        .filter(|t| match t {
+            Transition::ProcessOf { switch } if multiple_pending => Some(*switch) == newest,
+            _ => true,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
-// The partial-order reduction layer
+// The partial-order reduction
 // ---------------------------------------------------------------------------
 
 /// A transition asleep at a frontier node: exploring it from there is
@@ -136,75 +186,15 @@ impl Sleeper {
     }
 }
 
-/// A partial-order reduction layered *under* a [`SearchStrategy`]: the
-/// checker first lets the strategy filter the enabled set, then asks the
-/// reduction which of the surviving transitions to execute and which sleep
-/// set each child inherits. See the module docs for how the two layers
-/// compose and for the soundness argument.
-///
-/// Every worker of a search owns one reduction and calls it once per
-/// expanded node, so an implementation keeps whatever scratch space it
-/// needs between calls.
-pub trait Reduction: Send + Sync {
-    /// The reduction's name (used in reports).
-    fn name(&self) -> &str;
-
-    /// Reduces `explore` — the strategy-selected transitions of `state`, in
-    /// exploration order — in place to the ones to execute, given the sleep
-    /// set the frontier node carried, and returns how many it pruned
-    /// (sleep-set hits plus persistent-set exclusions).
-    ///
-    /// `child_sleeps` arrives empty and is left either empty — no child
-    /// sleeps anything — or holding, for every remaining transition of
-    /// `explore`, the sleep set its child inherits: the node's `sleep`
-    /// entries plus the siblings explored before it, each kept only while
-    /// independent of the executed transition. The caller hands the same
-    /// vector in again, emptied, with the next node.
-    fn reduce(
-        &mut self,
-        state: &SystemState,
-        scenario: &Scenario,
-        sleep: &[Sleeper],
-        explore: &mut Vec<Transition>,
-        child_sleeps: &mut Vec<Vec<Sleeper>>,
-    ) -> u64;
-}
-
-/// Builds the reduction implementation for a [`ReductionKind`], for
-/// searches of `scenario`.
-pub fn build_reduction(kind: ReductionKind, scenario: &Scenario) -> Box<dyn Reduction> {
-    match kind {
-        ReductionKind::None => Box::new(NoReduction),
-        ReductionKind::Por => Box::new(PorReduction::new(scenario)),
-    }
-}
-
-/// The identity reduction: explore everything, carry no sleep sets. This is
-/// the canonical NICE-MC behaviour and the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoReduction;
-
-impl Reduction for NoReduction {
-    fn name(&self) -> &str {
-        "NONE"
-    }
-
-    fn reduce(
-        &mut self,
-        _state: &SystemState,
-        _scenario: &Scenario,
-        _sleep: &[Sleeper],
-        _explore: &mut Vec<Transition>,
-        _child_sleeps: &mut Vec<Vec<Sleeper>>,
-    ) -> u64 {
-        0
-    }
-}
-
-/// Sleep-set partial-order reduction over [`Transition::footprint`]'s static
+/// [`ReductionKind::Por`](crate::scenario::ReductionKind::Por): sleep-set
+/// partial-order reduction over [`Transition::footprint`]'s static
 /// independence relation, plus a persistent-set-style selector for purely
 /// local receives. See the module docs.
-pub struct PorReduction {
+///
+/// Every worker of a POR search owns one and calls [`PorReduction::reduce`]
+/// once per expanded node, after the strategy filtered the enabled set; it
+/// keeps its footprint buffers between calls.
+pub(crate) struct PorReduction {
     layout: Layout,
     /// The footprints of one expansion, `layout.footprint_words()` words
     /// each: the node's sleepers', then the explored transitions'.
@@ -216,7 +206,7 @@ pub struct PorReduction {
 
 impl PorReduction {
     /// The reduction for searches of `scenario`.
-    pub fn new(scenario: &Scenario) -> PorReduction {
+    pub(crate) fn new(scenario: &Scenario) -> PorReduction {
         PorReduction {
             layout: Layout::of(scenario),
             footprints: Vec::new(),
@@ -235,14 +225,19 @@ impl PorReduction {
             _ => false,
         }
     }
-}
 
-impl Reduction for PorReduction {
-    fn name(&self) -> &str {
-        "POR"
-    }
-
-    fn reduce(
+    /// Reduces `explore` — the strategy-selected transitions of `state`, in
+    /// exploration order — in place to the ones to execute, given the sleep
+    /// set the frontier node carried, and returns how many it pruned
+    /// (sleep-set hits plus persistent-set exclusions).
+    ///
+    /// `child_sleeps` arrives empty and is left either empty — no child
+    /// sleeps anything — or holding, for every remaining transition of
+    /// `explore`, the sleep set its child inherits: the node's `sleep`
+    /// entries plus the siblings explored before it, each kept only while
+    /// independent of the executed transition. The caller hands the same
+    /// vector in again, emptied, with the next node.
+    pub(crate) fn reduce(
         &mut self,
         state: &SystemState,
         scenario: &Scenario,
@@ -312,123 +307,15 @@ impl Reduction for PorReduction {
     }
 }
 
-/// NICE-MC: the unrestricted search.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullDfs;
-
-impl SearchStrategy for FullDfs {
-    fn name(&self) -> &str {
-        "PKT-SEQ"
-    }
-
-    fn select(&self, _state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
-        enabled
-    }
-}
-
-/// NO-DELAY: rule installation is instantaneous.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoDelay;
-
-impl SearchStrategy for NoDelay {
-    fn name(&self) -> &str {
-        "NO-DELAY"
-    }
-
-    fn select(&self, _state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
-        // The control-plane channels are drained atomically after every
-        // transition, so ControllerHandle/ProcessOf transitions are never
-        // enabled on their own; nothing to filter here.
-        enabled
-    }
-
-    fn lock_step_control_plane(&self) -> bool {
-        true
-    }
-}
-
-/// FLOW-IR: flow independence reduction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowIr;
-
-impl FlowIr {
-    fn same_flow(state: &SystemState, a: &Packet, b: &Packet) -> bool {
-        state.controller().app().is_same_flow(a, b)
-    }
-}
-
-impl SearchStrategy for FlowIr {
-    fn name(&self) -> &str {
-        "FLOW-IR"
-    }
-
-    fn select(&self, state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
-        // Partition the enabled host-send transitions into flow groups using
-        // the application's isSameFlow oracle, then keep only the sends of
-        // the first group: the relative ordering between independent groups
-        // is explored exactly once (group 1 entirely before group 2, ...).
-        let mut group_leader: Option<Packet> = None;
-        let mut out = Vec::with_capacity(enabled.len());
-        for t in enabled {
-            match &t {
-                Transition::HostSend { packet, .. } => match &group_leader {
-                    None => {
-                        group_leader = Some(*packet);
-                        out.push(t);
-                    }
-                    Some(leader) => {
-                        if Self::same_flow(state, leader, packet) {
-                            out.push(t);
-                        }
-                        // Sends of independent flows are pruned here; they
-                        // become enabled again once the leader flow has no
-                        // enabled sends left.
-                    }
-                },
-                _ => out.push(t),
-            }
-        }
-        out
-    }
-}
-
-/// UNUSUAL: uncommon delays and reorderings of control messages.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Unusual;
-
-impl SearchStrategy for Unusual {
-    fn name(&self) -> &str {
-        "UNUSUAL"
-    }
-
-    fn select(&self, state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
-        // Among the pending controller→switch deliveries, keep only the one
-        // for the switch whose message was issued most recently: rule
-        // installations are explored in reverse order, the scenario of
-        // Figure 1 / BUG-IX.
-        let backlog = state.of_backlog();
-        let newest = backlog
-            .iter()
-            .max_by_key(|(_, seq)| *seq)
-            .map(|(sw, _)| *sw);
-        let multiple_pending = backlog.len() > 1;
-        enabled
-            .into_iter()
-            .filter(|t| match t {
-                Transition::ProcessOf { switch } if multiple_pending => Some(*switch) == newest,
-                _ => true,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::CheckerConfig;
     use crate::testutil;
     use crate::transition::enabled_transitions;
-    use nice_openflow::{HostId, MacAddr, OfMessage, PortId, SwitchId};
+    use nice_controller::{ControllerApp, ControllerOps, PacketInContext};
+    use nice_openflow::{Fnv64, HostId, MacAddr, OfMessage, SwitchId};
+    use nice_sym::{Env, SymPacket};
 
     fn state_with_backlog() -> SystemState {
         let scenario = testutil::hub_ping_scenario(1);
@@ -439,39 +326,21 @@ mod tests {
     }
 
     #[test]
-    fn build_strategy_matches_kind() {
-        for kind in StrategyKind::ALL {
-            let strategy = build_strategy(kind);
-            assert_eq!(strategy.name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn build_reduction_matches_kind() {
-        let scenario = testutil::hub_ping_scenario(1);
-        assert_eq!(
-            build_reduction(ReductionKind::None, &scenario).name(),
-            "NONE"
-        );
-        assert_eq!(build_reduction(ReductionKind::Por, &scenario).name(), "POR");
-    }
-
-    #[test]
     fn full_dfs_keeps_everything() {
         let scenario = testutil::hub_ping_scenario(1);
         let config = CheckerConfig::default();
         let state = state_with_backlog();
         let enabled = enabled_transitions(&state, &scenario, &config);
-        let kept = FullDfs.select(&state, enabled.clone());
+        let kept = StrategyKind::FullDfs.select(&state, enabled.clone());
         assert_eq!(kept.len(), enabled.len());
-        assert!(!FullDfs.lock_step_control_plane());
+        assert!(!StrategyKind::FullDfs.lock_step_control_plane());
     }
 
     #[test]
     fn no_delay_requests_lock_step() {
-        assert!(NoDelay.lock_step_control_plane());
+        assert!(StrategyKind::NoDelay.lock_step_control_plane());
         let state = state_with_backlog();
-        let kept = NoDelay.select(&state, vec![]);
+        let kept = StrategyKind::NoDelay.select(&state, vec![]);
         assert!(kept.is_empty());
     }
 
@@ -486,7 +355,7 @@ mod tests {
             .filter(|t| matches!(t, Transition::ProcessOf { .. }))
             .count();
         assert_eq!(process_of_before, 2);
-        let kept = Unusual.select(&state, enabled);
+        let kept = StrategyKind::Unusual.select(&state, enabled);
         let remaining: Vec<SwitchId> = kept
             .iter()
             .filter_map(|t| match t {
@@ -509,43 +378,68 @@ mod tests {
         let mut state = SystemState::initial(&scenario);
         state.enqueue_to_switch(SwitchId(1), OfMessage::BarrierRequest { request_id: 1 });
         let enabled = enabled_transitions(&state, &scenario, &config);
-        let kept = Unusual.select(&state, enabled.clone());
+        let kept = StrategyKind::Unusual.select(&state, enabled.clone());
         assert_eq!(kept.len(), enabled.len());
+    }
+
+    /// A hub whose flows are (source MAC, destination MAC) pairs.
+    #[derive(Debug, Clone)]
+    struct MacPairFlows;
+
+    impl ControllerApp for MacPairFlows {
+        fn name(&self) -> &str {
+            "mac-pair-flows"
+        }
+
+        fn packet_in(
+            &mut self,
+            ops: &mut dyn ControllerOps,
+            _env: &mut dyn Env,
+            ctx: PacketInContext,
+            _packet: &SymPacket,
+        ) {
+            ops.flood_packet(ctx.switch, ctx.buffer_id, ctx.in_port);
+        }
+
+        fn clone_app(&self) -> Box<dyn ControllerApp> {
+            Box::new(self.clone())
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn fingerprint(&self, _hasher: &mut Fnv64) {}
+
+        fn is_same_flow(&self, a: &Packet, b: &Packet) -> bool {
+            (a.src_mac, a.dst_mac) == (b.src_mac, b.dst_mac)
+        }
     }
 
     #[test]
     fn flow_ir_restricts_sends_to_one_group() {
-        // Two clients with sends of *different* flows enabled at once: the
-        // default isSameFlow (always true) keeps everything, so use packets
-        // that the testutil hub app treats as one flow — FLOW-IR then keeps
-        // them all. To observe pruning we use a custom oracle via the
-        // DstOnlyLearningApp? That app also uses the default oracle, so this
-        // test exercises the "everything same flow" behaviour and the
-        // structural pruning path with a hand-built transition list.
-        let scenario = testutil::hub_ping_scenario(1);
+        let scenario = testutil::ping_scenario_with_app(Box::new(MacPairFlows), 1);
         let state = SystemState::initial(&scenario);
-        let a = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
-        let b = Packet::l2_ping(2, MacAddr::for_host(2), MacAddr::for_host(1), 0);
+        let (one, two) = (MacAddr::for_host(1), MacAddr::for_host(2));
+        let send = |host, packet| Transition::HostSend {
+            host: HostId(host),
+            packet,
+        };
+        let first = send(1, Packet::l2_ping(1, one, two, 0));
+        let other_flow = send(2, Packet::l2_ping(2, two, one, 0));
+        let first_again = send(1, Packet::l2_ping(3, one, two, 1));
+        let process = Transition::ProcessPacket {
+            switch: SwitchId(1),
+        };
         let enabled = vec![
-            Transition::HostSend {
-                host: HostId(1),
-                packet: a,
-            },
-            Transition::HostSend {
-                host: HostId(2),
-                packet: b,
-            },
-            Transition::ProcessPacket {
-                switch: SwitchId(1),
-            },
+            first.clone(),
+            other_flow,
+            process.clone(),
+            first_again.clone(),
         ];
-        // Default oracle: same flow → both sends kept.
-        let kept = FlowIr.select(&state, enabled.clone());
-        assert_eq!(kept.len(), 3);
-        // The non-send transition is always preserved.
-        assert!(kept
-            .iter()
-            .any(|t| matches!(t, Transition::ProcessPacket { .. })));
-        let _ = PortId(1);
+        // The first send leads the group: its flow's sends and every
+        // non-send survive, the other flow's send waits.
+        let kept = StrategyKind::FlowIr.select(&state, enabled);
+        assert_eq!(kept, vec![first, process, first_again]);
     }
 }
