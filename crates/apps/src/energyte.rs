@@ -23,7 +23,7 @@ use crate::util::dst_match;
 use nice_controller::{ControllerApp, ControllerOps, PacketInContext, RuleSpec};
 use nice_mc::properties::{Event, Property};
 use nice_mc::state::SystemState;
-use nice_openflow::{Action, Fingerprint, Fnv64, MacAddr, PortId, StatsKind, SwitchId};
+use nice_openflow::{Action, Fingerprint, Hasher64, MacAddr, PortId, StatsKind, SwitchId};
 use nice_sym::{Env, SymPacket, SymStats, SymValue};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -354,7 +354,7 @@ impl ControllerApp for EnergyTeApp {
         self
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_bool(self.high_load);
         hasher.write_u32(self.flows_routed);
         hasher.write_bool(self.scaled_down);

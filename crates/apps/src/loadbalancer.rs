@@ -26,7 +26,9 @@
 
 use crate::util::{connection_key, tcp_microflow_match};
 use nice_controller::{ControllerApp, ControllerOps, PacketInContext, RuleSpec};
-use nice_openflow::{Action, Fingerprint, Fnv64, MacAddr, NwAddr, Packet, PacketInReason, PortId};
+use nice_openflow::{
+    Action, Fingerprint, Hasher64, MacAddr, NwAddr, Packet, PacketInReason, PortId,
+};
 use nice_sym::{Env, SymMap, SymPacket};
 
 /// One server replica.
@@ -290,7 +292,7 @@ impl ControllerApp for LoadBalancerApp {
         self
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u32(self.packets_handled);
         hasher.write_bool(self.in_transition);
         hasher.write_u16(self.policy);

@@ -24,7 +24,7 @@
 
 use crate::util::{l2_match, l2_match_reverse};
 use nice_controller::{ControllerApp, ControllerOps, PacketInContext, RuleSpec};
-use nice_openflow::{Action, Fingerprint, Fnv64, Packet, PortId, SwitchId, Timeouts};
+use nice_openflow::{Action, Fingerprint, Hasher64, Packet, PortId, SwitchId, Timeouts};
 use nice_sym::{Env, SymMap, SymPacket};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -272,7 +272,7 @@ impl ControllerApp for PySwitchApp {
         self
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_usize(self.tables.len());
         for (switch, table) in &self.tables {
             switch.fingerprint(hasher);

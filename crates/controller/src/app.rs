@@ -15,7 +15,7 @@
 //! Rust equivalent of NICE testing unmodified applications.
 
 use crate::ops::ControllerOps;
-use nice_openflow::{BufferId, Fnv64, PacketInReason, PortId, SwitchId};
+use nice_openflow::{BufferId, Hasher64, PacketInReason, PortId, SwitchId};
 use nice_sym::{Env, SymPacket, SymStats};
 
 /// The context of a `packet_in` event: where the packet showed up and which
@@ -95,7 +95,7 @@ pub trait ControllerApp: Send + Sync {
 
     /// Absorbs the controller's global state into the system fingerprint.
     /// This is the `state(ctrl)` serialisation of Figure 5.
-    fn fingerprint(&self, hasher: &mut Fnv64);
+    fn fingerprint(&self, hasher: &mut Hasher64);
 
     /// True if the application issues statistics requests and therefore wants
     /// the model checker to explore symbolic statistics replies
@@ -165,7 +165,7 @@ mod tests {
             self
         }
 
-        fn fingerprint(&self, hasher: &mut Fnv64) {
+        fn fingerprint(&self, hasher: &mut Hasher64) {
             hasher.write_u64(self.packets_seen);
         }
     }
@@ -201,14 +201,14 @@ mod tests {
         let mut app = Hub { packets_seen: 9 };
         let boxed: Box<dyn ControllerApp> = app.clone_app();
         let cloned = boxed.clone();
-        let mut h1 = Fnv64::new();
-        let mut h2 = Fnv64::new();
+        let mut h1 = Hasher64::new();
+        let mut h2 = Hasher64::new();
         app.fingerprint(&mut h1);
         cloned.fingerprint(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
         // Mutating the original does not affect the clone.
         app.packets_seen += 1;
-        let mut h3 = Fnv64::new();
+        let mut h3 = Hasher64::new();
         app.fingerprint(&mut h3);
         assert_ne!(h2.finish(), h3.finish());
     }

@@ -4,7 +4,7 @@
 
 use crate::app::{ControllerApp, PacketInContext};
 use crate::ops::MessageSink;
-use nice_openflow::{Fingerprint, Fnv64, OfMessage, PortId, SwitchId};
+use nice_openflow::{Fingerprint, Hasher64, OfMessage, PortId, SwitchId};
 use nice_sym::{ConcreteEnv, Env, SymPacket, SymStats};
 
 /// The controller side of the modelled system.
@@ -201,7 +201,7 @@ impl ControllerRuntime {
 }
 
 impl Fingerprint for ControllerRuntime {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_str(self.app.name());
         self.app.fingerprint(hasher);
         hasher.write_u64(self.next_request_id);
@@ -290,7 +290,7 @@ mod tests {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-        fn fingerprint(&self, hasher: &mut Fnv64) {
+        fn fingerprint(&self, hasher: &mut Hasher64) {
             hasher.write_u64(self.packet_ins);
             hasher.write_u64(self.joins);
             hasher.write_u64(self.leaves);

@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use nice_openflow::{EthType, Fingerprint, Fnv64, HostId, HostSpec, Location, Packet, TcpFlags};
+use nice_openflow::{EthType, Fingerprint, Hasher64, HostId, HostSpec, Location, Packet, TcpFlags};
 
 /// The interface between the model checker and an end host.
 ///
@@ -99,7 +99,7 @@ pub trait HostModel: Send + Sync {
     fn clone_host(&self) -> Box<dyn HostModel>;
 
     /// Absorbs the host state into the system fingerprint.
-    fn fingerprint(&self, hasher: &mut Fnv64);
+    fn fingerprint(&self, hasher: &mut Hasher64);
 }
 
 impl Clone for Box<dyn HostModel> {
@@ -269,7 +269,7 @@ impl HostModel for ClientHost {
         Box::new(self.clone())
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_str("client");
         self.spec.id.fingerprint(hasher);
         self.location.fingerprint(hasher);
@@ -380,7 +380,7 @@ impl HostModel for ServerHost {
         Box::new(self.clone())
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_str("server");
         self.spec.id.fingerprint(hasher);
         hasher.write_u32(self.received);
@@ -499,7 +499,7 @@ impl HostModel for MobileHost {
         Box::new(self.clone())
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_str("mobile");
         self.inner.fingerprint(hasher);
         hasher.write_u32(self.moves_done);
@@ -512,7 +512,7 @@ mod tests {
     use nice_openflow::{MacAddr, NwAddr, PortId, SwitchId, Topology};
 
     fn fp(h: &dyn HostModel) -> u64 {
-        let mut hasher = Fnv64::new();
+        let mut hasher = Hasher64::new();
         h.fingerprint(&mut hasher);
         hasher.finish()
     }

@@ -53,7 +53,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 // The visit protocol (moved here from checker.rs)
 // ---------------------------------------------------------------------------
 
-/// Identity hasher for values that are already 64-bit fingerprints (FNV-1a
+/// Identity hasher for values that are already 64-bit fingerprints (`Hasher64`
 /// outputs): feeding them through SipHash again would be pure overhead.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FingerprintHasher(u64);

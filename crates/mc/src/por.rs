@@ -56,7 +56,7 @@
 use crate::scenario::Scenario;
 use crate::state::SystemState;
 use crate::transition::Transition;
-use nice_openflow::{ChannelFault, Fingerprint, Fnv64, HostId, OfMessage, PortId, SwitchId};
+use nice_openflow::{ChannelFault, Fingerprint, Hasher64, HostId, OfMessage, PortId, SwitchId};
 
 /// An abstract resource a transition may read or write.
 #[derive(Debug, Clone, Copy)]
@@ -617,7 +617,7 @@ impl Transition {
     pub fn digest(&self) -> u64 {
         #[cfg(test)]
         DIGESTS.with(|calls| calls.set(calls.get() + 1));
-        let mut h = Fnv64::with_seed(0xde_d0c);
+        let mut h = Hasher64::with_seed(0xde_d0c);
         h.write_str(self.kind());
         match self {
             Transition::HostSend { host, packet } => {

@@ -77,7 +77,7 @@ use crate::scenario::Scenario;
 use nice_controller::ControllerRuntime;
 use nice_hosts::HostModel;
 use nice_openflow::{
-    FifoChannel, Fingerprint, Fnv64, HostId, Location, OfMessage, Packet, PacketId, PortId,
+    FifoChannel, Fingerprint, Hasher64, HostId, Location, OfMessage, Packet, PacketId, PortId,
     PortStatsEntry, Switch, SwitchId, Topology,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,7 +90,7 @@ trait Component {
     const SEED: u64;
 
     /// Feeds the component's fingerprint-relevant contents to `h`.
-    fn write(&self, h: &mut Fnv64);
+    fn write(&self, h: &mut Hasher64);
 }
 
 impl Component for ControllerRuntime {
@@ -98,7 +98,7 @@ impl Component for ControllerRuntime {
     /// caches.
     const SEED: u64 = 0xc0_11;
 
-    fn write(&self, h: &mut Fnv64) {
+    fn write(&self, h: &mut Hasher64) {
         self.fingerprint(h);
     }
 }
@@ -106,7 +106,7 @@ impl Component for ControllerRuntime {
 impl Component for Switch {
     const SEED: u64 = 0x5_317c;
 
-    fn write(&self, h: &mut Fnv64) {
+    fn write(&self, h: &mut Hasher64) {
         self.fingerprint(h);
     }
 }
@@ -114,7 +114,7 @@ impl Component for Switch {
 impl Component for Box<dyn HostModel> {
     const SEED: u64 = 0x40_57;
 
-    fn write(&self, h: &mut Fnv64) {
+    fn write(&self, h: &mut Hasher64) {
         self.fingerprint(h);
     }
 }
@@ -126,7 +126,7 @@ const CHANNEL_SEED: u64 = 0xc4a_221;
 impl<T: Fingerprint> Component for FifoChannel<T> {
     const SEED: u64 = CHANNEL_SEED;
 
-    fn write(&self, h: &mut Fnv64) {
+    fn write(&self, h: &mut Hasher64) {
         self.fingerprint(h);
     }
 }
@@ -134,7 +134,7 @@ impl<T: Fingerprint> Component for FifoChannel<T> {
 /// The digest of an idle channel — nothing queued, link up — of any message
 /// type: what a channel without a cell digests to.
 const IDLE_CHANNEL: u64 = {
-    let mut h = Fnv64::with_seed(CHANNEL_SEED);
+    let mut h = Hasher64::with_seed(CHANNEL_SEED);
     h.write_bool(false);
     h.write_usize(0);
     h.finish()
@@ -176,7 +176,7 @@ impl<T> Cached<T> {
 
 /// The digest of a component's current contents.
 fn rehash<T: Component>(component: &T) -> u64 {
-    let mut h = Fnv64::with_seed(T::SEED);
+    let mut h = Hasher64::with_seed(T::SEED);
     component.write(&mut h);
     h.finish()
 }
@@ -291,7 +291,7 @@ type DiscoveredStatsTable = BTreeMap<SwitchId, BTreeMap<u64, Row<Vec<Vec<PortSta
 /// What the relevant packets discovered for `host` under the controller
 /// state that digests to `ctrl_fp` contribute to the fingerprint.
 fn packets_row_share(host: HostId, ctrl_fp: u64, packets: &[Packet]) -> u64 {
-    let mut h = Fnv64::with_seed(ctrl_fp);
+    let mut h = Hasher64::with_seed(ctrl_fp);
     packets.fingerprint(&mut h);
     mix(slot::RELEVANT_PACKETS, host.0 as u64, h.finish())
 }
@@ -299,7 +299,7 @@ fn packets_row_share(host: HostId, ctrl_fp: u64, packets: &[Packet]) -> u64 {
 /// What the statistics replies discovered for `switch` under the controller
 /// state that digests to `ctrl_fp` contribute to the fingerprint.
 fn stats_row_share(switch: SwitchId, ctrl_fp: u64, replies: &[Vec<PortStatsEntry>]) -> u64 {
-    let mut h = Fnv64::with_seed(ctrl_fp);
+    let mut h = Hasher64::with_seed(ctrl_fp);
     replies.fingerprint(&mut h);
     mix(slot::DISCOVERED_STATS, switch.0 as u64, h.finish())
 }
@@ -312,7 +312,7 @@ fn fault_share(budget: u32, crashed: &BTreeSet<SwitchId>) -> u64 {
     if budget == 0 && crashed.is_empty() {
         return 0;
     }
-    let mut h = Fnv64::with_seed(FAULTS_FP_SEED);
+    let mut h = Hasher64::with_seed(FAULTS_FP_SEED);
     h.write_u64(budget as u64);
     crashed.fingerprint(&mut h);
     mix(slot::FAULTS, 0, h.finish())
@@ -545,7 +545,7 @@ mod slot {
 /// Mixes a component digest with its slot (kind + key) so the combined
 /// XOR cannot confuse equal digests sitting in different places.
 fn mix(tag: u64, key: u64, digest: u64) -> u64 {
-    let mut h = Fnv64::with_seed(tag);
+    let mut h = Hasher64::with_seed(tag);
     h.write_u64(key);
     h.write_u64(digest);
     h.finish()
@@ -1048,8 +1048,9 @@ impl SystemState {
     /// controller state) is folded from digests taken where each was
     /// written: a few map lookups and mixes.
     ///
-    /// Golden-value tests in this module pin the per-channel digests to the
-    /// exact FNV-1a hash of the channel contents, and
+    /// Tests in this module pin each channel's digest to a
+    /// [`Hasher64`] digest of the channel contents and the slot mix to
+    /// golden values, and
     /// [`reference_fingerprint`](Self::reference_fingerprint) re-hashes
     /// everything from scratch; `tests/fingerprint_walk.rs` holds the two
     /// equal after every transition of a random walk over every shipped
@@ -1379,7 +1380,7 @@ mod tests {
 
         let ch = state.ingress.get((SwitchId(1), PortId(1))).unwrap();
         let direct = {
-            let mut h = Fnv64::with_seed(FifoChannel::<Packet>::SEED);
+            let mut h = Hasher64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.fingerprint(&mut h);
             h.finish()
         };
@@ -1393,7 +1394,7 @@ mod tests {
         assert_eq!(ch.digest.get(), None);
         // ...and the recomputed digest reflects the new contents.
         let direct_after = {
-            let mut h = Fnv64::with_seed(FifoChannel::<Packet>::SEED);
+            let mut h = Hasher64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.fingerprint(&mut h);
             h.finish()
         };
@@ -1653,10 +1654,41 @@ mod tests {
     fn golden_mix_values_are_stable() {
         // Pins the slot-mix function (and thereby the whole combined
         // fingerprint scheme) so refactors cannot silently change explored-
-        // set semantics or replay files.
-        assert_eq!(mix(slot::CONTROLLER, 0, 0), 0x5b2a969b42d238a4);
-        assert_eq!(mix(slot::SWITCH, 1, 0xdead_beef), 0xe06616201829fc28);
-        assert_eq!(mix(slot::PENDING_STATS, 3, 1), 0x25086686098fd86f);
+        // set semantics, shard assignments or store placement.
+        assert_eq!(mix(slot::CONTROLLER, 0, 0), 0xdcdd_1f64_0003_6e7a);
+        assert_eq!(mix(slot::SWITCH, 1, 0xdead_beef), 0xbff2_18b6_f8ce_409e);
+        assert_eq!(mix(slot::PENDING_STATS, 3, 1), 0x089e_9ab9_2385_d42f);
+    }
+
+    /// A slot's share is the last thing the state fingerprint does to a
+    /// component digest, so it has to spread every digest bit over the
+    /// whole word: flipping any one bit of `digest` flips 24 to 40 of the
+    /// 64 output bits on average (32 is ideal).
+    #[test]
+    fn mix_avalanches_every_digest_bit() {
+        const SAMPLES: u32 = 512;
+        let mut z = 0u64;
+        let mut next = || {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let y = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let y = (y ^ (y >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            y ^ (y >> 31)
+        };
+        for (tag, key) in [(slot::CONTROLLER, 0), (slot::INGRESS, (3 << 16) | 2)] {
+            for bit in 0..64 {
+                let flipped: u32 = (0..SAMPLES)
+                    .map(|_| {
+                        let digest = next();
+                        (mix(tag, key, digest) ^ mix(tag, key, digest ^ (1 << bit))).count_ones()
+                    })
+                    .sum();
+                let mean = f64::from(flipped) / f64::from(SAMPLES);
+                assert!(
+                    (24.0..=40.0).contains(&mean),
+                    "tag {tag}, digest bit {bit}: {mean:.1} output bits flip"
+                );
+            }
+        }
     }
 
     #[test]

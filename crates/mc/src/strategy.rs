@@ -314,7 +314,7 @@ mod tests {
     use crate::testutil;
     use crate::transition::enabled_transitions;
     use nice_controller::{ControllerApp, ControllerOps, PacketInContext};
-    use nice_openflow::{Fnv64, HostId, MacAddr, OfMessage, SwitchId};
+    use nice_openflow::{Hasher64, HostId, MacAddr, OfMessage, SwitchId};
     use nice_sym::{Env, SymPacket};
 
     fn state_with_backlog() -> SystemState {
@@ -409,7 +409,7 @@ mod tests {
             self
         }
 
-        fn fingerprint(&self, _hasher: &mut Fnv64) {}
+        fn fingerprint(&self, _hasher: &mut Hasher64) {}
 
         fn is_same_flow(&self, a: &Packet, b: &Packet) -> bool {
             (a.src_mac, a.dst_mac) == (b.src_mac, b.dst_mac)

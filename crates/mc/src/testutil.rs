@@ -10,7 +10,7 @@ use crate::scenario::Scenario;
 use nice_controller::{ControllerApp, ControllerOps, PacketInContext, RuleSpec};
 use nice_hosts::{ClientHost, HostModel, SendBudget};
 use nice_openflow::{
-    Action, Fingerprint, Fnv64, HostId, MacAddr, MatchPattern, Packet, PortId, Topology,
+    Action, Fingerprint, Hasher64, HostId, MacAddr, MatchPattern, Packet, PortId, Topology,
 };
 use nice_sym::{Env, SymMap, SymPacket};
 
@@ -47,7 +47,7 @@ impl ControllerApp for HubApp {
         self
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u64(self.packets_handled);
     }
 }
@@ -81,7 +81,7 @@ impl ControllerApp for ForgetfulApp {
         self
     }
 
-    fn fingerprint(&self, _hasher: &mut Fnv64) {}
+    fn fingerprint(&self, _hasher: &mut Hasher64) {}
 }
 
 /// A minimal destination-MAC learning application that installs forwarding
@@ -140,7 +140,7 @@ impl ControllerApp for DstOnlyLearningApp {
         self
     }
 
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.table.fingerprint(hasher);
     }
 }

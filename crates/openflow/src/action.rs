@@ -1,7 +1,7 @@
 //! Actions attached to flow rules and `packet_out` messages, and the
 //! forwarding decisions produced when a switch applies them.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::packet::Packet;
 use crate::types::PortId;
 use std::fmt;
@@ -35,7 +35,7 @@ impl fmt::Display for Action {
 }
 
 impl Fingerprint for Action {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         match self {
             Action::Output(p) => {
                 hasher.write_u8(0);

@@ -17,7 +17,7 @@
 //! plus a `failed` bit — which is what lets the model checker keep no
 //! channel at all where nothing is queued and nothing has failed.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -207,7 +207,7 @@ impl<T> FifoChannel<T> {
 }
 
 impl<T: Fingerprint> Fingerprint for FifoChannel<T> {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_bool(self.failed);
         hasher.write_usize(self.queue.len());
         for m in &self.queue {

@@ -13,7 +13,7 @@
 //! reproduces the `NO-SWITCH-REDUCTION` baseline of Table 1.
 
 use crate::action::Action;
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::matchfields::MatchPattern;
 use crate::packet::Packet;
 use crate::stats::FlowStatsEntry;
@@ -327,14 +327,14 @@ impl FlowTable {
 }
 
 impl Fingerprint for RuleCounters {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u64(self.packets);
         hasher.write_u64(self.bytes);
     }
 }
 
 impl Fingerprint for Timeouts {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         match self.idle {
             None => hasher.write_u8(0),
             Some(v) => {
@@ -353,7 +353,7 @@ impl Fingerprint for Timeouts {
 }
 
 impl Fingerprint for FlowRule {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.pattern.fingerprint(hasher);
         hasher.write_u16(self.priority);
         self.actions.fingerprint(hasher);
@@ -364,7 +364,7 @@ impl Fingerprint for FlowRule {
 }
 
 impl Fingerprint for FlowTable {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         // The stored order *is* the canonical order when canonicalisation is
         // enabled; with it disabled, insertion order leaks into the
         // fingerprint — which is exactly the NO-SWITCH-REDUCTION behaviour

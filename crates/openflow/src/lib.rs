@@ -35,7 +35,7 @@ pub mod types;
 
 pub use action::{Action, ForwardingDecision};
 pub use channel::{ChannelFault, FaultModel, FifoChannel};
-pub use fingerprint::{fingerprint_of, Fingerprint, Fnv64};
+pub use fingerprint::{fingerprint_of, Fingerprint, Hasher64};
 pub use flowtable::{FlowRule, FlowTable, RuleCounters, Timeouts};
 pub use matchfields::MatchPattern;
 pub use messages::{FlowModCommand, OfMessage, OfMutation, PacketInReason, StatsKind};

@@ -6,7 +6,7 @@
 //! wildcards, which is what the load-balancer application of Section 8.2 uses
 //! to split client traffic.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::packet::{EthType, IpProto, Packet};
 use crate::types::{MacAddr, NwAddr, PortId};
 use std::cmp::Ordering;
@@ -332,14 +332,14 @@ impl fmt::Display for MatchPattern {
 }
 
 impl Fingerprint for PrefixMatch {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.prefix.fingerprint(hasher);
         hasher.write_u8(self.len);
     }
 }
 
 impl Fingerprint for MatchPattern {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.in_port.fingerprint(hasher);
         self.dl_src.fingerprint(hasher);
         self.dl_dst.fingerprint(hasher);

@@ -5,7 +5,7 @@
 //! [`crate::channel::FifoChannel`]s — no TCP/SSL framing is modelled,
 //! matching the paper's simplification.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::flowtable::{FlowRule, Timeouts};
 use crate::matchfields::MatchPattern;
 use crate::packet::Packet;
@@ -377,7 +377,7 @@ impl fmt::Display for OfMessage {
 }
 
 impl Fingerprint for PacketInReason {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u8(match self {
             PacketInReason::NoMatch => 0,
             PacketInReason::Action => 1,
@@ -386,7 +386,7 @@ impl Fingerprint for PacketInReason {
 }
 
 impl Fingerprint for OfMessage {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_str(self.kind_name());
         match self {
             OfMessage::PacketIn {

@@ -8,7 +8,7 @@
 //! integer tag, which is all the modelled end hosts need to correlate
 //! requests and replies.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::types::{MacAddr, NwAddr};
 use std::fmt;
 
@@ -322,31 +322,31 @@ impl fmt::Display for Packet {
 }
 
 impl Fingerprint for EthType {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u16(self.value());
     }
 }
 
 impl Fingerprint for IpProto {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u8(self.value());
     }
 }
 
 impl Fingerprint for TcpFlags {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u8(self.0);
     }
 }
 
 impl Fingerprint for PacketId {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_u64(self.0);
     }
 }
 
 impl Fingerprint for Packet {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         // The provenance id is deliberately left out: it is bookkeeping for
         // correctness properties, not part of the semantic network state.
         // Including it would make interleavings that produce identical

@@ -6,7 +6,7 @@
 //! so the values carried here are plain integers that can be marked symbolic
 //! by the `nice-sym` crate.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::types::PortId;
 
 /// Per-port transmit/receive counters, the payload of a port-stats reply.
@@ -61,7 +61,7 @@ pub struct FlowStatsEntry {
 }
 
 impl Fingerprint for PortStatsEntry {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.port.fingerprint(hasher);
         hasher.write_u64(self.rx_packets);
         hasher.write_u64(self.tx_packets);
@@ -71,7 +71,7 @@ impl Fingerprint for PortStatsEntry {
 }
 
 impl Fingerprint for FlowStatsEntry {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         hasher.write_usize(self.rule_index);
         hasher.write_u64(self.packets);
         hasher.write_u64(self.bytes);

@@ -11,7 +11,7 @@
 //! based state restoration possible.
 
 use crate::action::{Action, ForwardingDecision};
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::flowtable::{FlowRule, FlowTable, TableLookup};
 use crate::messages::{FlowModCommand, OfMessage, PacketInReason, StatsKind};
 use crate::packet::Packet;
@@ -397,14 +397,14 @@ impl Switch {
 }
 
 impl Fingerprint for BufferedPacket {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.packet.fingerprint(hasher);
         self.in_port.fingerprint(hasher);
     }
 }
 
 impl Fingerprint for Switch {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.id.fingerprint(hasher);
         self.flow_table.fingerprint(hasher);
         hasher.write_usize(self.buffered.len());

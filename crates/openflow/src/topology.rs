@@ -7,7 +7,7 @@
 //! only records the initial attachment and any spare ports a mobile host can
 //! move to.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use crate::types::{HostId, MacAddr, NwAddr, PortId, SwitchId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,7 +28,7 @@ impl fmt::Display for Location {
 }
 
 impl Fingerprint for Location {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         self.switch.fingerprint(hasher);
         self.port.fingerprint(hasher);
     }

@@ -1,6 +1,6 @@
 //! Fundamental identifier and address types shared by the whole system model.
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::{Fingerprint, Hasher64};
 use std::fmt;
 
 /// Identifier of an OpenFlow switch (datapath id).
@@ -182,7 +182,7 @@ impl fmt::Display for NwAddr {
 macro_rules! impl_fingerprint_newtype {
     ($ty:ty, $write:ident) => {
         impl Fingerprint for $ty {
-            fn fingerprint(&self, hasher: &mut Fnv64) {
+            fn fingerprint(&self, hasher: &mut Hasher64) {
                 hasher.$write(self.0);
             }
         }

@@ -18,7 +18,7 @@
 use crate::expr::BoolExpr;
 use crate::solver::Assignment;
 use crate::value::{SymBool, SymValue};
-use nice_openflow::Fnv64;
+use nice_openflow::Hasher64;
 
 /// The branch/concretisation oracle handlers execute against.
 pub trait Env {
@@ -105,7 +105,7 @@ impl SymExecEnv {
     /// A stable fingerprint of the path, used to recognise when two inputs
     /// exercise the same equivalence class.
     pub fn path_signature(&self) -> u64 {
-        let mut h = Fnv64::with_seed(0x5e_c0);
+        let mut h = Hasher64::with_seed(0x5e_c0);
         h.write_usize(self.path.len());
         for (c, taken) in &self.path {
             h.write_str(&c.to_string());

@@ -16,7 +16,7 @@
 use crate::env::SymExecEnv;
 use crate::expr::BoolExpr;
 use crate::solver::{Assignment, Solver};
-use nice_openflow::Fnv64;
+use nice_openflow::Hasher64;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Limits on the path exploration.
@@ -164,7 +164,7 @@ impl PathExplorer {
 }
 
 fn prefix_signature(constraints: &[BoolExpr]) -> u64 {
-    let mut h = Fnv64::with_seed(0x9e_f1);
+    let mut h = Hasher64::with_seed(0x9e_f1);
     h.write_usize(constraints.len());
     for c in constraints {
         h.write_str(&c.to_string());

@@ -16,7 +16,7 @@
 
 use crate::env::Env;
 use crate::value::SymValue;
-use nice_openflow::{Fingerprint, Fnv64};
+use nice_openflow::{Fingerprint, Hasher64};
 use std::collections::BTreeMap;
 
 /// A map keyed by (possibly symbolic) integers.
@@ -121,7 +121,7 @@ impl<V: Clone> SymMap<V> {
 }
 
 impl<V: Fingerprint> Fingerprint for SymMap<V> {
-    fn fingerprint(&self, hasher: &mut Fnv64) {
+    fn fingerprint(&self, hasher: &mut Hasher64) {
         debug_assert!(
             self.overlay.is_empty(),
             "symbolic overlay entries must not leak into model-checker state"

@@ -12,31 +12,65 @@
 //! up across steps) as well as fresh clones (settled), so both ways of
 //! arriving at a fingerprint are held to the reference.
 //!
-//! The reference was rewritten together with the layout it re-hashes (a
-//! channel that is idle has no cell, and still a share of the fingerprint),
-//! so the same walks are also held to what they produced *before* that:
-//! [`PARENT_STREAMS`]. And they hold the layout itself to its invariant: an
-//! initial state and every clone carry a cell per component and per channel
-//! that holds something, and no other.
+//! The reference moves with the layout it re-hashes and the hash function
+//! it calls, so the same walks are also held to how they split states
+//! *before* either changed: [`PARENT_PARTITIONS`], taken with the seven-map
+//! layout and the byte-at-a-time Fowler–Noll–Vo hash, pins which of the
+//! states each walk visits are equal — not the values they hash to. The walks also hold the bits
+//! each consumer of a fingerprint reads to a χ² bound, and the layout to its
+//! invariant: an initial state and every clone carry a cell per component
+//! and per channel that holds something, and no other. A property test
+//! then rearranges chain states the way an XOR of per-slot shares could
+//! miss: contents swapped between two slots, or moved between two channels.
 
 use nice::apps::workloads::resolve;
 use nice::mc::transition::{enabled_transitions, execute, DiscoveryMemo};
 use nice::mc::{FailoverStaleness, FaultPlan, SystemState, Transition};
-use nice::openflow::{FifoChannel, Fnv64};
+use nice::openflow::{FifoChannel, FlowRule};
 use nice::prelude::*;
 use nice::scenarios::registry;
-use std::collections::BTreeSet;
+use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::OnceLock;
+
+/// SplitMix64's increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output function: a bijective mixer that owes nothing to the
+/// fingerprint hasher.
+fn splitmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// SplitMix64: a seeded stream of choices without a dependency.
 struct Choices(u64);
 
 impl Choices {
     fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) % n as u64) as usize
+        self.0 = self.0.wrapping_add(GAMMA);
+        (splitmix(self.0) % n as u64) as usize
+    }
+}
+
+/// Which of the fingerprints a walk saw are equal, in the order it saw
+/// them: each fingerprint becomes the index of its first occurrence, and
+/// the indices are folded by [`splitmix`]. Two hash functions that split the
+/// walked states alike give the same signature, whatever values they hash
+/// to; one that merges two states the other keeps apart, or the other way
+/// round, changes it.
+#[derive(Default)]
+struct Partition {
+    first_seen: HashMap<u64, u64>,
+    signature: u64,
+}
+
+impl Partition {
+    fn record(&mut self, fingerprint: u64) {
+        let fresh = self.first_seen.len() as u64;
+        let index = *self.first_seen.entry(fingerprint).or_insert(fresh);
+        self.signature = splitmix(self.signature.wrapping_add(GAMMA) ^ index);
     }
 }
 
@@ -74,15 +108,15 @@ fn assert_no_idle_cell(state: &SystemState, scenario: &str) {
 
 /// Walks `scenario` `walks` times for at most `max_steps` transitions,
 /// checking every state reached, and records which transition kinds ran.
-/// Returns a digest of every fingerprint the walks saw, in order.
+/// Returns how the walks partitioned the fingerprints they saw.
 fn walk(
     scenario: &Scenario,
     seed: u64,
     walks: u32,
     max_steps: usize,
     kinds: &mut BTreeSet<&'static str>,
-) -> u64 {
-    let mut stream = Fnv64::new();
+) -> Partition {
+    let mut partition = Partition::default();
     let config = CheckerConfig::default().with_fault_injection(true);
     let mut choices = Choices(seed);
     let mut memo = DiscoveryMemo::default();
@@ -92,7 +126,7 @@ fn walk(
         let mut state = SystemState::initial(scenario);
         assert_eq!(state.fingerprint(), state.reference_fingerprint(), "{name}");
         assert_no_idle_cell(&state, name);
-        stream.write_u64(state.fingerprint());
+        partition.record(state.fingerprint());
         for step in 0..max_steps {
             let enabled = enabled_transitions(&state, scenario, &config);
             if enabled.is_empty() {
@@ -121,76 +155,108 @@ fn walk(
             execute(&mut fork, other, scenario, &config, &mut memo, &mut events);
             assert_exact(&fork, "the diverging clone", name, step, other);
             assert_exact(&state, "the state cloned from", name, step, other);
-            stream.write_u64(state.fingerprint());
-            stream.write_u64(fork.fingerprint());
+            partition.record(state.fingerprint());
+            partition.record(fork.fingerprint());
         }
     }
-    stream.finish()
+    partition
 }
 
-/// What [`walk`] returned for each walk of the test below at the commit
-/// before absent-when-empty channels (`00f7951`, one cell per channel the
-/// topology could use, in seven `BTreeMap`s): the reference there re-hashed
-/// the cells that layout held, so these hold today's layout to that one's
-/// values and not to a reference that moved with it.
-const PARENT_STREAMS: [(&str, u64); 21] = [
-    ("bug-i-host-unreachable-after-moving", 0x6f8db9d1df1b9da3),
-    ("bug-ii-delayed-direct-path", 0x5e1d013968004e9c),
-    ("bug-ii-fixed", 0xcf0abf6446b0f4b6),
-    ("bug-iii-excess-flooding", 0x4995a90180082198),
-    ("bug-iv-next-packet-dropped", 0x2a30a743bf21558b),
-    ("bug-iv-fixed", 0xccce3ee4052cacbd),
-    ("bug-v-packets-dropped-in-transition", 0xa58c2ecaa0cad39e),
-    ("bug-vi-arp-packets-forgotten", 0xa12ce79b9ae210d0),
-    ("bug-vi-fixed", 0x354fa181ed104ea5),
-    ("bug-vii-duplicate-syn", 0x0211718665f31458),
-    ("bug-viii-first-packet-dropped", 0x35f03a53b7dec76a),
-    ("bug-viii-fixed", 0xfaec09f58f17d5fb),
+/// The [`Partition`] signature of each walk below, taken at the commit
+/// before this hash function (Fowler–Noll–Vo 1a over the same writes) — whose
+/// fingerprints were those of the commit before absent-when-empty channels
+/// (`00f7951`, one cell per channel the topology could use, in seven
+/// `BTreeMap`s). These hold today's layout and hasher to the states that
+/// layout told apart, and not to a reference that moved with them; a later
+/// change of hash function needs no new constants.
+const PARENT_PARTITIONS: [(&str, u64); 21] = [
+    ("bug-i-host-unreachable-after-moving", 0x3bdcd2da9e777cc3),
+    ("bug-ii-delayed-direct-path", 0x8deec62ae64bd137),
+    ("bug-ii-fixed", 0x59106a2ff7da25d9),
+    ("bug-iii-excess-flooding", 0x3ef625d27f126415),
+    ("bug-iv-next-packet-dropped", 0x81b1381600e1d52f),
+    ("bug-iv-fixed", 0x142d0ecea03b07c1),
+    ("bug-v-packets-dropped-in-transition", 0xf09c22cd3d486b4b),
+    ("bug-vi-arp-packets-forgotten", 0xdbc3d333a9f96b01),
+    ("bug-vi-fixed", 0x08d515a434b5f634),
+    ("bug-vii-duplicate-syn", 0xd49f7078c8694541),
+    ("bug-viii-first-packet-dropped", 0x0b7ad0baae9583f9),
+    ("bug-viii-fixed", 0xe2e07a41f393b802),
     (
         "bug-ix-intermediate-switch-packets-dropped",
-        0x4d88cc201622d41c,
+        0xac8eda1090181862,
     ),
-    ("bug-x-only-on-demand-routes", 0x8cffa3d6bd5cccb9),
-    ("bug-x-fixed", 0xfb6bebe3baade978),
-    ("bug-xi-packets-dropped-on-scale-down", 0x6aae393412b661a8),
-    ("bug-xii-packet-lost-on-switch-crash", 0xa053279d29cb6aaa),
-    ("bug-xii-fixed", 0xe1930d97abdbcccf),
-    ("chain-faults:3:1", 0x0edcfb6d29d8c3e2),
-    ("chain:3:1 of_mutations Cold", 0x48f1413149d41633),
-    ("chain:3:1 of_mutations Warm", 0x0cb5b8f65cc03819),
+    ("bug-x-only-on-demand-routes", 0x460812e70bacbb2f),
+    ("bug-x-fixed", 0x1f7f2ac1b7842098),
+    ("bug-xi-packets-dropped-on-scale-down", 0x08c92431ec6e0a72),
+    ("bug-xii-packet-lost-on-switch-crash", 0xd376b5db1b221ab1),
+    ("bug-xii-fixed", 0x9c1e411147bba7ce),
+    ("chain-faults:3:1", 0xa7f3e084afa3bfc0),
+    ("chain:3:1 of_mutations Cold", 0x3c733b6a39dcad5c),
+    ("chain:3:1 of_mutations Warm", 0x91ec969364d9ad2a),
 ];
+
+/// What the walks of every shipped scenario saw, walked once for the tests
+/// that read it.
+struct Walks {
+    /// Each walk's name and [`Partition`] signature, in walk order.
+    signatures: Vec<(String, u64)>,
+    /// The transition kinds the walks executed.
+    kinds: BTreeSet<&'static str>,
+    /// Every distinct fingerprint the walks saw.
+    fingerprints: HashSet<u64>,
+}
+
+fn walks() -> &'static Walks {
+    static WALKS: OnceLock<Walks> = OnceLock::new();
+    WALKS.get_or_init(|| {
+        let mut kinds = BTreeSet::new();
+        let mut partitions = Vec::new();
+        for (index, entry) in registry().iter().enumerate() {
+            let partition = walk(&entry.build(), index as u64, 3, 300, &mut kinds);
+            partitions.push((entry.name.clone(), partition));
+        }
+
+        let chain = resolve("chain-faults:3:1").expect("a chain workload spec");
+        let partition = walk(&chain, 100, 12, 300, &mut kinds);
+        partitions.push(("chain-faults:3:1".to_string(), partition));
+        // The shipped plan has no controller failover and no OpenFlow message
+        // mutation; a second plan runs those.
+        for (seed, staleness) in [
+            (200, FailoverStaleness::Cold),
+            (300, FailoverStaleness::Warm),
+        ] {
+            let plan = FaultPlan::of_mutations(3).with_failover(staleness);
+            let scenario = chain.clone().with_fault_plan(plan);
+            let partition = walk(&scenario, seed, 12, 300, &mut kinds);
+            partitions.push((format!("chain:3:1 of_mutations {staleness:?}"), partition));
+        }
+        let fingerprints = (partitions.iter())
+            .flat_map(|(_, partition)| partition.first_seen.keys().copied())
+            .collect();
+        let signatures = (partitions.into_iter())
+            .map(|(name, partition)| (name, partition.signature))
+            .collect();
+        Walks {
+            signatures,
+            kinds,
+            fingerprints,
+        }
+    })
+}
 
 #[test]
 fn the_accumulator_never_drifts_from_a_full_rehash() {
-    let mut kinds = BTreeSet::new();
-    let mut streams = Vec::new();
-    for (index, entry) in registry().iter().enumerate() {
-        let stream = walk(&entry.build(), index as u64, 3, 300, &mut kinds);
-        streams.push((entry.name.clone(), stream));
-    }
-
-    let chain = resolve("chain-faults:3:1").expect("a chain workload spec");
-    let stream = walk(&chain, 100, 12, 300, &mut kinds);
-    streams.push(("chain-faults:3:1".to_string(), stream));
-    // The shipped plan has no controller failover and no OpenFlow message
-    // mutation; a second plan runs those.
-    for (seed, staleness) in [
-        (200, FailoverStaleness::Cold),
-        (300, FailoverStaleness::Warm),
-    ] {
-        let plan = FaultPlan::of_mutations(3).with_failover(staleness);
-        let scenario = chain.clone().with_fault_plan(plan);
-        let stream = walk(&scenario, seed, 12, 300, &mut kinds);
-        streams.push((format!("chain:3:1 of_mutations {staleness:?}"), stream));
-    }
-    for ((name, stream), (pinned_name, pinned)) in streams.iter().zip(PARENT_STREAMS) {
+    let walks = walks();
+    for ((name, signature), (pinned_name, pinned)) in walks.signatures.iter().zip(PARENT_PARTITIONS)
+    {
         assert_eq!(name, pinned_name, "the walks run in the pinned order");
         assert_eq!(
-            *stream, pinned,
-            "{name}: the fingerprints differ from the seven-map layout's ({stream:#018x})"
+            *signature, pinned,
+            "{name}: the states split unlike the seven-map layout's ({signature:#018x})"
         );
     }
-    assert_eq!(streams.len(), PARENT_STREAMS.len());
+    assert_eq!(walks.signatures.len(), PARENT_PARTITIONS.len());
 
     // The walks must have exercised what this suite exists for: every
     // write path into the accumulator, faults and discovery included.
@@ -210,7 +276,46 @@ fn the_accumulator_never_drifts_from_a_full_rehash() {
         "ctrl_failover",
         "mutate_of",
     ] {
+        let kinds = &walks.kinds;
         assert!(kinds.contains(kind), "no walk executed a {kind}: {kinds:?}");
+    }
+}
+
+/// The value a χ² statistic with `dof` degrees of freedom exceeds with
+/// probability 0.001 (the Wilson–Hilferty approximation).
+fn chi_squared_bound(dof: f64) -> f64 {
+    const Z_999: f64 = 3.090_232;
+    let t = 2.0 / (9.0 * dof);
+    dof * (1.0 - t + Z_999 * t.sqrt()).powi(3)
+}
+
+/// Hash compaction assumes uniform fingerprints, and three consumers read
+/// three different bytes of them: the explored store's open-addressed
+/// table probes on the low bits, its lock shards on bits 48..=55, and the
+/// distributed search routes on the top byte.
+#[test]
+fn every_byte_a_consumer_reads_is_uniform_over_the_walked_states() {
+    let fingerprints = &walks().fingerprints;
+    let expected = fingerprints.len() as f64 / 256.0;
+    assert!(expected >= 5.0, "{} states are too few", fingerprints.len());
+    let bound = chi_squared_bound(255.0);
+    for (consumer, shift) in [
+        ("PackedTable's low byte", 0),
+        ("store_shard's bits 48..=55", 48),
+        ("shard_of's top byte", 56),
+    ] {
+        let mut bins = [0u32; 256];
+        for fp in fingerprints {
+            bins[(fp >> shift) as usize & 0xff] += 1;
+        }
+        let chi_squared: f64 = (bins.iter())
+            .map(|&observed| (observed as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(
+            chi_squared < bound,
+            "{consumer}: χ² {chi_squared:.1} over {} states exceeds {bound:.1}",
+            fingerprints.len()
+        );
     }
 }
 
@@ -227,4 +332,126 @@ fn an_initial_chain_state_holds_cells_for_its_components_only() {
         state.cell_count() < 53,
         "one cell per implied channel is back"
     );
+}
+
+/// A state of `chain:<switches>:2` at most `steps` seeded random
+/// transitions from its initial state.
+fn chain_state(switches: usize, seed: u64, steps: usize) -> SystemState {
+    let scenario = resolve(&format!("chain:{switches}:2")).expect("a chain workload spec");
+    let config = CheckerConfig::default();
+    let mut state = SystemState::initial(&scenario);
+    let mut choices = Choices(seed);
+    let (mut memo, mut events) = (DiscoveryMemo::default(), Vec::new());
+    for _ in 0..steps {
+        let enabled = enabled_transitions(&state, &scenario, &config);
+        if enabled.is_empty() {
+            break;
+        }
+        let taken = &enabled[choices.below(enabled.len())];
+        execute(
+            &mut state,
+            taken,
+            &scenario,
+            &config,
+            &mut memo,
+            &mut events,
+        );
+        events.clear();
+    }
+    state
+}
+
+/// `after` is `before` rearranged into a different state: its fingerprint
+/// must differ, and be what a full re-hash says.
+fn rearranged(what: &str, before: &SystemState, after: &SystemState) -> Result<(), String> {
+    prop_assert!(
+        after.fingerprint() != before.fingerprint(),
+        "{what}: the fingerprint did not change"
+    );
+    prop_assert!(
+        after.fingerprint() == after.reference_fingerprint(),
+        "{what}: the accumulator drifted"
+    );
+    Ok(())
+}
+
+/// Empties the ingress channel `at`, returning what it held.
+fn drain(state: &mut SystemState, at: (SwitchId, PortId)) -> Vec<Packet> {
+    std::iter::from_fn(|| state.ingress_mut(at.0, at.1).pop()).collect()
+}
+
+/// Queues `packets` on the ingress channel `at`.
+fn fill(state: &mut SystemState, at: (SwitchId, PortId), packets: Vec<Packet>) {
+    for packet in packets {
+        state.enqueue_ingress(at.0, at.1, packet);
+    }
+}
+
+proptest! {
+    /// The fingerprint XORs one share per slot, so a rearrangement that
+    /// keeps the multiset of component digests — two channels swapping
+    /// queues, a packet moving between two idle channels, two switches
+    /// swapping flow tables — changes it only through each share's mix of
+    /// slot and digest.
+    #[test]
+    fn moving_contents_between_slots_changes_the_fingerprint(
+        switches in 2usize..5,
+        seed in 0u64..1_000_000,
+        steps in 0usize..40,
+        pick in any::<u64>(),
+    ) {
+        let state = chain_state(switches, seed, steps);
+        let mut choices = Choices(pick);
+        let mut two = |n: usize| {
+            let a = choices.below(n);
+            (a, (a + 1 + choices.below(n - 1)) % n)
+        };
+        // A packet no chain host sends, so no queue already equals it.
+        let stray = Packet::l2_ping(0, MacAddr::for_host(90), MacAddr::for_host(91), 7);
+        let ports: Vec<(SwitchId, PortId)> = (state.switches())
+            .flat_map(|(id, sw)| sw.ports.iter().map(move |&port| (id, port)))
+            .collect();
+
+        // Two ingress channels swap queues; the stray packet makes them
+        // differ.
+        let (a, b) = two(ports.len());
+        let (a, b) = (ports[a], ports[b]);
+        let mut before = state.clone();
+        before.enqueue_ingress(a.0, a.1, stray);
+        let mut after = before.clone();
+        let (queue_a, queue_b) = (drain(&mut after, a), drain(&mut after, b));
+        fill(&mut after, a, queue_b);
+        fill(&mut after, b, queue_a);
+        rearranged("swapped ingress queues", &before, &after)?;
+
+        // The stray packet moves between two idle channels.
+        let idle: Vec<_> = (ports.iter().copied())
+            .filter(|&(sw, port)| state.ingress(sw, port).is_none())
+            .collect();
+        if idle.len() >= 2 {
+            let (a, b) = two(idle.len());
+            let (a, b) = (idle[a], idle[b]);
+            let mut before = state.clone();
+            before.enqueue_ingress(a.0, a.1, stray);
+            let mut after = before.clone();
+            let moved = drain(&mut after, a);
+            fill(&mut after, b, moved);
+            rearranged("a packet moved between idle channels", &before, &after)?;
+        }
+
+        // Two switches swap flow tables; a rule no chain controller
+        // installs makes them differ.
+        let ids: Vec<SwitchId> = state.switches().map(|(id, _)| id).collect();
+        let (a, b) = two(ids.len());
+        let (a, b) = (ids[a], ids[b]);
+        let mut before = state.clone();
+        let rule = FlowRule::new(MatchPattern::any(), 7, vec![Action::Drop]);
+        before.switch_mut(a).expect("a chain switch").flow_table.add_rule(rule);
+        let mut after = before.clone();
+        let table_a = after.switch(a).expect("a chain switch").flow_table.clone();
+        let table_b = after.switch(b).expect("a chain switch").flow_table.clone();
+        after.switch_mut(a).expect("a chain switch").flow_table = table_b;
+        after.switch_mut(b).expect("a chain switch").flow_table = table_a;
+        rearranged("swapped flow tables", &before, &after)?;
+    }
 }
