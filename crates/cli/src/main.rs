@@ -9,7 +9,7 @@
 //!   stderr, honours a wall-clock budget (`--time-budget-ms`), with
 //!   `--json` emits one machine-readable
 //!   object embedding the first counterexample as a typed trace (schema
-//!   `nice-cli-run-v5`, documented in `bench/README.md`), and with
+//!   `nice-cli-run-v6`, documented in `bench/README.md`), and with
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
@@ -60,12 +60,11 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
                                                   covers all four)
   --reduction <none|por>                          partial-order reduction (default none; not sweep,
                                                   which covers both)
-  --explored <mem|tiered|bitstate>                explored-set storage: exact in-memory (default),
-                                                  exact with cold-shard spill to disk, or lossy
-                                                  SPIN-style bitstate hashing (PASS not exhaustive)
-  --mem-limit <BYTES>                             explored-set memory budget (0 = mode default:
-                                                  tiered 512 MiB, bitstate 64 MiB; mem ignores it);
-                                                  per worker process under --dist and submit
+  --explored <mem|tiered>                         explored-set storage, exact either way: in memory
+                                                  (default), or with cold-shard spill to disk
+  --mem-limit <BYTES>                             tiered only: spill past this many bytes (default
+                                                  and 0: 512 MiB); per worker process under --dist
+                                                  and submit
   --max-transitions <N>                           transition budget (default 500000; 0 = unlimited)
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
@@ -204,6 +203,9 @@ impl RunOptions {
 /// three and are read here only.
 fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> {
     let mut opts = RunOptions::default();
+    // Applied once every flag is read: it needs `--explored tiered`,
+    // wherever that came.
+    let mut mem_limit = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -246,11 +248,11 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
                 config.reduction = parse_name(value()?, "reduction", names, ReductionKind::parse)?;
             }
             "--explored" => {
-                let names = "mem, tiered, bitstate";
+                let names = "mem, tiered";
                 config.explored.mode =
                     parse_name(value()?, "explored mode", names, ExploredMode::parse)?;
             }
-            "--mem-limit" => config.explored.mem_limit = number()?,
+            "--mem-limit" => mem_limit = Some(number()?),
             "--max-transitions" => config.max_transitions = number()?,
             "--max-depth" => config.max_depth = number()? as usize,
             "--time-budget-ms" => opts.time_budget = Some(Duration::from_millis(number()?)),
@@ -279,6 +281,12 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             }
         }
         i += 1;
+    }
+    if let Some(bytes) = mem_limit {
+        if opts.config.explored.mode != ExploredMode::Tiered {
+            return Err("--mem-limit needs --explored tiered (mem never spills)".into());
+        }
+        opts.config.explored.mem_limit = bytes;
     }
     Ok(opts)
 }
@@ -583,7 +591,7 @@ fn engine_label(workers: usize) -> &'static str {
     engine.label()
 }
 
-/// The `nice run --json` report (schema `nice-cli-run-v5`, documented in
+/// The `nice run --json` report (schema `nice-cli-run-v6`, documented in
 /// `bench/README.md`).
 fn run_json<'a>(
     target: &'a Target,
@@ -615,7 +623,7 @@ fn run_json<'a>(
     let secs = stats.duration.as_secs_f64();
     let rate = stats.unique_states as f64 / secs.max(1e-9);
     Json::object([
-        ("schema", "nice-cli-run-v5".into()),
+        ("schema", "nice-cli-run-v6".into()),
         ("scenario", target.spec.as_str().into()),
         ("app", app.into()),
         ("bug", entry.map(|e| e.bug.label()).into()),
@@ -626,7 +634,6 @@ fn run_json<'a>(
         ("workers", opts.config.workers.into()),
         ("engine", engine.into()),
         ("explored", opts.config.explored.mode.name().into()),
-        ("lossy", report.lossy.into()),
         ("faults_enabled", opts.config.inject_faults.into()),
         ("injected_faults", stats.faults.to_json()),
         ("outcome", report.outcome.label(stats.truncated).into()),
@@ -987,22 +994,42 @@ mod tests {
         let defaults = both(&[]).expect("no flags is a check");
         let budgeted = CheckerConfig::default().with_max_transitions(500_000);
         assert_eq!(defaults, (budgeted, None));
-        for (flag, good, bad) in [
-            ("--strategy", "unusual", "bfs"),
-            ("--reduction", "por", "tso"),
-            ("--explored", "tiered", "mmap"),
-            ("--mem-limit", "4096", "4k"),
-            ("--max-transitions", "0", "-1"),
-            ("--max-depth", "9", "deep"),
-            ("--time-budget-ms", "50", "1s"),
+        let tiered = ["--explored", "tiered"];
+        for (given, flag, good, bad) in [
+            (&[][..], "--strategy", "unusual", "bfs"),
+            (&[], "--reduction", "por", "tso"),
+            (&[], "--explored", "tiered", "mmap"),
+            (&[], "--explored", "tiered", "bitstate"),
+            (&tiered, "--mem-limit", "4096", "4k"),
+            (&[], "--max-transitions", "0", "-1"),
+            (&[], "--max-depth", "9", "deep"),
+            (&[], "--time-budget-ms", "50", "1s"),
         ] {
-            assert_ne!(both(&[flag, good]).expect(flag), defaults, "{flag}");
-            let refused = both(&[flag, bad]).expect_err(flag);
+            let after = |flags: &[&str]| both(&[given, flags].concat());
+            let base = after(&[]).expect("the given flags are a check");
+            assert_ne!(after(&[flag, good]).expect(flag), base, "{flag}");
+            let refused = after(&[flag, bad]).expect_err(flag);
             assert!(refused.contains(&format!("'{bad}'")), "{refused}");
-            assert_eq!(both(&[flag]), Err(format!("{flag} needs a value")));
+            assert_eq!(after(&[flag]), Err(format!("{flag} needs a value")));
         }
         for flag in ["--faults", "--all-violations"] {
             assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
+        }
+        // `--mem-limit` bounds only `tiered`, wherever `--explored` comes;
+        // `mem` would ignore it, so every command refuses it in one voice.
+        let limited = both(&["--mem-limit", "1", "--explored", "tiered"]);
+        assert_eq!(limited, both(&["--explored", "tiered", "--mem-limit", "1"]));
+        assert_eq!(limited.expect("limit first").0.explored.mem_limit, 1);
+        let refusal = "--mem-limit needs --explored tiered (mem never spills)";
+        for flags in [
+            &["--mem-limit", "1"][..],
+            &["--explored", "mem", "--mem-limit", "1"],
+            &["--mem-limit", "1", "--explored", "mem"],
+        ] {
+            assert_eq!(both(flags), Err(refusal.to_string()), "{flags:?}");
+            let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            let sweep = parse_run_options(&args, Mode::Sweep).err();
+            assert_eq!(sweep.as_deref(), Some(refusal), "{flags:?}");
         }
     }
 
@@ -1019,7 +1046,7 @@ mod tests {
         // Anything else only has to be JSON; an embedded trace is not a claim.
         assert_eq!(check_document("{}"), Ok("JSON"));
         let report = format!(
-            r#"{{"schema": "nice-cli-run-v5", "trace": {}}}"#,
+            r#"{{"schema": "nice-cli-run-v6", "trace": {}}}"#,
             trace.to_json()
         );
         assert_eq!(check_document(&report), Ok("JSON"));

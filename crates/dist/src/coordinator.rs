@@ -471,7 +471,6 @@ fn merge_reports(
         }
     }
     report.stats.duration = duration;
-    report.lossy = spec.config.explored.mode.lossy();
     for v in &mut report.violations {
         v.transitions_explored = report.stats.transitions;
         v.unique_states = report.stats.unique_states;

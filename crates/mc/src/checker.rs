@@ -15,7 +15,7 @@
 //! * `workers > 1` — a parallel search: one worker per thread, each
 //!   expanding depth-first from a private stack and handing nodes to a
 //!   shared mutex-protected queue only when a sibling is starving. The
-//!   workers deduplicate states through one shared [`ExploredStore`], so
+//!   workers deduplicate states through one shared explored store, so
 //!   each unique state is expanded exactly once across all of them. With no
 //!   truncating budget the parallel search visits the same state space as
 //!   the sequential one (identical `unique_states` and `transitions`, same
@@ -49,16 +49,15 @@
 //! [`crate::state`]), not recomputed.
 //!
 //! The explored set stores only 64-bit state fingerprints (Section 6 of the
-//! paper), behind the tiered [`ExploredStore`] abstraction of
-//! [`crate::explored`]: exact packed in-memory tables by default, an exact
-//! disk-spilling tier for runs past RAM, or lossy bitstate hashing —
-//! selected by [`CheckerConfig::explored`]. Under partial-order reduction
+//! paper) in the one exact store of [`crate::explored`]: packed in-memory
+//! tables that, under `tiered` ([`CheckerConfig::explored`]), spill cold
+//! shards to disk for runs past RAM. Under partial-order reduction
 //! ([`CheckerConfig::reduction`](crate::scenario::CheckerConfig)) each
 //! fingerprint additionally remembers the sleep set it was explored with —
 //! see `crate::explored::FingerprintMap` for why that keeps sleep sets
 //! sound under state matching.
 
-use crate::explored::{build_store, visit_explored, ExploredStore, FingerprintMap, Visit};
+use crate::explored::{visit_explored, ExactStore, FingerprintMap, Visit};
 use crate::json::Json;
 use crate::properties::{Event, Property};
 use crate::scenario::{CheckerConfig, ReductionKind, Scenario};
@@ -379,12 +378,6 @@ pub struct CheckReport {
     /// budget-truncated — see [`SearchStats::truncated`]) or stopped early
     /// by a session's cancel token or deadline.
     pub outcome: Outcome,
-    /// True if the explored set was lossy (bitstate hashing): states may
-    /// have been *missed*, so a PASS is not exhaustive. Violations are
-    /// never invented — every reported trace really executed — but
-    /// `--expect pass` semantics are weaker, which is why the flag rides
-    /// on the report itself.
-    pub lossy: bool,
 }
 
 impl CheckReport {
@@ -443,12 +436,6 @@ impl fmt::Display for CheckReport {
                 f,
                 "  spilled shards: {} | filter hits: {} | disk probes: {}",
                 self.stats.spilled_shards, self.stats.filter_hits, self.stats.disk_probes
-            )?;
-        }
-        if self.lossy {
-            writeln!(
-                f,
-                "  lossy: bitstate hashing may have missed states (PASS is not exhaustive)"
             )?;
         }
         if self.stats.faults.any() {
@@ -866,7 +853,7 @@ pub(crate) struct Worker<'a> {
     /// capacity.
     sleep_digests: Vec<u64>,
     pub(crate) shard: ShardSpec,
-    store: Arc<dyn ExploredStore>,
+    store: Arc<ExactStore>,
     root: Arc<Snapshot>,
     /// The path last replayed from the root, and the snapshots kept along
     /// it as `(depth, snapshot)`, shallowest first
@@ -889,7 +876,7 @@ impl<'a> Worker<'a> {
     pub(crate) fn new(
         checker: &'a ModelChecker,
         shard: ShardSpec,
-        store: Arc<dyn ExploredStore>,
+        store: Arc<ExactStore>,
         root: Arc<Snapshot>,
         shared: Arc<Shared>,
         memo: DiscoveryMemo,
@@ -1195,7 +1182,6 @@ impl<'a> Worker<'a> {
         report.stats.merge(&self.stats);
         report.stats.symbolic_executions += self.stepper.memo.symbolic_executions;
         report.stats.absorb_explored(self.store.stats());
-        report.lossy = self.stepper.config.explored.mode.lossy();
         report.violations.extend(self.violations);
     }
 }
@@ -1270,7 +1256,7 @@ impl ModelChecker {
     fn run_parallel(&self, ctrl: &SessionCtrl) -> CheckReport {
         let start = Instant::now();
         let (root, root_fingerprint) = self.root();
-        let store: Arc<dyn ExploredStore> = Arc::from(build_store(&self.config.explored));
+        let store = Arc::new(ExactStore::new(&self.config.explored));
         let shared = Arc::new(Shared::default());
         let discoveries = Arc::new(SharedDiscoveryCache::default());
         let mut workers: Vec<Worker> = (0..self.config.workers)
@@ -1614,7 +1600,7 @@ mod tests {
         let mut worker = Worker::new(
             checker,
             ShardSpec::solo(),
-            Arc::from(build_store(&checker.config.explored)),
+            Arc::new(ExactStore::new(&checker.config.explored)),
             root,
             Arc::new(Shared::default()),
             DiscoveryMemo::default(),
@@ -1743,7 +1729,7 @@ mod tests {
                 let mut worker = Worker::new(
                     &checker,
                     ShardSpec { index, count: 256 },
-                    Arc::from(build_store(&checker.config.explored)),
+                    Arc::new(ExactStore::new(&checker.config.explored)),
                     Arc::clone(&root),
                     Arc::new(Shared::default()),
                     DiscoveryMemo::default(),

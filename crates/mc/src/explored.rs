@@ -1,34 +1,25 @@
-//! Explored-set storage: packed tables, disk spill behind a bloom filter,
-//! and lossy bitstate hashing.
+//! Explored-set storage: packed tables, and disk spill behind a bloom
+//! filter.
 //!
 //! The explored set is the memory ceiling of an exhaustive run: every other
 //! structure (frontier, traces) is proportional to the *frontier*, but the
-//! fingerprint set grows with every unique state ever seen. This module
-//! puts that set behind the [`ExploredStore`] trait: two implementations
-//! behind the three names of [`ExploredMode`].
+//! fingerprint set grows with every unique state ever seen. One exact store
+//! (`ExactStore`) holds it under both names of [`ExploredMode`]: 64
+//! independently locked open-addressed tables packing `fingerprint +
+//! sleep-digest ref` into 12 bytes per slot (vs ~48+ for a `HashMap<u64,
+//! Box<[u64]>>`), plus cold shards spilled to sorted on-disk segments once
+//! the in-memory footprint passes a memory limit. Every segment carries a
+//! bloom filter consulted before any disk probe, so absent fingerprints (the
+//! common case: most visits are *new* states) almost never touch disk, and a
+//! shard with nothing spilled is its table alone. `mem` is this store with
+//! no limit, so it never spills; `tiered` is the same store under
+//! `--mem-limit` (512 MiB by default). Verdicts and counts are identical,
+//! which `tests/explored_store.rs` pins.
 //!
-//! * **`mem`** and **`tiered`** — the exact store: 64 independently locked
-//!   open-addressed tables packing `fingerprint + sleep-digest ref` into 12
-//!   bytes per slot (vs ~48+ for a `HashMap<u64, Box<[u64]>>`), plus cold
-//!   shards spilled to sorted on-disk segments once the in-memory footprint
-//!   passes a memory limit. Every segment carries a bloom filter consulted
-//!   before any disk probe, so absent fingerprints (the common case: most
-//!   visits are *new* states) almost never touch disk, and a shard with
-//!   nothing spilled is its table alone. `mem` is this store with no limit,
-//!   so it never spills; `tiered` is the same store under `--mem-limit`
-//!   (512 MiB by default). Verdicts are identical, which
-//!   `tests/explored_store.rs` pins.
-//! * **`bitstate`** — SPIN-style bitstate hashing. Two hash positions in a
-//!   fixed bit array; constant memory, **lossy**: a hash collision makes
-//!   the search treat an unvisited state as known, so states may be
-//!   *missed* — but a violation that is reported was still actually
-//!   executed, so violations are never invented. Reports from this mode
-//!   carry `lossy: true` ([`ExploredMode::lossy`]).
-//!
-//! Both speak the sleep-set-aware visit protocol ([`Visit`]) that keeps
-//! partial-order reduction sound under state matching: a state revisited
-//! with a sleep set that does not contain the one it was explored with is
-//! re-expanded with the intersection of the two.
+//! The store speaks the sleep-set-aware visit protocol ([`Visit`]) that
+//! keeps partial-order reduction sound under state matching: a state
+//! revisited with a sleep set that does not contain the one it was explored
+//! with is re-expanded with the intersection of the two.
 //!
 //! # Shard-bit budget
 //!
@@ -47,10 +38,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write as _};
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
-// The visit protocol (moved here from checker.rs)
+// The visit protocol
 // ---------------------------------------------------------------------------
 
 /// Identity hasher for values that are already 64-bit fingerprints (`Hasher64`
@@ -138,9 +129,9 @@ pub(crate) fn sorted_intersection(a: &[u64], b: &[u64]) -> Vec<u64> {
 
 /// Records a visit of `fingerprint` under `sleep_digests` (sorted) and says
 /// whether the state needs (re-)exploring. See [`FingerprintMap`]. This is
-/// the reference implementation of the protocol; every exact
-/// [`ExploredStore`] must agree with it verdict-for-verdict (the random
-/// walk still uses it directly — its explored set is per-walk and tiny).
+/// the reference implementation of the protocol; [`ExactStore`] must agree
+/// with it verdict-for-verdict (the random walk still uses it directly —
+/// its explored set is per-walk and tiny).
 pub(crate) fn visit_explored(
     map: &mut FingerprintMap,
     fingerprint: u64,
@@ -164,11 +155,11 @@ pub(crate) fn visit_explored(
 }
 
 // ---------------------------------------------------------------------------
-// Configuration and the store trait
+// Configuration
 // ---------------------------------------------------------------------------
 
-/// Which engine backs the explored set. Selected on the CLI with
-/// `nice run --explored mem|tiered|bitstate`.
+/// Whether the explored set may spill to disk. Selected on the CLI with
+/// `nice run --explored mem|tiered`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploredMode {
     /// Exact, in-memory packed tables (the default): the exact store with
@@ -178,10 +169,6 @@ pub enum ExploredMode {
     /// The same exact store, with cold shards spilled to disk behind a
     /// bloom filter once the in-memory footprint exceeds the memory limit.
     Tiered,
-    /// Lossy SPIN-style bitstate hashing in a fixed-size bit array: may
-    /// *miss* states, never invents violations. Reports are flagged
-    /// `lossy`.
-    Bitstate,
 }
 
 impl ExploredMode {
@@ -190,7 +177,6 @@ impl ExploredMode {
         match self {
             ExploredMode::Mem => "mem",
             ExploredMode::Tiered => "tiered",
-            ExploredMode::Bitstate => "bitstate",
         }
     }
 
@@ -199,37 +185,26 @@ impl ExploredMode {
         match name {
             "mem" => Some(ExploredMode::Mem),
             "tiered" => Some(ExploredMode::Tiered),
-            "bitstate" => Some(ExploredMode::Bitstate),
             _ => None,
         }
-    }
-
-    /// True if this mode may *miss* states (bitstate hashing). A lossy
-    /// search never reports a spurious violation — any violation reported
-    /// was actually executed — but a PASS only means "no violation found in
-    /// the states that were covered".
-    pub fn lossy(self) -> bool {
-        self == ExploredMode::Bitstate
     }
 }
 
 /// How the explored set is stored, and under what memory budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExploredConfig {
-    /// The storage engine.
+    /// The storage mode.
     pub mode: ExploredMode,
-    /// Approximate in-memory budget, in bytes; `0` means the mode's
-    /// default. `tiered` starts spilling cold shards past this; `bitstate`
-    /// sizes its bit array from it; `mem` ignores it (exact and unbounded).
+    /// Approximate in-memory budget, in bytes, past which `tiered` starts
+    /// spilling cold shards; `0` means 512 MiB. `mem` has no limit and
+    /// ignores it.
     pub mem_limit: u64,
 }
 
 /// In-memory budget `tiered` defaults to when `--mem-limit` is not given.
 const DEFAULT_TIERED_LIMIT: u64 = 512 << 20; // 512 MiB
-/// Bit-array size `bitstate` defaults to when `--mem-limit` is not given.
-const DEFAULT_BITSTATE_BYTES: u64 = 64 << 20; // 64 MiB = 2^29 states
 
-/// Counters every store exposes; threaded into
+/// The store's counters; threaded into
 /// [`SearchStats`](crate::checker::SearchStats) and the report JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExploredStats {
@@ -244,45 +219,6 @@ pub struct ExploredStats {
     pub filter_hits: u64,
     /// Binary searches actually performed against on-disk segments.
     pub disk_probes: u64,
-}
-
-/// The explored set behind a trait: thread-safe visit-and-record of
-/// `(fingerprint, sleep set)` pairs. One store instance is shared by every
-/// worker thread of a run, so implementations synchronise internally.
-pub trait ExploredStore: Send + Sync {
-    /// Records a visit of `fingerprint` under sorted `sleep_digests` and
-    /// says whether the state needs (re-)exploring.
-    fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit;
-
-    /// Bytes currently held in memory (cheap; polled for progress events).
-    fn bytes(&self) -> u64;
-
-    /// Snapshot of the store's counters.
-    fn stats(&self) -> ExploredStats;
-}
-
-/// Builds the store a [`CheckerConfig`](crate::scenario::CheckerConfig)
-/// asks for.
-pub(crate) fn build_store(config: &ExploredConfig) -> Box<dyn ExploredStore> {
-    match config.mode {
-        ExploredMode::Mem => Box::new(ExactStore::new(u64::MAX)),
-        ExploredMode::Tiered => {
-            let limit = if config.mem_limit == 0 {
-                DEFAULT_TIERED_LIMIT
-            } else {
-                config.mem_limit
-            };
-            Box::new(ExactStore::new(limit))
-        }
-        ExploredMode::Bitstate => {
-            let bytes = if config.mem_limit == 0 {
-                DEFAULT_BITSTATE_BYTES
-            } else {
-                config.mem_limit
-            };
-            Box::new(BitstateStore::new(bytes))
-        }
-    }
 }
 
 /// Lock shards per in-process store.
@@ -517,7 +453,7 @@ impl Bloom {
     }
 }
 
-/// SplitMix64: the finalizer used for bloom and bitstate hash positions.
+/// SplitMix64: the finalizer used for bloom hash positions.
 /// Fingerprints are already uniform, but the *same* fingerprint must map to
 /// independent positions per hash index, hence a real mixer over `fp ^ k`.
 fn splitmix64(mut x: u64) -> u64 {
@@ -658,8 +594,9 @@ impl MemGauge {
 /// `mem_limit`, the shard holding the current visit is spilled — a
 /// deliberately local policy: it needs no cross-shard lock order, and
 /// under a uniform fingerprint distribution every shard is visited (and
-/// thus spilled) at the same rate.
-struct ExactStore {
+/// thus spilled) at the same rate. One store is shared by every worker
+/// thread of a run, so it synchronises internally.
+pub(crate) struct ExactStore {
     shards: Vec<Mutex<TierShard>>,
     mem_limit: u64,
     gauge: MemGauge,
@@ -669,7 +606,14 @@ struct ExactStore {
 }
 
 impl ExactStore {
-    fn new(mem_limit: u64) -> ExactStore {
+    /// The store `config` asks for: `mem` has no limit, `tiered` spills
+    /// past its `mem_limit` (512 MiB when that is 0).
+    pub(crate) fn new(config: &ExploredConfig) -> ExactStore {
+        let mem_limit = match (config.mode, config.mem_limit) {
+            (ExploredMode::Mem, _) => u64::MAX,
+            (ExploredMode::Tiered, 0) => DEFAULT_TIERED_LIMIT,
+            (ExploredMode::Tiered, limit) => limit,
+        };
         ExactStore {
             shards: (0..STORE_SHARDS)
                 .map(|_| {
@@ -684,6 +628,42 @@ impl ExactStore {
             spilled: AtomicU64::new(0),
             filter_hits: AtomicU64::new(0),
             disk_probes: AtomicU64::new(0),
+        }
+    }
+
+    /// Records a visit of `fingerprint` under sorted `sleep_digests` and
+    /// says whether the state needs (re-)exploring.
+    pub(crate) fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit {
+        let mut shard = lock(&self.shards[store_shard(fingerprint)]);
+        let before = shard.table.bytes();
+        let verdict = if shard.segments.is_empty() {
+            shard.table.visit(fingerprint, sleep_digests)
+        } else {
+            self.visit_spilled(&mut shard, fingerprint, sleep_digests)
+        };
+        let after = shard.table.bytes();
+        self.gauge.adjust(before, after);
+        if self.gauge.bytes.load(Ordering::Relaxed) > self.mem_limit
+            && shard.table.len() >= SPILL_MIN_ENTRIES
+        {
+            self.spill(&mut shard);
+        }
+        verdict
+    }
+
+    /// Bytes currently held in memory (cheap; polled for progress events).
+    pub(crate) fn bytes(&self) -> u64 {
+        self.gauge.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot of the store's counters.
+    pub(crate) fn stats(&self) -> ExploredStats {
+        ExploredStats {
+            bytes: self.bytes(),
+            peak_bytes: self.gauge.peak.load(Ordering::Relaxed),
+            spilled_shards: self.spilled.load(Ordering::Relaxed),
+            filter_hits: self.filter_hits.load(Ordering::Relaxed),
+            disk_probes: self.disk_probes.load(Ordering::Relaxed),
         }
     }
 
@@ -745,126 +725,6 @@ impl ExactStore {
     }
 }
 
-impl ExploredStore for ExactStore {
-    fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit {
-        let mut shard = lock(&self.shards[store_shard(fingerprint)]);
-        let before = shard.table.bytes();
-        let verdict = if shard.segments.is_empty() {
-            shard.table.visit(fingerprint, sleep_digests)
-        } else {
-            self.visit_spilled(&mut shard, fingerprint, sleep_digests)
-        };
-        let after = shard.table.bytes();
-        self.gauge.adjust(before, after);
-        if self.gauge.bytes.load(Ordering::Relaxed) > self.mem_limit
-            && shard.table.len() >= SPILL_MIN_ENTRIES
-        {
-            self.spill(&mut shard);
-        }
-        verdict
-    }
-
-    fn bytes(&self) -> u64 {
-        self.gauge.bytes.load(Ordering::Relaxed)
-    }
-
-    fn stats(&self) -> ExploredStats {
-        ExploredStats {
-            bytes: self.gauge.bytes.load(Ordering::Relaxed),
-            peak_bytes: self.gauge.peak.load(Ordering::Relaxed),
-            spilled_shards: self.spilled.load(Ordering::Relaxed),
-            filter_hits: self.filter_hits.load(Ordering::Relaxed),
-            disk_probes: self.disk_probes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// bitstate: lossy hash compaction
-// ---------------------------------------------------------------------------
-
-/// SPIN-style bitstate hashing: a fixed bit array, two independent hash
-/// positions per fingerprint, a state is "known" iff both bits are set.
-/// Memory is bounded regardless of state count: the array is cut into
-/// page-sized blocks allocated when a bit of theirs is first set, so a
-/// search pays for the pages it touches (up to two per new state, the
-/// positions being uniform) and not for zeroing 64 MiB up front. Lossy in
-/// exactly one direction: a double collision marks an unvisited state as
-/// known, so states (and violations inside the skipped subtree) may be
-/// **missed** — but every state the search *does* execute is real, so a
-/// reported violation is always genuine. Sleep digests are ignored (a hit is always
-/// `Known`): under POR that may prune more than sleep-set soundness
-/// permits, which is just another way this mode can miss states.
-struct BitstateStore {
-    blocks: Vec<OnceLock<Box<[AtomicU64]>>>,
-    /// Words per block: [`BLOCK_WORDS`], or the whole array when it is
-    /// smaller than one block.
-    block_words: u64,
-    mask: u64,
-}
-
-/// Words of the bit array allocated at a time: one 4 KiB page. Smaller
-/// blocks make a short search cheaper still, but at 512 bytes a 300k-state
-/// search ran a fifth slower (twelve alternating runs; ROADMAP has them).
-const BLOCK_WORDS: u64 = 512;
-
-impl BitstateStore {
-    fn new(budget_bytes: u64) -> BitstateStore {
-        // Largest power-of-two bit count that fits the byte budget (at
-        // least one word).
-        let bits = (budget_bytes.max(8) * 8 + 1).next_power_of_two() / 2;
-        let block_words = BLOCK_WORDS.min(bits / 64);
-        BitstateStore {
-            blocks: (0..bits / 64 / block_words)
-                .map(|_| OnceLock::new())
-                .collect(),
-            block_words,
-            mask: bits - 1,
-        }
-    }
-
-    /// The two bit positions for a fingerprint.
-    fn positions(&self, fp: u64) -> [u64; 2] {
-        [splitmix64(fp) & self.mask, splitmix64(!fp) & self.mask]
-    }
-}
-
-impl ExploredStore for BitstateStore {
-    fn visit(&self, fingerprint: u64, _sleep_digests: &[u64]) -> Visit {
-        let mut any_clear = false;
-        for bit in self.positions(fingerprint) {
-            let word = bit / 64;
-            let block = self.blocks[(word / self.block_words) as usize]
-                .get_or_init(|| (0..self.block_words).map(|_| AtomicU64::new(0)).collect());
-            let word = &block[(word % self.block_words) as usize];
-            let mask = 1u64 << (bit % 64);
-            if word.fetch_or(mask, Ordering::Relaxed) & mask == 0 {
-                any_clear = true;
-            }
-        }
-        if any_clear {
-            Visit::New
-        } else {
-            Visit::Known
-        }
-    }
-
-    /// The array's full size: what the store may grow to, whichever blocks
-    /// exist so far.
-    fn bytes(&self) -> u64 {
-        self.blocks.len() as u64 * self.block_words * 8
-    }
-
-    fn stats(&self) -> ExploredStats {
-        let bytes = self.bytes();
-        ExploredStats {
-            bytes,
-            peak_bytes: bytes,
-            ..ExploredStats::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,7 +757,7 @@ mod tests {
 
     /// Drives a visit sequence against a store and the reference
     /// [`visit_explored`] map, asserting verdict-for-verdict agreement.
-    fn agrees_with_reference(store: &dyn ExploredStore, visits: usize, seed: u64) {
+    fn agrees_with_reference(store: &ExactStore, visits: usize, seed: u64) {
         let mut rng = TestRng(seed);
         let mut reference = FingerprintMap::default();
         for i in 0..visits {
@@ -910,10 +770,18 @@ mod tests {
         }
     }
 
+    /// A `tiered` store under `mem_limit` bytes.
+    fn tiered(mem_limit: u64) -> ExactStore {
+        ExactStore::new(&ExploredConfig {
+            mode: ExploredMode::Tiered,
+            mem_limit,
+        })
+    }
+
     #[test]
     fn packed_table_agrees_with_reference_semantics() {
-        let mem = build_store(&ExploredConfig::default());
-        agrees_with_reference(&*mem, 5_000, 1);
+        let mem = ExactStore::new(&ExploredConfig::default());
+        agrees_with_reference(&mem, 5_000, 1);
     }
 
     #[test]
@@ -921,7 +789,7 @@ mod tests {
         // A 1-byte limit keeps the store permanently over budget, so every
         // shard spills as soon as it holds SPILL_MIN_ENTRIES — the verdicts
         // must not change.
-        let store = ExactStore::new(1);
+        let store = tiered(1);
         agrees_with_reference(&store, 5_000, 2);
         let stats = store.stats();
         assert!(stats.spilled_shards > 0, "tiny limit must force spills");
@@ -931,11 +799,8 @@ mod tests {
 
     #[test]
     fn tiered_store_with_room_never_touches_disk() {
-        let store = build_store(&ExploredConfig {
-            mode: ExploredMode::Tiered,
-            mem_limit: 0,
-        });
-        agrees_with_reference(&*store, 2_000, 3);
+        let store = tiered(0);
+        agrees_with_reference(&store, 2_000, 3);
         let stats = store.stats();
         assert_eq!(stats.spilled_shards, 0);
         assert_eq!(stats.disk_probes, 0);
@@ -979,7 +844,7 @@ mod tests {
         // filters reject most (filter_hits), a few collide (false
         // positives) and must fall through to a disk probe that correctly
         // concludes New.
-        let store = ExactStore::new(1);
+        let store = tiered(1);
         for i in 0..2_000u64 {
             assert_eq!(store.visit(splitmix64(i), &[]), Visit::New);
         }
@@ -1001,29 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn bitstate_dedups_without_sleep_sets_and_is_flagged_lossy() {
-        assert!(ExploredMode::Bitstate.lossy());
-        let store = BitstateStore::new(1 << 16);
-        assert_eq!(store.visit(42, &[]), Visit::New);
-        assert_eq!(store.visit(42, &[]), Visit::Known);
-        assert_eq!(store.visit(42, &[1, 2]), Visit::Known); // sleep ignored
-        let bytes = store.bytes();
-        for i in 0..10_000u64 {
-            store.visit(splitmix64(i), &[]);
-        }
-        assert_eq!(store.bytes(), bytes, "bitstate memory is constant");
-    }
-
-    #[test]
-    fn bitstate_respects_its_byte_budget() {
-        for budget in [0u64, 1, 100, 1 << 16, (1 << 16) + 1] {
-            let store = BitstateStore::new(budget.max(8));
-            assert!(store.bytes() <= budget.max(8).max(8));
-            assert!(store.bytes().is_power_of_two() || store.bytes() == 8);
-        }
-    }
-
-    #[test]
     fn store_shard_uses_bits_48_to_55_only() {
         let mut rng = TestRng(7);
         for _ in 0..1000 {
@@ -1037,22 +879,17 @@ mod tests {
     }
 
     #[test]
-    fn build_store_honours_mode_and_lossy_flag() {
-        for (mode, lossy) in [
-            (ExploredMode::Mem, false),
-            (ExploredMode::Tiered, false),
-            (ExploredMode::Bitstate, true),
-        ] {
-            assert_eq!(mode.lossy(), lossy, "{}", mode.name());
+    fn only_tiered_honours_a_memory_limit() {
+        for mode in [ExploredMode::Mem, ExploredMode::Tiered] {
             for mem_limit in [0, 1] {
-                let store = build_store(&ExploredConfig { mode, mem_limit });
+                let store = ExactStore::new(&ExploredConfig { mode, mem_limit });
                 assert_eq!(store.visit(99, &[]), Visit::New);
                 assert_eq!(store.visit(99, &[]), Visit::Known);
                 for i in 0..2_000u64 {
                     store.visit(splitmix64(i), &[]);
                 }
-                // The one difference between the two exact modes: only
-                // `tiered` honours a limit, so `mem` never spills.
+                // The one difference between the two modes: only `tiered`
+                // honours a limit, so `mem` never spills.
                 let spills = mode == ExploredMode::Tiered && mem_limit == 1;
                 let label = format!("{} at {mem_limit}", mode.name());
                 assert_eq!(store.stats().spilled_shards > 0, spills, "{label}");
@@ -1062,11 +899,7 @@ mod tests {
 
     #[test]
     fn explored_mode_names_round_trip() {
-        for mode in [
-            ExploredMode::Mem,
-            ExploredMode::Tiered,
-            ExploredMode::Bitstate,
-        ] {
+        for mode in [ExploredMode::Mem, ExploredMode::Tiered] {
             assert_eq!(ExploredMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(ExploredMode::parse("zram"), None);

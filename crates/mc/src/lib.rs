@@ -27,11 +27,9 @@
 //!   the trait for application-specific properties.
 //! * [`checker`] — the depth-first search loop of Figure 5, violation
 //!   traces, search statistics, and a random-walk simulation mode.
-//! * [`explored`] — explored-set storage behind the [`ExploredStore`]
-//!   trait, selected with [`ExploredMode`]: one exact store of packed
-//!   in-memory tables that spills cold shards to disk behind a bloom filter
-//!   under a memory limit (`mem` has none), and lossy SPIN-style bitstate
-//!   hashing.
+//! * [`explored`] — explored-set storage: one exact store of packed
+//!   in-memory tables that, under a memory limit ([`ExploredMode`] `tiered`;
+//!   `mem` has none), spills cold shards to disk behind a bloom filter.
 //! * [`session`] — observable, cancellable check sessions: streamed
 //!   [`CheckEvent`]s, [`CancelToken`]/deadline interruption, and the
 //!   [`Outcome`] recorded on every report.
@@ -74,7 +72,7 @@ pub mod trace;
 pub mod transition;
 
 pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Violation};
-pub use explored::{ExploredConfig, ExploredMode, ExploredStats, ExploredStore};
+pub use explored::{ExploredConfig, ExploredMode, ExploredStats};
 pub use faults::{FailoverStaleness, FaultPlan};
 pub use json::Json;
 pub use minimize::{BisectReport, MinimizeReport};

@@ -392,9 +392,8 @@ pub struct CheckerConfig {
     /// `--faults` flag flips this on).
     pub inject_faults: bool,
     /// How the explored fingerprint set is stored (see
-    /// [`ExploredConfig`]): exact in-memory
-    /// (the default), exact with cold-shard spill to disk, or lossy bitstate
-    /// hashing.
+    /// [`ExploredConfig`]): exact in memory (the default), or exact with
+    /// cold-shard spill to disk.
     pub explored: ExploredConfig,
 }
 
@@ -462,8 +461,8 @@ impl CheckerConfig {
     }
 
     /// Sets the explored-set memory budget in bytes (builder style). `0`
-    /// selects the mode's default budget; the exact in-memory mode ignores
-    /// it entirely.
+    /// selects `tiered`'s default budget; `mem` has no limit and ignores
+    /// it.
     pub fn with_mem_limit(mut self, bytes: u64) -> Self {
         self.explored.mem_limit = bytes;
         self
@@ -597,6 +596,7 @@ mod tests {
         for (good, bad, names) in [
             ("\"UNUSUAL\"", "\"bfs\"", "unknown strategy 'bfs'"),
             ("\"tiered\"", "\"mmap\"", "unknown explored 'mmap'"),
+            ("\"tiered\"", "\"bitstate\"", "unknown explored 'bitstate'"),
         ] {
             let text = text.replace(good, bad);
             let parsed = Json::parse(&text).expect("parse");

@@ -148,8 +148,8 @@ pub enum CheckEvent {
         /// Depth of the path that triggered this report.
         depth: usize,
         /// Resident bytes of the explored fingerprint set at this point
-        /// (after any disk spilling; see
-        /// [`ExploredStore::bytes`](crate::explored::ExploredStore::bytes)).
+        /// (after any disk spilling under `tiered`; see
+        /// [`ExploredStats::bytes`](crate::explored::ExploredStats::bytes)).
         explored_bytes: u64,
     },
     /// A property violation was just recorded (with its reproducing trace).

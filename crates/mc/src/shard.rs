@@ -37,7 +37,7 @@
 //! transitions.
 
 use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Violation, Worker};
-use crate::explored::build_store;
+use crate::explored::ExactStore;
 use crate::json::Json;
 use crate::session::SessionCtrl;
 use crate::trace::{steps_from_json, steps_to_json};
@@ -210,7 +210,7 @@ impl<'a> ShardedSearch<'a> {
         let mut worker = Worker::new(
             checker,
             shard,
-            Arc::from(build_store(&checker.config().explored)),
+            Arc::new(ExactStore::new(&checker.config().explored)),
             root,
             Arc::new(Shared::default()),
             DiscoveryMemo::default(),
