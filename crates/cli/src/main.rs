@@ -85,11 +85,12 @@ OTHER OPTIONS:
   --trace-out <FILE>                              write the first violation's trace as a
                                                   nice-trace-v1 JSON file (run only)
 
-SERVE / SUBMIT (the distributed checking service — see README \"Serving checks\"):
-  serve      bind a Unix socket, spawn a pool of nice-dist-worker processes
-             sharding the fingerprint space, and accept check jobs from any
-             number of clients (fair round-robin across connections);
-             --max-jobs N exits after N jobs (CI smoke)
+SERVE / SUBMIT (the checking service — see README \"Serving checks\"):
+  serve      bind a Unix socket, spawn --workers N nice-dist-worker processes
+             (default 2, at least 1), and accept check jobs from any number of
+             clients; each worker runs one job whole, so up to N jobs run at
+             once (fair round-robin across connections); --max-jobs N exits
+             after N jobs (CI smoke)
   submit     send one job to a running server (scenario name or a spec like
              ping:2 / chain:5:2 / chain-faults:3:1) and stream its progress;
              takes the check options, --expect and --quiet

@@ -1,19 +1,22 @@
-//! `nice serve` and `nice submit`: the distributed checking service.
+//! `nice serve` and `nice submit`: the checking service.
 //!
-//! `serve` binds a Unix socket, spawns one [`nice_dist::Coordinator`] (a
-//! pool of `nice-dist-worker` processes sharding the fingerprint space by
-//! digest prefix), and accepts check jobs from any number of concurrent
-//! client connections. Jobs are serialized over the one worker pool with
-//! **fair queuing**: the scheduler round-robins across connections that
-//! have jobs pending, so one chatty client cannot starve the others.
+//! `serve` binds a Unix socket, starts `--workers N` one-process
+//! [`nice_dist::Coordinator`]s, and accepts check jobs from any number of
+//! concurrent client connections. Each coordinator has a runner thread that
+//! takes the next job and runs it whole on its own `nice-dist-worker`
+//! process, so up to N jobs are in flight and no job forwards a state. A
+//! worker that dies mid-job is respawned and the job restarts from the root,
+//! so its counters are the sequential engine's exactly. Runners take jobs
+//! with **fair queuing**: the pick round-robins across connections that have
+//! a job pending, so one chatty client cannot starve the others. A
+//! connection's own jobs run one at a time, in the order it sent them.
 //!
 //! The client protocol is `nice-dist-v2` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
-//! `job` frame (its `shard` field is ignored; sharding is the server's
-//! business) and receives `progress` and `violation` frames while the job
-//! runs, then exactly one `job_done` (merged job-wide stats + violations)
-//! or `error`. A `cancel` frame stops the named job whether it is running
-//! or still queued.
+//! `job` frame (its `shard` field is ignored) and receives `progress` and
+//! `violation` frames while the job runs, then exactly one `job_done`
+//! (stats + violations) or `error`. A `cancel` frame stops the named job
+//! whether it is running or still queued.
 //!
 //! `submit` is the matching client: build a [`JobSpec`] from the flags it
 //! shares with `run`, send it, stream progress to stderr, print the verdict.
@@ -36,7 +39,7 @@ use std::time::Duration;
 // ---------------------------------------------------------------------------
 
 /// One accepted client connection, shared between its reader thread (which
-/// appends to `pending`) and the scheduler (which drains it).
+/// queues and cancels its jobs) and the runners (which take them).
 struct Client {
     /// Jobs submitted but not yet started: client job id + spec.
     pending: VecDeque<(u64, JobSpec)>,
@@ -49,18 +52,128 @@ struct Client {
     closed: bool,
 }
 
-/// The open connections by connection id — ids are never reused, so the
-/// scheduler and a reader thread keep naming the same client while others
-/// come and go — and the signal that one of them queued a job.
+/// A job a runner has taken off a client's queue.
+struct Taken {
+    client: u64,
+    job: u64,
+    spec: JobSpec,
+    cancel: Arc<AtomicBool>,
+    stream: Arc<UnixStream>,
+}
+
+/// The open connections by connection id — ids are never reused, so a
+/// runner and a reader thread keep naming the same client while others
+/// come and go — with the round-robin cursor and the `--max-jobs` count.
+#[derive(Default)]
+struct Table {
+    by_id: BTreeMap<u64, Client>,
+    /// The next pick starts at this connection id.
+    next_client: u64,
+    /// Jobs taken so far, and how many may be (0 = no limit).
+    taken: u64,
+    max_jobs: u64,
+}
+
+impl Table {
+    fn open(&mut self, id: u64, stream: Arc<UnixStream>) {
+        let client = Client {
+            pending: VecDeque::new(),
+            current: None,
+            stream,
+            closed: false,
+        };
+        self.by_id.insert(id, client);
+    }
+
+    fn client(&mut self, id: u64) -> &mut Client {
+        self.by_id
+            .get_mut(&id)
+            .expect("a client stays until it is closed and idle")
+    }
+
+    fn queue(&mut self, id: u64, job: u64, spec: JobSpec) {
+        self.client(id).pending.push_back((job, spec));
+    }
+
+    /// Stops `job` of client `id`, running or queued.
+    fn cancel(&mut self, id: u64, job: u64) {
+        let client = self.client(id);
+        if let Some((current, cancel)) = &client.current {
+            if *current == job {
+                cancel.store(true, Ordering::Relaxed);
+            }
+        }
+        client.pending.retain(|(queued, _)| *queued != job);
+    }
+
+    /// The client hung up: its queued jobs are dropped and its running job
+    /// cancelled. The runner drops the client when that job returns.
+    fn close(&mut self, id: u64) {
+        let client = self.client(id);
+        client.closed = true;
+        client.pending.clear();
+        match &client.current {
+            Some((_, cancel)) => cancel.store(true, Ordering::Relaxed),
+            None => drop(self.by_id.remove(&id)),
+        }
+    }
+
+    /// True once `--max-jobs` jobs have been taken.
+    fn exhausted(&self) -> bool {
+        self.max_jobs > 0 && self.taken >= self.max_jobs
+    }
+
+    /// Round-robin pick: the next job of the first connection at or after
+    /// the cursor that has one pending and none running. `None` when there
+    /// is none, or when `--max-jobs` are taken already.
+    fn take(&mut self) -> Option<Taken> {
+        if self.exhausted() {
+            return None;
+        }
+        let (from, before) = (
+            self.by_id.range(self.next_client..),
+            self.by_id.range(..self.next_client),
+        );
+        let (&id, _) = from
+            .chain(before)
+            .find(|(_, c)| c.current.is_none() && !c.pending.is_empty())?;
+        let client = self.client(id);
+        let (job, spec) = client.pending.pop_front().expect("found non-empty");
+        let cancel = Arc::new(AtomicBool::new(false));
+        client.current = Some((job, Arc::clone(&cancel)));
+        let stream = Arc::clone(&client.stream);
+        self.next_client = id + 1;
+        self.taken += 1;
+        Some(Taken {
+            client: id,
+            job,
+            spec,
+            cancel,
+            stream,
+        })
+    }
+
+    /// Client `id`'s running job returned: drop the client if it hung up.
+    fn finish(&mut self, id: u64) {
+        let client = self.client(id);
+        client.current = None;
+        if client.closed {
+            self.by_id.remove(&id);
+        }
+    }
+}
+
+/// The client table and the signal that a reader queued a job (or that
+/// the last `--max-jobs` job was taken, so idle runners stop).
 #[derive(Default)]
 struct Clients {
-    by_id: Mutex<BTreeMap<u64, Client>>,
+    table: Mutex<Table>,
     job_queued: Condvar,
 }
 
 impl Clients {
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, Client>> {
-        self.by_id
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table
             .lock()
             .expect("no thread panics holding the client table")
     }
@@ -85,6 +198,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
                 Err(e) => return usage_error(&e),
             },
             "--workers" => match take(i).and_then(|v| parse_number(v, "--workers")) {
+                Ok(0) => return usage_error("--workers must be at least 1"),
                 Ok(n) => {
                     workers = n as usize;
                     i += 2;
@@ -113,7 +227,12 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let mut coordinator = match worker_bin().and_then(|bin| Coordinator::new(bin, workers)) {
+    let coordinators = worker_bin().and_then(|bin| {
+        (0..workers)
+            .map(|_| Coordinator::new(bin.clone(), 1))
+            .collect::<std::io::Result<Vec<_>>>()
+    });
+    let coordinators = match coordinators {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot start worker pool: {e}");
@@ -121,12 +240,12 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
         }
     };
     eprintln!(
-        "nice serve: listening on {socket} ({} worker process{})",
-        coordinator.workers(),
-        if coordinator.workers() == 1 { "" } else { "es" }
+        "nice serve: listening on {socket} ({workers} worker process{})",
+        if workers == 1 { "" } else { "es" }
     );
 
     let clients = Arc::new(Clients::default());
+    clients.lock().max_jobs = max_jobs;
     let accept_clients = Arc::clone(&clients);
     std::thread::spawn(move || {
         for (id, stream) in (0u64..).zip(listener.incoming()) {
@@ -140,119 +259,124 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
                     continue;
                 }
             };
-            accept_clients.lock().insert(
-                id,
-                Client {
-                    pending: VecDeque::new(),
-                    current: None,
-                    stream: Arc::clone(&stream),
-                    closed: false,
-                },
-            );
+            accept_clients.lock().open(id, Arc::clone(&stream));
             let reader_clients = Arc::clone(&accept_clients);
             std::thread::spawn(move || client_reader(id, &stream, &reader_clients));
         }
     });
 
-    let mut served: u64 = 0;
-    let mut next_client = 0u64;
+    let runners: Vec<_> = coordinators
+        .into_iter()
+        .map(|coordinator| {
+            let clients = Arc::clone(&clients);
+            std::thread::spawn(move || runner(coordinator, &clients))
+        })
+        .collect();
+    // Runners return only once `--max-jobs` jobs are taken and finished.
+    for runner in runners {
+        runner.join().expect("a runner thread panicked");
+    }
+    eprintln!(
+        "nice serve: served {max_jobs} job{}, exiting (--max-jobs)",
+        if max_jobs == 1 { "" } else { "s" }
+    );
+    let _ = std::fs::remove_file(&socket);
+    0
+}
+
+/// One runner: takes the next job off the client table and runs it whole on
+/// its own one-process coordinator, until `--max-jobs` jobs are taken.
+fn runner(mut coordinator: Coordinator, clients: &Clients) {
     loop {
-        // Round-robin pick: the first connection at or after the cursor
-        // with a job pending. With none the scheduler sleeps until a reader
-        // queues one.
-        let (id, job, spec, cancel, stream) = {
-            let mut by_id = clients.lock();
+        let taken = {
+            let mut table = clients.lock();
             loop {
-                let (from, before) = (by_id.range(next_client..), by_id.range(..next_client));
-                let mut waiting = from.chain(before).filter(|(_, c)| !c.pending.is_empty());
-                if let Some((&id, _)) = waiting.next() {
-                    let client = by_id.get_mut(&id).expect("found under this lock");
-                    let (job, spec) = client.pending.pop_front().expect("found non-empty");
-                    let cancel = Arc::new(AtomicBool::new(false));
-                    client.current = Some((job, Arc::clone(&cancel)));
-                    break (id, job, spec, cancel, Arc::clone(&client.stream));
+                if let Some(taken) = table.take() {
+                    if table.exhausted() {
+                        clients.job_queued.notify_all();
+                    }
+                    break taken;
                 }
-                by_id = (clients.job_queued.wait(by_id))
+                if table.exhausted() {
+                    return;
+                }
+                table = (clients.job_queued.wait(table))
                     .expect("no thread panics holding the client table");
             }
         };
-        next_client = id + 1;
-        let mut writer = &*stream;
+        run_taken(&mut coordinator, &taken);
+        clients.lock().finish(taken.client);
+    }
+}
 
-        eprintln!("job {job} (client {id}): {}", spec.scenario);
-        let result = coordinator.run_job(
-            &spec,
-            |event| {
-                // A client that stopped reading must not wedge the job;
-                // stream errors are ignored and the final frame decides.
-                let _ = match event {
-                    JobEvent::Progress {
+/// Runs one job and streams its frames to the client that sent it.
+fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
+    let Taken {
+        client,
+        job,
+        spec,
+        cancel,
+        stream,
+    } = taken;
+    let job = *job;
+    let mut writer = &**stream;
+    eprintln!("job {job} (client {client}): {}", spec.scenario);
+    let result = coordinator.run_job(
+        spec,
+        |event| {
+            // A client that stopped reading must not wedge the job;
+            // stream errors are ignored and the final frame decides.
+            let _ = match event {
+                JobEvent::Progress {
+                    transitions,
+                    unique_states,
+                    depth,
+                } => write_frame(
+                    &mut writer,
+                    &Frame::Progress {
+                        job,
                         transitions,
                         unique_states,
                         depth,
-                    } => write_frame(
-                        &mut writer,
-                        &Frame::Progress {
-                            job,
-                            transitions,
-                            unique_states,
-                            depth,
-                        },
-                    ),
-                    JobEvent::Violation(violation) => {
-                        write_frame(&mut writer, &Frame::Violation { job, violation })
-                    }
-                    JobEvent::Started { .. } | JobEvent::WorkerRestarted { .. } => Ok(()),
-                };
-            },
-            Some(&cancel),
-        );
-        let finale = match &result {
-            Ok(report) => Frame::JobDone {
-                job,
-                stats: report.stats.clone(),
-                violations: report.violations.iter().map(WireViolation::of).collect(),
-            },
-            Err(e) => Frame::Error {
-                job,
-                message: e.to_string(),
-            },
-        };
-        let _ = write_frame(&mut writer, &finale);
-        match &result {
-            Ok(report) => eprintln!(
-                "job {job} done: {} states, {} transitions, {} violation{}",
-                report.stats.unique_states,
-                report.stats.transitions,
-                report.violations.len(),
-                if report.violations.len() == 1 {
-                    ""
-                } else {
-                    "s"
+                    },
+                ),
+                JobEvent::Violation(violation) => {
+                    write_frame(&mut writer, &Frame::Violation { job, violation })
                 }
-            ),
-            Err(e) => eprintln!("job {job} failed: {e}"),
-        }
-        {
-            let mut by_id = clients.lock();
-            let client = by_id
-                .get_mut(&id)
-                .expect("a client outlives its running job");
-            client.current = None;
-            if client.closed {
-                by_id.remove(&id);
+                JobEvent::WorkerRestarted { .. } => {
+                    eprintln!("job {job}: worker crashed; respawned, job restarted");
+                    Ok(())
+                }
+                JobEvent::Started { .. } => Ok(()),
+            };
+        },
+        Some(cancel),
+    );
+    let finale = match &result {
+        Ok(report) => Frame::JobDone {
+            job,
+            stats: report.stats.clone(),
+            violations: report.violations.iter().map(WireViolation::of).collect(),
+        },
+        Err(e) => Frame::Error {
+            job,
+            message: e.to_string(),
+        },
+    };
+    let _ = write_frame(&mut writer, &finale);
+    match &result {
+        Ok(report) => eprintln!(
+            "job {job} done: {} states, {} transitions, {} violation{}",
+            report.stats.unique_states,
+            report.stats.transitions,
+            report.violations.len(),
+            if report.violations.len() == 1 {
+                ""
+            } else {
+                "s"
             }
-        }
-
-        served += 1;
-        if max_jobs > 0 && served >= max_jobs {
-            eprintln!(
-                "nice serve: served {served} job{}, exiting (--max-jobs)",
-                if served == 1 { "" } else { "s" }
-            );
-            let _ = std::fs::remove_file(&socket);
-            return 0;
-        }
+        ),
+        Err(e) => eprintln!("job {job} failed: {e}"),
     }
 }
 
@@ -262,34 +386,15 @@ fn client_reader(id: u64, stream: &UnixStream, clients: &Clients) {
     let mut reader = BufReader::new(stream);
     loop {
         let frame = read_frame(&mut reader);
-        let mut by_id = clients.lock();
-        let client = by_id
-            .get_mut(&id)
-            .expect("a client stays until its reader has seen EOF");
+        let mut table = clients.lock();
         match frame {
             Ok(Some(Frame::Job { job, spec, .. })) => {
-                client.pending.push_back((job, spec));
+                table.queue(id, job, spec);
                 clients.job_queued.notify_one();
             }
-            Ok(Some(Frame::Cancel { job })) => {
-                if let Some((current, cancel)) = &client.current {
-                    if *current == job {
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                }
-                client.pending.retain(|(id, _)| *id != job);
-            }
+            Ok(Some(Frame::Cancel { job })) => table.cancel(id, job),
             Ok(Some(_)) => {} // clients only submit and cancel
-            Ok(None) | Err(_) => {
-                client.closed = true;
-                client.pending.clear();
-                match &client.current {
-                    // The scheduler drops the client when the job returns.
-                    Some((_, cancel)) => cancel.store(true, Ordering::Relaxed),
-                    None => drop(by_id.remove(&id)),
-                }
-                return;
-            }
+            Ok(None) | Err(_) => return table.close(id),
         }
     }
 }
@@ -470,4 +575,101 @@ pub(crate) fn run_distributed(
             None,
         )
         .map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A table with `clients` open connections, each with `jobs` queued.
+    fn table(clients: u64, jobs: u64, max_jobs: u64) -> Table {
+        let mut table = Table {
+            max_jobs,
+            ..Table::default()
+        };
+        for id in 0..clients {
+            let (stream, _) = UnixStream::pair().expect("a socket pair");
+            table.open(id, Arc::new(stream));
+            for job in 1..=jobs {
+                table.queue(id, job, JobSpec::new("ping:2"));
+            }
+        }
+        table
+    }
+
+    /// Takes as many jobs as the table hands out: (client, job) each.
+    fn take_all(table: &mut Table) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| table.take().map(|t| (t.client, t.job))).collect()
+    }
+
+    #[test]
+    fn runners_take_jobs_round_robin_one_per_connection_at_a_time() {
+        let mut table = table(3, 2, 0);
+        // Three runners: one job of each client, then none while all run.
+        assert_eq!(take_all(&mut table), [(0, 1), (1, 1), (2, 1)]);
+        table.finish(1);
+        assert_eq!(take_all(&mut table), [(1, 2)]);
+        table.finish(0);
+        table.finish(2);
+        // The cursor stands after client 1, so client 2 goes first.
+        assert_eq!(take_all(&mut table), [(2, 2), (0, 2)]);
+        // One runner: a, b, c, a, ...
+        let mut table = self::table(3, 2, 0);
+        let mut order = Vec::new();
+        while let Some(taken) = table.take() {
+            order.push(taken.client);
+            table.finish(taken.client);
+        }
+        assert_eq!(order, [0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn a_closed_client_loses_its_queue_and_cancels_its_running_job() {
+        let mut table = table(2, 3, 0);
+        let running = table.take().expect("client 0 has jobs");
+        assert_eq!((running.client, running.job), (0, 1));
+        table.close(0);
+        assert!(running.cancel.load(Ordering::Relaxed));
+        assert!(table.by_id[&0].pending.is_empty());
+        // The client stays until its running job returns.
+        table.finish(0);
+        assert!(!table.by_id.contains_key(&0));
+        // An idle client goes at once, jobs and all.
+        table.close(1);
+        assert!(table.by_id.is_empty());
+        assert!(table.take().is_none());
+    }
+
+    #[test]
+    fn a_cancel_stops_the_running_job_or_drops_a_queued_one() {
+        let mut table = table(1, 3, 0);
+        let running = table.take().expect("a job");
+        table.cancel(0, 2);
+        assert!(!running.cancel.load(Ordering::Relaxed));
+        table.cancel(0, 1);
+        assert!(running.cancel.load(Ordering::Relaxed));
+        table.finish(0);
+        assert_eq!(take_all(&mut table), [(0, 3)]);
+    }
+
+    #[test]
+    fn no_job_is_taken_past_max_jobs() {
+        let mut table = table(3, 1, 2);
+        assert_eq!(take_all(&mut table), [(0, 1), (1, 1)]);
+        assert!(table.exhausted());
+        table.finish(0);
+        table.finish(1);
+        assert!(table.take().is_none(), "client 2's job stays queued");
+    }
+
+    #[test]
+    fn serve_refuses_zero_workers_before_binding() {
+        let socket = std::env::temp_dir().join(format!("nice-zero-{}.sock", std::process::id()));
+        let args: Vec<String> = ["--socket", socket.to_str().unwrap(), "--workers", "0"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(cmd_serve(&args), 2);
+        assert!(!socket.exists());
+    }
 }

@@ -7,7 +7,10 @@
 //! just the verdict, the transition and state counts too. A 1-worker run is
 //! the sequential engine by construction. A killed worker is respawned and
 //! its shard re-derived from the coordinator's forward log; re-forwarded
-//! duplicates dedup at their owners, so only `dedup_hits` may inflate.
+//! duplicates dedup at their owners, so only `dedup_hits` may inflate. A
+//! 1-worker job (how `nice serve` runs every job) has no forward log: its
+//! respawned worker restarts the job from the root, so every counter stays
+//! exact, and two such coordinators running side by side do not interfere.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
 //! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
@@ -16,7 +19,7 @@
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
 use nice_mc::{CheckReport, CheckerConfig, ModelChecker, ReplayOutcome};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, PoisonError};
 
 /// The worker binary cargo built for this test target.
 fn worker_bin() -> PathBuf {
@@ -288,4 +291,68 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
         err.to_string().contains("died"),
         "error should name the crash loop, got: {err}"
     );
+}
+
+#[test]
+fn a_whole_job_worker_killed_mid_job_restarts_to_the_exact_counters() {
+    let _guard = lock();
+    let spec = full_spec("bug-v-packets-dropped-in-transition", false);
+    let seq = sequential(&spec);
+
+    // The only worker aborts after 150 of BUG-V's 2 569 transitions.
+    std::env::set_var(DIE_AFTER_ENV, "0:150");
+    let coordinator = Coordinator::new(worker_bin(), 1);
+    std::env::remove_var(DIE_AFTER_ENV);
+    let mut restarts = 0usize;
+    let dist = coordinator.expect("spawn worker pool").run_job(
+        &spec,
+        |event| {
+            if let JobEvent::WorkerRestarted { .. } = event {
+                restarts += 1;
+            }
+        },
+        None,
+    );
+    let dist = dist.expect("job completes despite the crash");
+
+    assert_eq!(restarts, 1, "the worker must have died once");
+    let label = "bug-v dist-1 with worker kill";
+    assert_same_verdict(&seq, &dist, label);
+    assert_exact_counters(&seq, &dist, label);
+}
+
+#[test]
+fn two_whole_job_coordinators_run_two_jobs_at_once_exactly() {
+    let _guard = lock();
+    let specs = [
+        full_spec("chain:5:2", false),
+        full_spec("bug-xii-packet-lost-on-switch-crash", true),
+    ];
+    let spawn = || Coordinator::new(worker_bin(), 1).expect("spawn worker pool");
+    let (mut first, mut second) = (spawn(), spawn());
+    // Both jobs are sent before either coordinator reads a frame back.
+    let both_started = Barrier::new(2);
+    let run = |coordinator: &mut Coordinator, spec| {
+        coordinator.run_job(
+            spec,
+            |event| {
+                if let JobEvent::Started { .. } = event {
+                    both_started.wait();
+                }
+            },
+            None,
+        )
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run(&mut first, &specs[0]));
+        let b = scope.spawn(|| run(&mut second, &specs[1]));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (spec, dist) in specs.iter().zip([a, b]) {
+        let dist = dist.expect("job completes");
+        let label = format!("{} beside another job", spec.scenario);
+        let seq = sequential(spec);
+        assert_same_verdict(&seq, &dist, &label);
+        assert_exact_counters(&seq, &dist, &label);
+    }
 }
