@@ -625,7 +625,10 @@ mod tests {
             CheckerConfig::default().with_max_transitions(50_000),
         )
         .run();
-        assert!(!report.passed(), "BUG-IV must be detected: {report}");
+        assert!(
+            !report.violations.is_empty(),
+            "BUG-IV must be detected: {report}"
+        );
         assert_eq!(
             report.first_violation().unwrap().property,
             "NoForgottenPackets"
@@ -639,7 +642,10 @@ mod tests {
             CheckerConfig::default().with_max_transitions(50_000),
         )
         .run();
-        assert!(!report.passed(), "BUG-VIII must be detected: {report}");
+        assert!(
+            !report.violations.is_empty(),
+            "BUG-VIII must be detected: {report}"
+        );
 
         let fixed = ModelChecker::new(
             fixed_scenario(BugId::BugVIII).unwrap(),
@@ -662,7 +668,10 @@ mod tests {
 
         let config = CheckerConfig::default().with_fault_injection(true);
         let report = ModelChecker::new(bug_scenario(BugId::BugXII), config.clone()).run();
-        assert!(!report.passed(), "BUG-XII must be detected: {report}");
+        assert!(
+            !report.violations.is_empty(),
+            "BUG-XII must be detected: {report}"
+        );
         assert_eq!(
             report.first_violation().unwrap().property,
             "NoAbandonedPackets"
@@ -684,7 +693,10 @@ mod tests {
             CheckerConfig::default().with_max_transitions(100_000),
         )
         .run();
-        assert!(!report.passed(), "BUG-III must be detected: {report}");
+        assert!(
+            !report.violations.is_empty(),
+            "BUG-III must be detected: {report}"
+        );
         assert_eq!(
             report.first_violation().unwrap().property,
             "NoForwardingLoops"

@@ -9,7 +9,7 @@
 //!   stderr, honours a wall-clock budget (`--time-budget-ms`), with
 //!   `--json` emits one machine-readable
 //!   object embedding the first counterexample as a typed trace (schema
-//!   `nice-cli-run-v6`, documented in `bench/README.md`), and with
+//!   `nice-cli-run-v7`, documented in `bench/README.md`), and with
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
@@ -34,8 +34,8 @@ mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
 use nice_mc::{
-    render_timeline, CheckEvent, CheckReport, CheckerConfig, ExploredMode, Json, ModelChecker,
-    ReductionKind, Scenario, StrategyKind, Trace, TraceEngine, TRACE_SCHEMA,
+    render_timeline, CheckEvent, CheckReport, CheckerConfig, Json, ModelChecker, ReductionKind,
+    Scenario, StrategyKind, Trace, TraceEngine, Verdict, TRACE_SCHEMA,
 };
 use std::io::Read;
 use std::time::Duration;
@@ -60,11 +60,6 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
                                                   covers all four)
   --reduction <none|por>                          partial-order reduction (default none; not sweep,
                                                   which covers both)
-  --explored <mem|tiered>                         explored-set storage, exact either way: in memory
-                                                  (default), or with cold-shard spill to disk
-  --mem-limit <BYTES>                             tiered only: spill past this many bytes (default
-                                                  and 0: 512 MiB); per worker process under --dist
-                                                  and submit
   --max-transitions <N>                           transition budget (default 500000; 0 = unlimited)
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
@@ -79,7 +74,8 @@ OTHER OPTIONS:
   --progress-every <N>                            Progress event cadence in transitions (run only; default 8192)
   --expect                                        exit non-zero unless the registry expectation holds
                                                   (bug found its property / fixed variant passed; run
-                                                  and submit, registry scenarios only)
+                                                  and submit, registry scenarios only): 1 if it
+                                                  fails, 3 if a bound stopped the search first
   --json                                          emit machine-readable JSON on stdout (run, sweep)
   --quiet                                         suppress streamed progress on stderr
   --trace-out <FILE>                              write the first violation's trace as a
@@ -199,14 +195,11 @@ impl RunOptions {
     }
 }
 
-/// Parses the arguments of `run`, `sweep` or `submit`. The nine flags that
+/// Parses the arguments of `run`, `sweep` or `submit`. The seven flags that
 /// describe the check itself (USAGE's "check options") mean the same to all
 /// three and are read here only.
 fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> {
     let mut opts = RunOptions::default();
-    // Applied once every flag is read: it needs `--explored tiered`,
-    // wherever that came.
-    let mut mem_limit = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -248,12 +241,6 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
                 let names = "none, por";
                 config.reduction = parse_name(value()?, "reduction", names, ReductionKind::parse)?;
             }
-            "--explored" => {
-                let names = "mem, tiered";
-                config.explored.mode =
-                    parse_name(value()?, "explored mode", names, ExploredMode::parse)?;
-            }
-            "--mem-limit" => mem_limit = Some(number()?),
             "--max-transitions" => config.max_transitions = number()?,
             "--max-depth" => config.max_depth = number()? as usize,
             "--time-budget-ms" => opts.time_budget = Some(Duration::from_millis(number()?)),
@@ -282,12 +269,6 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             }
         }
         i += 1;
-    }
-    if let Some(bytes) = mem_limit {
-        if opts.config.explored.mode != ExploredMode::Tiered {
-            return Err("--mem-limit needs --explored tiered (mem never spills)".into());
-        }
-        opts.config.explored.mem_limit = bytes;
     }
     Ok(opts)
 }
@@ -526,11 +507,11 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
         print!("{report}");
         if let Some(entry) = &target.entry {
             match effective_expectation(entry, opts.config.inject_faults) {
-                Some(property) if report.passed() => eprintln!(
+                Some(property) if report.violations.is_empty() => eprintln!(
                     "note: expected a {property} violation but none was found \
                      (budget too small, or an over-restrictive strategy?)"
                 ),
-                None if !report.passed() => {
+                None if !report.violations.is_empty() => {
                     eprintln!("note: this scenario was expected to pass")
                 }
                 None if entry.requires_faults && !opts.config.inject_faults => eprintln!(
@@ -541,20 +522,32 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
         }
     }
     // `--expect` implies a registry entry (`resolve_target` checked).
-    if let (true, Some(entry)) = (opts.expect, &target.entry) {
-        if !expectation_met(entry, report, opts.config.inject_faults) {
-            eprintln!(
-                "expectation not met for '{}': {}",
-                entry.name,
-                match effective_expectation(entry, opts.config.inject_faults) {
-                    Some(property) => format!("expected a {property} violation, found none"),
-                    None => "this scenario was expected to pass".to_string(),
-                }
-            );
-            return 1;
-        }
+    match (opts.expect, &target.entry) {
+        (true, Some(entry)) => expect_exit_code(entry, report, opts.config.inject_faults),
+        _ => 0,
     }
-    0
+}
+
+/// What `--expect` exits with: 0 if the report meets the registry's
+/// prediction, else 3 if the search stopped at a bound with nothing found
+/// (inconclusive), else 1.
+fn expect_exit_code(entry: &ScenarioEntry, report: &CheckReport, faults: bool) -> i32 {
+    if expectation_met(entry, report, faults) {
+        return 0;
+    }
+    let (code, why) = match report.verdict() {
+        Verdict::Inconclusive => (3, " (the search was truncated: inconclusive)"),
+        Verdict::Pass | Verdict::Fail => (1, ""),
+    };
+    eprintln!(
+        "expectation not met for '{}': {}{why}",
+        entry.name,
+        match effective_expectation(entry, faults) {
+            Some(property) => format!("expected a {property} violation, found none"),
+            None => "this scenario was expected to pass".to_string(),
+        },
+    );
+    code
 }
 
 /// `expectation_met` as a JSON value: `null` for a workload spec, which the
@@ -575,7 +568,8 @@ fn effective_expectation(entry: &ScenarioEntry, faults: bool) -> Option<&'static
 }
 
 /// True if the report matches what the registry entry predicts: the buggy
-/// variants find their expected property, the fixed ones pass.
+/// variants find their expected property, the fixed ones pass (an
+/// inconclusive search does not).
 fn expectation_met(entry: &ScenarioEntry, report: &CheckReport, faults: bool) -> bool {
     match effective_expectation(entry, faults) {
         Some(property) => report.violations.iter().any(|v| v.property == property),
@@ -592,7 +586,7 @@ fn engine_label(workers: usize) -> &'static str {
     engine.label()
 }
 
-/// The `nice run --json` report (schema `nice-cli-run-v6`, documented in
+/// The `nice run --json` report (schema `nice-cli-run-v7`, documented in
 /// `bench/README.md`).
 fn run_json<'a>(
     target: &'a Target,
@@ -624,7 +618,7 @@ fn run_json<'a>(
     let secs = stats.duration.as_secs_f64();
     let rate = stats.unique_states as f64 / secs.max(1e-9);
     Json::object([
-        ("schema", "nice-cli-run-v6".into()),
+        ("schema", "nice-cli-run-v7".into()),
         ("scenario", target.spec.as_str().into()),
         ("app", app.into()),
         ("bug", entry.map(|e| e.bug.label()).into()),
@@ -634,10 +628,10 @@ fn run_json<'a>(
         ("reduction", opts.config.reduction.name().into()),
         ("workers", opts.config.workers.into()),
         ("engine", engine.into()),
-        ("explored", opts.config.explored.mode.name().into()),
         ("faults_enabled", opts.config.inject_faults.into()),
         ("injected_faults", stats.faults.to_json()),
         ("outcome", report.outcome.label(stats.truncated).into()),
+        ("verdict", report.verdict().name().into()),
         ("passed", report.passed().into()),
         ("expectation_met", met),
         ("violated_properties", violated),
@@ -652,9 +646,6 @@ fn run_json<'a>(
         ("dedup_hits", stats.dedup_hits.into()),
         ("work_steals", stats.work_steals.into()),
         ("peak_explored_bytes", stats.peak_explored_bytes.into()),
-        ("spilled_shards", stats.spilled_shards.into()),
-        ("filter_hits", stats.filter_hits.into()),
-        ("disk_probes", stats.disk_probes.into()),
         ("max_depth", stats.max_depth.into()),
         ("duration_secs", Json::fixed(secs, 6)),
         ("states_per_sec", Json::fixed(rate, 1)),
@@ -697,7 +688,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
                     reduction.name(),
                     report.stats.unique_states,
                     report.stats.transitions,
-                    if report.passed() { "pass" } else { "violation" },
+                    report.verdict().name(),
                 );
             }
             cells.push((strategy, reduction, report));
@@ -979,7 +970,7 @@ fn cmd_validate_json() -> i32 {
 mod tests {
     use super::*;
 
-    /// `run` and `submit` describe a check with the same nine flags: same
+    /// `run` and `submit` describe a check with the same seven flags: same
     /// defaults, same `CheckerConfig` for a good value, same words for a bad
     /// one.
     #[test]
@@ -995,43 +986,74 @@ mod tests {
         let defaults = both(&[]).expect("no flags is a check");
         let budgeted = CheckerConfig::default().with_max_transitions(500_000);
         assert_eq!(defaults, (budgeted, None));
-        let tiered = ["--explored", "tiered"];
-        for (given, flag, good, bad) in [
-            (&[][..], "--strategy", "unusual", "bfs"),
-            (&[], "--reduction", "por", "tso"),
-            (&[], "--explored", "tiered", "mmap"),
-            (&[], "--explored", "tiered", "bitstate"),
-            (&tiered, "--mem-limit", "4096", "4k"),
-            (&[], "--max-transitions", "0", "-1"),
-            (&[], "--max-depth", "9", "deep"),
-            (&[], "--time-budget-ms", "50", "1s"),
+        for (flag, good, bad) in [
+            ("--strategy", "unusual", "bfs"),
+            ("--reduction", "por", "tso"),
+            ("--max-transitions", "0", "-1"),
+            ("--max-depth", "9", "deep"),
+            ("--time-budget-ms", "50", "1s"),
         ] {
-            let after = |flags: &[&str]| both(&[given, flags].concat());
-            let base = after(&[]).expect("the given flags are a check");
-            assert_ne!(after(&[flag, good]).expect(flag), base, "{flag}");
-            let refused = after(&[flag, bad]).expect_err(flag);
+            assert_ne!(both(&[flag, good]).expect(flag), defaults, "{flag}");
+            let refused = both(&[flag, bad]).expect_err(flag);
             assert!(refused.contains(&format!("'{bad}'")), "{refused}");
-            assert_eq!(after(&[flag]), Err(format!("{flag} needs a value")));
+            assert_eq!(both(&[flag]), Err(format!("{flag} needs a value")));
         }
         for flag in ["--faults", "--all-violations"] {
             assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
         }
-        // `--mem-limit` bounds only `tiered`, wherever `--explored` comes;
-        // `mem` would ignore it, so every command refuses it in one voice.
-        let limited = both(&["--mem-limit", "1", "--explored", "tiered"]);
-        assert_eq!(limited, both(&["--explored", "tiered", "--mem-limit", "1"]));
-        assert_eq!(limited.expect("limit first").0.explored.mem_limit, 1);
-        let refusal = "--mem-limit needs --explored tiered (mem never spills)";
+        // The retired explored-set flags are unknown to every command (a
+        // usage error, exit 2), with or without a value.
         for flags in [
-            &["--mem-limit", "1"][..],
-            &["--explored", "mem", "--mem-limit", "1"],
-            &["--mem-limit", "1", "--explored", "mem"],
+            &["--explored", "tiered"][..],
+            &["--explored", "mem"],
+            &["--mem-limit", "1"],
         ] {
-            assert_eq!(both(flags), Err(refusal.to_string()), "{flags:?}");
+            let unknown = format!("unknown option '{}'", flags[0]);
+            assert_eq!(both(flags), Err(unknown.clone()), "{flags:?}");
             let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
             let sweep = parse_run_options(&args, Mode::Sweep).err();
-            assert_eq!(sweep.as_deref(), Some(refusal), "{flags:?}");
+            assert_eq!(sweep, Some(unknown), "{flags:?}");
         }
+    }
+
+    /// A search a bound stopped before it found anything is inconclusive,
+    /// never a PASS, and `--expect` says so with exit code 3.
+    #[test]
+    fn a_truncated_search_is_inconclusive_and_expect_exits_3() {
+        let args = |line: &str| {
+            line.split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        let check = |line: &str| {
+            let opts = parse_run_options(&args(line), Mode::Run).expect("a check");
+            let Ok(target) = resolve_target("run", &opts) else {
+                panic!("{line}: a scenario")
+            };
+            let report = ModelChecker::new(target.scenario.clone(), opts.config.clone()).run();
+            let doc = run_json(&target, &opts, &report, None);
+            let verdict = doc.str("verdict").expect("a verdict").to_string();
+            let flags = (doc.bool("passed"), doc.bool("expectation_met"));
+            (report.to_string(), verdict, flags)
+        };
+        // The exhaustive search takes 131 transitions.
+        let budgeted = "bug-ii-fixed --max-transitions 50 --expect --quiet";
+        let (text, verdict, flags) = check(budgeted);
+        assert_eq!(verdict, "inconclusive");
+        assert_eq!(flags, (Ok(false), Ok(false)), "passed, expectation_met");
+        assert!(text.starts_with("NO VIOLATION FOUND (truncated: transition budget) |"));
+        assert_eq!(cmd_run(&args(budgeted)), 3);
+
+        let (text, verdict, _) = check("ping:4 --max-depth 10");
+        assert_eq!(verdict, "inconclusive");
+        assert!(text.starts_with("NO VIOLATION FOUND (truncated: depth bound) |"));
+
+        let exhausted = "bug-ii-fixed --max-transitions 0 --expect --quiet";
+        let (text, verdict, flags) = check(exhausted);
+        assert_eq!(verdict, "pass");
+        assert_eq!(flags, (Ok(true), Ok(true)), "passed, expectation_met");
+        assert!(text.starts_with("PASS |"));
+        assert_eq!(cmd_run(&args(exhausted)), 0);
     }
 
     #[test]
@@ -1047,7 +1069,7 @@ mod tests {
         // Anything else only has to be JSON; an embedded trace is not a claim.
         assert_eq!(check_document("{}"), Ok("JSON"));
         let report = format!(
-            r#"{{"schema": "nice-cli-run-v6", "trace": {}}}"#,
+            r#"{{"schema": "nice-cli-run-v7", "trace": {}}}"#,
             trace.to_json()
         );
         assert_eq!(check_document(&report), Ok("JSON"));

@@ -11,7 +11,7 @@
 //! a job pending, so one chatty client cannot starve the others. A
 //! connection's own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v2` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v3` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame (its `shard` field is ignored) and receives `progress` and
 //! `violation` frames while the job runs, then exactly one `job_done`
@@ -26,7 +26,7 @@ use nice_apps::scenarios::find_scenario;
 use nice_dist::{
     read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
 };
-use nice_mc::{CheckReport, ShardSpec};
+use nice_mc::{CheckReport, SearchStats, ShardSpec, TraceEngine};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -219,8 +219,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
         return usage_error("serve needs --socket PATH");
     };
 
-    let _ = std::fs::remove_file(&socket);
-    let listener = match UnixListener::bind(&socket) {
+    let listener = match listen_at(&socket) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("cannot bind '{socket}': {e}");
@@ -282,6 +281,19 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
     );
     let _ = std::fs::remove_file(&socket);
     0
+}
+
+/// A listener on the Unix socket `path`, published only once it listens:
+/// bound at a sibling staging path and renamed into place (replacing a stale
+/// socket), so a client that finds the path can connect.
+fn listen_at(path: &str) -> std::io::Result<UnixListener> {
+    let staging = format!("{path}.{}.staging", std::process::id());
+    let _ = std::fs::remove_file(&staging);
+    let listener = UnixListener::bind(&staging)?;
+    std::fs::rename(&staging, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&staging);
+    })?;
+    Ok(listener)
 }
 
 /// One runner: takes the next job off the client table and runs it whole on
@@ -355,7 +367,12 @@ fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
     let finale = match &result {
         Ok(report) => Frame::JobDone {
             job,
-            stats: report.stats.clone(),
+            // The frame has no outcome: a job stopped by its deadline or a
+            // cancel is a truncated one to the client.
+            stats: SearchStats {
+                truncated: report.stats.truncated || report.outcome.interrupted(),
+                ..report.stats.clone()
+            },
             violations: report.violations.iter().map(WireViolation::of).collect(),
         },
         Err(e) => Frame::Error {
@@ -473,7 +490,16 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
             Ok(Some(Frame::JobDone {
                 stats, violations, ..
             })) => {
-                let passed = violations.is_empty();
+                let engine = TraceEngine::from_config(&spec.config);
+                let violations = violations.into_iter();
+                let report = CheckReport {
+                    violations: violations
+                        .map(|v| v.into_violation(&spec.scenario, engine))
+                        .collect(),
+                    stats,
+                    ..CheckReport::default()
+                };
+                let (stats, violations) = (&report.stats, &report.violations);
                 println!(
                     "{}: {} unique states, {} transitions, {} violation{} ({:.3}s)",
                     spec.scenario,
@@ -490,26 +516,12 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
                 for property in &properties {
                     println!("  violated: {property}");
                 }
-                if opts.expect {
-                    let entry = entry.expect("checked above");
-                    let expected = crate::effective_expectation(&entry, spec.config.inject_faults);
-                    let met = match expected {
-                        Some(property) => properties.contains(&property),
-                        None => passed,
-                    };
-                    if !met {
-                        eprintln!(
-                            "expectation not met for '{}': {}",
-                            entry.name,
-                            match expected {
-                                Some(p) => format!("expected a {p} violation, found none"),
-                                None => "this scenario was expected to pass".to_string(),
-                            }
-                        );
-                        return 1;
+                return match entry {
+                    Some(entry) if opts.expect => {
+                        crate::expect_exit_code(&entry, &report, spec.config.inject_faults)
                     }
-                }
-                return 0;
+                    _ => 0,
+                };
             }
             Ok(Some(Frame::Error { message, .. })) => {
                 eprintln!("server error: {message}");
@@ -660,6 +672,21 @@ mod tests {
         table.finish(0);
         table.finish(1);
         assert!(table.take().is_none(), "client 2's job stays queued");
+    }
+
+    #[test]
+    fn a_published_socket_accepts_connections_and_leaves_no_staging_file() {
+        let dir = std::env::temp_dir().join(format!("nice-listen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("a temporary directory");
+        let socket = dir.join("serve.sock");
+        // A stale socket from an earlier server is replaced.
+        drop(UnixListener::bind(&socket).expect("a stale socket"));
+        let listener = listen_at(socket.to_str().unwrap()).expect("listens");
+        UnixStream::connect(&socket).expect("the published path accepts");
+        drop(listener.accept().expect("the connection arrives"));
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 1, "only the socket remains: {left:?}");
+        std::fs::remove_dir_all(&dir).expect("cleaned up");
     }
 
     #[test]

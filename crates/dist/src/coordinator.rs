@@ -39,7 +39,7 @@ use crate::pool::{PoolEvent, WorkerEvent, WorkerPool};
 use crate::proto::{Frame, WireViolation};
 use nice_mc::{
     shard_of, CheckReport, CheckerConfig, FrontierExport, InterruptReason, Json, Outcome,
-    ShardSpec, Trace, TraceEngine, Violation,
+    ShardSpec, TraceEngine,
 };
 use std::io;
 use std::path::PathBuf;
@@ -64,10 +64,9 @@ pub struct JobSpec {
     /// (`ping:2`, `chain:5:2`, `chain-faults:3:1`).
     pub scenario: String,
     /// The search configuration. `max_transitions` is the job-wide budget
-    /// (and each shard's own); the depth bound and the explored-set mode
-    /// and memory budget apply per shard. `workers` stays 1: a shard runs
-    /// the sequential engine, distribution happens *across* processes, and
-    /// the wire does not carry the field.
+    /// (and each shard's own); the depth bound applies per shard. `workers`
+    /// stays 1: a shard runs the sequential engine, distribution happens
+    /// *across* processes, and the wire does not carry the field.
     pub config: CheckerConfig,
     /// Wall-clock budget for the job in milliseconds (0 = unlimited).
     pub time_budget_ms: u64,
@@ -83,28 +82,31 @@ impl JobSpec {
         }
     }
 
-    /// The `"spec"` object of the `job` frame: the scenario, then the
-    /// config's members with the deadline where `nice-dist-v2` has always
-    /// written it, ahead of the explored-set pair.
+    /// The `"spec"` object of the `job` frame: the scenario, the config's
+    /// members but `workers`, then the deadline.
     pub fn to_json(&self) -> Json<'_> {
         let Json::Obj(mut members) = self.config.to_json() else {
             unreachable!("a config is written as an object")
         };
         members.retain(|(key, _)| key != "workers");
-        let explored = members.iter().position(|(key, _)| key == "explored");
-        members.insert(
-            explored.expect("a config has an explored mode"),
-            ("time_budget_ms".into(), self.time_budget_ms.into()),
-        );
         members.insert(0, ("scenario".into(), self.scenario.as_str().into()));
+        members.push(("time_budget_ms".into(), self.time_budget_ms.into()));
         Json::Obj(members)
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes.
+    /// Reads what [`to_json`](Self::to_json) writes: the config is what
+    /// remains once the scenario and the deadline are taken out.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        let Json::Obj(members) = value else {
+            return Err("a job spec must be an object".into());
+        };
+        let own = ["scenario", "time_budget_ms"];
+        let config = members
+            .iter()
+            .filter(|(key, _)| !own.contains(&key.as_ref()));
         Ok(JobSpec {
             scenario: value.str("scenario")?.to_string(),
-            config: CheckerConfig::from_json(value)?,
+            config: CheckerConfig::from_json(&Json::Obj(config.cloned().collect()))?,
             time_budget_ms: value.u64("time_budget_ms")?,
         })
     }
@@ -212,6 +214,9 @@ impl Coordinator {
         // and hang the job.
         let mut crash_streak: Vec<u32> = vec![0; count];
         let mut cancelled = false;
+        // The job-wide transition budget stopped the shards: the search is
+        // truncated even where no shard reached its own budget.
+        let mut budget_cut = false;
         let mut interrupted: Option<InterruptReason> = None;
         let mut worker_error: Option<String> = None;
         let mut finishing = false;
@@ -378,6 +383,7 @@ impl Coordinator {
                         && total_transitions >= spec.config.max_transitions
                     {
                         cancelled = true;
+                        budget_cut = true;
                         self.pool.broadcast(&Frame::Cancel { job })?;
                     }
                 }
@@ -424,13 +430,15 @@ impl Coordinator {
             return Err(io::Error::new(io::ErrorKind::InvalidData, message));
         }
 
-        Ok(merge_reports(
+        let mut report = merge_reports(
             spec,
             &scenario_name,
             jobs.into_iter().map(|j| j.done.unwrap()).collect(),
             start.elapsed(),
             interrupted,
-        ))
+        );
+        report.stats.truncated |= budget_cut;
+        Ok(report)
     }
 }
 
@@ -452,23 +460,10 @@ fn merge_reports(
         // Shards run concurrently over disjoint stores, so the merge's
         // summed explored-set peak is the job's resident footprint.
         report.stats.merge(&stats);
-        for v in violations {
-            report.violations.push(Violation {
-                property: v.property.clone(),
-                message: v.message.clone(),
-                trace: Trace {
-                    scenario: scenario_name.to_string(),
-                    engine,
-                    steps: v.steps,
-                    property: Some(v.property),
-                    message: Some(v.message),
-                },
-                // Shard-local discovery counters don't total meaningfully;
-                // report the job-wide figures (filled in below).
-                transitions_explored: 0,
-                unique_states: 0,
-            });
-        }
+        // Shard-local discovery counters don't total meaningfully; report
+        // the job-wide figures (filled in below).
+        let violations = violations.into_iter();
+        (report.violations).extend(violations.map(|v| v.into_violation(scenario_name, engine)));
     }
     report.stats.duration = duration;
     for v in &mut report.violations {

@@ -1,8 +1,8 @@
-//! The `nice-dist-v2` wire protocol.
+//! The `nice-dist-v3` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v2"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v3"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -25,11 +25,12 @@
 //! codec to carry along. A `keep` past the end of the previous trace (any
 //! at all on a first state) is `InvalidData`.
 //!
-//! That is what `v2` is for: the other ten frame kinds keep their
-//! `nice-dist-v1` bytes, but a v1 peer would hand over whole traces where
-//! this one reads suffixes, and the owner of a state re-derives nothing
-//! from its trace — so a stale worker binary must fail loudly on the
-//! schema tag instead of exploring a wrong state silently.
+//! `v2` introduced that: a v1 peer would hand over whole traces where this
+//! one reads suffixes. `v3` drops the explored-set settings from the `job`
+//! spec and the spill counters from the `job_done` stats, which gain
+//! `depth_bounded`. Either way a stale worker
+//! binary must fail loudly on the schema tag instead of exploring a wrong
+//! state or misreading a verdict silently.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
@@ -48,13 +49,15 @@
 
 use nice_mc::shard::{exports_from_json, exports_to_json};
 use nice_mc::trace::{steps_from_json, steps_to_json};
-use nice_mc::{FrontierExport, Json, SearchStats, ShardSpec, Transition, Violation};
+use nice_mc::{
+    FrontierExport, Json, SearchStats, ShardSpec, Trace, TraceEngine, Transition, Violation,
+};
 use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v2` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v2";
+/// The schema tag every `nice-dist-v3` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v3";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -78,6 +81,25 @@ impl WireViolation {
         }
     }
 
+    /// The checker's form of this violation, its trace recorded as of
+    /// `scenario` under `engine`. Discovery counters are left at zero: a
+    /// shard's do not mean anything job-wide.
+    pub fn into_violation(self, scenario: &str, engine: TraceEngine) -> Violation {
+        Violation {
+            property: self.property.clone(),
+            message: self.message.clone(),
+            trace: Trace {
+                scenario: scenario.to_string(),
+                engine,
+                steps: self.steps,
+                property: Some(self.property),
+                message: Some(self.message),
+            },
+            transitions_explored: 0,
+            unique_states: 0,
+        }
+    }
+
     /// The violation object of the `violation` and `job_done` frames.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
@@ -97,7 +119,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v2` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v3` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: start `job` on `shard` with the given spec.
@@ -193,7 +215,7 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v2` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v3` JSON document.
     pub fn to_json(&self) -> String {
         let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
             Frame::Job { job, shard, spec } => {
@@ -259,7 +281,7 @@ impl Frame {
         Json::object(head.into_iter().chain(job).chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v2` JSON document.
+    /// Parses a single-line `nice-dist-v3` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -363,7 +385,7 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nice_mc::{CheckerConfig, ExploredMode, FaultStats, ReductionKind, StrategyKind};
+    use nice_mc::{CheckerConfig, FaultStats, ReductionKind, StrategyKind};
     use nice_openflow::{HostId, MacAddr, Packet, SwitchId};
     use std::time::{Duration, Instant};
 
@@ -389,9 +411,7 @@ mod tests {
                 .with_reduction(ReductionKind::Por)
                 .with_fault_injection(true)
                 .with_stop_at_first(false)
-                .with_max_transitions(12345)
-                .with_explored(ExploredMode::Tiered)
-                .with_mem_limit(1 << 20),
+                .with_max_transitions(12345),
             time_budget_ms: 60_000,
         }
     }
@@ -407,9 +427,6 @@ mod tests {
             dedup_hits: 5,
             work_steals: 6,
             peak_explored_bytes: 4096,
-            spilled_shards: 2,
-            filter_hits: 13,
-            disk_probes: 8,
             faults: FaultStats {
                 drops: 1,
                 crashes: 2,
@@ -418,6 +435,7 @@ mod tests {
             },
             max_depth: 9,
             truncated: true,
+            depth_bounded: true,
             duration: Duration::from_millis(250),
         }
     }
@@ -477,9 +495,10 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 12 kinds with its `nice-dist-v2` bytes. Ten
-    /// of them are their `nice-dist-v1` bytes but for the tag; `states` and
-    /// `forward` carry `"keep"`.
+    /// One frame of each of the 12 kinds with its `nice-dist-v3` bytes. Ten
+    /// of them are their `nice-dist-v2` bytes but for the tag; `job` and
+    /// `job_done` lost the explored-set fields, and `job_done` gained
+    /// `depth_bounded`.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -498,37 +517,37 @@ mod tests {
                     shard: ShardSpec { index: 1, count: 4 },
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v2","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000,"explored":"tiered","mem_limit":1048576}}"#,
+                r#"{"schema":"nice-dist-v3","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v2","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v3","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v2","frame":"cancel","job":3}"#,
+                r#"{"schema":"nice-dist-v3","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Finish { job: 4 },
-                r#"{"schema":"nice-dist-v2","frame":"finish","job":4}"#,
+                r#"{"schema":"nice-dist-v3","frame":"finish","job":4}"#,
             ),
             (
                 Frame::Shutdown,
-                r#"{"schema":"nice-dist-v2","frame":"shutdown"}"#,
+                r#"{"schema":"nice-dist-v3","frame":"shutdown"}"#,
             ),
             (
                 Frame::Hello { pid: 4242 },
-                r#"{"schema":"nice-dist-v2","frame":"hello","pid":4242}"#,
+                r#"{"schema":"nice-dist-v3","frame":"hello","pid":4242}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v2","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v3","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -537,21 +556,21 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v2","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v3","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation {
                     job: 7,
                     violation: violation.clone(),
                 },
-                r#"{"schema":"nice-dist-v2","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
+                r#"{"schema":"nice-dist-v3","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::Idle {
                     job: 8,
                     received: 17,
                 },
-                r#"{"schema":"nice-dist-v2","frame":"idle","job":8,"received":17}"#,
+                r#"{"schema":"nice-dist-v3","frame":"idle","job":8,"received":17}"#,
             ),
             (
                 Frame::JobDone {
@@ -559,14 +578,14 @@ mod tests {
                     stats: sample_stats(),
                     violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v2","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v3","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v2","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v3","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -589,7 +608,7 @@ mod tests {
             let parsed = Frame::from_json(golden).expect("golden parses");
             assert_eq!(parsed.to_json(), golden);
         }
-        let stats = r#"{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"spilled_shards":2,"filter_hits":13,"disk_probes":8,"max_depth":9,"truncated":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}"#;
+        let stats = r#"{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}"#;
         assert_eq!(sample_stats().to_json().compact(), stats);
         let parsed = SearchStats::from_json(&Json::parse(stats).unwrap()).expect("golden parses");
         assert_eq!(parsed.to_json().compact(), stats);
@@ -599,14 +618,15 @@ mod tests {
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
         // A peer from before `keep` would hand over whole traces the owner
-        // takes for suffixes (or the reverse): it must fail on the tag.
+        // takes for suffixes, and one from before v3 would send settings
+        // this side no longer has: both must fail on the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v2", "nice-dist-v1", 1);
+            let stale = golden.replacen("nice-dist-v3", "nice-dist-v2", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v1'"),
+                err.to_string().contains("unknown schema 'nice-dist-v2'"),
                 "{err}"
             );
         }

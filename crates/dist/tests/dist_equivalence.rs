@@ -161,7 +161,10 @@ fn sharded_bug_v_run_finds_the_same_violations() {
     ] {
         let spec = full_spec(scenario, false);
         let seq = sequential(&spec);
-        assert!(!seq.passed(), "{scenario} violates sequentially");
+        assert!(
+            !seq.violations.is_empty(),
+            "{scenario} violates sequentially"
+        );
         for workers in [2, 4] {
             let dist = distributed(&spec, workers);
             let label = format!("{scenario} dist-{workers}");
@@ -176,7 +179,10 @@ fn sharded_bug_xii_run_with_faults_finds_the_same_violations() {
     let _guard = lock();
     let spec = full_spec("bug-xii-packet-lost-on-switch-crash", true);
     let seq = sequential(&spec);
-    assert!(!seq.passed(), "BUG-XII violates under fault injection");
+    assert!(
+        !seq.violations.is_empty(),
+        "BUG-XII violates under fault injection"
+    );
     for workers in [2, 4] {
         let dist = distributed(&spec, workers);
         let label = format!("bug-xii dist-{workers}");
@@ -190,7 +196,7 @@ fn distributed_violation_traces_replay_in_process() {
     let _guard = lock();
     let spec = full_spec("bug-v-packets-dropped-in-transition", false);
     let dist = distributed(&spec, 2);
-    assert!(!dist.passed());
+    assert!(!dist.violations.is_empty());
     // The merged report's traces must be replayable end to end on the
     // sequential engine — shipping steps over the wire loses nothing.
     let scenario = nice_apps::workloads::resolve(&spec.scenario).unwrap();

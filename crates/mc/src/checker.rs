@@ -49,9 +49,8 @@
 //! [`crate::state`]), not recomputed.
 //!
 //! The explored set stores only 64-bit state fingerprints (Section 6 of the
-//! paper) in the one exact store of [`crate::explored`]: packed in-memory
-//! tables that, under `tiered` ([`CheckerConfig::explored`]), spill cold
-//! shards to disk for runs past RAM. Under partial-order reduction
+//! paper) in the one exact in-memory store of [`crate::explored`]. Under
+//! partial-order reduction
 //! ([`CheckerConfig::reduction`](crate::scenario::CheckerConfig)) each
 //! fingerprint additionally remembers the sleep set it was explored with —
 //! see `crate::explored::FingerprintMap` for why that keeps sleep sets
@@ -61,7 +60,7 @@ use crate::explored::{visit_explored, ExactStore, FingerprintMap, Visit};
 use crate::json::Json;
 use crate::properties::{Event, Property};
 use crate::scenario::{CheckerConfig, ReductionKind, Scenario};
-use crate::session::{Outcome, SessionCtrl};
+use crate::session::{InterruptReason, Outcome, SessionCtrl};
 use crate::shard::{FrontierExport, ShardSpec};
 use crate::state::SystemState;
 use crate::strategy::{PorReduction, Sleeper};
@@ -270,27 +269,22 @@ pub struct SearchStats {
     pub max_depth: usize,
     /// True if a budget (transition or depth limit) cut the search short.
     pub truncated: bool,
+    /// True if the depth bound cut at least one path short (`truncated` is
+    /// then set too).
+    pub depth_bounded: bool,
     /// Frontier nodes busy workers handed to the parallel search's shared
     /// queue for a starving sibling to pick up (zero on a single worker).
     pub work_steals: u64,
     /// High-water mark of the explored set's in-memory footprint, in bytes.
     pub peak_explored_bytes: u64,
-    /// Cold explored-set shards spilled to disk (tiered mode only).
-    pub spilled_shards: u64,
-    /// Disk probes avoided because a spilled segment's bloom filter proved
-    /// the fingerprint absent (tiered mode only).
-    pub filter_hits: u64,
-    /// Binary searches actually performed against spilled segments (tiered
-    /// mode only).
-    pub disk_probes: u64,
     /// Wall-clock duration of the search.
     pub duration: Duration,
 }
 
 impl SearchStats {
     /// Folds the counters of another worker or shard of the same search
-    /// into these: counts add up (explored-set counters too — shards own
-    /// disjoint stores), `max_depth` takes the deeper, `truncated` ORs.
+    /// into these: counts add up (the explored-set peak too — shards own
+    /// disjoint stores), `max_depth` takes the deeper, the flags OR.
     /// `duration` is left alone: the merged search's wall clock is the
     /// caller's to measure.
     pub fn merge(&mut self, other: &SearchStats) {
@@ -304,14 +298,12 @@ impl SearchStats {
         self.faults.merge(&other.faults);
         self.max_depth = self.max_depth.max(other.max_depth);
         self.truncated |= other.truncated;
+        self.depth_bounded |= other.depth_bounded;
         self.work_steals += other.work_steals;
         self.peak_explored_bytes += other.peak_explored_bytes;
-        self.spilled_shards += other.spilled_shards;
-        self.filter_hits += other.filter_hits;
-        self.disk_probes += other.disk_probes;
     }
 
-    /// The stats object of the `nice-dist-v2` `job_done` frame.
+    /// The stats object of the `nice-dist-v3` `job_done` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("transitions", self.transitions.into()),
@@ -323,11 +315,9 @@ impl SearchStats {
             ("dedup_hits", self.dedup_hits.into()),
             ("work_steals", self.work_steals.into()),
             ("peak_explored_bytes", self.peak_explored_bytes.into()),
-            ("spilled_shards", self.spilled_shards.into()),
-            ("filter_hits", self.filter_hits.into()),
-            ("disk_probes", self.disk_probes.into()),
             ("max_depth", self.max_depth.into()),
             ("truncated", self.truncated.into()),
+            ("depth_bounded", self.depth_bounded.into()),
             ("duration_ms", (self.duration.as_millis() as u64).into()),
             ("faults", self.faults.to_json()),
         ])
@@ -345,22 +335,36 @@ impl SearchStats {
             dedup_hits: value.u64("dedup_hits")?,
             work_steals: value.u64("work_steals")?,
             peak_explored_bytes: value.u64("peak_explored_bytes")?,
-            spilled_shards: value.u64("spilled_shards")?,
-            filter_hits: value.u64("filter_hits")?,
-            disk_probes: value.u64("disk_probes")?,
             faults: FaultStats::from_json(value.get("faults")?)?,
             max_depth: value.u64("max_depth")? as usize,
             truncated: value.bool("truncated")?,
+            depth_bounded: value.bool("depth_bounded")?,
             duration: Duration::from_millis(value.u64("duration_ms")?),
         })
     }
+}
 
-    /// Sets the explored-set counters from the search's store.
-    pub(crate) fn absorb_explored(&mut self, stats: crate::explored::ExploredStats) {
-        self.peak_explored_bytes = stats.peak_bytes;
-        self.spilled_shards = stats.spilled_shards;
-        self.filter_hits = stats.filter_hits;
-        self.disk_probes = stats.disk_probes;
+/// What a check concludes about its scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The search exhausted the state space and found no violation.
+    Pass,
+    /// A property was violated.
+    Fail,
+    /// No violation was found, but the search stopped at a bound (the
+    /// transition budget, the depth bound, a deadline or a cancel) before
+    /// exhausting the state space.
+    Inconclusive,
+}
+
+impl Verdict {
+    /// The stable (JSON-schema) name: `pass`, `fail` or `inconclusive`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Pass => "pass",
+            Verdict::Fail => "fail",
+            Verdict::Inconclusive => "inconclusive",
+        }
     }
 }
 
@@ -379,9 +383,33 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// True if no property was violated.
+    /// The verdict: [`Verdict::Fail`] if any property was violated, else
+    /// [`Verdict::Inconclusive`] if the search stopped at a bound, else
+    /// [`Verdict::Pass`].
+    pub fn verdict(&self) -> Verdict {
+        if !self.violations.is_empty() {
+            Verdict::Fail
+        } else if self.stats.truncated || self.outcome.interrupted() {
+            Verdict::Inconclusive
+        } else {
+            Verdict::Pass
+        }
+    }
+
+    /// True if the verdict is [`Verdict::Pass`]: no violation in an
+    /// exhausted state space.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.verdict() == Verdict::Pass
+    }
+
+    /// The bound an inconclusive search stopped at, in words.
+    fn bound(&self) -> &'static str {
+        match self.outcome {
+            Outcome::Interrupted(InterruptReason::DeadlineExceeded) => "deadline",
+            Outcome::Interrupted(InterruptReason::Cancelled) => "cancelled",
+            Outcome::Completed if self.stats.depth_bounded => "depth bound",
+            Outcome::Completed => "transition budget",
+        }
     }
 
     /// The first violation, if any.
@@ -408,10 +436,14 @@ impl CheckReport {
 
 impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.verdict() {
+            Verdict::Pass => write!(f, "PASS")?,
+            Verdict::Fail => write!(f, "FAIL")?,
+            Verdict::Inconclusive => write!(f, "NO VIOLATION FOUND (truncated: {})", self.bound())?,
+        }
         writeln!(
             f,
-            "{} | outcome: {} | transitions: {} | unique states: {} | terminal states: {} | time: {:.2?}",
-            if self.passed() { "PASS" } else { "FAIL" },
+            " | outcome: {} | transitions: {} | unique states: {} | terminal states: {} | time: {:.2?}",
             self.outcome.label(self.stats.truncated),
             self.stats.transitions,
             self.stats.unique_states,
@@ -428,14 +460,6 @@ impl fmt::Display for CheckReport {
             "  explored set: {} bytes peak | work steals: {}",
             self.stats.peak_explored_bytes, self.stats.work_steals
         )?;
-        if self.stats.spilled_shards > 0 || self.stats.disk_probes > 0 || self.stats.filter_hits > 0
-        {
-            writeln!(
-                f,
-                "  spilled shards: {} | filter hits: {} | disk probes: {}",
-                self.stats.spilled_shards, self.stats.filter_hits, self.stats.disk_probes
-            )?;
-        }
         if self.stats.faults.any() {
             writeln!(f, "  injected faults: {}", self.stats.faults)?;
         }
@@ -1076,6 +1100,7 @@ impl<'a> Worker<'a> {
 
         if trace.len() >= max_depth {
             self.stats.truncated = true;
+            self.stats.depth_bounded = true;
             return true;
         }
 
@@ -1179,7 +1204,7 @@ impl<'a> Worker<'a> {
     pub(crate) fn finish_into(self, report: &mut CheckReport) {
         report.stats.merge(&self.stats);
         report.stats.symbolic_executions += self.stepper.memo.symbolic_executions;
-        report.stats.absorb_explored(self.store.stats());
+        report.stats.peak_explored_bytes = self.store.stats().peak_bytes;
         report.violations.extend(self.violations);
     }
 }
@@ -1254,7 +1279,7 @@ impl ModelChecker {
     fn run_parallel(&self, ctrl: &SessionCtrl) -> CheckReport {
         let start = Instant::now();
         let (root, root_fingerprint) = self.root();
-        let store = Arc::new(ExactStore::new(&self.config.explored));
+        let store = Arc::new(ExactStore::new());
         let shared = Arc::new(Shared::default());
         let discoveries = Arc::new(SharedDiscoveryCache::default());
         let mut workers: Vec<Worker> = (0..self.config.workers)
@@ -1576,7 +1601,7 @@ mod tests {
         let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);
         let checker = ModelChecker::new(scenario, CheckerConfig::default());
         let report = checker.run();
-        assert!(!report.passed());
+        assert!(!report.violations.is_empty());
         let violation = report.first_violation().unwrap();
         assert_eq!(violation.property, "NoForgottenPackets");
         assert!(!violation.trace.is_empty());
@@ -1626,7 +1651,7 @@ mod tests {
         let mut worker = Worker::new(
             checker,
             ShardSpec::solo(),
-            Arc::new(ExactStore::new(&checker.config.explored)),
+            Arc::new(ExactStore::new()),
             root,
             Arc::new(Shared::default()),
             DiscoveryMemo::default(),
@@ -1755,7 +1780,7 @@ mod tests {
                 let mut worker = Worker::new(
                     &checker,
                     ShardSpec { index, count: 256 },
-                    Arc::new(ExactStore::new(&checker.config.explored)),
+                    Arc::new(ExactStore::new()),
                     Arc::clone(&root),
                     Arc::new(Shared::default()),
                     DiscoveryMemo::default(),
@@ -2019,8 +2044,8 @@ mod tests {
             names.sort();
             names
         };
-        assert!(!sequential.passed());
-        assert!(!parallel.passed());
+        assert!(!sequential.violations.is_empty());
+        assert!(!parallel.violations.is_empty());
         assert_eq!(properties(&sequential), properties(&parallel));
         assert_eq!(sequential.stats.unique_states, parallel.stats.unique_states);
     }
@@ -2029,7 +2054,7 @@ mod tests {
     fn parallel_search_respects_stop_at_first_violation() {
         let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);
         let report = ModelChecker::new(scenario, CheckerConfig::default().with_workers(4)).run();
-        assert!(!report.passed());
+        assert!(!report.violations.is_empty());
         assert_eq!(
             report.first_violation().unwrap().property,
             "NoForgottenPackets"
@@ -2211,8 +2236,8 @@ mod tests {
                 .with_reduction(crate::scenario::ReductionKind::Por),
         )
         .run();
-        assert!(!full.passed());
-        assert!(!por.passed());
+        assert!(!full.violations.is_empty());
+        assert!(!por.violations.is_empty());
         assert_eq!(properties(&full), properties(&por));
         assert_eq!(shortest(&full), shortest(&por));
         assert!(por.stats.transitions <= full.stats.transitions);

@@ -2,7 +2,7 @@
 //! one writer.
 //!
 //! Every document this workspace reads or writes — `nice-trace-v1` traces,
-//! `nice-dist-v2` wire frames and the `nice-cli-*` reports — goes through
+//! `nice-dist-v3` wire frames and the `nice-cli-*` reports — goes through
 //! here (the offline build has no serde).
 //!
 //! * [`Json::parse`] is a strict RFC 8259 parser: one pass over the input

@@ -28,8 +28,7 @@
 //! * [`checker`] — the depth-first search loop of Figure 5, violation
 //!   traces, search statistics, and a random-walk simulation mode.
 //! * [`explored`] — explored-set storage: one exact store of packed
-//!   in-memory tables that, under a memory limit ([`ExploredMode`] `tiered`;
-//!   `mem` has none), spills cold shards to disk behind a bloom filter.
+//!   in-memory tables.
 //! * [`session`] — observable, cancellable check sessions: streamed
 //!   [`CheckEvent`]s, [`CancelToken`]/deadline interruption, and the
 //!   [`Outcome`] recorded on every report.
@@ -43,7 +42,7 @@
 //! * [`timeline`] — an ASCII lane-per-component renderer for traces.
 //! * [`json`] — the workspace's one JSON module: the [`Json`] value, a
 //!   strict, linear, depth-bounded parser and a writer that is well-formed
-//!   by construction, shared by the traces, the CLI and the `nice-dist-v2`
+//!   by construction, shared by the traces, the CLI and the `nice-dist-v3`
 //!   wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
@@ -71,8 +70,8 @@ pub mod timeline;
 pub mod trace;
 pub mod transition;
 
-pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Violation};
-pub use explored::{ExploredConfig, ExploredMode, ExploredStats};
+pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Verdict, Violation};
+pub use explored::ExploredStats;
 pub use faults::{FailoverStaleness, FaultPlan};
 pub use json::Json;
 pub use minimize::{BisectReport, MinimizeReport};

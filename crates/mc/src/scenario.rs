@@ -1,7 +1,6 @@
 //! What to check and how to search: the [`Scenario`] (system under test) and
 //! the [`CheckerConfig`] (search configuration).
 
-use crate::explored::{ExploredConfig, ExploredMode};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::properties::Property;
@@ -362,7 +361,7 @@ impl ReductionKind {
 }
 
 /// Search configuration: the one description of a check. The CLI parses its
-/// flags into one, the `nice-dist-v2` job frame carries one
+/// flags into one, the `nice-dist-v3` job frame carries one
 /// ([`to_json`](CheckerConfig::to_json)), and the engine reads nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckerConfig {
@@ -391,10 +390,6 @@ pub struct CheckerConfig {
     /// scenario carrying a plan can still be checked fault-free (the CLI's
     /// `--faults` flag flips this on).
     pub inject_faults: bool,
-    /// How the explored fingerprint set is stored (see
-    /// [`ExploredConfig`]): exact in memory (the default), or exact with
-    /// cold-shard spill to disk.
-    pub explored: ExploredConfig,
 }
 
 impl Default for CheckerConfig {
@@ -407,7 +402,6 @@ impl Default for CheckerConfig {
             workers: 1,
             reduction: ReductionKind::None,
             inject_faults: false,
-            explored: ExploredConfig::default(),
         }
     }
 }
@@ -452,25 +446,9 @@ impl CheckerConfig {
         self
     }
 
-    /// Selects the explored-set storage mode (builder style). The memory
-    /// limit keeps its current value; see
-    /// [`with_mem_limit`](CheckerConfig::with_mem_limit).
-    pub fn with_explored(mut self, mode: ExploredMode) -> Self {
-        self.explored.mode = mode;
-        self
-    }
-
-    /// Sets the explored-set memory budget in bytes (builder style). `0`
-    /// selects `tiered`'s default budget; `mem` has no limit and ignores
-    /// it.
-    pub fn with_mem_limit(mut self, bytes: u64) -> Self {
-        self.explored.mem_limit = bytes;
-        self
-    }
-
-    /// The eight fields as a JSON object, under the keys (and in the order)
-    /// the `nice-dist-v2` job frame has always used for the ones it carries;
-    /// `workers`, which that frame leaves out, comes last.
+    /// The seven fields as a JSON object, under the keys (and in the order)
+    /// the `nice-dist-v3` job frame uses for the ones it carries; `workers`,
+    /// which that frame leaves out, comes last.
     pub fn to_json(&self) -> Json<'static> {
         Json::object([
             ("strategy", self.strategy.name().into()),
@@ -479,16 +457,25 @@ impl CheckerConfig {
             ("stop_at_first", self.stop_at_first_violation.into()),
             ("max_transitions", self.max_transitions.into()),
             ("max_depth", self.max_depth.into()),
-            ("explored", self.explored.mode.name().into()),
-            ("mem_limit", self.explored.mem_limit.into()),
             ("workers", self.workers.into()),
         ])
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes, from any object that
-    /// holds those members. An absent `workers` is 1: a shard of a
-    /// distributed job runs the sequential engine.
+    /// Reads what [`to_json`](Self::to_json) writes. A member it does not
+    /// write is refused, so a retired setting fails loudly instead of being
+    /// ignored. An absent `workers` is 1: a shard of a distributed job runs
+    /// the sequential engine.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        let (Json::Obj(known), Json::Obj(members)) = (CheckerConfig::default().to_json(), value)
+        else {
+            return Err("a config must be an object".into());
+        };
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(key, _)| !known.iter().any(|(k, _)| k == key))
+        {
+            return Err(format!("unknown key '{key}'"));
+        }
         Ok(CheckerConfig {
             strategy: value.parsed("strategy", StrategyKind::parse)?,
             reduction: value.parsed("reduction", ReductionKind::parse)?,
@@ -496,10 +483,6 @@ impl CheckerConfig {
             stop_at_first_violation: value.bool("stop_at_first")?,
             max_transitions: value.u64("max_transitions")?,
             max_depth: value.u64("max_depth")? as usize,
-            explored: ExploredConfig {
-                mode: value.parsed("explored", ExploredMode::parse)?,
-                mem_limit: value.u64("mem_limit")?,
-            },
             workers: match value.get("workers") {
                 Ok(_) => value.u64("workers")?.max(1) as usize,
                 Err(_) => 1,
@@ -584,19 +567,16 @@ mod tests {
             workers: 3,
             reduction: ReductionKind::Por,
             inject_faults: true,
-            explored: ExploredConfig {
-                mode: ExploredMode::Tiered,
-                mem_limit: 4096,
-            },
         };
         let text = config.to_json().compact();
         let parsed = Json::parse(&text).expect("parse");
         assert_eq!(CheckerConfig::from_json(&parsed), Ok(config.clone()));
 
+        // A bad value, and the retired explored-set settings.
         for (good, bad, names) in [
             ("\"UNUSUAL\"", "\"bfs\"", "unknown strategy 'bfs'"),
-            ("\"tiered\"", "\"mmap\"", "unknown explored 'mmap'"),
-            ("\"tiered\"", "\"bitstate\"", "unknown explored 'bitstate'"),
+            ("{", "{\"explored\":\"tiered\",", "unknown key 'explored'"),
+            ("{", "{\"mem_limit\":1,", "unknown key 'mem_limit'"),
         ] {
             let text = text.replace(good, bad);
             let parsed = Json::parse(&text).expect("parse");

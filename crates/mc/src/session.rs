@@ -147,8 +147,7 @@ pub enum CheckEvent {
         rate: f64,
         /// Depth of the path that triggered this report.
         depth: usize,
-        /// Resident bytes of the explored fingerprint set at this point
-        /// (after any disk spilling under `tiered`; see
+        /// Bytes of the explored fingerprint set at this point (see
         /// [`ExploredStats::bytes`](crate::explored::ExploredStats::bytes)).
         explored_bytes: u64,
     },
@@ -440,7 +439,7 @@ mod tests {
         let checker = ModelChecker::new(scenario, CheckerConfig::default());
         let mut recorder = Recorder::default();
         let report = checker.session().run_with(&mut recorder);
-        assert!(!report.passed());
+        assert!(!report.violations.is_empty());
         assert_eq!(recorder.violations, report.violations.len());
     }
 

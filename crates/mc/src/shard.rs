@@ -112,7 +112,7 @@ pub struct FrontierExport {
 }
 
 impl FrontierExport {
-    /// The state object of the `nice-dist-v2` `forward` / `states` frames,
+    /// The state object of the `nice-dist-v3` `forward` / `states` frames,
     /// written relative to the state `previous` leads to: `"keep"` counts
     /// the leading transitions the two traces share and `"steps"` holds
     /// only what follows them (both sequences are `nice-trace-v1` step
@@ -146,7 +146,7 @@ impl FrontierExport {
     }
 }
 
-/// The `"states"` array of a `nice-dist-v2` `forward` / `states` frame:
+/// The `"states"` array of a `nice-dist-v3` `forward` / `states` frame:
 /// every state written relative to the one before it *in the same array*.
 /// The first keeps nothing and carries its whole trace, so an array decodes
 /// on its own.
@@ -199,18 +199,16 @@ pub struct ShardedSearch<'a> {
 
 impl<'a> ShardedSearch<'a> {
     /// Creates the shard and seeds the initial state — on the shard that
-    /// owns its fingerprint only; every other shard starts idle. The
-    /// explored set is stored in whatever mode
-    /// [`CheckerConfig::explored`](crate::scenario::CheckerConfig) selects —
-    /// a `nice serve` worker running a tiered store spills to disk exactly
-    /// like a local run would.
+    /// owns its fingerprint only; every other shard starts idle. The shard
+    /// keeps its explored set in its own in-memory store, as a local run
+    /// does.
     pub fn new(checker: &'a ModelChecker, shard: ShardSpec) -> Self {
         let start = Instant::now();
         let (root, root_fingerprint) = checker.root();
         let mut worker = Worker::new(
             checker,
             shard,
-            Arc::new(ExactStore::new(&checker.config().explored)),
+            Arc::new(ExactStore::new()),
             root,
             Arc::new(Shared::default()),
             DiscoveryMemo::default(),

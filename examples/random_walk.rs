@@ -25,7 +25,7 @@ fn main() {
             "random walks (seed {seed:>2}): {} transitions, {} walks hit a violation: {}",
             report.stats.transitions,
             report.violations.len(),
-            if report.passed() {
+            if report.violations.is_empty() {
                 "none found"
             } else {
                 "found"
@@ -44,7 +44,7 @@ fn main() {
     println!(
         "systematic search     : {} transitions, violation {}",
         report.stats.transitions,
-        if report.passed() {
+        if report.violations.is_empty() {
             "not found"
         } else {
             "found"

@@ -23,7 +23,7 @@
 //!     .with_strategy(StrategyKind::FullDfs)
 //!     .with_max_transitions(200_000);
 //! let report = ModelChecker::new(bug_scenario(BugId::BugII), config).run();
-//! assert!(!report.passed(), "pyswitch violates StrictDirectPaths (BUG-II)");
+//! assert!(!report.violations.is_empty(), "pyswitch violates StrictDirectPaths (BUG-II)");
 //! ```
 //!
 //! See `README.md` for a tour and for the mapping between the paper and
@@ -50,11 +50,10 @@ pub mod prelude {
     };
     pub use nice_mc::{
         render_timeline, BisectReport, CancelToken, CheckEvent, CheckObserver, CheckReport,
-        CheckSession, CheckerConfig, ExploredConfig, ExploredMode, ExploredStats,
-        FailoverStaleness, FaultPlan, FaultStats, InterruptReason, MinimizeReport, ModelChecker,
-        NoopObserver, Outcome, ReductionKind, ReplayOutcome, ReplayReport, ReplayViolation,
-        Scenario, ScenarioBuilder, SendPolicy, StrategyKind, Timeline, Trace, TraceEngine,
-        Violation, TRACE_SCHEMA,
+        CheckSession, CheckerConfig, ExploredStats, FailoverStaleness, FaultPlan, FaultStats,
+        InterruptReason, MinimizeReport, ModelChecker, NoopObserver, Outcome, ReductionKind,
+        ReplayOutcome, ReplayReport, ReplayViolation, Scenario, ScenarioBuilder, SendPolicy,
+        StrategyKind, Timeline, Trace, TraceEngine, Verdict, Violation, TRACE_SCHEMA,
     };
     pub use nice_openflow::{
         Action, HostId, MacAddr, MatchPattern, NwAddr, Packet, PortId, SwitchId, Topology,
@@ -97,7 +96,7 @@ mod tests {
     fn facade_finds_a_bug_and_reports_a_trace() {
         let config = CheckerConfig::default().with_max_transitions(100_000);
         let report = ModelChecker::new(bug_scenario(BugId::BugVIII), config).run();
-        assert!(!report.passed());
+        assert!(!report.violations.is_empty());
         let violation = report.first_violation().unwrap();
         assert_eq!(violation.property, "NoForgottenPackets");
         assert!(!violation.trace.is_empty());

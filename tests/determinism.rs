@@ -101,28 +101,49 @@ fn single_worker_parallel_config_is_the_sequential_engine() {
 
 #[test]
 fn parallel_workers_agree_with_sequential_on_a_passing_scenario() {
-    // Exhaustive search of a scenario with no violations: state and
-    // transition counts must match exactly for any worker count.
-    let scenario = || {
+    // Exhaustive search of a scenario with no violations: state, transition
+    // and terminal-state counts must match exactly for any worker count, and
+    // the chain's are pinned.
+    fn pyswitch_ping() -> Scenario {
         use nice::apps::pyswitch::{PySwitchApp, PySwitchVariant};
         use nice::mc::testutil::ping_scenario_with_app;
         ping_scenario_with_app(Box::new(PySwitchApp::new(PySwitchVariant::Original)), 2)
-    };
+    }
+    fn chain() -> Scenario {
+        nice::apps::workloads::chain_ping_workload(5, 2)
+    }
+    let scenarios = [
+        ("pyswitch ping:2", pyswitch_ping as fn() -> Scenario, None),
+        ("chain:5:2", chain, Some((6941, 11044))),
+    ];
     let every_violation = CheckerConfig::default().with_stop_at_first(false);
-    let sequential = ModelChecker::new(scenario(), every_violation.clone()).run();
-    assert!(sequential.passed());
-    for workers in [2, 4] {
-        let config = every_violation.clone().with_workers(workers);
-        let parallel = ModelChecker::new(scenario(), config).run();
-        assert!(parallel.passed(), "{workers} workers");
-        assert_eq!(
-            sequential.stats.unique_states, parallel.stats.unique_states,
-            "{workers} workers"
-        );
-        assert_eq!(
-            sequential.stats.transitions, parallel.stats.transitions,
-            "{workers} workers"
-        );
+    let counts = |report: &CheckReport| {
+        let stats = &report.stats;
+        (
+            stats.unique_states,
+            stats.transitions,
+            stats.terminal_states,
+        )
+    };
+    for (label, scenario, pinned) in scenarios {
+        let sequential = ModelChecker::new(scenario(), every_violation.clone()).run();
+        assert!(sequential.passed(), "{label}");
+        assert!(sequential.stats.peak_explored_bytes > 0, "{label}");
+        if let Some(pinned) = pinned {
+            let (states, transitions, _) = counts(&sequential);
+            assert_eq!((states, transitions), pinned, "{label}");
+        }
+        for workers in [2, 4] {
+            let config = every_violation.clone().with_workers(workers);
+            let parallel = ModelChecker::new(scenario(), config).run();
+            assert!(parallel.passed(), "{label}, {workers} workers");
+            assert_eq!(
+                counts(&sequential),
+                counts(&parallel),
+                "{label}, {workers} workers"
+            );
+            assert!(parallel.stats.peak_explored_bytes > 0, "{label}");
+        }
     }
 }
 
@@ -139,8 +160,8 @@ fn parallel_workers_find_the_same_violations_order_insensitive() {
     };
     let sequential = run(1);
     let parallel = run(test_workers());
-    assert!(!sequential.passed());
-    assert!(!parallel.passed());
+    assert!(!sequential.violations.is_empty());
+    assert!(!parallel.violations.is_empty());
     assert_eq!(
         violated_properties(&sequential),
         violated_properties(&parallel)

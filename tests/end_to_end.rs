@@ -9,7 +9,7 @@ use nice::scenarios::{bug_scenario, fixed_scenario, BugId};
 fn quickstart_pipeline_finds_bug_ii_and_fix_passes() {
     let config = CheckerConfig::default().with_max_transitions(300_000);
     let report = ModelChecker::new(bug_scenario(BugId::BugII), config.clone()).run();
-    assert!(!report.passed());
+    assert!(!report.violations.is_empty());
     let violation = report.first_violation().unwrap();
     assert_eq!(violation.property, "StrictDirectPaths");
     assert!(violation.trace.len() >= 3, "a meaningful trace is reported");
@@ -76,7 +76,7 @@ fn symbolic_discovery_feeds_the_search_through_the_public_api() {
     // whole MC + SE pipeline worked.
     let config = CheckerConfig::default().with_max_transitions(200_000);
     let report = ModelChecker::new(bug_scenario(BugId::BugVI), config).run();
-    assert!(!report.passed());
+    assert!(!report.violations.is_empty());
     assert_eq!(
         report.first_violation().unwrap().property,
         "NoForgottenPackets"
