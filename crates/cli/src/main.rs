@@ -69,8 +69,6 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
 
 OTHER OPTIONS:
   --workers <N>                                   search worker threads (run, sweep; default 1)
-  --dist <N>                                      run only: distribute the search over N worker
-                                                  processes (fingerprint-sharded explored set)
   --progress-every <N>                            Progress event cadence in transitions (run only; default 8192)
   --expect                                        exit non-zero unless the registry expectation holds
                                                   (bug found its property / fixed variant passed; run
@@ -155,9 +153,6 @@ struct RunOptions {
     /// `--time-budget-ms`: a deadline for the run, not a property of the
     /// search.
     time_budget: Option<Duration>,
-    /// Distributed mode: shard the search over this many worker
-    /// *processes* (0 = off, the in-process engine).
-    dist: usize,
     progress_every: u64,
     expect: bool,
     json: bool,
@@ -173,7 +168,6 @@ impl Default for RunOptions {
             scenario: None,
             config: CheckerConfig::default().with_max_transitions(DEFAULT_MAX_TRANSITIONS),
             time_budget: None,
-            dist: 0,
             progress_every: nice_mc::session::DEFAULT_PROGRESS_EVERY,
             expect: false,
             json: false,
@@ -185,7 +179,7 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The job `run --dist` and `submit` hand to a coordinator.
+    /// The job `submit` hands to the server.
     fn job(&self, scenario: &str) -> nice_dist::JobSpec {
         nice_dist::JobSpec {
             scenario: scenario.to_string(),
@@ -213,7 +207,6 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
         let refusal = match (flag, mode) {
             ("--strategy", Mode::Sweep) => Some("; sweep covers every strategy"),
             ("--reduction", Mode::Sweep) => Some("; sweep covers every reduction"),
-            ("--dist", Mode::Sweep) => Some(" (sweep cells stay in-process)"),
             ("--progress-every", Mode::Sweep) => Some(" (sweep streams no progress)"),
             ("--trace-out", Mode::Sweep) => Some(" (sweep cells race for the witness)"),
             ("--expect", Mode::Sweep) => Some(" (heuristic sweep cells legitimately miss bugs)"),
@@ -226,7 +219,7 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             Mode::Run | Mode::Sweep => flag == "--socket",
             Mode::Submit => matches!(
                 flag,
-                "--workers" | "--dist" | "--progress-every" | "--trace-out" | "--json"
+                "--workers" | "--progress-every" | "--trace-out" | "--json"
             ),
         };
         let config = &mut opts.config;
@@ -244,8 +237,10 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             "--max-transitions" => config.max_transitions = number()?,
             "--max-depth" => config.max_depth = number()? as usize,
             "--time-budget-ms" => opts.time_budget = Some(Duration::from_millis(number()?)),
-            "--workers" => config.workers = (number()? as usize).max(1),
-            "--dist" => opts.dist = number()? as usize,
+            "--workers" => match number()? {
+                0 => return Err("--workers must be at least 1".into()),
+                n => config.workers = n as usize,
+            },
             "--progress-every" => opts.progress_every = number()?,
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
             "--socket" => opts.socket = Some(value()?.clone()),
@@ -374,7 +369,7 @@ fn list_json(entries: &[ScenarioEntry]) -> Json<'_> {
 // ---------------------------------------------------------------------------
 
 /// What `run` / `sweep` check: a scenario resolved from its spec the same
-/// way `submit`, `serve` and the dist workers resolve it, plus the registry
+/// way `submit`, `serve` and its worker processes resolve it, plus the registry
 /// entry (and with it the expectation) when the spec is a registry name.
 struct Target {
     /// The spec as given: a registry name or a workload spec.
@@ -419,24 +414,6 @@ fn cmd_run(args: &[String]) -> i32 {
         Err(code) => return code,
     };
 
-    if opts.dist > 0 && opts.config.workers > 1 {
-        return usage_error(
-            "--dist and --workers are mutually exclusive \
-             (each dist worker process runs the sequential engine over its shard)",
-        );
-    }
-    if opts.dist > 0 {
-        let spec = opts.job(&target.spec);
-        let report = match serve::run_distributed(&spec, opts.dist, opts.quiet) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        return finish_run(&target, &opts, &report);
-    }
-
     let checker = ModelChecker::new(target.scenario.clone(), opts.config.clone());
     let mut session = checker.session().with_progress_every(opts.progress_every);
     if let Some(budget) = opts.time_budget {
@@ -476,13 +453,6 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     });
 
-    finish_run(&target, &opts, &report)
-}
-
-/// The shared tail of `nice run`, for both the in-process engines and
-/// `--dist`: write `--trace-out`, print the report (or its JSON form), and
-/// apply `--expect`.
-fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     let mut trace_file: Option<String> = None;
     if let Some(path) = &opts.trace_out {
         match report.first_violation() {
@@ -501,7 +471,7 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     }
 
     if opts.json {
-        let doc = run_json(target, opts, report, trace_file.as_deref());
+        let doc = run_json(&target, &opts, &report, trace_file.as_deref());
         println!("{}", doc.block());
     } else {
         print!("{report}");
@@ -523,7 +493,7 @@ fn finish_run(target: &Target, opts: &RunOptions, report: &CheckReport) -> i32 {
     }
     // `--expect` implies a registry entry (`resolve_target` checked).
     match (opts.expect, &target.entry) {
-        (true, Some(entry)) => expect_exit_code(entry, report, opts.config.inject_faults),
+        (true, Some(entry)) => expect_exit_code(entry, &report, opts.config.inject_faults),
         _ => 0,
     }
 }
@@ -1001,12 +971,13 @@ mod tests {
         for flag in ["--faults", "--all-violations"] {
             assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
         }
-        // The retired explored-set flags are unknown to every command (a
-        // usage error, exit 2), with or without a value.
+        // The retired explored-set flags and `--dist` are unknown to every
+        // command (a usage error, exit 2), with or without a value.
         for flags in [
             &["--explored", "tiered"][..],
             &["--explored", "mem"],
             &["--mem-limit", "1"],
+            &["--dist", "2"],
         ] {
             let unknown = format!("unknown option '{}'", flags[0]);
             assert_eq!(both(flags), Err(unknown.clone()), "{flags:?}");
@@ -1014,6 +985,24 @@ mod tests {
             let sweep = parse_run_options(&args, Mode::Sweep).err();
             assert_eq!(sweep, Some(unknown), "{flags:?}");
         }
+    }
+
+    /// `--workers 0` is a usage error (exit 2) wherever `--workers` is an
+    /// option, as it is for `serve`; `--dist` exits 2 too.
+    #[test]
+    fn zero_workers_and_dist_are_usage_errors() {
+        let args = |line: &str| {
+            line.split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        for mode in [Mode::Run, Mode::Sweep] {
+            let refused = parse_run_options(&args("chain:3:1 --workers 0"), mode).err();
+            assert_eq!(refused.as_deref(), Some("--workers must be at least 1"));
+        }
+        assert_eq!(cmd_run(&args("chain:3:1 --workers 0 --quiet")), 2);
+        assert_eq!(cmd_sweep(&args("chain:3:1 --workers 0 --quiet")), 2);
+        assert_eq!(cmd_run(&args("chain:5:2 --dist 2 --quiet")), 2);
     }
 
     /// A search a bound stopped before it found anything is inconclusive,

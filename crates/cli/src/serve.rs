@@ -1,6 +1,6 @@
 //! `nice serve` and `nice submit`: the checking service.
 //!
-//! `serve` binds a Unix socket, starts `--workers N` one-process
+//! `serve` binds a Unix socket, starts `--workers N`
 //! [`nice_dist::Coordinator`]s, and accepts check jobs from any number of
 //! concurrent client connections. Each coordinator has a runner thread that
 //! takes the next job and runs it whole on its own `nice-dist-worker`
@@ -11,12 +11,11 @@
 //! a job pending, so one chatty client cannot starve the others. A
 //! connection's own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v3` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v4` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
-//! `job` frame (its `shard` field is ignored) and receives `progress` and
-//! `violation` frames while the job runs, then exactly one `job_done`
-//! (stats + violations) or `error`. A `cancel` frame stops the named job
-//! whether it is running or still queued.
+//! `job` frame and receives `progress` and `violation` frames while the job
+//! runs, then exactly one `job_done` (stats + violations) or `error`. A
+//! `cancel` frame stops the named job whether it is running or still queued.
 //!
 //! `submit` is the matching client: build a [`JobSpec`] from the flags it
 //! shares with `run`, send it, stream progress to stderr, print the verdict.
@@ -26,7 +25,7 @@ use nice_apps::scenarios::find_scenario;
 use nice_dist::{
     read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
 };
-use nice_mc::{CheckReport, SearchStats, ShardSpec, TraceEngine};
+use nice_mc::{CheckReport, SearchStats, TraceEngine};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -228,7 +227,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
     };
     let coordinators = worker_bin().and_then(|bin| {
         (0..workers)
-            .map(|_| Coordinator::new(bin.clone(), 1))
+            .map(|_| Coordinator::new(bin.clone()))
             .collect::<std::io::Result<Vec<_>>>()
     });
     let coordinators = match coordinators {
@@ -297,7 +296,7 @@ fn listen_at(path: &str) -> std::io::Result<UnixListener> {
 }
 
 /// One runner: takes the next job off the client table and runs it whole on
-/// its own one-process coordinator, until `--max-jobs` jobs are taken.
+/// its own coordinator, until `--max-jobs` jobs are taken.
 fn runner(mut coordinator: Coordinator, clients: &Clients) {
     loop {
         let taken = {
@@ -355,11 +354,11 @@ fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
                 JobEvent::Violation(violation) => {
                     write_frame(&mut writer, &Frame::Violation { job, violation })
                 }
-                JobEvent::WorkerRestarted { .. } => {
+                JobEvent::WorkerRestarted => {
                     eprintln!("job {job}: worker crashed; respawned, job restarted");
                     Ok(())
                 }
-                JobEvent::Started { .. } => Ok(()),
+                JobEvent::Started => Ok(()),
             };
         },
         Some(cancel),
@@ -405,7 +404,7 @@ fn client_reader(id: u64, stream: &UnixStream, clients: &Clients) {
         let frame = read_frame(&mut reader);
         let mut table = clients.lock();
         match frame {
-            Ok(Some(Frame::Job { job, spec, .. })) => {
+            Ok(Some(Frame::Job { job, spec })) => {
                 table.queue(id, job, spec);
                 clients.job_queued.notify_one();
             }
@@ -456,7 +455,6 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
         &mut writer,
         &Frame::Job {
             job: 1,
-            shard: ShardSpec::solo(), // the server shards; this field is its business
             spec: spec.clone(),
         },
     ) {
@@ -538,55 +536,6 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// nice run --dist N
-// ---------------------------------------------------------------------------
-
-/// Runs a check through an in-process [`Coordinator`] with `dist` worker
-/// processes — `nice run <scenario> --dist N` without a server.
-pub(crate) fn run_distributed(
-    spec: &JobSpec,
-    dist: usize,
-    quiet: bool,
-) -> Result<CheckReport, String> {
-    let mut coordinator = worker_bin()
-        .and_then(|bin| Coordinator::new(bin, dist))
-        .map_err(|e| e.to_string())?;
-    coordinator
-        .run_job(
-            spec,
-            |event| {
-                if quiet {
-                    return;
-                }
-                match event {
-                    JobEvent::Started { workers } => eprintln!(
-                        "checking {} over {workers} worker process{} (strategy {}, reduction {})",
-                        spec.scenario,
-                        if workers == 1 { "" } else { "es" },
-                        spec.config.strategy.name(),
-                        spec.config.reduction.name(),
-                    ),
-                    JobEvent::Progress {
-                        transitions,
-                        unique_states,
-                        depth,
-                    } => eprintln!(
-                        "  {unique_states} states / {transitions} transitions, depth {depth}"
-                    ),
-                    JobEvent::Violation(v) => {
-                        eprintln!("  violation: {} — {}", v.property, v.message)
-                    }
-                    JobEvent::WorkerRestarted { worker } => {
-                        eprintln!("  worker {worker} crashed; respawned and shard re-derived")
-                    }
-                }
-            },
-            None,
-        )
-        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -1,26 +1,20 @@
 //! # nice-dist
 //!
-//! The distributed checking service: a **coordinator** that shards one
-//! check job across a pool of **worker child processes**, with the
-//! fingerprint space partitioned by digest prefix
-//! ([`nice_mc::ShardSpec`]) so the explored set is distributed — each
-//! unique state is expanded by exactly one worker, and states landing in
-//! another worker's shard are forwarded (as replayable frontier exports),
-//! not re-explored.
+//! The checking service's process layer: a **coordinator** that runs each
+//! check job whole on its own **worker child process**. A worker runs the
+//! job the way `nice run` does — one `ModelChecker::session()` on the
+//! sequential engine — so a served job's verdict and counters are the
+//! in-process search's exactly. `nice serve --workers N` runs N
+//! coordinators side by side: N jobs at once, each independent, none
+//! forwarding a state to another.
 //!
-//! * [`proto`] — the `nice-dist-v3` wire protocol: length-prefixed
+//! * [`proto`] — the `nice-dist-v4` wire protocol: length-prefixed
 //!   single-line JSON frames, written and parsed through [`nice_mc::json`].
-//! * [`worker`] — the worker main loop: drives a
-//!   [`nice_mc::ShardedSearch`] (the *same* expansion loop as the
-//!   in-process sequential engine — a 1-shard run is bit-identical to
-//!   `ModelChecker::session()` by construction), streaming forwards,
-//!   progress and violations back over stdout.
-//! * [`pool`] — spawning and respawning the `nice-dist-worker` child
-//!   processes and pumping their stdout frames into one event channel.
-//! * [`coordinator`] — job orchestration: routing forwards to shard
-//!   owners, distributed-termination detection, per-job budgets and
-//!   deadlines, cancellation, and worker-crash recovery (a dead worker's
-//!   shard is re-seeded by replaying the coordinator's forward log).
+//! * [`worker`] — the worker main loop: a session per job whose observer
+//!   streams progress and violations back over stdout.
+//! * [`coordinator`] — one job at a time on one worker: the caller's
+//!   cancel and the job's deadline, and crash recovery (a dead worker is
+//!   respawned and the job restarted from the root).
 //!
 //! Transport is `spawn` + stdin/stdout pipes: multi-process on one host,
 //! no network crates needed in the offline build environment. The same
@@ -31,19 +25,20 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod pool;
+mod process;
 pub mod proto;
 pub mod worker;
 
 pub use coordinator::{Coordinator, JobEvent, JobSpec};
-pub use pool::worker_bin;
+pub use process::worker_bin;
 pub use proto::{read_frame, write_frame, Frame, WireViolation, DIST_SCHEMA};
 pub use worker::worker_main;
 
 /// Environment variable overriding the worker binary [`worker_bin`] finds.
 pub const WORKER_BIN_ENV: &str = "NICE_DIST_WORKER_BIN";
 
-/// Environment variable (set on a spawned worker) making it abort after
-/// executing that many transitions — the crash-recovery test hook. The
+/// Environment variable making a worker abort after executing that many
+/// transitions — the crash-recovery test hook. Only a coordinator's first
+/// worker process inherits it, so the respawned one finishes the job. The
 /// abort models a SIGKILL'd worker: no flush, no goodbye frame.
 pub const DIE_AFTER_ENV: &str = "NICE_DIST_DIE_AFTER";

@@ -1,8 +1,8 @@
-//! The `nice-dist-v3` wire protocol.
+//! The `nice-dist-v4` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v3"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v4"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -12,6 +12,13 @@
 //! ([`nice_mc::trace::steps_to_json`]), so a violation streamed by a
 //! worker carries the same replayable steps a trace file does.
 //!
+//! **The `forward` and `states` frames are kept for the benchmark only.** No
+//! coordinator or worker sends them any more: every job runs whole on one
+//! worker, so no state is forwarded. `benchmark/`'s shard probe still times
+//! [`nice_mc::ShardedSearch`]'s forwarding through this codec, so the frames,
+//! their golden bytes and the `keep` tests stay until that probe moves off
+//! them (ROADMAP, "Swarm, not shards").
+//!
 //! **Exported states travel as deltas.** The `"states"` array of a
 //! `forward` / `states` frame ([`nice_mc::shard::exports_to_json`]) writes
 //! each state as `{"fingerprint", "keep", "steps", "sleep"}`: `"keep": k`
@@ -20,44 +27,39 @@
 //! follows them. A shard exports in depth-first order, so neighbours share
 //! all but their last few steps and a state costs those few on the wire,
 //! not its depth. The first state of an array keeps nothing and carries its
-//! whole trace: a frame decodes on its own, and the coordinator can regroup
-//! states by owner, log them and replay the log without any state of the
-//! codec to carry along. A `keep` past the end of the previous trace (any
-//! at all on a first state) is `InvalidData`.
+//! whole trace: a frame decodes on its own, with no state of the codec to
+//! carry along. A `keep` past the end of the previous trace (any at all on a
+//! first state) is `InvalidData`.
 //!
 //! `v2` introduced that: a v1 peer would hand over whole traces where this
-//! one reads suffixes. `v3` drops the explored-set settings from the `job`
-//! spec and the spill counters from the `job_done` stats, which gain
-//! `depth_bounded`. Either way a stale worker
-//! binary must fail loudly on the schema tag instead of exploring a wrong
-//! state or misreading a verdict silently.
+//! one reads suffixes. `v3` dropped the explored-set settings from the `job`
+//! spec and the spill counters from the `job_done` stats, which gained
+//! `depth_bounded`. `v4` drops the `job` frame's `shard` and the `idle` and
+//! `finish` frames of the sharded job. Either way a stale worker binary must
+//! fail loudly on the schema tag instead of exploring a wrong state or
+//! misreading a verdict silently.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
-//! | `job` | C → W | start a job on a shard (scenario spec + engine config) |
-//! | `states` | C → W | frontier exports routed to this worker's shard, each relative to the one before (`keep`) |
+//! | `job` | C → W | run a job whole (scenario spec + engine config) |
 //! | `cancel` | C → W | stop expanding (the job still completes with `job_done`) |
-//! | `finish` | C → W | no more states will arrive; finalize and report |
 //! | `shutdown` | C → W | exit the worker process |
 //! | `hello` | W → C | worker is up (pid) |
-//! | `forward` | W → C | a batch of frontier exports owned by other shards, each relative to the one before (`keep`) |
 //! | `progress` | W → C | periodic transition/state counters |
 //! | `violation` | W → C | a violation, streamed live with its steps |
-//! | `idle` | W → C | local frontier drained; `received` acknowledges injected states |
-//! | `job_done` | W → C | final per-shard stats + violations |
+//! | `job_done` | W → C | final stats + violations |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
+//! | `forward`, `states` | — | frontier exports, each relative to the one before (`keep`); benchmark only |
 
 use nice_mc::shard::{exports_from_json, exports_to_json};
 use nice_mc::trace::{steps_from_json, steps_to_json};
-use nice_mc::{
-    FrontierExport, Json, SearchStats, ShardSpec, Trace, TraceEngine, Transition, Violation,
-};
+use nice_mc::{FrontierExport, Json, SearchStats, Trace, TraceEngine, Transition, Violation};
 use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v3` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v3";
+/// The schema tag every `nice-dist-v4` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v4";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -82,8 +84,8 @@ impl WireViolation {
     }
 
     /// The checker's form of this violation, its trace recorded as of
-    /// `scenario` under `engine`. Discovery counters are left at zero: a
-    /// shard's do not mean anything job-wide.
+    /// `scenario` under `engine`. Discovery counters are left at zero: the
+    /// wire does not carry them.
     pub fn into_violation(self, scenario: &str, engine: TraceEngine) -> Violation {
         Violation {
             property: self.property.clone(),
@@ -119,33 +121,25 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v3` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v4` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// C → W: start `job` on `shard` with the given spec.
+    /// C → W: run `job` whole with the given spec.
     Job {
         /// Job id (coordinator-assigned, echoed by every worker frame).
         job: u64,
-        /// The fingerprint slice this worker owns.
-        shard: ShardSpec,
         /// What to check and how.
         spec: JobSpec,
     },
-    /// C → W: frontier exports owned by the receiving worker's shard.
+    /// Frontier exports for a shard to inject (benchmark only).
     States {
         /// Job id.
         job: u64,
         /// The exported states to inject.
         states: Vec<FrontierExport>,
     },
-    /// C → W: stop expanding; keep consuming frames and report on `finish`.
+    /// C → W: stop expanding and report with `job_done`.
     Cancel {
-        /// Job id.
-        job: u64,
-    },
-    /// C → W: no further `states` frames will arrive — finalize the shard
-    /// report and answer with `job_done`.
-    Finish {
         /// Job id.
         job: u64,
     },
@@ -156,49 +150,38 @@ pub enum Frame {
         /// The worker's OS process id.
         pid: u64,
     },
-    /// W → C: frontier exports owned by other shards; the coordinator
-    /// routes each to its owner.
+    /// Frontier exports a shard made for other shards (benchmark only).
     Forward {
         /// Job id.
         job: u64,
         /// The exported states.
         states: Vec<FrontierExport>,
     },
-    /// W → C: periodic per-shard counters (budget/deadline enforcement and
-    /// live progress).
+    /// W → C: periodic counters (live progress).
     Progress {
         /// Job id.
         job: u64,
-        /// Transitions executed by this shard so far.
+        /// Transitions executed so far.
         transitions: u64,
-        /// Unique states owned by this shard so far.
+        /// Unique states explored so far.
         unique_states: u64,
         /// Depth of the path that triggered this report.
         depth: u64,
     },
-    /// W → C: a violation found by this shard, streamed live.
+    /// W → C: a violation, streamed live.
     Violation {
         /// Job id.
         job: u64,
         /// The violation.
         violation: WireViolation,
     },
-    /// W → C: the local frontier is empty. `received` acknowledges every
-    /// state record injected so far — the coordinator's termination
-    /// detector compares it against what it forwarded.
-    Idle {
-        /// Job id.
-        job: u64,
-        /// Total state records received for this job so far.
-        received: u64,
-    },
-    /// W → C: the shard's final report.
+    /// W → C: the job's final report.
     JobDone {
         /// Job id.
         job: u64,
-        /// Per-shard search statistics.
+        /// Search statistics.
         stats: SearchStats,
-        /// Every violation this shard found.
+        /// Every violation the job found.
         violations: Vec<WireViolation>,
     },
     /// W → C: the job could not run.
@@ -215,21 +198,16 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v3` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v4` JSON document.
     pub fn to_json(&self) -> String {
         let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
-            Frame::Job { job, shard, spec } => {
-                let shard = [("index", shard.index.into()), ("count", shard.count.into())];
-                let body = vec![("shard", Json::object(shard)), ("spec", spec.to_json())];
-                ("job", Some(*job), body)
-            }
+            Frame::Job { job, spec } => ("job", Some(*job), vec![("spec", spec.to_json())]),
             Frame::States { job, states } => (
                 "states",
                 Some(*job),
                 vec![("states", exports_to_json(states))],
             ),
             Frame::Cancel { job } => ("cancel", Some(*job), vec![]),
-            Frame::Finish { job } => ("finish", Some(*job), vec![]),
             Frame::Shutdown => ("shutdown", None, vec![]),
             Frame::Hello { pid } => ("hello", None, vec![("pid", (*pid).into())]),
             Frame::Forward { job, states } => (
@@ -255,9 +233,6 @@ impl Frame {
                 Some(*job),
                 vec![("violation", violation.to_json())],
             ),
-            Frame::Idle { job, received } => {
-                ("idle", Some(*job), vec![("received", (*received).into())])
-            }
             Frame::JobDone {
                 job,
                 stats,
@@ -281,7 +256,7 @@ impl Frame {
         Json::object(head.into_iter().chain(job).chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v3` JSON document.
+    /// Parses a single-line `nice-dist-v4` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -290,24 +265,15 @@ impl Frame {
         }
         let job = || value.u64("job");
         Ok(match value.str("frame")? {
-            "job" => {
-                let shard = value.get("shard")?;
-                let (index, count) = (shard.u64("index")? as u32, shard.u64("count")? as u32);
-                if index >= count {
-                    return Err(format!("invalid shard {index}/{count}"));
-                }
-                Frame::Job {
-                    job: job()?,
-                    shard: ShardSpec { index, count },
-                    spec: JobSpec::from_json(value.get("spec")?)?,
-                }
-            }
+            "job" => Frame::Job {
+                job: job()?,
+                spec: JobSpec::from_json(value.get("spec")?)?,
+            },
             "states" => Frame::States {
                 job: job()?,
                 states: exports_from_json(value.arr("states")?)?,
             },
             "cancel" => Frame::Cancel { job: job()? },
-            "finish" => Frame::Finish { job: job()? },
             "shutdown" => Frame::Shutdown,
             "hello" => Frame::Hello {
                 pid: value.u64("pid")?,
@@ -325,10 +291,6 @@ impl Frame {
             "violation" => Frame::Violation {
                 job: job()?,
                 violation: WireViolation::from_json(value.get("violation")?)?,
-            },
-            "idle" => Frame::Idle {
-                job: job()?,
-                received: value.u64("received")?,
             },
             "job_done" => Frame::JobDone {
                 job: job()?,
@@ -495,10 +457,9 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 12 kinds with its `nice-dist-v3` bytes. Ten
-    /// of them are their `nice-dist-v2` bytes but for the tag; `job` and
-    /// `job_done` lost the explored-set fields, and `job_done` gained
-    /// `depth_bounded`.
+    /// One frame of each of the 10 kinds with its `nice-dist-v4` bytes. Nine
+    /// of them are their `nice-dist-v3` bytes but for the tag; `job` lost its
+    /// `shard`.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -514,40 +475,35 @@ mod tests {
             (
                 Frame::Job {
                     job: 1,
-                    shard: ShardSpec { index: 1, count: 4 },
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v3","frame":"job","job":1,"shard":{"index":1,"count":4},"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
+                r#"{"schema":"nice-dist-v4","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v3","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v4","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v3","frame":"cancel","job":3}"#,
-            ),
-            (
-                Frame::Finish { job: 4 },
-                r#"{"schema":"nice-dist-v3","frame":"finish","job":4}"#,
+                r#"{"schema":"nice-dist-v4","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Shutdown,
-                r#"{"schema":"nice-dist-v3","frame":"shutdown"}"#,
+                r#"{"schema":"nice-dist-v4","frame":"shutdown"}"#,
             ),
             (
                 Frame::Hello { pid: 4242 },
-                r#"{"schema":"nice-dist-v3","frame":"hello","pid":4242}"#,
+                r#"{"schema":"nice-dist-v4","frame":"hello","pid":4242}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v3","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v4","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -556,21 +512,14 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v3","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v4","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation {
                     job: 7,
                     violation: violation.clone(),
                 },
-                r#"{"schema":"nice-dist-v3","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
-            ),
-            (
-                Frame::Idle {
-                    job: 8,
-                    received: 17,
-                },
-                r#"{"schema":"nice-dist-v3","frame":"idle","job":8,"received":17}"#,
+                r#"{"schema":"nice-dist-v4","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::JobDone {
@@ -578,14 +527,14 @@ mod tests {
                     stats: sample_stats(),
                     violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v3","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v4","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v3","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v4","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -617,16 +566,15 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
-        // A peer from before `keep` would hand over whole traces the owner
-        // takes for suffixes, and one from before v3 would send settings
-        // this side no longer has: both must fail on the tag.
+        // A v3 coordinator sends a `shard` this side no longer reads and
+        // waits for an `idle` that never comes: it must fail on the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v3", "nice-dist-v2", 1);
+            let stale = golden.replacen("nice-dist-v4", "nice-dist-v3", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v2'"),
+                err.to_string().contains("unknown schema 'nice-dist-v3'"),
                 "{err}"
             );
         }
@@ -660,10 +608,10 @@ mod tests {
         round_trip(frame);
     }
 
-    /// Crash recovery re-sends a worker's whole forward log as one `states`
-    /// frame, so the codec has to stay linear in the frame's size: a parser
-    /// that re-scans its input per character takes minutes here. The bound
-    /// is two orders of magnitude above what a linear codec needs.
+    /// The codec has to stay linear in the frame's size: a parser that
+    /// re-scans its input per character takes minutes on a 4 MiB `states`
+    /// frame. The bound is two orders of magnitude above what a linear codec
+    /// needs.
     #[test]
     fn a_four_megabyte_states_frame_round_trips_in_linear_time() {
         // Neighbours that share nothing, so that every state travels whole.

@@ -1,24 +1,24 @@
-//! Distributed-checking equivalence: the coordinator + sharded worker
-//! processes must agree with the in-process sequential engine.
+//! Served-checking equivalence: a job the coordinator runs on its worker
+//! process must agree with the in-process sequential engine.
 //!
-//! The sharding invariant is single ownership: each fingerprint is expanded
-//! by exactly one worker (`(fp >> 56) % count`), so in a crash-free run the
-//! sums of the shards' counters equal the sequential run *exactly* — not
-//! just the verdict, the transition and state counts too. A 1-worker run is
-//! the sequential engine by construction. A killed worker is respawned and
-//! its shard re-derived from the coordinator's forward log; re-forwarded
-//! duplicates dedup at their owners, so only `dedup_hits` may inflate. A
-//! 1-worker job (how `nice serve` runs every job) has no forward log: its
-//! respawned worker restarts the job from the root, so every counter stays
-//! exact, and two such coordinators running side by side do not interfere.
+//! The worker runs the job whole, in one `ModelChecker::session()`, so its
+//! counters equal the sequential run's *exactly* — not just the verdict —
+//! and the stops are the worker's own: its transition budget truncates the
+//! search, and `stop_at_first_violation` ends it at the sequential engine's
+//! first violation. A killed worker is respawned and the job restarted from
+//! the root, so every counter stays exact, and two coordinators running side
+//! by side do not interfere.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
 //! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
 //! environment variable, which must not leak into concurrent spawns.
 
 use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
-use nice_mc::{CheckReport, CheckerConfig, ModelChecker, ReplayOutcome};
+use nice_mc::{
+    CheckReport, CheckerConfig, InterruptReason, ModelChecker, Outcome, ReplayOutcome, Verdict,
+};
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Barrier, Mutex, PoisonError};
 
 /// The worker binary cargo built for this test target.
@@ -50,15 +50,15 @@ fn sequential(spec: &JobSpec) -> CheckReport {
     ModelChecker::new(scenario, spec.config.clone()).run()
 }
 
-fn distributed(spec: &JobSpec, workers: usize) -> CheckReport {
-    let mut coordinator = Coordinator::new(worker_bin(), workers).expect("spawn worker pool");
+fn served(spec: &JobSpec) -> CheckReport {
+    let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
     coordinator
         .run_job(spec, |_| {}, None)
-        .expect("distributed job completes")
+        .expect("served job completes")
 }
 
 /// The sorted, deduplicated `(property, message)` set — the verdict
-/// content, independent of discovery order and of which shard found it.
+/// content, independent of discovery order.
 fn violation_set(report: &CheckReport) -> Vec<(String, String)> {
     let mut set: Vec<(String, String)> = report
         .violations
@@ -74,7 +74,7 @@ fn assert_same_verdict(seq: &CheckReport, dist: &CheckReport, label: &str) {
     assert_eq!(
         seq.passed(),
         dist.passed(),
-        "{label}: verdicts disagree (sequential passed={}, distributed passed={})",
+        "{label}: verdicts disagree (sequential passed={}, served passed={})",
         seq.passed(),
         dist.passed()
     );
@@ -90,7 +90,7 @@ fn assert_same_verdict(seq: &CheckReport, dist: &CheckReport, label: &str) {
     );
 }
 
-/// Crash-free sharded runs sum to the sequential counters exactly.
+/// A served job's counters are the sequential engine's exactly.
 fn assert_exact_counters(seq: &CheckReport, dist: &CheckReport, label: &str) {
     assert_eq!(
         seq.stats.transitions, dist.stats.transitions,
@@ -119,12 +119,12 @@ fn single_worker_run_matches_the_sequential_engine_exactly() {
     let _guard = lock();
     let spec = full_spec("chain:3:1", false);
     let seq = sequential(&spec);
-    let dist = distributed(&spec, 1);
-    assert_same_verdict(&seq, &dist, "chain:3:1 dist-1");
-    assert_exact_counters(&seq, &dist, "chain:3:1 dist-1");
+    let dist = served(&spec);
+    assert_same_verdict(&seq, &dist, "chain:3:1 served");
+    assert_exact_counters(&seq, &dist, "chain:3:1 served");
     assert_eq!(
         seq.stats.max_depth, dist.stats.max_depth,
-        "chain:3:1 dist-1: a solo shard is the sequential search itself"
+        "chain:3:1 served: the worker runs the sequential search itself"
     );
     assert_eq!(seq.stats.pruned_by_strategy, dist.stats.pruned_by_strategy);
     assert_eq!(seq.stats.pruned_by_por, dist.stats.pruned_by_por);
@@ -135,69 +135,77 @@ fn single_worker_run_matches_the_sequential_engine_exactly() {
 }
 
 #[test]
-fn sharded_chain_run_matches_sequential_verdict_and_counters() {
+fn a_budget_cut_whole_job_is_truncated_and_inconclusive() {
     let _guard = lock();
-    // The 5-switch pyswitch chain with 2 pings: deterministic, no
-    // violations, big enough that all shards do real work.
-    let spec = full_spec("chain:5:2", false);
+    // The worker's own transition budget stops the search: the exhaustive
+    // search of the fixed BUG-II takes 131 transitions.
+    let spec = JobSpec {
+        config: CheckerConfig::default().with_max_transitions(50),
+        ..JobSpec::new("bug-ii-fixed")
+    };
     let seq = sequential(&spec);
-    assert!(seq.passed(), "chain:5:2 is violation-free sequentially");
-    for workers in [2, 4] {
-        let dist = distributed(&spec, workers);
-        let label = format!("chain:5:2 dist-{workers}");
-        assert_same_verdict(&seq, &dist, &label);
-        assert_exact_counters(&seq, &dist, &label);
-    }
+    let dist = served(&spec);
+    assert!(
+        dist.stats.truncated,
+        "the budget truncates the served search"
+    );
+    assert_eq!(dist.verdict(), Verdict::Inconclusive);
+    assert_same_verdict(&seq, &dist, "bug-ii-fixed at 50 transitions");
+    assert_exact_counters(&seq, &dist, "bug-ii-fixed at 50 transitions");
 }
 
 #[test]
-fn sharded_bug_v_run_finds_the_same_violations() {
+fn a_stop_at_first_job_reports_the_sequential_engines_counters() {
     let _guard = lock();
-    // BUG-IX rides along: a second application (energy TE, statistics
-    // replies) whose every forwarded state the owner rebuilds by replay.
-    for scenario in [
-        "bug-v-packets-dropped-in-transition",
-        "bug-ix-intermediate-switch-packets-dropped",
-    ] {
-        let spec = full_spec(scenario, false);
-        let seq = sequential(&spec);
-        assert!(
-            !seq.violations.is_empty(),
-            "{scenario} violates sequentially"
-        );
-        for workers in [2, 4] {
-            let dist = distributed(&spec, workers);
-            let label = format!("{scenario} dist-{workers}");
-            assert_same_verdict(&seq, &dist, &label);
-            assert_exact_counters(&seq, &dist, &label);
-        }
-    }
+    // The worker's own `stop_at_first_violation` ends the search at the
+    // sequential engine's first violation.
+    let spec = JobSpec::new("bug-v-packets-dropped-in-transition");
+    assert!(spec.config.stop_at_first_violation);
+    let seq = sequential(&spec);
+    let dist = served(&spec);
+    assert_eq!(dist.violations.len(), 1, "one violation, then the stop");
+    let label = "bug-v stop at first";
+    assert_same_verdict(&seq, &dist, label);
+    assert_exact_counters(&seq, &dist, label);
+    assert_eq!(seq.stats.max_depth, dist.stats.max_depth, "{label}");
 }
 
 #[test]
-fn sharded_bug_xii_run_with_faults_finds_the_same_violations() {
+fn a_cancel_sent_behind_the_job_stops_the_worker_early() {
     let _guard = lock();
-    let spec = full_spec("bug-xii-packet-lost-on-switch-crash", true);
+    // The cancel reaches the worker's stdin reader right behind the job,
+    // possibly before the job's session (and its token) exists: the worker
+    // must keep it either way, not run the job to its end.
+    let spec = full_spec("chain:5:2", false);
+    let cancelled = AtomicBool::new(true);
+    let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
+    let dist = coordinator
+        .run_job(&spec, |_| {}, Some(&cancelled))
+        .expect("a cancelled job still reports");
+    assert_eq!(
+        dist.outcome,
+        Outcome::Interrupted(InterruptReason::Cancelled)
+    );
+    assert_eq!(dist.verdict(), Verdict::Inconclusive);
     let seq = sequential(&spec);
     assert!(
-        !seq.violations.is_empty(),
-        "BUG-XII violates under fault injection"
+        dist.stats.transitions < seq.stats.transitions,
+        "the worker ran all {} transitions",
+        seq.stats.transitions
     );
-    for workers in [2, 4] {
-        let dist = distributed(&spec, workers);
-        let label = format!("bug-xii dist-{workers}");
-        assert_same_verdict(&seq, &dist, &label);
-        assert_exact_counters(&seq, &dist, &label);
-    }
+    // The same worker takes its next job as usual.
+    let next = full_spec("chain:3:1", false);
+    let dist = (coordinator.run_job(&next, |_| {}, None)).expect("the next job completes");
+    assert_exact_counters(&sequential(&next), &dist, "chain:3:1 after a cancel");
 }
 
 #[test]
 fn distributed_violation_traces_replay_in_process() {
     let _guard = lock();
     let spec = full_spec("bug-v-packets-dropped-in-transition", false);
-    let dist = distributed(&spec, 2);
+    let dist = served(&spec);
     assert!(!dist.violations.is_empty());
-    // The merged report's traces must be replayable end to end on the
+    // The served report's traces must be replayable end to end on the
     // sequential engine — shipping steps over the wire loses nothing.
     let scenario = nice_apps::workloads::resolve(&spec.scenario).unwrap();
     let checker = ModelChecker::new(scenario, spec.config.clone());
@@ -221,52 +229,6 @@ fn distributed_violation_traces_replay_in_process() {
 }
 
 #[test]
-fn a_worker_killed_mid_job_neither_hangs_nor_changes_the_verdict() {
-    let _guard = lock();
-    let spec = full_spec("bug-v-packets-dropped-in-transition", false);
-    let seq = sequential(&spec);
-
-    // Worker 1 aborts (no flush, no goodbye — a modelled SIGKILL) after 150
-    // transitions; BUG-V gives each of 2 shards ~1200, so it dies mid-job.
-    std::env::set_var(DIE_AFTER_ENV, "1:150");
-    let mut restarts = 0usize;
-    let mut coordinator = Coordinator::new(worker_bin(), 2).expect("spawn worker pool");
-    let dist = coordinator.run_job(
-        &spec,
-        |event| {
-            if let JobEvent::WorkerRestarted { .. } = event {
-                restarts += 1;
-            }
-        },
-        None,
-    );
-    std::env::remove_var(DIE_AFTER_ENV);
-    let dist = dist.expect("job completes despite the crash");
-
-    assert!(restarts >= 1, "the victim worker must actually have died");
-    assert_same_verdict(&seq, &dist, "bug-v dist-2 with worker kill");
-    // Re-deriving the dead shard replays the forward log; the re-explored
-    // states re-forward to shards that already own them, so `dedup_hits`
-    // may inflate — every other counter is crash-invariant.
-    assert_eq!(
-        seq.stats.transitions, dist.stats.transitions,
-        "kill: transitions"
-    );
-    assert_eq!(
-        seq.stats.unique_states, dist.stats.unique_states,
-        "kill: unique states"
-    );
-    assert_eq!(
-        seq.stats.terminal_states, dist.stats.terminal_states,
-        "kill: terminal states"
-    );
-    assert!(
-        dist.stats.dedup_hits >= seq.stats.dedup_hits,
-        "kill: replayed forwards can only add dedup hits"
-    );
-}
-
-#[test]
 fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     let _guard = lock();
 
@@ -287,8 +249,8 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     std::env::set_var(WORKER_BIN_ENV, &script);
     let overridden = nice_dist::worker_bin();
     std::env::remove_var(WORKER_BIN_ENV);
-    let result = Coordinator::new(overridden.expect("the override names the script"), 1)
-        .expect("spawning the pool itself succeeds")
+    let result = Coordinator::new(overridden.expect("the override names the script"))
+        .expect("spawning the worker itself succeeds")
         .run_job(&full_spec("chain:3:1", false), |_| {}, None);
     let _ = std::fs::remove_file(&script);
 
@@ -305,24 +267,27 @@ fn a_whole_job_worker_killed_mid_job_restarts_to_the_exact_counters() {
     let spec = full_spec("bug-v-packets-dropped-in-transition", false);
     let seq = sequential(&spec);
 
-    // The only worker aborts after 150 of BUG-V's 2 569 transitions.
-    std::env::set_var(DIE_AFTER_ENV, "0:150");
-    let coordinator = Coordinator::new(worker_bin(), 1);
-    std::env::remove_var(DIE_AFTER_ENV);
+    // The worker aborts (no flush, no goodbye — a modelled SIGKILL) after
+    // 150 of BUG-V's 2 569 transitions. The variable stays set while the
+    // job runs: the respawned worker must not inherit it.
+    std::env::set_var(DIE_AFTER_ENV, "150");
     let mut restarts = 0usize;
-    let dist = coordinator.expect("spawn worker pool").run_job(
-        &spec,
-        |event| {
-            if let JobEvent::WorkerRestarted { .. } = event {
-                restarts += 1;
-            }
-        },
-        None,
-    );
+    let dist = Coordinator::new(worker_bin()).and_then(|mut coordinator| {
+        coordinator.run_job(
+            &spec,
+            |event| {
+                if let JobEvent::WorkerRestarted = event {
+                    restarts += 1;
+                }
+            },
+            None,
+        )
+    });
+    std::env::remove_var(DIE_AFTER_ENV);
     let dist = dist.expect("job completes despite the crash");
 
     assert_eq!(restarts, 1, "the worker must have died once");
-    let label = "bug-v dist-1 with worker kill";
+    let label = "bug-v served with worker kill";
     assert_same_verdict(&seq, &dist, label);
     assert_exact_counters(&seq, &dist, label);
 }
@@ -334,7 +299,7 @@ fn two_whole_job_coordinators_run_two_jobs_at_once_exactly() {
         full_spec("chain:5:2", false),
         full_spec("bug-xii-packet-lost-on-switch-crash", true),
     ];
-    let spawn = || Coordinator::new(worker_bin(), 1).expect("spawn worker pool");
+    let spawn = || Coordinator::new(worker_bin()).expect("spawn the worker");
     let (mut first, mut second) = (spawn(), spawn());
     // Both jobs are sent before either coordinator reads a frame back.
     let both_started = Barrier::new(2);
@@ -342,7 +307,7 @@ fn two_whole_job_coordinators_run_two_jobs_at_once_exactly() {
         coordinator.run_job(
             spec,
             |event| {
-                if let JobEvent::Started { .. } = event {
+                if let JobEvent::Started = event {
                     both_started.wait();
                 }
             },

@@ -303,7 +303,7 @@ impl SearchStats {
         self.peak_explored_bytes += other.peak_explored_bytes;
     }
 
-    /// The stats object of the `nice-dist-v3` `job_done` frame.
+    /// The stats object of the `nice-dist-v4` `job_done` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("transitions", self.transitions.into()),
@@ -418,7 +418,7 @@ impl CheckReport {
     }
 
     /// Imposes the stable violation order racing engines (the parallel
-    /// search's worker threads, the distributed coordinator's shards) need:
+    /// search's worker threads, multi-shard harnesses) need:
     /// shortest trace first, then lexicographic by property, rendered
     /// labels and message. [`CheckReport::first_violation`] then means "a
     /// shortest witness".
@@ -862,8 +862,8 @@ impl SentFilter {
 /// One worker of a search: its local frontier stack, its share of the
 /// results, and handles on what the search shares. The sequential engine is
 /// a single worker; the parallel engine runs one per thread over one
-/// explored store; a `nice-dist` shard is a single worker that owns only
-/// part of the fingerprint space and exports the rest.
+/// explored store; a `ShardedSearch` shard is a single worker that owns
+/// only part of the fingerprint space and exports the rest.
 pub(crate) struct Worker<'a> {
     pub(crate) stepper: Stepper<'a>,
     /// The sleep-set reduction, under [`ReductionKind::Por`].
@@ -1055,7 +1055,7 @@ impl<'a> Worker<'a> {
 
     /// Expands one frontier node — the single definition of the search
     /// loop's body (Figure 5), which the sequential engine, every parallel
-    /// worker and every `nice-dist` shard run: rebuild the node's state,
+    /// worker and every `ShardedSearch` shard run: rebuild the node's state,
     /// let the strategy and the reduction pick the transitions to explore,
     /// execute each one, check the properties, and deduplicate the
     /// successors. Unexplored successors this worker owns land on its

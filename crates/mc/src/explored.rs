@@ -16,10 +16,10 @@
 //! # Shard-bit budget
 //!
 //! Two layers shard by fingerprint bits and they must never collide:
-//! the *distributed* coordinator routes states to worker processes by the
-//! top byte — bits 56..=63, via [`shard_of`](crate::shard::shard_of) —
-//! while the store here picks its lock shard from bits 48..=55
-//! (`store_shard`). A dist worker therefore sees fingerprints
+//! a [`ShardedSearch`](crate::shard::ShardedSearch) routes states to shards
+//! by the top byte — bits 56..=63, via [`shard_of`](crate::shard::shard_of)
+//! — while the store here picks its lock shard from bits 48..=55
+//! (`store_shard`). A shard therefore sees fingerprints
 //! with a fixed top byte, but they still spread uniformly over the store's
 //! 64 lock shards.
 

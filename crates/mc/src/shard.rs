@@ -6,9 +6,9 @@
 //! every successor whose fingerprint belongs to another shard is *exported*
 //! as a replayable [`FrontierExport`] (its transition trace from the
 //! initial state plus its sleep set) instead of being explored locally.
-//! Whoever drives the search — the `nice-dist` coordinator, or a test
-//! harness running several shards in one process — routes each export to
-//! its owner, which [`ShardedSearch::inject`]s it.
+//! Whoever drives the search — a harness running several shards in one
+//! process, as the tests below and the benchmark's shard probe do — routes
+//! each export to its owner, which [`ShardedSearch::inject`]s it.
 //!
 //! Because every fingerprint has exactly one owner, global deduplication is
 //! exact: each unique state is expanded by exactly one shard, and with no
@@ -49,9 +49,8 @@ use std::time::Instant;
 /// Maps a state fingerprint to its owning shard.
 ///
 /// This is THE shard-selection function: every component that partitions
-/// the fingerprint space — [`ShardSpec::owns`], the `nice-dist`
-/// coordinator's forward routing, in-process multi-shard test harnesses —
-/// must route through it, so a state exported by one component is always
+/// the fingerprint space — [`ShardSpec::owns`], in-process multi-shard
+/// harnesses — must route through it, so a state exported by one component is always
 /// accepted by the shard the others would pick.
 ///
 /// Ownership is decided by the *top byte* of the fingerprint (bits
@@ -112,7 +111,7 @@ pub struct FrontierExport {
 }
 
 impl FrontierExport {
-    /// The state object of the `nice-dist-v3` `forward` / `states` frames,
+    /// The state object of the `nice-dist-v4` `forward` / `states` frames,
     /// written relative to the state `previous` leads to: `"keep"` counts
     /// the leading transitions the two traces share and `"steps"` holds
     /// only what follows them (both sequences are `nice-trace-v1` step
@@ -146,7 +145,7 @@ impl FrontierExport {
     }
 }
 
-/// The `"states"` array of a `nice-dist-v3` `forward` / `states` frame:
+/// The `"states"` array of a `nice-dist-v4` `forward` / `states` frame:
 /// every state written relative to the one before it *in the same array*.
 /// The first keeps nothing and carries its whole trace, so an array decodes
 /// on its own.
@@ -316,8 +315,7 @@ mod tests {
     use crate::testutil;
 
     /// Runs `count` shards in one process, routing forwards by ownership,
-    /// and returns the merged report (the coordinator's merge, in
-    /// miniature).
+    /// and returns the merged report.
     fn run_sharded(make: impl Fn() -> ModelChecker, count: u32) -> CheckReport {
         let checkers: Vec<ModelChecker> = (0..count).map(|_| make()).collect();
         let mut shards: Vec<ShardedSearch<'_>> = checkers

@@ -232,8 +232,8 @@ impl fmt::Display for Trace {
 // ---------------------------------------------------------------------------
 
 /// A transition sequence as a JSON array of `nice-trace-v1` step objects —
-/// the `"steps"` of a trace, and the fragment the `nice-dist-v3` wire frames
-/// embed when a worker forwards frontier states or streams a violation.
+/// the `"steps"` of a trace, and the fragment the `nice-dist-v4` wire frames
+/// embed in a streamed violation and in frontier exports.
 pub fn steps_to_json(steps: &[Transition]) -> Json<'_> {
     Json::Arr(steps.iter().map(Transition::to_json).collect())
 }
