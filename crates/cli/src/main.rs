@@ -63,6 +63,7 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
   --max-transitions <N>                           transition budget (default 500000; 0 = unlimited)
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
+                                                  (default and 0: no deadline)
   --faults                                        enable the scenario's fault plan (switch crashes,
                                                   channel faults, failover — see README \"Fault injection\")
   --all-violations                                keep searching after the first violation
@@ -236,7 +237,12 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
             }
             "--max-transitions" => config.max_transitions = number()?,
             "--max-depth" => config.max_depth = number()? as usize,
-            "--time-budget-ms" => opts.time_budget = Some(Duration::from_millis(number()?)),
+            "--time-budget-ms" => {
+                // 0 is no deadline, as the `job` frame reads it.
+                opts.time_budget = Some(number()?)
+                    .filter(|ms| *ms > 0)
+                    .map(Duration::from_millis)
+            }
             "--workers" => match number()? {
                 0 => return Err("--workers must be at least 1".into()),
                 n => config.workers = n as usize,
@@ -971,6 +977,12 @@ mod tests {
         for flag in ["--faults", "--all-violations"] {
             assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
         }
+        // A zero budget is no deadline, as `--max-transitions 0` is no
+        // budget, and the job frame says so with a 0 too.
+        assert_eq!(both(&["--time-budget-ms", "0"]), Ok(defaults.clone()));
+        let args = ["--time-budget-ms".to_string(), "0".to_string()];
+        let opts = parse_run_options(&args, Mode::Submit).expect("a check");
+        assert_eq!(opts.job("chain:3:1").time_budget_ms, 0);
         // The retired explored-set flags and `--dist` are unknown to every
         // command (a usage error, exit 2), with or without a value.
         for flags in [
@@ -1003,6 +1015,19 @@ mod tests {
         assert_eq!(cmd_run(&args("chain:3:1 --workers 0 --quiet")), 2);
         assert_eq!(cmd_sweep(&args("chain:3:1 --workers 0 --quiet")), 2);
         assert_eq!(cmd_run(&args("chain:5:2 --dist 2 --quiet")), 2);
+    }
+
+    /// `run --time-budget-ms 0` sets no deadline: the search is exhausted
+    /// and passes, where an immediate deadline would stop it at once with
+    /// an inconclusive verdict (exit 3).
+    #[test]
+    fn a_zero_time_budget_runs_the_search_to_its_end() {
+        let args: Vec<String> =
+            "bug-ii-fixed --max-transitions 0 --time-budget-ms 0 --expect --quiet"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        assert_eq!(cmd_run(&args), 0);
     }
 
     /// A search a bound stopped before it found anything is inconclusive,

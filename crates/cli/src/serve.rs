@@ -11,21 +11,21 @@
 //! a job pending, so one chatty client cannot starve the others. A
 //! connection's own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v4` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v5` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame and receives `progress` and `violation` frames while the job
-//! runs, then exactly one `job_done` (stats + violations) or `error`. A
-//! `cancel` frame stops the named job whether it is running or still queued.
+//! runs, then exactly one `job_done` (stats + violations) or `error`. Those
+//! are the worker's own frames, relayed as they come: `job_done`'s
+//! `duration_ms` is the worker's search time, and it is `truncated` when a
+//! cancel or the job's deadline stopped the search. A `cancel` frame stops
+//! the named job whether it is running or still queued.
 //!
 //! `submit` is the matching client: build a [`JobSpec`] from the flags it
 //! shares with `run`, send it, stream progress to stderr, print the verdict.
 
 use crate::{parse_number, parse_run_options, usage_error, Mode};
 use nice_apps::scenarios::find_scenario;
-use nice_dist::{
-    read_frame, worker_bin, write_frame, Coordinator, Frame, JobEvent, JobSpec, WireViolation,
-};
-use nice_mc::{CheckReport, SearchStats, TraceEngine};
+use nice_dist::{read_frame, worker_bin, write_frame, Coordinator, Frame, JobSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -329,70 +329,39 @@ fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
         cancel,
         stream,
     } = taken;
-    let job = *job;
     let mut writer = &**stream;
     eprintln!("job {job} (client {client}): {}", spec.scenario);
-    let result = coordinator.run_job(
-        spec,
-        |event| {
-            // A client that stopped reading must not wedge the job;
-            // stream errors are ignored and the final frame decides.
-            let _ = match event {
-                JobEvent::Progress {
-                    transitions,
-                    unique_states,
-                    depth,
-                } => write_frame(
-                    &mut writer,
-                    &Frame::Progress {
-                        job,
-                        transitions,
-                        unique_states,
-                        depth,
-                    },
-                ),
-                JobEvent::Violation(violation) => {
-                    write_frame(&mut writer, &Frame::Violation { job, violation })
-                }
-                JobEvent::WorkerRestarted => {
-                    eprintln!("job {job}: worker crashed; respawned, job restarted");
-                    Ok(())
-                }
-                JobEvent::Started => Ok(()),
-            };
-        },
-        Some(cancel),
-    );
-    let finale = match &result {
-        Ok(report) => Frame::JobDone {
-            job,
-            // The frame has no outcome: a job stopped by its deadline or a
-            // cancel is a truncated one to the client.
-            stats: SearchStats {
-                truncated: report.stats.truncated || report.outcome.interrupted(),
-                ..report.stats.clone()
-            },
-            violations: report.violations.iter().map(WireViolation::of).collect(),
-        },
-        Err(e) => Frame::Error {
-            job,
-            message: e.to_string(),
-        },
-    };
-    let _ = write_frame(&mut writer, &finale);
-    match &result {
-        Ok(report) => eprintln!(
-            "job {job} done: {} states, {} transitions, {} violation{}",
-            report.stats.unique_states,
-            report.stats.transitions,
-            report.violations.len(),
-            if report.violations.len() == 1 {
-                ""
-            } else {
-                "s"
+    let mut outcome = String::new();
+    let relay = |frame: Frame| {
+        match &frame {
+            Frame::JobDone {
+                stats, violations, ..
+            } => {
+                let plural = if violations.len() == 1 { "" } else { "s" };
+                outcome = format!(
+                    "done: {} states, {} transitions, {} violation{plural}",
+                    stats.unique_states,
+                    stats.transitions,
+                    violations.len(),
+                );
             }
+            Frame::Error { message, .. } => outcome = format!("failed: {message}"),
+            _ => {}
+        }
+        // A client that stopped reading must not wedge the job; stream
+        // errors are ignored.
+        let _ = write_frame(&mut writer, &frame);
+    };
+    match coordinator.run_job(*job, spec, relay, Some(cancel)) {
+        Ok(0) => eprintln!("job {job} {outcome}"),
+        Ok(restarts) => eprintln!(
+            "job {job} {outcome} (the worker crashed {restarts}x; respawned, job restarted)"
         ),
-        Err(e) => eprintln!("job {job} failed: {e}"),
+        Err(e) => {
+            let message = e.to_string();
+            eprintln!("job {job} failed: {message}");
+            let _ = write_frame(&mut writer, &Frame::Error { job: *job, message });
+        }
     }
 }
 
@@ -488,15 +457,7 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
             Ok(Some(Frame::JobDone {
                 stats, violations, ..
             })) => {
-                let engine = TraceEngine::from_config(&spec.config);
-                let violations = violations.into_iter();
-                let report = CheckReport {
-                    violations: violations
-                        .map(|v| v.into_violation(&spec.scenario, engine))
-                        .collect(),
-                    stats,
-                    ..CheckReport::default()
-                };
+                let report = spec.report(stats, violations);
                 let (stats, violations) = (&report.stats, &report.violations);
                 println!(
                     "{}: {} unique states, {} transitions, {} violation{} ({:.3}s)",

@@ -1,22 +1,23 @@
 //! Job orchestration over one worker process.
 //!
-//! A [`Coordinator`] sends a job to its `nice-dist-worker`, relays the
-//! worker's `progress` and `violation` frames as [`JobEvent`]s, and builds
-//! the job's [`CheckReport`] from its `job_done`. The worker runs the job
-//! whole on the sequential engine, so its own `max_transitions` and
-//! `stop_at_first_violation` stop it exactly where `nice run` stops; the
-//! coordinator only turns a caller's cancel or the job's deadline into a
-//! `cancel` frame.
+//! A [`Coordinator`] sends a job to its `nice-dist-worker` and relays what
+//! the worker reports: its `progress` and `violation` frames while the job
+//! runs, then its own `job_done` or `error`. The worker runs the job whole,
+//! the way `nice run` does, so its transition budget, its
+//! `stop_at_first_violation` and its deadline stop it exactly where `nice
+//! run` stops; the coordinator only turns a caller's cancel into a `cancel`
+//! frame.
 //!
 //! **Crash recovery.** When the worker's pipe hits EOF mid-job, the
 //! coordinator respawns it (bumping its generation — frames a dead process
-//! left behind are discarded by generation tag) and re-sends the job, which
-//! restarts from the root. The counters of the report are the fresh
-//! process's, so they equal a crash-free run's exactly.
+//! left behind are discarded by generation tag) and re-sends the job with
+//! what is left of its time budget; the job restarts from the root. The
+//! `job_done` is the fresh process's, so its counters equal a crash-free
+//! run's exactly.
 
 use crate::process::{WorkerEvent, WorkerProcess};
 use crate::proto::{Frame, WireViolation};
-use nice_mc::{CheckReport, CheckerConfig, InterruptReason, Json, Outcome, TraceEngine};
+use nice_mc::{CheckReport, CheckerConfig, Json, SearchStats, TraceEngine};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,7 +43,8 @@ pub struct JobSpec {
     /// The search configuration. The worker runs it on the sequential
     /// engine, so `workers` stays 1 and the wire does not carry it.
     pub config: CheckerConfig,
-    /// Wall-clock budget for the job in milliseconds (0 = unlimited).
+    /// Wall-clock budget for the job in milliseconds (0 = no deadline),
+    /// kept by the worker's session.
     pub time_budget_ms: u64,
 }
 
@@ -84,35 +86,30 @@ impl JobSpec {
             time_budget_ms: value.u64("time_budget_ms")?,
         })
     }
+
+    /// The report a `job_done` frame of this job stands for, as a client
+    /// reads it: the frame has no outcome, so a job its deadline or a
+    /// cancel stopped reads as truncated.
+    pub fn report(&self, stats: SearchStats, violations: Vec<WireViolation>) -> CheckReport {
+        let engine = TraceEngine::from_config(&self.config);
+        CheckReport {
+            violations: (violations.into_iter())
+                .map(|v| v.into_violation(&self.scenario, engine))
+                .collect(),
+            stats,
+            ..CheckReport::default()
+        }
+    }
 }
 
-/// Live events streamed to the job's submitter while it runs. The final
-/// [`CheckReport`] — not this stream — is authoritative: a worker crash
-/// restarts the job, which streams its violations again.
-#[derive(Debug, Clone)]
-pub enum JobEvent {
-    /// The job was sent to the worker.
-    Started,
-    /// Sampled progress of the worker's search.
-    Progress {
-        /// Transitions executed.
-        transitions: u64,
-        /// Unique states explored.
-        unique_states: u64,
-        /// Depth of the path that triggered this report.
-        depth: u64,
-    },
-    /// The worker found (and streamed) a violation.
-    Violation(WireViolation),
-    /// The worker process died and was respawned; the job restarted from
-    /// the root.
-    WorkerRestarted,
-}
+/// How often a running job polls the caller's cancel flag.
+const CANCEL_POLL: Duration = Duration::from_millis(50);
 
 /// The checking coordinator: one worker process and the job it runs.
 pub struct Coordinator {
     worker: WorkerProcess,
-    next_job: u64,
+    /// The worker died and was not respawned: the last job gave up on it.
+    dead: bool,
 }
 
 impl Coordinator {
@@ -121,75 +118,59 @@ impl Coordinator {
     pub fn new(worker_bin: PathBuf) -> io::Result<Coordinator> {
         Ok(Coordinator {
             worker: WorkerProcess::spawn(worker_bin)?,
-            next_job: 1,
+            dead: false,
         })
     }
 
-    /// Runs one job to completion, streaming [`JobEvent`]s to `on_event`.
-    /// `cancel` (when provided) is polled and stops the job early with
-    /// [`Outcome::Interrupted`]. Returns the job's report.
+    /// Runs `spec` as job `job` to completion. Hands `sink` each `progress`
+    /// and `violation` frame of the live worker, then its `job_done` or
+    /// `error`, which ends the job. `cancel` (when provided) is polled and
+    /// sent on as a `cancel` frame; the job still ends with its `job_done`.
+    /// Returns how many times the worker died and the job restarted; an
+    /// error means no final frame came: the worker kept dying without a
+    /// frame, or could not be respawned. The caller tells its client.
     pub fn run_job(
         &mut self,
+        job: u64,
         spec: &JobSpec,
-        mut on_event: impl FnMut(JobEvent),
+        mut sink: impl FnMut(Frame),
         cancel: Option<&AtomicBool>,
-    ) -> io::Result<CheckReport> {
-        // Validate the spec coordinator-side too: a clean error now beats
-        // an `error` frame later.
-        let scenario_name = nice_apps::workloads::resolve(&spec.scenario)
-            .map(|s| s.name)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown scenario spec '{}'", spec.scenario),
-                )
-            })?;
-
-        let job = self.next_job;
-        self.next_job += 1;
+    ) -> io::Result<u32> {
+        if self.dead {
+            self.worker.respawn()?;
+            self.dead = false;
+        }
         let start = Instant::now();
-        let deadline =
-            (spec.time_budget_ms > 0).then(|| start + Duration::from_millis(spec.time_budget_ms));
-        let job_frame = Frame::Job {
-            job,
-            spec: spec.clone(),
-        };
         // Consecutive crashes with no frame in between. A worker that dies
         // deterministically right after spawn (stale or broken binary,
         // protocol mismatch) would otherwise be respawned forever and hang
         // the job.
         let mut crash_streak = 0u32;
-        let mut interrupted: Option<InterruptReason> = None;
-
-        self.worker.send(&job_frame)?;
-        on_event(JobEvent::Started);
+        let mut restarts = 0u32;
+        let mut cancelled = false;
+        self.worker.send(&Frame::Job {
+            job,
+            spec: spec.clone(),
+        })?;
 
         loop {
-            // External stop conditions, polled between events.
-            if interrupted.is_none() {
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    interrupted = Some(InterruptReason::Cancelled);
-                } else if deadline.is_some_and(|d| Instant::now() >= d) {
-                    interrupted = Some(InterruptReason::DeadlineExceeded);
-                }
-                if interrupted.is_some() {
-                    self.worker.send(&Frame::Cancel { job })?;
-                }
+            if !cancelled && cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                cancelled = true;
+                self.worker.send(&Frame::Cancel { job })?;
             }
 
-            // The timeout only paces the cancel and deadline polls above:
-            // every frame wakes this at once.
-            let (generation, event) =
-                match self.worker.events().recv_timeout(Duration::from_millis(50)) {
-                    Ok(event) => event,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "worker event channel closed",
-                        ));
-                    }
-                };
+            // The timeout only paces the cancel poll above: every frame
+            // wakes this at once.
+            let (generation, event) = match self.worker.events().recv_timeout(CANCEL_POLL) {
+                Ok(event) => event,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "worker event channel closed",
+                    ));
+                }
+            };
             if generation != self.worker.generation() {
                 continue; // a dead process's leftovers
             }
@@ -198,6 +179,7 @@ impl Coordinator {
                 WorkerEvent::Frame(frame) => *frame,
                 WorkerEvent::Eof => {
                     // Crash: respawn and restart the job from the root.
+                    self.dead = true;
                     crash_streak += 1;
                     if crash_streak > MAX_CRASH_STREAK {
                         return Err(io::Error::other(format!(
@@ -206,10 +188,17 @@ impl Coordinator {
                              worker binary?)"
                         )));
                     }
-                    on_event(JobEvent::WorkerRestarted);
                     self.worker.respawn()?;
-                    self.worker.send(&job_frame)?;
-                    if interrupted.is_some() {
+                    self.dead = false;
+                    restarts += 1;
+                    let mut spec = spec.clone();
+                    if spec.time_budget_ms > 0 {
+                        let spent = start.elapsed().as_millis() as u64;
+                        // Never 0, which would mean no deadline at all.
+                        spec.time_budget_ms = spec.time_budget_ms.saturating_sub(spent).max(1);
+                    }
+                    self.worker.send(&Frame::Job { job, spec })?;
+                    if cancelled {
                         self.worker.send(&Frame::Cancel { job })?;
                     }
                     continue;
@@ -217,51 +206,17 @@ impl Coordinator {
             };
 
             match frame {
+                Frame::Progress { job: j, .. } | Frame::Violation { job: j, .. } if j == job => {
+                    crash_streak = 0;
+                    sink(frame);
+                }
+                Frame::JobDone { job: j, .. } | Frame::Error { job: j, .. } if j == job => {
+                    sink(frame);
+                    return Ok(restarts);
+                }
                 // `hello` deliberately does not clear the crash streak: a
                 // stale binary still greets before choking on the job frame.
-                Frame::Hello { .. } => {}
-                Frame::Progress {
-                    job: j,
-                    transitions,
-                    unique_states,
-                    depth,
-                } if j == job => {
-                    crash_streak = 0;
-                    on_event(JobEvent::Progress {
-                        transitions,
-                        unique_states,
-                        depth,
-                    });
-                }
-                Frame::Violation { job: j, violation } if j == job => {
-                    crash_streak = 0;
-                    on_event(JobEvent::Violation(violation));
-                }
-                Frame::JobDone {
-                    job: j,
-                    stats,
-                    violations,
-                } if j == job => {
-                    let engine = TraceEngine::from_config(&spec.config);
-                    let mut report = CheckReport {
-                        violations: (violations.into_iter())
-                            .map(|v| v.into_violation(&scenario_name, engine))
-                            .collect(),
-                        stats,
-                        outcome: interrupted.map_or(Outcome::Completed, Outcome::Interrupted),
-                    };
-                    report.stats.duration = start.elapsed();
-                    for v in &mut report.violations {
-                        v.transitions_explored = report.stats.transitions;
-                        v.unique_states = report.stats.unique_states;
-                    }
-                    report.sort_violations();
-                    return Ok(report);
-                }
-                Frame::Error { job: j, message } if j == job => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, message));
-                }
-                _ => {} // frames of earlier jobs
+                _ => {}
             }
         }
     }

@@ -8,13 +8,14 @@
 //! coordinators side by side: N jobs at once, each independent, none
 //! forwarding a state to another.
 //!
-//! * [`proto`] — the `nice-dist-v4` wire protocol: length-prefixed
+//! * [`proto`] — the `nice-dist-v5` wire protocol: length-prefixed
 //!   single-line JSON frames, written and parsed through [`nice_mc::json`].
 //! * [`worker`] — the worker main loop: a session per job whose observer
 //!   streams progress and violations back over stdout.
-//! * [`coordinator`] — one job at a time on one worker: the caller's
-//!   cancel and the job's deadline, and crash recovery (a dead worker is
-//!   respawned and the job restarted from the root).
+//! * [`coordinator`] — one job at a time on one worker: relays the
+//!   worker's frames, passes on the caller's cancel, and recovers from a
+//!   crash (a dead worker is respawned and the job restarted from the
+//!   root). The worker keeps the job's deadline, as `nice run` does.
 //!
 //! Transport is `spawn` + stdin/stdout pipes: multi-process on one host,
 //! no network crates needed in the offline build environment. The same
@@ -29,7 +30,7 @@ mod process;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{Coordinator, JobEvent, JobSpec};
+pub use coordinator::{Coordinator, JobSpec};
 pub use process::worker_bin;
 pub use proto::{read_frame, write_frame, Frame, WireViolation, DIST_SCHEMA};
 pub use worker::worker_main;

@@ -1,8 +1,8 @@
-//! The `nice-dist-v4` wire protocol.
+//! The `nice-dist-v5` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v4"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v5"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -13,31 +13,21 @@
 //! worker carries the same replayable steps a trace file does.
 //!
 //! **The `forward` and `states` frames are kept for the benchmark only.** No
-//! coordinator or worker sends them any more: every job runs whole on one
-//! worker, so no state is forwarded. `benchmark/`'s shard probe still times
-//! [`nice_mc::ShardedSearch`]'s forwarding through this codec, so the frames,
-//! their golden bytes and the `keep` tests stay until that probe moves off
-//! them (ROADMAP, "Swarm, not shards").
+//! coordinator or worker sends them: every job runs whole on one worker, so
+//! no state is forwarded. `benchmark/`'s shard probe still times
+//! [`nice_mc::ShardedSearch`]'s forwarding through this codec, so the two
+//! frames and their golden bytes stay until that probe moves off them.
+//! Their `"states"` array ([`nice_mc::shard::exports_to_json`]) writes each
+//! state as `{"fingerprint", "steps", "sleep"}`: its whole trace from the
+//! initial state and its sleep set.
 //!
-//! **Exported states travel as deltas.** The `"states"` array of a
-//! `forward` / `states` frame ([`nice_mc::shard::exports_to_json`]) writes
-//! each state as `{"fingerprint", "keep", "steps", "sleep"}`: `"keep": k`
-//! says the state's trace starts with the first `k` transitions of the
-//! state *before it in the same array*, and `"steps"` holds only what
-//! follows them. A shard exports in depth-first order, so neighbours share
-//! all but their last few steps and a state costs those few on the wire,
-//! not its depth. The first state of an array keeps nothing and carries its
-//! whole trace: a frame decodes on its own, with no state of the codec to
-//! carry along. A `keep` past the end of the previous trace (any at all on a
-//! first state) is `InvalidData`.
-//!
-//! `v2` introduced that: a v1 peer would hand over whole traces where this
-//! one reads suffixes. `v3` dropped the explored-set settings from the `job`
-//! spec and the spill counters from the `job_done` stats, which gained
-//! `depth_bounded`. `v4` drops the `job` frame's `shard` and the `idle` and
-//! `finish` frames of the sharded job. Either way a stale worker binary must
-//! fail loudly on the schema tag instead of exploring a wrong state or
-//! misreading a verdict silently.
+//! `v2` wrote those traces as deltas against the state before them, and
+//! `v5` writes them whole again. `v3` dropped the explored-set settings from
+//! the `job` spec and the spill counters from the `job_done` stats, which
+//! gained `depth_bounded`. `v4` dropped the `job` frame's `shard` and the
+//! `idle` and `finish` frames of the sharded job. Either way a stale worker
+//! binary must fail loudly on the schema tag instead of exploring a wrong
+//! state or misreading a verdict silently.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
@@ -47,9 +37,9 @@
 //! | `hello` | W → C | worker is up (pid) |
 //! | `progress` | W → C | periodic transition/state counters |
 //! | `violation` | W → C | a violation, streamed live with its steps |
-//! | `job_done` | W → C | final stats + violations |
+//! | `job_done` | W → C | final stats + violations; `truncated` also when a cancel or the deadline stopped the job |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
-//! | `forward`, `states` | — | frontier exports, each relative to the one before (`keep`); benchmark only |
+//! | `forward`, `states` | — | frontier exports (fingerprint, trace, sleep set); benchmark only |
 
 use nice_mc::shard::{exports_from_json, exports_to_json};
 use nice_mc::trace::{steps_from_json, steps_to_json};
@@ -58,8 +48,8 @@ use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v4` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v4";
+/// The schema tag every `nice-dist-v5` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v5";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -121,7 +111,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v4` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v5` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: run `job` whole with the given spec.
@@ -198,7 +188,7 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v4` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v5` JSON document.
     pub fn to_json(&self) -> String {
         let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
             Frame::Job { job, spec } => ("job", Some(*job), vec![("spec", spec.to_json())]),
@@ -256,7 +246,7 @@ impl Frame {
         Json::object(head.into_iter().chain(job).chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v4` JSON document.
+    /// Parses a single-line `nice-dist-v5` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -457,9 +447,9 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 10 kinds with its `nice-dist-v4` bytes. Nine
-    /// of them are their `nice-dist-v3` bytes but for the tag; `job` lost its
-    /// `shard`.
+    /// One frame of each of the 10 kinds with its `nice-dist-v5` bytes. Eight
+    /// of them are their `nice-dist-v4` bytes but for the tag; the states of
+    /// `forward` and `states` lost their `keep` and carry their whole trace.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -477,33 +467,33 @@ mod tests {
                     job: 1,
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v4","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
+                r#"{"schema":"nice-dist-v5","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v4","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"keep":0,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v5","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v4","frame":"cancel","job":3}"#,
+                r#"{"schema":"nice-dist-v5","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Shutdown,
-                r#"{"schema":"nice-dist-v4","frame":"shutdown"}"#,
+                r#"{"schema":"nice-dist-v5","frame":"shutdown"}"#,
             ),
             (
                 Frame::Hello { pid: 4242 },
-                r#"{"schema":"nice-dist-v4","frame":"hello","pid":4242}"#,
+                r#"{"schema":"nice-dist-v5","frame":"hello","pid":4242}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v4","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"keep":0,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"keep":2,"steps":[{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v5","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -512,14 +502,14 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v4","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v5","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation {
                     job: 7,
                     violation: violation.clone(),
                 },
-                r#"{"schema":"nice-dist-v4","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
+                r#"{"schema":"nice-dist-v5","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::JobDone {
@@ -527,14 +517,14 @@ mod tests {
                     stats: sample_stats(),
                     violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v4","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v5","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v4","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v5","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -566,15 +556,15 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
-        // A v3 coordinator sends a `shard` this side no longer reads and
-        // waits for an `idle` that never comes: it must fail on the tag.
+        // A v4 peer writes forwarded traces as deltas this side no longer
+        // reads: it must fail on the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v4", "nice-dist-v3", 1);
+            let stale = golden.replacen("nice-dist-v5", "nice-dist-v4", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v3'"),
+                err.to_string().contains("unknown schema 'nice-dist-v4'"),
                 "{err}"
             );
         }
@@ -614,19 +604,13 @@ mod tests {
     /// needs.
     #[test]
     fn a_four_megabyte_states_frame_round_trips_in_linear_time() {
-        // Neighbours that share nothing, so that every state travels whole.
-        let (export, mut other) = (sample_exports().remove(0), sample_exports().remove(0));
-        let mut detour = vec![Transition::HostReceive { host: HostId(9) }];
-        detour.extend(steps_of(&other.trace));
-        other.trace = detour.into();
+        let export = sample_exports().remove(0);
         let states_frame = |states| Frame::States { job: 1, states }.to_json().len();
-        let pair = states_frame(vec![export.clone(), other.clone()]) - states_frame(Vec::new());
-        let copies = (4 << 20) / pair + 1;
+        let each = states_frame(vec![export.clone()]) - states_frame(Vec::new());
+        let copies = (4 << 20) / each + 1;
         let frame = Frame::States {
             job: 1,
-            states: (0..copies)
-                .flat_map(|_| [export.clone(), other.clone()])
-                .collect(),
+            states: vec![export; copies],
         };
         let started = Instant::now();
         let mut wire = Vec::new();
@@ -642,93 +626,5 @@ mod tests {
         };
         assert_eq!(states, sent);
         assert!(elapsed.as_secs() < 5, "round trip took {elapsed:?}");
-    }
-
-    /// 64 depth-first neighbours: one long way, then siblings at its end.
-    fn neighbours() -> Vec<FrontierExport> {
-        let way = steps_of(&sample_exports()[0].trace);
-        let way: Vec<Transition> = (0..8).flat_map(|_| way.clone()).collect();
-        (0..64)
-            .map(|host| {
-                let mut steps = way[..way.len() - (host as usize % 5)].to_vec();
-                steps.push(Transition::HostReceive { host: HostId(host) });
-                FrontierExport {
-                    fingerprint: u64::from(host),
-                    trace: steps.into(),
-                    sleep: Vec::new(),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_corrupt_keep_is_invalid_data_not_a_panic_or_a_state() {
-        let states = neighbours();
-        let deepest = states.iter().map(|s| s.trace.len()).max().unwrap();
-        let json = Frame::Forward { job: 1, states }.to_json();
-        let read = |json: &str| read_frame(&mut format!("{} {json}\n", json.len()).as_bytes());
-        let Some(Frame::Forward {
-            states: decoded, ..
-        }) = read(&json).expect("intact")
-        else {
-            panic!("a forward frame decoded as something else");
-        };
-        assert_eq!(decoded, neighbours());
-        assert_eq!(json.matches("\"keep\":").count(), 64);
-        // Every state's keep in turn, past anything the frame holds.
-        for (at, _) in json.match_indices("\"keep\":") {
-            let digits = json[at + 7..].find(',').unwrap();
-            let corrupt = format!(
-                "{}{}{}",
-                &json[..at + 7],
-                deepest + 1,
-                &json[at + 7 + digits..]
-            );
-            let err = read(&corrupt).expect_err("a keep past the previous trace");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-            assert!(err.to_string().contains("keep"), "{err}");
-        }
-        // The first state has nothing before it to keep from.
-        let first = json.replacen("\"keep\":0", "\"keep\":1", 1);
-        let err = read(&first).expect_err("a keep on the first state");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("state 0: keep 1"), "{err}");
-    }
-
-    #[test]
-    fn a_batch_is_no_dearer_than_its_states_sent_singly() {
-        let states = neighbours();
-        let over_the_wire = |frames: &[Frame]| {
-            let started = Instant::now();
-            let mut bytes = 0;
-            for frame in frames {
-                let mut wire = Vec::new();
-                write_frame(&mut wire, frame).expect("write");
-                bytes += wire.len();
-                read_frame(&mut wire.as_slice())
-                    .expect("read")
-                    .expect("a frame");
-            }
-            (started.elapsed(), bytes)
-        };
-        let frame = |states: &[FrontierExport]| Frame::States {
-            job: 1,
-            states: states.to_vec(),
-        };
-        let singly: Vec<Frame> = states.chunks(1).map(frame).collect();
-        let batched = [frame(&states)];
-        // Best of five a side: the batch writes a fraction of the bytes, so
-        // "no slower" holds with a wide margin when nothing is quadratic.
-        let best = |frames: &[Frame]| (0..5).map(|_| over_the_wire(frames)).min().unwrap();
-        let ((singly_took, singly_bytes), (batched_took, batched_bytes)) =
-            (best(&singly), best(&batched));
-        assert!(
-            batched_bytes * 4 < singly_bytes,
-            "{batched_bytes} vs {singly_bytes} bytes"
-        );
-        assert!(
-            batched_took <= singly_took,
-            "{batched_took:?} vs {singly_took:?}"
-        );
     }
 }

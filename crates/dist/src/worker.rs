@@ -8,8 +8,10 @@
 //! 2. the session's observer streams a `violation` frame for each violation
 //!    as it is found and a `progress` frame every [`PROGRESS_EVERY`]
 //!    transitions;
-//! 3. the session's `Finished` report goes back as `job_done`. A scenario
-//!    spec the worker cannot resolve gets an `error` instead.
+//! 3. the session's `Finished` report goes back as `job_done`, marked
+//!    `truncated` if a cancel or the job's deadline (`time_budget_ms`, kept
+//!    by the session) stopped it. A scenario spec the worker cannot resolve
+//!    gets an `error` instead.
 //!
 //! A reader thread drains stdin: it hands `job` frames to the job loop and
 //! trips the running session's cancel token on `cancel`, `shutdown` or EOF.
@@ -17,10 +19,11 @@
 
 use crate::proto::{read_frame, write_frame, Frame, WireViolation};
 use crate::{JobSpec, DIE_AFTER_ENV};
-use nice_mc::{CancelToken, CheckEvent, ModelChecker};
+use nice_mc::{CancelToken, CheckEvent, ModelChecker, SearchStats};
 use std::io::{self, BufWriter, Write};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Emit a `progress` frame every this many transitions.
 pub const PROGRESS_EVERY: u64 = 2048;
@@ -29,7 +32,7 @@ pub const PROGRESS_EVERY: u64 = 2048;
 /// `cancel` can arrive before the job's session (and its token) exists.
 #[derive(Default)]
 struct Stops {
-    /// The job the latest `cancel` named.
+    /// The job the latest `cancel` named, since the latest `job`.
     cancelled: Option<u64>,
     /// `shutdown` arrived or stdin closed.
     closed: bool,
@@ -71,7 +74,8 @@ pub fn worker_main() -> io::Result<()> {
         match nice_apps::workloads::resolve(&spec.scenario) {
             Some(scenario) => {
                 let checker = ModelChecker::new(scenario, spec.config);
-                run_job(job, &checker, &stops, &mut out, die_after)?;
+                let budget = Duration::from_millis(spec.time_budget_ms);
+                run_job(job, &checker, budget, &stops, &mut out, die_after)?;
             }
             None => {
                 let message = format!("unknown scenario spec '{}'", spec.scenario);
@@ -94,6 +98,9 @@ fn read_stdin(stops: Arc<Mutex<Stops>>) -> Receiver<(u64, JobSpec)> {
             let mut stops = lock(&stops);
             match frame {
                 Ok(Some(Frame::Job { job, spec })) => {
+                    // Job ids are the client's, so a cancel of an earlier
+                    // job may name this one too.
+                    stops.cancelled = None;
                     if tx.send((job, spec)).is_err() {
                         return;
                     }
@@ -111,10 +118,12 @@ fn read_stdin(stops: Arc<Mutex<Stops>>) -> Receiver<(u64, JobSpec)> {
     rx
 }
 
-/// Runs one job in a session whose observer writes its frames.
+/// Runs one job in a session whose observer writes its frames; `budget`
+/// is its deadline, zero for none.
 fn run_job(
     job: u64,
     checker: &ModelChecker,
+    budget: Duration,
     stops: &Mutex<Stops>,
     out: &mut (impl Write + Send),
     die_after: Option<u64>,
@@ -122,7 +131,10 @@ fn run_job(
     // The crash hook reads the transition count from progress events, so
     // it sets their cadence.
     let every = die_after.map_or(PROGRESS_EVERY, |n| n.max(1));
-    let session = checker.session().with_progress_every(every);
+    let mut session = checker.session().with_progress_every(every);
+    if !budget.is_zero() {
+        session = session.with_time_budget(budget);
+    }
     {
         let mut stops = lock(stops);
         stops.running = Some((job, session.cancel_token()));
@@ -156,7 +168,10 @@ fn run_job(
             },
             CheckEvent::Finished(report) => Frame::JobDone {
                 job,
-                stats: report.stats.clone(),
+                stats: SearchStats {
+                    truncated: report.stats.truncated || report.outcome.interrupted(),
+                    ..report.stats.clone()
+                },
                 violations: report.violations.iter().map(WireViolation::of).collect(),
             },
             CheckEvent::Started { .. } => return,

@@ -4,22 +4,24 @@
 //! The worker runs the job whole, in one `ModelChecker::session()`, so its
 //! counters equal the sequential run's *exactly* — not just the verdict —
 //! and the stops are the worker's own: its transition budget truncates the
-//! search, and `stop_at_first_violation` ends it at the sequential engine's
-//! first violation. A killed worker is respawned and the job restarted from
-//! the root, so every counter stays exact, and two coordinators running side
-//! by side do not interfere.
+//! search, `stop_at_first_violation` ends it at the sequential engine's
+//! first violation, and its deadline interrupts it. The coordinator relays
+//! the worker's frames; a served report here is read from the final
+//! `job_done` the way `nice submit` reads it. A killed worker is respawned
+//! and the job restarted from the root, so every counter stays exact, and
+//! two coordinators running side by side do not interfere.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
 //! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
 //! environment variable, which must not leak into concurrent spawns.
 
-use nice_dist::{Coordinator, JobEvent, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
-use nice_mc::{
-    CheckReport, CheckerConfig, InterruptReason, ModelChecker, Outcome, ReplayOutcome, Verdict,
-};
+use nice_dist::{Coordinator, Frame, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
+use nice_mc::{CheckReport, CheckerConfig, ModelChecker, ReplayOutcome, Verdict};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Barrier, Mutex, PoisonError};
+use std::time::Duration;
 
 /// The worker binary cargo built for this test target.
 fn worker_bin() -> PathBuf {
@@ -50,11 +52,39 @@ fn sequential(spec: &JobSpec) -> CheckReport {
     ModelChecker::new(scenario, spec.config.clone()).run()
 }
 
+/// Runs `spec` on `coordinator`, calling `on_frame` with every frame it
+/// relays, and reads the final `job_done` as `nice submit` does. Returns the
+/// report and the worker's restart count.
+fn run(
+    coordinator: &mut Coordinator,
+    spec: &JobSpec,
+    mut on_frame: impl FnMut(&Frame),
+    cancel: Option<&AtomicBool>,
+) -> io::Result<(CheckReport, u32)> {
+    let mut last = None;
+    let restarts = coordinator.run_job(
+        1,
+        spec,
+        |frame| {
+            on_frame(&frame);
+            last = Some(frame);
+        },
+        cancel,
+    )?;
+    match last {
+        Some(Frame::JobDone {
+            job: 1,
+            stats,
+            violations,
+        }) => Ok((spec.report(stats, violations), restarts)),
+        other => panic!("the last frame relayed is not job 1's job_done: {other:?}"),
+    }
+}
+
 fn served(spec: &JobSpec) -> CheckReport {
     let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
-    coordinator
-        .run_job(spec, |_| {}, None)
-        .expect("served job completes")
+    let (report, _) = run(&mut coordinator, spec, |_| {}, None).expect("served job completes");
+    report
 }
 
 /// The sorted, deduplicated `(property, message)` set — the verdict
@@ -83,11 +113,7 @@ fn assert_same_verdict(seq: &CheckReport, dist: &CheckReport, label: &str) {
         violation_set(dist),
         "{label}: violation sets disagree"
     );
-    assert_eq!(
-        seq.outcome.label(false),
-        dist.outcome.label(false),
-        "{label}: outcome"
-    );
+    assert_eq!(seq.verdict(), dist.verdict(), "{label}: verdict");
 }
 
 /// A served job's counters are the sequential engine's exactly.
@@ -179,13 +205,9 @@ fn a_cancel_sent_behind_the_job_stops_the_worker_early() {
     let spec = full_spec("chain:5:2", false);
     let cancelled = AtomicBool::new(true);
     let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
-    let dist = coordinator
-        .run_job(&spec, |_| {}, Some(&cancelled))
+    let (dist, _) = run(&mut coordinator, &spec, |_| {}, Some(&cancelled))
         .expect("a cancelled job still reports");
-    assert_eq!(
-        dist.outcome,
-        Outcome::Interrupted(InterruptReason::Cancelled)
-    );
+    assert!(dist.stats.truncated, "a cancelled job reads as truncated");
     assert_eq!(dist.verdict(), Verdict::Inconclusive);
     let seq = sequential(&spec);
     assert!(
@@ -193,9 +215,10 @@ fn a_cancel_sent_behind_the_job_stops_the_worker_early() {
         "the worker ran all {} transitions",
         seq.stats.transitions
     );
-    // The same worker takes its next job as usual.
+    // The same worker takes its next job as usual, though it has the same
+    // job id as the cancelled one.
     let next = full_spec("chain:3:1", false);
-    let dist = (coordinator.run_job(&next, |_| {}, None)).expect("the next job completes");
+    let (dist, _) = run(&mut coordinator, &next, |_| {}, None).expect("the next job completes");
     assert_exact_counters(&sequential(&next), &dist, "chain:3:1 after a cancel");
 }
 
@@ -249,16 +272,30 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     std::env::set_var(WORKER_BIN_ENV, &script);
     let overridden = nice_dist::worker_bin();
     std::env::remove_var(WORKER_BIN_ENV);
-    let result = Coordinator::new(overridden.expect("the override names the script"))
-        .expect("spawning the worker itself succeeds")
-        .run_job(&full_spec("chain:3:1", false), |_| {}, None);
+    let mut coordinator = Coordinator::new(overridden.expect("the override names the script"))
+        .expect("spawning the worker itself succeeds");
+    let spec = full_spec("chain:3:1", false);
+    let first = coordinator.run_job(1, &spec, |_| {}, None);
+    // The second job finds the worker dead: it must respawn it and give up
+    // the same way, not write to a dead pipe and wait forever. A thread
+    // and a timeout make a hang fail the test instead of hanging it.
+    let (done, second) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let result = coordinator.run_job(2, &spec, |_| {}, None);
+        done.send(result).expect("the test waits for the result");
+    });
+    let second = second.recv_timeout(Duration::from_secs(60));
     let _ = std::fs::remove_file(&script);
+    let second = second.expect("the second job hung");
+    thread.join().expect("the second job's thread");
 
-    let err = result.expect_err("a worker dying on every spawn must fail the job");
-    assert!(
-        err.to_string().contains("died"),
-        "error should name the crash loop, got: {err}"
-    );
+    for (nth, result) in [("first", first), ("second", second)] {
+        let err = result.expect_err("a worker dying on every spawn must fail the job");
+        assert!(
+            err.to_string().contains("died 6 times in a row"),
+            "{nth} job: the error should name the crash loop, got: {err}"
+        );
+    }
 }
 
 #[test]
@@ -271,20 +308,10 @@ fn a_whole_job_worker_killed_mid_job_restarts_to_the_exact_counters() {
     // 150 of BUG-V's 2 569 transitions. The variable stays set while the
     // job runs: the respawned worker must not inherit it.
     std::env::set_var(DIE_AFTER_ENV, "150");
-    let mut restarts = 0usize;
-    let dist = Coordinator::new(worker_bin()).and_then(|mut coordinator| {
-        coordinator.run_job(
-            &spec,
-            |event| {
-                if let JobEvent::WorkerRestarted = event {
-                    restarts += 1;
-                }
-            },
-            None,
-        )
-    });
+    let dist = Coordinator::new(worker_bin())
+        .and_then(|mut coordinator| run(&mut coordinator, &spec, |_| {}, None));
     std::env::remove_var(DIE_AFTER_ENV);
-    let dist = dist.expect("job completes despite the crash");
+    let (dist, restarts) = dist.expect("job completes despite the crash");
 
     assert_eq!(restarts, 1, "the worker must have died once");
     let label = "bug-v served with worker kill";
@@ -301,29 +328,49 @@ fn two_whole_job_coordinators_run_two_jobs_at_once_exactly() {
     ];
     let spawn = || Coordinator::new(worker_bin()).expect("spawn the worker");
     let (mut first, mut second) = (spawn(), spawn());
-    // Both jobs are sent before either coordinator reads a frame back.
+    // Neither job ends before both workers have relayed a frame.
     let both_started = Barrier::new(2);
-    let run = |coordinator: &mut Coordinator, spec| {
-        coordinator.run_job(
-            spec,
-            |event| {
-                if let JobEvent::Started = event {
-                    both_started.wait();
-                }
-            },
-            None,
-        )
+    let run_beside = |coordinator: &mut Coordinator, spec| {
+        let mut first_frame = true;
+        let on_frame = |_: &Frame| {
+            if std::mem::take(&mut first_frame) {
+                both_started.wait();
+            }
+        };
+        run(coordinator, spec, on_frame, None)
     };
     let (a, b) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| run(&mut first, &specs[0]));
-        let b = scope.spawn(|| run(&mut second, &specs[1]));
+        let a = scope.spawn(|| run_beside(&mut first, &specs[0]));
+        let b = scope.spawn(|| run_beside(&mut second, &specs[1]));
         (a.join().unwrap(), b.join().unwrap())
     });
     for (spec, dist) in specs.iter().zip([a, b]) {
-        let dist = dist.expect("job completes");
+        let (dist, _) = dist.expect("job completes");
         let label = format!("{} beside another job", spec.scenario);
         let seq = sequential(spec);
         assert_same_verdict(&seq, &dist, &label);
         assert_exact_counters(&seq, &dist, &label);
     }
+}
+
+#[test]
+fn the_worker_keeps_the_deadline_and_reports_an_interrupted_job_truncated() {
+    let _guard = lock();
+    // Exhausted, chain:4:3 takes 688 121 transitions; a 50 ms deadline
+    // stops it long before, in the worker's own session.
+    let spec = JobSpec {
+        time_budget_ms: 50,
+        ..full_spec("chain:4:3", false)
+    };
+    let dist = served(&spec);
+    assert!(
+        dist.stats.truncated,
+        "an interrupted job reads as truncated"
+    );
+    assert_eq!(dist.verdict(), Verdict::Inconclusive);
+    assert!(
+        dist.stats.transitions < 688_121,
+        "the deadline did not stop the search: {} transitions",
+        dist.stats.transitions
+    );
 }

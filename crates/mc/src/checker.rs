@@ -27,9 +27,8 @@
 //!
 //! Every frontier node keeps its transition trace (it doubles as the
 //! violation trace) as a `Path`: its own step plus a shared pointer to its
-//! parent's, so a new node costs one small allocation at any depth — an
-//! export to a peer shard too, which travels as what it adds to the export
-//! before it — and the trace is copied out only for a violation.
+//! parent's, so a new node costs one small allocation at any depth and the
+//! trace is copied out only for a violation.
 //!
 //! A node also owns its state and property observers: `Worker::expand`
 //! moves each successor's into its node and `Worker::materialize` moves
@@ -38,9 +37,8 @@
 //! siblings. Two kinds of node carry no state, because none exists where
 //! they are created: the root, and the states a peer shard exports (a wire
 //! carries traces, not states). Those are rebuilt by re-executing their
-//! trace — the state restoration of the paper's Section 6 — from the
-//! initial state or from the deepest of the few snapshots the previous such
-//! replay left along the same path (`Worker::replay_from_root`).
+//! whole trace from the initial state — the state restoration of the
+//! paper's Section 6 (`Worker::replay_from_root`).
 //!
 //! Expanding a node copies its state and property observers for every
 //! successor but the last, which takes them over: a node with one successor
@@ -303,7 +301,7 @@ impl SearchStats {
         self.peak_explored_bytes += other.peak_explored_bytes;
     }
 
-    /// The stats object of the `nice-dist-v4` `job_done` frame.
+    /// The stats object of the `nice-dist-v5` `job_done` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("transitions", self.transitions.into()),
@@ -616,12 +614,9 @@ impl Snapshot {
 /// what the node added to its parent's path: a link holding the node's own
 /// step and an `Arc` to the parent's newest link, so siblings and
 /// descendants share their common prefix and a child costs one small
-/// allocation whatever its depth. An exported state's path keeps that
-/// sharing on its way to the owning shard: the wire writes only the links a
-/// state does not share with the one before it, and the reader rebuilds it
-/// on that one's links ([`crate::shard::exports_to_json`]). A path is laid
-/// out in order ([`Path::suffix`]) only where it is read: a violation's
-/// witness, the wire, a replay.
+/// allocation whatever its depth. A path is laid out in order
+/// ([`Path::suffix`]) only where it is read: a violation's witness, the
+/// wire, a replay.
 #[derive(Clone, Default)]
 pub struct Path {
     newest: Option<Arc<Link>>,
@@ -648,7 +643,7 @@ impl Drop for Link {
 impl From<Vec<Transition>> for Path {
     /// The path that takes `steps`, in order, sharing nothing yet.
     fn from(steps: Vec<Transition>) -> Path {
-        Path::default().extended(steps)
+        (steps.into_iter()).fold(Path::default(), |path, step| path.push(step))
     }
 }
 
@@ -692,46 +687,6 @@ impl Path {
                 parent: self.newest.clone(),
             })),
         }
-    }
-
-    /// This path plus `steps`, in order.
-    pub(crate) fn extended(&self, steps: Vec<Transition>) -> Path {
-        (steps.into_iter()).fold(self.clone(), |path, step| path.push(step))
-    }
-
-    /// The first `len` transitions of this path (at most all of them), on
-    /// the same links.
-    pub(crate) fn prefix(&self, len: usize) -> Path {
-        Path {
-            newest: self.links().nth(self.len - len).cloned(),
-            len,
-        }
-    }
-
-    /// How many leading transitions this path and `other` have in common.
-    /// From the first link the two share down to the root they are one
-    /// path, so only the links past it are walked and only their steps
-    /// compared: paths that grew from one node cost what they differ in.
-    pub(crate) fn shared_with(&self, other: &Path) -> usize {
-        let depth = self.len.min(other.len);
-        let ours = self.links().skip(self.len - depth);
-        let theirs = other.links().skip(other.len - depth);
-        // Walking down from `depth`: the links seen before the first common
-        // one, and how many of them, counted from the last difference on,
-        // hold equal steps — those sit directly on the common part.
-        let (mut apart, mut equal) = (0, 0);
-        for (ours, theirs) in ours.zip(theirs) {
-            if Arc::ptr_eq(ours, theirs) {
-                break;
-            }
-            apart += 1;
-            equal = if ours.step == theirs.step {
-                equal + 1
-            } else {
-                0
-            };
-        }
-        depth - apart + equal
     }
 
     /// The transitions from depth `from` on, in execution order;
@@ -815,50 +770,6 @@ impl Shared {
     }
 }
 
-/// Steps between the snapshots a replay from the root leaves behind
-/// (`Worker::replay_from_root`). A snapshot is not free — the copy, and the
-/// components the replay has to un-share again after it, cost several
-/// replayed steps — and saves half the spacing per later replay on average:
-/// `serve_roundtrip` read a verdict in 0.088 s at 4, 0.084 s at 8, 0.087 s
-/// at 16 and 0.109 s with none.
-const RUNG_SPACING: usize = 8;
-
-/// Slots of a [`SentFilter`]; a power of two. Of the 5 396 exports two
-/// unfiltered shards of `chain:5:2` make (at most 3 500 distinct
-/// fingerprints a shard), 2^14 slots send 4 622, 2^16 send 4 613 and 2^18
-/// send 4 612, at the same time to a verdict.
-const SENT_SLOTS: usize = 1 << 14;
-
-/// The sender-side filter of a shard: the fingerprints it most recently
-/// exported *with an empty sleep set*, direct-mapped on their low bits. The
-/// owner of such a state has stored ∅ for it by the time any later export of
-/// the same fingerprint arrives (pipes are FIFO), so it would answer
-/// `Visit::Known` whatever sleep set the later one carries: the sender counts
-/// that deduplication hit itself and sends nothing. A collision overwrites
-/// the slot, and the evicted fingerprint is merely forwarded once more.
-struct SentFilter(Box<[u64]>);
-
-impl SentFilter {
-    fn new() -> Self {
-        // A fingerprint can only ever sit in the slot its low bits name, so
-        // a slot holding the complement of its own index holds none — an
-        // all-zero table would read as "fingerprint 0 was sent".
-        SentFilter((0..SENT_SLOTS as u64).map(|slot| !slot).collect())
-    }
-
-    /// True if an export of `fingerprint` would tell its owner nothing;
-    /// otherwise the export is about to be sent, and is remembered if its
-    /// sleep set is empty.
-    fn covers(&mut self, fingerprint: u64, sleep_is_empty: bool) -> bool {
-        let slot = &mut self.0[fingerprint as usize & (SENT_SLOTS - 1)];
-        let covered = *slot == fingerprint;
-        if sleep_is_empty {
-            *slot = fingerprint;
-        }
-        covered
-    }
-}
-
 /// One worker of a search: its local frontier stack, its share of the
 /// results, and handles on what the search shares. The sequential engine is
 /// a single worker; the parallel engine runs one per thread over one
@@ -877,11 +788,6 @@ pub(crate) struct Worker<'a> {
     pub(crate) shard: ShardSpec,
     store: Arc<ExactStore>,
     root: Arc<Snapshot>,
-    /// The path last replayed from the root, and the snapshots kept along
-    /// it as `(depth, snapshot)`, shallowest first
-    /// (`Worker::replay_from_root`).
-    replayed: Path,
-    rungs: Vec<(usize, Arc<Snapshot>)>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) stats: SearchStats,
     pub(crate) violations: Vec<Violation>,
@@ -889,9 +795,6 @@ pub(crate) struct Worker<'a> {
     pub(crate) stack: Vec<Node>,
     /// Successors owned by other shards, awaiting export.
     pub(crate) forwards: Vec<FrontierExport>,
-    /// What this shard already exported; allocated with the first foreign
-    /// successor, so a search that owns every fingerprint never pays.
-    sent: Option<SentFilter>,
 }
 
 impl<'a> Worker<'a> {
@@ -912,14 +815,11 @@ impl<'a> Worker<'a> {
             shard,
             store,
             root,
-            replayed: Path::default(),
-            rungs: Vec::new(),
             shared,
             stats: SearchStats::default(),
             violations: Vec::new(),
             stack: Vec::new(),
             forwards: Vec::new(),
-            sent: None,
         }
     }
 
@@ -965,35 +865,17 @@ impl<'a> Worker<'a> {
         (snapshot, node.trace, node.sleep)
     }
 
-    /// The state and property state `trace` leads to, by re-executing it —
-    /// the memory-saving state restoration of Section 6, here for the nodes
-    /// that arrive without a state. Replays do not count as explored
-    /// transitions, and settle nothing on the way: that would digest
-    /// components the next replayed step is about to write again.
-    ///
-    /// A replay leaves a snapshot every [`RUNG_SPACING`] steps, and the
-    /// next one starts from the deepest of them still on its own path:
-    /// injected states come off the stack in depth-first order, each
-    /// sharing all but its last few steps with the one before it, so a
-    /// replay is those few steps plus the way up from the rung below them.
+    /// The state and property state `trace` leads to, by re-executing it
+    /// from the initial state — the memory-saving state restoration of
+    /// Section 6, here for the nodes that arrive without a state. Replays do
+    /// not count as explored transitions, and settle nothing on the way:
+    /// that would digest components the next replayed step is about to
+    /// write again.
     fn replay_from_root(&mut self, trace: &Path) -> Snapshot {
-        let (mut start, mut start_depth) = (&self.root, 0);
-        if !trace.is_empty() {
-            let shared = trace.shared_with(&self.replayed);
-            let on_path = self.rungs.partition_point(|(depth, _)| *depth <= shared);
-            self.rungs.truncate(on_path);
-            if let Some((depth, rung)) = self.rungs.last() {
-                (start, start_depth) = (rung, *depth);
-            }
-            self.replayed = trace.clone();
-        }
-        let mut snapshot = Snapshot::clone(start);
-        for (depth, transition) in (start_depth + 1..).zip(trace.suffix(start_depth)) {
+        let mut snapshot = Snapshot::clone(&self.root);
+        for transition in trace.suffix(0) {
             self.stepper
                 .advance(&mut snapshot.state, &mut snapshot.properties, transition);
-            if depth.is_multiple_of(RUNG_SPACING) && depth < trace.len() {
-                self.rungs.push((depth, Arc::new(snapshot.clone())));
-            }
         }
         snapshot
     }
@@ -1166,13 +1048,7 @@ impl<'a> Worker<'a> {
                 // Another shard owns this state: export it instead of
                 // exploring (or deduplicating) it here. The owner performs
                 // the visit, so the global unique/dedup accounting matches
-                // a solo search's exactly — unless the owner's answer is
-                // already known here (see `SentFilter`).
-                let sent = self.sent.get_or_insert_with(SentFilter::new);
-                if sent.covers(fingerprint, child_sleep.is_empty()) {
-                    self.stats.dedup_hits += 1;
-                    continue;
-                }
+                // a solo search's exactly.
                 let sleep = child_sleep.into_iter().map(Sleeper::into_transition);
                 self.forwards.push(FrontierExport {
                     fingerprint,
@@ -1689,10 +1565,9 @@ mod tests {
             assert_eq!(path.len(), all.len());
             for from in 0..=all.len() {
                 assert_eq!(suffix(&path, from), all[from..], "from {from}");
-                assert_eq!(suffix(&path.prefix(from), 0), all[..from], "first {from}");
             }
             assert_eq!(path, Path::from(all.clone()));
-            assert_ne!(path, path.prefix(8));
+            assert_ne!(path, Path::from(all[..8].to_vec()));
         }
         // Siblings share their prefix and do not see each other's step.
         let parent = Path::from(all[..2].to_vec()).push(all[2].clone());
@@ -1701,194 +1576,6 @@ mod tests {
         assert_eq!(suffix(&right, 2), [all[2].clone(), all[4].clone()]);
         assert_eq!(suffix(&parent, 0), all[..3]);
         assert!(Path::default().suffix(0).is_empty() && Path::default().is_empty());
-    }
-
-    #[test]
-    fn paths_share_what_they_took_together_and_what_reads_the_same() {
-        let all = steps(9);
-        let trunk = Path::from(all[..5].to_vec());
-        let (left, right) = (trunk.push(all[5].clone()), trunk.push(all[6].clone()));
-        let deeper = right.push(all[7].clone());
-        // On common links: up to where they forked, whichever is longer.
-        for (a, b, shared) in [
-            (&left, &right, 5),
-            (&left, &deeper, 5),
-            (&deeper, &right, 6),
-            (&deeper, &deeper, 7),
-            (&trunk, &deeper, 5),
-            (&left, &Path::default(), 0),
-        ] {
-            assert_eq!(a.shared_with(b), shared);
-            assert_eq!(b.shared_with(a), shared);
-        }
-        // On links of their own, as two frames deliver them: by their steps.
-        let apart = Path::from(all[..6].to_vec());
-        assert_eq!(apart.shared_with(&left), 6);
-        assert_eq!(apart.shared_with(&right), 5);
-        assert_eq!(Path::from(all[1..].to_vec()).shared_with(&left), 0);
-        // Grafted half-way: common links below, equal steps above, then a
-        // different step.
-        let grafted =
-            (trunk.prefix(3)).extended(vec![all[3].clone(), all[4].clone(), all[8].clone()]);
-        assert_eq!(grafted.shared_with(&left), 5);
-        assert_eq!(grafted.prefix(4).shared_with(&deeper), 4);
-    }
-
-    #[test]
-    fn the_sent_filter_remembers_only_empty_sleep_exports_and_nothing_at_first() {
-        let mut sent = SentFilter::new();
-        // Nothing was sent yet — not even the fingerprint an all-zero table
-        // would claim, nor the ones the slots start out holding.
-        assert!(!sent.covers(0, true));
-        assert!(sent.covers(0, true));
-        for slot in [1, 7, SENT_SLOTS as u64 - 1] {
-            assert!(!sent.covers(!slot, false), "slot {slot}'s initial value");
-        }
-        // An export under a non-empty sleep set is never recorded: the
-        // owner may have to widen it, so the next one must travel too.
-        assert!(!sent.covers(42, false));
-        assert!(!sent.covers(42, false));
-        assert!(!sent.covers(42, true));
-        // Once recorded, later exports are covered whatever their sleep set.
-        assert!(sent.covers(42, false) && sent.covers(42, true));
-        // A fingerprint mapping to the same slot evicts, and the evicted
-        // one is forwarded (and recorded) again.
-        let collides = 42 + SENT_SLOTS as u64;
-        assert!(!sent.covers(collides, true));
-        assert!(sent.covers(collides, true));
-        assert!(!sent.covers(42, true));
-        assert!(sent.covers(42, true) && !sent.covers(collides, false));
-    }
-
-    #[test]
-    fn a_filter_hit_counts_the_dedup_hit_and_sends_nothing() {
-        let checker = ModelChecker::new(
-            testutil::hub_ping_scenario(2),
-            CheckerConfig::default().with_stop_at_first(false),
-        );
-        let (root, _) = checker.root();
-        let root_node = || Node {
-            owned: None,
-            trace: Path::default(),
-            sleep: Vec::new(),
-            revisit: true,
-        };
-        // A shard that owns none of the root's successors, so that every
-        // one of them takes the export arm.
-        let mut worker = (0..=255)
-            .map(|index| {
-                let mut worker = Worker::new(
-                    &checker,
-                    ShardSpec { index, count: 256 },
-                    Arc::new(ExactStore::new()),
-                    Arc::clone(&root),
-                    Arc::new(Shared::default()),
-                    DiscoveryMemo::default(),
-                );
-                assert!(
-                    worker.sent.is_none(),
-                    "allocated before a foreign successor"
-                );
-                assert!(worker.expand(root_node(), None));
-                worker
-            })
-            .find(|worker| worker.stack.is_empty())
-            .expect("256 shards, a handful of successors");
-        let (successors, exported) = (worker.stats.transitions, worker.forwards.len() as u64);
-        assert!(exported > 0 && worker.sent.is_some());
-        assert_eq!(exported + worker.stats.dedup_hits, successors);
-        // The same successors again: all of them were sent before.
-        assert!(worker.expand(root_node(), None));
-        assert_eq!(worker.forwards.len() as u64, exported);
-        assert_eq!(worker.stats.transitions, 2 * successors);
-        assert_eq!(worker.stats.dedup_hits, 2 * successors - exported);
-    }
-
-    #[test]
-    fn a_replay_from_the_root_starts_at_the_deepest_rung_still_on_its_path() {
-        let checker = ModelChecker::new(
-            testutil::hub_ping_scenario(2),
-            CheckerConfig::default().with_stop_at_first(false),
-        );
-        // The deepest path of the search, and the deepest one that leaves
-        // it before the first rung — as a peer shard would send them.
-        let mut scout = solo_worker(&checker);
-        let mut paths: Vec<Vec<Transition>> = Vec::new();
-        while let Some(node) = scout.stack.pop() {
-            paths.push(node.trace.suffix(0).into_iter().cloned().collect());
-            assert!(scout.expand(node, None));
-        }
-        paths.sort_by_key(|path| std::cmp::Reverse(path.len()));
-        let deepest = paths[0].clone();
-        let leaves_early = |path: &&Vec<Transition>| {
-            let shared = path
-                .iter()
-                .zip(&deepest)
-                .take_while(|(a, b)| a == b)
-                .count();
-            shared < RUNG_SPACING.min(path.len())
-        };
-        let elsewhere = paths.iter().find(leaves_early).expect("a fork").clone();
-        let (below, on, above) = (2 * RUNG_SPACING - 1, 2 * RUNG_SPACING, 2 * RUNG_SPACING + 1);
-        assert!(
-            deepest.len() > above + RUNG_SPACING,
-            "depth {}",
-            deepest.len()
-        );
-        assert!(elsewhere.len() > RUNG_SPACING, "depth {}", elsewhere.len());
-
-        let mut worker = solo_worker(&checker);
-        let root_node = |trace: Path| Node {
-            owned: None,
-            trace,
-            sleep: Vec::new(),
-            revisit: false,
-        };
-        // Replays `trace` and holds the result to a replay by the book;
-        // afterwards the rungs are the multiples of the spacing below
-        // `rungs_below`, the first `reused` of them the very snapshots the
-        // replay before left.
-        let mut check = |trace: Path, rungs_below: usize, reused: usize| {
-            let label = format!("depth {}", trace.len());
-            let before: Vec<Arc<Snapshot>> =
-                (worker.rungs.iter().map(|(_, rung)| Arc::clone(rung))).collect();
-            let (Snapshot { state, .. }, _, _) = worker.materialize(root_node(trace.clone()));
-            let mut replayer =
-                crate::replay::Replayer::new(&checker, &crate::trace::TraceEngine::default());
-            for transition in trace.suffix(0) {
-                replayer.step_unchecked(transition);
-            }
-            assert_eq!(state.fingerprint(), replayer.fingerprint(), "{label}");
-            let depths: Vec<usize> = worker.rungs.iter().map(|(depth, _)| *depth).collect();
-            let multiples = (1..).map(|i| i * RUNG_SPACING);
-            let expected: Vec<usize> = multiples.take_while(|d| *d < rungs_below).collect();
-            assert_eq!(depths, expected, "{label}");
-            for (i, (_, rung)) in worker.rungs.iter().enumerate() {
-                let kept = before
-                    .get(i)
-                    .is_some_and(|before| Arc::ptr_eq(before, rung));
-                assert_eq!(kept, i < reused, "{label}: rung {i}");
-            }
-        };
-        let whole = Path::from(deepest.clone());
-        check(whole.clone(), deepest.len(), 0);
-        // Siblings on the same links, ending around a rung: the rungs at or
-        // below what a path shares with the one before it are reused, the
-        // one it ends on included.
-        check(whole.prefix(above), above, 2);
-        check(whole.prefix(on), above, 2);
-        check(whole.prefix(below), below, 1);
-        check(whole.prefix(above), above, 1);
-        // Across a frame boundary the same steps arrive on links of their
-        // own, and the rungs serve them all the same.
-        check(Path::from(deepest[..above].to_vec()), above, 2);
-        check(Path::from(deepest.clone()), deepest.len(), 2);
-        // A path that shares nothing with the last one starts over.
-        check(Path::from(elsewhere.clone()), elsewhere.len(), 0);
-        // The initial state replays nothing and disturbs nothing.
-        let (Snapshot { state, .. }, _, _) = worker.materialize(root_node(Path::default()));
-        assert_eq!(state.fingerprint(), checker.root().1);
-        assert_eq!(worker.rungs.len(), (elsewhere.len() - 1) / RUNG_SPACING);
     }
 
     #[test]
@@ -1963,7 +1650,7 @@ mod tests {
     #[test]
     fn a_search_rebuilt_from_the_root_at_every_node_is_the_same_search() {
         // Strip every queued node of its state, so that each is rebuilt by
-        // replay through the rungs — as a state a peer shard injected is.
+        // replaying its whole trace — as a state a peer shard injected is.
         // The replay must reach the very same states in the same order, and
         // the sleep sets, which travel with the node, must prune the same.
         let scenarios = [
@@ -2017,7 +1704,7 @@ mod tests {
                 deepest = deepest.max(replayed.stats.max_depth);
             }
         }
-        assert!(deepest > 2 * RUNG_SPACING, "no replay used a rung");
+        assert!(deepest > 16, "no replay went deep: {deepest}");
     }
 
     #[test]

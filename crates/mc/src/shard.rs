@@ -1,4 +1,4 @@
-//! Sharding by fingerprint: the distributed explored set.
+//! Sharding by fingerprint: the explored set partitioned over peers.
 //!
 //! A [`ShardedSearch`] is one shard of a depth-first search whose explored
 //! set is partitioned over `count` peers by fingerprint prefix
@@ -21,22 +21,12 @@
 //! defined here: a shard is one `checker::Worker`, and stepping it runs the
 //! same `Worker::expand` every engine runs.
 //!
-//! An export's trace is the engine's [`Path`]: exporting pushes one link
-//! onto the parent node's path instead of copying it out, the wire
-//! ([`exports_to_json`]) writes only what a state does not share with the
-//! one before it, and the owner's paths share their prefixes again.
-//! A shard also remembers what it exported: a successor it already sent
-//! its owner with an empty sleep set is counted as the deduplication hit
-//! the owner would count, and not sent again (`checker::SentFilter`).
-//!
-//! Injected states arrive as traces and are rebuilt by replay (the paper's
-//! Section 6 state restoration; a node the shard generated itself owns its
-//! state) — from the initial state in principle, in practice from the
-//! deepest snapshot the previous such replay left on the same path
-//! (`Worker::replay_from_root`). Replays do not count as explored
-//! transitions.
+//! Injected states arrive as traces and are rebuilt by replaying the whole
+//! trace from the initial state (the paper's Section 6 state restoration;
+//! a node the shard generated itself owns its state). Replays do not count
+//! as explored transitions.
 
-use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Violation, Worker};
+use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Worker};
 use crate::explored::ExactStore;
 use crate::json::Json;
 use crate::session::SessionCtrl;
@@ -103,74 +93,45 @@ pub struct FrontierExport {
     /// The state's 64-bit fingerprint (computed by the exporting shard; the
     /// owner re-derives nothing, ownership and deduplication key off this).
     pub fingerprint: u64,
-    /// The transition path from the initial state to this state, sharing
-    /// its prefix with the paths of the states exported around it.
+    /// The transition path from the initial state to this state.
     pub trace: Path,
     /// The sleep set the state was generated under (empty without POR).
     pub sleep: Vec<Transition>,
 }
 
 impl FrontierExport {
-    /// The state object of the `nice-dist-v4` `forward` / `states` frames,
-    /// written relative to the state `previous` leads to: `"keep"` counts
-    /// the leading transitions the two traces share and `"steps"` holds
-    /// only what follows them (both sequences are `nice-trace-v1` step
-    /// arrays).
-    fn to_json(&self, previous: &Path) -> Json<'_> {
-        let keep = self.trace.shared_with(previous);
-        let steps = self.trace.suffix(keep).into_iter();
+    /// The state object of the `nice-dist-v5` `forward` / `states` frames:
+    /// the fingerprint, the whole trace and the sleep set (both
+    /// `nice-trace-v1` step arrays).
+    fn to_json(&self) -> Json<'_> {
+        let steps = self.trace.suffix(0).into_iter();
         Json::object([
             ("fingerprint", self.fingerprint.into()),
-            ("keep", keep.into()),
             ("steps", Json::Arr(steps.map(Transition::to_json).collect())),
             ("sleep", steps_to_json(&self.sleep)),
         ])
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes, building the path on
-    /// the links of `previous`. A `keep` past its end is an error: the
-    /// owner re-derives nothing from a trace, so a wrong prefix would be a
-    /// wrong state explored silently.
-    fn from_json(value: &Json, previous: &Path) -> Result<Self, String> {
-        let keep = value.u64("keep")? as usize;
-        if keep > previous.len() {
-            let len = previous.len();
-            return Err(format!("keep {keep} of a previous trace of {len}"));
-        }
+    /// Reads what [`to_json`](Self::to_json) writes.
+    fn from_json(value: &Json) -> Result<Self, String> {
         Ok(FrontierExport {
             fingerprint: value.u64("fingerprint")?,
-            trace: (previous.prefix(keep)).extended(steps_from_json(value, "steps")?),
+            trace: steps_from_json(value, "steps")?.into(),
             sleep: steps_from_json(value, "sleep")?,
         })
     }
 }
 
-/// The `"states"` array of a `nice-dist-v4` `forward` / `states` frame:
-/// every state written relative to the one before it *in the same array*.
-/// The first keeps nothing and carries its whole trace, so an array decodes
-/// on its own.
+/// The `"states"` array of a `nice-dist-v5` `forward` / `states` frame.
 pub fn exports_to_json(states: &[FrontierExport]) -> Json<'_> {
-    let mut previous = &Path::default();
-    let mut array = Vec::with_capacity(states.len());
-    for state in states {
-        array.push(state.to_json(previous));
-        previous = &state.trace;
-    }
-    Json::Arr(array)
+    Json::Arr(states.iter().map(FrontierExport::to_json).collect())
 }
 
-/// Reads what [`exports_to_json`] writes; the states' paths share their
-/// prefixes as the array said they do.
+/// Reads what [`exports_to_json`] writes.
 pub fn exports_from_json(states: &[Json]) -> Result<Vec<FrontierExport>, String> {
-    let mut exports = Vec::with_capacity(states.len());
-    let mut previous = Path::default();
-    for (i, value) in states.iter().enumerate() {
-        let state =
-            FrontierExport::from_json(value, &previous).map_err(|e| format!("state {i}: {e}"))?;
-        previous = state.trace.clone();
-        exports.push(state);
-    }
-    Ok(exports)
+    (states.iter().enumerate())
+        .map(|(i, value)| FrontierExport::from_json(value).map_err(|e| format!("state {i}: {e}")))
+        .collect()
 }
 
 /// What one [`ShardedSearch::step`] did.
@@ -218,11 +179,6 @@ impl<'a> ShardedSearch<'a> {
         ShardedSearch { worker, start }
     }
 
-    /// The shard this search owns.
-    pub fn shard(&self) -> ShardSpec {
-        self.worker.shard
-    }
-
     /// The statistics accumulated so far (`duration`, `symbolic_executions`
     /// and the explored-set counters are finalized by
     /// [`ShardedSearch::finish`]).
@@ -230,31 +186,14 @@ impl<'a> ShardedSearch<'a> {
         &self.worker.stats
     }
 
-    /// The violations found so far, in discovery order.
-    pub fn violations(&self) -> &[Violation] {
-        &self.worker.violations
-    }
-
     /// Number of frontier nodes waiting locally.
     pub fn pending(&self) -> usize {
         self.worker.stack.len()
     }
 
-    /// Stops the search: every subsequent [`ShardedSearch::step`] returns
-    /// [`StepOutcome::Stopped`] and injections are refused.
-    pub fn cancel(&mut self) {
-        self.worker.shared.stop.store(true, Ordering::Relaxed);
-    }
-
     /// True once the search has stopped for good.
     pub fn stopped(&self) -> bool {
         self.worker.shared.stop.load(Ordering::Relaxed)
-    }
-
-    /// Number of exported states waiting for
-    /// [`ShardedSearch::take_forwards`].
-    pub fn forwards_pending(&self) -> usize {
-        self.worker.forwards.len()
     }
 
     /// Drains the states exported for other shards since the last call.
@@ -492,7 +431,7 @@ mod tests {
         // A real two-shard run, every batch taken over the wire: what the
         // owner decodes is what the sender exported, each state replays to
         // its fingerprint, and the run carries on from the decoded paths.
-        let (mut batches, mut states, mut written) = (0, 0, 0);
+        let (mut batches, mut states) = (0, 0);
         loop {
             let mut progressed = false;
             for i in 0..shards.len() {
@@ -509,10 +448,6 @@ mod tests {
                 assert_eq!(decoded, exports);
                 batches += 1;
                 states += exports.len();
-                written += array
-                    .iter()
-                    .map(|s| s.arr("steps").unwrap().len())
-                    .sum::<usize>();
                 for export in decoded {
                     let mut replayer = crate::replay::Replayer::new(
                         &checkers[i],
@@ -530,13 +465,6 @@ mod tests {
             }
         }
         assert!(batches > 2 && states > 2 * batches, "{states} in {batches}");
-        // Depth-first neighbours share most of their way: a state costs a
-        // few steps on the wire, not its depth.
-        let depth = shards.iter().map(|s| s.stats().max_depth).max().unwrap();
-        assert!(
-            written / states < depth / 3,
-            "{written} steps for {states} states"
-        );
         let sequential = make().run();
         let sum =
             |field: fn(&SearchStats) -> u64| shards.iter().map(|s| field(s.stats())).sum::<u64>();
@@ -602,48 +530,5 @@ mod tests {
             "{asleep_on_arrival} sleepers arrived"
         );
         assert!(asleep_on_the_wire >= asleep_on_arrival);
-    }
-
-    #[test]
-    fn a_keep_past_the_previous_trace_is_an_error() {
-        let step = |host| Transition::HostReceive {
-            host: nice_openflow::HostId(host),
-        };
-        let export = |steps: Vec<Transition>| FrontierExport {
-            fingerprint: steps.len() as u64,
-            trace: steps.into(),
-            sleep: Vec::new(),
-        };
-        let exports = [
-            export(vec![step(1), step(2), step(3)]),
-            export(vec![step(1), step(2), step(4), step(5)]),
-            export(vec![step(9)]),
-            export(vec![]),
-        ];
-        let wire = exports_to_json(&exports).compact();
-        let keeps: Vec<&str> = wire
-            .match_indices("\"keep\":")
-            .map(|(at, _)| &wire[at + 7..at + 8])
-            .collect();
-        assert_eq!(keeps, ["0", "2", "0", "0"], "{wire}");
-        let decode = |wire: &str| {
-            let Json::Arr(array) = Json::parse(wire).unwrap() else {
-                panic!("not an array: {wire}");
-            };
-            exports_from_json(&array)
-        };
-        assert_eq!(decode(&wire).unwrap(), exports);
-        // Exactly the previous trace may be kept; one more may not, and the
-        // first state has no previous trace.
-        let kept_all = wire.replacen("\"keep\":2", "\"keep\":3", 1);
-        assert_eq!(decode(&kept_all).unwrap()[1].trace.len(), 5);
-        let too_long = wire.replacen("\"keep\":2", "\"keep\":4", 1);
-        assert!(decode(&too_long)
-            .unwrap_err()
-            .starts_with("state 1: keep 4"));
-        let first = wire.replacen("\"keep\":0", "\"keep\":1", 1);
-        assert!(decode(&first).unwrap_err().starts_with("state 0: keep 1"));
-        let missing = wire.replacen("\"keep\":2,", "", 1);
-        assert!(decode(&missing).unwrap_err().starts_with("state 1:"));
     }
 }
