@@ -3,10 +3,10 @@
 //! The explored set keeps only 64-bit state fingerprints (Section 6 of the
 //! paper). One exact store (`ExactStore`) holds it: 64 independently locked
 //! open-addressed tables packing `fingerprint + sleep-digest ref` into 12
-//! bytes per slot (vs ~48+ for a `HashMap<u64, Box<[u64]>>`). It has no
-//! mode and no memory limit: on the largest registry search the set peaks
-//! at 48 MiB of a 1.2 GiB process, so it is never the term that needs a
-//! bound.
+//! bytes per slot (vs ~48+ for a `HashMap<u64, Box<[u64]>>`), each table
+//! keeping every distinct sleep-digest list once. It has no mode and no
+//! memory limit: the largest registry search peaks at 48 MiB of a 1.2 GiB
+//! process (48.5 of 585 MiB under POR), so it is never the term to bound.
 //!
 //! The store speaks the sleep-set-aware visit protocol ([`Visit`]) that
 //! keeps partial-order reduction sound under state matching: a state
@@ -27,7 +27,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // The visit protocol
@@ -175,8 +175,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Slot marker: vacant.
 const SLOT_EMPTY: u32 = u32::MAX;
-/// Slot marker: occupied with an empty sleep set (the overwhelmingly common
-/// case — every state without POR, and most states with it).
+/// Slot marker: occupied with an empty sleep set (every state without POR).
 const SLOT_NO_SLEEP: u32 = u32::MAX - 1;
 
 /// Smallest table capacity after the first insert; always a power of two.
@@ -185,34 +184,30 @@ const MIN_TABLE_CAPACITY: usize = 16;
 /// An open-addressed (linear probing) fingerprint table packing each entry
 /// into 12 bytes of slot — `fps[i]: u64` plus `refs[i]: u32` — instead of
 /// a `HashMap` entry's ~48. `refs[i]` is [`SLOT_EMPTY`], [`SLOT_NO_SLEEP`],
-/// or an index into the side table of non-empty sleep-digest lists (rare:
-/// only POR states whose sleep set was non-empty at first visit). Probing
+/// or the id of a non-empty sleep-digest list in the interned `lists`: a
+/// POR search stores a list with most states but has a few dozen distinct
+/// ones (BUG-V `--faults`: 56 142 and 56), so slots share them. Probing
 /// uses the fingerprint's low bits directly — fingerprints are already
 /// uniformly distributed. No deletions, so no tombstones.
+#[derive(Default)]
 struct PackedTable {
     fps: Vec<u64>,
     refs: Vec<u32>,
-    digests: Vec<Box<[u64]>>,
+    /// Every distinct non-empty list stored, by id (never freed: shared).
+    lists: Vec<Arc<[u64]>>,
+    ids: HashMap<Arc<[u64]>, u32, BuildHasherDefault<nice_openflow::Hasher64>>,
     len: usize,
-    /// Sum of the lengths of all lists in `digests` (for byte accounting).
-    digest_words: u64,
+    /// Heap bytes of the lists themselves (for byte accounting).
+    list_bytes: u64,
 }
 
 impl PackedTable {
-    fn new() -> PackedTable {
-        PackedTable {
-            fps: Vec::new(),
-            refs: Vec::new(),
-            digests: Vec::new(),
-            len: 0,
-            digest_words: 0,
-        }
-    }
-
-    /// Approximate heap footprint in bytes: 12 per slot plus the digest
-    /// side table.
+    /// Approximate heap footprint in bytes: 12 per slot, 16 per `lists`
+    /// entry, 28 per `ids` entry (24 and a control byte at 7/8 load), and
+    /// each list with its `Arc` counts.
     fn bytes(&self) -> u64 {
-        (self.fps.len() * 12 + self.digests.capacity() * 16) as u64 + self.digest_words * 8
+        (self.fps.len() * 12 + self.lists.capacity() * 16 + self.ids.capacity() * 28) as u64
+            + self.list_bytes
     }
 
     /// Index of `fp`'s slot if present, else of the first vacant slot in
@@ -246,34 +241,19 @@ impl PackedTable {
         }
     }
 
-    /// Stores a digest list, returning the slot ref encoding it.
+    /// Interns a digest list, returning the slot ref naming it.
     fn store_list(&mut self, digests: &[u64]) -> u32 {
         if digests.is_empty() {
             return SLOT_NO_SLEEP;
         }
-        self.digests.push(digests.into());
-        self.digest_words += digests.len() as u64;
-        (self.digests.len() - 1) as u32
-    }
-
-    fn slot_digests(&self, slot: usize) -> &[u64] {
-        match self.refs[slot] {
-            SLOT_NO_SLEEP => &[],
-            r => &self.digests[r as usize],
+        if let Some(&id) = self.ids.get(digests) {
+            return id;
         }
-    }
-
-    /// Replaces the digest list of an occupied slot.
-    fn replace_list(&mut self, slot: usize, digests: &[u64]) {
-        match self.refs[slot] {
-            SLOT_NO_SLEEP => self.refs[slot] = self.store_list(digests),
-            r => {
-                let list = &mut self.digests[r as usize];
-                self.digest_words -= list.len() as u64;
-                self.digest_words += digests.len() as u64;
-                *list = digests.into();
-            }
-        }
+        let (id, list) = (self.lists.len() as u32, Arc::<[u64]>::from(digests));
+        self.lists.push(Arc::clone(&list));
+        self.ids.insert(list, id);
+        self.list_bytes += 16 + digests.len() as u64 * 8;
+        id
     }
 
     /// The full visit protocol against this table: exactly
@@ -282,12 +262,16 @@ impl PackedTable {
         if self.len > 0 {
             let i = self.probe(fp);
             if self.refs[i] != SLOT_EMPTY {
-                let stored = self.slot_digests(i);
+                let stored: &[u64] = match self.refs[i] {
+                    SLOT_NO_SLEEP => &[],
+                    r => &self.lists[r as usize],
+                };
                 if sorted_subset(stored, sleep_digests) {
                     return Visit::Known;
                 }
                 let narrowed = sorted_intersection(stored, sleep_digests);
-                self.replace_list(i, &narrowed);
+                // Re-point the slot: the list it named may be shared.
+                self.refs[i] = self.store_list(&narrowed);
                 return Visit::Widen(narrowed);
             }
         }
@@ -316,9 +300,7 @@ pub(crate) struct ExactStore {
 impl ExactStore {
     pub(crate) fn new() -> ExactStore {
         ExactStore {
-            shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(PackedTable::new()))
-                .collect(),
+            shards: (0..STORE_SHARDS).map(|_| Mutex::default()).collect(),
             bytes: AtomicU64::new(0),
             peak: AtomicU64::new(0),
         }
@@ -412,6 +394,67 @@ mod tests {
         let store = ExactStore::new();
         agrees_with_reference(&store, 5_000, 1);
         assert!(store.stats().peak_bytes > 0);
+    }
+
+    #[test]
+    fn a_widening_re_points_one_slot_and_leaves_the_shared_list_alone() {
+        let mut table = PackedTable::default();
+        let (a, b) = (splitmix64(1), splitmix64(2));
+        assert_eq!(table.visit(a, &[1, 2, 3]), Visit::New);
+        assert_eq!(table.visit(b, &[1, 2, 3]), Visit::New);
+        assert_eq!(table.lists.len(), 1, "one list, named by both slots");
+        assert_eq!(table.visit(a, &[2, 3, 4]), Visit::Widen(vec![2, 3]));
+        // `b` still holds [1, 2, 3]: an in-place overwrite would make the
+        // strict subset below narrow against [2, 3] and return [2].
+        assert_eq!(table.visit(b, &[1, 2, 3]), Visit::Known);
+        assert_eq!(table.visit(b, &[1, 2]), Visit::Widen(vec![1, 2]));
+        assert_eq!(table.visit(a, &[2, 3]), Visit::Known);
+        assert_eq!(table.lists.len(), 3, "[1, 2, 3], [2, 3] and [1, 2]");
+        // An interned list is stored again only by id.
+        let bytes = table.bytes();
+        assert_eq!(table.visit(splitmix64(3), &[2, 3]), Visit::New);
+        assert_eq!(table.bytes(), bytes);
+    }
+
+    #[test]
+    fn the_store_keeps_each_distinct_list_once() {
+        // The non-empty subsets of 0..6 with at most four elements: 56
+        // lists, closed under intersection, so no widening can leave the
+        // pool.
+        let pool: Vec<Vec<u64>> = (1u64..64)
+            .filter(|m| m.count_ones() <= 4)
+            .map(|m| (0..6).filter(|b| m >> b & 1 == 1).collect())
+            .collect();
+        assert_eq!(pool.len(), 56);
+        let store = ExactStore::new();
+        let mut reference = FingerprintMap::default();
+        let mut rng = TestRng(11);
+        for i in 0..20_000 {
+            let fp = splitmix64(rng.next() % 4_000);
+            // Mostly non-empty, as a POR search's sleep sets are.
+            let sleep: &[u64] = match rng.next() % (pool.len() as u64 + 6) {
+                k if (k as usize) < pool.len() => &pool[k as usize],
+                _ => &[],
+            };
+            let expected = visit_explored(&mut reference, fp, sleep);
+            assert_eq!(
+                store.visit(fp, sleep),
+                expected,
+                "visit {i}: fp {fp:#x} sleep {sleep:?}"
+            );
+        }
+        let mut distinct = std::collections::HashSet::new();
+        for shard in &store.shards {
+            let table = lock(shard);
+            assert_eq!(table.ids.len(), table.lists.len());
+            assert!(table.lists.len() <= pool.len());
+            distinct.extend(table.lists.iter().cloned());
+        }
+        assert!(
+            distinct.len() <= pool.len(),
+            "{} distinct lists",
+            distinct.len()
+        );
     }
 
     #[test]
