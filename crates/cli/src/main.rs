@@ -69,7 +69,7 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
   --all-violations                                keep searching after the first violation
 
 OTHER OPTIONS:
-  --workers <N>                                   search worker threads (run, sweep; default 1)
+  --workers <N>                                   search worker threads (run, sweep; default 1, at most 256)
   --progress-every <N>                            Progress event cadence in transitions (run only; default 8192)
   --expect                                        exit non-zero unless the registry expectation holds
                                                   (bug found its property / fixed variant passed; run
@@ -82,7 +82,7 @@ OTHER OPTIONS:
 
 SERVE / SUBMIT (the checking service — see README \"Serving checks\"):
   serve      bind a Unix socket, spawn --workers N nice-dist-worker processes
-             (default 2, at least 1), and accept check jobs from any number of
+             (default 2, 1 to 256), and accept check jobs from any number of
              clients; each worker runs one job whole, so up to N jobs run at
              once (fair round-robin across connections); --max-jobs N exits
              after N jobs (CI smoke)
@@ -243,10 +243,7 @@ fn parse_run_options(args: &[String], mode: Mode) -> Result<RunOptions, String> 
                     .filter(|ms| *ms > 0)
                     .map(Duration::from_millis)
             }
-            "--workers" => match number()? {
-                0 => return Err("--workers must be at least 1".into()),
-                n => config.workers = n as usize,
-            },
+            "--workers" => config.workers = worker_count(number()?)?,
             "--progress-every" => opts.progress_every = number()?,
             "--trace-out" => opts.trace_out = Some(value()?.clone()),
             "--socket" => opts.socket = Some(value()?.clone()),
@@ -288,6 +285,19 @@ fn parse_number(value: &str, flag: &str) -> Result<u64, String> {
     value
         .parse()
         .map_err(|_| format!("{flag}: '{value}' is not a number"))
+}
+
+/// The most `--workers` a command accepts: threads for `run` and `sweep`,
+/// worker processes for `serve`.
+const MAX_WORKERS: u64 = 256;
+
+/// A `--workers` value, checked before any thread or process exists.
+fn worker_count(n: u64) -> Result<usize, String> {
+    match n {
+        0 => Err("--workers must be at least 1".into()),
+        n if n > MAX_WORKERS => Err(format!("--workers must be at most {MAX_WORKERS}")),
+        n => Ok(n as usize),
+    }
 }
 
 fn usage_error(message: &str) -> i32 {
@@ -976,6 +986,21 @@ mod tests {
         }
         for flag in ["--faults", "--all-violations"] {
             assert_ne!(both(&[flag]).expect(flag), defaults, "{flag}");
+        }
+        // `--workers` is run's and sweep's alone, and capped before a
+        // thread exists; submit does not know it.
+        for (value, parsed) in [
+            ("256", Ok(256)),
+            ("257", Err("--workers must be at most 256")),
+            ("100000", Err("--workers must be at most 256")),
+        ] {
+            let args = ["--workers".to_string(), value.to_string()];
+            for mode in [Mode::Run, Mode::Sweep] {
+                let workers = parse_run_options(&args, mode).map(|opts| opts.config.workers);
+                assert_eq!(workers, parsed.map_err(String::from), "--workers {value}");
+            }
+            let submit = parse_run_options(&args, Mode::Submit).err();
+            assert_eq!(submit.as_deref(), Some("unknown option '--workers'"));
         }
         // A zero budget is no deadline, as `--max-transitions 0` is no
         // budget, and the job frame says so with a 0 too.

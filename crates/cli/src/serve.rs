@@ -23,7 +23,7 @@
 //! `submit` is the matching client: build a [`JobSpec`] from the flags it
 //! shares with `run`, send it, stream progress to stderr, print the verdict.
 
-use crate::{parse_number, parse_run_options, usage_error, Mode};
+use crate::{parse_number, parse_run_options, usage_error, worker_count, Mode};
 use nice_apps::scenarios::find_scenario;
 use nice_dist::{read_frame, worker_bin, write_frame, Coordinator, Frame, JobSpec};
 use std::collections::{BTreeMap, VecDeque};
@@ -196,14 +196,15 @@ pub(crate) fn cmd_serve(args: &[String]) -> i32 {
                 }
                 Err(e) => return usage_error(&e),
             },
-            "--workers" => match take(i).and_then(|v| parse_number(v, "--workers")) {
-                Ok(0) => return usage_error("--workers must be at least 1"),
-                Ok(n) => {
-                    workers = n as usize;
-                    i += 2;
+            "--workers" => {
+                match take(i).and_then(|v| worker_count(parse_number(v, "--workers")?)) {
+                    Ok(n) => {
+                        workers = n;
+                        i += 2;
+                    }
+                    Err(e) => return usage_error(&e),
                 }
-                Err(e) => return usage_error(&e),
-            },
+            }
             "--max-jobs" => match take(i).and_then(|v| parse_number(v, "--max-jobs")) {
                 Ok(n) => {
                     max_jobs = n;
@@ -608,5 +609,22 @@ mod tests {
             .collect();
         assert_eq!(cmd_serve(&args), 2);
         assert!(!socket.exists());
+    }
+
+    #[test]
+    fn serve_refuses_more_than_256_workers_before_binding() {
+        let socket = std::env::temp_dir().join(format!("nice-many-{}.sock", std::process::id()));
+        for workers in ["257", "100000"] {
+            let args: Vec<String> = ["--socket", socket.to_str().unwrap(), "--workers", workers]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            assert_eq!(cmd_serve(&args), 2, "--workers {workers}");
+            assert!(!socket.exists());
+        }
+        assert_eq!(
+            worker_count(100_000),
+            Err("--workers must be at most 256".into())
+        );
     }
 }

@@ -71,11 +71,14 @@ impl JobSpec {
     }
 
     /// Reads what [`to_json`](Self::to_json) writes: the config is what
-    /// remains once the scenario and the deadline are taken out.
+    /// remains once the scenario and the deadline are taken out. A
+    /// `workers` member is refused like any unknown key: the worker's
+    /// thread count is not the client's to pick.
     pub fn from_json(value: &Json) -> Result<Self, String> {
         let Json::Obj(members) = value else {
             return Err("a job spec must be an object".into());
         };
+        value.within(&JobSpec::new("").to_json())?;
         let own = ["scenario", "time_budget_ms"];
         let config = members
             .iter()

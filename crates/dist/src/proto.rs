@@ -576,6 +576,80 @@ mod tests {
     }
 
     #[test]
+    fn a_job_frame_cannot_pick_the_worker_thread_count() {
+        // The wire never carries `workers`; a client that sends it asks the
+        // worker process for that many threads, and is refused. Parsing
+        // only: no search starts.
+        let (_, golden) = &golden_frames()[0];
+        for workers in ["1", "100000"] {
+            let hostile = golden.replacen(
+                r#""time_budget_ms""#,
+                &format!(r#""workers":{workers},"time_budget_ms""#),
+                1,
+            );
+            let err = Frame::from_json(&hostile).unwrap_err();
+            assert_eq!(err, "unknown key 'workers'");
+            let wire = format!("{} {hostile}\n", hostile.len());
+            let err = read_frame(&mut wire.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        assert!(Frame::from_json(golden).is_ok());
+    }
+
+    /// Every golden frame cut at every byte offset, and with every byte
+    /// replaced by `"`, `}` or 0xff, through both readers: neither panics,
+    /// and what one accepts re-encodes to the bytes it read.
+    #[test]
+    fn a_cut_or_corrupted_frame_is_an_error_or_itself() {
+        let read = |wire: &[u8]| match read_frame(&mut &wire[..]) {
+            Ok(None) => assert!(wire.is_empty(), "{:?}", String::from_utf8_lossy(wire)),
+            Ok(Some(frame)) => {
+                let mut again = Vec::new();
+                write_frame(&mut again, &frame).expect("write");
+                let unended = again.strip_suffix(b"\n");
+                assert!(again == wire || unended == Some(wire), "{frame:?}");
+            }
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+        };
+        let parse = |json: &[u8]| {
+            let Ok(text) = std::str::from_utf8(json) else {
+                return;
+            };
+            if let Ok(frame) = Frame::from_json(text) {
+                assert_eq!(frame.to_json(), text);
+            }
+        };
+        let (mut cut, mut corrupted) = (0, 0);
+        for (_, golden) in golden_frames() {
+            let wire = format!("{} {golden}\n", golden.len()).into_bytes();
+            for at in 0..wire.len() {
+                read(&wire[..at]);
+                cut += 1;
+            }
+            for at in 0..golden.len() {
+                parse(&golden.as_bytes()[..at]);
+            }
+            for byte in [b'"', b'}', 0xff] {
+                for at in 0..wire.len() {
+                    let mut bad = wire.clone();
+                    bad[at] = byte;
+                    read(&bad);
+                    corrupted += 1;
+                }
+                for at in 0..golden.len() {
+                    let mut bad = golden.as_bytes().to_vec();
+                    bad[at] = byte;
+                    parse(&bad);
+                }
+            }
+        }
+        assert!(
+            cut > 3000 && corrupted == 3 * cut,
+            "{cut} cuts, {corrupted}"
+        );
+    }
+
+    #[test]
     fn a_deeply_nested_frame_is_invalid_data_not_a_stack_overflow() {
         // What `nice serve`'s client reader and a worker's stdin thread see
         // when the other process sends 100 000 opening brackets.

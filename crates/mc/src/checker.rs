@@ -1,27 +1,32 @@
 //! The state-space search loop (Figure 5), violation traces and search
 //! statistics, plus a random-walk simulation mode.
 //!
-//! # Search engines
+//! # One search loop
 //!
-//! Every engine runs the same `Worker::expand` — one definition of
-//! "expand a frontier node" — over the same in-place `Stepper::advance`;
-//! [`ModelChecker::run`] only picks the driver, on
-//! [`CheckerConfig::workers`]:
+//! Every search runs the same `Worker::expand` — one definition of
+//! "expand a frontier node" — over the same in-place `Stepper::advance`,
+//! inside the same loop (`drive`). [`ModelChecker::run`] builds one
+//! explored store, one discovery cache and [`CheckerConfig::workers`]
+//! workers, hands the first one the root and runs the loop once per
+//! worker:
 //!
-//! * `workers == 1` (default) — the canonical sequential depth-first search:
-//!   one worker popping its own stack. Fully deterministic: a fixed scenario
-//!   and configuration always yield the same transition count, unique-state
-//!   count and violation traces.
-//! * `workers > 1` — a parallel search: one worker per thread, each
-//!   expanding depth-first from a private stack and handing nodes to a
-//!   shared mutex-protected queue only when a sibling is starving. The
-//!   workers deduplicate states through one shared explored store, so
-//!   each unique state is expanded exactly once across all of them. With no
-//!   truncating budget the parallel search visits the same state space as
-//!   the sequential one (identical `unique_states` and `transitions`, same
-//!   set of violated properties), but the *order* of exploration — and
-//!   therefore which trace first reaches a violating state, and where a
-//!   `max_transitions` budget cuts off — is scheduling dependent.
+//! * `workers == 1` (default) — the loop runs on the calling thread. A
+//!   lone worker never donates, so it pops its own stack depth-first: the
+//!   canonical sequential search. Fully deterministic: a fixed scenario and
+//!   configuration always yield the same transition count, unique-state
+//!   count and violation traces, in the order they were found.
+//! * `workers > 1` — the first worker on the calling thread and each
+//!   sibling on a scoped thread of its own, each expanding depth-first
+//!   from a private stack and handing nodes to a shared mutex-protected
+//!   queue only when a sibling is starving. The workers
+//!   deduplicate states through the one explored store, so each unique
+//!   state is expanded exactly once across all of them. With no truncating
+//!   budget the search visits the same state space as one worker does
+//!   (identical `unique_states` and `transitions`, same set of violated
+//!   properties), but the *order* of exploration — and therefore which
+//!   trace first reaches a violating state, and where a `max_transitions`
+//!   budget cuts off — is scheduling dependent, so the violations are
+//!   sorted ([`CheckReport::sort_violations`]).
 //!
 //! # Frontier storage
 //!
@@ -64,8 +69,7 @@ use crate::state::SystemState;
 use crate::strategy::{PorReduction, Sleeper};
 use crate::trace::{Trace, TraceEngine};
 use crate::transition::{
-    drain_control_plane, enabled_transitions, execute, DiscoveryMemo, SharedDiscoveryCache,
-    Transition,
+    drain_control_plane, enabled_transitions, execute, DiscoveryMemo, Transition,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -771,10 +775,11 @@ impl Shared {
 }
 
 /// One worker of a search: its local frontier stack, its share of the
-/// results, and handles on what the search shares. The sequential engine is
-/// a single worker; the parallel engine runs one per thread over one
-/// explored store; a `ShardedSearch` shard is a single worker that owns
-/// only part of the fingerprint space and exports the rest.
+/// results, and handles on what the search shares (the explored store, the
+/// totals and stop flag, the discovery cache). A search runs one per
+/// [`CheckerConfig::workers`], all over one explored store; a
+/// [`ShardedSearch`](crate::shard::ShardedSearch) shard is a worker that
+/// owns only part of the fingerprint space and exports the rest.
 pub(crate) struct Worker<'a> {
     pub(crate) stepper: Stepper<'a>,
     /// The sleep-set reduction, under [`ReductionKind::Por`].
@@ -936,8 +941,8 @@ impl<'a> Worker<'a> {
     }
 
     /// Expands one frontier node — the single definition of the search
-    /// loop's body (Figure 5), which the sequential engine, every parallel
-    /// worker and every `ShardedSearch` shard run: rebuild the node's state,
+    /// loop's body (Figure 5), which every worker of a search and every
+    /// `ShardedSearch` shard run: rebuild the node's state,
     /// let the strategy and the reduction pick the transitions to explore,
     /// execute each one, check the properties, and deduplicate the
     /// successors. Unexplored successors this worker owns land on its
@@ -1111,9 +1116,8 @@ impl ModelChecker {
         &self.config
     }
 
-    /// Runs the search and returns the report. Dispatches to the sequential
-    /// or parallel engine based on [`CheckerConfig::workers`] (see the module
-    /// docs for the semantics of each).
+    /// Runs the search and returns the report (see the module docs for
+    /// what one worker and several workers guarantee).
     ///
     /// A thin wrapper over [`ModelChecker::session`] with a no-op observer,
     /// no cancel token and no deadline — bit-identical to a session-driven
@@ -1122,13 +1126,53 @@ impl ModelChecker {
         self.session().run()
     }
 
-    /// Dispatches to the right engine under a session's control handles.
+    /// The search under a session's control handles: one explored store,
+    /// one discovery cache and [`CheckerConfig::workers`] [`Worker`]s, each
+    /// running [`drive`] — the first on the calling thread, each sibling on
+    /// a scoped thread of its own.
     pub(crate) fn run_with_ctrl(&self, ctrl: &SessionCtrl) -> CheckReport {
-        if self.config.workers > 1 {
-            self.run_parallel(ctrl)
-        } else {
-            self.run_sequential(ctrl)
+        let start = Instant::now();
+        let (root, root_fingerprint) = self.root();
+        let store = Arc::new(ExactStore::new());
+        let shared = Arc::new(Shared::default());
+        let discoveries = DiscoveryMemo::default();
+        let count = self.config.workers.max(1);
+        let mut workers = (0..count).map(|_| {
+            Worker::new(
+                self,
+                ShardSpec::solo(),
+                Arc::clone(&store),
+                Arc::clone(&root),
+                Arc::clone(&shared),
+                discoveries.sharing(),
+            )
+        });
+        // The first worker starts from the root; its siblings start idle
+        // and are fed through the queue as soon as the frontier widens.
+        let mut first = workers.next().expect("a search has a worker");
+        first.enqueue(root_fingerprint, Path::default(), Vec::new());
+        let queue = &DonationQueue::new(count);
+        let workers: Vec<Worker> = std::thread::scope(|scope| {
+            let siblings: Vec<_> =
+                (workers.map(|w| scope.spawn(move || drive(w, queue, ctrl)))).collect();
+            let first = drive(first, queue, ctrl);
+            let siblings = (siblings.into_iter())
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            std::iter::once(first).chain(siblings).collect()
+        });
+
+        let mut report = CheckReport::default();
+        for worker in workers {
+            worker.finish_into(&mut report);
         }
+        // Workers race, so impose a stable order; `first_violation` then
+        // means "a shortest witness". A lone worker's order is already
+        // deterministic, and it is the order its witnesses are pinned in.
+        if count > 1 {
+            report.sort_violations();
+        }
+        report.stats.duration = start.elapsed();
+        report
     }
 
     /// The search's root: the initial state (with the scenario's fresh
@@ -1137,67 +1181,6 @@ impl ModelChecker {
         let root = Snapshot::initial(&self.scenario);
         let fingerprint = root.state.fingerprint();
         (Arc::new(root), fingerprint)
-    }
-
-    /// The canonical sequential depth-first search: a solo-shard
-    /// [`ShardedSearch`](crate::shard::ShardedSearch) driven to completion,
-    /// so a 1-shard distributed run is bit-identical to this by
-    /// construction.
-    fn run_sequential(&self, ctrl: &SessionCtrl) -> CheckReport {
-        let mut search = crate::shard::ShardedSearch::new(self, ShardSpec::solo());
-        while search.step_ctrl(Some(ctrl)) == crate::shard::StepOutcome::Expanded {}
-        search.finish()
-    }
-
-    /// The parallel search: one [`Worker`] per thread over one shared
-    /// explored store, exchanging frontier nodes through a
-    /// [`DonationQueue`].
-    fn run_parallel(&self, ctrl: &SessionCtrl) -> CheckReport {
-        let start = Instant::now();
-        let (root, root_fingerprint) = self.root();
-        let store = Arc::new(ExactStore::new());
-        let shared = Arc::new(Shared::default());
-        let discoveries = Arc::new(SharedDiscoveryCache::default());
-        let mut workers: Vec<Worker> = (0..self.config.workers)
-            .map(|_| {
-                Worker::new(
-                    self,
-                    ShardSpec::solo(),
-                    Arc::clone(&store),
-                    Arc::clone(&root),
-                    Arc::clone(&shared),
-                    DiscoveryMemo::with_shared(Arc::clone(&discoveries)),
-                )
-            })
-            .collect();
-        // The first worker starts from the root; its siblings start idle
-        // and are fed through the queue as soon as the frontier widens.
-        workers[0].enqueue(root_fingerprint, Path::default(), Vec::new());
-
-        let queue = DonationQueue::new(workers.len());
-        let workers: Vec<Worker> = std::thread::scope(|scope| {
-            let handles: Vec<_> = workers
-                .into_iter()
-                .map(|worker| {
-                    let queue = &queue;
-                    scope.spawn(move || parallel_worker(worker, queue, ctrl))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-
-        let mut report = CheckReport::default();
-        for worker in workers {
-            worker.finish_into(&mut report);
-        }
-        // Workers race, so impose a stable order; `first_violation` then
-        // means "a shortest witness".
-        report.sort_violations();
-        report.stats.duration = start.elapsed();
-        report
     }
 
     /// Performs `walks` random walks of at most `max_steps` transitions each
@@ -1293,19 +1276,18 @@ impl WalkRng {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel driver
+// The search loop
 // ---------------------------------------------------------------------------
 
-/// One thread of the parallel search: pops nodes, expands them, and
-/// terminates when every worker is idle on an empty queue (or a stop
-/// condition fired). Each worker keeps its private stack and only hands
-/// work to the shared queue when a sibling is starving, so the common case
-/// pays no synchronisation beyond the explored store and the shared totals.
-fn parallel_worker<'a>(
-    mut worker: Worker<'a>,
-    queue: &DonationQueue,
-    ctrl: &SessionCtrl,
-) -> Worker<'a> {
+/// The search loop of Figure 5, the one every worker of every search runs:
+/// pops nodes, expands them, and terminates when every worker is idle on
+/// an empty queue (or a stop condition fired). Each worker keeps its
+/// private stack and only hands work to the shared queue when a sibling is
+/// starving, so the common case pays no synchronisation beyond the
+/// explored store and the shared totals. A lone worker never sees a
+/// starving sibling: it pops its own stack depth-first until the stack
+/// runs dry, which is the canonical sequential search.
+fn drive<'a>(mut worker: Worker<'a>, queue: &DonationQueue, ctrl: &SessionCtrl) -> Worker<'a> {
     let shared = Arc::clone(&worker.shared);
     let _stop_on_panic = OnPanic(|| queue.stop(&shared));
     while !shared.stop.load(Ordering::Relaxed) {
@@ -1343,7 +1325,7 @@ struct Frontier {
     stop: bool,
 }
 
-/// The parallel scheduler: one mutex-protected LIFO frontier that busy
+/// The scheduler: one mutex-protected LIFO frontier that busy
 /// workers donate to only when a sibling is starving.
 struct DonationQueue {
     workers: usize,
@@ -1520,8 +1502,38 @@ mod tests {
         }
     }
 
-    /// A worker over `checker` with the root queued, as the sequential
-    /// engine starts.
+    #[test]
+    fn a_one_worker_search_runs_on_the_calling_thread() {
+        /// Records the thread of every event it observes.
+        #[derive(Clone)]
+        struct RecordsThreads(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl Property for RecordsThreads {
+            fn name(&self) -> &str {
+                "RecordsThreads"
+            }
+            fn on_event(&mut self, _: &Event, _: &SystemState) {
+                self.0.lock().unwrap().push(std::thread::current().id());
+            }
+            fn check(&self, _: &SystemState) -> Option<String> {
+                None
+            }
+            fn clone_property(&self) -> Box<dyn Property> {
+                Box::new(self.clone())
+            }
+        }
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let mut scenario = testutil::hub_ping_scenario(2);
+        (scenario.properties).push(Box::new(RecordsThreads(Arc::clone(&threads))));
+        let report = ModelChecker::new(scenario, CheckerConfig::default().with_workers(1)).run();
+        assert!(report.passed(), "{report}");
+        let threads = threads.lock().unwrap();
+        assert!(threads.len() as u64 >= report.stats.transitions);
+        let here = std::thread::current().id();
+        assert!(threads.iter().all(|&id| id == here));
+    }
+
+    /// A worker over `checker` with the root queued, as a search starts
+    /// its first worker.
     fn solo_worker(checker: &ModelChecker) -> Worker<'_> {
         let (root, root_fingerprint) = checker.root();
         let mut worker = Worker::new(

@@ -190,6 +190,19 @@ impl<'a> Json<'a> {
             _ => None,
         })
     }
+
+    /// Refuses a member of this object that `template`, an object the
+    /// writer made, does not have: a reader that skipped it would accept a
+    /// document it does not write back.
+    pub fn within(&self, template: &Json) -> Result<(), String> {
+        let (Json::Obj(members), Json::Obj(known)) = (self, template) else {
+            return Err("expected an object".into());
+        };
+        match (members.iter()).find(|(key, _)| !known.iter().any(|(k, _)| k == key)) {
+            Some((key, _)) => Err(format!("unknown key '{key}'")),
+            None => Ok(()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -665,6 +678,12 @@ mod tests {
         );
         assert_eq!(doc.str("n").unwrap_err(), "\"n\" must be a string");
         assert_eq!(doc.arr("s").unwrap_err(), "\"s\" must be an array");
+        // `within` holds a document to the members a template has.
+        let template = Json::object([("n", 0u64.into()), ("s", "".into())]);
+        let fewer = Json::object([("s", "".into())]);
+        assert_eq!(fewer.within(&template), Ok(()));
+        assert_eq!(doc.within(&template).unwrap_err(), "unknown key 'f'");
+        assert!(Json::Null.within(&template).is_err());
         assert!(Json::Null.get("k").is_err());
     }
 

@@ -46,7 +46,8 @@
 //!   wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as
-//!   replayable frontier nodes; a solo shard is the sequential engine.
+//!   replayable frontier nodes; a harness for the benchmark's shard probe,
+//!   not a way [`ModelChecker`] searches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -34,8 +34,8 @@
 
 use crate::checker::ModelChecker;
 use crate::replay::{Replayer, StepResult};
-use crate::trace::{Trace, TraceEngine};
-use crate::transition::Transition;
+use crate::trace::Trace;
+use crate::transition::{DiscoveryMemo, Transition};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -177,13 +177,16 @@ impl ModelChecker {
         engine.workers = 1;
         let original_len = transitions.len();
         let mut replays = 0u64;
+        // Every replay of this call branches off one replayer at the
+        // initial state, so they share its discovery cache.
+        let origin = Replayer::new(self, &engine, &DiscoveryMemo::default());
 
         let target = match &trace.property {
             Some(p) => p.clone(),
             None => {
                 // Untargeted trace: take the first property its replay
                 // violates.
-                let report = self.replay(trace);
+                let report = origin.branch().replay(transitions);
                 report
                     .violations
                     .first()
@@ -193,7 +196,7 @@ impl ModelChecker {
         };
 
         let mut best = self
-            .try_reproduce(&engine, transitions, &target, original_len, &mut replays)
+            .try_reproduce(&origin, transitions, &target, original_len, &mut replays)
             .ok_or_else(|| {
                 format!("replay of the trace does not reproduce a violation of {target}")
             })?;
@@ -214,7 +217,7 @@ impl ModelChecker {
                 }
                 let hi = (lo + chunk).min(len);
                 let subset = best.steps[lo..hi].to_vec();
-                if let Some(w) = self.try_reproduce(&engine, &subset, &target, cap, &mut replays) {
+                if let Some(w) = self.try_reproduce(&origin, &subset, &target, cap, &mut replays) {
                     best = w;
                     improved = true;
                     break;
@@ -238,7 +241,7 @@ impl ModelChecker {
                         .cloned()
                         .collect();
                     if let Some(w) =
-                        self.try_reproduce(&engine, &complement, &target, cap, &mut replays)
+                        self.try_reproduce(&origin, &complement, &target, cap, &mut replays)
                     {
                         best = w;
                         improved = true;
@@ -277,7 +280,7 @@ impl ModelChecker {
                         .collect();
                     let cap = best.steps.len() - 1;
                     if let Some(witness) =
-                        self.try_reproduce(&engine, &candidate, &target, cap, &mut replays)
+                        self.try_reproduce(&origin, &candidate, &target, cap, &mut replays)
                     {
                         best = witness;
                         improved = true;
@@ -307,14 +310,14 @@ impl ModelChecker {
     /// target property fired (mid-trace `check` or terminal `check_final`).
     fn try_reproduce(
         &self,
-        engine: &TraceEngine,
+        origin: &Replayer,
         candidate: &[Transition],
         target: &str,
         max_len: usize,
         replays: &mut u64,
     ) -> Option<Witness> {
         *replays += 1;
-        let mut replayer = Replayer::new(self, engine);
+        let mut replayer = origin.branch();
         let mut executed: Vec<Transition> = Vec::new();
         for transition in candidate {
             if executed.len() >= max_len {
@@ -427,12 +430,13 @@ impl ModelChecker {
     /// upper bound.
     pub fn bisect(&self, trace: &Trace, max_explored: u64) -> Result<BisectReport, String> {
         let transitions = &trace.steps;
-        let mut engine = trace.engine;
-        engine.workers = 1;
+        // Every replay of this call branches off one replayer at the
+        // initial state, so they share its discovery cache.
+        let origin = Replayer::new(self, &trace.engine, &DiscoveryMemo::default());
 
         // Strict full replay: find the target property and the step its
         // violation fires at.
-        let report = self.replay(trace);
+        let report = origin.branch().replay(transitions);
         if !report.completed() {
             return Err(format!(
                 "trace does not replay cleanly: {:?}",
@@ -456,7 +460,7 @@ impl ModelChecker {
                              // Probe k = 0 first: is the violation unavoidable from the start?
         probes += 1;
         match self.violation_unavoidable(
-            &engine,
+            &origin,
             &transitions[..0],
             &target,
             max_explored,
@@ -491,7 +495,7 @@ impl ModelChecker {
             let mid = lo + (hi - lo) / 2;
             probes += 1;
             match self.violation_unavoidable(
-                &engine,
+                &origin,
                 &transitions[..mid],
                 &target,
                 max_explored,
@@ -532,13 +536,13 @@ impl ModelChecker {
     /// (or hitting the depth bound) is undecided.
     fn violation_unavoidable(
         &self,
-        engine: &TraceEngine,
+        origin: &Replayer,
         prefix: &[Transition],
         target: &str,
         max_explored: u64,
         explored: &mut u64,
     ) -> Probe {
-        let mut root = Replayer::new(self, engine);
+        let mut root = origin.branch();
         for transition in prefix {
             match root.step(transition) {
                 StepResult::Diverged => return Probe::Undecided,
@@ -601,6 +605,7 @@ mod tests {
     use super::*;
     use crate::scenario::CheckerConfig;
     use crate::testutil;
+    use crate::trace::TraceEngine;
 
     fn violating_checker() -> ModelChecker {
         let scenario = testutil::ping_scenario_with_app(Box::new(testutil::ForgetfulApp), 1);

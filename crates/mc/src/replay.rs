@@ -3,9 +3,8 @@
 //! Replay always runs on the sequential 1-worker semantics, regardless of
 //! how many workers the producing search used: a trace is a single
 //! interleaving, so re-executing it needs no parallelism and must not
-//! inherit any scheduling dependence. The trace's own
-//! [`TraceEngine`] supplies the semantics-
-//! relevant knobs (strategy, fault injection, coarse packet processing), so
+//! inherit any scheduling dependence. The trace's own [`TraceEngine`]
+//! supplies the semantics-relevant knobs (strategy and fault injection), so
 //! a BUG-XII witness recorded under `--faults` replays its fault
 //! transitions exactly.
 //!
@@ -150,8 +149,13 @@ pub(crate) struct Replayer<'a> {
 impl<'a> Replayer<'a> {
     /// Starts a replayer at the scenario's initial state, with the
     /// semantics-relevant knobs taken from the trace's engine metadata and
-    /// everything normalized to the deterministic 1-worker engine.
-    pub(crate) fn new(checker: &'a ModelChecker, engine: &TraceEngine) -> Self {
+    /// everything normalized to the deterministic 1-worker engine. It
+    /// shares the discovery cache of `discoveries`, as its branches do.
+    pub(crate) fn new(
+        checker: &'a ModelChecker,
+        engine: &TraceEngine,
+        discoveries: &DiscoveryMemo,
+    ) -> Self {
         let mut config = checker.config().clone();
         config.strategy = engine.strategy;
         config.inject_faults = engine.faults;
@@ -161,7 +165,7 @@ impl<'a> Replayer<'a> {
         let scenario = checker.scenario();
         let Snapshot { state, properties } = Snapshot::initial(scenario);
         Replayer {
-            stepper: Stepper::new(scenario, config, DiscoveryMemo::default()),
+            stepper: Stepper::new(scenario, config, discoveries.sharing()),
             state,
             properties,
             steps_executed: 0,
@@ -226,46 +230,33 @@ impl<'a> Replayer<'a> {
     }
 
     /// An independent copy of this replayer at its current state, for
-    /// bounded exploration from a replayed prefix (bisection probes).
+    /// bounded exploration from a replayed prefix (bisection probes). It
+    /// shares this replayer's discovery cache.
     pub(crate) fn branch(&self) -> Replayer<'a> {
         Replayer {
             stepper: Stepper::new(
                 self.stepper.scenario,
                 self.stepper.config.clone(),
-                DiscoveryMemo::default(),
+                self.stepper.memo.sharing(),
             ),
             state: self.state.clone(),
             properties: self.properties.clone(),
             steps_executed: self.steps_executed,
         }
     }
-}
 
-impl ModelChecker {
-    /// Re-executes a recorded trace step by step on the deterministic
-    /// 1-worker engine, checking every property at every step (and the
-    /// final-state properties if the trace ends in a terminal state).
-    ///
-    /// The trace's [`TraceEngine`] governs the
-    /// execution semantics — strategy, fault injection, coarse packet
-    /// processing — so traces recorded under `--faults` (BUG-XII) replay
-    /// their fault transitions. The checker's own configuration supplies
-    /// everything else (e.g. rule-expiry exploration).
-    ///
-    /// Replay is bit-deterministic: the same trace on the same scenario
-    /// always produces the same [`ReplayReport`], including
-    /// [`ReplayReport::final_fingerprint`].
-    pub fn replay(&self, trace: &Trace) -> ReplayReport {
-        let mut replayer = Replayer::new(self, &trace.engine);
+    /// Executes `steps` strictly in order from here — the body of
+    /// [`ModelChecker::replay`].
+    pub(crate) fn replay(mut self, steps: &[Transition]) -> ReplayReport {
         let mut violations = Vec::new();
-        for (index, transition) in trace.steps.iter().enumerate() {
-            match replayer.step(transition) {
+        for (index, transition) in steps.iter().enumerate() {
+            match self.step(transition) {
                 StepResult::Diverged => {
                     return ReplayReport {
                         outcome: ReplayOutcome::Diverged { step: index },
                         violations,
-                        steps_executed: replayer.steps_executed(),
-                        final_fingerprint: replayer.fingerprint(),
+                        steps_executed: self.steps_executed(),
+                        final_fingerprint: self.fingerprint(),
                         terminal: false,
                     };
                 }
@@ -280,26 +271,41 @@ impl ModelChecker {
                 }
             }
         }
-        let terminal = replayer.terminal();
+        let terminal = self.terminal();
         if terminal {
-            violations.extend(
-                replayer
-                    .check_final()
-                    .into_iter()
-                    .map(|(property, message)| ReplayViolation {
-                        step: trace.steps.len(),
-                        property,
-                        message,
-                    }),
-            );
+            violations.extend(self.check_final().into_iter().map(|(property, message)| {
+                ReplayViolation {
+                    step: steps.len(),
+                    property,
+                    message,
+                }
+            }));
         }
         ReplayReport {
             outcome: ReplayOutcome::Completed,
             violations,
-            steps_executed: replayer.steps_executed(),
-            final_fingerprint: replayer.fingerprint(),
+            steps_executed: self.steps_executed(),
+            final_fingerprint: self.fingerprint(),
             terminal,
         }
+    }
+}
+
+impl ModelChecker {
+    /// Re-executes a recorded trace step by step on the deterministic
+    /// 1-worker engine, checking every property at every step (and the
+    /// final-state properties if the trace ends in a terminal state).
+    ///
+    /// The trace's [`TraceEngine`] governs the execution semantics —
+    /// strategy and fault injection — so traces recorded under `--faults`
+    /// (BUG-XII) replay their fault transitions. The checker's own
+    /// configuration supplies everything else.
+    ///
+    /// Replay is bit-deterministic: the same trace on the same scenario
+    /// always produces the same [`ReplayReport`], including
+    /// [`ReplayReport::final_fingerprint`].
+    pub fn replay(&self, trace: &Trace) -> ReplayReport {
+        Replayer::new(self, &trace.engine, &DiscoveryMemo::default()).replay(&trace.steps)
     }
 }
 
@@ -367,6 +373,26 @@ mod tests {
     }
 
     #[test]
+    fn branches_of_one_replayer_share_its_discoveries() {
+        let scenario = testutil::discovery_scenario(Box::new(testutil::HubApp::default()), 1);
+        let checker = ModelChecker::new(scenario, CheckerConfig::default());
+        let replayer = Replayer::new(&checker, &TraceEngine::default(), &DiscoveryMemo::default());
+        let discover = Transition::DiscoverPackets {
+            host: nice_openflow::HostId(1),
+        };
+        assert!(replayer.selected().contains(&discover));
+        let mut branches = [replayer.branch(), replayer.branch()];
+        for branch in &mut branches {
+            assert!(matches!(branch.step(&discover), StepResult::Executed(_)));
+        }
+        // The same controller state: the second branch reads what the first
+        // found. With a cache per branch this read 2.
+        let executions = |b: &Replayer| b.stepper.memo.symbolic_executions;
+        assert_eq!(branches.iter().map(executions).sum::<u64>(), 1);
+        assert_eq!(branches[0].fingerprint(), branches[1].fingerprint());
+    }
+
+    #[test]
     fn clean_scenario_replays_with_no_violations() {
         let scenario = testutil::hub_ping_scenario(1);
         let checker = ModelChecker::new(scenario, CheckerConfig::default());
@@ -374,7 +400,11 @@ mod tests {
         let report = checker.run();
         assert!(report.passed());
         // Build a trace by walking the engine deterministically.
-        let mut replayer = Replayer::new(&checker, &crate::trace::TraceEngine::default());
+        let mut replayer = Replayer::new(
+            &checker,
+            &crate::trace::TraceEngine::default(),
+            &DiscoveryMemo::default(),
+        );
         let mut steps = Vec::new();
         while let Some(t) = replayer.selected().first().cloned() {
             replayer.step_unchecked(&t);

@@ -374,9 +374,9 @@ pub struct CheckerConfig {
     /// Stop at the first property violation (the paper's default workflow) or
     /// keep searching to collect every violation.
     pub stop_at_first_violation: bool,
-    /// Number of worker threads for the state-space search. `1` (the
-    /// default) runs the fully deterministic sequential engine; larger
-    /// values explore the same state space concurrently with a shared
+    /// Number of workers of the state-space search. `1` (the default) runs
+    /// the one search loop on the calling thread, fully deterministic;
+    /// larger values run it on that many threads over a shared
     /// deduplication set. With no truncating budget the searches agree on
     /// `unique_states`/`transitions` and on the set of violations, but the
     /// order violations are found in — and therefore the trace attached to
@@ -463,19 +463,10 @@ impl CheckerConfig {
 
     /// Reads what [`to_json`](Self::to_json) writes. A member it does not
     /// write is refused, so a retired setting fails loudly instead of being
-    /// ignored. An absent `workers` is 1: a shard of a distributed job runs
-    /// the sequential engine.
+    /// ignored. An absent `workers` is 1: a served job's config carries
+    /// none, and its worker process searches with one.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let (Json::Obj(known), Json::Obj(members)) = (CheckerConfig::default().to_json(), value)
-        else {
-            return Err("a config must be an object".into());
-        };
-        if let Some((key, _)) = members
-            .iter()
-            .find(|(key, _)| !known.iter().any(|(k, _)| k == key))
-        {
-            return Err(format!("unknown key '{key}'"));
-        }
+        value.within(&CheckerConfig::default().to_json())?;
         Ok(CheckerConfig {
             strategy: value.parsed("strategy", StrategyKind::parse)?,
             reduction: value.parsed("reduction", ReductionKind::parse)?,

@@ -13,13 +13,12 @@
 //! Because every fingerprint has exactly one owner, global deduplication is
 //! exact: each unique state is expanded by exactly one shard, and with no
 //! truncating budget the *sum* of the shards' `transitions`,
-//! `unique_states`, `terminal_states` and `dedup_hits` equals the
-//! sequential engine's counts. A single solo shard ([`ShardSpec::solo`])
-//! *is* the sequential engine: [`ModelChecker`]'s sequential search is
-//! implemented as a solo `ShardedSearch`, so the equivalence is by
-//! construction, not by parallel maintenance. The expansion itself is not
-//! defined here: a shard is one `checker::Worker`, and stepping it runs the
-//! same `Worker::expand` every engine runs.
+//! `unique_states`, `terminal_states` and `dedup_hits` equals a one-worker
+//! [`ModelChecker::run`]'s counts. No search of the checker runs through
+//! this type: it is the harness the tests below and the benchmark's shard
+//! probe drive. The expansion itself is not defined here: a shard is one
+//! `checker::Worker`, and stepping it runs the same `Worker::expand` every
+//! search runs.
 //!
 //! Injected states arrive as traces and are rebuilt by replaying the whole
 //! trace from the initial state (the paper's Section 6 state restoration;
@@ -29,7 +28,6 @@
 use crate::checker::{CheckReport, ModelChecker, Path, SearchStats, Shared, Worker};
 use crate::explored::ExactStore;
 use crate::json::Json;
-use crate::session::SessionCtrl;
 use crate::trace::{steps_from_json, steps_to_json};
 use crate::transition::{DiscoveryMemo, Transition};
 use std::sync::atomic::Ordering;
@@ -71,8 +69,8 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// The single shard that owns the whole fingerprint space — the
-    /// sequential engine.
+    /// The single shard that owns the whole fingerprint space: every
+    /// worker of a [`ModelChecker`] search.
     pub fn solo() -> Self {
         ShardSpec { index: 0, count: 1 }
     }
@@ -218,20 +216,13 @@ impl<'a> ShardedSearch<'a> {
     /// by this shard are deduplicated and queued; the rest are exported for
     /// [`ShardedSearch::take_forwards`].
     pub fn step(&mut self) -> StepOutcome {
-        self.step_ctrl(None)
-    }
-
-    /// [`ShardedSearch::step`] under a session's control handles: the
-    /// sequential engine routes interruption, progress heartbeats and live
-    /// violation events through `ctrl`.
-    pub(crate) fn step_ctrl(&mut self, ctrl: Option<&SessionCtrl>) -> StepOutcome {
         if self.stopped() {
             return StepOutcome::Stopped;
         }
         let Some(node) = self.worker.stack.pop() else {
             return StepOutcome::Idle;
         };
-        if self.worker.expand(node, ctrl) {
+        if self.worker.expand(node, None) {
             StepOutcome::Expanded
         } else {
             StepOutcome::Stopped
@@ -452,6 +443,7 @@ mod tests {
                     let mut replayer = crate::replay::Replayer::new(
                         &checkers[i],
                         &crate::trace::TraceEngine::default(),
+                        &DiscoveryMemo::default(),
                     );
                     for t in export.trace.suffix(0) {
                         replayer.step_unchecked(t);

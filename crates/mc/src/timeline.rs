@@ -22,7 +22,7 @@ use crate::checker::ModelChecker;
 use crate::properties::Event;
 use crate::replay::{Replayer, StepResult};
 use crate::trace::Trace;
-use crate::transition::Transition;
+use crate::transition::{DiscoveryMemo, Transition};
 use nice_openflow::{HostId, OfMessage, SwitchId};
 use std::collections::HashMap;
 use std::fmt;
@@ -177,7 +177,7 @@ pub fn render_timeline(checker: &ModelChecker, trace: &Trace) -> Result<Timeline
         }
     };
 
-    let mut replayer = Replayer::new(checker, &trace.engine);
+    let mut replayer = Replayer::new(checker, &trace.engine, &DiscoveryMemo::default());
     let mut violation: Option<(String, String)> = None;
     for (col, transition) in transitions.iter().enumerate() {
         // Peek the control channels before executing: a ProcessOf that is
@@ -306,8 +306,11 @@ mod tests {
         let scenario = testutil::hub_ping_scenario(1);
         let checker = ModelChecker::new(scenario, CheckerConfig::default());
         // Drive a deterministic execution to completion and render it.
-        let mut replayer =
-            crate::replay::Replayer::new(&checker, &crate::trace::TraceEngine::default());
+        let mut replayer = crate::replay::Replayer::new(
+            &checker,
+            &crate::trace::TraceEngine::default(),
+            &DiscoveryMemo::default(),
+        );
         let mut steps = Vec::new();
         while let Some(t) = replayer.selected().first().cloned() {
             replayer.step_unchecked(&t);

@@ -93,8 +93,9 @@ impl TraceEngine {
     }
 
     /// Reads an `"engine"` object (`"deterministic"` is derived from
-    /// `"workers"`, not read).
+    /// `"workers"`, not read); a member it does not write is refused.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        value.within(&TraceEngine::default().to_json())?;
         if !value.bool("coarse_packet_processing")? {
             return Err(
                 "coarse_packet_processing is false: that is the per-port process_pkt \
@@ -199,7 +200,8 @@ impl Trace {
         Trace::from_value(&Json::parse(input)?)
     }
 
-    /// Reads a parsed `nice-trace-v1` document.
+    /// Reads a parsed `nice-trace-v1` document. A member it does not write
+    /// is refused.
     pub fn from_value(value: &Json) -> Result<Self, String> {
         let schema = value.str("schema")?;
         if schema != TRACE_SCHEMA {
@@ -207,6 +209,7 @@ impl Trace {
                 "unsupported trace schema '{schema}' (expected {TRACE_SCHEMA})"
             ));
         }
+        value.within(&Trace::default().to_value())?;
         Ok(Trace {
             scenario: value.str("scenario")?.to_string(),
             engine: TraceEngine::from_json(value.get("engine")?)
@@ -553,6 +556,51 @@ mod tests {
             assert_eq!(parsed, trace);
             assert_eq!(parsed.to_json(), golden);
         }
+    }
+
+    /// The golden documents cut at every byte offset, and with every byte
+    /// replaced by `"`, `}` or 0xff: the reader never panics, and what it
+    /// accepts re-encodes to the bytes it read.
+    #[test]
+    fn a_cut_or_corrupted_document_is_an_error_or_itself() {
+        let mut kinds =
+            Trace::from_transitions("golden \"kinds\"", TraceEngine::default(), every_kind());
+        kinds.property = Some("NoForgottenPackets".to_string());
+        kinds.message = Some("packet 9 \\ \"lost\"\n\tat sw1 \u{1} é".to_string());
+        let parallel = TraceEngine {
+            workers: 4,
+            ..TraceEngine::default()
+        };
+        let parse = |bytes: &[u8]| {
+            let Ok(text) = std::str::from_utf8(bytes) else {
+                return false;
+            };
+            let accepted = Trace::from_json(text).map(|trace| trace.to_json());
+            accepted.is_ok_and(|again| {
+                assert_eq!(again, text);
+                true
+            })
+        };
+        let mut accepted = 0;
+        for golden in [
+            kinds.to_json(),
+            Trace::from_transitions("t", parallel, []).to_json(),
+        ] {
+            for at in 0..golden.len() {
+                assert!(!parse(&golden.as_bytes()[..at]), "cut at {at}");
+            }
+            for byte in [b'"', b'}', 0xff] {
+                for at in 0..golden.len() {
+                    let mut bad = golden.clone().into_bytes();
+                    bad[at] = byte;
+                    accepted += usize::from(parse(&bad));
+                }
+            }
+            assert!(parse(golden.as_bytes()));
+        }
+        // A `}` or a `"` in place of a string's character is still a
+        // document; the checks above hold each one to its own bytes.
+        assert!(accepted > 0);
     }
 
     #[test]

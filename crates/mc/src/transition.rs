@@ -18,6 +18,7 @@ use nice_openflow::{
 use nice_sym::{ConcreteEnv, ExploreConfig, PathExplorer, Solver, SymPacket, SymStats};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A single system transition.
 #[derive(Debug, Clone, PartialEq, Hash)]
@@ -189,96 +190,48 @@ impl fmt::Display for Transition {
     }
 }
 
-/// Cross-worker discovery cache: the lock-protected backing store the
-/// parallel search threads publish symbolic-execution results to, so a
-/// controller state explored by one worker is not re-explored by another.
-/// Locked only on local-memo misses and after fresh discoveries — never on
-/// the per-transition hot path.
+/// What symbolic execution found, keyed by what it depends on: the
+/// controller state (by fingerprint) plus the port a packet arrives on or
+/// the switch whose statistics are read.
 #[derive(Debug, Default)]
-pub struct SharedDiscoveryCache {
-    packets: std::sync::Mutex<BTreeMap<(u64, SwitchId, PortId), Vec<Packet>>>,
-    #[allow(clippy::type_complexity)]
-    stats: std::sync::Mutex<BTreeMap<(u64, SwitchId), Vec<Vec<PortStatsEntry>>>>,
+struct Discoveries {
+    packets: BTreeMap<(u64, SwitchId, PortId), Vec<Packet>>,
+    stats: BTreeMap<(u64, SwitchId), Vec<Vec<PortStatsEntry>>>,
 }
 
-/// Mutable context shared across transition executions within one search:
-/// memoises the results of symbolic execution so that re-visiting the same
-/// controller state on a different search branch does not re-run the
-/// concolic engine.
+/// Memoises the results of symbolic execution, so that reaching the same
+/// controller state again — on another branch, in another worker, in
+/// another replay — does not re-run the concolic engine.
 ///
-/// Each search (or each worker of a parallel search) owns one memo; workers
-/// additionally attach a [`SharedDiscoveryCache`] so discoveries propagate
-/// across threads. Two workers racing on the same key can still both run
+/// The results live in one lock-protected cache the memo holds by `Arc`.
+/// A search hands every worker a memo sharing one cache (`sharing`),
+/// and so do `minimize` and `bisect` for every replay and branch they run;
+/// a memo made by [`Default`] starts a cache of its own. Each memo counts
+/// its own cache misses. Two workers racing on the same key can both run
 /// the concolic engine once (the race is benign — both compute the same
 /// deterministic result), so `symbolic_executions` totals are
 /// schedule-dependent under `workers > 1`.
 #[derive(Debug, Default)]
 pub struct DiscoveryMemo {
-    packets: BTreeMap<(u64, SwitchId, PortId), Vec<Packet>>,
-    stats: BTreeMap<(u64, SwitchId), Vec<Vec<PortStatsEntry>>>,
-    shared: Option<std::sync::Arc<SharedDiscoveryCache>>,
-    /// Number of concolic explorations actually executed (cache misses).
+    cache: Arc<Mutex<Discoveries>>,
+    /// Number of concolic explorations this memo actually executed (cache
+    /// misses).
     pub symbolic_executions: u64,
 }
 
 impl DiscoveryMemo {
-    /// A memo backed by a cross-worker cache.
-    pub fn with_shared(shared: std::sync::Arc<SharedDiscoveryCache>) -> Self {
+    /// A memo over this memo's cache, with a count of its own.
+    pub(crate) fn sharing(&self) -> DiscoveryMemo {
         DiscoveryMemo {
-            shared: Some(shared),
-            ..DiscoveryMemo::default()
+            cache: Arc::clone(&self.cache),
+            symbolic_executions: 0,
         }
     }
 
-    /// Looks `key` up in the shared cache (if any), copying a hit into the
-    /// local memo so subsequent lookups stay lock-free.
-    fn shared_packets(&mut self, key: (u64, SwitchId, PortId)) -> Option<Vec<Packet>> {
-        let shared = self.shared.as_ref()?;
-        let cached = shared
-            .packets
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned()?;
-        self.packets.insert(key, cached.clone());
-        Some(cached)
-    }
-
-    /// Publishes a fresh packet discovery to the shared cache (if any).
-    fn publish_packets(&self, key: (u64, SwitchId, PortId), packets: &[Packet]) {
-        if let Some(shared) = &self.shared {
-            shared
-                .packets
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(key)
-                .or_insert_with(|| packets.to_vec());
-        }
-    }
-
-    /// Looks `key` up in the shared statistics cache (if any).
-    fn shared_stats(&mut self, key: (u64, SwitchId)) -> Option<Vec<Vec<PortStatsEntry>>> {
-        let shared = self.shared.as_ref()?;
-        let cached = shared
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned()?;
-        self.stats.insert(key, cached.clone());
-        Some(cached)
-    }
-
-    /// Publishes a fresh statistics discovery to the shared cache (if any).
-    fn publish_stats(&self, key: (u64, SwitchId), replies: &[Vec<PortStatsEntry>]) {
-        if let Some(shared) = &self.shared {
-            shared
-                .stats
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(key)
-                .or_insert_with(|| replies.to_vec());
-        }
+    /// Locks the cache, recovering it from a panicked holder: every entry
+    /// is inserted whole.
+    fn cache(&self) -> MutexGuard<'_, Discoveries> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -809,11 +762,8 @@ fn discover_packets(
     let location = state.host(host).expect("unknown host").location();
     let key = (ctrl_fp, location.switch, location.port);
 
-    if let Some(cached) = memo.packets.get(&key) {
-        state.set_relevant_packets(host, ctrl_fp, cached.clone());
-        return;
-    }
-    if let Some(cached) = memo.shared_packets(key) {
+    let cached = memo.cache().packets.get(&key).cloned();
+    if let Some(cached) = cached {
         state.set_relevant_packets(host, ctrl_fp, cached);
         return;
     }
@@ -865,8 +815,9 @@ fn discover_packets(
         a2 == b2
     });
 
-    memo.packets.insert(key, packets.clone());
-    memo.publish_packets(key, &packets);
+    (memo.cache().packets)
+        .entry(key)
+        .or_insert_with(|| packets.clone());
     state.set_relevant_packets(host, ctrl_fp, packets);
 }
 
@@ -878,11 +829,8 @@ fn discover_stats(
 ) {
     let ctrl_fp = state.controller_fingerprint();
     let key = (ctrl_fp, switch);
-    if let Some(cached) = memo.stats.get(&key) {
-        state.set_discovered_stats(switch, ctrl_fp, cached.clone());
-        return;
-    }
-    if let Some(cached) = memo.shared_stats(key) {
+    let cached = memo.cache().stats.get(&key).cloned();
+    if let Some(cached) = cached {
         state.set_discovered_stats(switch, ctrl_fp, cached);
         return;
     }
@@ -923,8 +871,9 @@ fn discover_stats(
     replies.sort_by_key(|a| reply_key(a));
     replies.dedup();
 
-    memo.stats.insert(key, replies.clone());
-    memo.publish_stats(key, &replies);
+    (memo.cache().stats)
+        .entry(key)
+        .or_insert_with(|| replies.clone());
     state.set_discovered_stats(switch, ctrl_fp, replies);
 }
 

@@ -83,8 +83,9 @@ fn random_walk_is_pinned_on_bug_v() {
 
 #[test]
 fn single_worker_parallel_config_is_the_sequential_engine() {
-    // workers = 1 runs the canonical sequential code path: identical
-    // statistics and identical violation traces, by construction.
+    // The default config and an explicit `with_workers(1)` both run one
+    // worker through the one search loop, on the calling thread: identical
+    // statistics and identical violation traces, in the order found.
     let config = CheckerConfig::default().with_max_transitions(100_000);
     let sequential = ModelChecker::new(bug_scenario(BugId::BugVIII), config.clone()).run();
     let one_worker = ModelChecker::new(bug_scenario(BugId::BugVIII), config.with_workers(1)).run();
