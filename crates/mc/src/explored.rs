@@ -313,10 +313,13 @@ impl ExactStore {
         let before = table.bytes();
         let verdict = table.visit(fingerprint, sleep_digests);
         let after = table.bytes();
-        if after >= before {
+        // Nearly every visit leaves the table's size as it was: the
+        // store-wide counters, a cache line every worker writes, are
+        // touched only when it grew or shrank.
+        if after > before {
             let now = self.bytes.fetch_add(after - before, Ordering::Relaxed) + (after - before);
             self.peak.fetch_max(now, Ordering::Relaxed);
-        } else {
+        } else if after < before {
             self.bytes.fetch_sub(before - after, Ordering::Relaxed);
         }
         verdict

@@ -12,31 +12,38 @@
 //!
 //! Every large component — the controller runtime, each switch (and its flow
 //! table), each host model, each FIFO channel *that holds something* — sits
-//! in a cell behind an [`Arc`], and the cells of one kind sit in one small
-//! vector sorted by id (`Sorted`). The two discovery tables, which only the
-//! two discover transitions write, share one more `Arc`. Cloning a
-//! `SystemState` therefore copies a handful of short vectors and bumps one
-//! reference count per cell; a component is deep-copied only at the first
-//! mutation after a clone, via [`Arc::make_mut`] inside the `*_mut`
-//! accessors, so executing a transition pays only for the components it
-//! touches. This is what makes it affordable for every frontier node to
-//! own its state (see [`crate::checker`]). `Arc` (not `Rc`) is used throughout so states can
+//! in a cell behind an [`Arc`]. The controller's cell is a field; every
+//! other cell sits in one table sorted by its `Slot` — its kind, then its
+//! key — so switches, hosts and each kind of channel are contiguous runs of
+//! it. The two discovery tables, which only the two discover transitions
+//! write, share one more `Arc`. Cloning a settled `SystemState` therefore
+//! makes one allocation, the table, and bumps one reference count per cell;
+//! a component is deep-copied only at the first mutation after a clone, via
+//! [`Arc::make_mut`] inside the `*_mut` accessors, so executing a transition
+//! pays only for the components it touches. This is what makes it
+//! affordable for every frontier node to own its state (see
+//! [`crate::checker`]). `Arc` (not `Rc`) is used throughout so states can
 //! move between the worker threads of the parallel search.
 //!
-//! **A channel has a cell iff it holds a message or its link has failed.**
-//! An absent channel *is* the empty channel whose link is up, for every
-//! reader: the accessors return `None` for it and every caller reads `None`
-//! as "nothing queued". Most channels a topology implies are in that state
-//! most of the time (an 8-switch chain implies 42 of them, and with two
-//! pings in flight a handful hold anything), and a cell per channel would
-//! be cloned and dropped with every successor state without ever being
-//! read. The `*_mut` accessors create the cell they are asked for — a push,
-//! or `fail()` on a crash, must land somewhere — and the cell of a channel
-//! that has gone back to empty and un-failed is dropped when the state is
-//! settled (see below) and is never copied into a clone. So a settled state
-//! and every clone hold no cell for an idle channel; between two settles a
-//! written state may hold a few. The initial state of `chain:8:2` holds 11
-//! cells (controller, 8 switches, 2 hosts) plus one per queued
+//! **A channel has a cell iff it holds a message or its link has failed** —
+//! in a settled state and in every clone; between two settles a written
+//! state may hold a few cells of idle channels. An absent channel *is* the
+//! empty channel whose link is up, for every reader: the accessors return
+//! `None` for it and every caller reads `None` as "nothing queued". Most
+//! channels a topology implies are in that state most of the time (an
+//! 8-switch chain implies 42 of them, and with two pings in flight a handful
+//! hold anything), and a cell per channel would be cloned and dropped with
+//! every successor state without ever being read. The `*_mut` accessors
+//! create the cell they are asked for — a push, or `fail()` on a crash, must
+//! land somewhere — and the cell of a channel that has gone back to empty
+//! and un-failed is dropped when the state is settled (see below) and is
+//! never copied into a clone. A pop that empties a channel whose link is up
+//! (`pop_ingress` and its three siblings, the pops of the transitions) drops
+//! the cell there and then: it takes the message out of a cell only this
+//! state holds, or copies the one message out of a shared cell — where an
+//! un-sharing pop would copy the cell, its queue and the message, to throw
+//! the copy away at the next settle. The initial state of `chain:8:2` holds
+//! 11 cells (controller, 8 switches, 2 hosts) plus one per queued
 //! `switch_join` reply, where a cell per channel made it 53.
 //!
 //! ## Incremental fingerprint
@@ -45,20 +52,24 @@
 //! controller, each switch, each host, each channel): the component's
 //! digest mixed with the slot's kind and key. The state carries that XOR
 //! with it instead of recomputing it. The invariant, kept by the only code
-//! that hands out mutable access to a component (`Accumulator::write` and
-//! `Accumulator::channel_mut`):
+//! that hands out mutable access to a component or drops a busy cell
+//! (`Accumulator::write`, `Accumulator::channel_cell` and the pops):
 //!
 //! > a slot that is not in the dirty list has its share in the accumulator
 //! > (and, if it has a cell, its digest cached).
 //!
 //! The first write to a slot XORs its old share out and lists it as dirty;
 //! [`SystemState::fingerprint`] folds the dirty slots' current shares over
-//! the accumulator, and settling folds them *in* and empties the list. A
-//! clone is born settled, and the search settles a successor where it
-//! fingerprints it — one fold for both — before the node that owns it
-//! clones it for each of its own successors, so a successor's list holds one
-//! transition's writes: two to four slots of the fifty a mid-sized scenario
-//! has, and that is what its fingerprint costs. Digests stay lazy: a slot
+//! the accumulator, and settling folds them *in* and empties the list. So a
+//! dirty slot may have a cell or not — a pop may have dropped it — and its
+//! current share is read from whatever is there; a clean slot without a cell
+//! is an idle channel whose share is in the accumulator. A clone is born
+//! settled, and the search settles a successor where it fingerprints it —
+//! one fold for both — before the node that owns it clones it for each of
+//! its own successors, so a successor's list holds one transition's writes:
+//! two to four slots of the fifty a mid-sized scenario has, and that is what
+//! its fingerprint costs. The first few fit in the state itself, so a
+//! clone's first writes do not allocate a list. Digests stay lazy: a slot
 //! written again and again between two fingerprints (a replay) is digested
 //! once, when it is next read.
 //!
@@ -82,7 +93,8 @@ use nice_openflow::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What the fingerprint needs from a copy-on-write component: the seed that
 /// separates its kind's digests from every other kind's, and its contents.
@@ -154,13 +166,27 @@ fn is_idle<T>(channel: &FifoChannel<T>) -> bool {
 /// Because components are copy-on-write, a component that was not written
 /// since its digest was computed still has that digest — so the state
 /// fingerprint absorbs the cached 64-bit digest instead of re-hashing the
-/// component's whole contents. `Accumulator::write` resets the cache after
-/// un-sharing (cloning an un-mutated component keeps the digest, which is
-/// exactly right).
-#[derive(Clone)]
+/// component's whole contents. The cache is a relaxed atomic in which 0
+/// means "not computed": reading it takes no lock, and threads that digest
+/// one shared cell at once store the same value. A component whose digest
+/// really is 0 is re-hashed on every read — slower, never wrong.
+/// `Accumulator::write` clears the cache on the copy it un-shared (cloning
+/// an un-mutated component keeps the digest, which is exactly right).
 struct Cached<T> {
     value: T,
-    digest: OnceLock<u64>,
+    digest: AtomicU64,
+}
+
+/// The digest cache's "not computed".
+const UNDIGESTED: u64 = 0;
+
+impl<T: Clone> Clone for Cached<T> {
+    fn clone(&self) -> Self {
+        Cached {
+            value: self.value.clone(),
+            digest: AtomicU64::new(self.digest.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl<T: Default> Default for Cached<T> {
@@ -173,7 +199,7 @@ impl<T> Cached<T> {
     fn new(value: T) -> Self {
         Cached {
             value,
-            digest: OnceLock::new(),
+            digest: AtomicU64::new(UNDIGESTED),
         }
     }
 }
@@ -188,92 +214,227 @@ fn rehash<T: Component>(component: &T) -> u64 {
 impl<T: Component> Cached<T> {
     /// The component's digest, computing (and caching) it on first use.
     fn digest(&self) -> u64 {
-        *self.digest.get_or_init(|| rehash(&self.value))
-    }
-}
-
-/// A small map kept as a vector sorted by key. A state holds a dozen
-/// entries of a kind at most, so a lookup is a binary search over one cache
-/// line or two and a clone is one allocation and a walk — where a
-/// `BTreeMap` clone builds a tree node by node.
-#[derive(Clone)]
-struct Sorted<K, V>(Vec<(K, V)>);
-
-/// The copy-on-write cells of one kind of component, by id.
-type Cells<K, T> = Sorted<K, Arc<Cached<T>>>;
-
-impl<K, V> Default for Sorted<K, V> {
-    fn default() -> Self {
-        Sorted(Vec::new())
-    }
-}
-
-impl<K: Ord + Copy, V> FromIterator<(K, V)> for Sorted<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
-        let mut sorted = Sorted::default();
-        for (key, value) in entries {
-            sorted.insert(key, value);
-        }
-        sorted
-    }
-}
-
-impl<K: Ord + Copy, V> Sorted<K, V> {
-    /// Where `key` is (`Ok`) or would be inserted (`Err`).
-    fn position(&self, key: K) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&key, |&(k, _)| k)
-    }
-
-    fn get(&self, key: K) -> Option<&V> {
-        self.position(key).ok().map(|at| &self.0[at].1)
-    }
-
-    fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.position(key).ok().map(|at| &mut self.0[at].1)
-    }
-
-    /// Sets the value at `key`.
-    fn insert(&mut self, key: K, value: V) {
-        match self.position(key) {
-            Ok(at) => self.0[at].1 = value,
-            Err(at) => self.0.insert(at, (key, value)),
+        match self.digest.load(Ordering::Relaxed) {
+            UNDIGESTED => {
+                let digest = rehash(&self.value);
+                self.digest.store(digest, Ordering::Relaxed);
+                digest
+            }
+            digest => digest,
         }
     }
+}
 
-    /// The value at `key`, which is `absent()` if there was none.
-    fn entry(&mut self, key: K, absent: impl FnOnce() -> V) -> &mut V {
-        let at = self.position(key).unwrap_or_else(|at| {
-            self.0.insert(at, (key, absent()));
-            at
+/// The kinds of slot with cells in the [`Table`]: all but the controller.
+const KINDS: usize = 6;
+
+/// Where the kind of `slot` is in the [`Table`]'s order of runs.
+fn kind_of(slot: Slot) -> usize {
+    debug_assert!(slot != Slot::CONTROLLER, "the controller has no run");
+    (slot.tag() - slot::SWITCH) as usize
+}
+
+/// The cells of the switches, the hosts and the channels that have one, by
+/// [`Slot`]: one vector sorted by an integer, so a clone is one
+/// allocation and a walk. Each kind is one run of it, and the table keeps
+/// where each run ends, so a lookup searches its own kind's run only —
+/// most channel runs are empty or a cell or two long — and a walk over a
+/// kind is a slice. The lookups are `#[inline]`: enumerating a state's
+/// transitions makes a few per switch, from another codegen unit.
+#[derive(Clone, Default)]
+struct Table {
+    cells: Vec<(Slot, Cell)>,
+    /// Where the run of each kind starts, in [`kind_of`] order, and where
+    /// the last one ends.
+    bounds: [u32; KINDS + 1],
+}
+
+impl Table {
+    /// The table of `switches` and `hosts`, and no channel.
+    fn new(
+        switches: impl IntoIterator<Item = (SwitchId, Switch)>,
+        hosts: impl IntoIterator<Item = (HostId, Box<dyn HostModel>)>,
+    ) -> Table {
+        let switches = (switches.into_iter()).map(|(id, switch)| {
+            (
+                Slot::switch(id),
+                Cell::Switch(Arc::new(Cached::new(switch))),
+            )
         });
-        &mut self.0[at].1
+        let hosts = (hosts.into_iter())
+            .map(|(id, host)| (Slot::host(id), Cell::Host(Arc::new(Cached::new(host)))));
+        let mut table = Table::default();
+        for (slot, cell) in switches.chain(hosts) {
+            let at = table.position(slot).expect_err("one cell per slot");
+            table.insert(at, slot, cell);
+        }
+        table
     }
 
-    /// Removes the entry at `key` if it is there and `condemned` says so.
-    fn remove_if(&mut self, key: K, condemned: impl FnOnce(&V) -> bool) {
-        if let Ok(at) = self.position(key) {
-            if condemned(&self.0[at].1) {
-                self.0.remove(at);
+    /// Where the run of `slot`'s kind starts and ends.
+    #[inline]
+    fn run(&self, slot: Slot) -> (usize, usize) {
+        let kind = kind_of(slot);
+        (self.bounds[kind] as usize, self.bounds[kind + 1] as usize)
+    }
+
+    /// The cells of `slot`'s kind.
+    #[inline]
+    fn run_of(&self, slot: Slot) -> &[(Slot, Cell)] {
+        let (start, end) = self.run(slot);
+        &self.cells[start..end]
+    }
+
+    /// Where the cell at `slot` is (`Ok`) or would be inserted (`Err`).
+    #[inline]
+    fn position(&self, slot: Slot) -> Result<usize, usize> {
+        let (start, end) = self.run(slot);
+        match self.cells[start..end].binary_search_by_key(&slot, |&(at, _)| at) {
+            Ok(at) => Ok(start + at),
+            Err(at) => Err(start + at),
+        }
+    }
+
+    #[inline]
+    fn get(&self, slot: Slot) -> Option<&Cell> {
+        self.position(slot).ok().map(|at| &self.cells[at].1)
+    }
+
+    #[inline]
+    fn get_mut(&mut self, slot: Slot) -> Option<&mut Cell> {
+        self.position(slot).ok().map(|at| &mut self.cells[at].1)
+    }
+
+    /// Puts `cell` at `slot`, which has none, where `position` says.
+    fn insert(&mut self, at: usize, slot: Slot, cell: Cell) {
+        self.cells.insert(at, (slot, cell));
+        self.bounds[kind_of(slot) + 1..]
+            .iter_mut()
+            .for_each(|bound| *bound += 1);
+    }
+
+    /// Removes the cell at `slot` if it holds an idle channel.
+    fn remove_if_idle(&mut self, slot: Slot) {
+        if let Ok(at) = self.position(slot) {
+            if self.cells[at].1.is_idle_channel() {
+                self.remove(at, slot);
             }
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
-        self.0.iter().map(|(key, value)| (*key, value))
+    /// Removes the cell at `slot`, which is at `at`.
+    fn remove(&mut self, at: usize, slot: Slot) {
+        self.cells.remove(at);
+        self.bounds[kind_of(slot) + 1..]
+            .iter_mut()
+            .for_each(|bound| *bound -= 1);
     }
 
-    fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.0.iter().map(|&(key, _)| key)
-    }
-
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.0.iter().map(|(_, value)| value)
+    fn iter(&self) -> impl Iterator<Item = (Slot, &Cell)> {
+        self.cells.iter().map(|(slot, cell)| (*slot, cell))
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        self.cells.len()
     }
 }
+
+/// The copy-on-write cell of one switch, host or channel, in the cell table
+/// under its [`Slot`]: the variant follows from the slot's kind.
+#[derive(Clone)]
+enum Cell {
+    Switch(Arc<Cached<Switch>>),
+    Host(Arc<Cached<Box<dyn HostModel>>>),
+    /// A control channel, and on a controller→switch one the sequence
+    /// number of the last enqueue on it (the UNUSUAL strategy orders the
+    /// busy ones by it; 0 on a switch→controller channel).
+    Messages(Arc<Cached<FifoChannel<OfMessage>>>, u64),
+    /// An ingress channel or a host inbox.
+    Packets(Arc<Cached<FifoChannel<Packet>>>),
+}
+
+impl Cell {
+    /// The cell of an idle channel at `slot`.
+    fn idle_channel(slot: Slot) -> Cell {
+        match slot.tag() {
+            slot::SW_TO_CTRL | slot::CTRL_TO_SW => Cell::Messages(Arc::default(), 0),
+            slot::INGRESS | slot::HOST_INBOX => Cell::Packets(Arc::default()),
+            _ => unreachable!("{slot:?} is not a channel"),
+        }
+    }
+
+    /// True if the cell holds a channel an absent cell would stand for.
+    fn is_idle_channel(&self) -> bool {
+        match self {
+            Cell::Switch(_) | Cell::Host(_) => false,
+            Cell::Messages(channel, _) => is_idle(&channel.value),
+            Cell::Packets(channel) => is_idle(&channel.value),
+        }
+    }
+
+    /// The digest of what the cell holds — through the cache, or re-hashed
+    /// if `fresh` — or `None` for an idle channel, whose share is its
+    /// slot's idle share.
+    fn busy_digest(&self, fresh: bool) -> Option<u64> {
+        fn digest<T: Component>(cell: &Cached<T>, fresh: bool) -> u64 {
+            if fresh {
+                rehash(&cell.value)
+            } else {
+                cell.digest()
+            }
+        }
+        if self.is_idle_channel() {
+            return None;
+        }
+        Some(match self {
+            Cell::Switch(sw) => digest(sw, fresh),
+            Cell::Host(host) => digest(host, fresh),
+            Cell::Messages(channel, _) => digest(channel, fresh),
+            Cell::Packets(channel) => digest(channel, fresh),
+        })
+    }
+
+    /// The number of messages queued in the cell (0 for a switch or host).
+    fn queued(&self) -> usize {
+        match self {
+            Cell::Switch(_) | Cell::Host(_) => 0,
+            Cell::Messages(channel, _) => channel.value.len(),
+            Cell::Packets(channel) => channel.value.len(),
+        }
+    }
+}
+
+/// A kind of component that sits in a [`Cell`]: how to find it there.
+trait InCell: Component + Clone {
+    fn of(cell: &Cell) -> &Arc<Cached<Self>>;
+    fn of_mut(cell: &mut Cell) -> &mut Arc<Cached<Self>>;
+}
+
+/// Implements [`InCell`] for a component kind held by one `Cell` variant.
+macro_rules! in_cell {
+    ($kind:ty, $variant:ident $(, $seq:tt)?) => {
+        impl InCell for $kind {
+            fn of(cell: &Cell) -> &Arc<Cached<Self>> {
+                match cell {
+                    Cell::$variant(held $(, $seq)?) => held,
+                    _ => unreachable!("a cell holds its slot's kind"),
+                }
+            }
+
+            fn of_mut(cell: &mut Cell) -> &mut Arc<Cached<Self>> {
+                match cell {
+                    Cell::$variant(held $(, $seq)?) => held,
+                    _ => unreachable!("a cell holds its slot's kind"),
+                }
+            }
+        }
+    };
+}
+
+in_cell!(Switch, Switch);
+in_cell!(Box<dyn HostModel>, Host);
+in_cell!(FifoChannel<OfMessage>, Messages, _);
+in_cell!(FifoChannel<Packet>, Packets);
 
 /// One row of a discovery table next to what it contributes to the
 /// fingerprint (its digest mixed with its table and key): rows are written
@@ -332,57 +493,163 @@ struct Discovered {
     stats: DiscoveredStatsTable,
 }
 
-/// One place a copy-on-write component sits in the state: its kind and key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Controller,
-    Switch(SwitchId),
-    Host(HostId),
-    SwToCtrl(SwitchId),
-    CtrlToSw(SwitchId),
-    Ingress(SwitchId, PortId),
-    HostInbox(HostId),
+/// Where a slot's tag sits in a [`Slot`]: above the widest key, an ingress
+/// port's 32-bit switch and 16-bit port.
+const TAG_SHIFT: u32 = 48;
+
+/// One place a copy-on-write component sits in the state, as one integer,
+/// never 0: the tag of its kind (`slot::*`) above [`TAG_SHIFT`], its key
+/// within the kind below — a switch or host id, an ingress port's switch
+/// and port. Ordered by it, each kind is one run, ordered by id (an ingress
+/// port by switch, then port).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot(u64);
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Slot(tag {}, key {:#x})", self.tag(), self.key())
+    }
 }
 
 impl Slot {
+    const CONTROLLER: Slot = Slot::new(slot::CONTROLLER, 0);
+
+    const fn new(tag: u64, key: u64) -> Slot {
+        Slot((tag << TAG_SHIFT) | key)
+    }
+
+    fn switch(id: SwitchId) -> Slot {
+        Slot::new(slot::SWITCH, id.0 as u64)
+    }
+
+    fn host(id: HostId) -> Slot {
+        Slot::new(slot::HOST, id.0 as u64)
+    }
+
+    fn sw_to_ctrl(switch: SwitchId) -> Slot {
+        Slot::new(slot::SW_TO_CTRL, switch.0 as u64)
+    }
+
+    fn ctrl_to_sw(switch: SwitchId) -> Slot {
+        Slot::new(slot::CTRL_TO_SW, switch.0 as u64)
+    }
+
+    fn ingress(switch: SwitchId, port: PortId) -> Slot {
+        Slot::new(slot::INGRESS, ((switch.0 as u64) << 16) | port.0 as u64)
+    }
+
+    fn host_inbox(host: HostId) -> Slot {
+        Slot::new(slot::HOST_INBOX, host.0 as u64)
+    }
+
+    fn tag(self) -> u64 {
+        self.0 >> TAG_SHIFT
+    }
+
+    fn key(self) -> u64 {
+        self.0 & ((1 << TAG_SHIFT) - 1)
+    }
+
+    /// The switch of a switch, control channel or ingress slot; the host of
+    /// a host or inbox slot.
+    fn id(self) -> u32 {
+        match self.tag() {
+            slot::INGRESS => (self.key() >> 16) as u32,
+            _ => self.key() as u32,
+        }
+    }
+
+    /// The port of an ingress slot.
+    fn port(self) -> PortId {
+        PortId(self.key() as u16)
+    }
+
+    fn is_channel(self) -> bool {
+        self.tag() >= slot::SW_TO_CTRL
+    }
+
     /// The value this slot contributes to the state fingerprint while its
     /// component digests to `digest`.
     fn mix(self, digest: u64) -> u64 {
-        let (tag, key) = match self {
-            Slot::Controller => (slot::CONTROLLER, 0),
-            Slot::Switch(id) => (slot::SWITCH, id.0 as u64),
-            Slot::Host(id) => (slot::HOST, id.0 as u64),
-            Slot::SwToCtrl(id) => (slot::SW_TO_CTRL, id.0 as u64),
-            Slot::CtrlToSw(id) => (slot::CTRL_TO_SW, id.0 as u64),
-            Slot::Ingress(sw, port) => (slot::INGRESS, ((sw.0 as u64) << 16) | port.0 as u64),
-            Slot::HostInbox(id) => (slot::HOST_INBOX, id.0 as u64),
-        };
-        mix(tag, key, digest)
+        mix(self.tag(), self.key(), digest)
     }
 
     /// What this channel slot contributes while its channel is idle: the
     /// idle digest if the scenario implies the channel — it has one whether
     /// or not anything was ever queued on it — and nothing otherwise.
-    fn idle_share(
-        self,
-        switches: &Cells<SwitchId, Switch>,
-        hosts: &Cells<HostId, Box<dyn HostModel>>,
-    ) -> u64 {
-        let implied = match self {
-            Slot::SwToCtrl(id) | Slot::CtrlToSw(id) => switches.get(id).is_some(),
-            Slot::Ingress(id, port) => switches
-                .get(id)
-                .is_some_and(|sw| sw.value.ports.binary_search(&port).is_ok()),
-            Slot::HostInbox(id) => hosts.get(id).is_some(),
-            Slot::Controller | Slot::Switch(_) | Slot::Host(_) => {
-                unreachable!("{self:?} is not a channel")
-            }
+    fn idle_share(self, cells: &Table) -> u64 {
+        let switch = || cells.get(Slot::switch(SwitchId(self.id())));
+        let implied = match self.tag() {
+            slot::SW_TO_CTRL | slot::CTRL_TO_SW => switch().is_some(),
+            slot::INGRESS => switch().is_some_and(|sw| {
+                Switch::of(sw)
+                    .value
+                    .ports
+                    .binary_search(&self.port())
+                    .is_ok()
+            }),
+            slot::HOST_INBOX => cells.get(Slot::host(HostId(self.id()))).is_some(),
+            _ => unreachable!("{self:?} is not a channel"),
         };
         if implied {
             self.mix(IDLE_CHANNEL)
         } else {
             0
         }
+    }
+}
+
+/// How many dirty slots a state holds without allocating. A transition
+/// writes two to four slots (module docs); a crash, or a flood over a wide
+/// switch, writes more and lists the rest on the heap.
+const DIRTY_INLINE: usize = 8;
+
+/// The slots written since the state was last settled, each once: the
+/// first [`DIRTY_INLINE`] in the state itself (`Slot(0)` marks a free
+/// place), any further ones on the heap.
+struct Dirty {
+    inline: [Slot; DIRTY_INLINE],
+    more: Vec<Slot>,
+}
+
+/// A free place in [`Dirty::inline`]: no slot is 0.
+const FREE: Slot = Slot(0);
+
+impl Default for Dirty {
+    fn default() -> Self {
+        Dirty {
+            inline: [FREE; DIRTY_INLINE],
+            more: Vec::new(),
+        }
+    }
+}
+
+impl Dirty {
+    fn iter(&self) -> impl Iterator<Item = Slot> + '_ {
+        (self.inline.iter().take_while(|&&slot| slot != FREE))
+            .chain(&self.more)
+            .copied()
+    }
+
+    fn contains(&self, slot: Slot) -> bool {
+        self.inline.contains(&slot) || self.more.contains(&slot)
+    }
+
+    fn push(&mut self, slot: Slot) {
+        match self.inline.iter_mut().find(|free| **free == FREE) {
+            Some(free) => *free = slot,
+            None => self.more.push(slot),
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.inline[0] == FREE
+    }
+
+    fn clear(&mut self) {
+        self.inline = [FREE; DIRTY_INLINE];
+        self.more.clear();
     }
 }
 
@@ -393,22 +660,23 @@ struct Accumulator {
     /// XOR of every slot's share but those of the slots in `dirty`.
     folded: u64,
     /// Slots written since the state was last settled, each once.
-    dirty: Vec<Slot>,
+    dirty: Dirty,
 }
 
 impl Accumulator {
     /// Announces a write to the component in `cell`: on the first one since
     /// the last settle the slot's contribution leaves the accumulator and
-    /// the slot turns dirty.
+    /// the slot turns dirty. (A clean slot's cell is not an idle channel,
+    /// so its contribution is its digest's.)
     fn retire<T: Component>(&mut self, slot: Slot, cell: &Cached<T>) {
-        if !self.dirty.contains(&slot) {
+        if !self.dirty.contains(slot) {
             self.folded ^= slot.mix(cell.digest());
             self.dirty.push(slot);
         }
     }
 
-    /// Mutable access to the component in `cell`, un-sharing it and dropping
-    /// its cached digest.
+    /// Mutable access to the component in `cell`, un-sharing it and
+    /// clearing its cached digest.
     fn write<'a, T: Component + Clone>(
         &mut self,
         slot: Slot,
@@ -416,31 +684,34 @@ impl Accumulator {
     ) -> &'a mut T {
         self.retire(slot, cell);
         let cell = Arc::make_mut(cell);
-        cell.digest = OnceLock::new();
+        *cell.digest.get_mut() = UNDIGESTED;
         &mut cell.value
     }
 
-    /// Mutable access to the channel at `key`, whose cell is created if the
-    /// channel was idle; `idle_share` is then what leaves the accumulator.
-    /// (A cell that exists and is not dirty holds something: idle cells are
-    /// dropped whenever the dirty list is emptied.)
-    fn channel_mut<'a, K: Ord + Copy, T: Hash + Clone>(
-        &mut self,
-        slot: Slot,
-        channels: &'a mut Cells<K, FifoChannel<T>>,
-        key: K,
-        idle_share: impl FnOnce() -> u64,
-    ) -> &'a mut FifoChannel<T> {
-        let cell = channels.entry(key, || {
-            debug_assert!(
-                !self.dirty.contains(&slot),
-                "{slot:?}: dirty without a cell"
-            );
-            self.folded ^= idle_share();
-            self.dirty.push(slot);
-            Arc::default()
-        });
-        self.write(slot, cell)
+    /// Where the cell of the channel at `slot` is in `cells`, creating it if
+    /// the channel had none. A clean slot without a cell is an idle
+    /// channel, whose idle share then leaves the accumulator; a dirty slot
+    /// without one had its cell dropped by a pop, and its share left with
+    /// the first write.
+    fn channel_cell(&mut self, slot: Slot, cells: &mut Table) -> usize {
+        cells.position(slot).unwrap_or_else(|at| {
+            if !self.dirty.contains(slot) {
+                self.folded ^= slot.idle_share(cells);
+                self.dirty.push(slot);
+            }
+            cells.insert(at, slot, Cell::idle_channel(slot));
+            at
+        })
+    }
+
+    /// Mutable access to the channel at `slot`, whose cell is created if
+    /// there was none (see [`channel_cell`](Self::channel_cell)).
+    fn channel_mut<'a, T>(&mut self, slot: Slot, cells: &'a mut Table) -> &'a mut T
+    where
+        T: InCell,
+    {
+        let at = self.channel_cell(slot, cells);
+        self.write(slot, T::of_mut(&mut cells.cells[at].1))
     }
 }
 
@@ -450,19 +721,12 @@ impl Accumulator {
 /// through the `*_mut` accessors which un-share only the touched component.
 pub struct SystemState {
     controller: Arc<Cached<ControllerRuntime>>,
-    switches: Cells<SwitchId, Switch>,
-    hosts: Cells<HostId, Box<dyn HostModel>>,
-    /// Switch → controller OpenFlow channels (reliable, in order). Like the
-    /// three stores below it holds the channels that are not idle.
-    sw_to_ctrl: Cells<SwitchId, FifoChannel<OfMessage>>,
-    /// Controller → switch OpenFlow channels (reliable, in order).
-    ctrl_to_sw: Cells<SwitchId, FifoChannel<OfMessage>>,
-    /// Data-plane ingress channels: packets waiting to be processed by a
-    /// switch, keyed by the port they will arrive on.
-    ingress: Cells<(SwitchId, PortId), FifoChannel<Packet>>,
-    /// Packets in flight towards a host (delivered when the host's `receive`
-    /// transition runs).
-    host_inbox: Cells<HostId, FifoChannel<Packet>>,
+    /// Every switch, every host and every channel that is not idle, by
+    /// slot. A control channel is reliable and in order; an ingress channel
+    /// holds the packets waiting to be processed by a switch, keyed by the
+    /// port they will arrive on; a host inbox the packets in flight towards
+    /// a host (delivered when the host's `receive` transition runs).
+    cells: Table,
     /// Switches with an outstanding statistics request from the controller.
     pending_stats: BTreeSet<SwitchId>,
     /// The discovery caches, keyed by controller-state fingerprint.
@@ -470,9 +734,9 @@ pub struct SystemState {
     /// Provenance-id allocator for injected packets.
     next_packet_id: u64,
     /// Monotonic sequence used to remember when each controller→switch
-    /// channel last received a message (consumed by the UNUSUAL strategy).
+    /// channel last received a message (consumed by the UNUSUAL strategy;
+    /// the channel's cell holds its last number).
     of_enqueue_seq: u64,
-    last_of_enqueue: Sorted<SwitchId, u64>,
     /// Remaining fault-injection budget (starts at the scenario's
     /// [`FaultPlan`](crate::faults::FaultPlan) budget; each injected fault
     /// consumes one unit).
@@ -491,35 +755,29 @@ pub struct SystemState {
 }
 
 impl Clone for SystemState {
-    /// Bumps the cells' reference counts and settles the copy: its
-    /// fingerprint then costs what is written to *it*, and it holds no cell
-    /// for an idle channel. The states the search clones are settled
-    /// already, so there the fold is empty and there is nothing to leave
-    /// behind.
+    /// Copies the cell table, bumping the cells' reference counts, and
+    /// settles the copy: its fingerprint then costs what is written to
+    /// *it*, and it holds no cell for an idle channel. The states the
+    /// search clones are settled already, so there the fold is empty, there
+    /// is nothing to leave behind, and the table is the one allocation.
     fn clone(&self) -> Self {
         let mut copy = SystemState {
             controller: self.controller.clone(),
-            switches: self.switches.clone(),
-            hosts: self.hosts.clone(),
-            sw_to_ctrl: self.sw_to_ctrl.clone(),
-            ctrl_to_sw: self.ctrl_to_sw.clone(),
-            ingress: self.ingress.clone(),
-            host_inbox: self.host_inbox.clone(),
+            cells: self.cells.clone(),
             pending_stats: self.pending_stats.clone(),
             discovered: self.discovered.clone(),
             next_packet_id: self.next_packet_id,
             of_enqueue_seq: self.of_enqueue_seq,
-            last_of_enqueue: self.last_of_enqueue.clone(),
             fault_budget: self.fault_budget,
             crashed: self.crashed.clone(),
             fault_share: self.fault_share,
             topology: self.topology.clone(),
             acc: Accumulator {
                 folded: self.slots_share(),
-                dirty: Vec::new(),
+                dirty: Dirty::default(),
             },
         };
-        for &slot in &self.acc.dirty {
+        for slot in self.acc.dirty.iter() {
             copy.drop_idle_cell(slot);
         }
         copy
@@ -558,8 +816,11 @@ impl std::fmt::Debug for SystemState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemState")
             .field("controller", &self.controller.value)
-            .field("switches", &self.switches.keys().collect::<Vec<_>>())
-            .field("hosts", &self.hosts.keys().collect::<Vec<_>>())
+            .field(
+                "switches",
+                &self.switches().map(|(id, _)| id).collect::<Vec<_>>(),
+            )
+            .field("hosts", &self.hosts().map(|(id, _)| id).collect::<Vec<_>>())
             .field("pending_stats", &self.pending_stats)
             .finish()
     }
@@ -574,57 +835,51 @@ impl SystemState {
         let topology = Arc::new(scenario.topology.clone());
         let mut controller = ControllerRuntime::new(scenario.app.clone_app());
 
-        let switches: Cells<SwitchId, Switch> = (topology.switches())
-            .map(|spec| {
-                let switch =
-                    Switch::with_config(spec.id, spec.ports.clone(), scenario.switch_config);
-                (spec.id, Arc::new(Cached::new(switch)))
-            })
-            .collect();
-        let hosts: Cells<HostId, Box<dyn HostModel>> = (scenario.hosts.iter())
-            .map(|host| (host.id(), Arc::new(Cached::new(host.clone_host()))))
-            .collect();
+        let switches = (topology.switches()).map(|spec| {
+            let switch = Switch::with_config(spec.id, spec.ports.clone(), scenario.switch_config);
+            (spec.id, switch)
+        });
+        let hosts = (scenario.hosts.iter()).map(|host| (host.id(), host.clone_host()));
+        let cells = Table::new(switches, hosts);
 
         // Deliver switch_join events synchronously during initialisation so
         // the controller starts with its per-switch state set up.
-        let produced: Vec<(SwitchId, OfMessage)> = switches
-            .values()
-            .flat_map(|sw| controller.handle_message(&sw.value.join_message()))
+        let produced: Vec<(SwitchId, OfMessage)> = (cells.iter())
+            .filter_map(|(_, cell)| match cell {
+                Cell::Switch(sw) => Some(sw.value.join_message()),
+                _ => None,
+            })
+            .flat_map(|join| controller.handle_message(&join))
             .collect();
 
         let mut state = SystemState {
             controller: Arc::new(Cached::new(controller)),
-            switches,
-            hosts,
-            sw_to_ctrl: Cells::default(),
-            ctrl_to_sw: Cells::default(),
-            ingress: Cells::default(),
-            host_inbox: Cells::default(),
+            cells,
             pending_stats: BTreeSet::new(),
             discovered: Arc::default(),
             next_packet_id: 1,
             of_enqueue_seq: 0,
-            last_of_enqueue: Sorted::default(),
             fault_budget: scenario.fault_plan.budget,
             crashed: BTreeSet::new(),
             fault_share: fault_share(scenario.fault_plan.budget, &BTreeSet::new()),
             topology,
             acc: Accumulator::default(),
         };
+
         // Nothing is folded yet. The channels the scenario implies have no
         // cell to digest and share the idle channel's; the components start
         // dirty, so settling is the one full walk over them, and every
         // later fingerprint starts from the accumulator this seeds.
-        let mut implied: Vec<Slot> = state.hosts.keys().map(Slot::HostInbox).collect();
-        for (id, sw) in state.switches.iter() {
-            implied.extend([Slot::SwToCtrl(id), Slot::CtrlToSw(id)]);
-            implied.extend(sw.value.ports.iter().map(|&port| Slot::Ingress(id, port)));
+        let mut implied: Vec<Slot> = state.hosts().map(|(id, _)| Slot::host_inbox(id)).collect();
+        for (id, sw) in state.switches() {
+            implied.extend([Slot::sw_to_ctrl(id), Slot::ctrl_to_sw(id)]);
+            implied.extend(sw.ports.iter().map(|&port| Slot::ingress(id, port)));
         }
         state.acc.folded = (implied.iter()).fold(0, |acc, slot| acc ^ slot.mix(IDLE_CHANNEL));
-        state.acc.dirty = std::iter::once(Slot::Controller)
-            .chain(state.switches.keys().map(Slot::Switch))
-            .chain(state.hosts.keys().map(Slot::Host))
-            .collect();
+        state.acc.dirty.push(Slot::CONTROLLER);
+        for (slot, _) in state.cells.iter() {
+            state.acc.dirty.push(slot);
+        }
         for (target, msg) in produced {
             state.enqueue_to_switch(target, msg);
         }
@@ -633,30 +888,19 @@ impl SystemState {
     }
 
     /// What `slot` contributes to the fingerprint right now (caching the
-    /// component's digest if it was not).
-    fn contribution(&self, slot: Slot) -> u64 {
-        const CELL: &str = "a component the scenario declared has a cell";
-        match slot {
-            Slot::Controller => slot.mix(self.controller.digest()),
-            Slot::Switch(id) => slot.mix(self.switches.get(id).expect(CELL).digest()),
-            Slot::Host(id) => slot.mix(self.hosts.get(id).expect(CELL).digest()),
-            Slot::SwToCtrl(id) => self.channel_share(slot, self.sw_to_ctrl.get(id)),
-            Slot::CtrlToSw(id) => self.channel_share(slot, self.ctrl_to_sw.get(id)),
-            Slot::Ingress(sw, port) => self.channel_share(slot, self.ingress.get((sw, port))),
-            Slot::HostInbox(id) => self.channel_share(slot, self.host_inbox.get(id)),
-        }
-    }
-
-    /// What the channel at `slot` contributes: its digest if it holds
+    /// component's digest if it was not): its digest's share if it holds
     /// something, an idle channel's share with or without a cell.
-    fn channel_share<T: Hash>(
-        &self,
-        slot: Slot,
-        cell: Option<&Arc<Cached<FifoChannel<T>>>>,
-    ) -> u64 {
-        match cell {
-            Some(cell) if !is_idle(&cell.value) => slot.mix(cell.digest()),
-            _ => slot.idle_share(&self.switches, &self.hosts),
+    fn contribution(&self, slot: Slot) -> u64 {
+        if slot == Slot::CONTROLLER {
+            return slot.mix(self.controller.digest());
+        }
+        match self
+            .cells
+            .get(slot)
+            .and_then(|cell| cell.busy_digest(false))
+        {
+            Some(digest) => slot.mix(digest),
+            None => slot.idle_share(&self.cells),
         }
     }
 
@@ -666,17 +910,13 @@ impl SystemState {
         self.acc
             .dirty
             .iter()
-            .fold(self.acc.folded, |acc, &slot| acc ^ self.contribution(slot))
+            .fold(self.acc.folded, |acc, slot| acc ^ self.contribution(slot))
     }
 
-    /// Drops the cell of the channel at `slot` if the channel is idle.
+    /// Drops the cell at `slot` if it holds an idle channel.
     fn drop_idle_cell(&mut self, slot: Slot) {
-        match slot {
-            Slot::Controller | Slot::Switch(_) | Slot::Host(_) => {}
-            Slot::SwToCtrl(id) => self.sw_to_ctrl.remove_if(id, |c| is_idle(&c.value)),
-            Slot::CtrlToSw(id) => self.ctrl_to_sw.remove_if(id, |c| is_idle(&c.value)),
-            Slot::Ingress(sw, port) => self.ingress.remove_if((sw, port), |c| is_idle(&c.value)),
-            Slot::HostInbox(id) => self.host_inbox.remove_if(id, |c| is_idle(&c.value)),
+        if slot.is_channel() {
+            self.cells.remove_if_idle(slot);
         }
     }
 
@@ -688,11 +928,12 @@ impl SystemState {
     /// it (`Worker::expand`), and once per state it rebuilt by replay.
     pub(crate) fn settle(&mut self) {
         self.acc.folded = self.slots_share();
-        let mut dirty = std::mem::take(&mut self.acc.dirty);
-        for slot in dirty.drain(..) {
+        let dirty = std::mem::take(&mut self.acc.dirty);
+        for slot in dirty.iter() {
             self.drop_idle_cell(slot);
         }
         self.acc.dirty = dirty;
+        self.acc.dirty.clear();
     }
 
     /// How many copy-on-write cells this state holds: one for the
@@ -701,12 +942,7 @@ impl SystemState {
     /// hold the layout to it; nothing else reads it.
     #[doc(hidden)]
     pub fn cell_count(&self) -> usize {
-        1 + self.switches.len()
-            + self.hosts.len()
-            + self.sw_to_ctrl.len()
-            + self.ctrl_to_sw.len()
-            + self.ingress.len()
-            + self.host_inbox.len()
+        1 + self.cells.len()
     }
 
     // ----- Component access -----
@@ -719,39 +955,52 @@ impl SystemState {
     /// Mutable access to the controller runtime (un-shares it if the
     /// allocation is shared with other states).
     pub fn controller_mut(&mut self) -> &mut ControllerRuntime {
-        self.acc.write(Slot::Controller, &mut self.controller)
+        self.acc.write(Slot::CONTROLLER, &mut self.controller)
     }
 
     /// The switches, in id order.
+    #[inline]
     pub fn switches(&self) -> impl Iterator<Item = (SwitchId, &Switch)> {
-        self.switches.iter().map(|(id, sw)| (id, &sw.value))
+        (self.cells.run_of(Slot::switch(SwitchId(0))).iter())
+            .map(|(slot, cell)| (SwitchId(slot.id()), &Switch::of(cell).value))
     }
 
     /// One switch.
+    #[inline]
     pub fn switch(&self, id: SwitchId) -> Option<&Switch> {
-        self.switches.get(id).map(|sw| &sw.value)
+        let cell = self.cells.get(Slot::switch(id))?;
+        Some(&Switch::of(cell).value)
     }
 
     /// Mutable access to one switch (un-shares only that switch).
     pub fn switch_mut(&mut self, id: SwitchId) -> Option<&mut Switch> {
-        let cell = self.switches.get_mut(id)?;
-        Some(self.acc.write(Slot::Switch(id), cell))
+        let cell = self.cells.get_mut(Slot::switch(id))?;
+        Some(self.acc.write(Slot::switch(id), Switch::of_mut(cell)))
     }
 
     /// The hosts, in id order.
+    #[inline]
     pub fn hosts(&self) -> impl Iterator<Item = (HostId, &dyn HostModel)> {
-        self.hosts.iter().map(|(id, h)| (id, h.value.as_ref()))
+        (self.cells.run_of(Slot::host(HostId(0))).iter()).map(|(slot, cell)| {
+            let host = <Box<dyn HostModel>>::of(cell);
+            (HostId(slot.id()), host.value.as_ref())
+        })
     }
 
     /// One host.
+    #[inline]
     pub fn host(&self, id: HostId) -> Option<&dyn HostModel> {
-        self.hosts.get(id).map(|h| h.value.as_ref())
+        let cell = self.cells.get(Slot::host(id))?;
+        Some(<Box<dyn HostModel>>::of(cell).value.as_ref())
     }
 
     /// Mutable access to one host (un-shares only that host).
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut Box<dyn HostModel>> {
-        let cell = self.hosts.get_mut(id)?;
-        Some(self.acc.write(Slot::Host(id), cell))
+        let cell = self.cells.get_mut(Slot::host(id))?;
+        Some(
+            self.acc
+                .write(Slot::host(id), <Box<dyn HostModel>>::of_mut(cell)),
+        )
     }
 
     /// The static topology.
@@ -762,9 +1011,8 @@ impl SystemState {
     /// The host currently attached at `(switch, port)`, taking mobility into
     /// account.
     pub fn host_at(&self, switch: SwitchId, port: PortId) -> Option<HostId> {
-        self.hosts
-            .iter()
-            .find(|(_, h)| h.value.location() == Location { switch, port })
+        self.hosts()
+            .find(|(_, h)| h.location() == Location { switch, port })
             .map(|(id, _)| id)
     }
 
@@ -774,14 +1022,50 @@ impl SystemState {
     // A `*_mut` accessor returns the channel whatever its state, creating
     // its cell if it was idle, so that no write is ever lost on `None`.
 
+    /// The channel at `slot`, unless it is idle.
+    #[inline]
+    fn channel<T: InCell>(&self, slot: Slot) -> Option<&T> {
+        self.cells.get(slot).map(|cell| &T::of(cell).value)
+    }
+
+    /// Takes the message at the head of the channel at `slot` — what
+    /// `channel_mut(slot).pop()` would, without un-sharing the channel when
+    /// that empties it (module docs): the cell is dropped and the message
+    /// taken out of it, or copied if another state shares the cell.
+    fn pop<T: Hash + Clone>(&mut self, slot: Slot) -> Option<T>
+    where
+        FifoChannel<T>: InCell,
+    {
+        let at = self.cells.position(slot).ok()?;
+        let cell = FifoChannel::<T>::of_mut(&mut self.cells.cells[at].1);
+        if cell.value.is_empty() {
+            return None;
+        }
+        if cell.value.len() > 1 || cell.value.is_failed() {
+            return self.acc.write(slot, cell).pop();
+        }
+        self.acc.retire(slot, cell);
+        let head = match Arc::get_mut(cell) {
+            Some(owned) => owned.value.pop(),
+            None => cell.value.peek().cloned(),
+        };
+        self.cells.remove(at, slot);
+        head
+    }
+
     /// Enqueues an OpenFlow message from the controller towards a switch.
     pub fn enqueue_to_switch(&mut self, switch: SwitchId, msg: OfMessage) {
         if let OfMessage::StatsRequest { .. } = &msg {
             self.pending_stats.insert(switch);
         }
         self.of_enqueue_seq += 1;
-        self.last_of_enqueue.insert(switch, self.of_enqueue_seq);
-        self.ctrl_to_sw_mut(switch).push(msg);
+        let slot = Slot::ctrl_to_sw(switch);
+        let at = self.acc.channel_cell(slot, &mut self.cells);
+        let Cell::Messages(channel, last_enqueue) = &mut self.cells.cells[at].1 else {
+            unreachable!("a control channel's cell holds messages")
+        };
+        *last_enqueue = self.of_enqueue_seq;
+        self.acc.write(slot, channel).push(msg);
     }
 
     /// Enqueues an OpenFlow message from a switch towards the controller.
@@ -803,80 +1087,105 @@ impl SystemState {
     }
 
     /// The controller→switch channel of a switch, unless it is idle.
+    #[inline]
     pub fn ctrl_to_sw(&self, switch: SwitchId) -> Option<&FifoChannel<OfMessage>> {
-        self.ctrl_to_sw.get(switch).map(|ch| &ch.value)
+        self.channel(Slot::ctrl_to_sw(switch))
     }
 
     /// Mutable controller→switch channel (un-shares only that channel).
     pub fn ctrl_to_sw_mut(&mut self, switch: SwitchId) -> &mut FifoChannel<OfMessage> {
-        let slot = Slot::CtrlToSw(switch);
-        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
-        (self.acc).channel_mut(slot, &mut self.ctrl_to_sw, switch, idle_share)
+        (self.acc).channel_mut(Slot::ctrl_to_sw(switch), &mut self.cells)
+    }
+
+    /// Takes the next message off the controller→switch channel of a
+    /// switch (`None` if nothing is queued).
+    pub fn pop_to_switch(&mut self, switch: SwitchId) -> Option<OfMessage> {
+        self.pop(Slot::ctrl_to_sw(switch))
     }
 
     /// The switch→controller channel of a switch, unless it is idle.
+    #[inline]
     pub fn sw_to_ctrl(&self, switch: SwitchId) -> Option<&FifoChannel<OfMessage>> {
-        self.sw_to_ctrl.get(switch).map(|ch| &ch.value)
+        self.channel(Slot::sw_to_ctrl(switch))
     }
 
     /// Mutable switch→controller channel (un-shares only that channel).
     pub fn sw_to_ctrl_mut(&mut self, switch: SwitchId) -> &mut FifoChannel<OfMessage> {
-        let slot = Slot::SwToCtrl(switch);
-        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
-        (self.acc).channel_mut(slot, &mut self.sw_to_ctrl, switch, idle_share)
+        (self.acc).channel_mut(Slot::sw_to_ctrl(switch), &mut self.cells)
+    }
+
+    /// Takes the next message off the switch→controller channel of a
+    /// switch (`None` if nothing is queued).
+    pub fn pop_to_controller(&mut self, switch: SwitchId) -> Option<OfMessage> {
+        self.pop(Slot::sw_to_ctrl(switch))
     }
 
     /// The ingress channel of `(switch, port)`, unless it is idle.
+    #[inline]
     pub fn ingress(&self, switch: SwitchId, port: PortId) -> Option<&FifoChannel<Packet>> {
-        self.ingress.get((switch, port)).map(|ch| &ch.value)
+        self.channel(Slot::ingress(switch, port))
     }
 
     /// Mutable ingress channel (un-shares only that channel).
     pub fn ingress_mut(&mut self, switch: SwitchId, port: PortId) -> &mut FifoChannel<Packet> {
-        let slot = Slot::Ingress(switch, port);
-        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
-        (self.acc).channel_mut(slot, &mut self.ingress, (switch, port), idle_share)
+        (self.acc).channel_mut(Slot::ingress(switch, port), &mut self.cells)
+    }
+
+    /// Takes the next packet off the ingress channel of `(switch, port)`
+    /// (`None` if nothing is queued).
+    pub fn pop_ingress(&mut self, switch: SwitchId, port: PortId) -> Option<Packet> {
+        self.pop(Slot::ingress(switch, port))
     }
 
     /// Ports of `switch` whose ingress channel currently holds packets, in
     /// port order.
+    #[inline]
     pub fn busy_ingress_ports(&self, switch: SwitchId) -> impl Iterator<Item = PortId> + '_ {
-        let cells = &self.ingress.0;
-        let first = cells.partition_point(|&((sw, _), _)| sw < switch);
-        cells[first..]
-            .iter()
-            .take_while(move |((sw, _), _)| *sw == switch)
-            .filter(|(_, ch)| !ch.value.is_empty())
-            .map(|&((_, port), _)| port)
+        let first = Slot::ingress(switch, PortId(0));
+        let run = self.cells.run_of(first);
+        let from = run.partition_point(|&(slot, _)| slot < first);
+        (run[from..].iter())
+            .take_while(move |(slot, _)| slot.id() == switch.0)
+            .filter(|(_, cell)| !FifoChannel::<Packet>::of(cell).value.is_empty())
+            .map(|(slot, _)| slot.port())
     }
 
     /// The inbox channel of a host, unless it is idle.
+    #[inline]
     pub fn host_inbox(&self, host: HostId) -> Option<&FifoChannel<Packet>> {
-        self.host_inbox.get(host).map(|ch| &ch.value)
+        self.channel(Slot::host_inbox(host))
     }
 
     /// Mutable inbox channel of a host (un-shares only that channel).
     pub fn host_inbox_mut(&mut self, host: HostId) -> &mut FifoChannel<Packet> {
-        let slot = Slot::HostInbox(host);
-        let idle_share = || slot.idle_share(&self.switches, &self.hosts);
-        (self.acc).channel_mut(slot, &mut self.host_inbox, host, idle_share)
+        (self.acc).channel_mut(Slot::host_inbox(host), &mut self.cells)
+    }
+
+    /// Takes the next packet off the inbox of a host (`None` if nothing is
+    /// queued).
+    pub fn pop_host_inbox(&mut self, host: HostId) -> Option<Packet> {
+        self.pop(Slot::host_inbox(host))
     }
 
     /// True if any switch↔controller channel holds messages (used to drain
     /// the control plane under NO-DELAY).
     pub fn control_plane_busy(&self) -> bool {
-        (self.sw_to_ctrl.values())
-            .chain(self.ctrl_to_sw.values())
-            .any(|c| !c.value.is_empty())
+        let to_controller = self.cells.run_of(Slot::sw_to_ctrl(SwitchId(0)));
+        let to_switches = self.cells.run_of(Slot::ctrl_to_sw(SwitchId(0)));
+        (to_controller.iter().chain(to_switches))
+            .any(|(_, cell)| !FifoChannel::<OfMessage>::of(cell).value.is_empty())
     }
 
     /// Switches whose controller→switch channel is non-empty, with the
     /// sequence number of the most recent enqueue (used by UNUSUAL).
     pub fn of_backlog(&self) -> Vec<(SwitchId, u64)> {
-        self.ctrl_to_sw
-            .iter()
-            .filter(|(_, ch)| !ch.value.is_empty())
-            .map(|(sw, _)| (sw, self.last_of_enqueue.get(sw).copied().unwrap_or(0)))
+        (self.cells.run_of(Slot::ctrl_to_sw(SwitchId(0))).iter())
+            .filter_map(|(slot, cell)| match cell {
+                Cell::Messages(channel, last_enqueue) if !channel.value.is_empty() => {
+                    Some((SwitchId(slot.id()), *last_enqueue))
+                }
+                _ => None,
+            })
             .collect()
     }
 
@@ -998,7 +1307,7 @@ impl SystemState {
         self.crashed.insert(switch);
         self.fault_share = fault_share(self.fault_budget, &self.crashed);
         if let Some(sw) = self.switch_mut(switch) {
-            *sw = Switch::with_config(switch, sw.ports.clone(), sw.config());
+            *sw = sw.restarted();
         }
         let busy: Vec<PortId> = self.busy_ingress_ports(switch).collect();
         for port in busy {
@@ -1030,7 +1339,7 @@ impl SystemState {
 
     /// Replaces the controller runtime (failover to a standby).
     pub fn replace_controller(&mut self, runtime: ControllerRuntime) {
-        self.acc.retire(Slot::Controller, &self.controller);
+        self.acc.retire(Slot::CONTROLLER, &self.controller);
         self.controller = Arc::new(Cached::new(runtime));
     }
 
@@ -1117,49 +1426,29 @@ impl SystemState {
     pub fn reference_fingerprint(&self) -> u64 {
         let ctrl_fp = rehash(&self.controller.value);
         let mut acc = mix(slot::CONTROLLER, 0, ctrl_fp);
-        for (id, sw) in self.switches.iter() {
-            acc ^= mix(slot::SWITCH, id.0 as u64, rehash(&sw.value));
-        }
-        for (id, host) in self.hosts.iter() {
-            acc ^= mix(slot::HOST, id.0 as u64, rehash(&host.value));
-        }
 
-        // Digest by slot tag and key. Every channel the scenario implies is
-        // there, idle until a cell says otherwise; any other channel is
-        // there while it holds something.
-        let ingress_key = |sw: SwitchId, port: PortId| ((sw.0 as u64) << 16) | port.0 as u64;
+        // Digest by slot. Every switch and host is there, and every channel
+        // the scenario implies, idle until a cell says otherwise; any other
+        // channel is there while it holds something.
         let idle = rehash(&FifoChannel::<Packet>::new());
-        let mut channels = BTreeMap::new();
+        let mut digests = BTreeMap::new();
         for spec in self.topology.switches() {
-            channels.insert((slot::SW_TO_CTRL, spec.id.0 as u64), idle);
-            channels.insert((slot::CTRL_TO_SW, spec.id.0 as u64), idle);
+            digests.insert(Slot::sw_to_ctrl(spec.id), idle);
+            digests.insert(Slot::ctrl_to_sw(spec.id), idle);
             for &port in &spec.ports {
-                channels.insert((slot::INGRESS, ingress_key(spec.id, port)), idle);
+                digests.insert(Slot::ingress(spec.id, port), idle);
             }
         }
-        for id in self.hosts.keys() {
-            channels.insert((slot::HOST_INBOX, id.0 as u64), idle);
+        for (id, _) in self.hosts() {
+            digests.insert(Slot::host_inbox(id), idle);
         }
-        fn busy<T: Hash>(cell: &Cached<FifoChannel<T>>) -> Option<u64> {
-            (!is_idle(&cell.value)).then(|| rehash(&cell.value))
-        }
-        let cells = (self.sw_to_ctrl.iter())
-            .map(|(id, cell)| (slot::SW_TO_CTRL, id.0 as u64, busy(cell)))
-            .chain((self.ctrl_to_sw.iter()).map(|(id, c)| (slot::CTRL_TO_SW, id.0 as u64, busy(c))))
-            .chain(
-                (self.ingress.iter())
-                    .map(|((sw, p), c)| (slot::INGRESS, ingress_key(sw, p), busy(c))),
-            )
-            .chain(
-                (self.host_inbox.iter()).map(|(id, c)| (slot::HOST_INBOX, id.0 as u64, busy(c))),
-            );
-        for (tag, key, digest) in cells {
-            if let Some(digest) = digest {
-                channels.insert((tag, key), digest);
+        for (slot, cell) in self.cells.iter() {
+            if let Some(digest) = cell.busy_digest(true) {
+                digests.insert(slot, digest);
             }
         }
-        for ((tag, key), digest) in channels {
-            acc ^= mix(tag, key, digest);
+        for (slot, digest) in digests {
+            acc ^= slot.mix(digest);
         }
         acc ^ self.reference_bookkeeping_share(ctrl_fp)
     }
@@ -1167,10 +1456,7 @@ impl SystemState {
     /// Total number of packets currently buffered at switches awaiting a
     /// controller decision (used in reports).
     pub fn total_buffered_packets(&self) -> usize {
-        self.switches
-            .values()
-            .map(|s| s.value.buffered_count())
-            .sum()
+        self.switches().map(|(_, s)| s.buffered_count()).sum()
     }
 
     /// True if a packet with the given provenance id is still traceable
@@ -1194,38 +1480,18 @@ impl SystemState {
             } => packet.id == id,
             _ => false,
         };
-        (self.ingress.values())
-            .chain(self.host_inbox.values())
-            .any(|ch| ch.value.iter().any(|p| p.id == id))
-            || self
-                .sw_to_ctrl
-                .values()
-                .chain(self.ctrl_to_sw.values())
-                .any(|ch| ch.value.iter().any(of_carries))
-            || self
-                .switches
-                .values()
-                .any(|s| s.value.buffered_packets().any(|(_, bp)| bp.packet.id == id))
-            || self.controller.value.app().held_packets().contains(&id)
+        let carries = |(_, cell): (Slot, &Cell)| match cell {
+            Cell::Switch(sw) => (sw.value.buffered_packets()).any(|(_, bp)| bp.packet.id == id),
+            Cell::Host(_) => false,
+            Cell::Messages(channel, _) => channel.value.iter().any(of_carries),
+            Cell::Packets(channel) => channel.value.iter().any(|p| p.id == id),
+        };
+        self.cells.iter().any(carries) || self.controller.value.app().held_packets().contains(&id)
     }
 
     /// Total number of messages currently queued on any channel.
     pub fn total_queued_messages(&self) -> usize {
-        self.sw_to_ctrl
-            .values()
-            .map(|c| c.value.len())
-            .sum::<usize>()
-            + self
-                .ctrl_to_sw
-                .values()
-                .map(|c| c.value.len())
-                .sum::<usize>()
-            + self.ingress.values().map(|c| c.value.len()).sum::<usize>()
-            + self
-                .host_inbox
-                .values()
-                .map(|c| c.value.len())
-                .sum::<usize>()
+        self.cells.iter().map(|(_, cell)| cell.queued()).sum()
     }
 }
 
@@ -1234,6 +1500,27 @@ mod tests {
     use super::*;
     use crate::testutil;
     use nice_openflow::MacAddr;
+
+    /// The cell of a switch.
+    fn switch_cell(state: &SystemState, id: SwitchId) -> &Arc<Cached<Switch>> {
+        Switch::of(state.cells.get(Slot::switch(id)).expect("a switch"))
+    }
+
+    /// The cell of an ingress channel.
+    fn ingress_cell(
+        state: &SystemState,
+        at: (SwitchId, PortId),
+    ) -> &Arc<Cached<FifoChannel<Packet>>> {
+        FifoChannel::of(state.cells.get(Slot::ingress(at.0, at.1)).expect("a cell"))
+    }
+
+    /// The ingress channels that have a cell, in slot order.
+    fn ingress_slots(state: &SystemState) -> Vec<(SwitchId, PortId)> {
+        (state.cells.iter())
+            .filter(|(slot, _)| slot.tag() == slot::INGRESS)
+            .map(|(slot, _)| (SwitchId(slot.id()), slot.port()))
+            .collect()
+    }
 
     #[test]
     fn initial_state_has_components_and_empty_channels() {
@@ -1327,8 +1614,8 @@ mod tests {
         // A fresh clone shares every component allocation.
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
         assert!(Arc::ptr_eq(
-            a.switches.get(SwitchId(1)).unwrap(),
-            b.switches.get(SwitchId(1)).unwrap()
+            switch_cell(&a, SwitchId(1)),
+            switch_cell(&b, SwitchId(1))
         ));
         assert!(Arc::ptr_eq(&a.discovered, &b.discovered));
 
@@ -1338,12 +1625,12 @@ mod tests {
             .unwrap()
             .process_packet(pkt, PortId(1));
         assert!(!Arc::ptr_eq(
-            a.switches.get(SwitchId(1)).unwrap(),
-            b.switches.get(SwitchId(1)).unwrap()
+            switch_cell(&a, SwitchId(1)),
+            switch_cell(&b, SwitchId(1))
         ));
         assert!(Arc::ptr_eq(
-            a.switches.get(SwitchId(2)).unwrap(),
-            b.switches.get(SwitchId(2)).unwrap()
+            switch_cell(&a, SwitchId(2)),
+            switch_cell(&b, SwitchId(2))
         ));
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
     }
@@ -1381,20 +1668,20 @@ mod tests {
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
 
-        let ch = state.ingress.get((SwitchId(1), PortId(1))).unwrap();
+        let ch = ingress_cell(&state, (SwitchId(1), PortId(1)));
         let direct = {
             let mut h = Hasher64::with_seed(FifoChannel::<Packet>::SEED);
             ch.value.hash(&mut h);
             h.finish()
         };
         assert_eq!(ch.digest(), direct);
-        // Cached on the OnceLock now.
-        assert_eq!(ch.digest.get().copied(), Some(direct));
+        // Cached now.
+        assert_eq!(ch.digest.load(Ordering::Relaxed), direct);
 
         // Mutation through the accessor drops the cache...
         state.ingress_mut(SwitchId(1), PortId(1)).pop();
-        let ch = state.ingress.get((SwitchId(1), PortId(1))).unwrap();
-        assert_eq!(ch.digest.get(), None);
+        let ch = ingress_cell(&state, (SwitchId(1), PortId(1)));
+        assert_eq!(ch.digest.load(Ordering::Relaxed), UNDIGESTED);
         // ...and the recomputed digest reflects the new contents.
         let direct_after = {
             let mut h = Hasher64::with_seed(FifoChannel::<Packet>::SEED);
@@ -1417,13 +1704,14 @@ mod tests {
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
         state.ingress_mut(SwitchId(1), PortId(1)).pop();
         state.controller_mut();
-        let ingress = Slot::Ingress(SwitchId(1), PortId(1));
-        assert_eq!(state.acc.dirty, [ingress, Slot::Controller]);
+        let ingress = Slot::ingress(SwitchId(1), PortId(1));
+        let dirty: Vec<Slot> = state.acc.dirty.iter().collect();
+        assert_eq!(dirty, [ingress, Slot::CONTROLLER]);
         // Both contributions left the accumulator with the first write.
         let empty = Arc::<Cached<FifoChannel<Packet>>>::default().digest();
         assert_eq!(
             state.acc.folded,
-            clean ^ ingress.mix(empty) ^ Slot::Controller.mix(state.controller_fingerprint())
+            clean ^ ingress.mix(empty) ^ Slot::CONTROLLER.mix(state.controller_fingerprint())
         );
         let dirty_fingerprint = state.fingerprint();
         assert_eq!(dirty_fingerprint, state.reference_fingerprint());
@@ -1469,14 +1757,20 @@ mod tests {
         assert_eq!(state.total_queued_messages(), 8);
     }
 
-    /// The four channel stores' cells, as `(sw→ctrl, ctrl→sw, ingress, inbox)`.
+    /// The channel cells of each kind, as `(sw→ctrl, ctrl→sw, ingress,
+    /// inbox)`.
     fn channel_cells(state: &SystemState) -> (usize, usize, usize, usize) {
-        (
-            state.sw_to_ctrl.len(),
-            state.ctrl_to_sw.len(),
-            state.ingress.len(),
-            state.host_inbox.len(),
-        )
+        let mut cells = (0, 0, 0, 0);
+        for (slot, _) in state.cells.iter() {
+            match slot.tag() {
+                slot::SW_TO_CTRL => cells.0 += 1,
+                slot::CTRL_TO_SW => cells.1 += 1,
+                slot::INGRESS => cells.2 += 1,
+                slot::HOST_INBOX => cells.3 += 1,
+                _ => {}
+            }
+        }
+        cells
     }
 
     #[test]
@@ -1543,6 +1837,89 @@ mod tests {
         assert_eq!(state.cell_count(), 5);
     }
 
+    /// One channel of each kind, to queue its message on, pop it off and
+    /// read the length of.
+    type Channel = (
+        &'static str,
+        fn(&mut SystemState),
+        fn(&mut SystemState) -> bool,
+        fn(&SystemState) -> Option<usize>,
+    );
+
+    const CHANNELS: [Channel; 4] = [
+        (
+            "sw→ctrl",
+            |s| s.enqueue_to_controller(SwitchId(1), OfMessage::BarrierRequest { request_id: 1 }),
+            |s| s.pop_to_controller(SwitchId(1)).is_some(),
+            |s| s.sw_to_ctrl(SwitchId(1)).map(FifoChannel::len),
+        ),
+        (
+            "ctrl→sw",
+            |s| s.enqueue_to_switch(SwitchId(2), OfMessage::BarrierRequest { request_id: 2 }),
+            |s| s.pop_to_switch(SwitchId(2)).is_some(),
+            |s| s.ctrl_to_sw(SwitchId(2)).map(FifoChannel::len),
+        ),
+        (
+            "ingress",
+            |s| s.enqueue_ingress(SwitchId(1), PortId(2), ping()),
+            |s| s.pop_ingress(SwitchId(1), PortId(2)) == Some(ping()),
+            |s| s.ingress(SwitchId(1), PortId(2)).map(FifoChannel::len),
+        ),
+        (
+            "inbox",
+            |s| s.enqueue_host(HostId(2), ping()),
+            |s| s.pop_host_inbox(HostId(2)) == Some(ping()),
+            |s| s.host_inbox(HostId(2)).map(FifoChannel::len),
+        ),
+    ];
+
+    fn ping() -> Packet {
+        Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0)
+    }
+
+    #[test]
+    fn a_pop_that_empties_a_shared_channel_drops_its_cell() {
+        let scenario = testutil::hub_ping_scenario(1);
+        for (kind, enqueue, pop, len) in CHANNELS {
+            let mut settled = SystemState::initial(&scenario);
+            enqueue(&mut settled);
+            settled.settle();
+            let (cells, fingerprint) = (settled.cell_count(), settled.fingerprint());
+
+            // The copy pops the lone message of a cell it shares with the
+            // settled state: the cell goes, nothing is un-shared.
+            let mut copy = settled.clone();
+            assert!(pop(&mut copy), "{kind}: the message comes off");
+            assert_eq!(len(&copy), None, "{kind}: an idle channel");
+            assert_eq!(copy.cell_count(), cells - 1, "{kind}: dropped, not copied");
+            assert_eq!(copy.fingerprint(), copy.reference_fingerprint(), "{kind}");
+            assert_ne!(copy.fingerprint(), fingerprint, "{kind}");
+            assert!(!pop(&mut copy), "{kind}: nothing is left to pop");
+
+            // Queued again before a settle: the slot is dirty without a
+            // cell, so only the new cell's share may move the accumulator.
+            enqueue(&mut copy);
+            assert_eq!(copy.fingerprint(), copy.reference_fingerprint(), "{kind}");
+            assert_eq!(copy.fingerprint(), fingerprint, "{kind}");
+            assert_eq!(
+                len(&settled),
+                Some(1),
+                "{kind}: the other copy still reads it"
+            );
+            copy.settle();
+            assert_eq!(copy.cell_count(), cells, "{kind}");
+            assert_eq!(copy.fingerprint(), copy.reference_fingerprint(), "{kind}");
+
+            // A cell only this state holds gives its message up the same way.
+            assert!(pop(&mut copy), "{kind}");
+            assert_eq!(copy.cell_count(), cells - 1, "{kind}");
+            copy.settle();
+            assert_eq!(copy.fingerprint(), copy.reference_fingerprint(), "{kind}");
+            assert_eq!(len(&settled), Some(1), "{kind}");
+            assert_eq!(settled.fingerprint(), fingerprint, "{kind}");
+        }
+    }
+
     #[test]
     fn a_crash_fails_a_control_channel_that_had_no_cell() {
         let scenario = testutil::hub_ping_scenario(1);
@@ -1607,7 +1984,7 @@ mod tests {
         state.enqueue_ingress(SwitchId(1), PortId(2), pkt);
         state.enqueue_ingress(SwitchId(2), PortId(1), pkt);
         state.settle();
-        assert_eq!(state.ingress.len(), 3);
+        assert_eq!(ingress_slots(&state).len(), 3);
 
         state.crash_switch(SwitchId(1));
         assert_eq!(state.busy_ingress_ports(SwitchId(1)).count(), 0);
@@ -1615,14 +1992,14 @@ mod tests {
         let clone = state.clone();
         state.settle();
         for state in [&state, &clone] {
-            let left: Vec<_> = state.ingress.keys().collect();
+            let left = ingress_slots(state);
             assert_eq!(left, [(SwitchId(2), PortId(1))]);
             assert_eq!(state.fingerprint(), state.reference_fingerprint());
         }
         // A packet towards the crashed switch is dropped on the floor, not
         // on a new cell.
         state.enqueue_ingress(SwitchId(1), PortId(1), pkt);
-        assert_eq!(state.ingress.len(), 1);
+        assert_eq!(ingress_slots(&state).len(), 1);
     }
 
     #[test]

@@ -335,7 +335,7 @@ pub fn enabled_transitions(
             // channel in the state has an idle one, whose link can fail.
             let model = plan.channel_model_for(switch_id);
             if model.any_enabled() {
-                for &port in &switch.ports {
+                for &port in switch.ports.iter() {
                     let channel = state.ingress(switch_id, port).unwrap_or(&idle);
                     out.extend(channel.enabled_faults(model).map(|fault| {
                         Transition::ChannelFault {
@@ -396,8 +396,7 @@ pub fn execute(
 
         Transition::HostReceive { host } => {
             let packet = state
-                .host_inbox_mut(*host)
-                .pop()
+                .pop_host_inbox(*host)
                 .expect("host_receive with empty inbox");
             events.push(Event::PacketDeliveredToHost {
                 host: *host,
@@ -445,8 +444,7 @@ pub fn execute(
 
         Transition::ProcessOf { switch } => {
             let msg = state
-                .ctrl_to_sw_mut(*switch)
-                .pop()
+                .pop_to_switch(*switch)
                 .expect("process_of with empty channel");
             if let OfMessage::FlowMod {
                 command,
@@ -476,8 +474,7 @@ pub fn execute(
 
         Transition::ControllerHandle { switch } => {
             let msg = state
-                .sw_to_ctrl_mut(*switch)
-                .pop()
+                .pop_to_controller(*switch)
                 .expect("ctrl_handle with empty channel");
             match &msg {
                 OfMessage::PacketIn {
@@ -648,7 +645,7 @@ fn process_one_ingress(
     port: PortId,
     events: &mut Vec<Event>,
 ) {
-    let packet = match state.ingress_mut(switch, port).pop() {
+    let packet = match state.pop_ingress(switch, port) {
         Some(p) => p,
         None => return,
     };
@@ -691,11 +688,10 @@ fn handle_switch_output(
                 deliver(state, switch, port, packet, events);
             }
             ForwardingDecision::FloodExcept { in_port, packet } => {
-                let ports: Vec<PortId> = state
-                    .switch(switch)
-                    .map(|s| s.ports.clone())
-                    .unwrap_or_default()
-                    .into_iter()
+                let ports: Vec<PortId> = (state.switch(switch))
+                    .map_or(&[][..], |s| &s.ports)
+                    .iter()
+                    .copied()
                     .filter(|&p| p != in_port)
                     .filter(|&p| has_receiver(state, switch, p))
                     .collect();
@@ -835,10 +831,7 @@ fn discover_stats(
         return;
     }
 
-    let ports: Vec<PortId> = state
-        .switch(switch)
-        .map(|s| s.ports.clone())
-        .unwrap_or_default();
+    let ports: Vec<PortId> = (state.switch(switch)).map_or_else(Vec::new, |s| s.ports.to_vec());
     let mut solver = Solver::new();
     let sym_stats = SymStats::symbolic(&mut solver, &ports, &scenario.stats_domains);
     let snapshot = state.controller().clone();

@@ -16,8 +16,8 @@ use crate::messages::{FlowModCommand, OfMessage, PacketInReason, StatsKind};
 use crate::packet::Packet;
 use crate::stats::PortStatsEntry;
 use crate::types::{PortId, SwitchId};
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifies a packet buffered at a switch while the controller decides what
 /// to do with it.
@@ -77,14 +77,16 @@ impl SwitchOutput {
 pub struct Switch {
     /// Datapath identifier.
     pub id: SwitchId,
-    /// The switch's ports, in ascending order.
-    pub ports: Vec<PortId>,
+    /// The switch's ports, in ascending order. Fixed by the topology, so
+    /// every copy of the switch shares them.
+    pub ports: Arc<[PortId]>,
     /// The flow table.
     pub flow_table: FlowTable,
-    /// Packets awaiting a controller decision, keyed by buffer id.
-    buffered: BTreeMap<u64, BufferedPacket>,
-    /// Per-port statistics.
-    port_stats: BTreeMap<PortId, PortStatsEntry>,
+    /// Packets awaiting a controller decision, by buffer id in ascending
+    /// order: ids are handed out in ascending order, so a new one goes last.
+    buffered: Vec<(u64, BufferedPacket)>,
+    /// Per-port statistics, in port order.
+    port_stats: Vec<PortStatsEntry>,
     /// Next buffer id to allocate.
     next_buffer_id: u64,
     /// Count of packets dropped because the buffer was full.
@@ -103,20 +105,22 @@ impl Switch {
     pub fn with_config(id: SwitchId, mut ports: Vec<PortId>, config: SwitchConfig) -> Self {
         ports.sort();
         ports.dedup();
+        Self::factory(id, ports.into(), config)
+    }
+
+    /// A switch in its factory state on `ports`, sorted and distinct.
+    fn factory(id: SwitchId, ports: Arc<[PortId]>, config: SwitchConfig) -> Self {
         let flow_table = if config.canonical_flow_table {
             FlowTable::new()
         } else {
             FlowTable::new_without_reduction()
         };
-        let port_stats = ports
-            .iter()
-            .map(|&p| (p, PortStatsEntry::zero(p)))
-            .collect();
+        let port_stats = ports.iter().map(|&p| PortStatsEntry::zero(p)).collect();
         Switch {
             id,
             ports,
             flow_table,
-            buffered: BTreeMap::new(),
+            buffered: Vec::new(),
             port_stats,
             next_buffer_id: 1,
             buffer_overflow_drops: 0,
@@ -129,11 +133,17 @@ impl Switch {
         self.config
     }
 
+    /// This switch in its factory state — empty flow table, empty buffer,
+    /// zero counters — with its id, ports and configuration.
+    pub fn restarted(&self) -> Switch {
+        Self::factory(self.id, Arc::clone(&self.ports), self.config)
+    }
+
     /// The `switch_join` message this switch announces itself with.
     pub fn join_message(&self) -> OfMessage {
         OfMessage::SwitchJoin {
             switch: self.id,
-            ports: self.ports.clone(),
+            ports: self.ports.to_vec(),
         }
     }
 
@@ -144,17 +154,23 @@ impl Switch {
 
     /// Iterates over buffered packets in buffer-id order.
     pub fn buffered_packets(&self) -> impl Iterator<Item = (BufferId, &BufferedPacket)> {
-        self.buffered.iter().map(|(&id, bp)| (BufferId(id), bp))
+        self.buffered.iter().map(|(id, bp)| (BufferId(*id), bp))
+    }
+
+    /// Where the packet buffered under `id` is (`Ok`), or would go.
+    fn buffer_position(&self, id: BufferId) -> Result<usize, usize> {
+        self.buffered.binary_search_by_key(&id.0, |&(at, _)| at)
     }
 
     /// Returns the buffered packet stored under `id`, if any.
     pub fn buffered_packet(&self, id: BufferId) -> Option<&BufferedPacket> {
-        self.buffered.get(&id.0)
+        let at = self.buffer_position(id).ok()?;
+        Some(&self.buffered[at].1)
     }
 
     /// Per-port statistics in port order.
     pub fn port_stats(&self) -> Vec<PortStatsEntry> {
-        self.port_stats.values().copied().collect()
+        self.port_stats.clone()
     }
 
     /// Predicts, without mutating or allocating anything, what
@@ -242,8 +258,8 @@ impl Switch {
                     });
                 }
                 Action::Flood => {
-                    let ports: Vec<PortId> = self.ports.clone();
-                    for port in ports {
+                    let ports = Arc::clone(&self.ports);
+                    for &port in ports.iter() {
                         if port != in_port {
                             self.count_tx(port, packet);
                         }
@@ -298,9 +314,8 @@ impl Switch {
                 actions,
             } => {
                 let resolved = match buffer_id {
-                    Some(id) => self
-                        .buffered
-                        .remove(&id.0)
+                    Some(id) => (self.buffer_position(id).ok())
+                        .map(|at| self.buffered.remove(at).1)
                         .map(|bp| (bp.packet, bp.in_port)),
                     None => packet.map(|p| (p, in_port)),
                 };
@@ -360,8 +375,9 @@ impl Switch {
         }
         let buffer_id = BufferId(self.next_buffer_id);
         self.next_buffer_id += 1;
+        debug_assert!(self.buffered.last().is_none_or(|&(id, _)| id < buffer_id.0));
         self.buffered
-            .insert(buffer_id.0, BufferedPacket { packet, in_port });
+            .push((buffer_id.0, BufferedPacket { packet, in_port }));
         out.to_controller.push(OfMessage::PacketIn {
             switch: self.id,
             in_port,
@@ -377,20 +393,26 @@ impl Switch {
         out
     }
 
-    fn count_rx(&mut self, port: PortId, packet: &Packet) {
-        let entry = self
+    /// The counters of `port`, zeroed first if the port had none.
+    fn stats_mut(&mut self, port: PortId) -> &mut PortStatsEntry {
+        let at = (self
             .port_stats
-            .entry(port)
-            .or_insert_with(|| PortStatsEntry::zero(port));
+            .binary_search_by_key(&port, |stats| stats.port))
+        .unwrap_or_else(|at| {
+            self.port_stats.insert(at, PortStatsEntry::zero(port));
+            at
+        });
+        &mut self.port_stats[at]
+    }
+
+    fn count_rx(&mut self, port: PortId, packet: &Packet) {
+        let entry = self.stats_mut(port);
         entry.rx_packets += 1;
         entry.rx_bytes += packet.byte_size();
     }
 
     fn count_tx(&mut self, port: PortId, packet: &Packet) {
-        let entry = self
-            .port_stats
-            .entry(port)
-            .or_insert_with(|| PortStatsEntry::zero(port));
+        let entry = self.stats_mut(port);
         entry.tx_packets += 1;
         entry.tx_bytes += packet.byte_size();
     }
@@ -402,7 +424,9 @@ impl Switch {
 /// switch or an application does depends on which fresh name a slot gets,
 /// so — like a packet's provenance id — it would only tell histories apart.
 /// `ports` and `config` are fixed by the topology and the scenario. The
-/// counters go in without a length prefix: every entry carries its port.
+/// buffer goes in as the map from buffer id to packet it is: its length,
+/// then the pairs. The counters go in without a length prefix: every entry
+/// carries its port.
 impl Hash for Switch {
     fn hash<H: Hasher>(&self, state: &mut H) {
         let Switch {
@@ -416,7 +440,7 @@ impl Hash for Switch {
             config: _,
         } = self;
         (id, flow_table, buffered).hash(state);
-        port_stats.values().for_each(|stats| stats.hash(state));
+        port_stats.iter().for_each(|stats| stats.hash(state));
         buffer_overflow_drops.hash(state);
     }
 }
@@ -715,7 +739,7 @@ mod tests {
                     packet: ping(),
                     in_port: PortId(1),
                 };
-                sw.buffered.insert(1, parked);
+                sw.buffered.push((1, parked));
             }),
             ("port_stats", |sw| sw.count_rx(PortId(2), &ping())),
             ("buffer_overflow_drops", |sw| sw.buffer_overflow_drops += 1),

@@ -18,12 +18,16 @@ use crate::env::Env;
 use crate::value::SymValue;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A map keyed by (possibly symbolic) integers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SymMap<V> {
-    /// Entries inserted with concrete keys.
-    base: BTreeMap<u64, V>,
+    /// Entries inserted with concrete keys, shared copy-on-write: copying
+    /// the application that owns the map (a controller state the model
+    /// checker is about to write) copies them only once the map itself is
+    /// written.
+    base: Arc<BTreeMap<u64, V>>,
     /// Entries inserted with symbolic keys during a concolic run. The model
     /// checker never populates this (its packets are concrete); the overlay
     /// lives only for the duration of one symbolic handler execution on a
@@ -35,7 +39,7 @@ impl<V: Clone> SymMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
         SymMap {
-            base: BTreeMap::new(),
+            base: Arc::default(),
             overlay: Vec::new(),
         }
     }
@@ -60,7 +64,7 @@ impl<V: Clone> SymMap<V> {
     pub fn insert(&mut self, key: SymValue, value: V) {
         match key.as_concrete() {
             Some(k) => {
-                self.base.insert(k, value);
+                Arc::make_mut(&mut self.base).insert(k, value);
             }
             None => self.overlay.push((key, value)),
         }
@@ -68,7 +72,7 @@ impl<V: Clone> SymMap<V> {
 
     /// Inserts under a concrete key.
     pub fn insert_concrete(&mut self, key: u64, value: V) {
-        self.base.insert(key, value);
+        Arc::make_mut(&mut self.base).insert(key, value);
     }
 
     /// Looks up a value. With a symbolic key the lookup branches (through
@@ -105,7 +109,10 @@ impl<V: Clone> SymMap<V> {
 
     /// Removes a concrete entry.
     pub fn remove_concrete(&mut self, key: u64) -> Option<V> {
-        self.base.remove(&key)
+        if !self.base.contains_key(&key) {
+            return None;
+        }
+        Arc::make_mut(&mut self.base).remove(&key)
     }
 
     /// Concrete keys in order.
@@ -115,14 +122,15 @@ impl<V: Clone> SymMap<V> {
 
     /// Clears all entries.
     pub fn clear(&mut self) {
-        self.base.clear();
+        self.base = Arc::default();
         self.overlay.clear();
     }
 }
 
-/// Hashes the concrete entries only. The symbolic overlay lives for one
-/// concolic handler run on a throw-away clone and is never part of a state
-/// the model checker fingerprints, which the assertion holds it to.
+/// Hashes the concrete entries only, as the map they are (the `Arc` adds
+/// nothing). The symbolic overlay lives for one concolic handler run on a
+/// throw-away clone and is never part of a state the model checker
+/// fingerprints, which the assertion holds it to.
 impl<V: Hash> Hash for SymMap<V> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         debug_assert!(

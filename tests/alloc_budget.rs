@@ -4,13 +4,16 @@
 //! child sleep sets per expansion, a sorted footprint per transition, a deep
 //! copy per inherited sleeper) fails here, on every machine, by a number.
 //! The explored set's peak bytes per state are as deterministic, and pinned
-//! beside them.
+//! beside them, and so is what one clone of a search state costs.
 //!
-//! Its own test binary with a single test: the counting allocator is
-//! process-wide, and counts only on the thread that asked it to.
+//! Its own test binary: the counting allocator is process-wide, and counts
+//! only on the thread that asked it to, so the tests do not count each
+//! other's trips.
 
+use nice::mc::transition::{enabled_transitions, execute, DiscoveryMemo};
+use nice::mc::SystemState;
 use nice::prelude::*;
-use nice_apps::workloads::chain_ping_workload;
+use nice_apps::workloads::{chain_ping_workload, ping_workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,34 +67,44 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `checker` and returns its report and the trips to the allocator the
-/// run made on this thread.
-fn counted(checker: &ModelChecker) -> (CheckReport, u64) {
+/// Runs `work` and returns what it returned and the trips to the allocator
+/// it made on this thread.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
     TRIPS.set(Some(0));
-    let report = checker.run();
+    let done = work();
     let trips = TRIPS.replace(None).expect("still counting");
-    (report, trips)
+    (done, trips)
 }
 
 #[test]
 fn a_search_stays_inside_its_allocation_budget() {
-    // (reduction, unique states, transitions, allocations per transition,
-    // peak explored-set bytes per unique state). The byte ceilings are
-    // 24.1 and 32.4 measured, plus under 5 %: a store that keeps a private
-    // sleep-digest list per state again reads 37.7 under POR.
+    // (workload, reduction, unique states, transitions, allocations per
+    // transition, peak explored-set bytes per unique state). Each ceiling is
+    // the measured value plus under 5 %. On chain:5:2 a transition made
+    // 13.15 trips without a reduction and 12.63 under POR while every
+    // successor copied the queue of each channel it popped, the port list
+    // of each switch it wrote and seven sorted vectors per clone; it makes
+    // 8.75 and 9.64 now (13.57 and 8.95 on ping:3). A store that keeps a private sleep-digest list per
+    // state again reads 37.7 explored bytes per state under POR.
     let legs = [
-        (ReductionKind::None, 6_941, 11_044, 13.5, 25.0),
-        (ReductionKind::Por, 6_039, 6_725, 14.5, 33.5),
+        ("chain:5:2", ReductionKind::None, 6_941, 11_044, 9.2, 25.0),
+        ("chain:5:2", ReductionKind::Por, 6_039, 6_725, 10.1, 33.5),
+        ("ping:3", ReductionKind::None, 5_889, 12_224, 9.4, 23.0),
     ];
-    for (reduction, states, transitions, ceiling, bytes_ceiling) in legs {
+    for (workload, reduction, states, transitions, ceiling, bytes_ceiling) in legs {
         let config = CheckerConfig::default()
             .with_stop_at_first(false)
             .with_max_transitions(0)
             .with_workers(1)
             .with_reduction(reduction);
-        let checker = ModelChecker::new(chain_ping_workload(5, 2), config);
-        let (report, allocations) = counted(&checker);
-        let label = format!("chain:5:2, reduction {}", reduction.name());
+        let scenario = match workload {
+            "chain:5:2" => chain_ping_workload(5, 2),
+            // Table 1's row: two switches, no property to check.
+            _ => ping_workload(3, true),
+        };
+        let checker = ModelChecker::new(scenario, config);
+        let (report, allocations) = counted(|| checker.run());
+        let label = format!("{workload}, reduction {}", reduction.name());
         // The counts first: a budget per transition means nothing for a
         // different search.
         assert_eq!(report.stats.unique_states, states, "{label}");
@@ -113,5 +126,39 @@ fn a_search_stays_inside_its_allocation_budget() {
             "{label}: {allocations} allocations = {per_transition:.2} per transition, \
              {peak} explored bytes = {bytes_per_state:.1} per state"
         );
+    }
+}
+
+/// A frontier node clones its state once per successor, so a clone of a
+/// settled state — every clone is born settled — holds to one trip to the
+/// allocator: the cell table, whatever the state holds. Checked at every
+/// step of a walk deep into `chain:5:2`.
+#[test]
+fn cloning_a_settled_state_makes_at_most_one_allocation() {
+    let scenario = chain_ping_workload(5, 2);
+    let config = CheckerConfig::default();
+    let (mut memo, mut events) = (DiscoveryMemo::default(), Vec::new());
+    let mut state = SystemState::initial(&scenario);
+    for step in 0..40 {
+        let settled = state.clone();
+        let (copy, allocations) = counted(|| settled.clone());
+        assert!(
+            allocations <= 1,
+            "step {step}: a settled clone made {allocations} allocations"
+        );
+        assert_eq!(copy.fingerprint(), state.fingerprint(), "step {step}");
+        let enabled = enabled_transitions(&state, &scenario, &config);
+        let Some(taken) = enabled.get(step % enabled.len().max(1)) else {
+            panic!("step {step}: the walk ended before it got deep");
+        };
+        execute(
+            &mut state,
+            taken,
+            &scenario,
+            &config,
+            &mut memo,
+            &mut events,
+        );
+        events.clear();
     }
 }

@@ -96,7 +96,7 @@ fn assert_no_idle_cell(state: &SystemState, scenario: &str) {
     let mut cells = 1;
     for (id, switch) in state.switches() {
         cells += 1 + live(state.sw_to_ctrl(id), scenario) + live(state.ctrl_to_sw(id), scenario);
-        for &port in &switch.ports {
+        for &port in switch.ports.iter() {
             cells += live(state.ingress(id, port), scenario);
         }
     }
