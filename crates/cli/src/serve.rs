@@ -4,14 +4,16 @@
 //! [`nice_dist::Coordinator`]s, and accepts check jobs from any number of
 //! concurrent client connections. Each coordinator has a runner thread that
 //! takes the next job and runs it whole on its own `nice-dist-worker`
-//! process, so up to N jobs are in flight and no job forwards a state. A
-//! worker that dies mid-job is respawned and the job restarts from the root,
-//! so its counters are the sequential engine's exactly. Runners take jobs
-//! with **fair queuing**: the pick round-robins across connections that have
-//! a job pending, so one chatty client cannot starve the others. A
-//! connection's own jobs run one at a time, in the order it sent them.
+//! process, so up to N jobs are in flight, no job forwards a state, and a
+//! job's counters are the sequential engine's exactly. A worker that dies
+//! mid-job fails that job with an `error` naming its exit status (the
+//! search is deterministic: run again, it would die again); the runner's
+//! next job starts a fresh worker. Runners take jobs with **fair
+//! queuing**: the pick round-robins across connections that have a job
+//! pending, so one chatty client cannot starve the others. A connection's
+//! own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v5` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v6` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame and receives `progress` and `violation` frames while the job
 //! runs, then exactly one `job_done` (stats + violations) or `error`. Those
@@ -354,10 +356,7 @@ fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
         let _ = write_frame(&mut writer, &frame);
     };
     match coordinator.run_job(*job, spec, relay, Some(cancel)) {
-        Ok(0) => eprintln!("job {job} {outcome}"),
-        Ok(restarts) => eprintln!(
-            "job {job} {outcome} (the worker crashed {restarts}x; respawned, job restarted)"
-        ),
+        Ok(()) => eprintln!("job {job} {outcome}"),
         Err(e) => {
             let message = e.to_string();
             eprintln!("job {job} failed: {message}");

@@ -1,35 +1,29 @@
 //! Job orchestration over one worker process.
 //!
-//! A [`Coordinator`] sends a job to its `nice-dist-worker` and relays what
-//! the worker reports: its `progress` and `violation` frames while the job
-//! runs, then its own `job_done` or `error`. The worker runs the job whole,
-//! the way `nice run` does, so its transition budget, its
-//! `stop_at_first_violation` and its deadline stop it exactly where `nice
-//! run` stops; the coordinator only turns a caller's cancel into a `cancel`
-//! frame.
+//! A [`Coordinator`] owns one `nice-dist-worker` child: its stdin, and a
+//! channel that a reader thread fills with the frames of its stdout. It
+//! sends a job to the worker and relays what the worker reports: its
+//! `progress` and `violation` frames while the job runs, then its own
+//! `job_done` or `error`. The worker runs the job whole, the way `nice run`
+//! does, so its transition budget, its `stop_at_first_violation` and its
+//! deadline stop it exactly where `nice run` stops; the coordinator only
+//! turns a caller's cancel into a `cancel` frame.
 //!
-//! **Crash recovery.** When the worker's pipe hits EOF mid-job, the
-//! coordinator respawns it (bumping its generation — frames a dead process
-//! left behind are discarded by generation tag) and re-sends the job with
-//! what is left of its time budget; the job restarts from the root. The
-//! `job_done` is the fresh process's, so its counters equal a crash-free
-//! run's exactly.
+//! **A dead worker fails its job.** The search is deterministic, so a job
+//! restarted after its worker died would meet the same end again. When the
+//! worker's stdout closes mid-job, [`Coordinator::run_job`] returns an error
+//! naming the worker's exit status. The next job finds the worker exited
+//! and starts a fresh one first, so it runs as if nothing had happened.
 
-use crate::process::{WorkerEvent, WorkerProcess};
-use crate::proto::{Frame, WireViolation};
+use crate::proto::{read_frame, write_frame, Frame, WireViolation};
+use crate::WORKER_BIN_ENV;
 use nice_mc::{CheckReport, CheckerConfig, Json, SearchStats, TraceEngine};
-use std::io;
+use std::io::{self, BufReader};
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
-
-/// Consecutive no-frame crashes of the worker before the coordinator gives
-/// up on the job instead of respawning forever. Genuine mid-job crashes
-/// reset the streak with every frame the worker produced; only a process
-/// that dies *immediately* on every spawn (stale binary speaking an old
-/// protocol, missing shared library, bad [`crate::WORKER_BIN_ENV`]
-/// override) climbs past this.
-const MAX_CRASH_STREAK: u32 = 5;
 
 /// What to check and how: a scenario spec, the [`CheckerConfig`] to search
 /// it with and the job's deadline. Serialized inside the `job` frame.
@@ -108,119 +102,151 @@ impl JobSpec {
 /// How often a running job polls the caller's cancel flag.
 const CANCEL_POLL: Duration = Duration::from_millis(50);
 
+/// How long a worker whose stdout closed gets to exit before it is killed.
+const EXIT_GRACE: Duration = Duration::from_millis(500);
+
+/// Locates the worker binary for a front-end installed next to it (`nice
+/// serve`): the [`WORKER_BIN_ENV`] override, else a `nice-dist-worker`
+/// sibling of the current executable or of its parent directory (test
+/// binaries live in `target/<profile>/deps/`, bins in `target/<profile>/`).
+pub fn worker_bin() -> io::Result<PathBuf> {
+    if let Ok(path) = std::env::var(WORKER_BIN_ENV) {
+        return Ok(PathBuf::from(path));
+    }
+    let exe = std::env::current_exe()?;
+    let name = format!("nice-dist-worker{}", std::env::consts::EXE_SUFFIX);
+    let candidates = [
+        exe.parent().map(|d| d.join(&name)),
+        exe.parent().and_then(|d| d.parent()).map(|d| d.join(&name)),
+    ];
+    for candidate in candidates.into_iter().flatten() {
+        if candidate.is_file() {
+            return Ok(candidate);
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::NotFound,
+        format!("worker binary '{name}' not found next to {}; build it (cargo build -p nice-dist) or set {WORKER_BIN_ENV}", exe.display()),
+    ))
+}
+
 /// The checking coordinator: one worker process and the job it runs.
 pub struct Coordinator {
-    worker: WorkerProcess,
-    /// The worker died and was not respawned: the last job gave up on it.
-    dead: bool,
+    bin: PathBuf,
+    /// The worker; its stdin stays open until the coordinator is dropped.
+    child: Child,
+    /// The worker's frames; the channel closes when its stdout does, or
+    /// when a frame on it is corrupt.
+    frames: Receiver<Frame>,
 }
 
 impl Coordinator {
-    /// Spawns a coordinator and its process of the worker binary
-    /// `worker_bin` (see [`worker_bin`](crate::worker_bin)).
-    pub fn new(worker_bin: PathBuf) -> io::Result<Coordinator> {
-        Ok(Coordinator {
-            worker: WorkerProcess::spawn(worker_bin)?,
-            dead: false,
-        })
+    /// Spawns a process of the worker binary `bin` (see [`worker_bin`]) and
+    /// the thread that reads its stdout.
+    pub fn new(bin: PathBuf) -> io::Result<Coordinator> {
+        let mut child = Command::new(&bin)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()?;
+        let stdout = child.stdout.take().expect("piped stdout");
+        let (tx, frames) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut reader = BufReader::new(stdout);
+            while let Ok(Some(frame)) = read_frame(&mut reader) {
+                if tx.send(frame).is_err() {
+                    return; // the coordinator was dropped
+                }
+            }
+        });
+        Ok(Coordinator { bin, child, frames })
+    }
+
+    /// The worker's process id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
     }
 
     /// Runs `spec` as job `job` to completion. Hands `sink` each `progress`
-    /// and `violation` frame of the live worker, then its `job_done` or
-    /// `error`, which ends the job. `cancel` (when provided) is polled and
-    /// sent on as a `cancel` frame; the job still ends with its `job_done`.
-    /// Returns how many times the worker died and the job restarted; an
-    /// error means no final frame came: the worker kept dying without a
-    /// frame, or could not be respawned. The caller tells its client.
+    /// and `violation` frame of the worker, then its `job_done` or `error`,
+    /// which ends the job. `cancel` (when provided) is polled and sent on as
+    /// a `cancel` frame; the job still ends with its `job_done`. A worker
+    /// that exited after an earlier job is replaced first. An error means
+    /// no final frame came: the worker died mid-job (the error names its
+    /// exit status) or could not be started. The caller tells its client.
     pub fn run_job(
         &mut self,
         job: u64,
         spec: &JobSpec,
         mut sink: impl FnMut(Frame),
         cancel: Option<&AtomicBool>,
-    ) -> io::Result<u32> {
-        if self.dead {
-            self.worker.respawn()?;
-            self.dead = false;
+    ) -> io::Result<()> {
+        if !matches!(self.child.try_wait(), Ok(None)) {
+            *self = Coordinator::new(self.bin.clone())?;
         }
-        let start = Instant::now();
-        // Consecutive crashes with no frame in between. A worker that dies
-        // deterministically right after spawn (stale or broken binary,
-        // protocol mismatch) would otherwise be respawned forever and hang
-        // the job.
-        let mut crash_streak = 0u32;
-        let mut restarts = 0u32;
         let mut cancelled = false;
-        self.worker.send(&Frame::Job {
+        self.send(&Frame::Job {
             job,
             spec: spec.clone(),
         })?;
-
         loop {
             if !cancelled && cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 cancelled = true;
-                self.worker.send(&Frame::Cancel { job })?;
+                self.send(&Frame::Cancel { job })?;
             }
-
             // The timeout only paces the cancel poll above: every frame
             // wakes this at once.
-            let (generation, event) = match self.worker.events().recv_timeout(CANCEL_POLL) {
-                Ok(event) => event,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "worker event channel closed",
-                    ));
+            let frame = match self.frames.recv_timeout(CANCEL_POLL) {
+                Ok(frame) => frame,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    let status = self.reap()?;
+                    return Err(io::Error::other(format!(
+                        "the worker died mid-job ({status})"
+                    )));
                 }
             };
-            if generation != self.worker.generation() {
-                continue; // a dead process's leftovers
-            }
-
-            let frame = match event {
-                WorkerEvent::Frame(frame) => *frame,
-                WorkerEvent::Eof => {
-                    // Crash: respawn and restart the job from the root.
-                    self.dead = true;
-                    crash_streak += 1;
-                    if crash_streak > MAX_CRASH_STREAK {
-                        return Err(io::Error::other(format!(
-                            "worker died {crash_streak} times in a row without \
-                             producing a frame; giving up (broken or stale \
-                             worker binary?)"
-                        )));
-                    }
-                    self.worker.respawn()?;
-                    self.dead = false;
-                    restarts += 1;
-                    let mut spec = spec.clone();
-                    if spec.time_budget_ms > 0 {
-                        let spent = start.elapsed().as_millis() as u64;
-                        // Never 0, which would mean no deadline at all.
-                        spec.time_budget_ms = spec.time_budget_ms.saturating_sub(spent).max(1);
-                    }
-                    self.worker.send(&Frame::Job { job, spec })?;
-                    if cancelled {
-                        self.worker.send(&Frame::Cancel { job })?;
-                    }
-                    continue;
-                }
-            };
-
             match frame {
                 Frame::Progress { job: j, .. } | Frame::Violation { job: j, .. } if j == job => {
-                    crash_streak = 0;
                     sink(frame);
                 }
                 Frame::JobDone { job: j, .. } | Frame::Error { job: j, .. } if j == job => {
                     sink(frame);
-                    return Ok(restarts);
+                    return Ok(());
                 }
-                // `hello` deliberately does not clear the crash streak: a
-                // stale binary still greets before choking on the job frame.
                 _ => {}
             }
         }
+    }
+
+    /// Sends a frame. A broken pipe is not an error here: the worker is
+    /// dead, and the closed frame channel reports it with its exit status.
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        let stdin = self.child.stdin.as_mut().expect("stdin open until drop");
+        match write_frame(stdin, frame) {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// Waits for the worker to exit, killing it if it has not within
+    /// [`EXIT_GRACE`] (a worker that wrote a corrupt frame may still run).
+    fn reap(&mut self) -> io::Result<std::process::ExitStatus> {
+        let deadline = Instant::now() + EXIT_GRACE;
+        while Instant::now() < deadline {
+            if let Some(status) = self.child.try_wait()? {
+                return Ok(status);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        self.child.kill()?;
+        self.child.wait()
+    }
+}
+
+/// Closing the worker's stdin tells it to finish its job and exit.
+impl Drop for Coordinator {
+    fn drop(&mut self) {
+        drop(self.child.stdin.take());
+        let _ = self.reap();
     }
 }

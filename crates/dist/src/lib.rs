@@ -8,14 +8,14 @@
 //! coordinators side by side: N jobs at once, each independent, none
 //! forwarding a state to another.
 //!
-//! * [`proto`] — the `nice-dist-v5` wire protocol: length-prefixed
+//! * [`proto`] — the `nice-dist-v6` wire protocol: length-prefixed
 //!   single-line JSON frames, written and parsed through [`nice_mc::json`].
 //! * [`worker`] — the worker main loop: a session per job whose observer
 //!   streams progress and violations back over stdout.
 //! * [`coordinator`] — one job at a time on one worker: relays the
-//!   worker's frames, passes on the caller's cancel, and recovers from a
-//!   crash (a dead worker is respawned and the job restarted from the
-//!   root). The worker keeps the job's deadline, as `nice run` does.
+//!   worker's frames and passes on the caller's cancel. A worker that dies
+//!   mid-job fails that job with its exit status; the next job starts a
+//!   fresh worker. The worker keeps the job's deadline, as `nice run` does.
 //!
 //! Transport is `spawn` + stdin/stdout pipes: multi-process on one host,
 //! no network crates needed in the offline build environment. The same
@@ -26,20 +26,12 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-mod process;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{Coordinator, JobSpec};
-pub use process::worker_bin;
+pub use coordinator::{worker_bin, Coordinator, JobSpec};
 pub use proto::{read_frame, write_frame, Frame, WireViolation, DIST_SCHEMA};
 pub use worker::worker_main;
 
 /// Environment variable overriding the worker binary [`worker_bin`] finds.
 pub const WORKER_BIN_ENV: &str = "NICE_DIST_WORKER_BIN";
-
-/// Environment variable making a worker abort after executing that many
-/// transitions — the crash-recovery test hook. Only a coordinator's first
-/// worker process inherits it, so the respawned one finishes the job. The
-/// abort models a SIGKILL'd worker: no flush, no goodbye frame.
-pub const DIE_AFTER_ENV: &str = "NICE_DIST_DIE_AFTER";

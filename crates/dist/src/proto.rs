@@ -1,8 +1,8 @@
-//! The `nice-dist-v5` wire protocol.
+//! The `nice-dist-v6` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v5"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v6"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -25,16 +25,16 @@
 //! `v5` writes them whole again. `v3` dropped the explored-set settings from
 //! the `job` spec and the spill counters from the `job_done` stats, which
 //! gained `depth_bounded`. `v4` dropped the `job` frame's `shard` and the
-//! `idle` and `finish` frames of the sharded job. Either way a stale worker
-//! binary must fail loudly on the schema tag instead of exploring a wrong
-//! state or misreading a verdict silently.
+//! `idle` and `finish` frames of the sharded job. `v6` dropped `hello`,
+//! which nothing read, and `shutdown`, which closing the worker's stdin
+//! already means. Either way a stale worker binary must fail loudly on the
+//! schema tag instead of exploring a wrong state or misreading a verdict
+//! silently.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
 //! | `job` | C → W | run a job whole (scenario spec + engine config) |
 //! | `cancel` | C → W | stop expanding (the job still completes with `job_done`) |
-//! | `shutdown` | C → W | exit the worker process |
-//! | `hello` | W → C | worker is up (pid) |
 //! | `progress` | W → C | periodic transition/state counters |
 //! | `violation` | W → C | a violation, streamed live with its steps |
 //! | `job_done` | W → C | final stats + violations; `truncated` also when a cancel or the deadline stopped the job |
@@ -48,8 +48,8 @@ use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v5` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v5";
+/// The schema tag every `nice-dist-v6` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v6";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -111,7 +111,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v5` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v6` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: run `job` whole with the given spec.
@@ -132,13 +132,6 @@ pub enum Frame {
     Cancel {
         /// Job id.
         job: u64,
-    },
-    /// C → W: exit the worker process.
-    Shutdown,
-    /// W → C: the worker process is up.
-    Hello {
-        /// The worker's OS process id.
-        pid: u64,
     },
     /// Frontier exports a shard made for other shards (benchmark only).
     Forward {
@@ -188,23 +181,17 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v5` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v6` JSON document.
     pub fn to_json(&self) -> String {
-        let (kind, job, body): (&str, Option<u64>, Vec<(&'static str, Json)>) = match self {
-            Frame::Job { job, spec } => ("job", Some(*job), vec![("spec", spec.to_json())]),
-            Frame::States { job, states } => (
-                "states",
-                Some(*job),
-                vec![("states", exports_to_json(states))],
-            ),
-            Frame::Cancel { job } => ("cancel", Some(*job), vec![]),
-            Frame::Shutdown => ("shutdown", None, vec![]),
-            Frame::Hello { pid } => ("hello", None, vec![("pid", (*pid).into())]),
-            Frame::Forward { job, states } => (
-                "forward",
-                Some(*job),
-                vec![("states", exports_to_json(states))],
-            ),
+        let (kind, job, body): (&str, u64, Vec<(&'static str, Json)>) = match self {
+            Frame::Job { job, spec } => ("job", *job, vec![("spec", spec.to_json())]),
+            Frame::States { job, states } => {
+                ("states", *job, vec![("states", exports_to_json(states))])
+            }
+            Frame::Cancel { job } => ("cancel", *job, vec![]),
+            Frame::Forward { job, states } => {
+                ("forward", *job, vec![("states", exports_to_json(states))])
+            }
             Frame::Progress {
                 job,
                 transitions,
@@ -216,13 +203,11 @@ impl Frame {
                     ("unique_states", (*unique_states).into()),
                     ("depth", (*depth).into()),
                 ];
-                ("progress", Some(*job), body)
+                ("progress", *job, body)
             }
-            Frame::Violation { job, violation } => (
-                "violation",
-                Some(*job),
-                vec![("violation", violation.to_json())],
-            ),
+            Frame::Violation { job, violation } => {
+                ("violation", *job, vec![("violation", violation.to_json())])
+            }
             Frame::JobDone {
                 job,
                 stats,
@@ -233,20 +218,21 @@ impl Frame {
                     ("stats", stats.to_json()),
                     ("violations", Json::Arr(violations)),
                 ];
-                ("job_done", Some(*job), body)
+                ("job_done", *job, body)
             }
-            Frame::Error { job, message } => (
-                "error",
-                Some(*job),
-                vec![("message", message.as_str().into())],
-            ),
+            Frame::Error { job, message } => {
+                ("error", *job, vec![("message", message.as_str().into())])
+            }
         };
-        let head = [("schema", DIST_SCHEMA.into()), ("frame", kind.into())];
-        let job = job.map(|job| ("job", job.into()));
-        Json::object(head.into_iter().chain(job).chain(body)).compact()
+        let head = [
+            ("schema", DIST_SCHEMA.into()),
+            ("frame", kind.into()),
+            ("job", job.into()),
+        ];
+        Json::object(head.into_iter().chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v5` JSON document.
+    /// Parses a single-line `nice-dist-v6` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -264,10 +250,6 @@ impl Frame {
                 states: exports_from_json(value.arr("states")?)?,
             },
             "cancel" => Frame::Cancel { job: job()? },
-            "shutdown" => Frame::Shutdown,
-            "hello" => Frame::Hello {
-                pid: value.u64("pid")?,
-            },
             "forward" => Frame::Forward {
                 job: job()?,
                 states: exports_from_json(value.arr("states")?)?,
@@ -447,9 +429,8 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 10 kinds with its `nice-dist-v5` bytes. Eight
-    /// of them are their `nice-dist-v4` bytes but for the tag; the states of
-    /// `forward` and `states` lost their `keep` and carry their whole trace.
+    /// One frame of each of the 8 kinds with its `nice-dist-v6` bytes: its
+    /// `nice-dist-v5` bytes but for the tag.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -467,33 +448,25 @@ mod tests {
                     job: 1,
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v5","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
+                r#"{"schema":"nice-dist-v6","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v5","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v6","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v5","frame":"cancel","job":3}"#,
-            ),
-            (
-                Frame::Shutdown,
-                r#"{"schema":"nice-dist-v5","frame":"shutdown"}"#,
-            ),
-            (
-                Frame::Hello { pid: 4242 },
-                r#"{"schema":"nice-dist-v5","frame":"hello","pid":4242}"#,
+                r#"{"schema":"nice-dist-v6","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v5","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v6","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -502,14 +475,14 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v5","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v6","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation {
                     job: 7,
                     violation: violation.clone(),
                 },
-                r#"{"schema":"nice-dist-v5","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
+                r#"{"schema":"nice-dist-v6","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::JobDone {
@@ -517,14 +490,14 @@ mod tests {
                     stats: sample_stats(),
                     violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v5","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v6","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v5","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v6","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -556,15 +529,15 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
-        // A v4 peer writes forwarded traces as deltas this side no longer
-        // reads: it must fail on the tag.
+        // A v5 peer greets with `hello` and waits for `shutdown`, which
+        // this side no longer speaks: it must fail on the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v5", "nice-dist-v4", 1);
+            let stale = golden.replacen("nice-dist-v6", "nice-dist-v5", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v4'"),
+                err.to_string().contains("unknown schema 'nice-dist-v5'"),
                 "{err}"
             );
         }

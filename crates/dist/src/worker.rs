@@ -14,11 +14,12 @@
 //!    gets an `error` instead.
 //!
 //! A reader thread drains stdin: it hands `job` frames to the job loop and
-//! trips the running session's cancel token on `cancel`, `shutdown` or EOF.
-//! A cancelled session still finishes, so every job gets its `job_done`.
+//! trips the running session's cancel token on `cancel` or EOF. A cancelled
+//! session still finishes, so every job gets its `job_done`; after EOF the
+//! process exits once its job returns.
 
 use crate::proto::{read_frame, write_frame, Frame, WireViolation};
-use crate::{JobSpec, DIE_AFTER_ENV};
+use crate::JobSpec;
 use nice_mc::{CancelToken, CheckEvent, ModelChecker, SearchStats};
 use std::io::{self, BufWriter, Write};
 use std::sync::mpsc::Receiver;
@@ -34,7 +35,7 @@ pub const PROGRESS_EVERY: u64 = 2048;
 struct Stops {
     /// The job the latest `cancel` named, since the latest `job`.
     cancelled: Option<u64>,
-    /// `shutdown` arrived or stdin closed.
+    /// Stdin closed.
     closed: bool,
     /// The running job and its session's cancel token.
     running: Option<(u64, CancelToken)>,
@@ -56,26 +57,17 @@ fn lock(stops: &Mutex<Stops>) -> MutexGuard<'_, Stops> {
     stops.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs the worker protocol over `stdin`/`stdout` until `shutdown` or EOF.
+/// Runs the worker protocol over `stdin`/`stdout` until stdin closes.
 /// This is the whole body of the `nice-dist-worker` binary.
 pub fn worker_main() -> io::Result<()> {
     let mut out = BufWriter::new(io::stdout());
-    write_frame(
-        &mut out,
-        &Frame::Hello {
-            pid: u64::from(std::process::id()),
-        },
-    )?;
-    let die_after: Option<u64> = std::env::var(DIE_AFTER_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
     let stops = Arc::new(Mutex::new(Stops::default()));
     for (job, spec) in read_stdin(Arc::clone(&stops)) {
         match nice_apps::workloads::resolve(&spec.scenario) {
             Some(scenario) => {
                 let checker = ModelChecker::new(scenario, spec.config);
                 let budget = Duration::from_millis(spec.time_budget_ms);
-                run_job(job, &checker, budget, &stops, &mut out, die_after)?;
+                run_job(job, &checker, budget, &stops, &mut out)?;
             }
             None => {
                 let message = format!("unknown scenario spec '{}'", spec.scenario);
@@ -87,7 +79,7 @@ pub fn worker_main() -> io::Result<()> {
 }
 
 /// Starts the stdin reader thread. It sends `job` frames down the returned
-/// channel and applies the rest to `stops`; on `shutdown` or EOF it closes
+/// channel and applies the rest to `stops`; on EOF it closes
 /// the channel, which ends the job loop once the running job returns.
 fn read_stdin(stops: Arc<Mutex<Stops>>) -> Receiver<(u64, JobSpec)> {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -106,7 +98,7 @@ fn read_stdin(stops: Arc<Mutex<Stops>>) -> Receiver<(u64, JobSpec)> {
                     }
                 }
                 Ok(Some(Frame::Cancel { job })) => stops.cancelled = Some(job),
-                Ok(Some(Frame::Shutdown) | None) | Err(_) => stops.closed = true,
+                Ok(None) | Err(_) => stops.closed = true,
                 Ok(Some(_)) => {} // a frame no coordinator sends a worker
             }
             stops.apply();
@@ -126,12 +118,8 @@ fn run_job(
     budget: Duration,
     stops: &Mutex<Stops>,
     out: &mut (impl Write + Send),
-    die_after: Option<u64>,
 ) -> io::Result<()> {
-    // The crash hook reads the transition count from progress events, so
-    // it sets their cadence.
-    let every = die_after.map_or(PROGRESS_EVERY, |n| n.max(1));
-    let mut session = checker.session().with_progress_every(every);
+    let mut session = checker.session().with_progress_every(PROGRESS_EVERY);
     if !budget.is_zero() {
         session = session.with_time_budget(budget);
     }
@@ -148,20 +136,12 @@ fn run_job(
                 transitions,
                 depth,
                 ..
-            } => {
-                if die_after.is_some_and(|limit| *transitions >= limit) {
-                    // Die the way a SIGKILL'd worker dies: no flush, no
-                    // goodbye frame. The coordinator must notice the EOF
-                    // and restart the job.
-                    std::process::abort();
-                }
-                Frame::Progress {
-                    job,
-                    transitions: *transitions,
-                    unique_states: *states,
-                    depth: *depth as u64,
-                }
-            }
+            } => Frame::Progress {
+                job,
+                transitions: *transitions,
+                unique_states: *states,
+                depth: *depth as u64,
+            },
             CheckEvent::ViolationFound(violation) => Frame::Violation {
                 job,
                 violation: WireViolation::of(violation),

@@ -7,19 +7,21 @@
 //! search, `stop_at_first_violation` ends it at the sequential engine's
 //! first violation, and its deadline interrupts it. The coordinator relays
 //! the worker's frames; a served report here is read from the final
-//! `job_done` the way `nice submit` reads it. A killed worker is respawned
-//! and the job restarted from the root, so every counter stays exact, and
-//! two coordinators running side by side do not interfere.
+//! `job_done` the way `nice submit` reads it. A killed worker fails its
+//! job, and the next job on the same coordinator runs on a fresh worker to
+//! the exact counters; two coordinators running side by side do not
+//! interfere.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
-//! processes, and the crash test scopes the `NICE_DIST_DIE_AFTER`
+//! processes, and the dying-worker test scopes the `NICE_DIST_WORKER_BIN`
 //! environment variable, which must not leak into concurrent spawns.
 
-use nice_dist::{Coordinator, Frame, JobSpec, DIE_AFTER_ENV, WORKER_BIN_ENV};
+use nice_dist::{write_frame, Coordinator, Frame, JobSpec, WORKER_BIN_ENV};
 use nice_mc::{CheckReport, CheckerConfig, ModelChecker, ReplayOutcome, Verdict};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Receiver;
 use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -29,7 +31,7 @@ fn worker_bin() -> PathBuf {
 }
 
 /// One coordinator (and its worker processes) at a time, and a fence around
-/// the crash test's environment variable.
+/// the dying-worker test's environment variable.
 static DIST_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -53,16 +55,15 @@ fn sequential(spec: &JobSpec) -> CheckReport {
 }
 
 /// Runs `spec` on `coordinator`, calling `on_frame` with every frame it
-/// relays, and reads the final `job_done` as `nice submit` does. Returns the
-/// report and the worker's restart count.
+/// relays, and reads the final `job_done` as `nice submit` does.
 fn run(
     coordinator: &mut Coordinator,
     spec: &JobSpec,
     mut on_frame: impl FnMut(&Frame),
     cancel: Option<&AtomicBool>,
-) -> io::Result<(CheckReport, u32)> {
+) -> io::Result<CheckReport> {
     let mut last = None;
-    let restarts = coordinator.run_job(
+    coordinator.run_job(
         1,
         spec,
         |frame| {
@@ -76,15 +77,41 @@ fn run(
             job: 1,
             stats,
             violations,
-        }) => Ok((spec.report(stats, violations), restarts)),
+        }) => Ok(spec.report(stats, violations)),
         other => panic!("the last frame relayed is not job 1's job_done: {other:?}"),
     }
 }
 
 fn served(spec: &JobSpec) -> CheckReport {
     let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
-    let (report, _) = run(&mut coordinator, spec, |_| {}, None).expect("served job completes");
-    report
+    run(&mut coordinator, spec, |_| {}, None).expect("served job completes")
+}
+
+/// An executable shell script with `body`, standing in for the worker.
+fn script(name: &str, body: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("nice-{name}-{}.sh", std::process::id()));
+    std::fs::write(&path, format!("#!/bin/sh\n{body}")).expect("write script");
+    let mut perms = std::fs::metadata(&path).expect("stat script").permissions();
+    std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
+    std::fs::set_permissions(&path, perms).expect("chmod script");
+    path
+}
+
+/// Runs job `job` of `spec` on a thread, so a test can bound the wait with
+/// a timeout and fail instead of hanging. Sends the result and the number
+/// of frames the job relayed.
+fn run_on_a_thread(
+    mut coordinator: Coordinator,
+    job: u64,
+    spec: JobSpec,
+) -> Receiver<(io::Result<()>, usize)> {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut frames = 0;
+        let result = coordinator.run_job(job, &spec, |_| frames += 1, None);
+        let _ = done.send((result, frames));
+    });
+    result
 }
 
 /// The sorted, deduplicated `(property, message)` set — the verdict
@@ -205,7 +232,7 @@ fn a_cancel_sent_behind_the_job_stops_the_worker_early() {
     let spec = full_spec("chain:5:2", false);
     let cancelled = AtomicBool::new(true);
     let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
-    let (dist, _) = run(&mut coordinator, &spec, |_| {}, Some(&cancelled))
+    let dist = run(&mut coordinator, &spec, |_| {}, Some(&cancelled))
         .expect("a cancelled job still reports");
     assert!(dist.stats.truncated, "a cancelled job reads as truncated");
     assert_eq!(dist.verdict(), Verdict::Inconclusive);
@@ -218,7 +245,7 @@ fn a_cancel_sent_behind_the_job_stops_the_worker_early() {
     // The same worker takes its next job as usual, though it has the same
     // job id as the cancelled one.
     let next = full_spec("chain:3:1", false);
-    let (dist, _) = run(&mut coordinator, &next, |_| {}, None).expect("the next job completes");
+    let dist = run(&mut coordinator, &next, |_| {}, None).expect("the next job completes");
     assert_exact_counters(&sequential(&next), &dist, "chain:3:1 after a cancel");
 }
 
@@ -254,20 +281,9 @@ fn distributed_violation_traces_replay_in_process() {
 #[test]
 fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
     let _guard = lock();
-
     // A stand-in for a stale or broken worker binary: accepts the job
-    // frame, then dies without ever producing a frame of its own. Without
-    // the coordinator's crash-streak cap this respawns forever and the job
-    // never returns (exactly the failure mode of a worker speaking an old
-    // protocol version).
-    let script = std::env::temp_dir().join(format!("nice-dying-worker-{}.sh", std::process::id()));
-    std::fs::write(&script, "#!/bin/sh\nhead -c 1 >/dev/null\nexit 1\n").expect("write script");
-    let mut perms = std::fs::metadata(&script)
-        .expect("stat script")
-        .permissions();
-    std::os::unix::fs::PermissionsExt::set_mode(&mut perms, 0o755);
-    std::fs::set_permissions(&script, perms).expect("chmod script");
-
+    // frame, then dies without ever producing a frame of its own.
+    let script = script("dying-worker", "head -c 1 >/dev/null\nexit 1\n");
     // Through the override the installed front-ends honour.
     std::env::set_var(WORKER_BIN_ENV, &script);
     let overridden = nice_dist::worker_bin();
@@ -276,45 +292,88 @@ fn a_worker_that_always_dies_on_spawn_fails_the_job_instead_of_hanging() {
         .expect("spawning the worker itself succeeds");
     let spec = full_spec("chain:3:1", false);
     let first = coordinator.run_job(1, &spec, |_| {}, None);
-    // The second job finds the worker dead: it must respawn it and give up
-    // the same way, not write to a dead pipe and wait forever. A thread
-    // and a timeout make a hang fail the test instead of hanging it.
-    let (done, second) = std::sync::mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        let result = coordinator.run_job(2, &spec, |_| {}, None);
-        done.send(result).expect("the test waits for the result");
-    });
-    let second = second.recv_timeout(Duration::from_secs(60));
+    // The second job finds the worker exited: it starts a fresh one, which
+    // dies the same way, and must fail the same way rather than write to a
+    // dead pipe and wait forever.
+    let second = run_on_a_thread(coordinator, 2, spec).recv_timeout(Duration::from_secs(60));
     let _ = std::fs::remove_file(&script);
-    let second = second.expect("the second job hung");
-    thread.join().expect("the second job's thread");
-
+    let (second, frames) = second.expect("the second job hung");
+    assert_eq!(frames, 0);
     for (nth, result) in [("first", first), ("second", second)] {
         let err = result.expect_err("a worker dying on every spawn must fail the job");
         assert!(
-            err.to_string().contains("died 6 times in a row"),
-            "{nth} job: the error should name the crash loop, got: {err}"
+            err.to_string().contains("exit status: 1"),
+            "{nth} job: the error should name the worker's exit status, got: {err}"
         );
     }
 }
 
 #[test]
-fn a_whole_job_worker_killed_mid_job_restarts_to_the_exact_counters() {
+fn a_worker_that_dies_after_a_progress_frame_fails_the_job_instead_of_restarting_it() {
     let _guard = lock();
-    let spec = full_spec("bug-v-packets-dropped-in-transition", false);
-    let seq = sequential(&spec);
+    // A worker that gets one job 1 frame out before it dies. A coordinator
+    // that counts the frame as a sign of life restarts this job forever.
+    let progress = Frame::Progress {
+        job: 1,
+        transitions: 2048,
+        unique_states: 1000,
+        depth: 9,
+    };
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &progress).expect("write the frame");
+    let frame_file = std::env::temp_dir().join(format!("nice-progress-{}", std::process::id()));
+    std::fs::write(&frame_file, wire).expect("write the frame file");
+    let body = format!("head -c 1 >/dev/null\ncat '{}'\n", frame_file.display());
+    let script = script("progress-then-exit", &body);
+    let coordinator = Coordinator::new(script.clone()).expect("spawn the script");
+    let result = run_on_a_thread(coordinator, 1, full_spec("chain:3:1", false))
+        .recv_timeout(Duration::from_secs(10));
+    let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_file(&frame_file);
+    let (result, frames) = result.expect("the job hung: its dead worker was restarted");
+    assert_eq!(
+        frames, 1,
+        "the progress frame is relayed, then the job ends"
+    );
+    let err = result.expect_err("a worker that died mid-job must fail the job");
+    assert!(err.to_string().contains("exit status: 0"), "{err}");
+}
 
-    // The worker aborts (no flush, no goodbye — a modelled SIGKILL) after
-    // 150 of BUG-V's 2 569 transitions. The variable stays set while the
-    // job runs: the respawned worker must not inherit it.
-    std::env::set_var(DIE_AFTER_ENV, "150");
-    let dist = Coordinator::new(worker_bin())
-        .and_then(|mut coordinator| run(&mut coordinator, &spec, |_| {}, None));
-    std::env::remove_var(DIE_AFTER_ENV);
-    let (dist, restarts) = dist.expect("job completes despite the crash");
-
-    assert_eq!(restarts, 1, "the worker must have died once");
-    let label = "bug-v served with worker kill";
+#[test]
+fn a_worker_killed_mid_job_fails_that_job_and_the_next_job_runs_exactly() {
+    let _guard = lock();
+    let mut coordinator = Coordinator::new(worker_bin()).expect("spawn the worker");
+    let pid = coordinator.pid();
+    // Exhausted, chain:4:3 takes 688 121 transitions: the kill lands long
+    // before its end.
+    let spec = full_spec("chain:4:3", false);
+    let mut relayed = Vec::new();
+    let killed = coordinator.run_job(
+        1,
+        &spec,
+        |frame| {
+            if relayed.is_empty() {
+                let kill = std::process::Command::new("kill")
+                    .args(["-KILL", &pid.to_string()])
+                    .status();
+                assert!(kill.expect("run kill").success(), "kill {pid}");
+            }
+            relayed.push(frame);
+        },
+        None,
+    );
+    let err = killed.expect_err("a killed worker fails its job");
+    assert!(err.to_string().contains("signal: 9"), "{err}");
+    assert!(
+        relayed.iter().all(|f| matches!(f, Frame::Progress { .. })),
+        "no final frame from a killed worker: {relayed:?}"
+    );
+    // The next job on the same coordinator runs on a fresh worker.
+    let next = full_spec("bug-v-packets-dropped-in-transition", false);
+    let dist = run(&mut coordinator, &next, |_| {}, None).expect("the next job completes");
+    assert_ne!(coordinator.pid(), pid, "the killed worker was replaced");
+    let label = "bug-v after a killed worker";
+    let seq = sequential(&next);
     assert_same_verdict(&seq, &dist, label);
     assert_exact_counters(&seq, &dist, label);
 }
@@ -345,7 +404,7 @@ fn two_whole_job_coordinators_run_two_jobs_at_once_exactly() {
         (a.join().unwrap(), b.join().unwrap())
     });
     for (spec, dist) in specs.iter().zip([a, b]) {
-        let (dist, _) = dist.expect("job completes");
+        let dist = dist.expect("job completes");
         let label = format!("{} beside another job", spec.scenario);
         let seq = sequential(spec);
         assert_same_verdict(&seq, &dist, &label);

@@ -305,7 +305,7 @@ impl SearchStats {
         self.peak_explored_bytes += other.peak_explored_bytes;
     }
 
-    /// The stats object of the `nice-dist-v5` `job_done` frame.
+    /// The stats object of the `nice-dist-v6` `job_done` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("transitions", self.transitions.into()),

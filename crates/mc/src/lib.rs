@@ -42,7 +42,7 @@
 //! * [`timeline`] — an ASCII lane-per-component renderer for traces.
 //! * [`json`] — the workspace's one JSON module: the [`Json`] value, a
 //!   strict, linear, depth-bounded parser and a writer that is well-formed
-//!   by construction, shared by the traces, the CLI and the `nice-dist-v5`
+//!   by construction, shared by the traces, the CLI and the `nice-dist-v6`
 //!   wire protocol.
 //! * [`shard`] — fingerprint-space sharding: [`shard::ShardedSearch`]
 //!   explores only the states a shard owns and exports the rest as

@@ -361,7 +361,7 @@ impl ReductionKind {
 }
 
 /// Search configuration: the one description of a check. The CLI parses its
-/// flags into one, the `nice-dist-v5` job frame carries one
+/// flags into one, the `nice-dist-v6` job frame carries one
 /// ([`to_json`](CheckerConfig::to_json)), and the engine reads nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckerConfig {
@@ -447,7 +447,7 @@ impl CheckerConfig {
     }
 
     /// The seven fields as a JSON object, under the keys (and in the order)
-    /// the `nice-dist-v5` job frame uses for the ones it carries; `workers`,
+    /// the `nice-dist-v6` job frame uses for the ones it carries; `workers`,
     /// which that frame leaves out, comes last.
     pub fn to_json(&self) -> Json<'static> {
         Json::object([

@@ -98,7 +98,7 @@ pub struct FrontierExport {
 }
 
 impl FrontierExport {
-    /// The state object of the `nice-dist-v5` `forward` / `states` frames:
+    /// The state object of the `nice-dist-v6` `forward` / `states` frames:
     /// the fingerprint, the whole trace and the sleep set (both
     /// `nice-trace-v1` step arrays).
     fn to_json(&self) -> Json<'_> {
@@ -120,7 +120,7 @@ impl FrontierExport {
     }
 }
 
-/// The `"states"` array of a `nice-dist-v5` `forward` / `states` frame.
+/// The `"states"` array of a `nice-dist-v6` `forward` / `states` frame.
 pub fn exports_to_json(states: &[FrontierExport]) -> Json<'_> {
     Json::Arr(states.iter().map(FrontierExport::to_json).collect())
 }

@@ -642,11 +642,6 @@ impl Dirty {
         }
     }
 
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.inline[0] == FREE
-    }
-
     fn clear(&mut self) {
         self.inline = [FREE; DIRTY_INLINE];
         self.more.clear();
@@ -1500,6 +1495,12 @@ mod tests {
     use super::*;
     use crate::testutil;
     use nice_openflow::MacAddr;
+
+    impl Dirty {
+        fn is_empty(&self) -> bool {
+            self.inline[0] == FREE
+        }
+    }
 
     /// The cell of a switch.
     fn switch_cell(state: &SystemState, id: SwitchId) -> &Arc<Cached<Switch>> {

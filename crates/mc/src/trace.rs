@@ -235,7 +235,7 @@ impl fmt::Display for Trace {
 // ---------------------------------------------------------------------------
 
 /// A transition sequence as a JSON array of `nice-trace-v1` step objects —
-/// the `"steps"` of a trace, and the fragment the `nice-dist-v5` wire frames
+/// the `"steps"` of a trace, and the fragment the `nice-dist-v6` wire frames
 /// embed in a streamed violation and in frontier exports.
 pub fn steps_to_json(steps: &[Transition]) -> Json<'_> {
     Json::Arr(steps.iter().map(Transition::to_json).collect())

@@ -61,18 +61,25 @@ impl<V: Clone> SymMap<V> {
     }
 
     /// Inserts a value under a possibly-symbolic key.
-    pub fn insert(&mut self, key: SymValue, value: V) {
+    pub fn insert(&mut self, key: SymValue, value: V)
+    where
+        V: PartialEq,
+    {
         match key.as_concrete() {
-            Some(k) => {
-                Arc::make_mut(&mut self.base).insert(k, value);
-            }
+            Some(k) => self.insert_concrete(k, value),
             None => self.overlay.push((key, value)),
         }
     }
 
-    /// Inserts under a concrete key.
-    pub fn insert_concrete(&mut self, key: u64, value: V) {
-        Arc::make_mut(&mut self.base).insert(key, value);
+    /// Inserts under a concrete key. A key that already maps to `value`
+    /// leaves the map, and whatever shares its entries, as it is.
+    pub fn insert_concrete(&mut self, key: u64, value: V)
+    where
+        V: PartialEq,
+    {
+        if self.base.get(&key) != Some(&value) {
+            Arc::make_mut(&mut self.base).insert(key, value);
+        }
     }
 
     /// Looks up a value. With a symbolic key the lookup branches (through
@@ -177,6 +184,20 @@ mod tests {
         m.insert(SymValue::concrete(1), 11);
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(&SymValue::concrete(1), &mut env), Some(11));
+    }
+
+    #[test]
+    fn a_no_op_insert_keeps_the_entries_shared() {
+        let mut m: SymMap<u32> = SymMap::new();
+        m.insert_concrete(1, 10);
+        let mut clone = m.clone();
+        clone.insert(SymValue::concrete(1), 10);
+        clone.insert_concrete(1, 10);
+        assert!(Arc::ptr_eq(&m.base, &clone.base), "re-inserting 1 -> 10");
+        clone.insert(SymValue::concrete(1), 11);
+        assert!(!Arc::ptr_eq(&m.base, &clone.base), "1 -> 11 is a change");
+        assert_eq!(m.get_concrete(1), Some(&10));
+        assert_eq!(clone.get_concrete(1), Some(&11));
     }
 
     #[test]
