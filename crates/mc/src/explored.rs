@@ -2,11 +2,12 @@
 //!
 //! The explored set keeps only 64-bit state fingerprints (Section 6 of the
 //! paper). One exact store (`ExactStore`) holds it: 64 independently locked
-//! open-addressed tables packing `fingerprint + sleep-digest ref` into 12
-//! bytes per slot (vs ~48+ for a `HashMap<u64, Box<[u64]>>`), each table
-//! keeping every distinct sleep-digest list once. It has no mode and no
-//! memory limit: the largest registry search peaks at 48 MiB of a 1.2 GiB
-//! process (48.5 of 585 MiB under POR), so it is never the term to bound.
+//! open-addressed tables of one 8-byte fingerprint per slot (vs ~48+ for a
+//! `HashMap<u64, Box<[u64]>>`). A search that stores a sleep set (POR) adds
+//! a 4-byte sleep-digest ref per slot, and each table keeps every distinct
+//! sleep-digest list once. It has no mode and no memory limit: the largest
+//! registry search peaks at 32 MiB of a 1.2 GiB process (48.5 of 585 MiB
+//! under POR), so it is never the term to bound.
 //!
 //! The store speaks the sleep-set-aware visit protocol ([`Visit`]) that
 //! keeps partial-order reduction sound under state matching: a state
@@ -173,50 +174,63 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Packed open-addressed table
 // ---------------------------------------------------------------------------
 
-/// Slot marker: vacant.
-const SLOT_EMPTY: u32 = u32::MAX;
-/// Slot marker: occupied with an empty sleep set (every state without POR).
-const SLOT_NO_SLEEP: u32 = u32::MAX - 1;
+/// Fingerprint marker of a vacant slot. The one state whose fingerprint is
+/// 0 lives beside the table, in [`PackedTable::zero`].
+const VACANT: u64 = 0;
+/// Slot ref: an empty sleep set (every state without POR).
+const NO_SLEEP: u32 = u32::MAX;
 
 /// Smallest table capacity after the first insert; always a power of two.
 const MIN_TABLE_CAPACITY: usize = 16;
 
-/// An open-addressed (linear probing) fingerprint table packing each entry
-/// into 12 bytes of slot — `fps[i]: u64` plus `refs[i]: u32` — instead of
-/// a `HashMap` entry's ~48. `refs[i]` is [`SLOT_EMPTY`], [`SLOT_NO_SLEEP`],
-/// or the id of a non-empty sleep-digest list in the interned `lists`: a
-/// POR search stores a list with most states but has a few dozen distinct
-/// ones (BUG-V `--faults`: 56 142 and 56), so slots share them. Probing
-/// uses the fingerprint's low bits directly — fingerprints are already
-/// uniformly distributed. No deletions, so no tombstones.
+/// An open-addressed (linear probing) fingerprint table of one word per
+/// slot: `fps[i]` is a fingerprint or [`VACANT`], 8 bytes instead of a
+/// `HashMap` entry's ~48. A search that stores a non-empty sleep set (POR)
+/// adds the column `refs`, 4 more bytes per slot: `refs[i]` is
+/// [`NO_SLEEP`] or the id of a non-empty sleep-digest list in the interned
+/// `lists`. A POR search stores a list with most states but has a few dozen
+/// distinct ones (BUG-V `--faults`: 56 142 and 56), so slots share them.
+/// Without the column every slot reads as [`NO_SLEEP`]. Probing uses the
+/// fingerprint's low bits directly — fingerprints are already uniformly
+/// distributed. No deletions, so no tombstones, and the table never shrinks.
 #[derive(Default)]
 struct PackedTable {
     fps: Vec<u64>,
+    /// Empty until the first non-empty sleep list is stored, then one ref
+    /// per slot of `fps`.
     refs: Vec<u32>,
+    /// The ref of the state whose fingerprint is [`VACANT`], once visited.
+    zero: Option<u32>,
     /// Every distinct non-empty list stored, by id (never freed: shared).
     lists: Vec<Arc<[u64]>>,
     ids: HashMap<Arc<[u64]>, u32, BuildHasherDefault<nice_openflow::Hasher64>>,
+    /// Occupied slots of `fps`.
     len: usize,
     /// Heap bytes of the lists themselves (for byte accounting).
     list_bytes: u64,
 }
 
 impl PackedTable {
-    /// Approximate heap footprint in bytes: 12 per slot, 16 per `lists`
-    /// entry, 28 per `ids` entry (24 and a control byte at 7/8 load), and
-    /// each list with its `Arc` counts.
+    /// Approximate heap footprint in bytes: 8 per slot and 4 more once the
+    /// ref column exists, 16 per `lists` entry, 28 per `ids` entry (24 and
+    /// a control byte at 7/8 load), and each list with its `Arc` counts.
     fn bytes(&self) -> u64 {
-        (self.fps.len() * 12 + self.lists.capacity() * 16 + self.ids.capacity() * 28) as u64
+        (self.fps.len() * 8
+            + self.refs.len() * 4
+            + self.lists.capacity() * 16
+            + self.ids.capacity() * 28) as u64
             + self.list_bytes
     }
 
     /// Index of `fp`'s slot if present, else of the first vacant slot in
-    /// its probe chain. Requires at least one vacant slot.
+    /// its probe chain. Requires at least one vacant slot and `fp` not
+    /// [`VACANT`].
     fn probe(&self, fp: u64) -> usize {
         let mask = self.fps.len() - 1;
         let mut i = fp as usize & mask;
         loop {
-            if self.refs[i] == SLOT_EMPTY || self.fps[i] == fp {
+            let at = self.fps[i];
+            if at == fp || at == VACANT {
                 return i;
             }
             i = (i + 1) & mask;
@@ -224,63 +238,117 @@ impl PackedTable {
     }
 
     /// Grows (or first-allocates) so at least one insert fits under 3/4
-    /// load.
-    fn ensure_slot(&mut self) {
+    /// load, rehashing the ref column only if it exists. Returns the bytes
+    /// added.
+    fn ensure_slot(&mut self) -> u64 {
         let cap = self.fps.len();
-        if cap == 0 || (self.len + 1) * 4 > cap * 3 {
-            let new_cap = (cap * 2).max(MIN_TABLE_CAPACITY);
-            let old_fps = std::mem::replace(&mut self.fps, vec![0; new_cap]);
-            let old_refs = std::mem::replace(&mut self.refs, vec![SLOT_EMPTY; new_cap]);
-            for (fp, r) in old_fps.into_iter().zip(old_refs) {
-                if r != SLOT_EMPTY {
-                    let i = self.probe(fp);
-                    self.fps[i] = fp;
+        if cap != 0 && (self.len + 1) * 4 <= cap * 3 {
+            return 0;
+        }
+        let new_cap = (cap * 2).max(MIN_TABLE_CAPACITY);
+        let old_fps = std::mem::replace(&mut self.fps, vec![VACANT; new_cap]);
+        let old_refs = std::mem::take(&mut self.refs);
+        if !old_refs.is_empty() {
+            self.refs = vec![NO_SLEEP; new_cap];
+        }
+        for (j, fp) in old_fps.into_iter().enumerate() {
+            if fp != VACANT {
+                let i = self.probe(fp);
+                self.fps[i] = fp;
+                if let Some(&r) = old_refs.get(j) {
                     self.refs[i] = r;
                 }
             }
         }
+        let slot_bytes = if self.refs.is_empty() { 8 } else { 12 };
+        ((new_cap - cap) * slot_bytes) as u64
     }
 
-    /// Interns a digest list, returning the slot ref naming it.
-    fn store_list(&mut self, digests: &[u64]) -> u32 {
+    /// The list a ref names.
+    fn list(&self, r: u32) -> &[u64] {
+        match r {
+            NO_SLEEP => &[],
+            r => &self.lists[r as usize],
+        }
+    }
+
+    /// Interns a digest list: the ref naming it and the bytes that added.
+    fn store_list(&mut self, digests: &[u64]) -> (u32, u64) {
         if digests.is_empty() {
-            return SLOT_NO_SLEEP;
+            return (NO_SLEEP, 0);
         }
         if let Some(&id) = self.ids.get(digests) {
-            return id;
+            return (id, 0);
         }
+        let before = self.bytes();
         let (id, list) = (self.lists.len() as u32, Arc::<[u64]>::from(digests));
         self.lists.push(Arc::clone(&list));
         self.ids.insert(list, id);
         self.list_bytes += 16 + digests.len() as u64 * 8;
-        id
+        (id, self.bytes() - before)
+    }
+
+    /// Points slot `i` at ref `r`, allocating the ref column on the first
+    /// non-empty list. Returns the bytes that added.
+    fn set_ref(&mut self, i: usize, r: u32) -> u64 {
+        let mut grown = 0;
+        if self.refs.is_empty() {
+            if r == NO_SLEEP {
+                return 0;
+            }
+            self.refs = vec![NO_SLEEP; self.fps.len()];
+            grown = self.refs.len() as u64 * 4;
+        }
+        self.refs[i] = r;
+        grown
+    }
+
+    /// A state already explored with ref `r` visited again under
+    /// `sleep_digests`: the verdict, the ref to store and the bytes added.
+    fn revisit(&mut self, r: u32, sleep_digests: &[u64]) -> (Visit, u32, u64) {
+        let stored = self.list(r);
+        if sorted_subset(stored, sleep_digests) {
+            return (Visit::Known, r, 0);
+        }
+        let narrowed = sorted_intersection(stored, sleep_digests);
+        // Re-point the slot: the list it named may be shared.
+        let (r, grown) = self.store_list(&narrowed);
+        (Visit::Widen(narrowed), r, grown)
     }
 
     /// The full visit protocol against this table: exactly
-    /// [`visit_explored`]'s semantics. The table grows only on a miss.
-    fn visit(&mut self, fp: u64, sleep_digests: &[u64]) -> Visit {
+    /// [`visit_explored`]'s semantics. Returns the verdict and the bytes
+    /// the visit added (the table grows only on a miss, a new list or the
+    /// ref column's allocation).
+    fn visit(&mut self, fp: u64, sleep_digests: &[u64]) -> (Visit, u64) {
+        if fp == VACANT {
+            let (verdict, r, grown) = match self.zero {
+                Some(r) => self.revisit(r, sleep_digests),
+                None => {
+                    let (r, grown) = self.store_list(sleep_digests);
+                    (Visit::New, r, grown)
+                }
+            };
+            self.zero = Some(r);
+            return (verdict, grown);
+        }
         if self.len > 0 {
             let i = self.probe(fp);
-            if self.refs[i] != SLOT_EMPTY {
-                let stored: &[u64] = match self.refs[i] {
-                    SLOT_NO_SLEEP => &[],
-                    r => &self.lists[r as usize],
-                };
-                if sorted_subset(stored, sleep_digests) {
-                    return Visit::Known;
+            if self.fps[i] == fp {
+                let r = self.refs.get(i).copied().unwrap_or(NO_SLEEP);
+                let (verdict, narrowed, grown) = self.revisit(r, sleep_digests);
+                if narrowed == r {
+                    return (verdict, grown);
                 }
-                let narrowed = sorted_intersection(stored, sleep_digests);
-                // Re-point the slot: the list it named may be shared.
-                self.refs[i] = self.store_list(&narrowed);
-                return Visit::Widen(narrowed);
+                return (verdict, grown + self.set_ref(i, narrowed));
             }
         }
-        self.ensure_slot();
+        let grown = self.ensure_slot();
         let i = self.probe(fp);
         self.len += 1;
         self.fps[i] = fp;
-        self.refs[i] = self.store_list(sleep_digests);
-        Visit::New
+        let (r, listed) = self.store_list(sleep_digests);
+        (Visit::New, grown + listed + self.set_ref(i, r))
     }
 }
 
@@ -293,8 +361,9 @@ impl PackedTable {
 /// thread of a run, so it synchronises internally.
 pub(crate) struct ExactStore {
     shards: Vec<Mutex<PackedTable>>,
+    /// Bytes held by every table. A table never shrinks, so this is also
+    /// the run's high-water mark.
     bytes: AtomicU64,
-    peak: AtomicU64,
 }
 
 impl ExactStore {
@@ -302,25 +371,19 @@ impl ExactStore {
         ExactStore {
             shards: (0..STORE_SHARDS).map(|_| Mutex::default()).collect(),
             bytes: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
         }
     }
 
     /// Records a visit of `fingerprint` under sorted `sleep_digests` and
     /// says whether the state needs (re-)exploring.
     pub(crate) fn visit(&self, fingerprint: u64, sleep_digests: &[u64]) -> Visit {
-        let mut table = lock(&self.shards[store_shard(fingerprint)]);
-        let before = table.bytes();
-        let verdict = table.visit(fingerprint, sleep_digests);
-        let after = table.bytes();
-        // Nearly every visit leaves the table's size as it was: the
-        // store-wide counters, a cache line every worker writes, are
-        // touched only when it grew or shrank.
-        if after > before {
-            let now = self.bytes.fetch_add(after - before, Ordering::Relaxed) + (after - before);
-            self.peak.fetch_max(now, Ordering::Relaxed);
-        } else if after < before {
-            self.bytes.fetch_sub(before - after, Ordering::Relaxed);
+        let (verdict, grown) =
+            lock(&self.shards[store_shard(fingerprint)]).visit(fingerprint, sleep_digests);
+        // Nearly every visit leaves its table's size as it was: the
+        // store-wide counter, a cache line every worker writes, is touched
+        // only when it grew.
+        if grown > 0 {
+            self.bytes.fetch_add(grown, Ordering::Relaxed);
         }
         verdict
     }
@@ -332,9 +395,10 @@ impl ExactStore {
 
     /// Snapshot of the store's counters.
     pub(crate) fn stats(&self) -> ExploredStats {
+        let bytes = self.bytes();
         ExploredStats {
-            bytes: self.bytes(),
-            peak_bytes: self.peak.load(Ordering::Relaxed),
+            bytes,
+            peak_bytes: bytes,
         }
     }
 }
@@ -383,13 +447,25 @@ mod tests {
         let mut rng = TestRng(seed);
         let mut reference = FingerprintMap::default();
         for i in 0..visits {
-            // A small fingerprint space forces revisits and widenings.
-            let fp = splitmix64(rng.next() % 500);
+            // A small fingerprint space forces revisits and widenings; one
+            // draw in 500 is the fingerprint the table keeps beside its
+            // slots.
+            let fp = match rng.next() % 500 {
+                0 => 0,
+                k => splitmix64(k),
+            };
             let sleep = rng.sleep();
             let expected = visit_explored(&mut reference, fp, &sleep);
             let got = store.visit(fp, &sleep);
             assert_eq!(got, expected, "visit {i}: fp {fp:#x} sleep {sleep:?}");
         }
+        assert!(
+            reference.contains_key(&0),
+            "the walk never drew fingerprint 0"
+        );
+        // The bytes each visit reported add up to what the tables hold.
+        let held: u64 = store.shards.iter().map(|shard| lock(shard).bytes()).sum();
+        assert_eq!(store.bytes(), held);
     }
 
     #[test]
@@ -403,20 +479,71 @@ mod tests {
     fn a_widening_re_points_one_slot_and_leaves_the_shared_list_alone() {
         let mut table = PackedTable::default();
         let (a, b) = (splitmix64(1), splitmix64(2));
-        assert_eq!(table.visit(a, &[1, 2, 3]), Visit::New);
-        assert_eq!(table.visit(b, &[1, 2, 3]), Visit::New);
+        assert_eq!(table.visit(a, &[1, 2, 3]).0, Visit::New);
+        assert_eq!(table.visit(b, &[1, 2, 3]).0, Visit::New);
         assert_eq!(table.lists.len(), 1, "one list, named by both slots");
-        assert_eq!(table.visit(a, &[2, 3, 4]), Visit::Widen(vec![2, 3]));
+        assert_eq!(table.visit(a, &[2, 3, 4]).0, Visit::Widen(vec![2, 3]));
         // `b` still holds [1, 2, 3]: an in-place overwrite would make the
         // strict subset below narrow against [2, 3] and return [2].
-        assert_eq!(table.visit(b, &[1, 2, 3]), Visit::Known);
-        assert_eq!(table.visit(b, &[1, 2]), Visit::Widen(vec![1, 2]));
-        assert_eq!(table.visit(a, &[2, 3]), Visit::Known);
+        assert_eq!(table.visit(b, &[1, 2, 3]).0, Visit::Known);
+        assert_eq!(table.visit(b, &[1, 2]).0, Visit::Widen(vec![1, 2]));
+        assert_eq!(table.visit(a, &[2, 3]).0, Visit::Known);
         assert_eq!(table.lists.len(), 3, "[1, 2, 3], [2, 3] and [1, 2]");
         // An interned list is stored again only by id.
         let bytes = table.bytes();
-        assert_eq!(table.visit(splitmix64(3), &[2, 3]), Visit::New);
+        assert_eq!(table.visit(splitmix64(3), &[2, 3]), (Visit::New, 0));
         assert_eq!(table.bytes(), bytes);
+    }
+
+    #[test]
+    fn fingerprint_zero_is_a_state_like_any_other() {
+        let mut table = PackedTable::default();
+        assert_eq!(table.visit(0, &[]).0, Visit::New);
+        assert_eq!(table.visit(0, &[]).0, Visit::Known);
+        assert_eq!(table.visit(0, &[5]).0, Visit::Known);
+        // Enough other states to grow the table several times over.
+        for k in 1..200 {
+            assert_eq!(table.visit(splitmix64(k), &[]).0, Visit::New);
+            assert_eq!(table.visit(0, &[]).0, Visit::Known, "after {k} more");
+        }
+        assert!(table.fps.len() > MIN_TABLE_CAPACITY, "the table grew");
+        let mut other = PackedTable::default();
+        assert_eq!(other.visit(0, &[1, 2, 3]).0, Visit::New);
+        assert_eq!(other.visit(0, &[1, 2, 3, 4]).0, Visit::Known);
+        assert_eq!(other.visit(0, &[2, 3, 4]).0, Visit::Widen(vec![2, 3]));
+        for k in 1..200 {
+            other.visit(splitmix64(k), &[1]);
+        }
+        assert_eq!(other.visit(0, &[2, 3]).0, Visit::Known);
+        assert_eq!(other.visit(0, &[3]).0, Visit::Widen(vec![3]));
+        assert_eq!(other.visit(0, &[]).0, Visit::Widen(vec![]));
+        assert_eq!(other.visit(0, &[]).0, Visit::Known);
+    }
+
+    #[test]
+    fn the_ref_column_exists_only_once_a_sleep_list_is_stored() {
+        let mut table = PackedTable::default();
+        let mut reported = 0;
+        for k in 1..100 {
+            let (verdict, grown) = table.visit(splitmix64(k), &[]);
+            assert_eq!(verdict, Visit::New);
+            reported += grown;
+        }
+        assert!(table.refs.is_empty(), "no list stored, no column");
+        let slots = table.fps.len() as u64;
+        assert_eq!(table.bytes(), slots * 8);
+        assert_eq!(reported, table.bytes());
+        let (verdict, grown) = table.visit(splitmix64(100), &[7]);
+        assert_eq!(verdict, Visit::New);
+        assert_eq!(table.refs.len(), table.fps.len());
+        reported += grown;
+        assert_eq!(reported, table.bytes());
+        assert!(table.bytes() >= slots * 12);
+        // Every state stored before the column still reads as no-sleep.
+        for k in 1..100 {
+            assert_eq!(table.visit(splitmix64(k), &[]).0, Visit::Known, "state {k}");
+        }
+        assert_eq!(table.visit(splitmix64(100), &[]).0, Visit::Widen(vec![]));
     }
 
     #[test]

@@ -56,7 +56,7 @@
 use crate::scenario::Scenario;
 use crate::state::SystemState;
 use crate::transition::Transition;
-use nice_openflow::{ChannelFault, Hasher64, HostId, OfMessage, PortId, SwitchId};
+use nice_openflow::{ChannelFault, Hasher64, HostId, OfMessage, PortId, SwitchId, Topology};
 use std::hash::Hash;
 
 /// An abstract resource a transition may read or write.
@@ -220,6 +220,7 @@ pub(crate) fn disjoint(a: &[u64], b: &[u64]) -> bool {
 /// two zeroed bit sets they are recorded in.
 struct Sink<'a> {
     layout: &'a Layout,
+    topology: &'a Topology,
     reads: &'a mut [u64],
     writes: &'a mut [u64],
 }
@@ -266,7 +267,7 @@ impl Sink<'_> {
         self.read(Res::Locations);
         if let Some(host) = state.host_at(switch, port) {
             self.write(Res::InboxTail(host));
-        } else if let Some(peer) = state.topology().switch_peer(switch, port) {
+        } else if let Some(peer) = self.topology.switch_peer(switch, port) {
             self.write(Res::IngressTail(peer.switch, peer.port));
         }
     }
@@ -402,6 +403,7 @@ impl Transition {
         let (reads, writes) = words.split_at_mut(layout.words);
         let mut fp = Sink {
             layout,
+            topology: &scenario.topology,
             reads,
             writes,
         };
@@ -616,8 +618,7 @@ impl Transition {
     /// alongside state fingerprints and to match enabled transitions
     /// against inherited sleep-set entries.
     pub fn digest(&self) -> u64 {
-        #[cfg(test)]
-        DIGESTS.with(|calls| calls.set(calls.get() + 1));
+        count_digest();
         let mut h = Hasher64::with_seed(0xde_d0c);
         self.hash(&mut h);
         // `Packet`'s `Hash` leaves out the provenance id, which `==` reads.
@@ -628,12 +629,10 @@ impl Transition {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// [`Transition::digest`] calls made on this thread: the search is held
-    /// to one per sleeper it creates.
-    pub(crate) static DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
+/// Counts a [`Transition::digest`] call; outside tests it does nothing (its
+/// counting twin follows the test module).
+#[cfg(not(test))]
+fn count_digest() {}
 
 #[cfg(test)]
 mod tests {
@@ -971,4 +970,16 @@ mod tests {
             assert!(!fp.writes().is_empty(), "{t} has an empty write set");
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Transition::digest`] calls made on this thread: the search is held
+    /// to one per sleeper it creates.
+    pub(crate) static DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_digest() {
+    DIGESTS.with(|calls| calls.set(calls.get() + 1));
 }

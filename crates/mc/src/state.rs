@@ -16,11 +16,13 @@
 //! other cell sits in one table sorted by its `Slot` — its kind, then its
 //! key — so switches, hosts and each kind of channel are contiguous runs of
 //! it. The two discovery tables, which only the two discover transitions
-//! write, share one more `Arc`. Cloning a settled `SystemState` therefore
-//! makes one allocation, the table, and bumps one reference count per cell;
-//! a component is deep-copied only at the first mutation after a clone, via
-//! [`Arc::make_mut`] inside the `*_mut` accessors, so executing a transition
-//! pays only for the components it touches. This is what makes it
+//! write, share one more `Arc`, which a state holds only once such a
+//! transition has written a row. The static topology is not in the state:
+//! whoever needs it reads the scenario's. Cloning a settled `SystemState`
+//! therefore makes one allocation, the table, and bumps one reference count
+//! per cell; a component is deep-copied only at the first mutation after a
+//! clone, via [`Arc::make_mut`] inside the `*_mut` accessors, so executing a
+//! transition pays only for the components it touches. This is what makes it
 //! affordable for every frontier node to own its state (see
 //! [`crate::checker`]). `Arc` (not `Rc`) is used throughout so states can
 //! move between the worker threads of the parallel search.
@@ -89,7 +91,7 @@ use nice_controller::ControllerRuntime;
 use nice_hosts::HostModel;
 use nice_openflow::{
     FifoChannel, Hasher64, HostId, Location, OfMessage, Packet, PacketId, PortId, PortStatsEntry,
-    Switch, SwitchId, Topology,
+    Switch, SwitchId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
@@ -484,7 +486,8 @@ fn fault_share(budget: u32, crashed: &BTreeSet<SwitchId>) -> u64 {
 
 /// What symbolic execution has discovered so far. Written only by
 /// `discover_packets` and `discover_stats` (never on a scripted workload),
-/// so both tables share one copy-on-write allocation.
+/// so both tables share one copy-on-write allocation, made on the first
+/// row.
 #[derive(Clone, Default)]
 struct Discovered {
     /// Per-host relevant packets (`client.packets` in Figure 5).
@@ -492,6 +495,12 @@ struct Discovered {
     /// Per-switch statistics replies.
     stats: DiscoveredStatsTable,
 }
+
+/// What a state that never ran a discover transition has discovered.
+static NOTHING_DISCOVERED: Discovered = Discovered {
+    packets: BTreeMap::new(),
+    stats: BTreeMap::new(),
+};
 
 /// Where a slot's tag sits in a [`Slot`]: above the widest key, an ingress
 /// port's 32-bit switch and 16-bit port.
@@ -724,8 +733,9 @@ pub struct SystemState {
     cells: Table,
     /// Switches with an outstanding statistics request from the controller.
     pending_stats: BTreeSet<SwitchId>,
-    /// The discovery caches, keyed by controller-state fingerprint.
-    discovered: Arc<Discovered>,
+    /// The discovery caches, keyed by controller-state fingerprint: none
+    /// until a discover transition writes a row.
+    discovered: Option<Arc<Discovered>>,
     /// Provenance-id allocator for injected packets.
     next_packet_id: u64,
     /// Monotonic sequence used to remember when each controller→switch
@@ -742,8 +752,6 @@ pub struct SystemState {
     /// [`fault_share`] of the two fields above, refreshed by everything
     /// that writes either.
     fault_share: u64,
-    /// The static topology (shared, not part of the mutable state).
-    topology: Arc<Topology>,
     /// The component slots' share of the fingerprint, kept up to date by
     /// every write.
     acc: Accumulator,
@@ -766,7 +774,6 @@ impl Clone for SystemState {
             fault_budget: self.fault_budget,
             crashed: self.crashed.clone(),
             fault_share: self.fault_share,
-            topology: self.topology.clone(),
             acc: Accumulator {
                 folded: self.slots_share(),
                 dirty: Dirty::default(),
@@ -827,10 +834,9 @@ impl SystemState {
     /// having already processed every switch's `switch_join` (switches are
     /// connected before testing starts, as in the paper's experiments).
     pub fn initial(scenario: &Scenario) -> SystemState {
-        let topology = Arc::new(scenario.topology.clone());
         let mut controller = ControllerRuntime::new(scenario.app.clone_app());
 
-        let switches = (topology.switches()).map(|spec| {
+        let switches = (scenario.topology.switches()).map(|spec| {
             let switch = Switch::with_config(spec.id, spec.ports.clone(), scenario.switch_config);
             (spec.id, switch)
         });
@@ -851,13 +857,12 @@ impl SystemState {
             controller: Arc::new(Cached::new(controller)),
             cells,
             pending_stats: BTreeSet::new(),
-            discovered: Arc::default(),
+            discovered: None,
             next_packet_id: 1,
             of_enqueue_seq: 0,
             fault_budget: scenario.fault_plan.budget,
             crashed: BTreeSet::new(),
             fault_share: fault_share(scenario.fault_plan.budget, &BTreeSet::new()),
-            topology,
             acc: Accumulator::default(),
         };
 
@@ -996,11 +1001,6 @@ impl SystemState {
             self.acc
                 .write(Slot::host(id), <Box<dyn HostModel>>::of_mut(cell)),
         )
-    }
-
-    /// The static topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// The host currently attached at `(switch, port)`, taking mobility into
@@ -1200,10 +1200,22 @@ impl SystemState {
         self.controller.digest()
     }
 
+    /// The discovery caches (empty until a discover transition writes a
+    /// row).
+    fn discovered(&self) -> &Discovered {
+        self.discovered.as_deref().unwrap_or(&NOTHING_DISCOVERED)
+    }
+
+    /// The discovery caches to write a row into (un-shared, or created on
+    /// the first row).
+    fn discovered_mut(&mut self) -> &mut Discovered {
+        Arc::make_mut(self.discovered.get_or_insert_default())
+    }
+
     /// The relevant packets cached for `host` in the current controller
     /// state, if discovery has run.
     pub fn relevant_packets(&self, host: HostId, ctrl_fp: u64) -> Option<&Vec<Packet>> {
-        let row = (self.discovered.packets.get(&host)).and_then(|m| m.get(&ctrl_fp))?;
+        let row = (self.discovered().packets.get(&host)).and_then(|m| m.get(&ctrl_fp))?;
         Some(&row.value)
     }
 
@@ -1214,7 +1226,7 @@ impl SystemState {
             share: packets_row_share(host, ctrl_fp, &packets),
             value: packets,
         };
-        Arc::make_mut(&mut self.discovered)
+        self.discovered_mut()
             .packets
             .entry(host)
             .or_default()
@@ -1228,7 +1240,7 @@ impl SystemState {
         switch: SwitchId,
         ctrl_fp: u64,
     ) -> Option<&Vec<Vec<PortStatsEntry>>> {
-        let row = (self.discovered.stats.get(&switch)).and_then(|m| m.get(&ctrl_fp))?;
+        let row = (self.discovered().stats.get(&switch)).and_then(|m| m.get(&ctrl_fp))?;
         Some(&row.value)
     }
 
@@ -1243,7 +1255,7 @@ impl SystemState {
             share: stats_row_share(switch, ctrl_fp, &stats),
             value: stats,
         };
-        Arc::make_mut(&mut self.discovered)
+        self.discovered_mut()
             .stats
             .entry(switch)
             .or_default()
@@ -1378,12 +1390,12 @@ impl SystemState {
         // Only the discovery-cache entries for the *current* controller state
         // matter for enabledness; including the full history would make
         // states that differ only in stale cache entries look distinct.
-        for cache in self.discovered.packets.values() {
+        for cache in self.discovered().packets.values() {
             if let Some(row) = cache.get(&ctrl_fp) {
                 acc ^= row.share;
             }
         }
-        for cache in self.discovered.stats.values() {
+        for cache in self.discovered().stats.values() {
             if let Some(row) = cache.get(&ctrl_fp) {
                 acc ^= row.share;
             }
@@ -1399,12 +1411,12 @@ impl SystemState {
         for sw in &self.pending_stats {
             acc ^= mix(slot::PENDING_STATS, sw.0 as u64, 1);
         }
-        for (host, cache) in self.discovered.packets.iter() {
+        for (host, cache) in self.discovered().packets.iter() {
             if let Some(row) = cache.get(&ctrl_fp) {
                 acc ^= packets_row_share(*host, ctrl_fp, &row.value);
             }
         }
-        for (switch, cache) in self.discovered.stats.iter() {
+        for (switch, cache) in self.discovered().stats.iter() {
             if let Some(row) = cache.get(&ctrl_fp) {
                 acc ^= stats_row_share(*switch, ctrl_fp, &row.value);
             }
@@ -1415,7 +1427,8 @@ impl SystemState {
     /// The reference the tests hold [`fingerprint`](Self::fingerprint) to: a
     /// full re-hash of every component that reads neither a cached digest
     /// nor the accumulator, and that takes the channels to hash from the
-    /// topology and the host list, not from the cells that happen to exist.
+    /// switches' port lists and the host list, not from the cells that
+    /// happen to exist.
     /// Nothing in the checker calls it.
     #[doc(hidden)]
     pub fn reference_fingerprint(&self) -> u64 {
@@ -1427,11 +1440,11 @@ impl SystemState {
         // channel is there while it holds something.
         let idle = rehash(&FifoChannel::<Packet>::new());
         let mut digests = BTreeMap::new();
-        for spec in self.topology.switches() {
-            digests.insert(Slot::sw_to_ctrl(spec.id), idle);
-            digests.insert(Slot::ctrl_to_sw(spec.id), idle);
-            for &port in &spec.ports {
-                digests.insert(Slot::ingress(spec.id, port), idle);
+        for (id, sw) in self.switches() {
+            digests.insert(Slot::sw_to_ctrl(id), idle);
+            digests.insert(Slot::ctrl_to_sw(id), idle);
+            for &port in sw.ports.iter() {
+                digests.insert(Slot::ingress(id, port), idle);
             }
         }
         for (id, _) in self.hosts() {
@@ -1618,7 +1631,8 @@ mod tests {
             switch_cell(&a, SwitchId(1)),
             switch_cell(&b, SwitchId(1))
         ));
-        assert!(Arc::ptr_eq(&a.discovered, &b.discovered));
+        // Nothing is discovered yet, so there is no cache to share.
+        assert!(a.discovered.is_none() && b.discovered.is_none());
 
         // Writing one switch un-shares only that switch.
         let pkt = Packet::l2_ping(1, MacAddr::for_host(1), MacAddr::for_host(2), 0);
@@ -1634,6 +1648,21 @@ mod tests {
             switch_cell(&b, SwitchId(2))
         ));
         assert!(Arc::ptr_eq(&a.controller, &b.controller));
+
+        // The first row creates the cache; a clone then shares it, and a
+        // row written to one state leaves the other's alone.
+        let ctrl_fp = b.controller_fingerprint();
+        b.set_relevant_packets(HostId(1), ctrl_fp, vec![pkt]);
+        let mut c = b.clone();
+        let shared = |x: &SystemState, y: &SystemState| match (&x.discovered, &y.discovered) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(shared(&b, &c));
+        c.set_relevant_packets(HostId(2), ctrl_fp, vec![]);
+        assert!(!shared(&b, &c));
+        assert!(b.relevant_packets(HostId(2), ctrl_fp).is_none());
+        assert!(a.discovered.is_none());
     }
 
     #[test]
@@ -2160,20 +2189,20 @@ mod tests {
         // when it replaces the row already at its key.
         for packets in [vec![ping(0)], vec![ping(1), ping(2)], vec![]] {
             state.set_relevant_packets(HostId(1), ctrl_fp, packets.clone());
-            let row = &state.discovered.packets[&HostId(1)][&ctrl_fp];
+            let row = &state.discovered().packets[&HostId(1)][&ctrl_fp];
             assert_eq!(row.value, packets);
             assert_eq!(row.share, packets_row_share(HostId(1), ctrl_fp, &packets));
             assert_eq!(state.fingerprint(), state.reference_fingerprint());
         }
         for stats in [vec![vec![reply(1, 3)]], vec![vec![reply(1, 4)], vec![]]] {
             state.set_discovered_stats(SwitchId(2), ctrl_fp, stats.clone());
-            let row = &state.discovered.stats[&SwitchId(2)][&ctrl_fp];
+            let row = &state.discovered().stats[&SwitchId(2)][&ctrl_fp];
             assert_eq!(row.value, stats);
             assert_eq!(row.share, stats_row_share(SwitchId(2), ctrl_fp, &stats));
             assert_eq!(state.fingerprint(), state.reference_fingerprint());
         }
-        assert_eq!(state.discovered.packets[&HostId(1)].len(), 1);
-        assert_eq!(state.discovered.stats[&SwitchId(2)].len(), 1);
+        assert_eq!(state.discovered().packets[&HostId(1)].len(), 1);
+        assert_eq!(state.discovered().stats[&SwitchId(2)].len(), 1);
 
         // The fault slot follows the budget and the crashed set through
         // every writer of either, and vanishes with the last of them.

@@ -13,7 +13,7 @@ use crate::state::SystemState;
 use nice_controller::{ControllerRuntime, PacketInContext};
 use nice_openflow::{
     BufferId, ChannelFault, FifoChannel, ForwardingDecision, HostId, Location, OfMessage,
-    OfMutation, Packet, PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput,
+    OfMutation, Packet, PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput, Topology,
 };
 use nice_sym::{ConcreteEnv, ExploreConfig, PathExplorer, Solver, SymPacket, SymStats};
 use std::collections::BTreeMap;
@@ -438,7 +438,7 @@ pub fn execute(
         Transition::ProcessPacket { switch } => {
             let ports: Vec<PortId> = state.busy_ingress_ports(*switch).collect();
             for port in ports {
-                process_one_ingress(state, *switch, port, events);
+                process_one_ingress(state, &scenario.topology, *switch, port, events);
             }
         }
 
@@ -469,7 +469,14 @@ pub fn execute(
                 .switch_mut(*switch)
                 .expect("unknown switch")
                 .apply_of_message(msg);
-            handle_switch_output(state, *switch, output, DecisionOrigin::Controller, events);
+            handle_switch_output(
+                state,
+                &scenario.topology,
+                *switch,
+                output,
+                DecisionOrigin::Controller,
+                events,
+            );
         }
 
         Transition::ControllerHandle { switch } => {
@@ -641,6 +648,7 @@ enum DecisionOrigin {
 
 fn process_one_ingress(
     state: &mut SystemState,
+    topology: &Topology,
     switch: SwitchId,
     port: PortId,
     events: &mut Vec<Event>,
@@ -669,11 +677,19 @@ fn process_one_ingress(
     if overflow_after > overflow_before {
         events.push(Event::PacketBufferOverflow { switch, packet });
     }
-    handle_switch_output(state, switch, output, DecisionOrigin::DataPlane, events);
+    handle_switch_output(
+        state,
+        topology,
+        switch,
+        output,
+        DecisionOrigin::DataPlane,
+        events,
+    );
 }
 
 fn handle_switch_output(
     state: &mut SystemState,
+    topology: &Topology,
     switch: SwitchId,
     output: SwitchOutput,
     origin: DecisionOrigin,
@@ -685,7 +701,7 @@ fn handle_switch_output(
     for decision in output.decisions {
         match decision {
             ForwardingDecision::Forward { port, packet } => {
-                deliver(state, switch, port, packet, events);
+                deliver(state, topology, switch, port, packet, events);
             }
             ForwardingDecision::FloodExcept { in_port, packet } => {
                 let ports: Vec<PortId> = (state.switch(switch))
@@ -693,7 +709,7 @@ fn handle_switch_output(
                     .iter()
                     .copied()
                     .filter(|&p| p != in_port)
-                    .filter(|&p| has_receiver(state, switch, p))
+                    .filter(|&p| has_receiver(state, topology, switch, p))
                     .collect();
                 events.push(Event::PacketFlooded {
                     switch,
@@ -701,7 +717,7 @@ fn handle_switch_output(
                     packet,
                 });
                 for port in ports {
-                    deliver(state, switch, port, packet, events);
+                    deliver(state, topology, switch, port, packet, events);
                 }
             }
             ForwardingDecision::SentToController { packet, reason, .. } => {
@@ -724,12 +740,13 @@ fn handle_switch_output(
     }
 }
 
-fn has_receiver(state: &SystemState, switch: SwitchId, port: PortId) -> bool {
-    state.host_at(switch, port).is_some() || state.topology().switch_peer(switch, port).is_some()
+fn has_receiver(state: &SystemState, topology: &Topology, switch: SwitchId, port: PortId) -> bool {
+    state.host_at(switch, port).is_some() || topology.switch_peer(switch, port).is_some()
 }
 
 fn deliver(
     state: &mut SystemState,
+    topology: &Topology,
     switch: SwitchId,
     port: PortId,
     packet: Packet,
@@ -737,7 +754,7 @@ fn deliver(
 ) {
     if let Some(host) = state.host_at(switch, port) {
         state.enqueue_host(host, packet);
-    } else if let Some(peer) = state.topology().switch_peer(switch, port) {
+    } else if let Some(peer) = topology.switch_peer(switch, port) {
         state.enqueue_ingress(peer.switch, peer.port, packet);
     } else {
         events.push(Event::PacketLost {
