@@ -30,6 +30,14 @@
 //! Every emitted document is built as a [`nice_mc::Json`] value and rendered
 //! by its writer, the same module `validate-json` parses with.
 
+/// `print!` and `println!` through [`write_stdout`], the one stdout writer.
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
@@ -37,7 +45,7 @@ use nice_mc::{
     render_timeline, CheckEvent, CheckReport, CheckerConfig, Json, ModelChecker, ReductionKind,
     Scenario, StrategyKind, Trace, TraceEngine, Verdict, TRACE_SCHEMA,
 };
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -120,7 +128,7 @@ fn main() {
         Some("timeline") => cmd_timeline(&args[1..]),
         Some("validate-json") => cmd_validate_json(),
         Some("--help" | "-h" | "help") | None => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             0
         }
         Some(other) => {
@@ -129,6 +137,18 @@ fn main() {
         }
     };
     std::process::exit(code);
+}
+
+/// Writes to stdout. A closed pipe (`nice run … | head`) ends the command
+/// quietly with 141, as SIGPIPE would; another write error exits 2.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -320,22 +340,23 @@ fn cmd_list(args: &[String]) -> i32 {
     }
     let entries = registry();
     if json {
-        println!("{}", list_json(&entries).block());
+        outln!("{}", list_json(&entries).block());
         return 0;
     }
     if names_only {
         for e in &entries {
-            println!("{}", e.name);
+            outln!("{}", e.name);
         }
         return 0;
     }
-    println!(
-        "{:<42} {:<14} {:>5}  {:<8} expected violation",
+    let header = format!(
+        "{:<42} {:<14} {:>5}  {:<8}",
         "scenario", "app", "bug", "kind"
     );
-    println!("{}", "-".repeat(100));
+    outln!("{header} expected violation");
+    outln!("{}", "-".repeat(100));
     for e in &entries {
-        println!(
+        outln!(
             "{:<42} {:<14} {:>5}  {:<8} {}",
             e.name,
             e.app,
@@ -348,7 +369,7 @@ fn cmd_list(args: &[String]) -> i32 {
             }
         );
     }
-    println!("{} scenarios", entries.len());
+    outln!("{} scenarios", entries.len());
     0
 }
 
@@ -488,9 +509,9 @@ fn cmd_run(args: &[String]) -> i32 {
 
     if opts.json {
         let doc = run_json(&target, &opts, &report, trace_file.as_deref());
-        println!("{}", doc.block());
+        outln!("{}", doc.block());
     } else {
-        print!("{report}");
+        out!("{report}");
         if let Some(entry) = &target.entry {
             match effective_expectation(entry, opts.config.inject_faults) {
                 Some(property) if report.violations.is_empty() => eprintln!(
@@ -682,9 +703,9 @@ fn cmd_sweep(args: &[String]) -> i32 {
     }
 
     if opts.json {
-        println!("{}", sweep_json(&target, &opts, &cells).block());
+        outln!("{}", sweep_json(&target, &opts, &cells).block());
     } else {
-        println!(
+        outln!(
             "swept {} over {} strategy×reduction cells (re-run with --json for the report)",
             target.spec,
             cells.len()
@@ -803,7 +824,7 @@ fn cmd_replay(args: &[String]) -> i32 {
         }
     };
     let report = checker.replay(&trace);
-    print!("{report}");
+    out!("{report}");
     if expect_violation {
         if report.completed() && report.reproduces(&trace) {
             0
@@ -857,7 +878,7 @@ fn cmd_minimize(args: &[String]) -> i32 {
             }
             eprintln!("minimized trace written to {file}");
         }
-        None => println!("{doc}"),
+        None => outln!("{doc}"),
     }
     0
 }
@@ -883,7 +904,7 @@ fn cmd_bisect(args: &[String]) -> i32 {
     };
     match checker.bisect(&trace, max_explored) {
         Ok(report) => {
-            print!("{report}");
+            out!("{report}");
             0
         }
         Err(e) => {
@@ -907,7 +928,7 @@ fn cmd_timeline(args: &[String]) -> i32 {
     };
     match render_timeline(&checker, &trace) {
         Ok(timeline) => {
-            print!("{timeline}");
+            out!("{timeline}");
             0
         }
         Err(e) => {

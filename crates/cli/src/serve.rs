@@ -459,7 +459,7 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
             })) => {
                 let report = spec.report(stats, violations);
                 let (stats, violations) = (&report.stats, &report.violations);
-                println!(
+                outln!(
                     "{}: {} unique states, {} transitions, {} violation{} ({:.3}s)",
                     spec.scenario,
                     stats.unique_states,
@@ -473,7 +473,7 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
                 properties.sort_unstable();
                 properties.dedup();
                 for property in &properties {
-                    println!("  violated: {property}");
+                    outln!("  violated: {property}");
                 }
                 return match entry {
                     Some(entry) if opts.expect => {

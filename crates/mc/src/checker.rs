@@ -69,7 +69,7 @@ use crate::state::SystemState;
 use crate::strategy::{PorReduction, Sleeper};
 use crate::trace::{Trace, TraceEngine};
 use crate::transition::{
-    drain_control_plane, enabled_transitions, execute, DiscoveryMemo, Transition,
+    drain_control_plane, enabled_transitions_into, execute, DiscoveryMemo, Transition,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -499,14 +499,13 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// The transitions the strategy wants explored from `state`, plus how
-    /// many enabled ones it filtered out.
-    pub(crate) fn selected(&self, state: &SystemState) -> (Vec<Transition>, u64) {
-        let enabled = enabled_transitions(state, self.scenario, &self.config);
-        let enabled_count = enabled.len();
-        let selected = self.config.strategy.select(state, enabled);
-        let filtered = (enabled_count - selected.len()) as u64;
-        (selected, filtered)
+    /// Replaces `out` with the transitions the strategy wants explored from
+    /// `state`; returns how many enabled ones it filtered out.
+    pub(crate) fn select_into(&self, state: &SystemState, out: &mut Vec<Transition>) -> u64 {
+        enabled_transitions_into(state, self.scenario, &self.config, out);
+        let enabled = out.len();
+        self.config.strategy.select(state, out);
+        (enabled - out.len()) as u64
     }
 
     /// Executes `transition` on `state` in place — the transition itself,
@@ -748,10 +747,20 @@ pub(crate) struct Node {
 // The expansion
 // ---------------------------------------------------------------------------
 
+/// The most transitions a worker runs between publications to [`Shared`].
+const BLOCK: u64 = 1024;
+
 /// What is genuinely global to one search: the stop flag every worker
 /// polls, and the running totals the transition budget, the progress
 /// heartbeat and the violation stamps read. Everything else a worker counts
 /// is worker-local and summed at the end ([`SearchStats::merge`]).
+///
+/// A cache line two cores write per transition is passed back and forth,
+/// so a worker publishes its counts and runs the heartbeat once per block
+/// of at most [`BLOCK`] transitions and the progress cadence, and when it
+/// finishes (`Worker::publish`). A budgeted block is reserved when claimed,
+/// and is one transition when several workers share the budget. A lone
+/// worker's totals plus its unpublished counts are exact.
 #[derive(Default)]
 pub(crate) struct Shared {
     pub(crate) stop: AtomicBool,
@@ -760,17 +769,17 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Claims one unit of the transition budget (`0` = unlimited).
-    fn take_transition(&self, max_transitions: u64) -> bool {
+    /// Claims, and under a budget (`0` = none) reserves, up to `block`
+    /// transitions; returns how many it got: none once the budget is spent.
+    fn claim(&self, block: u64, max_transitions: u64) -> u64 {
         if max_transitions == 0 {
-            self.transitions.fetch_add(1, Ordering::Relaxed);
-            return true;
+            return block;
         }
         self.transitions
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < max_transitions).then_some(n + 1)
+                (n < max_transitions).then(|| n + block.min(max_transitions - n))
             })
-            .is_ok()
+            .map_or(0, |n| block.min(max_transitions - n))
     }
 }
 
@@ -790,10 +799,18 @@ pub(crate) struct Worker<'a> {
     /// The sorted digests of the sleep set being visited; kept for its
     /// capacity.
     sleep_digests: Vec<u64>,
+    /// The transitions of the node being expanded; kept for its capacity.
+    explore: Vec<Transition>,
     pub(crate) shard: ShardSpec,
     store: Arc<ExactStore>,
     root: Arc<Snapshot>,
     pub(crate) shared: Arc<Shared>,
+    /// Transitions left in this worker's block.
+    allowance: u64,
+    /// Transitions run since the last publication, less (mod 2^64) what a
+    /// budgeted block reserved, and new states: what they add to [`Shared`].
+    unpublished_transitions: u64,
+    unpublished_states: u64,
     pub(crate) stats: SearchStats,
     pub(crate) violations: Vec<Violation>,
     /// Frontier nodes waiting locally, expanded depth-first.
@@ -817,10 +834,14 @@ impl<'a> Worker<'a> {
                 .then(|| PorReduction::new(&checker.scenario)),
             child_sleeps: Vec::new(),
             sleep_digests: Vec::new(),
+            explore: Vec::new(),
             shard,
             store,
             root,
             shared,
+            allowance: 0,
+            unpublished_transitions: 0,
+            unpublished_states: 0,
             stats: SearchStats::default(),
             violations: Vec::new(),
             stack: Vec::new(),
@@ -895,7 +916,7 @@ impl<'a> Worker<'a> {
         match self.store.visit(fingerprint, &self.sleep_digests) {
             Visit::New => {
                 self.stats.unique_states += 1;
-                self.shared.unique_states.fetch_add(1, Ordering::Relaxed);
+                self.unpublished_states += 1;
                 Some((sleep, false))
             }
             Visit::Known => {
@@ -925,13 +946,55 @@ impl<'a> Worker<'a> {
             property,
             message,
             trace.followed_by(last),
-            self.shared.transitions.load(Ordering::Relaxed),
-            self.shared.unique_states.load(Ordering::Relaxed),
+            (self.shared.transitions.load(Ordering::Relaxed))
+                .wrapping_add(self.unpublished_transitions),
+            self.shared.unique_states.load(Ordering::Relaxed) + self.unpublished_states,
         );
         if let Some(ctrl) = ctrl {
             ctrl.notify_violation(&violation);
         }
         self.violations.push(violation);
+    }
+
+    /// Takes one transition from this worker's block, first publishing and
+    /// claiming the next block if it is spent; false once the budget is.
+    fn take_transition(&mut self, ctrl: Option<&SessionCtrl>, depth: usize) -> bool {
+        if self.allowance == 0 {
+            self.publish();
+            if let Some(ctrl) = ctrl {
+                let transitions = self.shared.transitions.load(Ordering::Relaxed);
+                let states = self.shared.unique_states.load(Ordering::Relaxed);
+                ctrl.maybe_progress(transitions, states, depth, self.store.bytes());
+            }
+            let config = &self.stepper.config;
+            let block = match ctrl.map_or(0, |c| c.progress_every) {
+                _ if config.max_transitions > 0 && config.workers > 1 => 1,
+                0 => BLOCK,
+                cadence => cadence.min(BLOCK),
+            };
+            self.allowance = self.shared.claim(block, config.max_transitions);
+            if self.allowance == 0 {
+                return false;
+            } else if config.max_transitions > 0 {
+                self.unpublished_transitions = self.allowance.wrapping_neg();
+            }
+        }
+        self.allowance -= 1;
+        self.unpublished_transitions = self.unpublished_transitions.wrapping_add(1);
+        true
+    }
+
+    /// Adds the unpublished counts to [`Shared`]'s totals and ends the
+    /// block, handing back what a budgeted one did not run.
+    fn publish(&mut self) {
+        self.allowance = 0;
+        if (self.unpublished_transitions, self.unpublished_states) != (0, 0) {
+            count_publish();
+            let transitions = std::mem::take(&mut self.unpublished_transitions);
+            let states = std::mem::take(&mut self.unpublished_states);
+            (self.shared.transitions).fetch_add(transitions, Ordering::Relaxed);
+            (self.shared.unique_states).fetch_add(states, Ordering::Relaxed);
+        }
     }
 
     /// Raises the search-wide stop flag; `expand`'s "wind down" return.
@@ -957,7 +1020,6 @@ impl<'a> Worker<'a> {
             return self.stop();
         }
         let CheckerConfig {
-            max_transitions,
             max_depth,
             stop_at_first_violation,
             ..
@@ -967,10 +1029,9 @@ impl<'a> Worker<'a> {
         let revisit = node.revisit;
         let (Snapshot { state, properties }, trace, sleep) = self.materialize(node);
 
-        let (mut explore, filtered) = self.stepper.selected(&state);
-        self.stats.pruned_by_strategy += filtered;
+        self.stats.pruned_by_strategy += self.stepper.select_into(&state, &mut self.explore);
 
-        if explore.is_empty() {
+        if self.explore.is_empty() {
             // A widened revisit of a terminal state was already counted
             // (and final-checked) on its first visit.
             if !revisit {
@@ -991,6 +1052,7 @@ impl<'a> Worker<'a> {
             return true;
         }
 
+        let mut explore = std::mem::take(&mut self.explore);
         let mut child_sleeps = std::mem::take(&mut self.child_sleeps);
         if let Some(por) = &mut self.reduction {
             let scenario = self.stepper.scenario;
@@ -1002,11 +1064,11 @@ impl<'a> Worker<'a> {
         // observers over instead of copying them.
         let last = explore.len().saturating_sub(1);
         let mut parent = Some((state, properties));
-        for (index, transition) in explore.into_iter().enumerate() {
+        for (index, transition) in explore.drain(..).enumerate() {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return false;
             }
-            if !self.shared.take_transition(max_transitions) {
+            if !self.take_transition(ctrl, trace.len() + 1) {
                 self.stats.truncated = true;
                 return self.stop();
             }
@@ -1021,14 +1083,6 @@ impl<'a> Worker<'a> {
             .expect("only the last successor takes the parent");
             self.stepper
                 .advance(&mut next_state, &mut next_properties, &transition);
-            if let Some(ctrl) = ctrl {
-                ctrl.maybe_progress(
-                    self.shared.transitions.load(Ordering::Relaxed),
-                    self.shared.unique_states.load(Ordering::Relaxed),
-                    trace.len() + 1,
-                    self.store.bytes(),
-                );
-            }
 
             let violations = violated(&next_properties, &next_state);
             if !violations.is_empty() {
@@ -1075,9 +1129,10 @@ impl<'a> Worker<'a> {
             }
         }
         // Handed back empty, for the next node (a search that is winding
-        // down has no use for it).
+        // down has no use for them).
         child_sleeps.clear();
         self.child_sleeps = child_sleeps;
+        self.explore = explore;
         true
     }
 
@@ -1085,7 +1140,7 @@ impl<'a> Worker<'a> {
     pub(crate) fn finish_into(self, report: &mut CheckReport) {
         report.stats.merge(&self.stats);
         report.stats.symbolic_executions += self.stepper.memo.symbolic_executions;
-        report.stats.peak_explored_bytes = self.store.stats().peak_bytes;
+        report.stats.peak_explored_bytes = self.store.bytes();
         report.violations.extend(self.violations);
     }
 }
@@ -1196,6 +1251,7 @@ impl ModelChecker {
         let mut rng = WalkRng::new(seed);
         let mut report = CheckReport::default();
         let mut seen = FingerprintMap::default();
+        let mut enabled = Vec::new();
 
         'walks: for _ in 0..walks {
             let Snapshot {
@@ -1206,7 +1262,7 @@ impl ModelChecker {
             visit_explored(&mut seen, state.fingerprint(), &[]);
 
             for _ in 0..max_steps {
-                let (enabled, _) = stepper.selected(&state);
+                stepper.select_into(&state, &mut enabled);
                 let stats = &mut report.stats;
                 let found = if enabled.is_empty() {
                     stats.terminal_states += 1;
@@ -1311,6 +1367,7 @@ fn drive<'a>(mut worker: Worker<'a>, queue: &DonationQueue, ctrl: &SessionCtrl) 
             queue.push_work(donated);
         }
     }
+    worker.publish();
     worker
 }
 
@@ -1435,6 +1492,10 @@ impl<F: Fn()> Drop for OnPanic<F> {
         }
     }
 }
+
+/// Counts a `Worker::publish` that reached [`Shared`]; a no-op outside tests.
+#[cfg(not(test))]
+fn count_publish() {}
 
 #[cfg(test)]
 mod tests {
@@ -1798,16 +1859,74 @@ mod tests {
 
     #[test]
     fn parallel_transition_budget_truncates_search() {
-        let scenario = testutil::hub_ping_scenario(3);
-        let report = ModelChecker::new(
+        // hub-ping:3 has 2 068 transitions. A budget of 1 500 outlasts the
+        // first worker's first block of 1 024, so siblings that reserved
+        // blocks of their own would leave part of it unrun.
+        for (budget, workers) in [5, 1_500]
+            .into_iter()
+            .flat_map(|b| [(b, 1), (b, 2), (b, 4)])
+        {
+            let scenario = testutil::hub_ping_scenario(3);
+            let report = ModelChecker::new(
+                scenario,
+                CheckerConfig::default()
+                    .with_max_transitions(budget)
+                    .with_workers(workers),
+            )
+            .run();
+            assert!(report.stats.truncated, "{workers} workers");
+            assert_eq!(report.stats.transitions, budget, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_lone_worker_publishes_its_counts_once_per_block() {
+        let checker = ModelChecker::new(
+            testutil::hub_ping_scenario(4),
+            CheckerConfig::default()
+                .with_stop_at_first(false)
+                .with_max_transitions(0),
+        );
+        // The default cadence caps a block at `BLOCK`; a cadence of 100
+        // makes blocks of 100.
+        for (cadence, block) in [(crate::session::DEFAULT_PROGRESS_EVERY, BLOCK), (100, 100)] {
+            let before = PUBLISHES.get();
+            let report = checker.session().with_progress_every(cadence).run();
+            let publishes = PUBLISHES.get() - before;
+            let transitions = report.stats.transitions;
+            assert!(transitions > 10 * block, "{transitions} transitions");
+            // One per block, and one when the worker runs out of work.
+            assert!(
+                publishes <= transitions.div_ceil(block) + 2,
+                "{publishes} publications of {transitions} transitions in blocks of {block}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_workers_violation_stamps_do_not_depend_on_its_blocks() {
+        // A cadence of one transition makes blocks of one, which publish
+        // every transition: the stamps of blocks of 1024 must be the same.
+        let app = testutil::DstOnlyLearningApp::default();
+        let scenario = testutil::ping_scenario_with_app(Box::new(app), 2);
+        let checker = ModelChecker::new(
             scenario,
             CheckerConfig::default()
-                .with_max_transitions(5)
-                .with_workers(4),
-        )
-        .run();
-        assert!(report.stats.truncated);
-        assert!(report.stats.transitions <= 5);
+                .with_stop_at_first(false)
+                .with_max_transitions(0),
+        );
+        let stamps = |cadence: u64| -> Vec<(u64, u64)> {
+            let report = checker.session().with_progress_every(cadence).run();
+            (report.violations.iter())
+                .map(|v| (v.transitions_explored, v.unique_states))
+                .collect()
+        };
+        let exact = stamps(1);
+        assert!(exact.len() > 1, "{exact:?}");
+        assert!(exact.windows(2).all(|w| w[0] <= w[1]), "{exact:?}");
+        for cadence in [0, 7, 100] {
+            assert_eq!(stamps(cadence), exact, "cadence {cadence}");
+        }
     }
 
     #[test]
@@ -2073,4 +2192,16 @@ mod tests {
         assert!(text.contains("pruned by strategy"));
         assert!(text.contains("dedup hits"));
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `Worker::publish` calls that reached [`Shared`] on this thread: a
+    /// lone worker is held to one per block of transitions.
+    static PUBLISHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_publish() {
+    PUBLISHES.with(|calls| calls.set(calls.get() + 1));
 }

@@ -144,16 +144,6 @@ pub(crate) fn visit_explored(
     }
 }
 
-/// The store's byte counters; threaded into
-/// [`SearchStats`](crate::checker::SearchStats) and the report JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExploredStats {
-    /// Bytes currently held by the store.
-    pub bytes: u64,
-    /// High-water mark of [`ExploredStats::bytes`] over the run.
-    pub peak_bytes: u64,
-}
-
 /// Lock shards per in-process store.
 const STORE_SHARDS: usize = 64;
 
@@ -388,18 +378,10 @@ impl ExactStore {
         verdict
     }
 
-    /// Bytes currently held (cheap; polled for progress events).
+    /// Bytes held: polled for progress events and, since no table
+    /// shrinks, the search's peak (`SearchStats::peak_explored_bytes`).
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the store's counters.
-    pub(crate) fn stats(&self) -> ExploredStats {
-        let bytes = self.bytes();
-        ExploredStats {
-            bytes,
-            peak_bytes: bytes,
-        }
     }
 }
 
@@ -472,7 +454,7 @@ mod tests {
     fn packed_table_agrees_with_reference_semantics() {
         let store = ExactStore::new();
         agrees_with_reference(&store, 5_000, 1);
-        assert!(store.stats().peak_bytes > 0);
+        assert!(store.bytes() > 0);
     }
 
     #[test]

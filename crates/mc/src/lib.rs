@@ -71,7 +71,6 @@ pub mod trace;
 pub mod transition;
 
 pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Verdict, Violation};
-pub use explored::ExploredStats;
 pub use faults::{FailoverStaleness, FaultPlan};
 pub use json::Json;
 pub use minimize::{BisectReport, MinimizeReport};

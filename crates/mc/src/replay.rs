@@ -176,7 +176,9 @@ impl<'a> Replayer<'a> {
     /// strategy selection) — the membership oracle for divergence checks
     /// and the deterministic continuation choice for minimization.
     pub(crate) fn selected(&self) -> Vec<Transition> {
-        self.stepper.selected(&self.state).0
+        let mut selected = Vec::new();
+        self.stepper.select_into(&self.state, &mut selected);
+        selected
     }
 
     /// Executes one transition if it is currently enabled, feeding property

@@ -147,8 +147,8 @@ pub enum CheckEvent {
         rate: f64,
         /// Depth of the path that triggered this report.
         depth: usize,
-        /// Bytes of the explored fingerprint set at this point (see
-        /// [`ExploredStats::bytes`](crate::explored::ExploredStats::bytes)).
+        /// Bytes of the explored fingerprint set at this point (what
+        /// `SearchStats::peak_explored_bytes` reports at the end).
         explored_bytes: u64,
     },
     /// A property violation was just recorded (with its reproducing trace).
@@ -279,7 +279,7 @@ impl<'c> CheckSession<'c> {
 pub(crate) struct SessionCtrl<'o> {
     cancel: CancelToken,
     deadline: Option<Instant>,
-    progress_every: u64,
+    pub(crate) progress_every: u64,
     /// Next transition count at which to emit a `Progress` event.
     next_progress: AtomicU64,
     /// First interrupt reason observed; first writer wins.

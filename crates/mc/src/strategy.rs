@@ -74,14 +74,14 @@ use nice_openflow::Packet;
 use std::sync::Arc;
 
 impl StrategyKind {
-    /// Restricts (and possibly reorders) the enabled transitions of `state`
-    /// to the ones this strategy wants explored.
-    pub(crate) fn select(self, state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+    /// Restricts the enabled transitions of `state`, in place and in
+    /// order, to the ones this strategy wants explored.
+    pub(crate) fn select(self, state: &SystemState, enabled: &mut Vec<Transition>) {
         match self {
             // NO-DELAY drains the control-plane channels atomically after
             // every transition, so ControllerHandle/ProcessOf transitions are
             // never enabled on their own; nothing to filter here.
-            StrategyKind::FullDfs | StrategyKind::NoDelay => enabled,
+            StrategyKind::FullDfs | StrategyKind::NoDelay => {}
             StrategyKind::FlowIr => flow_ir(state, enabled),
             StrategyKind::Unusual => unusual(state, enabled),
         }
@@ -95,37 +95,28 @@ impl StrategyKind {
 }
 
 /// FLOW-IR: flow independence reduction.
-fn flow_ir(state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+fn flow_ir(state: &SystemState, enabled: &mut Vec<Transition>) {
     // Partition the enabled host-send transitions into flow groups using
     // the application's isSameFlow oracle, then keep only the sends of
     // the first group: the relative ordering between independent groups
     // is explored exactly once (group 1 entirely before group 2, ...).
+    // Sends of independent flows are pruned here; they become enabled
+    // again once the leader flow has no enabled sends left.
     let mut group_leader: Option<Packet> = None;
-    let mut out = Vec::with_capacity(enabled.len());
-    for t in enabled {
-        match &t {
-            Transition::HostSend { packet, .. } => match &group_leader {
-                None => {
-                    group_leader = Some(*packet);
-                    out.push(t);
-                }
-                Some(leader) => {
-                    if state.controller().app().is_same_flow(leader, packet) {
-                        out.push(t);
-                    }
-                    // Sends of independent flows are pruned here; they
-                    // become enabled again once the leader flow has no
-                    // enabled sends left.
-                }
-            },
-            _ => out.push(t),
-        }
-    }
-    out
+    enabled.retain(|t| match t {
+        Transition::HostSend { packet, .. } => match &group_leader {
+            None => {
+                group_leader = Some(*packet);
+                true
+            }
+            Some(leader) => state.controller().app().is_same_flow(leader, packet),
+        },
+        _ => true,
+    });
 }
 
 /// UNUSUAL: uncommon delays and reorderings of control messages.
-fn unusual(state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
+fn unusual(state: &SystemState, enabled: &mut Vec<Transition>) {
     // Among the pending controller→switch deliveries, keep only the one
     // for the switch whose message was issued most recently: rule
     // installations are explored in reverse order, the scenario of
@@ -136,13 +127,10 @@ fn unusual(state: &SystemState, enabled: Vec<Transition>) -> Vec<Transition> {
         .max_by_key(|(_, seq)| *seq)
         .map(|(sw, _)| *sw);
     let multiple_pending = backlog.len() > 1;
-    enabled
-        .into_iter()
-        .filter(|t| match t {
-            Transition::ProcessOf { switch } if multiple_pending => Some(*switch) == newest,
-            _ => true,
-        })
-        .collect()
+    enabled.retain(|t| match t {
+        Transition::ProcessOf { switch } if multiple_pending => Some(*switch) == newest,
+        _ => true,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +319,8 @@ mod tests {
         let config = CheckerConfig::default();
         let state = state_with_backlog();
         let enabled = enabled_transitions(&state, &scenario, &config);
-        let kept = StrategyKind::FullDfs.select(&state, enabled.clone());
+        let mut kept = enabled.clone();
+        StrategyKind::FullDfs.select(&state, &mut kept);
         assert_eq!(kept.len(), enabled.len());
         assert!(!StrategyKind::FullDfs.lock_step_control_plane());
     }
@@ -340,7 +329,8 @@ mod tests {
     fn no_delay_requests_lock_step() {
         assert!(StrategyKind::NoDelay.lock_step_control_plane());
         let state = state_with_backlog();
-        let kept = StrategyKind::NoDelay.select(&state, vec![]);
+        let mut kept = vec![];
+        StrategyKind::NoDelay.select(&state, &mut kept);
         assert!(kept.is_empty());
     }
 
@@ -355,7 +345,8 @@ mod tests {
             .filter(|t| matches!(t, Transition::ProcessOf { .. }))
             .count();
         assert_eq!(process_of_before, 2);
-        let kept = StrategyKind::Unusual.select(&state, enabled);
+        let mut kept = enabled;
+        StrategyKind::Unusual.select(&state, &mut kept);
         let remaining: Vec<SwitchId> = kept
             .iter()
             .filter_map(|t| match t {
@@ -378,7 +369,8 @@ mod tests {
         let mut state = SystemState::initial(&scenario);
         state.enqueue_to_switch(SwitchId(1), OfMessage::BarrierRequest { request_id: 1 });
         let enabled = enabled_transitions(&state, &scenario, &config);
-        let kept = StrategyKind::Unusual.select(&state, enabled.clone());
+        let mut kept = enabled.clone();
+        StrategyKind::Unusual.select(&state, &mut kept);
         assert_eq!(kept.len(), enabled.len());
     }
 
@@ -439,7 +431,8 @@ mod tests {
         ];
         // The first send leads the group: its flow's sends and every
         // non-send survive, the other flow's send waits.
-        let kept = StrategyKind::FlowIr.select(&state, enabled);
+        let mut kept = enabled;
+        StrategyKind::FlowIr.select(&state, &mut kept);
         assert_eq!(kept, vec![first, process, first_again]);
     }
 }

@@ -242,6 +242,18 @@ pub fn enabled_transitions(
     config: &CheckerConfig,
 ) -> Vec<Transition> {
     let mut out = Vec::new();
+    enabled_transitions_into(state, scenario, config, &mut out);
+    out
+}
+
+/// [`enabled_transitions`] in place of `out`'s contents (a reused buffer).
+pub(crate) fn enabled_transitions_into(
+    state: &SystemState,
+    scenario: &Scenario,
+    config: &CheckerConfig,
+    out: &mut Vec<Transition>,
+) {
+    out.clear();
     let ctrl_fp = state.controller_fingerprint();
 
     // Host transitions.
@@ -361,8 +373,6 @@ pub fn enabled_transitions(
             out.push(Transition::ControllerFailover);
         }
     }
-
-    out
 }
 
 /// Executes one transition, mutating `state` and appending the observable

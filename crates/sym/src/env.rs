@@ -109,7 +109,7 @@ impl SymExecEnv {
         let mut h = Hasher64::with_seed(0x5e_c0);
         self.path.len().hash(&mut h);
         for (c, taken) in &self.path {
-            (c.to_string(), taken).hash(&mut h);
+            (c, taken).hash(&mut h);
         }
         h.finish()
     }

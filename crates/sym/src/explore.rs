@@ -166,10 +166,7 @@ impl PathExplorer {
 
 fn prefix_signature(constraints: &[BoolExpr]) -> u64 {
     let mut h = Hasher64::with_seed(0x9e_f1);
-    constraints.len().hash(&mut h);
-    for c in constraints {
-        c.to_string().hash(&mut h);
-    }
+    constraints.hash(&mut h);
     h.finish()
 }
 
