@@ -32,3 +32,39 @@ pub use energyte::{EnergyTeApp, EnergyTeConfig, UseCorrectRoutingTable};
 pub use loadbalancer::{LoadBalancerApp, LoadBalancerConfig};
 pub use pyswitch::{PySwitchApp, PySwitchVariant};
 pub use scenarios::{bug_scenario, BugId};
+
+#[cfg(test)]
+mod tests {
+    use crate::workloads::{chain_fault_workload, chain_ping_workload, ping_workload};
+    use nice_mc::{CheckerConfig, ModelChecker, Scenario, SearchStats};
+
+    fn exhaustive(scenario: Scenario, config: CheckerConfig) -> SearchStats {
+        ModelChecker::new(scenario, config.with_stop_at_first(false))
+            .run()
+            .stats
+    }
+
+    #[test]
+    fn ping_workload_shape() {
+        let s = ping_workload(2, true);
+        assert_eq!(s.hosts.len(), 2);
+        assert!(s.switch_config.canonical_flow_table);
+        assert!(!ping_workload(2, false).switch_config.canonical_flow_table);
+    }
+
+    #[test]
+    fn chain_fault_workload_is_dormant_without_injection() {
+        let plain = exhaustive(chain_ping_workload(2, 1), CheckerConfig::default());
+        let dormant = exhaustive(chain_fault_workload(2, 1), CheckerConfig::default());
+        assert_eq!(plain.transitions, dormant.transitions);
+        assert_eq!(plain.unique_states, dormant.unique_states);
+        // With injection on, the crash/recovery interleavings enlarge the
+        // state space.
+        let faulty = exhaustive(
+            chain_fault_workload(2, 1),
+            CheckerConfig::default().with_fault_injection(true),
+        );
+        assert!(faulty.transitions > plain.transitions);
+        assert!(faulty.faults.any(), "faults were injected and counted");
+    }
+}

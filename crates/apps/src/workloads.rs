@@ -1,7 +1,7 @@
 //! The benchmark workloads of Section 7, packaged as ready-to-build
-//! scenarios so every front-end — the bench bins, the CLI, and the
-//! `nice-dist` worker processes — constructs bit-identical systems from a
-//! name alone.
+//! scenarios so every front-end — the `nice` CLI (`nice reproduce` among
+//! its commands) and the `nice-dist` worker processes — constructs
+//! bit-identical systems from a name alone.
 
 use crate::pyswitch::{PySwitchApp, PySwitchVariant};
 use crate::scenarios::find_scenario;

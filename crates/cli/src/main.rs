@@ -26,6 +26,8 @@
 //!   well-formed JSON value (what CI pipes `--json` output through); a
 //!   document whose top-level `"schema"` is `nice-trace-v1` must also read
 //!   as a typed trace.
+//! * `nice reproduce [table1|figure6|table2]` — the paper's evaluation
+//!   tables (Table 1, Figure 6, Table 2).
 //!
 //! Every emitted document is built as a [`nice_mc::Json`] value and rendered
 //! by its writer, the same module `validate-json` parses with.
@@ -38,6 +40,7 @@ macro_rules! outln {
     ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
 }
 
+mod reproduce;
 mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
@@ -62,13 +65,14 @@ USAGE:
   nice bisect <trace.json> [--max-explored <N>]
   nice timeline <trace.json>
   nice validate-json            (reads stdin)
+  nice reproduce [table1|figure6|table2]
 
 CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
   --strategy <pkt-seq|no-delay|flow-ir|unusual>   search strategy (default pkt-seq; not sweep, which
                                                   covers all four)
   --reduction <none|por>                          partial-order reduction (default none; not sweep,
                                                   which covers both)
-  --max-transitions <N>                           transition budget (default 500000; 0 = unlimited)
+  --max-transitions <N>                           transition budget (default 2000000; 0 = unlimited)
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
                                                   (default and 0: no deadline)
@@ -110,6 +114,10 @@ TRACE COMMANDS (operate on nice-trace-v1 files, produced by `nice run --trace-ou
   timeline   ASCII timeline: one lane per switch/host/controller, with packet
              sends, flow-mods, barriers, faults and the violation marked
 
+reproduce    the paper's Table 1 (state-space growth and rho), Figure 6 (the
+             strategies' reductions) and Table 2 (transitions to each bug),
+             or only the named one
+
 <scenario> is a registry name from `nice list` or a workload spec (ping:<pings>,
 chain:<switches>:<pings>, chain-faults:<switches>:<pings>); schemas are documented in
 bench/README.md.";
@@ -127,6 +135,7 @@ fn main() {
         Some("bisect") => cmd_bisect(&args[1..]),
         Some("timeline") => cmd_timeline(&args[1..]),
         Some("validate-json") => cmd_validate_json(),
+        Some("reproduce") => reproduce::cmd_reproduce(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             outln!("{USAGE}");
             0
@@ -164,9 +173,6 @@ enum Mode {
     Submit,
 }
 
-/// The transition budget of a check nobody gave `--max-transitions`.
-const DEFAULT_MAX_TRANSITIONS: u64 = 500_000;
-
 struct RunOptions {
     scenario: Option<String>,
     /// The check: what the shared flags (and `--workers`) describe.
@@ -187,7 +193,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             scenario: None,
-            config: CheckerConfig::default().with_max_transitions(DEFAULT_MAX_TRANSITIONS),
+            config: CheckerConfig::default(),
             time_budget: None,
             progress_every: nice_mc::session::DEFAULT_PROGRESS_EVERY,
             expect: false,
@@ -991,8 +997,7 @@ mod tests {
             run
         };
         let defaults = both(&[]).expect("no flags is a check");
-        let budgeted = CheckerConfig::default().with_max_transitions(500_000);
-        assert_eq!(defaults, (budgeted, None));
+        assert_eq!(defaults, (CheckerConfig::default(), None));
         for (flag, good, bad) in [
             ("--strategy", "unusual", "bfs"),
             ("--reduction", "por", "tso"),

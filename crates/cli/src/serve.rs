@@ -13,13 +13,14 @@
 //! pending, so one chatty client cannot starve the others. A connection's
 //! own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v6` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v7` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame and receives `progress` and `violation` frames while the job
-//! runs, then exactly one `job_done` (stats + violations) or `error`. Those
-//! are the worker's own frames, relayed as they come: `job_done`'s
-//! `duration_ms` is the worker's search time, and it is `truncated` when a
-//! cancel or the job's deadline stopped the search. A `cancel` frame stops
+//! runs, then exactly one `job_done` (stats) or `error`; the job's
+//! violations are its `violation` frames. Those are the worker's own
+//! frames, relayed as they come: `job_done`'s `duration_ms` is the worker's
+//! search time, and it is `truncated` when a cancel or the job's deadline
+//! stopped the search. A `cancel` frame stops
 //! the named job whether it is running or still queued.
 //!
 //! `submit` is the matching client: build a [`JobSpec`] from the flags it
@@ -335,17 +336,15 @@ fn run_taken(coordinator: &mut Coordinator, taken: &Taken) {
     let mut writer = &**stream;
     eprintln!("job {job} (client {client}): {}", spec.scenario);
     let mut outcome = String::new();
+    let mut violations = 0;
     let relay = |frame: Frame| {
         match &frame {
-            Frame::JobDone {
-                stats, violations, ..
-            } => {
-                let plural = if violations.len() == 1 { "" } else { "s" };
+            Frame::Violation { .. } => violations += 1,
+            Frame::JobDone { stats, .. } => {
+                let plural = if violations == 1 { "" } else { "s" };
                 outcome = format!(
-                    "done: {} states, {} transitions, {} violation{plural}",
-                    stats.unique_states,
-                    stats.transitions,
-                    violations.len(),
+                    "done: {} states, {} transitions, {violations} violation{plural}",
+                    stats.unique_states, stats.transitions,
                 );
             }
             Frame::Error { message, .. } => outcome = format!("failed: {message}"),
@@ -432,6 +431,7 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
     }
 
     let mut reader = BufReader::new(stream);
+    let mut violations = Vec::new();
     loop {
         match read_frame(&mut reader) {
             Ok(Some(Frame::Progress {
@@ -453,10 +453,9 @@ pub(crate) fn cmd_submit(args: &[String]) -> i32 {
                         violation.property, violation.message
                     );
                 }
+                violations.push(violation);
             }
-            Ok(Some(Frame::JobDone {
-                stats, violations, ..
-            })) => {
+            Ok(Some(Frame::JobDone { stats, .. })) => {
                 let report = spec.report(stats, violations);
                 let (stats, violations) = (&report.stats, &report.violations);
                 outln!(

@@ -84,9 +84,10 @@ impl JobSpec {
         })
     }
 
-    /// The report a `job_done` frame of this job stands for, as a client
-    /// reads it: the frame has no outcome, so a job its deadline or a
-    /// cancel stopped reads as truncated.
+    /// The report of this job as a client reads it: the stats of its
+    /// `job_done` frame and the violations of its `violation` frames, in the
+    /// order they came. The frames carry no outcome, so a job its deadline
+    /// or a cancel stopped reads as truncated.
     pub fn report(&self, stats: SearchStats, violations: Vec<WireViolation>) -> CheckReport {
         let engine = TraceEngine::from_config(&self.config);
         CheckReport {

@@ -1,8 +1,8 @@
-//! The `nice-dist-v6` wire protocol.
+//! The `nice-dist-v7` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v6"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v7"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -27,9 +27,10 @@
 //! gained `depth_bounded`. `v4` dropped the `job` frame's `shard` and the
 //! `idle` and `finish` frames of the sharded job. `v6` dropped `hello`,
 //! which nothing read, and `shutdown`, which closing the worker's stdin
-//! already means. Either way a stale worker binary must fail loudly on the
-//! schema tag instead of exploring a wrong state or misreading a verdict
-//! silently.
+//! already means. `v7` dropped `job_done`'s `violations`, which repeated
+//! every `violation` frame of the job. Either way a stale worker binary
+//! must fail loudly on the schema tag instead of exploring a wrong state or
+//! misreading a verdict silently.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
@@ -37,7 +38,7 @@
 //! | `cancel` | C → W | stop expanding (the job still completes with `job_done`) |
 //! | `progress` | W → C | periodic transition/state counters |
 //! | `violation` | W → C | a violation, streamed live with its steps |
-//! | `job_done` | W → C | final stats + violations; `truncated` also when a cancel or the deadline stopped the job |
+//! | `job_done` | W → C | final stats (the job's violations are its `violation` frames); `truncated` also when a cancel or the deadline stopped the job |
 //! | `error` | W → C | the job could not run (e.g. unknown scenario spec) |
 //! | `forward`, `states` | — | frontier exports (fingerprint, trace, sleep set); benchmark only |
 
@@ -48,8 +49,8 @@ use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v6` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v6";
+/// The schema tag every `nice-dist-v7` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v7";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
@@ -92,7 +93,7 @@ impl WireViolation {
         }
     }
 
-    /// The violation object of the `violation` and `job_done` frames.
+    /// The violation object of the `violation` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("property", self.property.as_str().into()),
@@ -111,7 +112,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v6` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v7` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: run `job` whole with the given spec.
@@ -151,7 +152,8 @@ pub enum Frame {
         /// Depth of the path that triggered this report.
         depth: u64,
     },
-    /// W → C: a violation, streamed live.
+    /// W → C: a violation, streamed live. A job's violation frames, in the
+    /// order they come, are its report's violations.
     Violation {
         /// Job id.
         job: u64,
@@ -164,8 +166,6 @@ pub enum Frame {
         job: u64,
         /// Search statistics.
         stats: SearchStats,
-        /// Every violation the job found.
-        violations: Vec<WireViolation>,
     },
     /// W → C: the job could not run.
     Error {
@@ -181,7 +181,7 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v6` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v7` JSON document.
     pub fn to_json(&self) -> String {
         let (kind, job, body): (&str, u64, Vec<(&'static str, Json)>) = match self {
             Frame::Job { job, spec } => ("job", *job, vec![("spec", spec.to_json())]),
@@ -208,18 +208,7 @@ impl Frame {
             Frame::Violation { job, violation } => {
                 ("violation", *job, vec![("violation", violation.to_json())])
             }
-            Frame::JobDone {
-                job,
-                stats,
-                violations,
-            } => {
-                let violations = violations.iter().map(WireViolation::to_json).collect();
-                let body = vec![
-                    ("stats", stats.to_json()),
-                    ("violations", Json::Arr(violations)),
-                ];
-                ("job_done", *job, body)
-            }
+            Frame::JobDone { job, stats } => ("job_done", *job, vec![("stats", stats.to_json())]),
             Frame::Error { job, message } => {
                 ("error", *job, vec![("message", message.as_str().into())])
             }
@@ -232,7 +221,7 @@ impl Frame {
         Json::object(head.into_iter().chain(body)).compact()
     }
 
-    /// Parses a single-line `nice-dist-v6` JSON document.
+    /// Parses a single-line `nice-dist-v7` JSON document.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -267,9 +256,6 @@ impl Frame {
             "job_done" => Frame::JobDone {
                 job: job()?,
                 stats: SearchStats::from_json(value.get("stats")?)?,
-                violations: (value.arr("violations")?.iter())
-                    .map(WireViolation::from_json)
-                    .collect::<Result<_, _>>()?,
             },
             "error" => Frame::Error {
                 job: job()?,
@@ -429,8 +415,9 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 8 kinds with its `nice-dist-v6` bytes: its
-    /// `nice-dist-v5` bytes but for the tag.
+    /// One frame of each of the 8 kinds with its `nice-dist-v7` bytes: its
+    /// `nice-dist-v6` bytes but for the tag, and for `job_done`, which no
+    /// longer repeats the job's violations.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -448,25 +435,25 @@ mod tests {
                     job: 1,
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v6","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
+                r#"{"schema":"nice-dist-v7","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v6","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v7","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v6","frame":"cancel","job":3}"#,
+                r#"{"schema":"nice-dist-v7","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v6","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v7","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -475,29 +462,25 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v6","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v7","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
-                Frame::Violation {
-                    job: 7,
-                    violation: violation.clone(),
-                },
-                r#"{"schema":"nice-dist-v6","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
+                Frame::Violation { job: 7, violation },
+                r#"{"schema":"nice-dist-v7","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::JobDone {
                     job: 9,
                     stats: sample_stats(),
-                    violations: vec![violation],
                 },
-                r#"{"schema":"nice-dist-v6","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}},"violations":[{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}]}"#,
+                r#"{"schema":"nice-dist-v7","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v6","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v7","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -529,15 +512,15 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
-        // A v5 peer greets with `hello` and waits for `shutdown`, which
-        // this side no longer speaks: it must fail on the tag.
+        // A v6 worker repeats the job's violations in `job_done`, where
+        // this side no longer reads them: it must fail on the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v6", "nice-dist-v5", 1);
+            let stale = golden.replacen("nice-dist-v7", "nice-dist-v6", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v5'"),
+                err.to_string().contains("unknown schema 'nice-dist-v6'"),
                 "{err}"
             );
         }
@@ -616,8 +599,9 @@ mod tests {
                 }
             }
         }
+        // The eight goldens are 2 896 bytes on the wire.
         assert!(
-            cut > 3000 && corrupted == 3 * cut,
+            cut > 2800 && corrupted == 3 * cut,
             "{cut} cuts, {corrupted}"
         );
     }

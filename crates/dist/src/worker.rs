@@ -8,10 +8,12 @@
 //! 2. the session's observer streams a `violation` frame for each violation
 //!    as it is found and a `progress` frame every [`PROGRESS_EVERY`]
 //!    transitions;
-//! 3. the session's `Finished` report goes back as `job_done`, marked
-//!    `truncated` if a cancel or the job's deadline (`time_budget_ms`, kept
-//!    by the session) stopped it. A scenario spec the worker cannot resolve
-//!    gets an `error` instead.
+//! 3. the session's `Finished` report's stats go back as `job_done`,
+//!    marked `truncated` if a cancel or the job's deadline (`time_budget_ms`,
+//!    kept by the session) stopped it. The report's violations are the
+//!    `violation` frames already sent, in its order: one worker runs the
+//!    job, so nothing races to reorder them. A scenario spec the worker
+//!    cannot resolve gets an `error` instead.
 //!
 //! A reader thread drains stdin: it hands `job` frames to the job loop and
 //! trips the running session's cancel token on `cancel` or EOF. A cancelled
@@ -152,7 +154,6 @@ fn run_job(
                     truncated: report.stats.truncated || report.outcome.interrupted(),
                     ..report.stats.clone()
                 },
-                violations: report.violations.iter().map(WireViolation::of).collect(),
             },
             CheckEvent::Started { .. } => return,
         };

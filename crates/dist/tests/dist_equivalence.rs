@@ -6,11 +6,11 @@
 //! and the stops are the worker's own: its transition budget truncates the
 //! search, `stop_at_first_violation` ends it at the sequential engine's
 //! first violation, and its deadline interrupts it. The coordinator relays
-//! the worker's frames; a served report here is read from the final
-//! `job_done` the way `nice submit` reads it. A killed worker fails its
-//! job, and the next job on the same coordinator runs on a fresh worker to
-//! the exact counters; two coordinators running side by side do not
-//! interfere.
+//! the worker's frames; a served report here is read from its `violation`
+//! frames and the final `job_done` the way `nice submit` reads it. A killed
+//! worker fails its job, and the next job on the same coordinator runs on a
+//! fresh worker to the exact counters; two coordinators running side by
+//! side do not interfere.
 //!
 //! Every test serializes on one mutex: the coordinator spawns worker child
 //! processes, and the dying-worker test scopes the `NICE_DIST_WORKER_BIN`
@@ -55,29 +55,30 @@ fn sequential(spec: &JobSpec) -> CheckReport {
 }
 
 /// Runs `spec` on `coordinator`, calling `on_frame` with every frame it
-/// relays, and reads the final `job_done` as `nice submit` does.
+/// relays, and reads the report as `nice submit` does: the violations of
+/// the `violation` frames, the stats of the final `job_done`.
 fn run(
     coordinator: &mut Coordinator,
     spec: &JobSpec,
     mut on_frame: impl FnMut(&Frame),
     cancel: Option<&AtomicBool>,
 ) -> io::Result<CheckReport> {
+    let mut violations = Vec::new();
     let mut last = None;
     coordinator.run_job(
         1,
         spec,
         |frame| {
             on_frame(&frame);
+            if let Frame::Violation { violation, .. } = &frame {
+                violations.push(violation.clone());
+            }
             last = Some(frame);
         },
         cancel,
     )?;
     match last {
-        Some(Frame::JobDone {
-            job: 1,
-            stats,
-            violations,
-        }) => Ok(spec.report(stats, violations)),
+        Some(Frame::JobDone { job: 1, stats }) => Ok(spec.report(stats, violations)),
         other => panic!("the last frame relayed is not job 1's job_done: {other:?}"),
     }
 }

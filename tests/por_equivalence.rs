@@ -23,7 +23,7 @@ fn test_workers() -> usize {
 }
 
 /// The pyswitch ping workload stretched over a chain of switches — the
-/// exploration-engine benchmark scenario, shared with the bench bins.
+/// exploration-engine benchmark scenario, shared with `benchmark/`.
 fn chain_ping_scenario(switches: u32, pings: u32) -> Scenario {
     chain_ping_workload(switches, pings)
 }
