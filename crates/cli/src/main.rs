@@ -9,7 +9,7 @@
 //!   stderr, honours a wall-clock budget (`--time-budget-ms`), with
 //!   `--json` emits one machine-readable
 //!   object embedding the first counterexample as a typed trace (schema
-//!   `nice-cli-run-v7`, documented in `bench/README.md`), and with
+//!   `nice-cli-run-v8`, documented in `bench/README.md`), and with
 //!   `--trace-out FILE` writes that trace as a standalone `nice-trace-v1`
 //!   file.
 //! * `nice sweep <scenario>` — the strategies × reductions matrix on one
@@ -25,7 +25,8 @@
 //! * `nice validate-json` — reads stdin and exits non-zero unless it is one
 //!   well-formed JSON value (what CI pipes `--json` output through); a
 //!   document whose top-level `"schema"` is `nice-trace-v1` must also read
-//!   as a typed trace.
+//!   as a typed trace, and a `nice-cli-run-v8` report must carry a trace
+//!   and fault counters that read back.
 //! * `nice reproduce [table1|figure6|table2]` — the paper's evaluation
 //!   tables (Table 1, Figure 6, Table 2).
 //!
@@ -45,8 +46,8 @@ mod serve;
 
 use nice_apps::scenarios::{find_scenario, registry, ScenarioEntry, ScenarioKind};
 use nice_mc::{
-    render_timeline, CheckEvent, CheckReport, CheckerConfig, Json, ModelChecker, ReductionKind,
-    Scenario, StrategyKind, Trace, TraceEngine, Verdict, TRACE_SCHEMA,
+    render_timeline, CheckEvent, CheckReport, CheckerConfig, FaultStats, Json, ModelChecker,
+    ReductionKind, Scenario, StrategyKind, Trace, TraceEngine, Verdict, TRACE_SCHEMA,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
@@ -76,8 +77,8 @@ CHECK OPTIONS (run, sweep and submit: one meaning and one default each):
   --max-depth <N>                                 depth bound (default 400)
   --time-budget-ms <N>                            interrupt the search (each sweep cell) after N wall-clock ms
                                                   (default and 0: no deadline)
-  --faults                                        enable the scenario's fault plan (switch crashes,
-                                                  channel faults, failover — see README \"Fault injection\")
+  --faults                                        enable the scenario's fault plan (channel faults,
+                                                  switch crashes — see README \"Fault injection\")
   --all-violations                                keep searching after the first violation
 
 OTHER OPTIONS:
@@ -599,7 +600,10 @@ fn engine_label(workers: usize) -> &'static str {
     engine.label()
 }
 
-/// The `nice run --json` report (schema `nice-cli-run-v7`, documented in
+/// The schema tag of the `nice run --json` report.
+const RUN_SCHEMA: &str = "nice-cli-run-v8";
+
+/// The `nice run --json` report (schema [`RUN_SCHEMA`], documented in
 /// `bench/README.md`).
 fn run_json<'a>(
     target: &'a Target,
@@ -631,7 +635,7 @@ fn run_json<'a>(
     let secs = stats.duration.as_secs_f64();
     let rate = stats.unique_states as f64 / secs.max(1e-9);
     Json::object([
-        ("schema", "nice-cli-run-v7".into()),
+        ("schema", RUN_SCHEMA.into()),
         ("scenario", target.spec.as_str().into()),
         ("app", app.into()),
         ("bug", entry.map(|e| e.bug.label()).into()),
@@ -948,16 +952,25 @@ fn cmd_timeline(args: &[String]) -> i32 {
 // nice validate-json
 // ---------------------------------------------------------------------------
 
-/// What `input` is a valid instance of: `"JSON"`, or [`TRACE_SCHEMA`] for a
-/// document that says so in its *top-level* `"schema"` member (a run report
-/// embeds a whole trace under `"trace"`; that does not count) and then has
-/// to read as a typed trace.
+/// What `input` is a valid instance of: `"JSON"`, or the schema a document
+/// names in its *top-level* `"schema"` member (a run report embeds a whole
+/// trace under `"trace"`; that does not count) when it then reads as one:
+/// [`TRACE_SCHEMA`] as a typed trace, [`RUN_SCHEMA`] with its `"trace"` (or
+/// `null`) and its `"injected_faults"` read back.
 fn check_document(input: &str) -> Result<&'static str, String> {
     let doc = Json::parse(input)?;
-    if doc.str("schema") == Ok(TRACE_SCHEMA) {
-        Trace::from_value(&doc).map(|_| TRACE_SCHEMA)
-    } else {
-        Ok("JSON")
+    match doc.str("schema") {
+        Ok(TRACE_SCHEMA) => Trace::from_value(&doc).map(|_| TRACE_SCHEMA),
+        Ok(RUN_SCHEMA) => {
+            FaultStats::from_json(doc.get("injected_faults")?)
+                .map_err(|e| format!("injected_faults: {e}"))?;
+            let trace = doc.get("trace")?;
+            if !matches!(trace, Json::Null) {
+                Trace::from_value(trace).map_err(|e| format!("trace: {e}"))?;
+            }
+            Ok(RUN_SCHEMA)
+        }
+        _ => Ok("JSON"),
     }
 }
 
@@ -1097,6 +1110,7 @@ mod tests {
             };
             let report = ModelChecker::new(target.scenario.clone(), opts.config.clone()).run();
             let doc = run_json(&target, &opts, &report, None);
+            assert_eq!(check_document(&doc.block()), Ok(RUN_SCHEMA), "{line}");
             let verdict = doc.str("verdict").expect("a verdict").to_string();
             let flags = (doc.bool("passed"), doc.bool("expectation_met"));
             (report.to_string(), verdict, flags)
@@ -1134,10 +1148,34 @@ mod tests {
         // Anything else only has to be JSON; an embedded trace is not a claim.
         assert_eq!(check_document("{}"), Ok("JSON"));
         let report = format!(
-            r#"{{"schema": "nice-cli-run-v7", "trace": {}}}"#,
+            r#"{{"schema": "nice-cli-sweep-v3", "trace": {}}}"#,
             trace.to_json()
         );
         assert_eq!(check_document(&report), Ok("JSON"));
         assert!(check_document("{\"schema\": \"nice-trace-v1\",}").is_err());
+    }
+
+    /// A `nice-cli-run-v8` report reads back its trace and its fault
+    /// counters, and the two counters `v7` had besides these are refused.
+    #[test]
+    fn run_report_validation_reads_the_trace_and_the_fault_counters() {
+        let trace = Trace::from_transitions("demo", TraceEngine::default(), []);
+        let faults = FaultStats::default().to_json().compact();
+        let report = |faults: &str, trace: &str| {
+            format!(
+                r#"{{"schema": "{RUN_SCHEMA}", "injected_faults": {faults}, "trace": {trace}}}"#
+            )
+        };
+        assert_eq!(check_document(&report(&faults, "null")), Ok(RUN_SCHEMA));
+        assert_eq!(
+            check_document(&report(&faults, &trace.to_json())),
+            Ok(RUN_SCHEMA)
+        );
+        let v7 = faults.replacen('}', r#","failovers":0,"mutations":0}"#, 1);
+        let err = check_document(&report(&v7, "null")).unwrap_err();
+        assert_eq!(err, "injected_faults: unknown key 'failovers'");
+        let err = check_document(&report(&faults, r#"{"steps": []}"#)).unwrap_err();
+        assert!(err.starts_with("trace: "), "{err}");
+        assert!(check_document(&format!(r#"{{"schema": "{RUN_SCHEMA}"}}"#)).is_err());
     }
 }

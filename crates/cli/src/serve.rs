@@ -13,7 +13,7 @@
 //! pending, so one chatty client cannot starve the others. A connection's
 //! own jobs run one at a time, in the order it sent them.
 //!
-//! The client protocol is `nice-dist-v7` itself — the same length-prefixed
+//! The client protocol is `nice-dist-v8` itself — the same length-prefixed
 //! JSON frames the coordinator speaks to its workers: a client sends a
 //! `job` frame and receives `progress` and `violation` frames while the job
 //! runs, then exactly one `job_done` (stats) or `error`; the job's

@@ -1,4 +1,4 @@
-//! The `nice-dist` worker process: speaks `nice-dist-v6` over
+//! The `nice-dist` worker process: speaks `nice-dist-v8` over
 //! stdin/stdout and runs one check job at a time, whole.
 //! Spawned by a coordinator — not meant to be run by hand.
 

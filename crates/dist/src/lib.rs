@@ -8,7 +8,7 @@
 //! coordinators side by side: N jobs at once, each independent, none
 //! forwarding a state to another.
 //!
-//! * [`proto`] — the `nice-dist-v7` wire protocol: length-prefixed
+//! * [`proto`] — the `nice-dist-v8` wire protocol: length-prefixed
 //!   single-line JSON frames, written and parsed through [`nice_mc::json`].
 //! * [`worker`] — the worker main loop: a session per job whose observer
 //!   streams progress and violations back over stdout.

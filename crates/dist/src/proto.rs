@@ -1,8 +1,8 @@
-//! The `nice-dist-v7` wire protocol.
+//! The `nice-dist-v8` wire protocol.
 //!
 //! Every frame is one line: `<len> <json>\n`, where `<len>` is the byte
 //! length of `<json>` and `<json>` is a single-line JSON object carrying
-//! `"schema": "nice-dist-v7"` and a `"frame"` discriminant. Frames are
+//! `"schema": "nice-dist-v8"` and a `"frame"` discriminant. Frames are
 //! built as [`nice_mc::json::Json`] values and rendered by its writer, so
 //! an outgoing frame is well-formed by construction; incoming bytes go
 //! through its strict, linear, depth-bounded parser, so a hostile or
@@ -28,9 +28,12 @@
 //! `idle` and `finish` frames of the sharded job. `v6` dropped `hello`,
 //! which nothing read, and `shutdown`, which closing the worker's stdin
 //! already means. `v7` dropped `job_done`'s `violations`, which repeated
-//! every `violation` frame of the job. Either way a stale worker binary
-//! must fail loudly on the schema tag instead of exploring a wrong state or
-//! misreading a verdict silently.
+//! every `violation` frame of the job. `v8` dropped the `failovers` and
+//! `mutations` fault counters of `job_done`'s stats, whose fault classes
+//! are gone. Either way a stale worker binary must fail loudly on the
+//! schema tag instead of exploring a wrong state or misreading a verdict
+//! silently. Within a tag, a reader refuses any member its writer does not
+//! write for the frame's kind, so nothing a peer sends is skipped.
 //!
 //! | frame | direction | meaning |
 //! |-------|-----------|---------|
@@ -49,12 +52,12 @@ use std::io::{self, BufRead, Write};
 
 use crate::coordinator::JobSpec;
 
-/// The schema tag every `nice-dist-v7` frame carries.
-pub const DIST_SCHEMA: &str = "nice-dist-v7";
+/// The schema tag every `nice-dist-v8` frame carries.
+pub const DIST_SCHEMA: &str = "nice-dist-v8";
 
 /// One violation on the wire: property, message, and the replayable
 /// transition steps from the initial state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireViolation {
     /// The violated property.
     pub property: String,
@@ -102,8 +105,9 @@ impl WireViolation {
         ])
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes.
+    /// Reads what [`to_json`](Self::to_json) writes, and nothing more.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        value.within(&WireViolation::default().to_json())?;
         Ok(WireViolation {
             property: value.str("property")?.to_string(),
             message: value.str("message")?.to_string(),
@@ -112,7 +116,7 @@ impl WireViolation {
     }
 }
 
-/// A `nice-dist-v7` frame. See the [module docs](self) for the table.
+/// A `nice-dist-v8` frame. See the [module docs](self) for the table.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// C → W: run `job` whole with the given spec.
@@ -181,8 +185,13 @@ pub enum Frame {
 // ---------------------------------------------------------------------------
 
 impl Frame {
-    /// Renders the frame as its single-line `nice-dist-v7` JSON document.
+    /// Renders the frame as its single-line `nice-dist-v8` JSON document.
     pub fn to_json(&self) -> String {
+        self.to_value().compact()
+    }
+
+    /// The frame as a JSON object.
+    fn to_value(&self) -> Json<'_> {
         let (kind, job, body): (&str, u64, Vec<(&'static str, Json)>) = match self {
             Frame::Job { job, spec } => ("job", *job, vec![("spec", spec.to_json())]),
             Frame::States { job, states } => {
@@ -218,10 +227,11 @@ impl Frame {
             ("frame", kind.into()),
             ("job", job.into()),
         ];
-        Json::object(head.into_iter().chain(body)).compact()
+        Json::object(head.into_iter().chain(body))
     }
 
-    /// Parses a single-line `nice-dist-v7` JSON document.
+    /// Parses a single-line `nice-dist-v8` JSON document, refusing a
+    /// member that [`to_json`](Self::to_json) does not write for its kind.
     pub fn from_json(input: &str) -> Result<Frame, String> {
         let value = Json::parse(input)?;
         let schema = value.str("schema")?;
@@ -229,7 +239,7 @@ impl Frame {
             return Err(format!("unknown schema '{schema}' (want '{DIST_SCHEMA}')"));
         }
         let job = || value.u64("job");
-        Ok(match value.str("frame")? {
+        let frame = match value.str("frame")? {
             "job" => Frame::Job {
                 job: job()?,
                 spec: JobSpec::from_json(value.get("spec")?)?,
@@ -262,7 +272,10 @@ impl Frame {
                 message: value.str("message")?.to_string(),
             },
             other => return Err(format!("unknown frame kind '{other}'")),
-        })
+        };
+        // What the frame writes back is the template of what it may hold.
+        value.within(&frame.to_value())?;
+        Ok(frame)
     }
 }
 
@@ -350,7 +363,6 @@ mod tests {
             faults: FaultStats {
                 drops: 1,
                 crashes: 2,
-                mutations: 3,
                 ..FaultStats::default()
             },
             max_depth: 9,
@@ -415,9 +427,9 @@ mod tests {
         }
     }
 
-    /// One frame of each of the 8 kinds with its `nice-dist-v7` bytes: its
-    /// `nice-dist-v6` bytes but for the tag, and for `job_done`, which no
-    /// longer repeats the job's violations.
+    /// One frame of each of the 8 kinds with its `nice-dist-v8` bytes: its
+    /// `nice-dist-v7` bytes but for the tag, and for `job_done`'s fault
+    /// counters, which no longer carry `failovers` and `mutations`.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
         let violation = WireViolation {
             property: "NoBlackHoles".to_string(),
@@ -435,25 +447,25 @@ mod tests {
                     job: 1,
                     spec: sample_spec(),
                 },
-                r#"{"schema":"nice-dist-v7","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
+                r#"{"schema":"nice-dist-v8","frame":"job","job":1,"spec":{"scenario":"chain:5:2","strategy":"NO-DELAY","reduction":"por","faults":true,"stop_at_first":false,"max_transitions":12345,"max_depth":400,"time_budget_ms":60000}}"#,
             ),
             (
                 Frame::States {
                     job: 2,
                     states: vec![golden_export(), golden_sibling(), max],
                 },
-                r#"{"schema":"nice-dist-v7","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v8","frame":"states","job":2,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]},{"fingerprint":18446744073709551615,"steps":[],"sleep":[]}]}"#,
             ),
             (
                 Frame::Cancel { job: 3 },
-                r#"{"schema":"nice-dist-v7","frame":"cancel","job":3}"#,
+                r#"{"schema":"nice-dist-v8","frame":"cancel","job":3}"#,
             ),
             (
                 Frame::Forward {
                     job: 5,
                     states: vec![golden_export(), golden_sibling()],
                 },
-                r#"{"schema":"nice-dist-v7","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
+                r#"{"schema":"nice-dist-v8","frame":"forward","job":5,"states":[{"fingerprint":18369614221190020847,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}],"sleep":[{"kind":"host_receive","host":2}]},{"fingerprint":7,"steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"host_receive","host":2}],"sleep":[]}]}"#,
             ),
             (
                 Frame::Progress {
@@ -462,25 +474,25 @@ mod tests {
                     unique_states: 60,
                     depth: 12,
                 },
-                r#"{"schema":"nice-dist-v7","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
+                r#"{"schema":"nice-dist-v8","frame":"progress","job":6,"transitions":100,"unique_states":60,"depth":12}"#,
             ),
             (
                 Frame::Violation { job: 7, violation },
-                r#"{"schema":"nice-dist-v7","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
+                r#"{"schema":"nice-dist-v8","frame":"violation","job":7,"violation":{"property":"NoBlackHoles","message":"packet \"lost\"\nat sw1","steps":[{"kind":"host_send","host":1,"packet":{"id":7,"src_mac":2199023255553,"dst_mac":2199023255554,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":3}},{"kind":"process_pkt","switch":1},{"kind":"ctrl_handle","switch":1}]}}"#,
             ),
             (
                 Frame::JobDone {
                     job: 9,
                     stats: sample_stats(),
                 },
-                r#"{"schema":"nice-dist-v7","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}}"#,
+                r#"{"schema":"nice-dist-v8","frame":"job_done","job":9,"stats":{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0}}}"#,
             ),
             (
                 Frame::Error {
                     job: 10,
                     message: "unknown scenario 'nope'".to_string(),
                 },
-                r#"{"schema":"nice-dist-v7","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
+                r#"{"schema":"nice-dist-v8","frame":"error","job":10,"message":"unknown scenario 'nope'"}"#,
             ),
         ]
     }
@@ -503,7 +515,7 @@ mod tests {
             let parsed = Frame::from_json(golden).expect("golden parses");
             assert_eq!(parsed.to_json(), golden);
         }
-        let stats = r#"{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0,"failovers":0,"mutations":3}}"#;
+        let stats = r#"{"transitions":11,"unique_states":7,"terminal_states":2,"symbolic_executions":1,"pruned_by_strategy":3,"pruned_by_por":4,"dedup_hits":5,"work_steals":6,"peak_explored_bytes":4096,"max_depth":9,"truncated":true,"depth_bounded":true,"duration_ms":250,"faults":{"drops":1,"duplicates":0,"reorders":0,"link_failures":0,"crashes":2,"reconnects":0}}"#;
         assert_eq!(sample_stats().to_json().compact(), stats);
         let parsed = SearchStats::from_json(&Json::parse(stats).unwrap()).expect("golden parses");
         assert_eq!(parsed.to_json().compact(), stats);
@@ -512,15 +524,16 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas_and_corrupt_framing() {
         assert!(Frame::from_json("{\"schema\":\"nice-trace-v1\",\"frame\":\"job\"}").is_err());
-        // A v6 worker repeats the job's violations in `job_done`, where
-        // this side no longer reads them: it must fail on the tag.
+        // A v7 worker writes `failovers` and `mutations` in `job_done`'s
+        // fault counters, which this side no longer has: it must fail on
+        // the tag.
         for (frame, golden) in golden_frames() {
-            let stale = golden.replacen("nice-dist-v7", "nice-dist-v6", 1);
+            let stale = golden.replacen("nice-dist-v8", "nice-dist-v7", 1);
             let wire = format!("{} {stale}\n", stale.len());
             let err = read_frame(&mut wire.as_bytes()).expect_err(&format!("{frame:?}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
-                err.to_string().contains("unknown schema 'nice-dist-v6'"),
+                err.to_string().contains("unknown schema 'nice-dist-v7'"),
                 "{err}"
             );
         }
@@ -550,6 +563,42 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
         assert!(Frame::from_json(golden).is_ok());
+    }
+
+    /// A member the writer does not write for a frame's kind is refused, at
+    /// the frame's top level and inside its stats: nothing is skipped.
+    #[test]
+    fn a_member_the_writer_does_not_write_is_invalid_data() {
+        let refused = |json: &str, key: &str| {
+            let wire = format!("{} {json}\n", json.len());
+            let err = read_frame(&mut wire.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{json}");
+            assert!(
+                err.to_string().contains(&format!("unknown key '{key}'")),
+                "{err}"
+            );
+        };
+        for (_, golden) in golden_frames() {
+            refused(
+                &golden.replacen(r#","job":"#, r#","bogus":true,"job":"#, 1),
+                "bogus",
+            );
+        }
+        let (_, done) = &golden_frames()[6];
+        assert!(done.contains(r#""frame":"job_done""#));
+        refused(
+            &done.replacen(r#""reconnects":0"#, r#""reconnects":0,"mutations":0"#, 1),
+            "mutations",
+        );
+        refused(
+            &done.replacen(r#""duration_ms""#, r#""violations":[],"duration_ms""#, 1),
+            "violations",
+        );
+        let (_, violation) = &golden_frames()[5];
+        refused(
+            &violation.replacen(r#""steps""#, r#""trace":null,"steps""#, 1),
+            "trace",
+        );
     }
 
     /// Every golden frame cut at every byte offset, and with every byte
@@ -599,7 +648,7 @@ mod tests {
                 }
             }
         }
-        // The eight goldens are 2 896 bytes on the wire.
+        // The eight goldens are 2 868 bytes on the wire.
         assert!(
             cut > 2800 && corrupted == 3 * cut,
             "{cut} cuts, {corrupted}"

@@ -130,15 +130,11 @@ pub struct FaultStats {
     pub crashes: u64,
     /// Switch reconnects (recovery; does not consume budget).
     pub reconnects: u64,
-    /// Controller failovers to the standby runtime.
-    pub failovers: u64,
-    /// Byzantine mutations of in-flight OpenFlow messages.
-    pub mutations: u64,
 }
 
 impl FaultStats {
     /// Number of distinct fault kinds tracked.
-    pub const KINDS: usize = 8;
+    pub const KINDS: usize = 6;
 
     /// Builds the counters from an array indexed by
     /// [`Transition::fault_counter_index`].
@@ -150,8 +146,6 @@ impl FaultStats {
             link_failures: counts[3],
             crashes: counts[4],
             reconnects: counts[5],
-            failovers: counts[6],
-            mutations: counts[7],
         }
     }
 
@@ -165,8 +159,6 @@ impl FaultStats {
             ("link_failures", self.link_failures),
             ("crashes", self.crashes),
             ("reconnects", self.reconnects),
-            ("failovers", self.failovers),
-            ("mutations", self.mutations),
         ]
     }
 
@@ -177,8 +169,9 @@ impl FaultStats {
         Json::object(self.labeled().map(|(name, count)| (name, count.into())))
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes.
+    /// Reads what [`to_json`](Self::to_json) writes, and nothing more.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        value.within(&FaultStats::default().to_json())?;
         let mut counts = [0; Self::KINDS];
         for (count, (name, _)) in counts.iter_mut().zip(FaultStats::default().labeled()) {
             *count = value.u64(name)?;
@@ -203,8 +196,6 @@ impl FaultStats {
             3 => self.link_failures += 1,
             4 => self.crashes += 1,
             5 => self.reconnects += 1,
-            6 => self.failovers += 1,
-            7 => self.mutations += 1,
             _ => panic!("fault counter index {index} out of range"),
         }
     }
@@ -305,7 +296,7 @@ impl SearchStats {
         self.peak_explored_bytes += other.peak_explored_bytes;
     }
 
-    /// The stats object of the `nice-dist-v6` `job_done` frame.
+    /// The stats object of the `nice-dist` `job_done` frame.
     pub fn to_json(&self) -> Json<'_> {
         Json::object([
             ("transitions", self.transitions.into()),
@@ -325,8 +316,9 @@ impl SearchStats {
         ])
     }
 
-    /// Reads what [`to_json`](Self::to_json) writes.
+    /// Reads what [`to_json`](Self::to_json) writes, and nothing more.
     pub fn from_json(value: &Json) -> Result<Self, String> {
+        value.within(&SearchStats::default().to_json())?;
         Ok(SearchStats {
             transitions: value.u64("transitions")?,
             unique_states: value.u64("unique_states")?,

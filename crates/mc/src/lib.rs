@@ -13,8 +13,8 @@
 //!   discovered), and the checker configuration (strategy, bounds,
 //!   switch-model options).
 //! * [`faults`] — the [`faults::FaultPlan`]: which faults (channel drops /
-//!   duplicates / reorders, switch crashes, controller failover, Byzantine
-//!   OpenFlow mutations) the checker may inject, under a bounded budget.
+//!   duplicates / reorders / link failures, switch crashes) the checker may
+//!   inject, under a bounded budget.
 //! * [`state`] — the [`state::SystemState`]: every component plus the FIFO
 //!   channels between them, with a canonical 64-bit fingerprint.
 //! * [`transition`] — the system transitions and their semantics.
@@ -71,7 +71,7 @@ pub mod trace;
 pub mod transition;
 
 pub use checker::{CheckReport, FaultStats, ModelChecker, Path, SearchStats, Verdict, Violation};
-pub use faults::{FailoverStaleness, FaultPlan};
+pub use faults::FaultPlan;
 pub use json::Json;
 pub use minimize::{BisectReport, MinimizeReport};
 pub use por::{independent, Footprint};

@@ -589,27 +589,6 @@ impl Transition {
                     fp.write(Res::IngressTail(*switch, port));
                 }
             }
-
-            Transition::ControllerFailover => {
-                fp.touch(Res::Budget);
-                // The standby replays (warm) or requests (cold) a join from
-                // every live switch, so it reads every switch's state and may
-                // append to every control channel in both directions.
-                fp.touch(Res::Controller);
-                for (s, _) in state.switches() {
-                    fp.read(Res::Switch(s));
-                    fp.write(Res::Sw2cTail(s));
-                    fp.write(Res::C2sTail(s));
-                }
-            }
-
-            Transition::MutateOfHead { switch, .. } => {
-                fp.touch(Res::Budget);
-                // The mutation rewrites the head of one controller→switch
-                // channel in place; which mutations are enabled also depends
-                // on that head message.
-                fp.touch(Res::C2sHead(*switch));
-            }
         }
     }
 

@@ -51,8 +51,7 @@ pub struct Scenario {
     /// Switch-model options (canonical flow table, buffer capacity).
     pub switch_config: SwitchConfig,
     /// Which faults the checker may inject (channel faults on data-plane
-    /// packet channels, switch crashes, controller failover, OpenFlow
-    /// mutations) and the per-execution fault budget. Defaults to
+    /// packet channels, switch crashes) and the per-execution fault budget. Defaults to
     /// [`FaultPlan::none`]; fault transitions are only generated when the
     /// checker additionally enables them
     /// ([`CheckerConfig::inject_faults`]).

@@ -1344,12 +1344,6 @@ impl SystemState {
         }
     }
 
-    /// Replaces the controller runtime (failover to a standby).
-    pub fn replace_controller(&mut self, runtime: ControllerRuntime) {
-        self.acc.retire(Slot::CONTROLLER, &self.controller);
-        self.controller = Arc::new(Cached::new(runtime));
-    }
-
     // ----- Fingerprinting -----
 
     /// The canonical 64-bit fingerprint of this state, used for the explored

@@ -9,7 +9,7 @@
 //! | `R`    | a packet delivered to a host |
 //! | `W`    | a flow-mod (rule installed or deleted) |
 //! | `B`    | a barrier message processed |
-//! | `⚡`   | an injected fault (crash, channel fault, failover, mutation) |
+//! | `⚡`   | an injected fault (switch crash or reconnect, channel fault) |
 //! | `!`    | a property violation fired here |
 //! | `*`    | other activity on the step's component |
 //! | `.`    | idle |
@@ -114,15 +114,14 @@ fn anchor(transition: &Transition) -> LaneKey {
         | Transition::HostReceive { host }
         | Transition::HostMove { host, .. }
         | Transition::DiscoverPackets { host } => LaneKey::Host(*host),
-        Transition::ControllerHandle { .. } | Transition::ControllerFailover => LaneKey::Ctrl,
+        Transition::ControllerHandle { .. } => LaneKey::Ctrl,
         Transition::ProcessPacket { switch }
         | Transition::ProcessOf { switch }
         | Transition::DiscoverStats { switch }
         | Transition::InjectStats { switch, .. }
         | Transition::ChannelFault { switch, .. }
         | Transition::SwitchCrash { switch }
-        | Transition::SwitchReconnect { switch }
-        | Transition::MutateOfHead { switch, .. } => LaneKey::Switch(*switch),
+        | Transition::SwitchReconnect { switch } => LaneKey::Switch(*switch),
     }
 }
 

@@ -19,8 +19,8 @@ use crate::json::Json;
 use crate::scenario::{CheckerConfig, ReductionKind, StrategyKind};
 use crate::transition::Transition;
 use nice_openflow::{
-    ChannelFault, EthType, HostId, IpProto, Location, MacAddr, NwAddr, OfMutation, Packet,
-    PacketId, PortId, PortStatsEntry, SwitchId, TcpFlags,
+    ChannelFault, EthType, HostId, IpProto, Location, MacAddr, NwAddr, Packet, PacketId, PortId,
+    PortStatsEntry, SwitchId, TcpFlags,
 };
 use std::fmt;
 
@@ -295,12 +295,6 @@ impl Transition {
                 ("port", port.0.into()),
                 ("fault", channel_fault_name(*fault).into()),
             ]),
-            Transition::ControllerFailover => Json::object([kind]),
-            Transition::MutateOfHead { switch, mutation } => Json::object([
-                kind,
-                ("switch", switch.0.into()),
-                ("mutation", mutation.name().into()),
-            ]),
         }
     }
 
@@ -341,15 +335,11 @@ impl Transition {
             },
             "switch_crash" => Transition::SwitchCrash { switch: switch()? },
             "switch_reconnect" => Transition::SwitchReconnect { switch: switch()? },
-            "ctrl_failover" => Transition::ControllerFailover,
-            "mutate_of" => Transition::MutateOfHead {
-                switch: switch()?,
-                mutation: value.parsed("mutation", mutation_parse)?,
-            },
-            removed @ ("process_pkt_on" | "expire_rule") => {
+            removed @ ("process_pkt_on" | "expire_rule" | "ctrl_failover" | "mutate_of") => {
                 return Err(format!(
-                    "step kind '{removed}' was removed (per-port packet processing and \
-                     rule expiry are no longer modelled)"
+                    "step kind '{removed}' was removed (per-port packet processing, rule \
+                     expiry, controller failover (ctrl_failover) and OpenFlow-message \
+                     mutation (mutate_of) are no longer modelled)"
                 ))
             }
             other => return Err(format!("unknown step kind '{other}'")),
@@ -426,11 +416,6 @@ fn channel_fault_parse(name: &str) -> Option<ChannelFault> {
     all.into_iter().find(|f| channel_fault_name(*f) == name)
 }
 
-fn mutation_parse(name: &str) -> Option<OfMutation> {
-    let all = [OfMutation::DropActions, OfMutation::ZeroPriority];
-    all.into_iter().find(|m| m.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +430,7 @@ mod tests {
         }
     }
 
-    /// One transition of each of the 14 step kinds.
+    /// One transition of each of the 12 step kinds.
     fn every_kind() -> Vec<Transition> {
         vec![
             Transition::HostSend {
@@ -497,11 +482,6 @@ mod tests {
             Transition::SwitchReconnect {
                 switch: SwitchId(3),
             },
-            Transition::ControllerFailover,
-            Transition::MutateOfHead {
-                switch: SwitchId(1),
-                mutation: OfMutation::DropActions,
-            },
         ]
     }
 
@@ -527,7 +507,7 @@ mod tests {
     }
 
     /// The `nice-trace-v1` bytes, recorded from the emitter this module had
-    /// before it was rebuilt on `crate::json`: the 14 step kinds, every
+    /// before it was rebuilt on `crate::json`: the 12 step kinds, every
     /// escape class in the strings, both engine shapes.
     #[test]
     fn golden_bytes_are_pinned() {
@@ -544,7 +524,7 @@ mod tests {
         for (trace, golden) in [
             (
                 trace,
-                r#"{"schema":"nice-trace-v1","scenario":"golden \"kinds\"","property":"NoForgottenPackets","message":"packet 9 \\ \"lost\"\n\tat sw1 \u0001 é","engine":{"strategy":"pkt-seq","reduction":"none","workers":1,"faults":false,"coarse_packet_processing":true,"deterministic":true},"steps":[{"kind":"host_send","host":3,"packet":{"id":9,"src_mac":2199023255555,"dst_mac":2199023255556,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":5}},{"kind":"host_receive","host":2},{"kind":"host_move","host":1,"switch":2,"port":3},{"kind":"process_pkt","switch":1},{"kind":"process_of","switch":4},{"kind":"ctrl_handle","switch":5},{"kind":"discover_packets","host":1},{"kind":"discover_stats","switch":1},{"kind":"process_stats","switch":1,"stats":[{"port":1,"rx_packets":3,"tx_packets":4,"rx_bytes":1500,"tx_bytes":9000},{"port":2,"rx_packets":0,"tx_packets":0,"rx_bytes":0,"tx_bytes":0}]},{"kind":"channel_fault","switch":1,"port":1,"fault":"fail_link"},{"kind":"switch_crash","switch":3},{"kind":"switch_reconnect","switch":3},{"kind":"ctrl_failover"},{"kind":"mutate_of","switch":1,"mutation":"drop_actions"}]}"#,
+                r#"{"schema":"nice-trace-v1","scenario":"golden \"kinds\"","property":"NoForgottenPackets","message":"packet 9 \\ \"lost\"\n\tat sw1 \u0001 é","engine":{"strategy":"pkt-seq","reduction":"none","workers":1,"faults":false,"coarse_packet_processing":true,"deterministic":true},"steps":[{"kind":"host_send","host":3,"packet":{"id":9,"src_mac":2199023255555,"dst_mac":2199023255556,"eth_type":34997,"src_ip":0,"dst_ip":0,"nw_proto":0,"src_port":0,"dst_port":0,"tcp_flags":0,"arp_op":0,"payload":5}},{"kind":"host_receive","host":2},{"kind":"host_move","host":1,"switch":2,"port":3},{"kind":"process_pkt","switch":1},{"kind":"process_of","switch":4},{"kind":"ctrl_handle","switch":5},{"kind":"discover_packets","host":1},{"kind":"discover_stats","switch":1},{"kind":"process_stats","switch":1,"stats":[{"port":1,"rx_packets":3,"tx_packets":4,"rx_bytes":1500,"tx_bytes":9000},{"port":2,"rx_packets":0,"tx_packets":0,"rx_bytes":0,"tx_bytes":0}]},{"kind":"channel_fault","switch":1,"port":1,"fault":"fail_link"},{"kind":"switch_crash","switch":3},{"kind":"switch_reconnect","switch":3}]}"#,
             ),
             (
                 Trace::from_transitions("t", parallel, []),
@@ -651,9 +631,20 @@ mod tests {
                 r#"{"kind":"expire_rule","switch":2,"rule_index":5}"#,
                 "steps[0]: step kind 'expire_rule' was removed",
             ),
+            (
+                true,
+                r#"{"kind":"ctrl_failover"}"#,
+                "steps[0]: step kind 'ctrl_failover' was removed",
+            ),
+            (
+                true,
+                r#"{"kind":"mutate_of","switch":1,"mutation":"drop_actions"}"#,
+                "steps[0]: step kind 'mutate_of' was removed",
+            ),
         ] {
             let err = Trace::from_json(&document(coarse, step)).unwrap_err();
             assert!(err.contains(names), "{err}");
+            assert!(!err.contains("unknown step kind"), "{err}");
         }
     }
 

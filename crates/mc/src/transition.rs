@@ -6,14 +6,13 @@
 //! handler executions, and the special `discover_packets` / `discover_stats`
 //! transitions that run the concolic engine to uncover new relevant inputs.
 
-use crate::faults::FailoverStaleness;
 use crate::properties::Event;
 use crate::scenario::{CheckerConfig, Scenario, SendPolicy};
 use crate::state::SystemState;
-use nice_controller::{ControllerRuntime, PacketInContext};
+use nice_controller::PacketInContext;
 use nice_openflow::{
-    BufferId, ChannelFault, FifoChannel, ForwardingDecision, HostId, Location, OfMessage,
-    OfMutation, Packet, PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput, Topology,
+    BufferId, ChannelFault, FifoChannel, ForwardingDecision, HostId, Location, OfMessage, Packet,
+    PacketId, PortId, PortStatsEntry, SwitchId, SwitchOutput, Topology,
 };
 use nice_sym::{ConcreteEnv, ExploreConfig, PathExplorer, Solver, SymPacket, SymStats};
 use std::collections::BTreeMap;
@@ -105,19 +104,6 @@ pub enum Transition {
         /// The reconnecting switch.
         switch: SwitchId,
     },
-    /// The controller fails over to a standby runtime whose staleness is
-    /// set by the scenario's fault plan. Consumes one unit of the fault
-    /// budget.
-    ControllerFailover,
-    /// Byzantine mutation of the OpenFlow message at the head of a
-    /// controller→switch channel, before the switch processes it. Consumes
-    /// one unit of the fault budget.
-    MutateOfHead {
-        /// The switch whose inbound control channel is corrupted.
-        switch: SwitchId,
-        /// The mutation applied to the head message.
-        mutation: OfMutation,
-    },
 }
 
 impl Transition {
@@ -136,8 +122,6 @@ impl Transition {
             Transition::ChannelFault { .. } => "channel_fault",
             Transition::SwitchCrash { .. } => "switch_crash",
             Transition::SwitchReconnect { .. } => "switch_reconnect",
-            Transition::ControllerFailover => "ctrl_failover",
-            Transition::MutateOfHead { .. } => "mutate_of",
         }
     }
 
@@ -154,8 +138,6 @@ impl Transition {
             }),
             Transition::SwitchCrash { .. } => Some(4),
             Transition::SwitchReconnect { .. } => Some(5),
-            Transition::ControllerFailover => Some(6),
-            Transition::MutateOfHead { .. } => Some(7),
             _ => None,
         }
     }
@@ -182,10 +164,6 @@ impl fmt::Display for Transition {
             } => write!(f, "inject {fault:?} on {switch}:{port}"),
             Transition::SwitchCrash { switch } => write!(f, "{switch} crash"),
             Transition::SwitchReconnect { switch } => write!(f, "{switch} reconnect"),
-            Transition::ControllerFailover => write!(f, "ctrl failover"),
-            Transition::MutateOfHead { switch, mutation } => {
-                write!(f, "mutate of-head towards {switch} ({mutation})")
-            }
         }
     }
 }
@@ -328,6 +306,7 @@ pub(crate) fn enabled_transitions_into(
     let plan = &scenario.fault_plan;
     if config.inject_faults && plan.any_enabled() {
         let budget_left = state.fault_budget() > 0;
+        let model = plan.channel_model();
         let idle = FifoChannel::new();
         for (switch_id, switch) in state.switches() {
             if state.is_crashed(switch_id) {
@@ -342,10 +321,9 @@ pub(crate) fn enabled_transitions_into(
             if plan.switch_crash {
                 out.push(Transition::SwitchCrash { switch: switch_id });
             }
-            // The plan, not the channel, says which faults a link allows
-            // (none on a switch it leaves out of scope); a port with no
-            // channel in the state has an idle one, whose link can fail.
-            let model = plan.channel_model_for(switch_id);
+            // The plan, not the channel, says which faults a link allows; a
+            // port with no channel in the state has an idle one, whose link
+            // can fail.
             if model.any_enabled() {
                 for &port in switch.ports.iter() {
                     let channel = state.ingress(switch_id, port).unwrap_or(&idle);
@@ -358,19 +336,6 @@ pub(crate) fn enabled_transitions_into(
                     }));
                 }
             }
-            if plan.of_mutations {
-                if let Some(head) = state.ctrl_to_sw(switch_id).and_then(|ch| ch.peek()) {
-                    for mutation in head.mutations() {
-                        out.push(Transition::MutateOfHead {
-                            switch: switch_id,
-                            mutation,
-                        });
-                    }
-                }
-            }
-        }
-        if budget_left && plan.failover.is_some() {
-            out.push(Transition::ControllerFailover);
         }
     }
 }
@@ -540,7 +505,7 @@ pub fn execute(
             fault,
         } => {
             state.consume_fault_budget();
-            let model = scenario.fault_plan.channel_model_for(*switch);
+            let model = scenario.fault_plan.channel_model();
             state.ingress_mut(*switch, *port).apply_fault(*fault, model);
         }
 
@@ -551,52 +516,6 @@ pub fn execute(
 
         Transition::SwitchReconnect { switch } => {
             state.reconnect_switch(*switch);
-        }
-
-        Transition::ControllerFailover => {
-            state.consume_fault_budget();
-            let staleness = scenario
-                .fault_plan
-                .failover
-                .expect("failover scheduled without a plan");
-            let mut standby = ControllerRuntime::new(scenario.app.clone_app());
-            let live: Vec<(SwitchId, OfMessage)> = state
-                .switches()
-                .filter(|(id, _)| !state.is_crashed(*id))
-                .map(|(id, sw)| (id, sw.join_message()))
-                .collect();
-            match staleness {
-                FailoverStaleness::Warm => {
-                    // The standby's switch registry is warm: joins are
-                    // replayed synchronously before it takes over.
-                    let mut produced = Vec::new();
-                    for (_, join) in &live {
-                        produced.extend(standby.handle_message(join));
-                    }
-                    state.replace_controller(standby);
-                    for (target, m) in produced {
-                        state.enqueue_to_switch(target, m);
-                    }
-                }
-                FailoverStaleness::Cold => {
-                    // Cold standby: switches re-handshake asynchronously,
-                    // so the checker explores every interleaving of the
-                    // joins with in-flight traffic.
-                    state.replace_controller(standby);
-                    for (id, join) in live {
-                        state.enqueue_to_controller(id, join);
-                    }
-                }
-            }
-        }
-
-        Transition::MutateOfHead { switch, mutation } => {
-            state.consume_fault_budget();
-            state
-                .ctrl_to_sw_mut(*switch)
-                .peek_mut()
-                .expect("mutate_of with empty channel")
-                .apply_mutation(*mutation);
         }
     }
 }

@@ -12,20 +12,14 @@
 use nice_mc::scenario::CheckerConfig;
 use nice_mc::testutil;
 use nice_mc::transition::{enabled_transitions, execute, DiscoveryMemo};
-use nice_mc::{independent, FailoverStaleness, FaultPlan, Scenario, SystemState, Transition};
+use nice_mc::{independent, FaultPlan, Scenario, SystemState, Transition};
 use proptest::prelude::*;
 
-/// The hub workload with every fault class armed: lossy channels, switch
-/// crashes, warm controller failover and Byzantine message mutations, under
-/// a shared budget of 2. Used to sample states whose enabled sets mix fault
-/// and non-fault transitions.
+/// The hub workload with every fault class armed: lossy channels and switch
+/// crashes, under a shared budget of 2. Used to sample states whose enabled
+/// sets mix fault and non-fault transitions.
 fn faulty_hub_scenario(pings: u32) -> Scenario {
-    testutil::hub_ping_scenario(pings).with_fault_plan(
-        FaultPlan::lossy(2)
-            .with_switch_crash()
-            .with_failover(FailoverStaleness::Warm)
-            .with_of_mutations(),
-    )
+    testutil::hub_ping_scenario(pings).with_fault_plan(FaultPlan::lossy(2).with_switch_crash())
 }
 
 /// Walks `steps` pseudo-random transitions from the initial state and
@@ -133,10 +127,10 @@ proptest! {
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 
-    /// Fault-injection transitions (channel faults, crashes, reconnects,
-    /// failover, message mutations) obey the same independence relation:
-    /// any footprint-disjoint pair — fault/fault or fault/non-fault —
-    /// commutes both ways to the same fingerprint.
+    /// Fault-injection transitions (channel faults, crashes, reconnects)
+    /// obey the same independence relation: any footprint-disjoint pair —
+    /// fault/fault or fault/non-fault — commutes both ways to the same
+    /// fingerprint.
     #[test]
     fn independent_pairs_commute_under_fault_injection(
         seed in 0u64..1_000_000,

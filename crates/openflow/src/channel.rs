@@ -126,12 +126,6 @@ impl<T> FifoChannel<T> {
         self.queue.front()
     }
 
-    /// Mutable access to the head of the queue (used by the Byzantine
-    /// message mutator to corrupt a message in flight).
-    pub fn peek_mut(&mut self) -> Option<&mut T> {
-        self.queue.front_mut()
-    }
-
     /// Iterates over queued messages from head to tail.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.queue.iter()

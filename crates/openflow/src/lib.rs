@@ -38,7 +38,7 @@ pub use channel::{ChannelFault, FaultModel, FifoChannel};
 pub use fingerprint::{fingerprint_of, Hasher64};
 pub use flowtable::{FlowRule, FlowTable, RuleCounters, Timeouts};
 pub use matchfields::MatchPattern;
-pub use messages::{FlowModCommand, OfMessage, OfMutation, PacketInReason, StatsKind};
+pub use messages::{FlowModCommand, OfMessage, PacketInReason, StatsKind};
 pub use packet::{EthType, IpProto, Packet, PacketId, TcpFlags};
 pub use stats::{FlowStatsEntry, PortStatsEntry};
 pub use switch::{BufferId, BufferedPacket, Switch, SwitchConfig, SwitchOutput};

@@ -208,83 +208,6 @@ impl OfMessage {
     }
 }
 
-/// A bounded Byzantine mutation of an in-flight controller-to-switch
-/// message — the `MessageMutator` pattern: rather than fuzzing random
-/// bytes, the model checker enumerates a small set of semantically
-/// meaningful corruptions and explores *when* each lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OfMutation {
-    /// Strip the action list (a `FlowMod` add becomes a drop rule, a
-    /// `PacketOut` releases its packet into the void).
-    DropActions,
-    /// Zero the priority of a `FlowMod` add, letting lower-priority rules
-    /// shadow it.
-    ZeroPriority,
-}
-
-impl OfMutation {
-    /// A short stable label used in transition labels and traces.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OfMutation::DropActions => "drop_actions",
-            OfMutation::ZeroPriority => "zero_priority",
-        }
-    }
-}
-
-impl fmt::Display for OfMutation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl OfMessage {
-    /// The mutations applicable to this message. Only mutations that
-    /// actually change the message are listed, so every mutation spends
-    /// the fault budget on a genuinely different state.
-    pub fn mutations(&self) -> Vec<OfMutation> {
-        let mut out = Vec::new();
-        match self {
-            OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                priority,
-                actions,
-                ..
-            } => {
-                if !actions.is_empty() {
-                    out.push(OfMutation::DropActions);
-                }
-                if *priority != 0 {
-                    out.push(OfMutation::ZeroPriority);
-                }
-            }
-            OfMessage::PacketOut { actions, .. } if !actions.is_empty() => {
-                out.push(OfMutation::DropActions);
-            }
-            _ => {}
-        }
-        out
-    }
-
-    /// Applies a mutation in place. Panics if the mutation is not
-    /// applicable — callers only apply mutations obtained from
-    /// [`OfMessage::mutations`].
-    pub fn apply_mutation(&mut self, mutation: OfMutation) {
-        match (mutation, self) {
-            (OfMutation::DropActions, OfMessage::FlowMod { actions, .. })
-            | (OfMutation::DropActions, OfMessage::PacketOut { actions, .. }) => {
-                assert!(!actions.is_empty(), "drop_actions is a no-op here");
-                actions.clear();
-            }
-            (OfMutation::ZeroPriority, OfMessage::FlowMod { priority, .. }) => {
-                assert_ne!(*priority, 0, "zero_priority is a no-op here");
-                *priority = 0;
-            }
-            (mutation, msg) => panic!("mutation {mutation} not applicable to {}", msg.kind_name()),
-        }
-    }
-}
-
 impl fmt::Display for OfMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -446,49 +369,6 @@ mod tests {
             *reason = PacketInReason::Action;
         }
         assert_ne!(fingerprint_of(&a), fingerprint_of(&b));
-    }
-
-    #[test]
-    fn mutations_are_bounded_and_change_the_message() {
-        let fm = OfMessage::FlowMod {
-            command: FlowModCommand::Add,
-            pattern: MatchPattern::any(),
-            priority: 100,
-            actions: vec![Action::Flood],
-            timeouts: Timeouts::PERMANENT,
-            cookie: 0,
-        };
-        let muts = fm.mutations();
-        assert_eq!(
-            muts,
-            vec![OfMutation::DropActions, OfMutation::ZeroPriority]
-        );
-        for m in muts {
-            let mut corrupted = fm.clone();
-            corrupted.apply_mutation(m);
-            assert_ne!(fingerprint_of(&corrupted), fingerprint_of(&fm));
-        }
-        // Deletes, replies and in-flight switch-to-controller messages are
-        // not mutated.
-        assert!(packet_in().mutations().is_empty());
-        assert!(OfMessage::BarrierRequest { request_id: 1 }
-            .mutations()
-            .is_empty());
-        // A PacketOut with no actions is already a drop: no mutation.
-        let po = OfMessage::PacketOut {
-            buffer_id: Some(BufferId(3)),
-            packet: None,
-            in_port: PortId(1),
-            actions: vec![],
-        };
-        assert!(po.mutations().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not applicable")]
-    fn applying_inapplicable_mutation_panics() {
-        let mut msg = OfMessage::BarrierRequest { request_id: 1 };
-        msg.apply_mutation(OfMutation::DropActions);
     }
 
     #[test]

@@ -50,10 +50,10 @@ pub mod prelude {
     };
     pub use nice_mc::{
         render_timeline, BisectReport, CancelToken, CheckEvent, CheckObserver, CheckReport,
-        CheckSession, CheckerConfig, FailoverStaleness, FaultPlan, FaultStats, InterruptReason,
-        MinimizeReport, ModelChecker, NoopObserver, Outcome, ReductionKind, ReplayOutcome,
-        ReplayReport, ReplayViolation, Scenario, ScenarioBuilder, SendPolicy, StrategyKind,
-        Timeline, Trace, TraceEngine, Verdict, Violation, TRACE_SCHEMA,
+        CheckSession, CheckerConfig, FaultPlan, FaultStats, InterruptReason, MinimizeReport,
+        ModelChecker, NoopObserver, Outcome, ReductionKind, ReplayOutcome, ReplayReport,
+        ReplayViolation, Scenario, ScenarioBuilder, SendPolicy, StrategyKind, Timeline, Trace,
+        TraceEngine, Verdict, Violation, TRACE_SCHEMA,
     };
     pub use nice_openflow::{
         Action, HostId, MacAddr, MatchPattern, NwAddr, Packet, PortId, SwitchId, Topology,
